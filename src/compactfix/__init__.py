@@ -25,8 +25,9 @@ from .funcspace import (BumpChain, FaceLimitError, GammaFunction,
                         weighted_norm)
 from .greenop import (GridHammersteinOperator, HypothesisReport, Kernel,
                       Nonlinearity, QuadratureError, adaptive_quadrature,
-                      apply_T, check_hypotheses, cumulative_weights,
-                      kernel_abs_integral, unbounded_quadrature)
+                      apply_T, attach_faces, check_hypotheses,
+                      cumulative_weights, kernel_abs_integral,
+                      unbounded_quadrature)
 from .solver import (IterationError, SolveConfig, SolveResult,
                      asymptotic_profile, pde_residual, picard_solve,
                      write_outputs)
@@ -42,9 +43,10 @@ __all__ = [
     "Nonlinearity", "PipelineBundle", "PlanResult", "PrecompactnessReport",
     "PROBLEM_IDS", "ProductCompactification", "QuadratureError",
     "SolveConfig", "SolveResult", "WeightedGridFunction", "XPoint",
-    "adaptive_quadrature", "apply_T", "asymptotic_profile", "ball_inverse",
-    "ball_map", "bump_chain", "check_hypotheses", "classify_ladder",
-    "cone_membership", "cumulative_weights", "default_levels", "extend",
+    "adaptive_quadrature", "apply_T", "asymptotic_profile", "attach_faces",
+    "ball_inverse", "ball_map", "bump_chain", "check_hypotheses",
+    "classify_ladder", "cone_membership", "cumulative_weights",
+    "default_levels", "extend",
     "f_inf_rho", "f_sup_rho", "gamma_p", "gaussian_family",
     "gaussian_family_separation", "halfline_metric", "index_one_check",
     "index_one_sweep", "index_zero_check", "kappa_limit",

@@ -512,15 +512,23 @@ def _p_unkey(s):
 
 
 def save_grid_function(f, csv_path):
-    """Write samples as CSV (one row per node) plus a JSON sidecar."""
+    """Write samples as CSV (one row per node) plus a JSON sidecar.
+
+    Each node coordinate is formatted once; the nodes that share their
+    leading coordinates (one line of the last axis) are written with one
+    "%.17g" template, so the file matches a per-cell f"{v:.17g}" writer
+    byte for byte.
+    """
     names = ["x", "y", "z"][: f.ndim]
-    mesh = f.mesh()
+    *lead, last = [["%.17g" % v for v in a.tolist()] for a in f.axes]
+    cells = [""] + [c + ",%.17g\r\n" for c in last]
+    rows = f.samples.reshape(math.prod(len(a) for a in lead), len(last))
     with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names + ["value"])
-        flat = [m.ravel() for m in mesh] + [f.samples.ravel()]
-        for row in zip(*flat):
-            w.writerow([f"{v:.17g}" for v in row])
+        fh.write(",".join(names + ["value"]) + "\r\n")
+        for prefix, row in zip(itertools.product(*lead), rows):
+            # the leading "" puts the prefix before every cell
+            template = "".join(c + "," for c in prefix).join(cells)
+            fh.write(template % tuple(row.tolist()))
     side = {
         "weight": f.weight_desc,
         "order": f.order,

@@ -16,11 +16,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.interpolate import RectBivariateSpline
 
 from .compactify import HalfLineOnePoint, kappa_limit
-from .funcspace import WeightedGridFunction, _grid_face_limit
+from .funcspace import quotient_derivative, _grid_face_limit
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -175,11 +173,13 @@ def kernel_abs_integral(kernel, point, tol=1e-8):
 
 
 def cumulative_weights(nodes):
-    """W[i, k] = weight of node k in a 4th-order rule for int_{x0}^{xi}.
+    """W[i, k] = weight of node k in a cumulative rule for int_{x0}^{xi}.
 
     Uniform spacing required.  Row 1 is the trapezoid rule, even rows are
     composite Simpson, row 3 is the 3/8 rule, odd rows >= 5 are composite
-    Simpson up to i-3 plus the 3/8 rule on the last three intervals.
+    Simpson up to i-3 plus the 3/8 rule on the last three intervals.  The
+    Simpson and 3/8 panels are fourth order, but the trapezoid of row 1
+    makes the scheme third order.
     """
     nodes = np.asarray(nodes, dtype=float)
     n = len(nodes)
@@ -190,24 +190,26 @@ def cumulative_weights(nodes):
     if not np.allclose(steps, h, rtol=1e-10, atol=1e-14):
         raise ValueError("cumulative weights need a uniform grid")
     W = np.zeros((n, n))
-    for i in range(1, n):
-        if i == 1:
-            W[1, :2] = h / 2.0
-        elif i % 2 == 0:
-            W[i, 0] = W[i, i] = h / 3.0
-            W[i, 1:i:2] = 4.0 * h / 3.0
-            W[i, 2:i:2] = 2.0 * h / 3.0
-        elif i == 3:
-            W[3, [0, 3]] = 3.0 * h / 8.0
-            W[3, [1, 2]] = 9.0 * h / 8.0
-        else:
-            m = i - 3
-            W[i, 0] = W[i, m] = h / 3.0
-            W[i, 1:m:2] = 4.0 * h / 3.0
-            W[i, 2:m:2] = 2.0 * h / 3.0
-            W[i, m] += 3.0 * h / 8.0
-            W[i, [m + 1, m + 2]] = 9.0 * h / 8.0
-            W[i, i] = 3.0 * h / 8.0
+    W[1, :2] = h / 2.0
+    if n > 3:
+        W[3, [0, 3]] = 3.0 * h / 8.0
+        W[3, [1, 2]] = 9.0 * h / 8.0
+    # Simpson interiors: even rows i = 2r + 2 run up to column i - 1, odd
+    # rows i = 2r + 5 up to column i - 4; in both, row r of the view takes
+    # the odd columns 1..2r+1 and the even columns 2..2r.
+    for rows in (W[2::2], W[5::2]):
+        odd_cols, even_cols = rows[:, 1::2], rows[:, 2::2]
+        np.copyto(odd_cols, 4.0 * h / 3.0,
+                  where=np.tri(*odd_cols.shape, 0, dtype=bool))
+        np.copyto(even_cols, 2.0 * h / 3.0,
+                  where=np.tri(*even_cols.shape, -1, dtype=bool))
+        rows[:, 0] = h / 3.0
+    even = np.arange(2, n, 2)
+    W[even, even] = h / 3.0
+    odd = np.arange(5, n, 2)
+    W[odd, odd - 3] = h / 3.0 + 3.0 * h / 8.0
+    W[odd, odd - 2] = W[odd, odd - 1] = 9.0 * h / 8.0
+    W[odd, odd] = 3.0 * h / 8.0
     return W
 
 
@@ -266,11 +268,10 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
             face_tol=1e-4, operator=None):
     """Tu as a weighted grid function on u's grid.
 
-    method "grid" uses cumulative 4th-order weights (uniform grids only);
+    method "grid" uses the cumulative weights (uniform grids only);
     "adaptive" uses nested adaptive panels per node with a spline read of u.
-    Infinity-face values of Tu/phi come from the kernel's closed-form trace
-    when one is attached, and otherwise from the windowed grid limit; when
-    both routes exist they are cross-checked.
+    With faces=True the infinity-face data of Tu is attached by
+    attach_faces.
     """
     if u.ndim != 2:
         raise ValueError("apply_T expects a 2d grid function")
@@ -279,6 +280,8 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
         op = operator or GridHammersteinOperator(kernel, nl, u.axes, u.weight)
         samples = op.apply(u.samples)
     elif method == "adaptive":
+        from scipy.interpolate import RectBivariateSpline
+
         spline = RectBivariateSpline(xs, ys, u.samples, kx=3, ky=3)
 
         def u_eval(t, s):
@@ -295,16 +298,27 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
     out = u.with_samples(samples)
     if not faces:
         return out
+    return attach_faces(out, u, kernel, nl, tol, face_tol)
+
+
+def attach_faces(out, u, kernel, nl, tol=1e-10, face_tol=1e-4):
+    """Store the infinity-face values of out = Tu/phi, one per y-node.
+
+    Values come from the kernel's closed-form trace applied to the input u
+    when one is attached, and otherwise from the windowed grid limit of out;
+    when both routes exist they are cross-checked.  Sets out.infinity and
+    out.face_status and returns out.
+    """
+    ys = out.axes[1]
     inf_vals = {}
     statuses = {}
     for face in out.face_labels():
-        per_p = {}
+        quot = quotient_derivative(out, (0, 0))
         vals = []
         for j in range(len(ys)):
             if kernel.z_form is not None:
                 v = _trace_face_value(kernel, nl, u, ys[j], tol)
-                res = out.face_limit((0, 0), face, coord_index=j,
-                                     tol=face_tol)
+                res = _grid_face_limit(out, quot, face, j, face_tol)
                 if res.converged and abs(res.value - v) > 10 * face_tol:
                     raise ValueError(
                         f"trace route and window route disagree at y={ys[j]}:"
@@ -312,13 +326,11 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
                 vals.append(v)
                 statuses[(face, j)] = "trace"
             else:
-                res = out.face_limit((0, 0), face, coord_index=j,
-                                     tol=face_tol)
+                res = _grid_face_limit(out, quot, face, j, face_tol)
                 statuses[(face, j)] = res.status
                 vals.append(res.value if res.converged else math.nan)
         if np.all(np.isfinite(vals)):
-            per_p[(0, 0)] = np.asarray(vals)
-            inf_vals[face] = per_p
+            inf_vals[face] = {(0, 0): np.asarray(vals)}
     out.infinity = inf_vals
     out.face_status = statuses
     return out
@@ -326,6 +338,8 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
 
 def _trace_face_value(kernel, nl, u, y0, tol):
     """Face value via the trace integral int z((t,s)) f(t,s,u) dt ds."""
+    from scipy.interpolate import RectBivariateSpline
+
     spline = RectBivariateSpline(u.axes[0], u.axes[1], u.samples, kx=3, ky=3)
     xs = u.axes[0]
 
@@ -508,7 +522,7 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
         sint = np.array([adaptive_quadrature(
             lambda s, tv=tv: phi_r(tv, s), 0.0, 1.0, 1e-10)
             for tv in tt])
-        return float(trapezoid(mprof * sint, tt))
+        return float(np.trapezoid(mprof * sint, tt))
 
     radii = [truncation, 2 * truncation, 4 * truncation]
     partials = [m_phi_partial(R) for R in radii]
@@ -520,7 +534,7 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
     integrals["M0*Phi_r"] = math.inf if diverging else partials[-1]
     z_phi = float(np.nanmax(np.abs(z_vals))) * integrals["Phi_r"]
     integrals["|z0|*Phi_r"] = z_phi
-    w_phi = float(trapezoid(w_vals * np.array(
+    w_phi = float(np.trapezoid(w_vals * np.array(
         [adaptive_quadrature(lambda s, tv=tv: phi_r(tv, s), 0.0, 1.0, 1e-10)
          for tv in ts]), ts))
     integrals["w0*Phi_r"] = w_phi

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import beta_sup, index_one_check
-from .funcspace import WeightedGridFunction, save_grid_function
-from .greenop import GridHammersteinOperator, apply_T, cumulative_weights
+from .funcspace import (WeightedGridFunction, _grid_face_limit,
+                        quotient_derivative, save_grid_function)
+from .greenop import GridHammersteinOperator, attach_faces, cumulative_weights
 
 # Row block of pde_residual's x-convolution: the dkx temporary stays at
 # _RESIDUAL_ROWS x n instead of a second dense n x n kernel array.
@@ -46,8 +47,11 @@ class SolveConfig:
     rho_ball: float = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name in ("hx", "hy", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -104,8 +108,7 @@ def picard_solve(problem, cfg=None, compute_residual=True,
         gap = float(np.max(np.abs(new - u.samples) / wvals))
         gaps.append(gap)
         betas.append(beta_sup(new))
-        prev_samples = u.samples
-        u = u.with_samples(new)
+        u_prev, u = u, u.with_samples(new)
         if gap < cfg.tol:
             converged = True
             break
@@ -114,10 +117,10 @@ def picard_solve(problem, cfg=None, compute_residual=True,
             f"no convergence after {cfg.max_iter} iterations "
             f"(last gap {gaps[-1]:.3g})", gaps)
 
-    # one more application to attach the infinity-face data to the iterate
-    u_prev = u.with_samples(prev_samples)
-    u = apply_T(u_prev, problem.kernel, problem.nl, method="grid",
-                faces=True, face_tol=cfg.face_tol, operator=op)
+    # u = T(u_prev), so the face data of the last iterate needs no further
+    # operator application; a trace route integrates against u_prev
+    u = attach_faces(u, u_prev, problem.kernel, problem.nl, cfg.quad_tol,
+                     cfg.face_tol)
     # release the dense operator matrix before pde_residual builds its
     # weights of the same size
     del op
@@ -192,9 +195,10 @@ def asymptotic_profile(u, tol=1e-4):
     if not faces:
         raise ValueError("the grid function has no infinity face")
     face = faces[0]
+    quot = quotient_derivative(u, (0, 0))
     out = []
     for j, y0 in enumerate(u.axes[1]):
-        res = u.face_limit((0, 0), face, coord_index=j, tol=tol)
+        res = _grid_face_limit(u, quot, face, j, tol)
         if res.status == "no_limit":
             raise ValueError(f"no limit of u/phi at y0 = {y0:g}")
         out.append((float(y0), res))

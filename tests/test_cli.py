@@ -31,6 +31,25 @@ def test_solve_iteration_failure_exits_2(tmp_path, capsys):
     assert "solve failed" in capsys.readouterr().err
 
 
+def test_solve_rejects_zero_grid_step(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["solve", "--grid-step", "0", "--out", str(out)])
+    assert rc == 1
+    assert "usage error: hx must be positive and finite" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_rejects_nan_tol(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["solve", "--tol", "nan", "--grid-step", "0.25",
+               "--truncation", "4", "--out", str(out)])
+    assert rc == 1
+    assert "usage error: tol must be positive and finite" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_rejects_demo_problems(tmp_path, capsys):
     rc = main(["solve", "--problem", "arctan-demo",
                "--out", str(tmp_path / "run")])

@@ -1,10 +1,15 @@
 """Weighted grid functions: norms, trace maps, precompactness diagnostics."""
 
+import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import compactfix
 from compactfix.funcspace import (BumpChain, FaceLimitError,
                                   WeightedGridFunction, bump_chain,
                                   equiconvergence_deviation, gamma_p,
@@ -346,3 +351,48 @@ def test_load_rejects_unknown_weight(tmp_path):
     sidecar.write_text(json.dumps(side))
     with pytest.raises(ValueError, match="unknown weight"):
         load_grid_function(path)
+
+
+def _per_cell_csv_writer(f, csv_path):
+    """Reference writer: csv.writer with one f-string per cell."""
+    names = ["x", "y", "z"][: f.ndim]
+    with open(csv_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(names + ["value"])
+        flat = [m.ravel() for m in f.mesh()] + [f.samples.ravel()]
+        for row in zip(*flat):
+            w.writerow([f"{v:.17g}" for v in row])
+
+
+@pytest.mark.parametrize("shape", [(9,), (4, 5), (3, 2, 4)])
+def test_save_matches_per_cell_writer_and_round_trips(tmp_path, shape):
+    rng = np.random.default_rng(len(shape))
+    axes = tuple(np.concatenate(([-0.0], np.cumsum(rng.uniform(1e-3, 2.0,
+                                                               n - 1))))
+                 for n in shape)
+    samples = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300,
+                                                                  shape)
+    specials = [-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+                1.0 / 3.0, 2.0 ** -1074 * 3]
+    samples.flat[:len(specials)] = specials
+    f = WeightedGridFunction(axes, samples)
+    save_grid_function(f, tmp_path / "fast.csv")
+    _per_cell_csv_writer(f, tmp_path / "slow.csv")
+    assert (tmp_path / "fast.csv").read_bytes() \
+        == (tmp_path / "slow.csv").read_bytes()
+    g = load_grid_function(tmp_path / "fast.csv")
+    assert g.samples.tobytes() == f.samples.tobytes()
+    for a, b in zip(f.axes, g.axes):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_cli_import_skips_spline_and_quadrature_modules():
+    src = os.path.dirname(os.path.dirname(compactfix.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, compactfix.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.interpolate', 'scipy.integrate'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -100,6 +100,39 @@ def test_cumulative_weights_structure():
         cumulative_weights(np.array([0.0, 1.0, 3.0]))
 
 
+def _row_loop_cumulative_weights(nodes):
+    """Reference: the cumulative rule filled one row at a time."""
+    n = len(nodes)
+    h = nodes[1] - nodes[0]
+    W = np.zeros((n, n))
+    for i in range(1, n):
+        if i == 1:
+            W[1, :2] = h / 2.0
+        elif i % 2 == 0:
+            W[i, 0] = W[i, i] = h / 3.0
+            W[i, 1:i:2] = 4.0 * h / 3.0
+            W[i, 2:i:2] = 2.0 * h / 3.0
+        elif i == 3:
+            W[3, [0, 3]] = 3.0 * h / 8.0
+            W[3, [1, 2]] = 9.0 * h / 8.0
+        else:
+            m = i - 3
+            W[i, 0] = W[i, m] = h / 3.0
+            W[i, 1:m:2] = 4.0 * h / 3.0
+            W[i, 2:m:2] = 2.0 * h / 3.0
+            W[i, m] += 3.0 * h / 8.0
+            W[i, [m + 1, m + 2]] = 9.0 * h / 8.0
+            W[i, i] = 3.0 * h / 8.0
+    return W
+
+
+def test_cumulative_weights_match_row_loop_bit_for_bit():
+    for n in list(range(2, 41)) + [2401]:
+        nodes = np.linspace(0.0, 24.0, n)
+        W = cumulative_weights(nodes)
+        assert W.tobytes() == _row_loop_cumulative_weights(nodes).tobytes(), n
+
+
 def test_cumulative_weights_exact_for_cubics():
     nodes = np.linspace(0.0, 2.0, 11)
     W = cumulative_weights(nodes)

@@ -151,6 +151,30 @@ def test_picard_solve_coarse_run(problem):
     assert res.profile[-1][1].value == pytest.approx(0.124749, abs=1e-3)
 
 
+def test_picard_solve_applies_the_operator_once_per_iteration(problem,
+                                                              monkeypatch):
+    calls = []
+    apply = GridHammersteinOperator.apply
+
+    def counted(self, samples):
+        calls.append(1)
+        return apply(self, samples)
+
+    monkeypatch.setattr(GridHammersteinOperator, "apply", counted)
+    res = picard_solve(problem, SolveConfig(hx=0.1, hy=0.1, truncation=16.0))
+    assert len(calls) == res.iterations
+    # the face data attached to the last iterate is its own window limit
+    stored = res.solution.infinity["axis0:inf"][(0, 0)]
+    assert np.array_equal(stored, [r.value for _, r in res.profile])
+
+
+def test_solve_config_rejects_bad_steps_and_tolerance():
+    for field in ("hx", "hy", "tol"):
+        for value in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be positive"):
+                SolveConfig(**{field: value})
+
+
 def test_profile_stable_under_grid_refinement(problem):
     coarse = picard_solve(problem, SolveConfig(hx=0.1, hy=0.1,
                                                truncation=16.0,
