@@ -8,7 +8,7 @@ import numpy as np
 from compactfix.compactify import (ExtensionError, HalfLineOnePoint,
                                    LineOnePoint, LineTwoPoint, extend,
                                    kappa_limit)
-from compactfix.funcspace import bump_chain
+from compactfix.funcspace import BumpChain
 
 print("arctan on the two-point compactified line")
 ext = extend(np.arctan, LineTwoPoint(), tol=1e-6)
@@ -26,7 +26,7 @@ except ExtensionError as exc:
 
 print()
 print("bump chain: unit-height bumps of width 2/k at each integer k")
-chain = bump_chain()
+chain = BumpChain()
 cmap = HalfLineOnePoint()
 inf_pt = cmap.infinity_points()[0]
 

@@ -19,7 +19,7 @@ def main():
     problem = load_problem("hyperbolic-erf")
 
     print("regularity hypotheses at cone radius r = 0.5")
-    report = check_hypotheses(problem.kernel, problem.weight1d, problem.nl,
+    report = check_hypotheses(problem.kernel, problem.weight, problem.nl,
                               0.5)
     for line in report.lines():
         print(f"  {line}")

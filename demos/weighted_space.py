@@ -5,15 +5,15 @@ Run from the repo root:  python3 demos/weighted_space.py
 
 import numpy as np
 
-from compactfix.funcspace import (WeightedGridFunction, gamma_p,
-                                  gaussian_family,
+from compactfix.funcspace import (WEIGHT_REGISTRY, WeightedGridFunction,
+                                  gamma_p, gaussian_family,
                                   gaussian_family_separation,
                                   precompactness_report, weighted_norm)
 
 
 def main():
     xs = np.linspace(0.0, 24.0, 481)
-    phi = lambda *mesh: np.exp(-mesh[0] ** 2 / 2.0)
+    phi = WEIGHT_REGISTRY["exp(-x^2/2)"]
 
     print("weighted norm ||u|| = sup |u| / phi with phi = exp(-x^2/2)")
     for name, samples, face in (

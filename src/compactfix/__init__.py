@@ -16,9 +16,9 @@ from .compactify import (BallCompactification, Extension, ExtensionError,
 from .cones import (ChainError, ConeReport, ConeSpec, IndexCheck, PlanResult,
                     cone_membership, f_inf_rho, f_sup_rho, index_one_check,
                     index_one_sweep, index_zero_check, multiplicity_plan)
-from .funcspace import (BumpChain, FaceLimitError, GammaFunction,
-                        PrecompactnessReport, WeightedGridFunction,
-                        bump_chain, gamma_p, gaussian_family,
+from .funcspace import (WEIGHT_REGISTRY, BumpChain, FaceLimitError,
+                        GammaFunction, PrecompactnessReport,
+                        WeightedGridFunction, gamma_p, gaussian_family,
                         gaussian_family_separation, load_grid_function,
                         multi_indices, precompactness_report,
                         quotient_derivative, save_grid_function,
@@ -42,9 +42,10 @@ __all__ = [
     "Kernel", "LimitResult", "LineOnePoint", "LineTwoPoint", "NamedProblem",
     "Nonlinearity", "PipelineBundle", "PlanResult", "PrecompactnessReport",
     "PROBLEM_IDS", "ProductCompactification", "QuadratureError",
-    "SolveConfig", "SolveResult", "WeightedGridFunction", "XPoint",
+    "SolveConfig", "SolveResult", "WEIGHT_REGISTRY", "WeightedGridFunction",
+    "XPoint",
     "adaptive_quadrature", "apply_T", "asymptotic_profile", "attach_faces",
-    "ball_inverse", "ball_map", "bump_chain", "check_hypotheses",
+    "ball_inverse", "ball_map", "check_hypotheses",
     "classify_ladder", "cone_membership", "cumulative_weights",
     "default_levels", "extend",
     "f_inf_rho", "f_sup_rho", "gamma_p", "gaussian_family",

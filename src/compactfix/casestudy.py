@@ -21,7 +21,7 @@ from .compactify import (ExtensionError, HalfLineOnePoint, IntervalIdentity,
                          LineOnePoint, LineTwoPoint, ProductCompactification,
                          extend, kappa_limit)
 from .cones import ConeSpec, default_eval_grid, index_one_sweep
-from .funcspace import (BumpChain, gaussian_family,
+from .funcspace import (WEIGHT_REGISTRY, BumpChain, gaussian_family,
                         gaussian_family_separation, precompactness_report)
 from .greenop import (Kernel, Nonlinearity, adaptive_quadrature,
                       check_hypotheses, kernel_abs_integral)
@@ -37,10 +37,7 @@ _T0_COEFF = math.pi / (16.0 * math.sqrt(2.0))
 @dataclass
 class NamedProblem:
     id: str
-    domain: str
-    weight: object = None        # mesh callable, None for weight 1
-    weight1d: object = None      # x-profile of the weight
-    weight_desc: str = "1"
+    weight_desc: str = "1"       # a WEIGHT_REGISTRY name
     kernel: Kernel = None
     nl: Nonlinearity = None
     cmap: object = None
@@ -48,6 +45,11 @@ class NamedProblem:
     closed_forms: dict = field(default_factory=dict)
     default_config: SolveConfig = None
     payload: dict = field(default_factory=dict)
+
+    @property
+    def weight(self):
+        """phi, called on x alone or on a meshgrid."""
+        return WEIGHT_REGISTRY[self.weight_desc]
 
 
 def _gauss_shift_kernel(rate=1.0):
@@ -93,7 +95,6 @@ def _gauss_square_nonlinearity(amplitude=0.125):
         return phi_r
 
     return Nonlinearity("gauss-plus-square", fn, dominator,
-                        monotone_in_u=True,
                         params={"amplitude": amplitude})
 
 
@@ -103,7 +104,7 @@ def _zero_nonlinearity():
                                      np.asarray(v)).shape)
 
     return Nonlinearity("zero", fn, lambda r: (lambda t, s: 0.0 * np.asarray(
-        t) * np.asarray(s)), monotone_in_u=True)
+        t) * np.asarray(s)))
 
 
 _KERNELS = {"gauss-shift": _gauss_shift_kernel}
@@ -121,12 +122,6 @@ def _hyperbolic_erf():
     kernel = _gauss_shift_kernel()
     nl = _gauss_square_nonlinearity()
 
-    def weight(x, y):
-        return np.exp(-np.asarray(x) ** 2 / 2.0)
-
-    def weight1d(x):
-        return np.exp(-np.asarray(x) ** 2 / 2.0)
-
     def tu0(x, y):
         x = np.asarray(x, dtype=float)
         return _T0_COEFF * np.exp(-x ** 2 / 2.0) \
@@ -137,9 +132,6 @@ def _hyperbolic_erf():
 
     return NamedProblem(
         id="hyperbolic-erf",
-        domain="[0, inf) x [0, 1]",
-        weight=weight,
-        weight1d=weight1d,
         weight_desc="exp(-x^2/2)",
         kernel=kernel,
         nl=nl,
@@ -157,18 +149,18 @@ def load_problem(problem_id):
         return _hyperbolic_erf()
     if problem_id == "arctan-demo":
         return NamedProblem(
-            id="arctan-demo", domain="R",
+            id="arctan-demo",
             payload={"f": np.arctan, "two_point": LineTwoPoint(),
                      "one_point": LineOnePoint(), "tol": 1e-6})
     if problem_id == "gaussian-family":
         return NamedProblem(
-            id="gaussian-family", domain="[0, inf)",
+            id="gaussian-family",
             cmap=HalfLineOnePoint(),
             payload={"n_max": 40, "truncation": 48.0, "step": 0.005,
                      "separation_n": 10})
     if problem_id == "bump-chain":
         return NamedProblem(
-            id="bump-chain", domain="[0, inf)",
+            id="bump-chain",
             cmap=HalfLineOnePoint(),
             payload={"chain": BumpChain(), "tol": 1e-3})
     raise ValueError(f"unknown problem id {problem_id!r}; "
@@ -178,7 +170,8 @@ def load_problem(problem_id):
 def load_problem_file(path):
     """Build a problem from a JSON file.
 
-    Schema: {"id": str, "truncation": float, "weight": weight id,
+    Schema: {"id": str, "truncation": float,
+    "weight": a WEIGHT_REGISTRY name (default "exp(-x^2/2)"),
     "kernel": {"id": ..., "params": {...}},
     "nonlinearity": {"id": ..., "params": {...}}}.
     """
@@ -193,22 +186,11 @@ def load_problem_file(path):
     kernel = _KERNELS[kid](**cfgdoc["kernel"].get("params", {}))
     nl = _NONLINEARITIES[nid](**cfgdoc["nonlinearity"].get("params", {}))
     weight_desc = cfgdoc.get("weight", "exp(-x^2/2)")
-    if weight_desc == "exp(-x^2/2)":
-        def weight(x, y):
-            return np.exp(-np.asarray(x) ** 2 / 2.0)
-
-        def weight1d(x):
-            return np.exp(-np.asarray(x) ** 2 / 2.0)
-    elif weight_desc == "1":
-        weight, weight1d = None, (lambda x: np.ones_like(np.asarray(
-            x, dtype=float)))
-    else:
+    if weight_desc not in WEIGHT_REGISTRY:
         raise ValueError(f"unknown weight {weight_desc!r}")
     cfg = SolveConfig(truncation=float(cfgdoc.get("truncation", 24.0)))
     return NamedProblem(
-        id=cfgdoc.get("id", "custom"),
-        domain="[0, inf) x [0, 1]",
-        weight=weight, weight1d=weight1d, weight_desc=weight_desc,
+        id=cfgdoc.get("id", "custom"), weight_desc=weight_desc,
         kernel=kernel, nl=nl, cmap=_halfstrip_cmap(), spec=ConeSpec(),
         closed_forms={"abs_integral": kernel.abs_integral}
         if kernel.abs_integral else {},
@@ -269,7 +251,7 @@ def run_full_pipeline(problem_id, cfg=None):
     if problem.kernel is not None:
         cfg = cfg or problem.default_config or SolveConfig(rho_ball=0.5)
         rho = cfg.rho_ball if cfg.rho_ball else 0.5
-        hyp = check_hypotheses(problem.kernel, problem.weight1d, problem.nl,
+        hyp = check_hypotheses(problem.kernel, problem.weight, problem.nl,
                                rho, truncation=8.0)
         rhos = np.round(np.arange(0.05, 1.0 + 1e-9, 0.05), 4)
         cone = index_one_sweep(problem.kernel, problem.nl, problem.spec,
@@ -368,7 +350,7 @@ def validate_closed_forms(problem, n=20, tol=1e-6):
         it = adaptive_quadrature(
             lambda t: problem.kernel.kx(x_eval, t) * np.exp(-t ** 2),
             0.0, x_eval, 1e-15)
-        phi = math.exp(-x_eval ** 2 / 2.0)
+        phi = float(problem.weight(x_eval))
         worst = 0.0
         for y0 in np.linspace(0.0, 1.0, n):
             q = amp * it * adaptive_quadrature(

@@ -143,7 +143,7 @@ def _cmd_check_conditions(args):
         raise _UsageError(f"problem {problem.id!r} has no kernel to check")
     rhos = ([args.rho] if args.rho is not None
             else _parse_rho_range(args.rho_range))
-    hyp = check_hypotheses(problem.kernel, problem.weight1d, problem.nl,
+    hyp = check_hypotheses(problem.kernel, problem.weight, problem.nl,
                            float(rhos[len(rhos) // 2]), truncation=8.0)
     report = index_one_sweep(problem.kernel, problem.nl, problem.spec, rhos,
                              grid=default_eval_grid(args.truncation))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,6 @@ class ConeSpec:
     beta: object = beta_sup
     gamma: object = gamma_zero
     gamma_is_zero: bool = True
-    e: object = None
     b_func: object = None
     c_func: object = None
     gamma_sublevels_bounded: bool = False
@@ -69,6 +69,11 @@ def default_eval_grid(truncation=24.0, n_t=33, n_s=9):
     return (np.linspace(0.0, truncation, n_t), np.linspace(0.0, 1.0, n_s))
 
 
+def _check_radius(rho):
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+
+
 def f_sup_rho(nl, rho, grid, n_v=41):
     """sup of f(t, s, v)/rho over the grid and v in [0, rho].
 
@@ -76,8 +81,7 @@ def f_sup_rho(nl, rho, grid, n_v=41):
     when f is continuous in v (tent functions realize any pointwise value);
     the v-grid makes it exact at the endpoints for v-monotone f.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_radius(rho)
     tm, sm = np.meshgrid(*grid, indexing="ij")
     best = -np.inf
     for v in np.linspace(0.0, rho, n_v):
@@ -92,8 +96,7 @@ def f_inf_rho(nl, rho, grid, v_max=None, n_v=81):
     can only lower the value, so the result is a conservative lower bound
     for the index-zero condition.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_radius(rho)
     tm, sm = np.meshgrid(*grid, indexing="ij")
     worst = np.inf
     for v in np.linspace(0.0, v_max if v_max is not None else 10.0 * rho,

@@ -20,11 +20,18 @@ from .compactify import (HalfLineOnePoint, IntervalIdentity, LevelEvidence,
                          LimitResult, LineTwoPoint, ProductCompactification,
                          XPoint, classify_ladder)
 
-#: weights that can be named in serialized files
-WEIGHT_REGISTRY = {
-    "1": None,
-    "exp(-x^2/2)": lambda *mesh: np.exp(-mesh[0] ** 2 / 2.0),
-}
+
+def _unit_weight(*mesh):
+    return np.ones(np.shape(mesh[0]))
+
+
+def _gaussian_weight(*mesh):
+    return np.exp(-np.asarray(mesh[0]) ** 2 / 2.0)
+
+
+#: the weights phi, by the name that grid files and problem files give them.
+#: Each depends on x alone: w(x) is the 1-d profile, w(*mesh) the grid values.
+WEIGHT_REGISTRY = {"1": _unit_weight, "exp(-x^2/2)": _gaussian_weight}
 
 
 def multi_indices(order, ndim):
@@ -55,10 +62,14 @@ class WeightedGridFunction:
     cmap : the compactification the infinity faces refer to.
     infinity : {face_label: {multi_index: value}}; for a product face the
         value is an array over the nodes of the remaining axis.
+    weight_desc : optional check, the WEIGHT_REGISTRY name of weight.
+
+    The weight's name is looked up in WEIGHT_REGISTRY; a weight from
+    outside the registry has the name None and computes but cannot be saved.
     """
 
     def __init__(self, axes, samples, weight=None, order=0, cmap=None,
-                 infinity=None, weight_desc="1"):
+                 infinity=None, weight_desc=None):
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
         self.samples = np.asarray(samples, dtype=float)
         if self.samples.shape != tuple(len(a) for a in self.axes):
@@ -66,8 +77,14 @@ class WeightedGridFunction:
         for a in self.axes:
             if len(a) >= 2 and not np.all(np.diff(a) > 0):
                 raise ValueError("axis nodes must be strictly increasing")
-        self.weight = weight
-        self.weight_desc = weight_desc
+        self.weight = _unit_weight if weight is None else weight
+        self.weight_desc = next((name for name, w in WEIGHT_REGISTRY.items()
+                                 if w is self.weight), None)
+        if weight_desc is not None and weight_desc != self.weight_desc:
+            if weight_desc not in WEIGHT_REGISTRY:
+                raise ValueError(f"unknown weight description {weight_desc!r}")
+            raise ValueError(f"weight description {weight_desc!r} does not "
+                             "name the given weight")
         self.order = int(order)
         self.cmap = cmap if cmap is not None else _default_cmap(len(self.axes))
         self.infinity = infinity or {}
@@ -82,12 +99,9 @@ class WeightedGridFunction:
 
     def weight_values(self):
         if self._wvals is None:
-            if self.weight is None:
-                self._wvals = np.ones_like(self.samples)
-            else:
-                self._wvals = np.asarray(self.weight(*self.mesh()), dtype=float)
-                if np.any(self._wvals <= 0):
-                    raise ValueError("weight must be positive on the grid")
+            self._wvals = np.asarray(self.weight(*self.mesh()), dtype=float)
+            if np.any(self._wvals <= 0):
+                raise ValueError("weight must be positive on the grid")
         return self._wvals
 
     def quotient(self):
@@ -97,7 +111,7 @@ class WeightedGridFunction:
     def with_samples(self, samples, infinity=None):
         return WeightedGridFunction(self.axes, samples, self.weight, self.order,
                                     self.cmap, infinity if infinity is not None
-                                    else {}, self.weight_desc)
+                                    else {})
 
     def face_labels(self):
         return face_labels(self.cmap)
@@ -106,30 +120,6 @@ class WeightedGridFunction:
         """Windowed limit of d_p(f/phi) at an infinity face, from grid data."""
         vals = quotient_derivative(self, p)
         return _grid_face_limit(self, vals, face, coord_index, tol)
-
-    def check_infinity_faces(self, tol=1e-4):
-        """Diagnostic: compare stored face values with grid-window limits."""
-        out = {}
-        for face, per_p in self.infinity.items():
-            for p, stored in per_p.items():
-                stored = np.atleast_1d(np.asarray(stored, dtype=float))
-                if self.ndim == 1:
-                    res = self.face_limit(p, face, tol=tol)
-                    est = np.array([res.value if res.converged else np.nan])
-                    status = res.status
-                else:
-                    other = 1 - _face_axis(face)
-                    ests, status = [], "converged"
-                    for j in range(len(self.axes[other])):
-                        r = self.face_limit(p, face, coord_index=j, tol=tol)
-                        ests.append(r.value if r.converged else np.nan)
-                        if not r.converged:
-                            status = r.status
-                    est = np.asarray(ests)
-                diff = float(np.nanmax(np.abs(est - stored))) if np.any(
-                    np.isfinite(est)) else math.inf
-                out[(face, p)] = (status, diff)
-        return out
 
 
 def _default_cmap(ndim):
@@ -471,10 +461,6 @@ class BumpChain:
         return np.asarray(pts)
 
 
-def bump_chain():
-    return BumpChain()
-
-
 def gaussian_family(n_max, truncation=48.0, step=0.005, order=0):
     """Unit Gaussians centred at 2..n_max as weight-1 grid functions."""
     xs = np.arange(0.0, truncation + step / 2, step)
@@ -484,7 +470,7 @@ def gaussian_family(n_max, truncation=48.0, step=0.005, order=0):
         samples = np.exp(-(xs - c) ** 2)
         faces = {"inf": {(0,): 0.0}}
         fam.append(WeightedGridFunction((xs,), samples, None, order, cmap,
-                                        faces, "1"))
+                                        faces))
     return fam
 
 
@@ -517,8 +503,12 @@ def save_grid_function(f, csv_path):
     Each node coordinate is formatted once; the nodes that share their
     leading coordinates (one line of the last axis) are written with one
     "%.17g" template, so the file matches a per-cell f"{v:.17g}" writer
-    byte for byte.
+    byte for byte.  Raises ValueError for a weight outside WEIGHT_REGISTRY,
+    which the sidecar could not name.
     """
+    if f.weight_desc is None:
+        raise ValueError("only a WEIGHT_REGISTRY weight can be saved; this "
+                         "grid function's weight has no name")
     names = ["x", "y", "z"][: f.ndim]
     *lead, last = [["%.17g" % v for v in a.tolist()] for a in f.axes]
     cells = [""] + [c + ",%.17g\r\n" for c in last]
@@ -551,14 +541,12 @@ def load_grid_function(csv_path):
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     vals = np.array([float(r[-1]) for r in rows[1:]]).reshape(shape)
-    weight_desc = side["weight"]
-    if weight_desc not in WEIGHT_REGISTRY:
-        raise ValueError(f"unknown weight description {weight_desc!r}")
     infinity = {face: {_p_unkey(k): (np.asarray(v, dtype=float)
                                      if isinstance(v, list) else float(v))
                        for k, v in per_p.items()}
                 for face, per_p in side["infinity"].items()}
     cmap = _default_cmap(len(axes)) if side["cmap"] != "line-twopoint" \
         else LineTwoPoint()
-    return WeightedGridFunction(axes, vals, WEIGHT_REGISTRY[weight_desc],
-                                side["order"], cmap, infinity, weight_desc)
+    name = side["weight"]
+    return WeightedGridFunction(axes, vals, WEIGHT_REGISTRY.get(name),
+                                side["order"], cmap, infinity, name)

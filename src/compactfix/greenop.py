@@ -43,6 +43,11 @@ def adaptive_quadrature(g, a, b, tol=1e-10, max_depth=24):
     def recurse(lo, hi, whole, depth):
         mid = 0.5 * (lo + hi)
         left, right = _panel(g, lo, mid), _panel(g, mid, hi)
+        if not math.isfinite(left + right):
+            # a nan never passes the tolerance test, so refining would only
+            # end at max_depth after 2^max_depth panels
+            raise QuadratureError(f"integrand not finite on [{lo:g}, {hi:g}]",
+                                  last_estimate=left + right)
         if abs(left + right - whole) <= tol or depth >= max_depth:
             if depth >= max_depth and abs(left + right - whole) > tol:
                 raise QuadratureError(
@@ -127,17 +132,6 @@ class Kernel:
     weighted_quotient: object = None
     dkx: object = None
 
-    def eval(self, x, y, t, s):
-        x, y, t, s = np.broadcast_arrays(x, y, t, s)
-        inside = (t <= x) & (s <= y) & (t >= 0) & (s >= 0)
-        vals = np.asarray(self.kx(x, t), dtype=float)
-        if self.ky is not None:
-            vals = vals * self.ky(y, s)
-        return np.where(inside, vals, 0.0)
-
-    def support(self, x, y, t, s):
-        return (t <= x) & (s <= y) & (t >= 0) & (s >= 0)
-
 
 @dataclass
 class Nonlinearity:
@@ -150,7 +144,6 @@ class Nonlinearity:
     name: str
     eval: object
     dominator: object = None
-    monotone_in_u: bool = False
     params: dict = field(default_factory=dict)
 
 
@@ -221,11 +214,10 @@ class GridHammersteinOperator:
     two matrix products.
     """
 
-    def __init__(self, kernel, nl, axes, weight=None):
+    def __init__(self, kernel, nl, axes):
         self.kernel = kernel
         self.nl = nl
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        self.weight = weight
         xs, ys = self.axes
         Wx = cumulative_weights(xs)
         Wy = cumulative_weights(ys)
@@ -265,7 +257,7 @@ def _adaptive_node_value(kernel, nl, u_eval, x, y, tol):
 
 
 def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
-            face_tol=1e-4, operator=None):
+            face_tol=1e-4):
     """Tu as a weighted grid function on u's grid.
 
     method "grid" uses the cumulative weights (uniform grids only);
@@ -277,8 +269,7 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
         raise ValueError("apply_T expects a 2d grid function")
     xs, ys = u.axes
     if method == "grid":
-        op = operator or GridHammersteinOperator(kernel, nl, u.axes, u.weight)
-        samples = op.apply(u.samples)
+        samples = GridHammersteinOperator(kernel, nl, u.axes).apply(u.samples)
     elif method == "adaptive":
         from scipy.interpolate import RectBivariateSpline
 
@@ -378,11 +369,6 @@ class HypothesisReport:
     integrals: dict
     profiles: dict
 
-    @property
-    def all_usable(self):
-        ok = {"verified", "verified_on_truncation"}
-        return all(c.status in ok for c in self.conditions.values())
-
     def lines(self):
         out = [f"hypothesis report at r = {self.r:g}"]
         for key in sorted(self.conditions):
@@ -393,13 +379,13 @@ class HypothesisReport:
         return out
 
 
-def _quotient_fn(kernel, weight1d):
+def _quotient_fn(kernel, weight):
     if kernel.weighted_quotient is not None:
         return kernel.weighted_quotient
 
     def q(x, t):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(kernel.kx(x, t), dtype=float) / weight1d(x)
+            return np.asarray(kernel.kx(x, t), dtype=float) / weight(x)
     return q
 
 
@@ -420,12 +406,12 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
                      n_t=41, n_s=9, tol=1e-8):
     """Numeric status of the four operator hypotheses at cone radius r.
 
-    weight is the one-dimensional x-profile phi(x) (the y direction is
-    unweighted).  Only p = 0 is examined; higher kernel derivatives are out
-    of scope here.
+    weight is phi, called on x alone (the y direction is unweighted), as
+    every WEIGHT_REGISTRY entry can be.  Only p = 0 is examined; higher
+    kernel derivatives are out of scope here.
     """
-    if r <= 0:
-        raise ValueError("cone radius must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"cone radius must be positive and finite, got {r!r}")
     ts = np.linspace(0.0, truncation, n_t)
     ss = np.linspace(0.0, 1.0, n_s)
     phi_r = nl.dominator(r)

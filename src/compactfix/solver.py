@@ -47,11 +47,18 @@ class SolveConfig:
     rho_ball: float = None
 
     def __post_init__(self):
-        for name in ("hx", "hy", "tol"):
+        for name in ("hx", "hy", "tol", "truncation"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
+        # axes() rounds the node counts, so a step that does not divide its
+        # interval would be silently replaced by another one
+        for name, length in (("hx", self.truncation), ("hy", 1.0)):
+            steps = length / getattr(self, name)
+            if abs(steps - round(steps)) > 1e-9 * steps:
+                raise ValueError(f"{name} = {getattr(self, name)!r} does not "
+                                 f"divide the interval [0, {length:g}]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -79,9 +86,9 @@ def picard_solve(problem, cfg=None, compute_residual=True,
                  compute_profile=True):
     """Iterate u <- Tu from u = 0 until the weighted gap drops below tol.
 
-    problem must carry kernel, nl, weight (mesh callable), weight_desc and
-    spec attributes.  Raises IterationError with the gap history when
-    max_iter is exhausted.
+    problem must carry kernel, nl, weight (a WEIGHT_REGISTRY entry, so
+    that the solution can be saved) and spec attributes.  Raises
+    IterationError with the gap history when max_iter is exhausted.
     """
     cfg = cfg or SolveConfig()
     axes = cfg.axes()
@@ -98,8 +105,7 @@ def picard_solve(problem, cfg=None, compute_residual=True,
                 "certified", stacklevel=2)
 
     op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
-    u = WeightedGridFunction(axes, np.zeros(op.tmesh.shape), problem.weight,
-                             0, None, {}, problem.weight_desc)
+    u = WeightedGridFunction(axes, np.zeros(op.tmesh.shape), problem.weight)
     wvals = u.weight_values()
     gaps, betas = [], []
     converged = False

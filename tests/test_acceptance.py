@@ -24,7 +24,8 @@ from compactfix.compactify import (ExtensionError, HalfLineOnePoint,
 from compactfix.cones import (abs_integral_beta_factor, alpha_inf, beta_sup,
                               default_eval_grid, index_one_check,
                               index_one_sweep)
-from compactfix.funcspace import (WeightedGridFunction, bump_chain, gamma_p,
+from compactfix.funcspace import (WEIGHT_REGISTRY, BumpChain,
+                                  WeightedGridFunction, gamma_p,
                                   gaussian_family, gaussian_family_separation,
                                   precompactness_report, weighted_norm)
 from compactfix.greenop import (GridHammersteinOperator, apply_T,
@@ -164,7 +165,7 @@ def test_06_translating_gaussians():
 
 
 def test_07_bump_chain():
-    chain = bump_chain()
+    chain = BumpChain()
     peak = 8.0 / (3.0 * math.sqrt(3.0))
     exact = all(
         abs(chain.derivative(chain.rising_inflection(k)) - peak) < 1e-12
@@ -207,7 +208,7 @@ def test_09_property_suites(problem):
     n = 200
 
     xs = np.linspace(0.0, 8.0, 33)
-    phi = lambda *mesh: np.exp(-mesh[0] ** 2 / 2.0)
+    phi = WEIGHT_REGISTRY["exp(-x^2/2)"]
 
     def norm(samples, order=1):
         return weighted_norm(WeightedGridFunction((xs,), samples, phi,

@@ -10,8 +10,8 @@ from compactfix.casestudy import (PROBLEM_IDS, load_problem,
                                   load_problem_file, run_full_pipeline,
                                   validate_closed_forms)
 from compactfix.compactify import ExtensionError
-from compactfix.funcspace import BumpChain
-from compactfix.solver import SolveConfig, pde_residual
+from compactfix.funcspace import WEIGHT_REGISTRY, BumpChain
+from compactfix.solver import SolveConfig, pde_residual, picard_solve
 
 
 def test_load_problem_knows_every_id():
@@ -24,19 +24,18 @@ def test_load_problem_knows_every_id():
 
 def test_hyperbolic_problem_wiring(problem, rng):
     assert problem.weight_desc == "exp(-x^2/2)"
+    assert problem.weight is WEIGHT_REGISTRY["exp(-x^2/2)"]
     assert problem.kernel.name == "gauss-shift"
-    assert problem.nl.monotone_in_u
     assert problem.default_config.rho_ball == 0.5
     assert set(problem.closed_forms) == {"abs_integral", "Tu0", "Tu0_face"}
     assert problem.kernel.weighted_sup(2.0, 0.5) == pytest.approx(
         math.exp(4.0))
     xs = np.linspace(0.0, 30.0, 61)
-    assert np.all(problem.weight1d(xs) > 0.0)
+    assert np.all(problem.weight(xs) > 0.0)
     for _ in range(200):
         x, t = rng.uniform(0.0, 6.0, size=2)
-        y, s = rng.uniform(0.0, 1.0, size=2)
-        expected = math.exp(-(x - t) ** 2) if (t <= x and s <= y) else 0.0
-        assert problem.kernel.eval(x, y, t, s) == pytest.approx(expected)
+        assert problem.kernel.kx(x, t) == pytest.approx(
+            math.exp(-(x - t) ** 2))
 
 
 def test_closed_forms_match_quadrature(problem):
@@ -127,6 +126,14 @@ def test_load_problem_file(tmp_path):
     assert prob.nl.eval(0.0, 0.0, 0.0) == 0.25
     assert prob.weight_desc == "exp(-x^2/2)"
     assert "abs_integral" in prob.closed_forms
+    # a weight-"1" file solves through the registry's unit weight
+    path.write_text(json.dumps(dict(doc, weight="1")))
+    flat = load_problem_file(path)
+    assert flat.weight is WEIGHT_REGISTRY["1"]
+    res = picard_solve(flat, SolveConfig(hx=0.25, hy=0.25, truncation=4.0))
+    assert res.solution.weight_desc == "1"
+    assert np.array_equal(res.solution.quotient(), res.solution.samples)
+    assert res.solution.samples.max() > 0.0
 
 
 def test_load_problem_file_rejects_unknown_pieces(tmp_path):

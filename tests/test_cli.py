@@ -50,6 +50,29 @@ def test_solve_rejects_nan_tol(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_rejects_grid_step_that_does_not_divide(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["solve", "--grid-step", "0.07", "--truncation", "4",
+               "--out", str(out)])
+    assert rc == 1
+    assert "usage error: hx = 0.07 does not divide" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_and_infinite_radii_exit_1(tmp_path, capsys):
+    for rho in ("nan", "inf"):
+        rc = main(["check-conditions", "--rho", rho,
+                   "--out", str(tmp_path / f"cc-{rho}")])
+        assert rc == 1
+        assert "positive and finite" in capsys.readouterr().err
+    out = tmp_path / "run"
+    rc = main(["solve", "--rho", "nan", "--grid-step", "0.25",
+               "--truncation", "4", "--out", str(out)])
+    assert rc == 1
+    assert "rho must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_rejects_demo_problems(tmp_path, capsys):
     rc = main(["solve", "--problem", "arctan-demo",
                "--out", str(tmp_path / "run")])

@@ -42,8 +42,9 @@ def test_f_sup_rho_closed_form(problem):
         assert f_sup_rho(problem.nl, rho, grid) == pytest.approx(
             expected, rel=1e-12)
     assert f_sup_rho(_const_nl(0.0), 1.0, grid) == 0.0
-    with pytest.raises(ValueError, match="positive"):
-        f_sup_rho(problem.nl, 0.0, grid)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            f_sup_rho(problem.nl, bad, grid)
 
 
 def test_f_inf_rho(problem):
@@ -51,8 +52,9 @@ def test_f_inf_rho(problem):
     assert 0.0 <= f_inf_rho(problem.nl, 0.5, grid) < 1e-10
     assert f_inf_rho(_const_nl(2.0), 4.0, grid) == pytest.approx(0.5,
                                                                  rel=1e-12)
-    with pytest.raises(ValueError, match="positive"):
-        f_inf_rho(problem.nl, -1.0, grid)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            f_inf_rho(problem.nl, bad, grid)
 
 
 def test_beta_factor_is_the_far_corner(problem):
@@ -109,7 +111,7 @@ def test_index_zero_with_constructed_gamma(problem):
     x_top = grid[0][-1]
 
     def gamma_profile(t, s):
-        return problem.kernel.eval(x_top, 1.0, t, s)
+        return problem.kernel.kx(x_top, t) * np.ones_like(s)
 
     spec = ConeSpec(gamma_is_zero=False, gamma_sublevels_bounded=True,
                     gamma_kernel_profile=gamma_profile)

@@ -1,6 +1,8 @@
 """Weighted grid functions: norms, trace maps, precompactness diagnostics."""
 
 import csv
+import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 
 import compactfix
-from compactfix.funcspace import (BumpChain, FaceLimitError,
-                                  WeightedGridFunction, bump_chain,
+from compactfix.funcspace import (WEIGHT_REGISTRY, BumpChain,
+                                  FaceLimitError, WeightedGridFunction,
                                   equiconvergence_deviation, gamma_p,
                                   gaussian_family, gaussian_family_separation,
                                   load_grid_function, multi_indices,
@@ -19,8 +21,7 @@ from compactfix.funcspace import (BumpChain, FaceLimitError,
                                   save_grid_function, weighted_norm)
 
 
-def phi(*mesh):
-    return np.exp(-mesh[0] ** 2 / 2.0)
+phi = WEIGHT_REGISTRY["exp(-x^2/2)"]
 
 
 # half-line grid reaching far enough that several tail windows have nodes
@@ -60,7 +61,7 @@ def test_quotient_derivative_mixed_partial():
 
 
 def test_quotient_derivative_resolves_bump_slope():
-    chain = bump_chain()
+    chain = BumpChain()
     xs = np.arange(2.5, 3.5 + 1e-12, 1e-4)
     f = WeightedGridFunction((xs,), chain.value(xs))
     d = quotient_derivative(f, (1,))
@@ -201,14 +202,6 @@ def test_face_limit_needs_nodes_in_some_window():
         f.face_limit((0,), "inf")
 
 
-def test_check_infinity_faces_flags_wrong_stored_value():
-    f = wgf(phi(XS), infinity={"inf": {(0,): 0.7}})
-    out = f.check_infinity_faces(tol=1e-4)
-    status, diff = out[("inf", (0,))]
-    assert status == "converged"
-    assert diff == pytest.approx(0.3, abs=1e-9)
-
-
 def test_precompactness_gaussian_family_counterexample():
     """Translates of one Gaussian: bounded, equicontinuous, not equiconvergent.
 
@@ -273,7 +266,7 @@ def test_family_members_must_share_grid_and_order():
 
 
 def test_bump_chain_exact_values():
-    chain = bump_chain()
+    chain = BumpChain()
     for k in (2, 3, 4):
         assert chain.value(float(k)) == pytest.approx(1.0 / k, abs=1e-15)
         x_inf = chain.rising_inflection(k)
@@ -290,7 +283,7 @@ def test_bump_chain_exact_values():
 
 
 def test_bump_chain_vanishes_between_supports():
-    chain = bump_chain()
+    chain = BumpChain()
     # right of bump 2 ends at 2.5, bump 3 starts at 8/3
     gap = np.linspace(2.51, 2.66, 50)
     assert np.all(chain.value(gap) == 0.0)
@@ -298,7 +291,7 @@ def test_bump_chain_vanishes_between_supports():
 
 
 def test_bump_chain_witness_points_land_in_the_window():
-    chain = bump_chain()
+    chain = BumpChain()
     for delta in (0.5, 0.1, 0.01):
         pts = chain.witness_points(delta)
         assert np.all(pts > 1.0 / delta - 1.0)
@@ -353,6 +346,39 @@ def test_load_rejects_unknown_weight(tmp_path):
         load_grid_function(path)
 
 
+def test_grid_function_names_its_weight_from_the_registry(problem,
+                                                          tmp_path):
+    xs = np.linspace(0.0, 8.0, 33)
+    ys = np.linspace(0.0, 1.0, 5)
+    X, _ = np.meshgrid(xs, ys, indexing="ij")
+    f = WeightedGridFunction((xs, ys), phi(X) * (1.0 + X), problem.weight,
+                             cmap=problem.cmap)
+    assert f.weight_desc == "exp(-x^2/2)"
+    assert weighted_norm(f) == pytest.approx(9.0, abs=1e-12)
+    save_grid_function(f, tmp_path / "grid.csv")
+    g = load_grid_function(tmp_path / "grid.csv")
+    assert g.weight is phi
+    assert weighted_norm(g) == weighted_norm(f)
+    assert WeightedGridFunction((xs,), np.ones_like(xs)).weight_desc == "1"
+
+
+def test_weight_and_its_description_must_agree(tmp_path):
+    with pytest.raises(ValueError, match="does not name"):
+        WeightedGridFunction((XS,), phi(XS), phi, weight_desc="1")
+    with pytest.raises(ValueError, match="does not name"):
+        WeightedGridFunction((XS,), phi(XS), weight_desc="exp(-x^2/2)")
+    with pytest.raises(ValueError, match="unknown weight"):
+        WeightedGridFunction((XS,), phi(XS), phi, weight_desc="cosh(x)")
+    # a weight outside the registry computes, but has no name to save
+    f = WeightedGridFunction((XS,), phi(XS),
+                             lambda x: np.exp(-x ** 2 / 2.0))
+    assert f.weight_desc is None and weighted_norm(f) == 1.0
+    path = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match="WEIGHT_REGISTRY"):
+        save_grid_function(f, path)
+    assert not path.exists()
+
+
 def _per_cell_csv_writer(f, csv_path):
     """Reference writer: csv.writer with one f-string per cell."""
     names = ["x", "y", "z"][: f.ndim]
@@ -396,3 +422,26 @@ def test_cli_import_skips_spline_and_quadrature_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_exports_resolve_and_deleted_names_stay_gone():
+    assert len(set(compactfix.__all__)) == len(compactfix.__all__)
+    for name in compactfix.__all__:
+        getattr(compactfix, name)
+    assert "bump_chain" not in compactfix.__all__
+    assert not hasattr(compactfix, "bump_chain")
+    for cls, attr in [(compactfix.Kernel, "eval"),
+                      (compactfix.Kernel, "support"),
+                      (compactfix.HypothesisReport, "all_usable"),
+                      (WeightedGridFunction, "check_infinity_faces")]:
+        assert not hasattr(cls, attr), (cls.__name__, attr)
+    for cls, attr in [(compactfix.Nonlinearity, "monotone_in_u"),
+                      (compactfix.NamedProblem, "domain"),
+                      (compactfix.NamedProblem, "weight1d"),
+                      (compactfix.ConeSpec, "e")]:
+        assert attr not in {f.name for f in dataclasses.fields(cls)}, \
+            (cls.__name__, attr)
+    assert "weight" not in inspect.signature(
+        compactfix.GridHammersteinOperator).parameters
+    assert "operator" not in inspect.signature(
+        compactfix.apply_T).parameters

@@ -237,6 +237,12 @@ def test_solve_config_validation():
         SolveConfig(tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         SolveConfig(max_iter=0)
+    with pytest.raises(ValueError, match="hx = 0.07 does not divide"):
+        SolveConfig(hx=0.07, hy=0.05, truncation=4.0)
+    with pytest.raises(ValueError, match="hy = 0.3 does not divide"):
+        SolveConfig(hx=0.25, hy=0.3, truncation=4.0)
+    with pytest.raises(ValueError, match="truncation must be positive"):
+        SolveConfig(truncation=float("nan"))
     axes = SolveConfig(hx=0.25, hy=0.25, truncation=4.0).axes()
     assert axes[0][0] == 0.0 and axes[0][-1] == 4.0 and len(axes[0]) == 17
     assert axes[1][-1] == 1.0 and len(axes[1]) == 5
