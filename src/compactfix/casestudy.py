@@ -52,7 +52,9 @@ class NamedProblem:
         return WEIGHT_REGISTRY[self.weight_desc]
 
 
-def _gauss_shift_kernel(rate=1.0):
+def _gauss_shift_kernel(weight_desc, rate=1.0):
+    """exp(-rate (x-t)^2); the closed forms of kx/phi are attached only for
+    the weight they were derived for."""
     def kx(x, t):
         return np.exp(-rate * (x - t) ** 2)
 
@@ -65,18 +67,20 @@ def _gauss_shift_kernel(rate=1.0):
 
     weighted_sup = None
     weighted_quotient = None
-    if rate == 1.0:
-        # sup over x >= t of exp(x^2/2 - (x-t)^2), attained at x = 2t
-        def weighted_sup(t, s):
-            return math.exp(t * t)
-
+    if weight_desc == "exp(-x^2/2)":
         # Combine the exponents before exponentiating: the raw ratio
         # kx(x,t)/phi(x) is 0/0 in float64 once both factors underflow
-        # (x beyond ~38), while the combined exponent is exact there.
+        # (x beyond ~38 at rate 1), while the combined exponent is exact
+        # there.
         def weighted_quotient(x, t):
             x = np.asarray(x, dtype=float)
             with np.errstate(over="ignore"):
-                return np.exp(x ** 2 / 2.0 - (x - t) ** 2)
+                return np.exp(x ** 2 / 2.0 - rate * (x - t) ** 2)
+
+        if rate == 1.0:
+            # sup over x >= t of exp(x^2/2 - (x-t)^2), attained at x = 2t
+            def weighted_sup(t, s):
+                return math.exp(t * t)
 
     return Kernel("gauss-shift", kx, None, abs_integral, weighted_sup, None,
                   weighted_quotient, dkx)
@@ -119,7 +123,7 @@ def _halfstrip_cmap():
 
 
 def _hyperbolic_erf():
-    kernel = _gauss_shift_kernel()
+    kernel = _gauss_shift_kernel("exp(-x^2/2)")
     nl = _gauss_square_nonlinearity()
 
     def tu0(x, y):
@@ -183,11 +187,11 @@ def load_problem_file(path):
         raise ValueError(f"unknown kernel id {kid!r}")
     if nid not in _NONLINEARITIES:
         raise ValueError(f"unknown nonlinearity id {nid!r}")
-    kernel = _KERNELS[kid](**cfgdoc["kernel"].get("params", {}))
-    nl = _NONLINEARITIES[nid](**cfgdoc["nonlinearity"].get("params", {}))
     weight_desc = cfgdoc.get("weight", "exp(-x^2/2)")
     if weight_desc not in WEIGHT_REGISTRY:
         raise ValueError(f"unknown weight {weight_desc!r}")
+    kernel = _KERNELS[kid](weight_desc, **cfgdoc["kernel"].get("params", {}))
+    nl = _NONLINEARITIES[nid](**cfgdoc["nonlinearity"].get("params", {}))
     cfg = SolveConfig(truncation=float(cfgdoc.get("truncation", 24.0)))
     return NamedProblem(
         id=cfgdoc.get("id", "custom"), weight_desc=weight_desc,

@@ -73,7 +73,8 @@ def build_parser():
                     help="ball radius to certify and monitor")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--grid-step", type=float, default=0.02)
-    sp.add_argument("--truncation", type=float, default=24.0)
+    sp.add_argument("--truncation", type=float, default=None,
+                    help="x-truncation (default: the problem's, else 24)")
     sp.add_argument("--max-iter", type=int, default=50)
 
     sp = sub.add_parser("check-conditions",
@@ -112,8 +113,11 @@ def _cmd_solve(args):
     if problem.kernel is None:
         raise _UsageError(f"problem {problem.id!r} has no solve branch; "
                           "use the demo subcommands")
+    truncation = args.truncation
+    if truncation is None:
+        truncation = (problem.default_config or SolveConfig()).truncation
     cfg = SolveConfig(hx=args.grid_step, hy=args.grid_step,
-                      truncation=args.truncation, tol=args.tol,
+                      truncation=truncation, tol=args.tol,
                       max_iter=args.max_iter, rho_ball=args.rho)
     try:
         result = picard_solve(problem, cfg)

@@ -87,7 +87,7 @@ def test_02_operator_closed_form(problem):
     face_gap = float(np.abs(face[idx]
                             - problem.closed_forms["Tu0_face"](ys[idx])).max())
     dt = time.perf_counter() - t0
-    ok = grid_gap < 1e-6 and face_gap < 1e-4 and dt < 30.0
+    ok = grid_gap < 1e-6 and face_gap < 1e-4 and dt < 5.0
     _report(2, "operator-closed-form", ok,
             f"grid gap {grid_gap:.2e}, face gap {face_gap:.2e} "
             f"at 11 y-nodes, {dt:.2f}s")

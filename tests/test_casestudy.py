@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from compactfix.casestudy import (PROBLEM_IDS, load_problem,
                                   validate_closed_forms)
 from compactfix.compactify import ExtensionError
 from compactfix.funcspace import WEIGHT_REGISTRY, BumpChain
+from compactfix.greenop import check_hypotheses
 from compactfix.solver import SolveConfig, pde_residual, picard_solve
 
 
@@ -134,6 +136,46 @@ def test_load_problem_file(tmp_path):
     assert res.solution.weight_desc == "1"
     assert np.array_equal(res.solution.quotient(), res.solution.samples)
     assert res.solution.samples.max() > 0.0
+
+
+def _gauss_shift_problem(tmp_path, rate, weight):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(
+        {"truncation": 8.0, "weight": weight,
+         "kernel": {"id": "gauss-shift", "params": {"rate": rate}},
+         "nonlinearity": {"id": "gauss-plus-square",
+                          "params": {"amplitude": 0.25}}}))
+    return load_problem_file(path)
+
+
+def test_unit_weight_file_gets_no_gaussian_weight_closed_forms(tmp_path):
+    prob = _gauss_shift_problem(tmp_path, 1.0, "1")
+    assert prob.kernel.weighted_sup is None
+    assert prob.kernel.weighted_quotient is None
+    rep = check_hypotheses(prob.kernel, prob.weight, prob.nl, 0.5,
+                           truncation=8.0)
+    # sup over x >= t of exp(-(x-t)^2) / 1 is 1, attained at x = t
+    ts, sup = rep.profiles["M0"]
+    assert np.allclose(sup, 1.0)
+    assert rep.conditions["C1"].status == "verified"
+    assert rep.conditions["C4"].status == "verified_on_truncation"
+    assert math.isfinite(rep.integrals["M0*Phi_r"])
+
+
+def test_rate_two_file_quotient_is_exact_far_out(tmp_path):
+    prob = _gauss_shift_problem(tmp_path, 2.0, "exp(-x^2/2)")
+    x = np.array([40.0, 64.0])
+    # exp(x^2/2 - 2 (x-1)^2), where kx and phi have both underflowed
+    assert np.array_equal(prob.kernel.weighted_quotient(x, 1.0),
+                          np.exp(x ** 2 / 2.0 - 2.0 * (x - 1.0) ** 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_hypotheses(prob.kernel, prob.weight, prob.nl, 0.5,
+                               truncation=8.0)
+    assert rep.conditions["C1"].status == "verified"
+    assert np.all(np.isfinite(rep.profiles["z0"]))
+    assert rep.conditions["C4"].status == "verified_on_truncation"
+    assert all(math.isfinite(v) for v in rep.integrals.values())
 
 
 def test_load_problem_file_rejects_unknown_pieces(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -71,6 +72,46 @@ def test_nan_and_infinite_radii_exit_1(tmp_path, capsys):
     assert rc == 1
     assert "rho must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _problem_file(tmp_path, **doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(
+        {"kernel": {"id": "gauss-shift"},
+         "nonlinearity": {"id": "gauss-plus-square"}}, **doc)))
+    return str(path)
+
+
+def test_solve_takes_truncation_from_problem_file(tmp_path):
+    path = _problem_file(tmp_path, truncation=8.0)
+    for extra, want in (([], 8.0), (["--truncation", "4"], 4.0)):
+        out = tmp_path / f"run{want:g}"
+        rc = main(["solve", "--problem-file", path, "--grid-step", "0.25",
+                   "--out", str(out), "--no-timestamp"] + extra)
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["truncation"] == want
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_check_conditions_problem_file_writes_strict_json(tmp_path):
+    for rate, weight in ((2.0, "exp(-x^2/2)"), (1.0, "1")):
+        path = _problem_file(
+            tmp_path, truncation=12.0, weight=weight,
+            kernel={"id": "gauss-shift", "params": {"rate": rate}})
+        out = tmp_path / f"cc{rate:g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["check-conditions", "--problem-file", path,
+                       "--out", str(out), "--no-timestamp"])
+        assert rc == 0
+        doc = json.loads((out / "cone_report.json").read_text(),
+                         parse_constant=_refuse_constant)
+        assert doc["hypotheses"]["C1"]["status"] == "verified"
+        assert doc["hypotheses"]["C4"]["status"] == "verified_on_truncation"
 
 
 def test_solve_rejects_demo_problems(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Quadrature routines, the integral operator and the hypothesis checker."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.special import erf, erfc
 
 from compactfix.funcspace import WeightedGridFunction
 from compactfix.greenop import (GridHammersteinOperator, Kernel,
-                                QuadratureError, adaptive_quadrature, apply_T,
+                                Nonlinearity, QuadratureError,
+                                adaptive_quadrature, apply_T,
                                 check_hypotheses, cumulative_weights,
                                 gaussian_tail, kernel_abs_integral,
                                 unbounded_quadrature)
@@ -172,16 +174,105 @@ def test_grid_apply_positive_and_monotone(problem, coarse_axes, rng):
         assert np.all(tv >= tu - 1e-12)
 
 
+def _grid_function(problem, xs, ys, samples):
+    return WeightedGridFunction((xs, ys), samples, problem.weight,
+                                cmap=problem.cmap)
+
+
 def test_adaptive_apply_matches_closed_form_at_zero(problem):
-    xs = np.linspace(0.0, 2.0, 9)
-    ys = np.linspace(0.0, 1.0, 5)
-    u0 = WeightedGridFunction((xs, ys), np.zeros((9, 5)), problem.weight,
-                              cmap=problem.cmap)
-    out = apply_T(u0, problem.kernel, problem.nl, method="adaptive",
-                  tol=1e-10, faces=False)
+    # the second grid is the benchmark's; a grid starting at 0.5 must still
+    # integrate from 0
+    for xs, ys in ((np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.0, 5)),
+                   (np.linspace(0.0, 8.0, 12), np.linspace(0.0, 1.0, 12)),
+                   (np.linspace(0.5, 2.0, 7), np.linspace(0.25, 1.0, 4))):
+        u0 = _grid_function(problem, xs, ys, np.zeros((len(xs), len(ys))))
+        out = apply_T(u0, problem.kernel, problem.nl, method="adaptive",
+                      tol=1e-10, faces=False)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        expected = problem.closed_forms["Tu0"](X, Y)
+        assert np.abs(out.samples - expected).max() < 1e-12
+
+
+def _nested_adaptive_apply(u, kernel, nl, tol):
+    """Reference: the former adaptive route, one nested scalar recursion
+    per output node on the clamped spline of u."""
+    from scipy.interpolate import RectBivariateSpline
+
+    xs, ys = u.axes
+    spline = RectBivariateSpline(xs, ys, u.samples, kx=3, ky=3)
+
+    def u_eval(t, s):
+        t = np.clip(np.asarray(t, dtype=float), xs[0], xs[-1])
+        s = np.clip(np.asarray(s, dtype=float), ys[0], ys[-1])
+        return spline(t, s, grid=False)
+
+    def node_value(x, y):
+        if x <= 0 or y <= 0:
+            return 0.0
+
+        def inner(t):
+            t = float(t)
+
+            def g(s):
+                s = np.asarray(s, dtype=float)
+                vals = nl.eval(t, s, u_eval(np.full_like(s, t), s))
+                if kernel.ky is not None:
+                    vals = vals * kernel.ky(y, s)
+                return vals
+
+            return adaptive_quadrature(g, 0.0, y, tol)
+
+        def outer(tarr):
+            return np.array([kernel.kx(x, t) * inner(t) for t in
+                             np.atleast_1d(tarr)])
+
+        return adaptive_quadrature(outer, 0.0, x, tol)
+
+    return np.array([[node_value(x, y) for y in ys] for x in xs])
+
+
+def test_adaptive_apply_matches_nested_reference_on_kinked_u(problem, rng):
+    # random samples make a spline whose third derivatives jump at the
+    # knots; the offset grid also checks the clamped read below x = 0.5
+    for x0 in (0.0, 0.5):
+        xs = np.linspace(x0, x0 + 2.0, 5)
+        ys = np.linspace(0.0, 1.0, 4)
+        u = _grid_function(problem, xs, ys, rng.uniform(0.0, 0.5, (5, 4)))
+        got = apply_T(u, problem.kernel, problem.nl, method="adaptive",
+                      tol=1e-10, faces=False).samples
+        want = _nested_adaptive_apply(u, problem.kernel, problem.nl, 1e-10)
+        assert np.abs(got - want).max() <= 1e-9
+
+
+def test_adaptive_apply_with_ky_factor_matches_closed_form(problem):
+    # int_0^y exp(2ys) exp(-s^2) ds = exp(y^2) int_0^y exp(-(s-y)^2) ds
+    # = exp(y^2) times the ky = 1 value
+    kernel = Kernel("gauss-shift-ky", problem.kernel.kx,
+                    ky=lambda y, s: np.exp(2.0 * y * s))
+    xs = np.linspace(0.0, 3.0, 7)
+    ys = np.linspace(0.0, 1.0, 6)
+    u0 = _grid_function(problem, xs, ys, np.zeros((7, 6)))
+    out = apply_T(u0, kernel, problem.nl, method="adaptive", faces=False)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    expected = problem.closed_forms["Tu0"](X, Y)
-    assert np.abs(out.samples - expected).max() < 1e-8
+    expected = problem.closed_forms["Tu0"](X, Y) * np.exp(Y ** 2)
+    assert np.abs(out.samples - expected).max() < 1e-12
+
+
+def test_adaptive_apply_refuses_nan_and_unsettled_integrands(problem):
+    xs = np.linspace(0.0, 2.0, 5)
+    ys = np.linspace(0.0, 1.0, 4)
+    u = _grid_function(problem, xs, ys, np.zeros((5, 4)))
+    nan_nl = Nonlinearity("nan", lambda t, s, v: np.where(t > 1.0, math.nan,
+                                                          1.0 + v))
+    with pytest.raises(QuadratureError, match="not finite at panel level 0"):
+        apply_T(u, problem.kernel, nan_nl, method="adaptive", faces=False)
+    # an integrable singularity off every panel break: each doubling moves
+    # the values by about the square root of the panel width
+    spike = Nonlinearity("spike", lambda t, s, v:
+                         np.abs(t - 1.0 / 3.0) ** -0.5 + v)
+    with pytest.raises(QuadratureError, match="no convergence") as err:
+        apply_T(u, problem.kernel, spike, method="adaptive", faces=False)
+    assert np.all(np.isfinite(err.value.last_estimate))
 
 
 def test_apply_rejects_bad_method_and_shape(problem):
@@ -271,6 +362,25 @@ def test_check_hypotheses_integrals(problem):
     partials = rep.conditions["C4"].data["partials"]
     assert partials[1] > 1.5 * partials[0]
     assert not math.isfinite(partials[2])
+
+
+def test_check_hypotheses_counts_only_finite_limits_and_partials(problem):
+    # without a combined-exponent quotient, kx/phi of a rate-2 kernel is
+    # 0/0 once both factors underflow: every face limit and the widest
+    # partial M0*Phi_r integral are nan
+    raw = Kernel("raw", lambda x, t: np.exp(-2.0 * (x - t) ** 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_hypotheses(raw, problem.weight, problem.nl, r=0.5)
+    c1 = rep.conditions["C1"]
+    assert c1.status == "unverified"
+    assert "face limit exists at 0 of 9 sampled columns" in c1.detail
+    c4 = rep.conditions["C4"]
+    assert c4.status == "unverified"
+    assert math.isnan(c4.data["partials"][2])
+    assert not any(math.isnan(v) for v in rep.integrals.values())
+    assert "M0*Phi_r" not in rep.integrals
+    assert "|z0|*Phi_r" not in rep.integrals
 
 
 def test_check_hypotheses_rejects_nonpositive_radius(problem):
