@@ -24,10 +24,9 @@ from .funcspace import (WEIGHT_REGISTRY, BumpChain, FaceLimitError,
                         quotient_derivative, save_grid_function,
                         weighted_norm)
 from .greenop import (GridHammersteinOperator, HypothesisReport, Kernel,
-                      Nonlinearity, QuadratureError, adaptive_quadrature,
-                      apply_T, attach_faces, check_hypotheses,
-                      cumulative_weights, kernel_abs_integral,
-                      unbounded_quadrature)
+                      Nonlinearity, QuadratureError, apply_T, attach_faces,
+                      check_hypotheses, cumulative_weights,
+                      kernel_abs_integral, panel_quadrature)
 from .solver import (IterationError, SolveConfig, SolveResult,
                      asymptotic_profile, pde_residual, picard_solve,
                      write_outputs)
@@ -44,7 +43,7 @@ __all__ = [
     "PROBLEM_IDS", "ProductCompactification", "QuadratureError",
     "SolveConfig", "SolveResult", "WEIGHT_REGISTRY", "WeightedGridFunction",
     "XPoint",
-    "adaptive_quadrature", "apply_T", "asymptotic_profile", "attach_faces",
+    "apply_T", "asymptotic_profile", "attach_faces",
     "ball_inverse", "ball_map", "check_hypotheses",
     "classify_ladder", "cone_membership", "cumulative_weights",
     "default_levels", "extend",
@@ -53,8 +52,8 @@ __all__ = [
     "index_one_sweep", "index_zero_check", "kappa_limit",
     "kernel_abs_integral", "load_grid_function", "load_problem",
     "load_problem_file", "multi_indices", "multiplicity_plan",
-    "pde_residual", "picard_solve", "precompactness_report",
-    "quotient_derivative", "run_full_pipeline", "save_grid_function",
-    "unbounded_quadrature", "validate_closed_forms", "weighted_norm",
+    "panel_quadrature", "pde_residual", "picard_solve",
+    "precompactness_report", "quotient_derivative", "run_full_pipeline",
+    "save_grid_function", "validate_closed_forms", "weighted_norm",
     "write_outputs",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,8 @@ from .compactify import (ExtensionError, HalfLineOnePoint, IntervalIdentity,
 from .cones import ConeSpec, default_eval_grid, index_one_sweep
 from .funcspace import (WEIGHT_REGISTRY, BumpChain, gaussian_family,
                         gaussian_family_separation, precompactness_report)
-from .greenop import (Kernel, Nonlinearity, adaptive_quadrature,
-                      check_hypotheses, kernel_abs_integral)
+from .greenop import (Kernel, Nonlinearity, check_hypotheses,
+                      kernel_abs_integral, panel_quadrature)
 from .solver import SolveConfig, picard_solve
 
 PROBLEM_IDS = ("hyperbolic-erf", "arctan-demo", "gaussian-family",
@@ -52,9 +53,23 @@ class NamedProblem:
         return WEIGHT_REGISTRY[self.weight_desc]
 
 
+def _real_param(name, value, positive):
+    """value as a float if it is a finite real number that is > 0
+    (positive) or >= 0; ValueError otherwise."""
+    ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+          and math.isfinite(value)
+          and (value > 0 if positive else value >= 0))
+    if not ok:
+        raise ValueError(f"{name} must be a finite real number "
+                         f"{'> 0' if positive else '>= 0'}, got {value!r}")
+    return float(value)
+
+
 def _gauss_shift_kernel(weight_desc, rate=1.0):
     """exp(-rate (x-t)^2); the closed forms of kx/phi are attached only for
     the weight they were derived for."""
+    rate = _real_param("gauss-shift rate", rate, positive=True)
+
     def kx(x, t):
         return np.exp(-rate * (x - t) ** 2)
 
@@ -87,6 +102,9 @@ def _gauss_shift_kernel(weight_desc, rate=1.0):
 
 
 def _gauss_square_nonlinearity(amplitude=0.125):
+    amplitude = _real_param("gauss-plus-square amplitude", amplitude,
+                            positive=False)
+
     def fn(x, y, v):
         return amplitude * np.exp(-(np.asarray(x) ** 2
                                     + np.asarray(y) ** 2)) + v ** 2
@@ -323,42 +341,30 @@ def validate_closed_forms(problem, n=20, tol=1e-6):
         return gaps
     xs = np.linspace(0.05, 4.0, n)
     ys = np.linspace(0.05, 1.0, n)
-    if "abs_integral" in problem.closed_forms:
-        cf = problem.closed_forms["abs_integral"]
-        worst = 0.0
-        for x in xs:
-            for y in ys:
-                q = kernel_abs_integral(problem.kernel, (x, y), tol=1e-10)
-                worst = max(worst, abs(q - float(cf(x, y))))
-        gaps["abs_integral"] = worst
-    if "Tu0" in problem.closed_forms:
-        cf = problem.closed_forms["Tu0"]
-        amp = problem.nl.params.get("amplitude", 0.125)
-        worst = 0.0
-        it_cache = {}
-        for x in xs:
-            it_cache[x] = adaptive_quadrature(
-                lambda t: problem.kernel.kx(x, t) * np.exp(-t ** 2),
-                0.0, float(x), 1e-13)
-        is_cache = {y: adaptive_quadrature(lambda s: np.exp(-s ** 2), 0.0,
-                                           float(y), 1e-13) for y in ys}
-        for x in xs:
-            for y in ys:
-                q = amp * it_cache[x] * is_cache[y]
-                worst = max(worst, abs(q - float(cf(x, y))))
-        gaps["Tu0"] = worst
-    if "Tu0_face" in problem.closed_forms:
-        cf = problem.closed_forms["Tu0_face"]
-        amp = problem.nl.params.get("amplitude", 0.125)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    forms = problem.closed_forms
+    kx = problem.kernel.kx
+    amp = problem.nl.params.get("amplitude", 0.125)
+
+    def gauss_integrals(hi, tol):
+        """int_0^{hi_i} exp(-s^2) ds for every entry of hi."""
+        return panel_quadrature(lambda s: np.exp(-s ** 2), 0.0, hi, tol)
+
+    if "abs_integral" in forms:
+        q = kernel_abs_integral(problem.kernel, xs, ys, tol=1e-10)
+        cf = forms["abs_integral"](X, Y)
+        gaps["abs_integral"] = float(np.max(np.abs(q - cf)))
+    if "Tu0" in forms:
+        it = panel_quadrature(lambda t: kx(xs[:, None], t) * np.exp(-t ** 2),
+                              0.0, xs, 1e-13)
+        q = amp * it[:, None] * gauss_integrals(ys, 1e-13)[None, :]
+        gaps["Tu0"] = float(np.max(np.abs(q - forms["Tu0"](X, Y))))
+    if "Tu0_face" in forms:
         x_eval = 6.0
-        it = adaptive_quadrature(
-            lambda t: problem.kernel.kx(x_eval, t) * np.exp(-t ** 2),
-            0.0, x_eval, 1e-15)
+        it = panel_quadrature(lambda t: kx(x_eval, t) * np.exp(-t ** 2),
+                              0.0, x_eval, 1e-15)[0]
         phi = float(problem.weight(x_eval))
-        worst = 0.0
-        for y0 in np.linspace(0.0, 1.0, n):
-            q = amp * it * adaptive_quadrature(
-                lambda s: np.exp(-s ** 2), 0.0, float(y0), 1e-15) / phi
-            worst = max(worst, abs(q - float(cf(y0))))
-        gaps["Tu0_face"] = worst
+        y0 = np.linspace(0.0, 1.0, n)
+        q = amp * it * gauss_integrals(y0, 1e-15) / phi
+        gaps["Tu0_face"] = float(np.max(np.abs(q - forms["Tu0_face"](y0))))
     return gaps

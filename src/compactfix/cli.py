@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve, check-conditions, ascoli-demo, compactify-demo,
-validate-closed-forms.  Exit codes: 0 success, 1 usage error, 2 validation
-failure (the run completed but a checked value fell outside tolerance).
+validate-closed-forms.  Exit codes: 0 success, 1 usage error, 2 numerical
+or validation failure (a Picard solve or a quadrature did not converge, or
+the run completed but a checked value fell outside tolerance).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .casestudy import (PROBLEM_IDS, load_problem, load_problem_file,
                         run_full_pipeline, validate_closed_forms)
 from .cones import default_eval_grid, index_one_sweep
-from .greenop import check_hypotheses
+from .greenop import QuadratureError, check_hypotheses
 from .solver import IterationError, SolveConfig, picard_solve, write_outputs
 
 
@@ -235,6 +236,9 @@ def main(argv=None):
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
+    except QuadratureError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as err:
         # unknown problem ids, unreadable problem files and the like
         print(f"usage error: {err}", file=sys.stderr)

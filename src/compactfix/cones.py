@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greenop import adaptive_quadrature, kernel_abs_integral
+from .greenop import _unit_strip_integral, kernel_abs_integral
 
 
 def alpha_inf(samples):
@@ -43,7 +43,9 @@ class ConeSpec:
 
     alpha/beta/gamma act on sample arrays.  gamma_is_zero short-circuits the
     index-zero branch.  gamma_kernel_profile(t, s), when given, evaluates
-    gamma applied to the kernel column at integration point (t, s).
+    gamma applied to the kernel column at integration point (t, s); it is
+    vectorised, called on arrays t of shape (m, 1) and s of shape (m, k)
+    and returning values of shape (m, k).
     gamma_sublevels_bounded is an input flag (boundedness of {gamma < rho}
     inside the cone is a statement about the continuous space that the grid
     cannot certify).  b_func/c_func translate between the two rho scales.
@@ -116,8 +118,7 @@ class IndexCheck:
 
 def abs_integral_beta_factor(kernel, spec, grid, tol=1e-8):
     """beta applied to the profile t -> integral of |G(t, s)| ds."""
-    prof = np.array([[kernel_abs_integral(kernel, (x, y), tol)
-                      for y in grid[1]] for x in grid[0]])
+    prof = kernel_abs_integral(kernel, grid[0], grid[1], tol)
     return spec.beta(prof), prof
 
 
@@ -148,15 +149,8 @@ def index_zero_check(kernel, nl, spec, rho, grid=None, tol=1e-8):
                            "bounded": spec.gamma_sublevels_bounded})
     if spec.gamma_kernel_profile is None:
         raise ValueError("index-zero check needs gamma_kernel_profile")
-    gprof = spec.gamma_kernel_profile
-    x_top = float(grid[0][-1])
-
-    def outer(tarr):
-        return np.array([adaptive_quadrature(
-            lambda s, tv=float(tv): gprof(tv, s), 0.0, 1.0, tol)
-            for tv in np.atleast_1d(tarr)])
-
-    gint = adaptive_quadrature(outer, 0.0, x_top, tol)
+    gint = _unit_strip_integral(spec.gamma_kernel_profile,
+                                float(grid[0][-1]), tol)
     finf = f_inf_rho(nl, rho, grid)
     lhs = finf * gint
     return IndexCheck(rho, "index_zero", lhs,

@@ -323,25 +323,28 @@ def _family_quotient_derivatives(family):
 
 
 def equicontinuity_modulus(family, max_shift=64):
-    """omega(delta) = worst |v(x) - v(y)| over axis-aligned |x-y| <= delta."""
+    """omega(delta) = worst |v(x) - v(y)| over axis-aligned |x-y| <= delta,
+    for delta = h times each power of two up to max_shift; each shift is
+    taken once and the worst difference carried on to the next delta."""
     f0, ps, derivs = _family_quotient_derivatives(family)
     out = []
     for axis in range(f0.ndim):
         h = float(np.min(np.diff(f0.axes[axis])))
+        worst = 0.0
+        done = 0
         shift = 1
         while shift <= max_shift:
-            delta = shift * h
-            worst = 0.0
             for p in ps:
                 v = derivs[p]
-                for s in range(1, shift + 1):
+                for s in range(done + 1, shift + 1):
                     sl_hi = [slice(None)] * v.ndim
                     sl_lo = [slice(None)] * v.ndim
                     sl_hi[axis + 1] = slice(s, None)
                     sl_lo[axis + 1] = slice(None, -s)
                     d = np.abs(v[tuple(sl_hi)] - v[tuple(sl_lo)]).max()
                     worst = max(worst, float(d))
-            out.append((delta, worst))
+            out.append((shift * h, worst))
+            done = shift
             shift *= 2
     return sorted(out)
 

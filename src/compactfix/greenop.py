@@ -4,14 +4,17 @@ The operator is Tu(x, y) = integral over {t <= x, s <= y} of
 kx(x, t) ky(y, s) f(t, s, u(t, s)) dt ds, acting on weighted grid functions
 over [0, inf) x [0, 1].  Two evaluation paths: a cumulative-quadrature grid
 path (used by the solver) and an independent cross-check path that reads u
-from its bicubic spline and integrates all nodes at once with a composite
-Gauss-Legendre rule, doubling the panels until two levels agree to tol
+from its bicubic spline and integrates all nodes at once.
+
+Every integral outside the grid path uses one rule: a composite 16-node
+Gauss-Legendre rule whose panels are doubled until two levels agree to tol
 (the two-rule estimate of Gander & Gautschi, "Adaptive quadrature -
-revisited", BIT 2000).  The same rule gives the infinity-face trace
-integral when the kernel carries one.  The module also estimates the kernel
-bounds that the contraction/index arguments need: the weighted sup profile
-M_p, the infinity trace z_p, the continuity modulus w_p, and their L1
-products against a dominating envelope Phi_r.
+revisited", BIT 2000).  panel_quadrature applies it to many 1-d intervals
+at once; the cross-check path and the infinity-face trace integral apply
+it in 2-d.  With it the module estimates the kernel bounds that the
+contraction/index arguments need: the absolute kernel integral, the
+weighted sup profile M_p, the infinity trace z_p, the continuity modulus
+w_p, and their L1 products against a dominating envelope Phi_r.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .compactify import HalfLineOnePoint, kappa_limit
 from .funcspace import quotient_derivative, _grid_face_limit
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# panel rule of the adaptive route: at most 2^_MAX_PANEL_LEVEL panels per
-# grid interval, f evaluated _T_BLOCK t-nodes at a time to bound memory
+# the panel rule: at most 2^_MAX_PANEL_LEVEL panels per interval; the 2-d
+# route evaluates f _T_BLOCK t-nodes at a time to bound memory
 _MAX_PANEL_LEVEL = 6
 _T_BLOCK = 32
 
@@ -37,65 +40,73 @@ class QuadratureError(Exception):
         self.last_estimate = last_estimate
 
 
-def _panel(g, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(np.dot(_GL_WEIGHTS, g(mid + half * _GL_NODES)))
+def _gl_panels(lo, hi, level):
+    """The 16-node Gauss-Legendre rule on 2^level equal panels of each
+    interval [lo_i, hi_i]: nodes and weights, one row per interval.
+    A reversed interval counts as empty: its weights are 0."""
+    n = 2 ** level
+    width = np.maximum(hi - lo, 0.0)[:, None]
+    start = lo[:, None] + width * (np.arange(n) / n)
+    half = 0.5 * width / n
+    nodes = (start + half)[..., None] + half[..., None] * _GL_NODES
+    weights = np.broadcast_to(half[..., None] * _GL_WEIGHTS, nodes.shape)
+    return nodes.reshape(len(lo), -1), weights.reshape(len(lo), -1)
 
 
-def adaptive_quadrature(g, a, b, tol=1e-10, max_depth=24):
-    """Adaptive 16-node Gauss-Legendre on [a, b], dyadic refinement."""
-    if b <= a:
-        return 0.0
+def _settle(level_integrals, tol):
+    """level_integrals(L) for L = 0, 1, ...; returns level L + 1 once the
+    max over all its entries of |I_L - I_{L+1}| is at most tol.
 
-    def recurse(lo, hi, whole, depth):
-        mid = 0.5 * (lo + hi)
-        left, right = _panel(g, lo, mid), _panel(g, mid, hi)
-        if not math.isfinite(left + right):
-            # a nan never passes the tolerance test, so refining would only
-            # end at max_depth after 2^max_depth panels
-            raise QuadratureError(f"integrand not finite on [{lo:g}, {hi:g}]",
-                                  last_estimate=left + right)
-        if abs(left + right - whole) <= tol or depth >= max_depth:
-            if depth >= max_depth and abs(left + right - whole) > tol:
-                raise QuadratureError(
-                    f"no convergence on [{lo:g}, {hi:g}]",
-                    last_estimate=left + right)
-            return left + right
-        return (recurse(lo, mid, left, depth + 1)
-                + recurse(mid, hi, right, depth + 1))
-
-    return recurse(a, b, _panel(g, a, b), 0)
-
-
-def unbounded_quadrature(g, tol=1e-8, a=0.0, panel_width=1.0,
-                         max_panels=400, tail=None):
-    """Integral of g over [a, inf).
-
-    Panels of the given width, each integrated adaptively.  With a tail
-    callable, integration stops once tail(b) < tol; the bound certifies that
-    the dropped remainder is below tol (the bound itself is not added, so the
-    result never carries the bound's sign bias).  Without one, stop after
-    three consecutive panels contribute less than tol/100 each.
+    QuadratureError if a level is not finite or the values have not
+    settled by _MAX_PANEL_LEVEL.
     """
-    total = 0.0
-    quiet = 0
-    b = a
-    for _ in range(max_panels):
-        nxt = b + panel_width
-        piece = adaptive_quadrature(g, b, nxt, tol=tol * 1e-2)
-        total += piece
-        b = nxt
-        if tail is not None and tail(b) < tol:
-            return total
-        if abs(piece) < tol * 1e-2:
-            quiet += 1
-            if quiet >= 3 and tail is None:
+    prev = None
+    for level in range(_MAX_PANEL_LEVEL + 1):
+        total = level_integrals(level)
+        if not np.all(np.isfinite(total)):
+            raise QuadratureError(
+                f"integrand not finite at panel level {level}",
+                last_estimate=total)
+        if prev is not None:
+            gap = np.max(np.abs(total - prev), initial=0.0)
+            if gap <= tol:
                 return total
-        else:
-            quiet = 0
-    raise QuadratureError(f"tail not resolved after {max_panels} panels",
-                          last_estimate=total)
+        prev = total
+    raise QuadratureError(
+        f"no convergence by panel level {_MAX_PANEL_LEVEL}: two-level "
+        f"difference {gap:.3g} > {tol:g}", last_estimate=total)
+
+
+def panel_quadrature(g, a, b, tol=1e-10):
+    """I[i] = integral of g over [a_i, b_i], every interval at once.
+
+    g maps an (m, k) array of nodes, row i in [a_i, b_i], to values of the
+    same shape.  Every interval gets 2^L equal panels of the 16-node
+    Gauss-Legendre rule, doubling L until two levels agree to tol (see
+    _settle).  An empty or reversed interval gives 0.
+    """
+    a, b = np.atleast_1d(*np.broadcast_arrays(a, b))
+
+    def level_integrals(level):
+        nodes, weights = _gl_panels(a, b, level)
+        return np.sum(weights * g(nodes), axis=1)
+
+    return _settle(level_integrals, tol)
+
+
+def _unit_interval_integrals(f, t, tol):
+    """int_0^1 f(t_i, s) ds for every entry t_i of t, in one call, shaped
+    like t; f is vectorised."""
+    rows = np.reshape(t, (-1, 1))
+    zeros = np.zeros(len(rows))
+    return panel_quadrature(lambda s: f(rows, s), zeros, zeros + 1.0,
+                            tol).reshape(np.shape(t))
+
+
+def _unit_strip_integral(f, t_top, tol):
+    """int_0^t_top int_0^1 f(t, s) ds dt for a vectorised f."""
+    return float(panel_quadrature(
+        lambda t: _unit_interval_integrals(f, t, tol), 0.0, t_top, tol)[0])
 
 
 def gaussian_tail(c, scale=1.0):
@@ -155,18 +166,19 @@ class Nonlinearity:
     params: dict = field(default_factory=dict)
 
 
-def kernel_abs_integral(kernel, point, tol=1e-8):
-    """Quadrature value of the absolute kernel integral at an output point."""
-    x, y = float(point[0]), float(point[1])
-    if x <= 0 or y <= 0:
-        return 0.0
-    ix = adaptive_quadrature(lambda t: np.abs(kernel.kx(x, t)), 0.0, x, tol)
+def kernel_abs_integral(kernel, xs, ys, tol=1e-8):
+    """Quadrature table of the absolute kernel integral: entry [i, j] is
+    int_0^{x_i} |kx(x_i, t)| dt times int_0^{y_j} |ky(y_j, s)| ds, and 0
+    where x_i <= 0 or y_j <= 0."""
+    xs, ys = np.atleast_1d(xs, ys)
+    ix = panel_quadrature(lambda t: np.abs(kernel.kx(xs[:, None], t)), 0.0,
+                          xs, tol)
     if kernel.ky is None:
-        iy = y
+        iy = np.maximum(ys, 0.0)
     else:
-        iy = adaptive_quadrature(lambda s: np.abs(kernel.ky(y, s)), 0.0, y,
-                                 tol)
-    return ix * iy
+        iy = panel_quadrature(lambda s: np.abs(kernel.ky(ys[:, None], s)),
+                              0.0, ys, tol)
+    return ix[:, None] * iy[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +253,10 @@ class GridHammersteinOperator:
         return self.A @ (fvals @ self.B.T)
 
 
-def _gl_panels(breaks, level):
-    """The 16-node Gauss-Legendre rule on 2^level equal panels per interval
-    of breaks: nodes, weights and the index of each node's interval."""
-    n = 2 ** level
-    lo = breaks[:-1, None] + np.diff(breaks)[:, None] * (np.arange(n) / n)
-    half = 0.5 * np.diff(breaks)[:, None] / n
-    nodes = (lo + half)[..., None] + half[..., None] * _GL_NODES
-    weights = np.broadcast_to(half[..., None] * _GL_WEIGHTS, nodes.shape)
-    cell = np.broadcast_to(np.arange(len(breaks) - 1)[:, None, None],
-                           nodes.shape)
-    return nodes.ravel(), weights.ravel(), cell.ravel()
-
-
-def _causal_factor(factor, out, nodes, weights, cell, breaks):
-    """M[i, q] = factor(out_i, node_q) w_q for nodes in intervals below
-    out_i, else 0; factor None means 1."""
-    upto = np.searchsorted(breaks, out)
-    m = weights * (cell[None, :] < upto[:, None])
+def _causal_factor(factor, out, nodes, weights):
+    """M[i, q] = factor(out_i, node_q) w_q for nodes below out_i, else 0;
+    factor None means 1."""
+    m = weights * (nodes[None, :] < out[:, None])
     if factor is not None:
         m = m * factor(out[:, None], nodes[None, :])
     return m
@@ -273,10 +271,10 @@ def _panel_integrals(u, nl, x_out, kx, y_out, ky, z=None, tol=1e-10):
     a node of u's axes) is a break, and each integral runs over whole
     panels.  u is read from its bicubic spline, clamped to its grid, so
     below the first node it takes the first node's values.  Every break
-    interval gets 2^L panels of the 16-node Gauss-Legendre rule, L = 0,
-    1, ...; the result is level L + 1 once the max over all outputs of
-    |I_L - I_{L+1}| is at most tol.  f is evaluated on the tensor of
-    t-nodes x s-nodes in blocks of _T_BLOCK t-nodes, one spline call each.
+    interval gets 2^L panels of the 16-node Gauss-Legendre rule, doubled
+    by _settle until all outputs agree to tol.  f is evaluated on the
+    tensor of t-nodes x s-nodes in blocks of _T_BLOCK t-nodes, one spline
+    call each.
     """
     from scipy.interpolate import RectBivariateSpline
 
@@ -284,11 +282,11 @@ def _panel_integrals(u, nl, x_out, kx, y_out, ky, z=None, tol=1e-10):
     spline = RectBivariateSpline(xs, ys, u.samples, kx=3, ky=3)
     bx = np.union1d([0.0], xs[xs > 0])
     by = np.union1d([0.0], ys[ys > 0])
-    prev = None
-    for level in range(_MAX_PANEL_LEVEL + 1):
-        t, wt, ct = _gl_panels(bx, level)
-        s, ws, cs = _gl_panels(by, level)
-        ymat = _causal_factor(ky, y_out, s, ws, cs, by)
+
+    def level_integrals(level):
+        t, wt = (v.ravel() for v in _gl_panels(bx[:-1], bx[1:], level))
+        s, ws = (v.ravel() for v in _gl_panels(by[:-1], by[1:], level))
+        ymat = _causal_factor(ky, y_out, s, ws)
         s_read = np.clip(s, ys[0], ys[-1])
         total = np.zeros((len(x_out), len(y_out)))
         for b in range(0, len(t), _T_BLOCK):
@@ -298,21 +296,11 @@ def _panel_integrals(u, nl, x_out, kx, y_out, ky, z=None, tol=1e-10):
                                   grid=True))
             if z is not None:
                 vals = vals * z(tb[:, None], s[None, :])
-            xmat = _causal_factor(kx, x_out, tb, wt[b:b + _T_BLOCK],
-                                  ct[b:b + _T_BLOCK], bx)
+            xmat = _causal_factor(kx, x_out, tb, wt[b:b + _T_BLOCK])
             total += xmat @ (vals @ ymat.T)
-        if not np.all(np.isfinite(total)):
-            raise QuadratureError(
-                f"integrand not finite at panel level {level}",
-                last_estimate=total)
-        if prev is not None:
-            gap = np.max(np.abs(total - prev), initial=0.0)
-            if gap <= tol:
-                return total
-        prev = total
-    raise QuadratureError(
-        f"no convergence by panel level {_MAX_PANEL_LEVEL}: two-level "
-        f"difference {gap:.3g} > {tol:g}", last_estimate=total)
+        return total
+
+    return _settle(level_integrals, tol)
 
 
 def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
@@ -452,6 +440,8 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
     """
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"cone radius must be positive and finite, got {r!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     ts = np.linspace(0.0, truncation, n_t)
     ss = np.linspace(0.0, 1.0, n_s)
     phi_r = nl.dominator(r)
@@ -487,9 +477,7 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
         f"weighted sup finite at {sup_found} columns"
         + (f", relative gap to analytic sup {m_gap:.2e}"
            if math.isfinite(m_gap) else "")
-        + f", face limit exists at {z_found} sampled columns",
-        {"max_weighted_sup": float(m_profile[:, 0].max()),
-         "max_abs_z": float(np.max(np.abs(z_vals))) if z_ok else math.nan})
+        + f", face limit exists at {z_found} sampled columns")
 
     # C2: modulus of the weighted quotient in the compactified metric,
     # finite on the truncated domain only (it grows with the truncation).
@@ -505,11 +493,12 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
     conditions["C2"] = ConditionResult(
         "verified_on_truncation",
         f"modulus finite on [0, {truncation:g}], max {w_vals.max():.3g}; "
-        "no uniform modulus is claimed beyond the truncation",
-        {"max_modulus": float(w_vals.max())})
+        "no uniform modulus is claimed beyond the truncation")
 
     # C3: domination f(t, s, v) <= Phi_r(t, s) for |v| <= r phi(t), and
-    # integrability of Phi_r over the half-strip.
+    # integrability of Phi_r over the half-strip: integrated over
+    # [0, B] x [0, 1], with B the first integer at which the certified
+    # Gaussian tail bound drops below tol.
     tm, sm = np.meshgrid(ts, ss, indexing="ij")
     dom_ok = True
     worst = -math.inf
@@ -518,17 +507,16 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
         gap = float(np.max(nl.eval(tm, sm, v) - phi_r(tm, sm)))
         worst = max(worst, gap)
         dom_ok &= gap <= 1e-12
-    phi_int = unbounded_quadrature(
-        lambda t: np.array([adaptive_quadrature(
-            lambda s, tv=tv: phi_r(tv, s), 0.0, 1.0, tol)
-            for tv in np.atleast_1d(t)]),
-        tol=tol, tail=gaussian_tail(1.0, scale=0.2 + r * r))
+    tail = gaussian_tail(1.0, scale=0.2 + r * r)
+    t_top = 1
+    while not tail(t_top) < tol:
+        t_top += 1
+    phi_int = _unit_strip_integral(phi_r, float(t_top), tol)
     integrals["Phi_r"] = phi_int
     conditions["C3"] = ConditionResult(
         "verified" if dom_ok and math.isfinite(phi_int) else "unverified",
         f"domination margin {worst:.2e} on sampled cone points, "
-        f"integral {phi_int:.6g}",
-        {"worst_gap": worst})
+        f"integral {phi_int:.6g}")
 
     # C4: the three L1 products.  The M-branch is probed on doubling
     # truncations; if the increments do not decay the product is reported
@@ -545,9 +533,7 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
             # Multiplying inf by an underflowed s-integral would give nan,
             # so bail out before forming the product.
             return math.inf
-        sint = np.array([adaptive_quadrature(
-            lambda s, tv=tv: phi_r(tv, s), 0.0, 1.0, 1e-10)
-            for tv in tt])
+        sint = _unit_interval_integrals(phi_r, tt, 1e-10)
         return float(np.trapezoid(mprof * sint, tt))
 
     radii = [truncation, 2 * truncation, 4 * truncation]
@@ -563,9 +549,8 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
     if z_ok:
         integrals["|z0|*Phi_r"] = float(np.max(np.abs(z_vals))) \
             * integrals["Phi_r"]
-    w_phi = float(np.trapezoid(w_vals * np.array(
-        [adaptive_quadrature(lambda s, tv=tv: phi_r(tv, s), 0.0, 1.0, 1e-10)
-         for tv in ts]), ts))
+    w_phi = float(np.trapezoid(
+        w_vals * _unit_interval_integrals(phi_r, ts, 1e-10), ts))
     integrals["w0*Phi_r"] = w_phi
     trail = (f"partial M0*Phi_r integrals {partials[0]:.4g} -> "
              f"{partials[1]:.4g} -> {partials[2]:.4g}")

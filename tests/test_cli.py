@@ -114,6 +114,39 @@ def test_check_conditions_problem_file_writes_strict_json(tmp_path):
         assert doc["hypotheses"]["C4"]["status"] == "verified_on_truncation"
 
 
+@pytest.mark.parametrize("command, part, params, message", [
+    ("validate-closed-forms", "kernel", {"rate": 0}, "rate must be"),
+    ("check-conditions", "kernel", {"rate": -1}, "rate must be"),
+    ("check-conditions", "kernel", {"rate": "nan"}, "rate must be"),
+    ("check-conditions", "nonlinearity", {"amplitude": -1},
+     "amplitude must be"),
+])
+def test_problem_file_parameters_are_validated(tmp_path, capsys, command,
+                                               part, params, message):
+    ids = {"kernel": "gauss-shift", "nonlinearity": "gauss-plus-square"}
+    path = _problem_file(tmp_path, **{part: {"id": ids[part],
+                                             "params": params}})
+    out = tmp_path / "run"
+    rc = main([command, "--problem-file", path, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+    assert not out.exists()
+
+
+def test_quadrature_failure_is_a_numerical_failure(tmp_path, capsys):
+    # the absolute tolerance of the Phi_r integrals cannot be met at this
+    # magnitude
+    path = _problem_file(tmp_path, nonlinearity={
+        "id": "gauss-plus-square", "params": {"amplitude": 1e200}})
+    rc = main(["check-conditions", "--problem-file", path,
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: no convergence")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_solve_rejects_demo_problems(tmp_path, capsys):
     rc = main(["solve", "--problem", "arctan-demo",
                "--out", str(tmp_path / "run")])

@@ -14,7 +14,9 @@ import pytest
 import compactfix
 from compactfix.funcspace import (WEIGHT_REGISTRY, BumpChain,
                                   FaceLimitError, WeightedGridFunction,
-                                  equiconvergence_deviation, gamma_p,
+                                  _family_quotient_derivatives,
+                                  equiconvergence_deviation,
+                                  equicontinuity_modulus, gamma_p,
                                   gaussian_family, gaussian_family_separation,
                                   load_grid_function, multi_indices,
                                   precompactness_report, quotient_derivative,
@@ -243,6 +245,53 @@ def test_precompactness_scaled_convergent_family_passes():
     assert rep.worst_deviation < 1e-12
 
 
+def _doubling_modulus(family, max_shift=64):
+    """Reference: every delta recomputes all shifts up to its own."""
+    f0, ps, derivs = _family_quotient_derivatives(family)
+    out = []
+    for axis in range(f0.ndim):
+        h = float(np.min(np.diff(f0.axes[axis])))
+        shift = 1
+        while shift <= max_shift:
+            delta = shift * h
+            worst = 0.0
+            for p in ps:
+                v = derivs[p]
+                for s in range(1, shift + 1):
+                    sl_hi = [slice(None)] * v.ndim
+                    sl_lo = [slice(None)] * v.ndim
+                    sl_hi[axis + 1] = slice(s, None)
+                    sl_lo[axis + 1] = slice(None, -s)
+                    d = np.abs(v[tuple(sl_hi)] - v[tuple(sl_lo)]).max()
+                    worst = max(worst, float(d))
+            out.append((delta, worst))
+            shift *= 2
+    return sorted(out)
+
+
+def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
+    # a member of period 4 nodes differs most at shift 2, so the worst
+    # difference must be carried past the shifts 3 and 4
+    fam = gaussian_family(12, truncation=16.0, step=0.01)
+    wave = 3.0 * np.sin(np.pi * np.arange(len(fam[0].axes[0])) / 2.0)
+    fam.append(fam[0].with_samples(wave))
+    assert equicontinuity_modulus(fam) == _doubling_modulus(fam)
+    assert len(equicontinuity_modulus(fam)) == 7
+    # a 2-d family of order 1: three quotient derivatives per member
+    xs = np.linspace(0.0, 6.0, 61)
+    ys = np.linspace(0.0, 1.0, 41)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    fam2 = [WeightedGridFunction(
+        (xs, ys), a * np.exp(-(X - c) ** 2) * (1.0 + b * Y ** 2), phi,
+        order=1) for a, b, c in rng.uniform(0.0, 3.0, (5, 3))]
+    fam2.append(fam2[0].with_samples(np.sin(np.pi * np.arange(61) / 2.0)
+                                     [:, None] * np.exp(-X ** 2 / 2.0)))
+    for max_shift in (1, 12, 32):
+        got = equicontinuity_modulus(fam2, max_shift)
+        assert got == _doubling_modulus(fam2, max_shift)
+    assert len(got) == 12
+
+
 def test_equiconvergence_requires_stored_faces():
     xs = np.arange(0.0, 24.0 + 1e-9, 0.5)
     fam = [WeightedGridFunction((xs,), np.exp(-xs ** 2))]
@@ -430,6 +479,12 @@ def test_exports_resolve_and_deleted_names_stay_gone():
         getattr(compactfix, name)
     assert "bump_chain" not in compactfix.__all__
     assert not hasattr(compactfix, "bump_chain")
+    # every 1-d integral goes through panel_quadrature
+    for name in ("adaptive_quadrature", "unbounded_quadrature"):
+        assert name not in compactfix.__all__
+        assert not hasattr(compactfix, name)
+    for name in ("adaptive_quadrature", "unbounded_quadrature", "_panel"):
+        assert not hasattr(compactfix.greenop, name)
     for cls, attr in [(compactfix.Kernel, "eval"),
                       (compactfix.Kernel, "support"),
                       (compactfix.HypothesisReport, "all_usable"),

@@ -9,62 +9,66 @@ from scipy.special import erf, erfc
 
 from compactfix.funcspace import WeightedGridFunction
 from compactfix.greenop import (GridHammersteinOperator, Kernel,
-                                Nonlinearity, QuadratureError,
-                                adaptive_quadrature, apply_T,
+                                Nonlinearity, QuadratureError, apply_T,
                                 check_hypotheses, cumulative_weights,
                                 gaussian_tail, kernel_abs_integral,
-                                unbounded_quadrature)
+                                panel_quadrature)
 
 SQPI2 = math.sqrt(math.pi) / 2.0
 
 
-def test_adaptive_quadrature_gaussian_segment():
-    got = adaptive_quadrature(lambda t: np.exp(-t ** 2), 0.0, 1.0, 1e-12)
-    assert abs(got - SQPI2 * erf(1.0)) < 1e-12
+def test_panel_quadrature_gaussian_segment():
+    got = panel_quadrature(lambda t: np.exp(-t ** 2), 0.0, 1.0, 1e-12)
+    assert got.shape == (1,)
+    assert abs(got[0] - SQPI2 * erf(1.0)) < 1e-12
 
 
-def test_adaptive_quadrature_polynomial_and_empty_interval():
-    assert adaptive_quadrature(lambda t: t ** 3, 0.0, 2.0, 1e-12) \
+def test_panel_quadrature_polynomial_and_empty_interval():
+    assert panel_quadrature(lambda t: t ** 3, 0.0, 2.0, 1e-12)[0] \
         == pytest.approx(4.0, abs=1e-13)
-    assert adaptive_quadrature(lambda t: t, 1.0, 1.0) == 0.0
-    assert adaptive_quadrature(lambda t: t, 2.0, 1.0) == 0.0
+    assert panel_quadrature(lambda t: t, 1.0, 1.0)[0] == 0.0
+    assert panel_quadrature(lambda t: t, 2.0, 1.0)[0] == 0.0
 
 
-def test_adaptive_quadrature_reports_depth_exhaustion():
-    with pytest.raises(QuadratureError) as err:
-        adaptive_quadrature(lambda t: np.abs(t - 1.0 / 3.0) ** -0.5,
-                            0.0, 1.0, tol=1e-12, max_depth=8)
+def test_panel_quadrature_reports_no_convergence():
+    # an integrable singularity inside a panel never settles to 1e-12
+    with pytest.raises(QuadratureError, match="no convergence") as err:
+        panel_quadrature(lambda t: np.abs(t - 1.0 / 3.0) ** -0.5,
+                         0.0, 1.0, tol=1e-12)
     assert err.value.last_estimate is not None
-    assert math.isfinite(err.value.last_estimate)
+    assert np.all(np.isfinite(err.value.last_estimate))
 
 
-def test_adaptive_quadrature_refuses_a_nan_integrand_at_once():
+def test_panel_quadrature_refuses_a_nan_integrand_at_once():
     calls = []
 
     def g(t):
         calls.append(t)
         return np.where(t > 0.7, math.nan, 1.0)
 
-    with pytest.raises(QuadratureError, match="not finite"):
-        adaptive_quadrature(g, 0.0, 1.0, tol=1e-10)
-    # the whole panel and its two halves, not 2^max_depth panels
-    assert len(calls) == 3
+    with pytest.raises(QuadratureError, match="not finite at panel level 0"):
+        panel_quadrature(g, 0.0, 1.0, tol=1e-10)
+    # level 0 only, not every level up to the cap
+    assert len(calls) == 1
 
 
-def test_unbounded_quadrature_gaussian():
-    g = lambda t: np.exp(-np.asarray(t) ** 2)
-    with_tail = unbounded_quadrature(g, tol=1e-8, tail=gaussian_tail(1.0))
-    assert abs(with_tail - SQPI2) < 1e-8
-    # the quiet-panel stop reaches the same value without a certificate
-    assert abs(unbounded_quadrature(g, tol=1e-8) - SQPI2) < 1e-8
-    assert unbounded_quadrature(lambda t: 0.0 * np.asarray(t), tol=1e-8) == 0.0
+def test_panel_quadrature_integrates_many_intervals_in_one_call():
+    calls = []
+    a = np.array([0.0, -1.0, 0.5, 2.0, 3.0])
+    b = np.array([1.0, 1.0, 0.5, 4.0, 1.0])
 
+    def g(t):
+        calls.append(t.shape)
+        return np.exp(-t ** 2)
 
-def test_unbounded_quadrature_slow_tail_raises():
-    with pytest.raises(QuadratureError) as err:
-        unbounded_quadrature(lambda t: 1.0 / (1.0 + np.asarray(t) ** 2),
-                             tol=1e-10, max_panels=50)
-    assert 0.0 < err.value.last_estimate < math.pi / 2.0
+    got = panel_quadrature(g, a, b, 1e-12)
+    want = SQPI2 * (erf(b) - erf(a)) * (b > a)
+    assert np.abs(got - want).max() < 1e-12
+    # one call of g per level, every interval a row of the node array
+    assert all(shape[0] == len(a) for shape in calls)
+    # a scalar bound broadcasts against an array of the other
+    got = panel_quadrature(lambda t: np.exp(-t ** 2), 0.0, b, 1e-12)
+    assert np.abs(got - SQPI2 * erf(b)).max() < 1e-12
 
 
 def test_gaussian_tail_bound_is_certified():
@@ -79,13 +83,20 @@ def test_gaussian_tail_bound_is_certified():
 
 def test_kernel_abs_integral_against_closed_form(problem, rng):
     k = problem.kernel
-    assert kernel_abs_integral(k, (1.0, 0.0)) == 0.0
-    assert kernel_abs_integral(k, (0.0, 1.0)) == 0.0
-    for _ in range(100):
-        x = rng.uniform(0.05, 8.0)
-        y = rng.uniform(0.05, 1.0)
-        expected = SQPI2 * y * erf(x)
-        assert abs(kernel_abs_integral(k, (x, y)) - expected) < 1e-6
+    zero = kernel_abs_integral(k, [1.0, 0.0, -1.0], [0.0, 1.0])
+    assert zero.shape == (3, 2)
+    assert np.all(zero[:, 0] == 0.0) and np.all(zero[1:, :] == 0.0)
+    xs = rng.uniform(0.05, 8.0, 10)
+    ys = rng.uniform(0.05, 1.0, 10)
+    table = kernel_abs_integral(k, xs, ys)
+    expected = SQPI2 * ys[None, :] * erf(xs[:, None])
+    assert table.shape == (10, 10)
+    assert np.abs(table - expected).max() < 1e-6
+    # a ky factor is integrated too: |exp(-(y - s))| over [0, y]
+    ky = Kernel("with-ky", k.kx, ky=lambda y, s: np.exp(s - y))
+    got = kernel_abs_integral(ky, xs, ys)
+    assert np.abs(got - erf(xs[:, None]) * SQPI2
+                  * (1.0 - np.exp(-ys[None, :]))).max() < 1e-6
 
 
 def test_cumulative_weights_structure():
@@ -194,39 +205,28 @@ def test_adaptive_apply_matches_closed_form_at_zero(problem):
 
 
 def _nested_adaptive_apply(u, kernel, nl, tol):
-    """Reference: the former adaptive route, one nested scalar recursion
-    per output node on the clamped spline of u."""
+    """Reference: one scipy dblquad per output node on the clamped spline
+    of u, independent of the panel rule under test."""
+    from scipy.integrate import dblquad
     from scipy.interpolate import RectBivariateSpline
 
     xs, ys = u.axes
     spline = RectBivariateSpline(xs, ys, u.samples, kx=3, ky=3)
 
-    def u_eval(t, s):
-        t = np.clip(np.asarray(t, dtype=float), xs[0], xs[-1])
-        s = np.clip(np.asarray(s, dtype=float), ys[0], ys[-1])
-        return spline(t, s, grid=False)
-
     def node_value(x, y):
         if x <= 0 or y <= 0:
             return 0.0
 
-        def inner(t):
-            t = float(t)
+        def integrand(s, t):
+            v = spline(min(max(t, xs[0]), xs[-1]),
+                       min(max(s, ys[0]), ys[-1]))[0, 0]
+            val = kernel.kx(x, t) * nl.eval(t, s, v)
+            if kernel.ky is not None:
+                val = val * kernel.ky(y, s)
+            return val
 
-            def g(s):
-                s = np.asarray(s, dtype=float)
-                vals = nl.eval(t, s, u_eval(np.full_like(s, t), s))
-                if kernel.ky is not None:
-                    vals = vals * kernel.ky(y, s)
-                return vals
-
-            return adaptive_quadrature(g, 0.0, y, tol)
-
-        def outer(tarr):
-            return np.array([kernel.kx(x, t) * inner(t) for t in
-                             np.atleast_1d(tarr)])
-
-        return adaptive_quadrature(outer, 0.0, x, tol)
+        return dblquad(integrand, 0.0, x, 0.0, y, epsabs=tol * 1e-3,
+                       epsrel=0.0)[0]
 
     return np.array([[node_value(x, y) for y in ys] for x in xs])
 
@@ -362,6 +362,22 @@ def test_check_hypotheses_integrals(problem):
     partials = rep.conditions["C4"].data["partials"]
     assert partials[1] > 1.5 * partials[0]
     assert not math.isfinite(partials[2])
+
+
+def test_check_hypotheses_phi_r_tail_is_certified(problem):
+    # Phi_r is integrated over [0, B] x [0, 1], with B the first integer at
+    # which the certified Gaussian tail bound is below tol: the dropped
+    # tail and the quadrature error together stay below tol
+    for r in (0.1, 2.0):
+        exact = 0.125 * SQPI2 ** 2 * erf(1.0) + r * r * SQPI2
+        for tol in (1e-4, 1e-8):
+            rep = check_hypotheses(problem.kernel, problem.weight,
+                                   problem.nl, r=r, tol=tol)
+            assert abs(rep.integrals["Phi_r"] - exact) <= tol
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            check_hypotheses(problem.kernel, problem.weight, problem.nl,
+                             r=0.5, tol=bad)
 
 
 def test_check_hypotheses_counts_only_finite_limits_and_partials(problem):
