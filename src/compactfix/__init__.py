@@ -18,14 +18,14 @@ from .cones import (ChainError, ConeReport, ConeSpec, IndexCheck, PlanResult,
                     index_one_sweep, index_zero_check, multiplicity_plan)
 from .funcspace import (WEIGHT_REGISTRY, BumpChain, FaceLimitError,
                         GammaFunction, PrecompactnessReport,
-                        WeightedGridFunction, gamma_p, gaussian_family,
-                        gaussian_family_separation, load_grid_function,
-                        multi_indices, precompactness_report,
-                        quotient_derivative, save_grid_function,
-                        weighted_norm)
-from .greenop import (GridHammersteinOperator, HypothesisReport, Kernel,
-                      Nonlinearity, QuadratureError, apply_T, attach_faces,
-                      check_hypotheses, cumulative_weights,
+                        WeightedGridFunction, WeightUnderflowError, gamma_p,
+                        gaussian_family, gaussian_family_separation,
+                        load_grid_function, multi_indices,
+                        precompactness_report, quotient_derivative,
+                        save_grid_function, weighted_norm)
+from .greenop import (Dominator, GridHammersteinOperator, HypothesisReport,
+                      Kernel, Nonlinearity, QuadratureError, apply_T,
+                      attach_faces, check_hypotheses, cumulative_weights,
                       kernel_abs_integral, panel_quadrature)
 from .solver import (IterationError, SolveConfig, SolveResult,
                      asymptotic_profile, pde_residual, picard_solve,
@@ -35,14 +35,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallCompactification", "BumpChain", "ChainError", "ConeReport",
-    "ConeSpec", "Extension", "ExtensionError", "FaceLimitError",
+    "ConeSpec", "Dominator", "Extension", "ExtensionError", "FaceLimitError",
     "GammaFunction", "GridHammersteinOperator", "HalfLineOnePoint",
     "HypothesisReport", "IndexCheck", "IntervalIdentity", "IterationError",
     "Kernel", "LimitResult", "LineOnePoint", "LineTwoPoint", "NamedProblem",
     "Nonlinearity", "PipelineBundle", "PlanResult", "PrecompactnessReport",
     "PROBLEM_IDS", "ProductCompactification", "QuadratureError",
     "SolveConfig", "SolveResult", "WEIGHT_REGISTRY", "WeightedGridFunction",
-    "XPoint",
+    "WeightUnderflowError", "XPoint",
     "apply_T", "asymptotic_profile", "attach_faces",
     "ball_inverse", "ball_map", "check_hypotheses",
     "classify_ladder", "cone_membership", "cumulative_weights",

@@ -10,6 +10,7 @@ they can be driven by name from the CLI and the tests.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import numbers
@@ -24,7 +25,7 @@ from .compactify import (ExtensionError, HalfLineOnePoint, IntervalIdentity,
 from .cones import ConeSpec, default_eval_grid, index_one_sweep
 from .funcspace import (WEIGHT_REGISTRY, BumpChain, gaussian_family,
                         gaussian_family_separation, precompactness_report)
-from .greenop import (Kernel, Nonlinearity, check_hypotheses,
+from .greenop import (Dominator, Kernel, Nonlinearity, check_hypotheses,
                       kernel_abs_integral, panel_quadrature)
 from .solver import SolveConfig, picard_solve
 
@@ -66,8 +67,8 @@ def _real_param(name, value, positive):
 
 
 def _gauss_shift_kernel(weight_desc, rate=1.0):
-    """exp(-rate (x-t)^2); the closed forms of kx/phi are attached only for
-    the weight they were derived for."""
+    """exp(-rate (x-t)^2); the closed forms of kx/phi and the quotient form
+    are attached only for the weight they were derived for."""
     rate = _real_param("gauss-shift rate", rate, positive=True)
 
     def kx(x, t):
@@ -80,8 +81,7 @@ def _gauss_shift_kernel(weight_desc, rate=1.0):
         return 0.5 * _SQRT_PI / math.sqrt(rate) * y * erf(math.sqrt(rate)
                                                           * np.asarray(x))
 
-    weighted_sup = None
-    weighted_quotient = None
+    forms = {}
     if weight_desc == "exp(-x^2/2)":
         # Combine the exponents before exponentiating: the raw ratio
         # kx(x,t)/phi(x) is 0/0 in float64 once both factors underflow
@@ -92,41 +92,75 @@ def _gauss_shift_kernel(weight_desc, rate=1.0):
             with np.errstate(over="ignore"):
                 return np.exp(x ** 2 / 2.0 - rate * (x - t) ** 2)
 
+        # kx(x, t) phi(t)^2 / phi(x) = exp(x^2/2 - rate (x-t)^2 - t^2), as
+        # a square in t: a Gaussian ridge of width 1/sqrt(rate + 1) about
+        # t = rate x / (rate + 1); at rate 1 it is exp(-(x - 2t)^2 / 2).
+        centre = rate / (rate + 1.0)
+        growth = (1.0 - rate) / (2.0 * (rate + 1.0))
+        half_width = math.sqrt(53.0 * math.log(2.0) / (rate + 1.0))
+
+        def qx(x, t):
+            with np.errstate(over="ignore"):
+                return np.exp(growth * x ** 2
+                              - (rate + 1.0) * (t - centre * x) ** 2)
+
+        def q_band(x):
+            return centre * x - half_width, centre * x + half_width
+
+        forms.update(weighted_quotient=weighted_quotient, qx=qx,
+                     q_band=q_band)
         if rate == 1.0:
             # sup over x >= t of exp(x^2/2 - (x-t)^2), attained at x = 2t
             def weighted_sup(t, s):
                 return math.exp(t * t)
+            forms["weighted_sup"] = weighted_sup
 
-    return Kernel("gauss-shift", kx, None, abs_integral, weighted_sup, None,
-                  weighted_quotient, dkx)
+    return Kernel("gauss-shift", kx, abs_integral=abs_integral, dkx=dkx,
+                  **forms)
 
 
-def _gauss_square_nonlinearity(amplitude=0.125):
+def _gauss_square_nonlinearity(weight_desc, amplitude=0.125):
+    """amp exp(-(x^2 + y^2)) + v^2.  Its dominator amp exp(-(t^2 + s^2)) +
+    r^2 phi(t)^2 holds for the problem's weight phi; the quotient form
+    amp exp(-s^2) + q^2 is attached for phi(t)^2 = exp(-t^2) only."""
     amplitude = _real_param("gauss-plus-square amplitude", amplitude,
                             positive=False)
+    weight = WEIGHT_REGISTRY[weight_desc]
+    gaussian = weight_desc == "exp(-x^2/2)"
 
     def fn(x, y, v):
         return amplitude * np.exp(-(np.asarray(x) ** 2
                                     + np.asarray(y) ** 2)) + v ** 2
 
+    def q_eval(t, s, q):
+        return amplitude * np.exp(-np.asarray(s) ** 2) + q ** 2
+
     def dominator(r):
         def phi_r(t, s):
             return amplitude * np.exp(-(np.asarray(t) ** 2
                                         + np.asarray(s) ** 2)) \
-                + r * r * np.exp(-np.asarray(t) ** 2)
-        return phi_r
+                + r * r * weight(t) ** 2
+        # int_0^1 Phi_r ds = (amp int_0^1 exp(-s^2) ds + r^2) exp(-t^2)
+        # when phi(t)^2 = exp(-t^2)
+        scale = amplitude * _SQRT_PI / 2.0 * erf(1.0) + r * r
+        return Dominator(phi_r, scale if gaussian else None)
 
     return Nonlinearity("gauss-plus-square", fn, dominator,
-                        params={"amplitude": amplitude})
+                        params={"amplitude": amplitude},
+                        q_eval=q_eval if gaussian else None)
 
 
-def _zero_nonlinearity():
+def _zero_nonlinearity(weight_desc):
     def fn(x, y, v):
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y),
                                      np.asarray(v)).shape)
 
-    return Nonlinearity("zero", fn, lambda r: (lambda t, s: 0.0 * np.asarray(
-        t) * np.asarray(s)))
+    def dominator(r):
+        return Dominator(lambda t, s: 0.0 * np.asarray(t) * np.asarray(s),
+                         0.0)
+
+    # f(t, s, phi q) / phi^2 is 0 for every weight
+    return Nonlinearity("zero", fn, dominator, q_eval=fn)
 
 
 _KERNELS = {"gauss-shift": _gauss_shift_kernel}
@@ -142,7 +176,7 @@ def _halfstrip_cmap():
 
 def _hyperbolic_erf():
     kernel = _gauss_shift_kernel("exp(-x^2/2)")
-    nl = _gauss_square_nonlinearity()
+    nl = _gauss_square_nonlinearity("exp(-x^2/2)")
 
     def tu0(x, y):
         x = np.asarray(x, dtype=float)
@@ -189,6 +223,28 @@ def load_problem(problem_id):
                      f"available: {', '.join(PROBLEM_IDS)}")
 
 
+def _problem_piece(cfgdoc, key, factories, weight_desc):
+    """Build the kernel or nonlinearity named by cfgdoc[key]; ValueError
+    naming the key for a missing entry, an unknown id or an unknown
+    parameter."""
+    piece = cfgdoc.get(key)
+    if not isinstance(piece, dict) or "id" not in piece:
+        raise ValueError(f"problem file needs a {key!r} entry with an 'id'")
+    pid = piece["id"]
+    if pid not in factories:
+        raise ValueError(f"unknown {key} id {pid!r}")
+    params = piece.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"{key} params must be an object, got {params!r}")
+    factory = factories[pid]
+    known = list(inspect.signature(factory).parameters)[1:]
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {key} parameter {unknown[0]!r} for "
+                         f"{pid!r}; known: {', '.join(known) or 'none'}")
+    return factory(weight_desc, **params)
+
+
 def load_problem_file(path):
     """Build a problem from a JSON file.
 
@@ -199,17 +255,13 @@ def load_problem_file(path):
     """
     with open(path) as fh:
         cfgdoc = json.load(fh)
-    kid = cfgdoc["kernel"]["id"]
-    nid = cfgdoc["nonlinearity"]["id"]
-    if kid not in _KERNELS:
-        raise ValueError(f"unknown kernel id {kid!r}")
-    if nid not in _NONLINEARITIES:
-        raise ValueError(f"unknown nonlinearity id {nid!r}")
+    if not isinstance(cfgdoc, dict):
+        raise ValueError("a problem file holds one JSON object")
     weight_desc = cfgdoc.get("weight", "exp(-x^2/2)")
     if weight_desc not in WEIGHT_REGISTRY:
         raise ValueError(f"unknown weight {weight_desc!r}")
-    kernel = _KERNELS[kid](weight_desc, **cfgdoc["kernel"].get("params", {}))
-    nl = _NONLINEARITIES[nid](**cfgdoc["nonlinearity"].get("params", {}))
+    kernel = _problem_piece(cfgdoc, "kernel", _KERNELS, weight_desc)
+    nl = _problem_piece(cfgdoc, "nonlinearity", _NONLINEARITIES, weight_desc)
     cfg = SolveConfig(truncation=float(cfgdoc.get("truncation", 24.0)))
     return NamedProblem(
         id=cfgdoc.get("id", "custom"), weight_desc=weight_desc,

@@ -41,6 +41,11 @@ def multi_indices(order, ndim):
     return sorted(out, key=lambda p: (sum(p), p))
 
 
+class WeightUnderflowError(ValueError):
+    """The weight is 0 in float64 at a grid node (a positive weight such as
+    exp(-x^2/2) underflows far out), so u/phi is undefined there."""
+
+
 class FaceLimitError(Exception):
     """A required limit at an infinity face does not exist on the grid data."""
 
@@ -98,10 +103,20 @@ class WeightedGridFunction:
         return np.meshgrid(*self.axes, indexing="ij")
 
     def weight_values(self):
+        """phi on the grid; ValueError where it is negative, and
+        WeightUnderflowError naming the first x where it is 0."""
         if self._wvals is None:
-            self._wvals = np.asarray(self.weight(*self.mesh()), dtype=float)
-            if np.any(self._wvals <= 0):
+            wvals = np.asarray(self.weight(*self.mesh()), dtype=float)
+            if np.any(wvals < 0):
                 raise ValueError("weight must be positive on the grid")
+            zero = np.argwhere(wvals == 0)
+            if len(zero):
+                x = self.axes[0][zero[0][0]]
+                raise WeightUnderflowError(
+                    f"weight {self.weight_desc or 'phi'} is not positive at "
+                    f"x = {x:g}: it is 0 in float64 there, so u/phi is "
+                    "undefined")
+            self._wvals = wvals
         return self._wvals
 
     def quotient(self):
@@ -109,9 +124,11 @@ class WeightedGridFunction:
         return self.samples / self.weight_values()
 
     def with_samples(self, samples, infinity=None):
-        return WeightedGridFunction(self.axes, samples, self.weight, self.order,
-                                    self.cmap, infinity if infinity is not None
-                                    else {})
+        out = WeightedGridFunction(self.axes, samples, self.weight,
+                                   self.order, self.cmap,
+                                   infinity if infinity is not None else {})
+        out._wvals = self._wvals  # same axes and weight
+        return out
 
     def face_labels(self):
         return face_labels(self.cmap)

@@ -6,6 +6,16 @@ over [0, inf) x [0, 1].  Two evaluation paths: a cumulative-quadrature grid
 path (used by the solver) and an independent cross-check path that reads u
 from its bicubic spline and integrates all nodes at once.
 
+The grid path works in quotient coordinates when the problem carries its
+quotient form: with f(t, s, phi(t) q) = phi(t)^2 q_eval(t, s, q), the
+quotient q = u/phi satisfies q = int int qx(x, t) ky(y, s) q_eval(t, s, q)
+with qx(x, t) = kx(x, t) phi(t)^2 / phi(x).  For the case study qx is
+exp(-(x - 2t)^2 / 2): no factor under- or overflows, and it is below 2^-53
+once |t - x/2| > 4.3.  The grid operator stores the x-rule times qx in
+row blocks, each over its column band only (the causal range [0, x_i],
+narrowed to Kernel.q_band); a problem without a quotient form goes
+through the same blocks with kx over the causal range.
+
 Every integral outside the grid path uses one rule: a composite 16-node
 Gauss-Legendre rule whose panels are doubled until two levels agree to tol
 (the two-rule estimate of Gander & Gautschi, "Adaptive quadrature -
@@ -32,6 +42,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # route evaluates f _T_BLOCK t-nodes at a time to bound memory
 _MAX_PANEL_LEVEL = 6
 _T_BLOCK = 32
+# rows per block of kernel_row_blocks (the grid operator, the residual)
+_ROW_BLOCK = 64
 
 
 class QuadratureError(Exception):
@@ -140,6 +152,11 @@ class Kernel:
     reproduce the face limit.  dkx(x, t), when given, is the vectorized
     partial derivative of kx in its first argument; the residual of the
     differentiated equation (solver.pde_residual) needs it.
+
+    qx and q_band are the kernel's half of the problem's quotient form (see
+    Nonlinearity.q_eval): qx(x, t) = kx(x, t) phi(t)^2 / phi(x), evaluated
+    from one combined exponent, and q_band(x) = (lo, hi), the t-interval
+    outside which qx(x, t) is below 2^-53 of its peak over t.
     """
 
     name: str
@@ -150,20 +167,39 @@ class Kernel:
     z_form: object = None
     weighted_quotient: object = None
     dkx: object = None
+    qx: object = None
+    q_band: object = None
+
+
+@dataclass
+class Dominator:
+    """Phi_r(t, s), called like a function.  tail_scale, when given, is a
+    c with int_0^1 Phi_r(t, s) ds <= c exp(-t^2) for every t >= 0, the
+    certificate of Phi_r's Gaussian tail; None means Phi_r has none."""
+
+    fn: object
+    tail_scale: float = None
+
+    def __call__(self, t, s):
+        return self.fn(t, s)
 
 
 @dataclass
 class Nonlinearity:
     """Forcing term f(t, s, v), assumed nonnegative on the cone.
 
-    dominator(r) must return a callable Phi_r(t, s) with
-    f(t, s, v) <= Phi_r(t, s) whenever |v| <= r * phi(t, s).
+    dominator(r) must return a Dominator Phi_r with
+    f(t, s, v) <= Phi_r(t, s) whenever |v| <= r * phi(t, s).  q_eval, when
+    given, is the nonlinearity's half of the problem's quotient form:
+    q_eval(t, s, q) = f(t, s, phi(t) q) / phi(t)^2, so that q = u/phi
+    solves q = int int Kernel.qx(x, t) ky(y, s) q_eval(t, s, q) ds dt.
     """
 
     name: str
     eval: object
     dominator: object = None
     params: dict = field(default_factory=dict)
+    q_eval: object = None
 
 
 def kernel_abs_integral(kernel, xs, ys, tol=1e-8):
@@ -182,7 +218,57 @@ def kernel_abs_integral(kernel, xs, ys, tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# grid path: cumulative quadrature weights
+# grid path: cumulative quadrature weights and the banded operator
+
+
+def _uniform_step(nodes):
+    """The step of a uniform grid (0 for fewer than two nodes); ValueError
+    when the spacing is not uniform."""
+    if len(nodes) < 2:
+        return 0.0
+    steps = np.diff(nodes)
+    # np.allclose(steps, h, rtol=1e-10, atol=1e-14), without its overhead
+    h = steps[0]
+    if not np.all(np.abs(steps - h) <= 1e-14 + 1e-10 * abs(h)):
+        raise ValueError("cumulative weights need a uniform grid")
+    return h
+
+
+def cumulative_weight_block(h, a, b, c0, c1):
+    """Rows a..b-1, columns c0..c1-1 of cumulative_weights on a uniform
+    grid of step h, without forming the rest of the matrix.
+
+    Every row i other than 0, 1 and 3 is the Simpson interior (h/3 at
+    column 0, then 4h/3 and 2h/3 by column parity) up to its last panel;
+    that panel and the zeros beyond it depend only on the parity of i and
+    on d = i - k: h/3 at d = 0 for even rows, the 3/8 rule on d = 3..0 for
+    odd rows.  Below column a - 3 every row of the block is interior.
+    """
+    k = np.arange(c0, c1)
+    W = np.empty((b - a, c1 - c0))
+    W[:] = np.where(k % 2 == 1, 4.0 * h / 3.0, 2.0 * h / 3.0)
+    if c0 == 0 < c1:
+        W[:, 0] = h / 3.0
+    near = min(max(a - 3, c0), c1) - c0
+    rows = np.arange(a, b)[:, None]
+    d = rows - k[near:]
+    odd = rows % 2
+    # last_panel[5 * odd + 1 + d] for d = -1 (any d < 0), 0, 1, 2, 3
+    last_panel = np.array([0.0, h / 3.0, 0.0, 0.0, 0.0,
+                           0.0, 3.0 * h / 8.0, 9.0 * h / 8.0, 9.0 * h / 8.0,
+                           h / 3.0 + 3.0 * h / 8.0])
+    W[:, near:] = np.where(d > 3 * odd, W[:, near:], last_panel.take(
+        np.minimum(np.maximum(d, -1), 3) + (5 * odd + 1)))
+    if a < 4:
+        # row 0 is empty, row 1 the trapezoid rule, row 3 the 3/8 rule
+        for row, vals in ((0, ()), (1, (h / 2.0,) * 2),
+                          (3, (3.0 * h / 8.0, 9.0 * h / 8.0, 9.0 * h / 8.0,
+                               3.0 * h / 8.0))):
+            if a <= row < b:
+                full = np.zeros(max(c1, 4))
+                full[:len(vals)] = vals
+                W[row - a] = full[c0:c1]
+    return W
 
 
 def cumulative_weights(nodes):
@@ -196,61 +282,62 @@ def cumulative_weights(nodes):
     """
     nodes = np.asarray(nodes, dtype=float)
     n = len(nodes)
-    if n < 2:
-        return np.zeros((n, n))
-    steps = np.diff(nodes)
-    h = steps[0]
-    if not np.allclose(steps, h, rtol=1e-10, atol=1e-14):
-        raise ValueError("cumulative weights need a uniform grid")
-    W = np.zeros((n, n))
-    W[1, :2] = h / 2.0
-    if n > 3:
-        W[3, [0, 3]] = 3.0 * h / 8.0
-        W[3, [1, 2]] = 9.0 * h / 8.0
-    # Simpson interiors: even rows i = 2r + 2 run up to column i - 1, odd
-    # rows i = 2r + 5 up to column i - 4; in both, row r of the view takes
-    # the odd columns 1..2r+1 and the even columns 2..2r.
-    for rows in (W[2::2], W[5::2]):
-        odd_cols, even_cols = rows[:, 1::2], rows[:, 2::2]
-        np.copyto(odd_cols, 4.0 * h / 3.0,
-                  where=np.tri(*odd_cols.shape, 0, dtype=bool))
-        np.copyto(even_cols, 2.0 * h / 3.0,
-                  where=np.tri(*even_cols.shape, -1, dtype=bool))
-        rows[:, 0] = h / 3.0
-    even = np.arange(2, n, 2)
-    W[even, even] = h / 3.0
-    odd = np.arange(5, n, 2)
-    W[odd, odd - 3] = h / 3.0 + 3.0 * h / 8.0
-    W[odd, odd - 2] = W[odd, odd - 1] = 9.0 * h / 8.0
-    W[odd, odd] = 3.0 * h / 8.0
-    return W
+    return cumulative_weight_block(_uniform_step(nodes), 0, n, 0, n)
+
+
+def kernel_row_blocks(k, nodes, start, stop, band=None):
+    """The cumulative rule times a kernel, rows start..stop-1 in blocks of
+    _ROW_BLOCK rows: yields (a, c0, M) with M[i, j] = W[a+i, c0+j]
+    k(x_{a+i}, x_{c0+j}), W = cumulative_weights(nodes).  A block's columns
+    are its causal range 0..b-1 (b its end row), narrowed to the nodes in
+    [min lo, max hi] over its rows for (lo, hi) = band(x) when band is
+    given."""
+    xs = np.asarray(nodes, dtype=float)
+    h = _uniform_step(xs)
+    for a in range(start, stop, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, stop)
+        c0, c1 = 0, b
+        if band is not None:
+            lo, hi = band(xs[a:b])
+            c1 = min(b, int(np.searchsorted(xs, np.max(hi), "right")))
+            c0 = min(c1, int(np.searchsorted(xs, np.min(lo))))
+        block = cumulative_weight_block(h, a, b, c0, c1)
+        block *= k(xs[a:b, None], xs[None, c0:c1])
+        yield a, c0, block
 
 
 class GridHammersteinOperator:
     """Fast application of T on a fixed uniform grid.
 
-    Precomputes A[i, k] = Wx[i, k] * kx(x_i, t_k) and the y-axis weight
-    matrix once; each application is then one nonlinearity evaluation and
-    two matrix products.
+    When the problem carries its quotient form (kernel.qx and nl.q_eval)
+    the operator acts on q = u/phi and returns q+ = T(phi q)/phi; otherwise
+    it acts on u itself.  The x-rule times the x-kernel is stored in blocks
+    of _ROW_BLOCK rows, each over its column band only: the causal range
+    [0, x_i], narrowed to kernel.q_band in quotient form.  Each application
+    is one nonlinearity evaluation, one product with the y-matrix and one
+    product per row block.
     """
 
     def __init__(self, kernel, nl, axes):
-        self.kernel = kernel
-        self.nl = nl
-        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        xs, ys = self.axes
-        Wx = cumulative_weights(xs)
-        Wy = cumulative_weights(ys)
-        self.A = Wx * kernel.kx(xs[:, None], xs[None, :])
-        if kernel.ky is None:
-            self.B = Wy
+        xs, ys = (np.asarray(a, dtype=float) for a in axes)
+        self.quotient = kernel.qx is not None and nl.q_eval is not None
+        if self.quotient:
+            kx, band, self.f = kernel.qx, kernel.q_band, nl.q_eval
         else:
-            self.B = Wy * kernel.ky(ys[:, None], ys[None, :])
-        self.tmesh, self.smesh = np.meshgrid(xs, ys, indexing="ij")
+            kx, band, self.f = kernel.kx, None, nl.eval
+        self.blocks = list(kernel_row_blocks(kx, xs, 0, len(xs), band))
+        self.B = cumulative_weights(ys)
+        if kernel.ky is not None:
+            self.B *= kernel.ky(ys[:, None], ys[None, :])
+        self.t, self.s = xs[:, None], ys[None, :]
 
-    def apply(self, u_samples):
-        fvals = self.nl.eval(self.tmesh, self.smesh, u_samples)
-        return self.A @ (fvals @ self.B.T)
+    def apply(self, samples):
+        inner = self.f(self.t, self.s, samples) @ self.B.T
+        out = np.empty_like(inner)
+        for a, c0, block in self.blocks:
+            rows, cols = block.shape
+            out[a:a + rows] = block @ inner[c0:c0 + cols]
+        return out
 
 
 def _causal_factor(factor, out, nodes, weights):
@@ -307,7 +394,8 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
             face_tol=1e-4):
     """Tu as a weighted grid function on u's grid.
 
-    method "grid" uses the cumulative weights (uniform grids only);
+    method "grid" uses the cumulative weights (uniform grids only), in the
+    quotient coordinates q = u/phi when the problem has its quotient form;
     "adaptive" reads u from its bicubic spline and applies a composite
     16-node Gauss-Legendre rule with 2^L panels per grid interval to every
     node at once, doubling L until the max over all nodes of the difference
@@ -321,7 +409,12 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
         raise ValueError("apply_T expects a 2d grid function")
     xs, ys = u.axes
     if method == "grid":
-        samples = GridHammersteinOperator(kernel, nl, u.axes).apply(u.samples)
+        op = GridHammersteinOperator(kernel, nl, u.axes)
+        if op.quotient:
+            phi = u.weight_values()
+            samples = phi * op.apply(u.samples / phi)
+        else:
+            samples = op.apply(u.samples)
     elif method == "adaptive":
         samples = _panel_integrals(u, nl, xs, kernel.kx, ys, kernel.ky,
                                    tol=tol)
@@ -497,8 +590,8 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
 
     # C3: domination f(t, s, v) <= Phi_r(t, s) for |v| <= r phi(t), and
     # integrability of Phi_r over the half-strip: integrated over
-    # [0, B] x [0, 1], with B the first integer at which the certified
-    # Gaussian tail bound drops below tol.
+    # [0, B] x [0, 1], with B the first integer at which the Gaussian tail
+    # bound that Phi_r certifies drops below tol.
     tm, sm = np.meshgrid(ts, ss, indexing="ij")
     dom_ok = True
     worst = -math.inf
@@ -507,16 +600,23 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
         gap = float(np.max(nl.eval(tm, sm, v) - phi_r(tm, sm)))
         worst = max(worst, gap)
         dom_ok &= gap <= 1e-12
-    tail = gaussian_tail(1.0, scale=0.2 + r * r)
-    t_top = 1
-    while not tail(t_top) < tol:
-        t_top += 1
-    phi_int = _unit_strip_integral(phi_r, float(t_top), tol)
-    integrals["Phi_r"] = phi_int
-    conditions["C3"] = ConditionResult(
-        "verified" if dom_ok and math.isfinite(phi_int) else "unverified",
-        f"domination margin {worst:.2e} on sampled cone points, "
-        f"integral {phi_int:.6g}")
+    if phi_r.tail_scale is None:
+        conditions["C3"] = ConditionResult(
+            "unverified",
+            f"domination margin {worst:.2e} on sampled cone points; Phi_r "
+            "certifies no Gaussian tail, so its integral is not bounded")
+    else:
+        tail = gaussian_tail(1.0, scale=phi_r.tail_scale)
+        t_top = 1
+        while not tail(t_top) < tol:
+            t_top += 1
+        phi_int = _unit_strip_integral(phi_r, float(t_top), tol)
+        integrals["Phi_r"] = phi_int
+        conditions["C3"] = ConditionResult(
+            "verified" if dom_ok and math.isfinite(phi_int)
+            else "unverified",
+            f"domination margin {worst:.2e} on sampled cone points, "
+            f"integral {phi_int:.6g}")
 
     # C4: the three L1 products.  The M-branch is probed on doubling
     # truncations; if the increments do not decay the product is reported
@@ -546,7 +646,7 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
         diverging = incs[-1] > 0.5 * incs[-2] and incs[-1] > tol
     if settled:
         integrals["M0*Phi_r"] = math.inf if diverging else partials[-1]
-    if z_ok:
+    if z_ok and "Phi_r" in integrals:
         integrals["|z0|*Phi_r"] = float(np.max(np.abs(z_vals))) \
             * integrals["Phi_r"]
     w_phi = float(np.trapezoid(

@@ -1,11 +1,16 @@
 """Picard iteration for the integral fixed point, residuals, profiles.
 
 The solver iterates u <- Tu from u = 0 on a uniform truncated grid and
-measures progress in the order-0 weighted norm.  For the shipped problem the
-operator is monotone, so the iterates increase pointwise and the stopping
-gap also bounds the distance to the supremum of the iteration.  The reported
+measures progress in the order-0 weighted norm.  When the problem carries
+its quotient form (Kernel.qx and Nonlinearity.q_eval, see greenop) the
+iterate is q = u/phi itself, so the gap is a plain sup of q+ - q and no
+iteration divides by phi; u = phi q is formed once for the faces, the
+profile, the residual and the files.  For the shipped problem the operator
+is monotone, so the iterates increase pointwise and the stopping gap also
+bounds the distance to the supremum of the iteration.  The reported
 residual is that of the solved equation differentiated once in x and once
-in y, so it measures the discretization error of the converged iterate.
+in y, so it measures the discretization error of the converged iterate;
+its x-rule is built in the operator's row blocks, never as a dense matrix.
 """
 
 from __future__ import annotations
@@ -22,11 +27,7 @@ import numpy as np
 from .cones import beta_sup, index_one_check
 from .funcspace import (WeightedGridFunction, _grid_face_limit,
                         quotient_derivative, save_grid_function)
-from .greenop import GridHammersteinOperator, attach_faces, cumulative_weights
-
-# Row block of pde_residual's x-convolution: the dkx temporary stays at
-# _RESIDUAL_ROWS x n instead of a second dense n x n kernel array.
-_RESIDUAL_ROWS = 64
+from .greenop import GridHammersteinOperator, attach_faces, kernel_row_blocks
 
 
 class IterationError(Exception):
@@ -88,10 +89,14 @@ def picard_solve(problem, cfg=None, compute_residual=True,
 
     problem must carry kernel, nl, weight (a WEIGHT_REGISTRY entry, so
     that the solution can be saved) and spec attributes.  Raises
+    WeightUnderflowError before any work when phi is 0 at a grid node, and
     IterationError with the gap history when max_iter is exhausted.
     """
     cfg = cfg or SolveConfig()
     axes = cfg.axes()
+    u = WeightedGridFunction(axes, np.zeros(tuple(len(a) for a in axes)),
+                             problem.weight)
+    phi = u.weight_values()  # WeightUnderflowError before any work
     ball_check = None
     if cfg.rho_ball is not None:
         ball_check = index_one_check(
@@ -105,31 +110,34 @@ def picard_solve(problem, cfg=None, compute_residual=True,
                 "certified", stacklevel=2)
 
     op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
-    u = WeightedGridFunction(axes, np.zeros(op.tmesh.shape), problem.weight)
-    wvals = u.weight_values()
+    quotient = op.quotient
+
+    def to_u(v):
+        return phi * v if quotient else v
+
+    # In quotient form the iterate v is q = u/phi and the gap is a plain
+    # sup; otherwise v is u itself and the gap is divided by phi.
+    v = u.samples
     gaps, betas = [], []
-    converged = False
     for _ in range(cfg.max_iter):
-        new = op.apply(u.samples)
-        gap = float(np.max(np.abs(new - u.samples) / wvals))
-        gaps.append(gap)
-        betas.append(beta_sup(new))
-        u_prev, u = u, u.with_samples(new)
-        if gap < cfg.tol:
-            converged = True
+        new = op.apply(v)
+        diff = np.abs(new - v)
+        gaps.append(float(np.max(diff if quotient else diff / phi)))
+        betas.append(beta_sup(to_u(new)))
+        v_prev, v = v, new
+        if gaps[-1] < cfg.tol:
             break
-    if not converged:
+    else:
         raise IterationError(
             f"no convergence after {cfg.max_iter} iterations "
             f"(last gap {gaps[-1]:.3g})", gaps)
+    # release the operator's blocks before the residual builds its own
+    del op
 
     # u = T(u_prev), so the face data of the last iterate needs no further
     # operator application; a trace route integrates against u_prev
-    u = attach_faces(u, u_prev, problem.kernel, problem.nl, cfg.quad_tol,
-                     cfg.face_tol)
-    # release the dense operator matrix before pde_residual builds its
-    # weights of the same size
-    del op
+    u = attach_faces(u.with_samples(to_u(v)), u.with_samples(to_u(v_prev)),
+                     problem.kernel, problem.nl, cfg.quad_tol, cfg.face_tol)
 
     residual = pde_residual(u, problem.nl, problem.kernel) \
         if compute_residual else math.nan
@@ -153,8 +161,9 @@ def pde_residual(u, nl, kernel=None):
     and the result is sup |D2_xy u - rhs|.  D2_xy is the centered 4-point
     cross stencil for the mixed second partial, so the residual of a grid
     solution decays at second order; the x-integral uses the cumulative
-    weights of the operator, evaluated in row blocks.  kernel=None is the
-    case kx = 1, the Goursat form u_xy = f.  Edge nodes are excluded.
+    weights in the operator's row blocks (greenop.kernel_row_blocks), so
+    no n x n array is formed.  kernel=None is the case kx = 1, the Goursat
+    form u_xy = f.  Edge nodes are excluded.
 
     Raises ValueError for a kernel with a y-factor or without dkx: the
     differentiated form would need terms this function does not evaluate.
@@ -182,10 +191,8 @@ def pde_residual(u, nl, kernel=None):
     if kernel is not None:
         inner = xs[1:-1]
         rhs = kernel.kx(inner, inner)[:, None] * rhs
-        W = cumulative_weights(xs)
-        for a in range(1, len(xs) - 1, _RESIDUAL_ROWS):
-            b = min(a + _RESIDUAL_ROWS, len(xs) - 1)
-            block = W[a:b, :b] * kernel.dkx(xs[a:b, None], xs[None, :b])
+        for a, _, block in kernel_row_blocks(kernel.dkx, xs, 1, len(xs) - 1):
+            b = a + len(block)
             rhs[a - 1:b - 1] += block @ fvals[:b]
     return float(np.max(np.abs(mixed - rhs)))
 

@@ -158,8 +158,17 @@ def test_unit_weight_file_gets_no_gaussian_weight_closed_forms(tmp_path):
     ts, sup = rep.profiles["M0"]
     assert np.allclose(sup, 1.0)
     assert rep.conditions["C1"].status == "verified"
-    assert rep.conditions["C4"].status == "verified_on_truncation"
-    assert math.isfinite(rep.integrals["M0*Phi_r"])
+    # Phi_r = amp exp(-t^2 - s^2) + r^2 dominates f on |v| <= r, and its
+    # constant part has no Gaussian tail: C3 says so instead of integrating
+    # to a cut-off, and M0 * Phi_r grows with every truncation radius
+    c3 = rep.conditions["C3"]
+    assert c3.status == "unverified"
+    assert "no Gaussian tail" in c3.detail
+    assert float(c3.detail.split("margin ")[1].split(" ")[0]) <= 0.0
+    assert "Phi_r" not in rep.integrals
+    assert "|z0|*Phi_r" not in rep.integrals
+    assert rep.conditions["C4"].status == "diverges"
+    assert rep.integrals["M0*Phi_r"] == math.inf
 
 
 def test_rate_two_file_quotient_is_exact_far_out(tmp_path):

@@ -97,8 +97,19 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _refuse_nan(name):
+    if name == "NaN":
+        _refuse_constant(name)
+    return float(name)
+
+
 def test_check_conditions_problem_file_writes_strict_json(tmp_path):
-    for rate, weight in ((2.0, "exp(-x^2/2)"), (1.0, "1")):
+    # with weight 1 the dominator r^2 + amp exp(-t^2 - s^2) has no Gaussian
+    # tail, so C4 diverges and M0*Phi_r is written as Infinity, as it is
+    # for the case study; no entry is ever NaN
+    for rate, weight, c4, parse in (
+            (2.0, "exp(-x^2/2)", "verified_on_truncation", _refuse_constant),
+            (1.0, "1", "diverges", _refuse_nan)):
         path = _problem_file(
             tmp_path, truncation=12.0, weight=weight,
             kernel={"id": "gauss-shift", "params": {"rate": rate}})
@@ -109,9 +120,12 @@ def test_check_conditions_problem_file_writes_strict_json(tmp_path):
                        "--out", str(out), "--no-timestamp"])
         assert rc == 0
         doc = json.loads((out / "cone_report.json").read_text(),
-                         parse_constant=_refuse_constant)
+                         parse_constant=parse)
         assert doc["hypotheses"]["C1"]["status"] == "verified"
-        assert doc["hypotheses"]["C4"]["status"] == "verified_on_truncation"
+        assert doc["hypotheses"]["C4"]["status"] == c4
+    # the weight-1 report
+    assert doc["hypotheses"]["C3"]["status"] == "unverified"
+    assert doc["integrals"]["M0*Phi_r"] == math.inf
 
 
 @pytest.mark.parametrize("command, part, params, message", [
@@ -145,6 +159,35 @@ def test_quadrature_failure_is_a_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: no convergence")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_weight_underflow_is_a_numerical_failure(tmp_path, capsys):
+    # exp(-x^2/2) is 0 in float64 beyond x = 38.6; the error names the
+    # first node where it is
+    out = tmp_path / "run"
+    rc = main(["solve", "--grid-step", "0.1", "--truncation", "40",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: weight exp(-x^2/2)")
+    assert "at x = 38.7:" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"kernel": {"id": "gauss-shift", "params": {"rte": 2}},
+      "nonlinearity": {"id": "zero"}}, "'rte'"),
+    ({"kernel": {"id": "gauss-shift"}}, "'nonlinearity'"),
+])
+def test_problem_file_key_errors_are_usage_errors(tmp_path, capsys, doc,
+                                                  key):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["check-conditions", "--problem-file", str(path),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and key in err
 
 
 def test_solve_rejects_demo_problems(tmp_path, capsys):

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from scipy.special import erf, erfc
 
+from compactfix.casestudy import _gauss_square_nonlinearity
 from compactfix.funcspace import WeightedGridFunction
 from compactfix.greenop import (GridHammersteinOperator, Kernel,
                                 Nonlinearity, QuadratureError, apply_T,
-                                check_hypotheses, cumulative_weights,
-                                gaussian_tail, kernel_abs_integral,
-                                panel_quadrature)
+                                check_hypotheses, cumulative_weight_block,
+                                cumulative_weights, gaussian_tail,
+                                kernel_abs_integral, panel_quadrature)
+from compactfix.solver import SolveConfig
 
 SQPI2 = math.sqrt(math.pi) / 2.0
 
@@ -141,6 +143,25 @@ def test_cumulative_weights_match_row_loop_bit_for_bit():
         nodes = np.linspace(0.0, 24.0, n)
         W = cumulative_weights(nodes)
         assert W.tobytes() == _row_loop_cumulative_weights(nodes).tobytes(), n
+
+
+def test_cumulative_weight_blocks_match_the_matrix_bit_for_bit():
+    # blocks of 64 rows (the operator's and the residual's) and blocks that
+    # start on every row parity near the special rows 1 and 3, with column
+    # ranges that cut through the bulk and through the diagonal; the
+    # reference is the row loop, which cumulative_weights matches
+    for n in list(range(2, 41)) + [2401]:
+        nodes = np.linspace(0.0, 24.0, n)
+        W = _row_loop_cumulative_weights(nodes)
+        h = nodes[1] - nodes[0]
+        starts = sorted(set(range(0, n, 64)) | set(range(min(n, 9)))
+                        | {n // 2, n - 1})
+        for a in starts:
+            b = min(a + 64, n)
+            for c0, c1 in ((0, b), (0, n), (a // 2, b), (max(a - 5, 0), a),
+                           (a, n)):
+                got = cumulative_weight_block(h, a, b, c0, c1)
+                assert got.tobytes() == W[a:b, c0:c1].tobytes(), (n, a, c0)
 
 
 def test_cumulative_weights_exact_for_cubics():
@@ -306,6 +327,48 @@ def _column_kernel(z_scale=1.0):
     return Kernel("gauss-column", kx, z_form=z_form)
 
 
+def _dense_apply(kernel, nl, axes, u):
+    """Reference: the dense grid route (Wx kx) @ F @ B^T on u itself."""
+    xs, ys = axes
+    A = cumulative_weights(xs) * kernel.kx(xs[:, None], xs[None, :])
+    B = cumulative_weights(ys)
+    if kernel.ky is not None:
+        B = B * kernel.ky(ys[:, None], ys[None, :])
+    tm, sm = np.meshgrid(xs, ys, indexing="ij")
+    return A @ (nl.eval(tm, sm, u) @ B.T)
+
+
+def test_banded_quotient_operator_matches_dense_route(problem, rng):
+    axes = SolveConfig(hx=0.02, hy=0.02, truncation=24.0).axes()
+    op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
+    assert op.quotient
+    phi = problem.weight(axes[0])[:, None]
+    q = rng.uniform(0.0, 0.5, size=tuple(len(a) for a in axes))
+    dense = _dense_apply(problem.kernel, problem.nl, axes, phi * q) / phi
+    assert np.abs(op.apply(q) - dense).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kernel", [
+    _column_kernel(),
+    Kernel("gauss-shift-ky", lambda x, t: np.exp(-(x - t) ** 2),
+           ky=lambda y, s: np.exp(2.0 * (s - y)))])
+def test_no_split_operator_matches_dense_route(problem, rng, kernel):
+    # without Kernel.qx the operator acts on u over the whole causal range
+    axes = (np.linspace(0.0, 16.0, 161), np.linspace(0.0, 1.0, 21))
+    op = GridHammersteinOperator(kernel, problem.nl, axes)
+    assert not op.quotient
+    u = rng.uniform(0.0, 0.5, size=(161, 21))
+    dense = _dense_apply(kernel, problem.nl, axes, u)
+    assert np.abs(op.apply(u) - dense).max() <= 1e-14
+
+
+def test_quotient_operator_stores_its_band_only(problem):
+    axes = SolveConfig(hx=0.01, hy=0.01, truncation=24.0).axes()
+    op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
+    n = len(axes[0])
+    assert sum(block.size for _, _, block in op.blocks) <= 0.4 * n * n
+
+
 def test_face_trace_route_agrees_with_window_route(problem):
     xs = np.linspace(0.0, 16.0, 161)
     ys = np.linspace(0.0, 1.0, 9)
@@ -378,6 +441,20 @@ def test_check_hypotheses_phi_r_tail_is_certified(problem):
         with pytest.raises(ValueError, match="tol must be positive"):
             check_hypotheses(problem.kernel, problem.weight, problem.nl,
                              r=0.5, tol=bad)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 10.0])
+def test_phi_r_tail_scale_comes_from_the_dominator(problem, amplitude):
+    # the tail of amp exp(-t^2 - s^2) + r^2 exp(-t^2) grows with the
+    # amplitude; the cut-off B must grow with it
+    nl = _gauss_square_nonlinearity("exp(-x^2/2)", amplitude)
+    r, tol = 0.5, 1e-8
+    assert nl.dominator(r).tail_scale == pytest.approx(
+        amplitude * SQPI2 * erf(1.0) + r * r)
+    rep = check_hypotheses(problem.kernel, problem.weight, nl, r=r, tol=tol)
+    exact = amplitude * SQPI2 ** 2 * erf(1.0) + r * r * SQPI2
+    assert rep.conditions["C3"].status == "verified"
+    assert abs(rep.integrals["Phi_r"] - exact) <= tol
 
 
 def test_check_hypotheses_counts_only_finite_limits_and_partials(problem):

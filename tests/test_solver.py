@@ -9,7 +9,8 @@ import pytest
 from compactfix.casestudy import load_problem_file
 from compactfix.compactify import IntervalIdentity, ProductCompactification
 from compactfix.funcspace import WeightedGridFunction, load_grid_function
-from compactfix.greenop import GridHammersteinOperator, apply_T
+from compactfix.greenop import (GridHammersteinOperator, apply_T,
+                                cumulative_weights)
 from compactfix.solver import (IterationError, SolveConfig, asymptotic_profile,
                                pde_residual, picard_solve, write_outputs)
 
@@ -82,6 +83,27 @@ def test_pde_residual_of_integral_solution_is_structural(problem):
         values[h] = pde_residual(u, problem.nl)
     assert values[0.02] == pytest.approx(0.0707, abs=5e-3)
     assert values[0.01] / values[0.02] > 0.8
+
+
+def test_pde_residual_matches_the_dense_weight_matrix(problem):
+    # reference: the convolution term from the dense cumulative_weights
+    # matrix, cut into the same row blocks and causal columns
+    xs = np.linspace(0.0, 8.0, 201)
+    ys = np.linspace(0.0, 1.0, 11)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    u = WeightedGridFunction((xs, ys), 0.2 * Y * np.exp(-X ** 2 / 2.0)
+                             * (1.0 + np.sin(3.0 * X)), problem.weight)
+    v, kernel = u.samples, problem.kernel
+    mixed = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) \
+        / ((xs[2:] - xs[:-2])[:, None] * (ys[2:] - ys[:-2])[None, :])
+    fvals = problem.nl.eval(X[:, 1:-1], Y[:, 1:-1], v[:, 1:-1])
+    rhs = kernel.kx(xs[1:-1], xs[1:-1])[:, None] * fvals[1:-1]
+    W = cumulative_weights(xs)
+    for a in range(1, len(xs) - 1, 64):
+        b = min(a + 64, len(xs) - 1)
+        block = W[a:b, :b] * kernel.dkx(xs[a:b, None], xs[None, :b])
+        rhs[a - 1:b - 1] += block @ fvals[:b]
+    assert pde_residual(u, problem.nl, kernel) == np.max(np.abs(mixed - rhs))
 
 
 def test_pde_residual_refuses_kernels_it_cannot_differentiate(problem):
