@@ -97,18 +97,13 @@ def _gauss_shift_kernel(weight_desc, rate=1.0):
         # t = rate x / (rate + 1); at rate 1 it is exp(-(x - 2t)^2 / 2).
         centre = rate / (rate + 1.0)
         growth = (1.0 - rate) / (2.0 * (rate + 1.0))
-        half_width = math.sqrt(53.0 * math.log(2.0) / (rate + 1.0))
 
         def qx(x, t):
             with np.errstate(over="ignore"):
                 return np.exp(growth * x ** 2
                               - (rate + 1.0) * (t - centre * x) ** 2)
 
-        def q_band(x):
-            return centre * x - half_width, centre * x + half_width
-
-        forms.update(weighted_quotient=weighted_quotient, qx=qx,
-                     q_band=q_band)
+        forms.update(weighted_quotient=weighted_quotient, qx=qx)
         if rate == 1.0:
             # sup over x >= t of exp(x^2/2 - (x-t)^2), attained at x = 2t
             def weighted_sup(t, s):

@@ -110,20 +110,13 @@ def picard_solve(problem, cfg=None, compute_residual=True,
                 "certified", stacklevel=2)
 
     op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
-    quotient = op.quotient
-
-    def to_u(v):
-        return phi * v if quotient else v
-
-    # In quotient form the iterate v is q = u/phi and the gap is a plain
-    # sup; otherwise v is u itself and the gap is divided by phi.
-    v = u.samples
+    # v is the operator's coordinate: q = u/phi in quotient form, else u
+    v = op.from_u(u.samples, phi)
     gaps, betas = [], []
     for _ in range(cfg.max_iter):
         new = op.apply(v)
-        diff = np.abs(new - v)
-        gaps.append(float(np.max(diff if quotient else diff / phi)))
-        betas.append(beta_sup(to_u(new)))
+        gaps.append(op.gap(new, v, phi))
+        betas.append(beta_sup(op.to_u(new, phi)))
         v_prev, v = v, new
         if gaps[-1] < cfg.tol:
             break
@@ -131,12 +124,13 @@ def picard_solve(problem, cfg=None, compute_residual=True,
         raise IterationError(
             f"no convergence after {cfg.max_iter} iterations "
             f"(last gap {gaps[-1]:.3g})", gaps)
+    last, prev = op.to_u(v, phi), op.to_u(v_prev, phi)
     # release the operator's blocks before the residual builds its own
     del op
 
     # u = T(u_prev), so the face data of the last iterate needs no further
     # operator application; a trace route integrates against u_prev
-    u = attach_faces(u.with_samples(to_u(v)), u.with_samples(to_u(v_prev)),
+    u = attach_faces(u.with_samples(last), u.with_samples(prev),
                      problem.kernel, problem.nl, cfg.quad_tol, cfg.face_tol)
 
     residual = pde_residual(u, problem.nl, problem.kernel) \

@@ -269,7 +269,8 @@ def test_09_property_suites(problem):
     axes = (np.linspace(0.0, 6.0, 13), np.linspace(0.0, 1.0, 5))
     op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
     shape = tuple(len(a) for a in axes)
-    for _ in range(n):  # operator positivity and monotonicity
+    # operator positivity and monotonicity, in its coordinate q = u/phi
+    for _ in range(n):
         u = rng.uniform(0.0, 0.5, size=shape)
         v = u + rng.uniform(0.0, 0.5, size=shape)
         tu, tv = op.apply(u), op.apply(v)

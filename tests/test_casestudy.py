@@ -167,8 +167,11 @@ def test_unit_weight_file_gets_no_gaussian_weight_closed_forms(tmp_path):
     assert float(c3.detail.split("margin ")[1].split(" ")[0]) <= 0.0
     assert "Phi_r" not in rep.integrals
     assert "|z0|*Phi_r" not in rep.integrals
-    assert rep.conditions["C4"].status == "diverges"
-    assert rep.integrals["M0*Phi_r"] == math.inf
+    # every partial is finite, so no number is recorded for the product
+    c4 = rep.conditions["C4"]
+    assert c4.status == "diverges"
+    assert all(math.isfinite(p) for p in c4.data["partials"])
+    assert "M0*Phi_r" not in rep.integrals
 
 
 def test_rate_two_file_quotient_is_exact_far_out(tmp_path):

@@ -195,6 +195,7 @@ def test_grid_apply_matches_closed_form_at_zero(problem):
 
 
 def test_grid_apply_positive_and_monotone(problem, coarse_axes, rng):
+    # the case study has a quotient form: apply maps q = u/phi to q+
     op = GridHammersteinOperator(problem.kernel, problem.nl, coarse_axes)
     shape = tuple(len(a) for a in coarse_axes)
     for _ in range(200):
@@ -360,6 +361,24 @@ def test_no_split_operator_matches_dense_route(problem, rng, kernel):
     u = rng.uniform(0.0, 0.5, size=(161, 21))
     dense = _dense_apply(kernel, problem.nl, axes, u)
     assert np.abs(op.apply(u) - dense).max() <= 1e-14
+
+
+@pytest.mark.parametrize("quotient", [True, False])
+def test_operator_converts_at_its_coordinate_boundary(problem, rng,
+                                                      quotient):
+    # from_u, apply, to_u is T on u in either coordinate, and gap is the
+    # weighted sup distance of two iterates
+    kernel = problem.kernel if quotient else _column_kernel()
+    axes = (np.linspace(0.0, 8.0, 81), np.linspace(0.0, 1.0, 11))
+    op = GridHammersteinOperator(kernel, problem.nl, axes)
+    assert op.quotient == quotient
+    phi = problem.weight(axes[0])[:, None]
+    u = phi * rng.uniform(0.0, 0.5, size=(81, 11))
+    tu = op.to_u(op.apply(op.from_u(u, phi)), phi)
+    dense = _dense_apply(kernel, problem.nl, axes, u)
+    assert np.abs((tu - dense) / phi).max() <= 1e-14
+    gap = op.gap(op.from_u(tu, phi), op.from_u(u, phi), phi)
+    assert gap == pytest.approx(np.abs((tu - u) / phi).max(), rel=1e-13)
 
 
 def test_quotient_operator_stores_its_band_only(problem):

@@ -39,6 +39,7 @@ def test_zero_forcing_fixes_zero(tmp_path):
 
 
 def test_iterates_increase_monotonically(problem, coarse_axes):
+    # the Picard iterates in the operator's coordinate q = u/phi
     op = GridHammersteinOperator(problem.kernel, problem.nl, coarse_axes)
     u = np.zeros(tuple(len(a) for a in coarse_axes))
     for _ in range(4):
