@@ -279,9 +279,9 @@ class PipelineBundle:
     demo: dict = None           # JSON-ready demo summary
     objects: dict = field(default_factory=dict)  # rich results for callers
 
-    def summary(self, include_config=True):
+    def summary(self):
         out = {"problem": self.problem.id}
-        if self.solve is not None and include_config:
+        if self.solve is not None:
             c = self.solve.config
             out["config"] = {"grid_step": [c.hx, c.hy],
                              "truncation": c.truncation, "tol": c.tol,

@@ -138,9 +138,12 @@ def _cmd_solve(args):
         summary = json.load(fh)
     summary.update(extra)
     _write_json(paths["summary"], summary, stamp=False)
+    certified = sum(res.converged for _, res in result.profile)
     print(f"converged in {result.iterations} iterations, "
           f"gap {result.gap_history[-1]:.3g}, "
-          f"beta {result.beta_history[-1]:.6g}; outputs in {args.out}")
+          f"beta {result.beta_history[-1]:.6g}; profile converged at "
+          f"{certified} of {len(result.profile)} y-nodes; "
+          f"outputs in {args.out}")
     return 0
 
 

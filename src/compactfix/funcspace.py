@@ -239,12 +239,10 @@ def gamma_p(f, p, tol=1e-6):
                 raise FaceLimitError(face, res)
             inf_vals[face] = np.float64(res.value)
         else:
-            other = 1 - _face_axis(face)
             got = []
-            for j in range(len(f.axes[other])):
-                res = _grid_face_limit(f, vals, face, j, tol)
+            for node, res in face_profile(f, vals, face, tol):
                 if not res.converged:
-                    raise FaceLimitError(f"{face}@{f.axes[other][j]:.6g}", res)
+                    raise FaceLimitError(f"{face}@{node:.6g}", res)
                 got.append(res.value)
             inf_vals[face] = np.asarray(got)
     return GammaFunction(p, tuple(emb), vals, inf_vals)
@@ -258,7 +256,7 @@ def _axis_windows(nodes, face, delta):
     return nodes > lo
 
 
-def _grid_face_limit(f, vals, face, coord_index, tol, min_samples=2):
+def _grid_face_limit(f, vals, face, coord_index, tol):
     """Oscillation ladder for a face limit, windows drawn from the grid.
 
     On product grids the window is the coordinate slice at the coord_index
@@ -276,7 +274,7 @@ def _grid_face_limit(f, vals, face, coord_index, tol, min_samples=2):
     while k <= 60:
         delta = 2.0 ** -k
         mask = _axis_windows(nodes, face, delta)
-        if mask.sum() < min_samples:
+        if mask.sum() < 2:
             break
         if f.ndim == 1:
             window = vals[mask]
@@ -295,6 +293,16 @@ def _grid_face_limit(f, vals, face, coord_index, tol, min_samples=2):
     pt = XPoint((math.nan,), (axis,), face)
     return LimitResult(status, value if status == "converged" else None,
                        pt, tuple(evidence))
+
+
+def face_profile(f, vals, face, tol):
+    """The limits of vals at an infinity face of a 2-d grid function, one
+    oscillation ladder per node of the other axis: a list of
+    (node, LimitResult) pairs in node order.  Each result names its face
+    in point.label."""
+    nodes = f.axes[1 - _face_axis(face)]
+    return [(float(node), _grid_face_limit(f, vals, face, j, tol))
+            for j, node in enumerate(nodes)]
 
 
 # ---------------------------------------------------------------------------

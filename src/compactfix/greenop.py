@@ -15,17 +15,18 @@ of its row peak once |t - x/2| > 4.3.  The grid operator stores the x-rule
 times qx in row blocks, each over its column band only: the causal range
 [0, x_i], trimmed to the columns where qx reaches 2^-53 of its row peak;
 a problem without a quotient form goes through the same blocks with kx
-over the whole causal range.
+over the whole causal range.  The infinity-face values of Tu are read off
+its grid samples by the windowed face ladders of funcspace.face_profile.
 
 Every integral outside the grid path uses one rule: a composite 16-node
 Gauss-Legendre rule whose panels are doubled until two levels agree to tol
 (the two-rule estimate of Gander & Gautschi, "Adaptive quadrature -
 revisited", BIT 2000).  panel_quadrature applies it to many 1-d intervals
-at once; the cross-check path and the infinity-face trace integral apply
-it in 2-d.  With it the module estimates the kernel bounds that the
-contraction/index arguments need: the absolute kernel integral, the
-weighted sup profile M_p, the infinity trace z_p, the continuity modulus
-w_p, and their L1 products against a dominating envelope Phi_r.
+at once; the cross-check path applies it in 2-d.  With it the module
+estimates the kernel bounds that the contraction/index arguments need: the
+absolute kernel integral, the weighted sup profile M_p, the face limits
+z_p of the weighted kernel columns, the continuity modulus w_p, and their
+L1 products against a dominating envelope Phi_r.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compactify import HalfLineOnePoint, kappa_limit
-from .funcspace import quotient_derivative, _grid_face_limit
+from .funcspace import face_profile, quotient_derivative
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # the panel rule: at most 2^_MAX_PANEL_LEVEL panels per interval; the 2-d
@@ -146,13 +147,12 @@ class Kernel:
     integration point.  weighted_quotient(x, t), when given, evaluates
     kx(x, t)/phi(x) in a float-safe way (combining exponents before
     exponentiating); without it the hypothesis checker divides the raw
-    factors, which turns into 0/0 once both underflow.  z_form, when given,
-    evaluates the infinity trace of the weighted kernel; the case-study
-    kernel deliberately leaves it unset because its weighted quotient peaks
-    at x = 2t and escapes every window, so the trace integral does not
-    reproduce the face limit.  dkx(x, t), when given, is the vectorized
-    partial derivative of kx in its first argument; the residual of the
-    differentiated equation (solver.pde_residual) needs it.
+    factors, which turns into 0/0 once both underflow.  dkx(x, t), when
+    given, is the vectorized partial derivative of kx in its first
+    argument; the residual of the differentiated equation
+    (solver.pde_residual) needs it.  The infinity-face values of Tu are
+    always read off its grid samples (funcspace.face_profile); a kernel
+    carries no closed form for them.
 
     qx is the kernel's half of the problem's quotient form (see
     Nonlinearity.q_eval): qx(x, t) = kx(x, t) phi(t)^2 / phi(x), evaluated
@@ -164,7 +164,6 @@ class Kernel:
     ky: object = None
     abs_integral: object = None
     weighted_sup: object = None
-    z_form: object = None
     weighted_quotient: object = None
     dkx: object = None
     qx: object = None
@@ -370,11 +369,11 @@ def _causal_factor(factor, out, nodes, weights):
     return m
 
 
-def _panel_integrals(u, nl, x_out, kx, y_out, ky, z=None, tol=1e-10):
+def _panel_integrals(u, nl, x_out, kx, y_out, ky, tol=1e-10):
     """I[i, j] = int_0^{x_out[i]} int_0^{y_out[j]} kx(x_i, t) ky(y_j, s)
-    z(t, s) f(t, s, u(t, s)) ds dt, every node in one pass.
+    f(t, s, u(t, s)) ds dt, every node in one pass.
 
-    kx, ky and z None mean 1.  The panel breaks are 0 and the positive
+    kx and ky None mean 1.  The panel breaks are 0 and the positive
     nodes of u's axes, so every spline knot and every output node (each one
     a node of u's axes) is a break, and each integral runs over whole
     panels.  u is read from its bicubic spline, clamped to its grid, so
@@ -402,8 +401,6 @@ def _panel_integrals(u, nl, x_out, kx, y_out, ky, z=None, tol=1e-10):
             vals = nl.eval(tb[:, None], s[None, :],
                            spline(np.clip(tb, xs[0], xs[-1]), s_read,
                                   grid=True))
-            if z is not None:
-                vals = vals * z(tb[:, None], s[None, :])
             xmat = _causal_factor(kx, x_out, tb, wt[b:b + _T_BLOCK])
             total += xmat @ (vals @ ymat.T)
         return total
@@ -423,8 +420,8 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
     between two consecutive levels is at most tol (QuadratureError if a
     level is not finite or the values have not settled by
     _MAX_PANEL_LEVEL).  Both integrals run from 0, reading u clamped to its
-    grid.  With faces=True the infinity-face data of Tu is attached by
-    attach_faces.
+    grid.  With faces=True each infinity face of Tu gets its face profile
+    (funcspace.face_profile at face_tol), stored by attach_faces.
     """
     if u.ndim != 2:
         raise ValueError("apply_T expects a 2d grid function")
@@ -440,47 +437,21 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
         raise ValueError(f"unknown method {method!r}")
 
     out = u.with_samples(samples)
-    if not faces:
-        return out
-    return attach_faces(out, u, kernel, nl, tol, face_tol)
-
-
-def attach_faces(out, u, kernel, nl, tol=1e-10, face_tol=1e-4):
-    """Store the infinity-face values of out = Tu/phi, one per y-node.
-
-    Values come from the kernel's closed-form trace applied to the input u
-    when one is attached, and otherwise from the windowed grid limit of out;
-    when both routes exist they are cross-checked.  Sets out.infinity and
-    out.face_status and returns out.
-    """
-    ys = out.axes[1]
-    inf_vals = {}
-    statuses = {}
-    if kernel.z_form is not None:
-        # the trace integral int_0^{x_max} int_0^{y_j} z f ds dt
-        trace = _panel_integrals(u, nl, u.axes[0][-1:], None, ys, None,
-                                 kernel.z_form, tol)[0]
-    for face in out.face_labels():
+    if faces:
         quot = quotient_derivative(out, (0, 0))
-        vals = []
-        for j in range(len(ys)):
-            if kernel.z_form is not None:
-                v = trace[j]
-                res = _grid_face_limit(out, quot, face, j, face_tol)
-                if res.converged and abs(res.value - v) > 10 * face_tol:
-                    raise ValueError(
-                        f"trace route and window route disagree at y={ys[j]}:"
-                        f" {v:.6g} vs {res.value:.6g}")
-                vals.append(v)
-                statuses[(face, j)] = "trace"
-            else:
-                res = _grid_face_limit(out, quot, face, j, face_tol)
-                statuses[(face, j)] = res.status
-                vals.append(res.value if res.converged else math.nan)
-        if np.all(np.isfinite(vals)):
-            inf_vals[face] = {(0, 0): np.asarray(vals)}
-    out.infinity = inf_vals
-    out.face_status = statuses
+        for face in out.face_labels():
+            attach_faces(out, face_profile(out, quot, face, face_tol))
+    return out
+
+
+def attach_faces(out, profile):
+    """Store a face profile of out/phi, the (node, LimitResult) pairs of
+    funcspace.face_profile, as out's values on that face when every node
+    converged; otherwise out gets no values on it.  Returns out."""
+    if all(res.converged for _, res in profile):
+        face = profile[0][1].point.label
+        out.infinity[face] = {
+            (0, 0): np.asarray([res.value for _, res in profile])}
     return out
 
 
@@ -541,8 +512,8 @@ def _finite_count(vals):
     return k == len(vals), str(k) if k == len(vals) else f"{k} of {len(vals)}"
 
 
-def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
-                     n_t=41, n_s=9, tol=1e-8):
+def check_hypotheses(kernel, weight, nl, r, truncation=8.0, n_t=41, n_s=9,
+                     tol=1e-8):
     """Numeric status of the four operator hypotheses at cone radius r.
 
     weight is phi, called on x alone (the y direction is unweighted), as
@@ -637,10 +608,9 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
             f"integral {phi_int:.6g}")
 
     # C4: the three L1 products.  The M-branch is probed on doubling
-    # truncations; if the increments do not decay the product is reported
-    # divergent.  Its integral is written as inf only when a partial
-    # integral is itself inf; divergence read off growing finite partials
-    # is an inference, so no number is recorded for it.
+    # truncations; if a partial integral is inf or the increments do not
+    # decay the product is reported divergent.  Its integral is recorded
+    # only when the increments decay, so a divergence records no number.
     def m_phi_partial(R):
         tt = np.linspace(0.0, R, max(101, int(20 * R) + 1))
         x_top = max(2.0 * R, 10.0)
@@ -660,15 +630,12 @@ def check_hypotheses(kernel, weight, nl, r, p_set=((0, 0),), truncation=8.0,
     partials = [m_phi_partial(R) for R in radii]
     # a nan partial (a 0/0 quotient) decides nothing; an inf one diverges
     settled = not any(math.isnan(p) for p in partials)
-    overflow = settled and any(math.isinf(p) for p in partials)
-    diverging = overflow
-    if settled and not overflow:
+    diverging = settled and any(math.isinf(p) for p in partials)
+    if settled and not diverging:
         incs = np.diff([0.0] + partials)
         diverging = incs[-1] > 0.5 * incs[-2] and incs[-1] > tol
-    if overflow:
-        integrals["M0*Phi_r"] = math.inf
-    elif settled and not diverging:
-        integrals["M0*Phi_r"] = partials[-1]
+        if not diverging:
+            integrals["M0*Phi_r"] = partials[-1]
     if z_ok and "Phi_r" in integrals:
         integrals["|z0|*Phi_r"] = float(np.max(np.abs(z_vals))) \
             * integrals["Phi_r"]

@@ -4,13 +4,15 @@ The solver iterates u <- Tu from u = 0 on a uniform truncated grid and
 measures progress in the order-0 weighted norm.  When the problem carries
 its quotient form (Kernel.qx and Nonlinearity.q_eval, see greenop) the
 iterate is q = u/phi itself, so the gap is a plain sup of q+ - q and no
-iteration divides by phi; u = phi q is formed once for the faces, the
-profile, the residual and the files.  For the shipped problem the operator
-is monotone, so the iterates increase pointwise and the stopping gap also
-bounds the distance to the supremum of the iteration.  The reported
-residual is that of the solved equation differentiated once in x and once
-in y, so it measures the discretization error of the converged iterate;
-its x-rule is built in the operator's row blocks, never as a dense matrix.
+iteration divides by phi; u = phi q is formed once for the profile, the
+residual and the files.  The profile is one windowed face ladder per y-node
+on the converged iterate, and its converged values are the solution's
+infinity-face data.  For the shipped problem the operator is monotone, so
+the iterates increase pointwise and the stopping gap also bounds the
+distance to the supremum of the iteration.  The reported residual is that
+of the solved equation differentiated once in x and once in y, so it
+measures the discretization error of the converged iterate; its x-rule is
+built in the operator's row blocks, never as a dense matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import beta_sup, index_one_check
-from .funcspace import (WeightedGridFunction, _grid_face_limit,
+from .funcspace import (WeightedGridFunction, face_profile,
                         quotient_derivative, save_grid_function)
 from .greenop import GridHammersteinOperator, attach_faces, kernel_row_blocks
 
@@ -43,7 +45,6 @@ class SolveConfig:
     truncation: float = 24.0
     tol: float = 1e-8
     max_iter: int = 50
-    quad_tol: float = 1e-10
     face_tol: float = 1e-4
     rho_ball: float = None
 
@@ -83,8 +84,7 @@ class SolveResult:
     config: SolveConfig
 
 
-def picard_solve(problem, cfg=None, compute_residual=True,
-                 compute_profile=True):
+def picard_solve(problem, cfg=None):
     """Iterate u <- Tu from u = 0 until the weighted gap drops below tol.
 
     problem must carry kernel, nl, weight (a WEIGHT_REGISTRY entry, so
@@ -117,26 +117,22 @@ def picard_solve(problem, cfg=None, compute_residual=True,
         new = op.apply(v)
         gaps.append(op.gap(new, v, phi))
         betas.append(beta_sup(op.to_u(new, phi)))
-        v_prev, v = v, new
+        v = new
         if gaps[-1] < cfg.tol:
             break
     else:
         raise IterationError(
             f"no convergence after {cfg.max_iter} iterations "
             f"(last gap {gaps[-1]:.3g})", gaps)
-    last, prev = op.to_u(v, phi), op.to_u(v_prev, phi)
+    u = u.with_samples(op.to_u(v, phi))
     # release the operator's blocks before the residual builds its own
     del op
 
-    # u = T(u_prev), so the face data of the last iterate needs no further
-    # operator application; a trace route integrates against u_prev
-    u = attach_faces(u.with_samples(last), u.with_samples(prev),
-                     problem.kernel, problem.nl, cfg.quad_tol, cfg.face_tol)
-
-    residual = pde_residual(u, problem.nl, problem.kernel) \
-        if compute_residual else math.nan
-    profile = tuple(asymptotic_profile(u, tol=cfg.face_tol)) \
-        if compute_profile else ()
+    # one face ladder per y-node: the profile, whose converged values are
+    # also the solution's face data
+    profile = tuple(asymptotic_profile(u, tol=cfg.face_tol))
+    attach_faces(u, profile)
+    residual = pde_residual(u, problem.nl, problem.kernel)
     in_ball = None
     if cfg.rho_ball is not None:
         in_ball = all(b <= cfg.rho_ball + 1e-12 for b in betas)
@@ -201,14 +197,10 @@ def asymptotic_profile(u, tol=1e-4):
     faces = u.face_labels()
     if not faces:
         raise ValueError("the grid function has no infinity face")
-    face = faces[0]
-    quot = quotient_derivative(u, (0, 0))
-    out = []
-    for j, y0 in enumerate(u.axes[1]):
-        res = _grid_face_limit(u, quot, face, j, tol)
+    out = face_profile(u, quotient_derivative(u, (0, 0)), faces[0], tol)
+    for y0, res in out:
         if res.status == "no_limit":
             raise ValueError(f"no limit of u/phi at y0 = {y0:g}")
-        out.append((float(y0), res))
     return out
 
 

@@ -493,10 +493,16 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     for cls, attr in [(compactfix.Nonlinearity, "monotone_in_u"),
                       (compactfix.NamedProblem, "domain"),
                       (compactfix.NamedProblem, "weight1d"),
-                      (compactfix.ConeSpec, "e")]:
+                      (compactfix.ConeSpec, "e"),
+                      # face values come from the window ladder only
+                      (compactfix.Kernel, "z_form"),
+                      (compactfix.SolveConfig, "quad_tol")]:
         assert attr not in {f.name for f in dataclasses.fields(cls)}, \
             (cls.__name__, attr)
     assert "weight" not in inspect.signature(
         compactfix.GridHammersteinOperator).parameters
     assert "operator" not in inspect.signature(
         compactfix.apply_T).parameters
+    for name in ("compute_residual", "compute_profile"):
+        assert name not in inspect.signature(
+            compactfix.picard_solve).parameters

@@ -189,9 +189,10 @@ def test_grid_apply_matches_closed_form_at_zero(problem):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     expected = problem.closed_forms["Tu0"](X, Y)
     assert np.abs(out.samples - expected).max() < 1e-6
+    # a face is attached only when the ladder converged at every y-node
+    assert "axis0:inf" in out.infinity
     face = out.infinity["axis0:inf"][(0, 0)]
     assert np.abs(face - problem.closed_forms["Tu0_face"](ys)).max() < 1e-5
-    assert all(status == "converged" for status in out.face_status.values())
 
 
 def test_grid_apply_positive_and_monotone(problem, coarse_axes, rng):
@@ -309,23 +310,15 @@ def test_apply_rejects_bad_method_and_shape(problem):
         apply_T(u1, problem.kernel, problem.nl, method="adaptive")
 
 
-def _column_kernel(z_scale=1.0):
-    """Separable kernel whose weighted x-column is exactly exp(-t^2).
-
-    kx(x, t) = phi(x) exp(-t^2), so the infinity trace of kx/phi exists in
-    closed form and the trace route can be cross-checked against the grid
-    window route.
-    """
+def _column_kernel():
+    """Separable kernel without a quotient form whose weighted x-column is
+    exactly exp(-t^2): kx(x, t) = phi(x) exp(-t^2)."""
     def kx(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         return np.exp(-x ** 2 / 2.0 - t ** 2)
 
-    def z_form(t, s):
-        return z_scale * np.exp(-np.asarray(t, dtype=float) ** 2) \
-            * np.ones_like(np.asarray(s, dtype=float))
-
-    return Kernel("gauss-column", kx, z_form=z_form)
+    return Kernel("gauss-column", kx)
 
 
 def _dense_apply(kernel, nl, axes, u):
@@ -388,34 +381,6 @@ def test_quotient_operator_stores_its_band_only(problem):
     assert sum(block.size for _, _, block in op.blocks) <= 0.4 * n * n
 
 
-def test_face_trace_route_agrees_with_window_route(problem):
-    xs = np.linspace(0.0, 16.0, 161)
-    ys = np.linspace(0.0, 1.0, 9)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    u = WeightedGridFunction((xs, ys), 0.3 * Y * np.exp(-X ** 2 / 2.0),
-                             problem.weight, cmap=problem.cmap)
-    out = apply_T(u, _column_kernel(), problem.nl, method="grid",
-                  face_tol=1e-3)
-    assert all(status == "trace" for status in out.face_status.values())
-    face = out.infinity["axis0:inf"][(0, 0)]
-    # f(t, s, u) = exp(-(t^2+s^2))/8 + 0.09 s^2 exp(-t^2) on this u, so the
-    # face value integrates in closed form against the column z = exp(-t^2)
-    expected = (0.125 * SQPI2 / math.sqrt(2.0) * SQPI2 * erf(ys)
-                + 0.09 * SQPI2 / math.sqrt(2.0) * ys ** 3 / 3.0)
-    assert np.abs(face - expected).max() < 2e-3
-
-
-def test_face_trace_route_disagreement_is_fatal(problem):
-    xs = np.linspace(0.0, 16.0, 161)
-    ys = np.linspace(0.0, 1.0, 9)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    u = WeightedGridFunction((xs, ys), 0.3 * Y * np.exp(-X ** 2 / 2.0),
-                             problem.weight, cmap=problem.cmap)
-    with pytest.raises(ValueError, match="disagree"):
-        apply_T(u, _column_kernel(z_scale=5.0), problem.nl, method="grid",
-                face_tol=1e-3)
-
-
 def test_check_hypotheses_statuses(problem):
     rep = check_hypotheses(problem.kernel, problem.weight, problem.nl,
                            r=0.5)
@@ -432,7 +397,8 @@ def test_check_hypotheses_integrals(problem):
     # Phi_r integrates in closed form over the half strip
     expected_phi = 0.125 * SQPI2 ** 2 * erf(1.0) + 0.25 * SQPI2
     assert rep.integrals["Phi_r"] == pytest.approx(expected_phi, abs=1e-6)
-    assert rep.integrals["M0*Phi_r"] == math.inf
+    # C4 diverges, so no number is recorded for its M-branch
+    assert "M0*Phi_r" not in rep.integrals
     assert rep.integrals["|z0|*Phi_r"] == 0.0
     assert math.isfinite(rep.integrals["w0*Phi_r"])
     assert rep.integrals["w0*Phi_r"] > 0.0

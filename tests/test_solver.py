@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from compactfix import funcspace
 from compactfix.casestudy import load_problem_file
 from compactfix.compactify import IntervalIdentity, ProductCompactification
 from compactfix.funcspace import WeightedGridFunction, load_grid_function
@@ -189,6 +190,21 @@ def test_picard_solve_applies_the_operator_once_per_iteration(problem,
     # the face data attached to the last iterate is its own window limit
     stored = res.solution.infinity["axis0:inf"][(0, 0)]
     assert np.array_equal(stored, [r.value for _, r in res.profile])
+
+
+def test_picard_solve_runs_one_face_ladder_per_y_node(problem, monkeypatch):
+    calls = []
+    classify = funcspace.classify_ladder
+
+    def counted(evidence, tol):
+        calls.append(1)
+        return classify(evidence, tol)
+
+    monkeypatch.setattr(funcspace, "classify_ladder", counted)
+    cfg = SolveConfig(hx=0.1, hy=0.1, truncation=16.0)
+    res = picard_solve(problem, cfg)
+    assert len(calls) == len(cfg.axes()[1]) == len(res.profile)
+    assert "axis0:inf" in res.solution.infinity
 
 
 def test_solve_config_rejects_bad_steps_and_tolerance():
