@@ -45,8 +45,7 @@ class NamedProblem:
     cmap: object = None
     spec: ConeSpec = None
     closed_forms: dict = field(default_factory=dict)
-    default_config: SolveConfig = None
-    payload: dict = field(default_factory=dict)
+    truncation: float = 24.0     # the x-truncation a solve uses by default
 
     @property
     def weight(self):
@@ -190,7 +189,6 @@ def _hyperbolic_erf():
         spec=ConeSpec(),
         closed_forms={"abs_integral": kernel.abs_integral, "Tu0": tu0,
                       "Tu0_face": tu0_face},
-        default_config=SolveConfig(rho_ball=0.5),
     )
 
 
@@ -199,21 +197,9 @@ def load_problem(problem_id):
     if problem_id == "hyperbolic-erf":
         return _hyperbolic_erf()
     if problem_id == "arctan-demo":
-        return NamedProblem(
-            id="arctan-demo",
-            payload={"f": np.arctan, "two_point": LineTwoPoint(),
-                     "one_point": LineOnePoint(), "tol": 1e-6})
-    if problem_id == "gaussian-family":
-        return NamedProblem(
-            id="gaussian-family",
-            cmap=HalfLineOnePoint(),
-            payload={"n_max": 40, "truncation": 48.0, "step": 0.005,
-                     "separation_n": 10})
-    if problem_id == "bump-chain":
-        return NamedProblem(
-            id="bump-chain",
-            cmap=HalfLineOnePoint(),
-            payload={"chain": BumpChain(), "tol": 1e-3})
+        return NamedProblem(id="arctan-demo")
+    if problem_id in ("gaussian-family", "bump-chain"):
+        return NamedProblem(id=problem_id, cmap=HalfLineOnePoint())
     raise ValueError(f"unknown problem id {problem_id!r}; "
                      f"available: {', '.join(PROBLEM_IDS)}")
 
@@ -257,13 +243,16 @@ def load_problem_file(path):
         raise ValueError(f"unknown weight {weight_desc!r}")
     kernel = _problem_piece(cfgdoc, "kernel", _KERNELS, weight_desc)
     nl = _problem_piece(cfgdoc, "nonlinearity", _NONLINEARITIES, weight_desc)
-    cfg = SolveConfig(truncation=float(cfgdoc.get("truncation", 24.0)))
+    truncation = float(cfgdoc.get("truncation", 24.0))
+    if not (math.isfinite(truncation) and truncation > 0):
+        raise ValueError(f"truncation must be positive and finite, "
+                         f"got {truncation!r}")
     return NamedProblem(
         id=cfgdoc.get("id", "custom"), weight_desc=weight_desc,
         kernel=kernel, nl=nl, cmap=_halfstrip_cmap(), spec=ConeSpec(),
         closed_forms={"abs_integral": kernel.abs_integral}
         if kernel.abs_integral else {},
-        default_config=cfg)
+        truncation=truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +271,7 @@ class PipelineBundle:
     def summary(self):
         out = {"problem": self.problem.id}
         if self.solve is not None:
-            c = self.solve.config
-            out["config"] = {"grid_step": [c.hx, c.hy],
-                             "truncation": c.truncation, "tol": c.tol,
-                             "max_iter": c.max_iter, "rho_ball": c.rho_ball}
+            out["config"] = self.solve.config.as_dict()
         if self.hypotheses is not None:
             out["hypotheses"] = {
                 "conditions": {k: v.status
@@ -318,10 +304,10 @@ def run_full_pipeline(problem_id, cfg=None):
         else load_problem(problem_id)
 
     if problem.kernel is not None:
-        cfg = cfg or problem.default_config or SolveConfig(rho_ball=0.5)
+        cfg = cfg or SolveConfig(truncation=problem.truncation, rho_ball=0.5)
         rho = cfg.rho_ball if cfg.rho_ball else 0.5
         hyp = check_hypotheses(problem.kernel, problem.weight, problem.nl,
-                               rho, truncation=8.0)
+                               rho)
         rhos = np.round(np.arange(0.05, 1.0 + 1e-9, 0.05), 4)
         cone = index_one_sweep(problem.kernel, problem.nl, problem.spec,
                                rhos, grid=default_eval_grid(cfg.truncation))
@@ -329,13 +315,11 @@ def run_full_pipeline(problem_id, cfg=None):
         return PipelineBundle(problem, hyp, cone, result)
 
     if problem.id == "arctan-demo":
-        f = problem.payload["f"]
-        tol = problem.payload["tol"]
-        ext = extend(f, problem.payload["two_point"], tol=tol)
+        ext = extend(np.arctan, LineTwoPoint(), tol=1e-6)
         demo = {"two_point": dict(ext.limits), "one_point": None}
         objects = {"extension": ext}
         try:
-            extend(f, problem.payload["one_point"], tol=tol)
+            extend(np.arctan, LineOnePoint(), tol=1e-6)
         except ExtensionError as err:
             demo["one_point"] = {lbl: res.status
                                  for lbl, res in err.failures.items()}
@@ -343,10 +327,9 @@ def run_full_pipeline(problem_id, cfg=None):
         return PipelineBundle(problem, demo=demo, objects=objects)
 
     if problem.id == "gaussian-family":
-        pl = problem.payload
-        fam = gaussian_family(pl["n_max"], pl["truncation"], pl["step"])
+        fam = gaussian_family(40, 48.0, 0.005)
         report = precompactness_report(fam)
-        sep = gaussian_family_separation(pl["separation_n"])
+        sep = gaussian_family_separation(10)
         return PipelineBundle(problem, demo={
             "separation": sep,
             "bounded": report.bounded,
@@ -357,13 +340,12 @@ def run_full_pipeline(problem_id, cfg=None):
         }, objects={"report": report, "family": fam})
 
     if problem.id == "bump-chain":
-        chain = problem.payload["chain"]
-        tol = problem.payload["tol"]
+        chain = BumpChain()
         cmap = problem.cmap
         inf_pt = cmap.infinity_points()[0]
-        value_limit = kappa_limit(chain.value, inf_pt, cmap, tol=tol,
+        value_limit = kappa_limit(chain.value, inf_pt, cmap, tol=1e-3,
                                   extra_samples=chain.witness_points)
-        deriv_limit = kappa_limit(chain.derivative, inf_pt, cmap, tol=tol,
+        deriv_limit = kappa_limit(chain.derivative, inf_pt, cmap, tol=1e-3,
                                   extra_samples=chain.witness_points)
         return PipelineBundle(problem, demo={
             "value": {"status": value_limit.status,

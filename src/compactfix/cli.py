@@ -118,7 +118,7 @@ def _cmd_solve(args):
                           "use the demo subcommands")
     truncation = args.truncation
     if truncation is None:
-        truncation = (problem.default_config or SolveConfig()).truncation
+        truncation = problem.truncation
     cfg = SolveConfig(hx=args.grid_step, hy=args.grid_step,
                       truncation=truncation, tol=args.tol,
                       max_iter=args.max_iter, rho_ball=args.rho)
@@ -127,22 +127,11 @@ def _cmd_solve(args):
     except IterationError as err:
         print(f"solve failed: {err}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    paths = write_outputs(result, args.out,
-                          timestamp=not args.no_timestamp)
-    extra = {"problem": problem.id,
-             "config": {"grid_step": [cfg.hx, cfg.hy],
-                        "truncation": cfg.truncation, "tol": cfg.tol,
-                        "max_iter": cfg.max_iter, "rho_ball": cfg.rho_ball}}
-    with open(paths["summary"]) as fh:
-        summary = json.load(fh)
-    summary.update(extra)
-    _write_json(paths["summary"], summary, stamp=False)
-    certified = sum(res.converged for _, res in result.profile)
+    write_outputs(result, args.out, timestamp=not args.no_timestamp)
     print(f"converged in {result.iterations} iterations, "
           f"gap {result.gap_history[-1]:.3g}, "
           f"beta {result.beta_history[-1]:.6g}; profile converged at "
-          f"{certified} of {len(result.profile)} y-nodes; "
+          f"{result.profile_converged} of {len(result.profile)} y-nodes; "
           f"outputs in {args.out}")
     return 0
 
@@ -154,7 +143,7 @@ def _cmd_check_conditions(args):
     rhos = ([args.rho] if args.rho is not None
             else _parse_rho_range(args.rho_range))
     hyp = check_hypotheses(problem.kernel, problem.weight, problem.nl,
-                           float(rhos[len(rhos) // 2]), truncation=8.0)
+                           float(rhos[len(rhos) // 2]))
     report = index_one_sweep(problem.kernel, problem.nl, problem.spec, rhos,
                              grid=default_eval_grid(args.truncation))
     os.makedirs(args.out, exist_ok=True)

@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# kappa_limit samples each ball at radii up to RADIUS_CAP, drawing
+# _SAMPLES_PER_LEVEL points per ball from a generator seeded with 0, so
+# that its results are reproducible
 RADIUS_CAP = 1.0e8
+_SAMPLES_PER_LEVEL = 8
 
 
 def ball_map(x):
@@ -124,8 +128,7 @@ def classify_ladder(evidence, tol):
     return "inconclusive"
 
 
-def kappa_limit(f, point, cmap, tol=1e-6, levels=None, samples_per_level=8,
-                radius_cap=RADIUS_CAP, seed=0, extra_samples=None):
+def kappa_limit(f, point, cmap, tol=1e-6, levels=None, extra_samples=None):
     """Estimate the limit of f at an infinity point of a compactification.
 
     f is evaluated on finite domain points sampled inside metric balls
@@ -142,11 +145,12 @@ def kappa_limit(f, point, cmap, tol=1e-6, levels=None, samples_per_level=8,
         raise ValueError("kappa_limit expects an infinity point")
     if levels is None:
         levels = default_levels(tol)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     evidence = []
     value = None
     for delta in levels:
-        pts = cmap.sample_ball(point, delta, samples_per_level, rng, radius_cap)
+        pts = cmap.sample_ball(point, delta, _SAMPLES_PER_LEVEL, rng,
+                               RADIUS_CAP)
         if extra_samples is not None:
             ex = np.atleast_1d(np.asarray(extra_samples(delta), dtype=float))
             keep = [p for p in ex
@@ -192,7 +196,7 @@ class Extension:
         return float(np.asarray(self.f(x)).ravel()[0])
 
 
-def extend(f, cmap, tol=1e-6, **kwargs):
+def extend(f, cmap, tol=1e-6):
     """Extend f continuously to the compactification, or raise ExtensionError.
 
     Requires every infinity point of the map to have a converged kappa_limit;
@@ -201,7 +205,7 @@ def extend(f, cmap, tol=1e-6, **kwargs):
     limits = {}
     failures = {}
     for p in cmap.infinity_points():
-        res = kappa_limit(f, p, cmap, tol=tol, **kwargs)
+        res = kappa_limit(f, p, cmap, tol=tol)
         if res.converged:
             limits[p.label] = res.value
         else:

@@ -62,13 +62,15 @@ class ConeSpec:
     name: str = "inf/sup/0"
 
 
-def cone_membership(u, spec, slack=1e-12):
+def cone_membership(u, spec):
+    """alpha(u) >= 0, up to a rounding slack of 1e-12."""
     samples = u.samples if hasattr(u, "samples") else np.asarray(u)
-    return spec.alpha(samples) >= -slack
+    return spec.alpha(samples) >= -1e-12
 
 
-def default_eval_grid(truncation=24.0, n_t=33, n_s=9):
-    return (np.linspace(0.0, truncation, n_t), np.linspace(0.0, 1.0, n_s))
+def default_eval_grid(truncation=24.0):
+    """33 x 9 nodes on [0, truncation] x [0, 1]."""
+    return (np.linspace(0.0, truncation, 33), np.linspace(0.0, 1.0, 9))
 
 
 def _check_radius(rho):
@@ -76,8 +78,8 @@ def _check_radius(rho):
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
 
 
-def f_sup_rho(nl, rho, grid, n_v=41):
-    """sup of f(t, s, v)/rho over the grid and v in [0, rho].
+def f_sup_rho(nl, rho, grid):
+    """sup of f(t, s, v)/rho over the grid and 41 values v in [0, rho].
 
     Equals the cone quantity sup{f(t, u(t))/rho : u in K, beta(u) = rho}
     when f is continuous in v (tent functions realize any pointwise value);
@@ -86,23 +88,21 @@ def f_sup_rho(nl, rho, grid, n_v=41):
     _check_radius(rho)
     tm, sm = np.meshgrid(*grid, indexing="ij")
     best = -np.inf
-    for v in np.linspace(0.0, rho, n_v):
+    for v in np.linspace(0.0, rho, 41):
         best = max(best, float(np.max(nl.eval(tm, sm, v))))
     return best / rho
 
 
-def f_inf_rho(nl, rho, grid, v_max=None, n_v=81):
-    """inf of f(t, s, v)/rho over the grid and v in [0, v_max].
+def f_inf_rho(nl, rho, grid):
+    """inf of f(t, s, v)/rho over the grid and 81 values v in [0, 10 rho].
 
-    v_max defaults to 10*rho.  Sampling v beyond the exact admissible set
-    can only lower the value, so the result is a conservative lower bound
-    for the index-zero condition.
+    Sampling v beyond the exact admissible set can only lower the value, so
+    the result is a conservative lower bound for the index-zero condition.
     """
     _check_radius(rho)
     tm, sm = np.meshgrid(*grid, indexing="ij")
     worst = np.inf
-    for v in np.linspace(0.0, v_max if v_max is not None else 10.0 * rho,
-                         n_v):
+    for v in np.linspace(0.0, 10.0 * rho, 81):
         worst = min(worst, float(np.min(nl.eval(tm, sm, v))))
     return worst / rho
 

@@ -309,13 +309,18 @@ def face_profile(f, vals, face, tol):
 # precompactness diagnostics
 
 
+# the tolerances that the equicontinuity and equiconvergence checks of
+# precompactness_report must each reach at some probed delta
+_EPS_LADDER = (0.1, 0.03, 0.01)
+
+
 @dataclass
 class PrecompactnessReport:
     """Numerical check of the three sufficient conditions for precompactness.
 
     bounded: sup of |d_p(f/phi)| over the family is finite.
-    equicontinuous: for every eps in the ladder some probed delta had
-        axis-aligned modulus below eps.
+    equicontinuous: for every eps in the ladder _EPS_LADDER some probed
+        delta had axis-aligned modulus below eps.
     equiconvergent: for every eps some delta-window at infinity had every
         member within eps of its stored face value.
     """
@@ -327,7 +332,6 @@ class PrecompactnessReport:
     equiconvergent: bool
     deviations: tuple
     worst_deviation: float
-    eps_ladder: tuple
 
     @property
     def all_conditions(self):
@@ -412,7 +416,7 @@ def equiconvergence_deviation(family):
     return out
 
 
-def precompactness_report(family, eps_ladder=(0.1, 0.03, 0.01)):
+def precompactness_report(family):
     """Evaluate the three precompactness conditions for a family on one grid."""
     if not family:
         raise ValueError("empty family")
@@ -420,13 +424,13 @@ def precompactness_report(family, eps_ladder=(0.1, 0.03, 0.01)):
     bound = max(float(np.abs(derivs[p]).max()) for p in ps)
     bounded = math.isfinite(bound)
     modulus = equicontinuity_modulus(family)
-    equicont = all(any(w < eps for _, w in modulus) for eps in eps_ladder)
+    equicont = all(any(w < eps for _, w in modulus) for eps in _EPS_LADDER)
     deviations = equiconvergence_deviation(family)
     worst = min((d for _, d in deviations), default=math.inf)
-    equiconv = all(any(d < eps for _, d in deviations) for eps in eps_ladder)
+    equiconv = all(any(d < eps for _, d in deviations)
+                   for eps in _EPS_LADDER)
     return PrecompactnessReport(bounded, bound, equicont, tuple(modulus),
-                                equiconv, tuple(deviations), worst,
-                                tuple(eps_ladder))
+                                equiconv, tuple(deviations), worst)
 
 
 # ---------------------------------------------------------------------------

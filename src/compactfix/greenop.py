@@ -1,14 +1,14 @@
 """Hammerstein-type integral operators on the compactified half-strip.
 
 The operator is Tu(x, y) = integral over {t <= x, s <= y} of
-kx(x, t) ky(y, s) f(t, s, u(t, s)) dt ds, acting on weighted grid functions
+kx(x, t) f(t, s, u(t, s)) dt ds, acting on weighted grid functions
 over [0, inf) x [0, 1].  Two evaluation paths: a cumulative-quadrature grid
 path (used by the solver) and an independent cross-check path that reads u
 from its bicubic spline and integrates all nodes at once.
 
 The grid path works in quotient coordinates when the problem carries its
 quotient form: with f(t, s, phi(t) q) = phi(t)^2 q_eval(t, s, q), the
-quotient q = u/phi satisfies q = int int qx(x, t) ky(y, s) q_eval(t, s, q)
+quotient q = u/phi satisfies q = int int qx(x, t) q_eval(t, s, q) ds dt
 with qx(x, t) = kx(x, t) phi(t)^2 / phi(x).  For the case study qx is
 exp(-(x - 2t)^2 / 2): no factor under- or overflows, and it is below 2^-53
 of its row peak once |t - x/2| > 4.3.  The grid operator stores the x-rule
@@ -46,6 +46,8 @@ _MAX_PANEL_LEVEL = 6
 _T_BLOCK = 32
 # rows per block of kernel_row_blocks (the grid operator, the residual)
 _ROW_BLOCK = 64
+# oscillation tolerance of the face ladders of apply_T and picard_solve
+FACE_TOL = 1e-4
 
 
 class QuadratureError(Exception):
@@ -138,21 +140,21 @@ def gaussian_tail(c, scale=1.0):
 
 @dataclass
 class Kernel:
-    """Separable causal kernel kx(x,t) ky(y,s) on {0 <= t <= x, 0 <= s <= y}.
+    """Causal kernel kx(x, t) on {0 <= t <= x, 0 <= s <= y}; the y
+    direction carries the constant factor 1.
 
-    kx and ky are vectorized factor callables; ky=None means the constant 1.
-    abs_integral, when given, is the closed form of the absolute integral
-    over the causal box at an output point (x, y).  weighted_sup, when given,
-    is the analytic value of sup_x |kx(x,t)/phi(x)| as a function of the
-    integration point.  weighted_quotient(x, t), when given, evaluates
-    kx(x, t)/phi(x) in a float-safe way (combining exponents before
-    exponentiating); without it the hypothesis checker divides the raw
-    factors, which turns into 0/0 once both underflow.  dkx(x, t), when
-    given, is the vectorized partial derivative of kx in its first
-    argument; the residual of the differentiated equation
-    (solver.pde_residual) needs it.  The infinity-face values of Tu are
-    always read off its grid samples (funcspace.face_profile); a kernel
-    carries no closed form for them.
+    kx is a vectorized callable.  abs_integral, when given, is the closed
+    form of the absolute integral over the causal box at an output point
+    (x, y).  weighted_sup, when given, is the analytic value of
+    sup_x |kx(x,t)/phi(x)| as a function of the integration point.
+    weighted_quotient(x, t), when given, evaluates kx(x, t)/phi(x) in a
+    float-safe way (combining exponents before exponentiating); without it
+    the hypothesis checker divides the raw factors, which turns into 0/0
+    once both underflow.  dkx(x, t), when given, is the vectorized partial
+    derivative of kx in its first argument; the residual of the
+    differentiated equation (solver.pde_residual) needs it.  The
+    infinity-face values of Tu are always read off its grid samples
+    (funcspace.face_profile); a kernel carries no closed form for them.
 
     qx is the kernel's half of the problem's quotient form (see
     Nonlinearity.q_eval): qx(x, t) = kx(x, t) phi(t)^2 / phi(x), evaluated
@@ -161,7 +163,6 @@ class Kernel:
 
     name: str
     kx: object
-    ky: object = None
     abs_integral: object = None
     weighted_sup: object = None
     weighted_quotient: object = None
@@ -190,7 +191,7 @@ class Nonlinearity:
     f(t, s, v) <= Phi_r(t, s) whenever |v| <= r * phi(t, s).  q_eval, when
     given, is the nonlinearity's half of the problem's quotient form:
     q_eval(t, s, q) = f(t, s, phi(t) q) / phi(t)^2, so that q = u/phi
-    solves q = int int Kernel.qx(x, t) ky(y, s) q_eval(t, s, q) ds dt.
+    solves q = int int Kernel.qx(x, t) q_eval(t, s, q) ds dt.
     """
 
     name: str
@@ -202,17 +203,12 @@ class Nonlinearity:
 
 def kernel_abs_integral(kernel, xs, ys, tol=1e-8):
     """Quadrature table of the absolute kernel integral: entry [i, j] is
-    int_0^{x_i} |kx(x_i, t)| dt times int_0^{y_j} |ky(y_j, s)| ds, and 0
-    where x_i <= 0 or y_j <= 0."""
+    int_0^{x_i} |kx(x_i, t)| dt times y_j, and 0 where x_i <= 0 or
+    y_j <= 0."""
     xs, ys = np.atleast_1d(xs, ys)
     ix = panel_quadrature(lambda t: np.abs(kernel.kx(xs[:, None], t)), 0.0,
                           xs, tol)
-    if kernel.ky is None:
-        iy = np.maximum(ys, 0.0)
-    else:
-        iy = panel_quadrature(lambda s: np.abs(kernel.ky(ys[:, None], s)),
-                              0.0, ys, tol)
-    return ix[:, None] * iy[None, :]
+    return ix[:, None] * np.maximum(ys, 0.0)[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +328,6 @@ class GridHammersteinOperator:
         self.blocks = list(kernel_row_blocks(kx, xs, 0, len(xs),
                                              trim=self.quotient))
         self.B = cumulative_weights(ys)
-        if kernel.ky is not None:
-            self.B *= kernel.ky(ys[:, None], ys[None, :])
         self.t, self.s = xs[:, None], ys[None, :]
 
     def apply(self, samples):
@@ -360,28 +354,18 @@ class GridHammersteinOperator:
         return float(np.max(diff if self.quotient else diff / phi))
 
 
-def _causal_factor(factor, out, nodes, weights):
-    """M[i, q] = factor(out_i, node_q) w_q for nodes below out_i, else 0;
-    factor None means 1."""
-    m = weights * (nodes[None, :] < out[:, None])
-    if factor is not None:
-        m = m * factor(out[:, None], nodes[None, :])
-    return m
+def _panel_integrals(u, nl, kx, tol):
+    """I[i, j] = int_0^{x_i} int_0^{y_j} kx(x_i, t) f(t, s, u(t, s)) ds dt
+    at every node (x_i, y_j) of u's grid, in one pass.
 
-
-def _panel_integrals(u, nl, x_out, kx, y_out, ky, tol=1e-10):
-    """I[i, j] = int_0^{x_out[i]} int_0^{y_out[j]} kx(x_i, t) ky(y_j, s)
-    f(t, s, u(t, s)) ds dt, every node in one pass.
-
-    kx and ky None mean 1.  The panel breaks are 0 and the positive
-    nodes of u's axes, so every spline knot and every output node (each one
-    a node of u's axes) is a break, and each integral runs over whole
-    panels.  u is read from its bicubic spline, clamped to its grid, so
-    below the first node it takes the first node's values.  Every break
-    interval gets 2^L panels of the 16-node Gauss-Legendre rule, doubled
-    by _settle until all outputs agree to tol.  f is evaluated on the
-    tensor of t-nodes x s-nodes in blocks of _T_BLOCK t-nodes, one spline
-    call each.
+    The panel breaks are 0 and the positive nodes of u's axes, so every
+    spline knot and every output node is a break, and each integral runs
+    over whole panels.  u is read from its bicubic spline, clamped to its
+    grid, so below the first node it takes the first node's values.  Every
+    break interval gets 2^L panels of the 16-node Gauss-Legendre rule,
+    doubled by _settle until all outputs agree to tol.  f is evaluated on
+    the tensor of t-nodes x s-nodes in blocks of _T_BLOCK t-nodes, one
+    spline call each.
     """
     from scipy.interpolate import RectBivariateSpline
 
@@ -393,23 +377,24 @@ def _panel_integrals(u, nl, x_out, kx, y_out, ky, tol=1e-10):
     def level_integrals(level):
         t, wt = (v.ravel() for v in _gl_panels(bx[:-1], bx[1:], level))
         s, ws = (v.ravel() for v in _gl_panels(by[:-1], by[1:], level))
-        ymat = _causal_factor(ky, y_out, s, ws)
+        # the causal rules: node weights below each output node, else 0
+        ymat = ws * (s[None, :] < ys[:, None])
         s_read = np.clip(s, ys[0], ys[-1])
-        total = np.zeros((len(x_out), len(y_out)))
+        total = np.zeros((len(xs), len(ys)))
         for b in range(0, len(t), _T_BLOCK):
             tb = t[b:b + _T_BLOCK]
             vals = nl.eval(tb[:, None], s[None, :],
                            spline(np.clip(tb, xs[0], xs[-1]), s_read,
                                   grid=True))
-            xmat = _causal_factor(kx, x_out, tb, wt[b:b + _T_BLOCK])
+            xmat = wt[b:b + _T_BLOCK] * (tb[None, :] < xs[:, None]) \
+                * kx(xs[:, None], tb[None, :])
             total += xmat @ (vals @ ymat.T)
         return total
 
     return _settle(level_integrals, tol)
 
 
-def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
-            face_tol=1e-4):
+def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
     """Tu as a weighted grid function on u's grid.
 
     method "grid" uses the cumulative weights (uniform grids only), in the
@@ -421,18 +406,16 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
     level is not finite or the values have not settled by
     _MAX_PANEL_LEVEL).  Both integrals run from 0, reading u clamped to its
     grid.  With faces=True each infinity face of Tu gets its face profile
-    (funcspace.face_profile at face_tol), stored by attach_faces.
+    (funcspace.face_profile at FACE_TOL), stored by attach_faces.
     """
     if u.ndim != 2:
         raise ValueError("apply_T expects a 2d grid function")
-    xs, ys = u.axes
     if method == "grid":
         op = GridHammersteinOperator(kernel, nl, u.axes)
         phi = u.weight_values()
         samples = op.to_u(op.apply(op.from_u(u.samples, phi)), phi)
     elif method == "adaptive":
-        samples = _panel_integrals(u, nl, xs, kernel.kx, ys, kernel.ky,
-                                   tol=tol)
+        samples = _panel_integrals(u, nl, kernel.kx, tol)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -440,7 +423,7 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True,
     if faces:
         quot = quotient_derivative(out, (0, 0))
         for face in out.face_labels():
-            attach_faces(out, face_profile(out, quot, face, face_tol))
+            attach_faces(out, face_profile(out, quot, face, FACE_TOL))
     return out
 
 
@@ -463,7 +446,6 @@ def attach_faces(out, profile):
 class ConditionResult:
     status: str  # verified | verified_on_truncation | diverges | unverified
     detail: str
-    data: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -512,20 +494,21 @@ def _finite_count(vals):
     return k == len(vals), str(k) if k == len(vals) else f"{k} of {len(vals)}"
 
 
-def check_hypotheses(kernel, weight, nl, r, truncation=8.0, n_t=41, n_s=9,
-                     tol=1e-8):
+def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     """Numeric status of the four operator hypotheses at cone radius r.
 
     weight is phi, called on x alone (the y direction is unweighted), as
-    every WEIGHT_REGISTRY entry can be.  Only p = 0 is examined; higher
-    kernel derivatives are out of scope here.
+    every WEIGHT_REGISTRY entry can be.  The kernel columns are sampled at
+    41 points of the truncation [0, 8] and the y axis at 9 points.  Only
+    p = 0 is examined; higher kernel derivatives are out of scope here.
     """
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"cone radius must be positive and finite, got {r!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    ts = np.linspace(0.0, truncation, n_t)
-    ss = np.linspace(0.0, 1.0, n_s)
+    truncation = 8.0
+    ts = np.linspace(0.0, truncation, 41)
+    ss = np.linspace(0.0, 1.0, 9)
     phi_r = nl.dominator(r)
     conditions = {}
     integrals = {}
@@ -547,7 +530,7 @@ def check_hypotheses(kernel, weight, nl, r, truncation=8.0, n_t=41, n_s=9,
         m_gap = math.nan
     cmap = HalfLineOnePoint()
     z_vals = []
-    for t in ts[:: max(1, n_t // 8)]:
+    for t in ts[::5]:
         res = kappa_limit(lambda x, t=t: quotient(np.asarray(x), t),
                           cmap.infinity_points()[0], cmap, tol=1e-6)
         z_vals.append(res.value if res.converged else math.nan)
@@ -653,7 +636,6 @@ def check_hypotheses(kernel, weight, nl, r, truncation=8.0, n_t=41, n_s=9,
     else:
         status = "verified_on_truncation"
         detail = "all three products converged on doubling truncations"
-    conditions["C4"] = ConditionResult(status, detail,
-                                       {"partials": partials})
+    conditions["C4"] = ConditionResult(status, detail)
 
     return HypothesisReport(r, conditions, integrals, profiles)

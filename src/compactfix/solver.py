@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import beta_sup, index_one_check
+from .cones import beta_sup, default_eval_grid, index_one_check
 from .funcspace import (WeightedGridFunction, face_profile,
                         quotient_derivative, save_grid_function)
-from .greenop import GridHammersteinOperator, attach_faces, kernel_row_blocks
+from .greenop import (FACE_TOL, GridHammersteinOperator, attach_faces,
+                      kernel_row_blocks)
 
 
 class IterationError(Exception):
@@ -45,7 +46,6 @@ class SolveConfig:
     truncation: float = 24.0
     tol: float = 1e-8
     max_iter: int = 50
-    face_tol: float = 1e-4
     rho_ball: float = None
 
     def __post_init__(self):
@@ -70,6 +70,12 @@ class SolveConfig:
         return (np.linspace(0.0, self.truncation, nx + 1),
                 np.linspace(0.0, 1.0, ny + 1))
 
+    def as_dict(self):
+        """The settings a run directory records, JSON-ready."""
+        return {"grid_step": [self.hx, self.hy],
+                "truncation": self.truncation, "tol": self.tol,
+                "max_iter": self.max_iter, "rho_ball": self.rho_ball}
+
 
 @dataclass
 class SolveResult:
@@ -82,12 +88,18 @@ class SolveResult:
     in_ball: object  # bool, or None when no ball was monitored
     ball_check: object
     config: SolveConfig
+    problem: str  # the solved problem's id
+
+    @property
+    def profile_converged(self):
+        """How many y-nodes of the profile have a converged face ladder."""
+        return sum(res.converged for _, res in self.profile)
 
 
 def picard_solve(problem, cfg=None):
     """Iterate u <- Tu from u = 0 until the weighted gap drops below tol.
 
-    problem must carry kernel, nl, weight (a WEIGHT_REGISTRY entry, so
+    problem must carry id, kernel, nl, weight (a WEIGHT_REGISTRY entry, so
     that the solution can be saved) and spec attributes.  Raises
     WeightUnderflowError before any work when phi is 0 at a grid node, and
     IterationError with the gap history when max_iter is exhausted.
@@ -101,8 +113,7 @@ def picard_solve(problem, cfg=None):
     if cfg.rho_ball is not None:
         ball_check = index_one_check(
             problem.kernel, problem.nl, problem.spec, cfg.rho_ball,
-            grid=(np.linspace(0.0, cfg.truncation, 33),
-                  np.linspace(0.0, 1.0, 9)))
+            grid=default_eval_grid(cfg.truncation))
         if not ball_check.holds:
             warnings.warn(
                 f"index-one condition fails at rho = {cfg.rho_ball:g} "
@@ -130,14 +141,14 @@ def picard_solve(problem, cfg=None):
 
     # one face ladder per y-node: the profile, whose converged values are
     # also the solution's face data
-    profile = tuple(asymptotic_profile(u, tol=cfg.face_tol))
+    profile = tuple(asymptotic_profile(u))
     attach_faces(u, profile)
     residual = pde_residual(u, problem.nl, problem.kernel)
     in_ball = None
     if cfg.rho_ball is not None:
         in_ball = all(b <= cfg.rho_ball + 1e-12 for b in betas)
     return SolveResult(u, len(gaps), tuple(gaps), tuple(betas), residual,
-                       profile, in_ball, ball_check, cfg)
+                       profile, in_ball, ball_check, cfg, problem.id)
 
 
 def pde_residual(u, nl, kernel=None):
@@ -155,18 +166,13 @@ def pde_residual(u, nl, kernel=None):
     no n x n array is formed.  kernel=None is the case kx = 1, the Goursat
     form u_xy = f.  Edge nodes are excluded.
 
-    Raises ValueError for a kernel with a y-factor or without dkx: the
-    differentiated form would need terms this function does not evaluate.
+    Raises ValueError for a kernel without dkx: the differentiated form
+    would need a term this function does not evaluate.
     """
-    if kernel is not None:
-        if kernel.ky is not None:
-            raise ValueError(
-                f"kernel {kernel.name!r} has a y-factor ky; its "
-                "differentiated form needs ky(y, y) and d ky/dy terms")
-        if kernel.dkx is None:
-            raise ValueError(
-                f"kernel {kernel.name!r} has no dkx; the differentiated "
-                "form needs the convolution term of d kx/dx")
+    if kernel is not None and kernel.dkx is None:
+        raise ValueError(
+            f"kernel {kernel.name!r} has no dkx; the differentiated "
+            "form needs the convolution term of d kx/dx")
     xs, ys = u.axes
     if len(xs) < 3 or len(ys) < 3:
         raise ValueError("grid too coarse for the mixed-derivative stencil")
@@ -187,7 +193,7 @@ def pde_residual(u, nl, kernel=None):
     return float(np.max(np.abs(mixed - rhs)))
 
 
-def asymptotic_profile(u, tol=1e-4):
+def asymptotic_profile(u, tol=FACE_TOL):
     """Windowed limits of u/phi at the infinity face, one per y-node.
 
     Raises ValueError naming the y-node when the ladder reports that no
@@ -209,7 +215,10 @@ def asymptotic_profile(u, tol=1e-4):
 
 
 def write_outputs(result, out_dir, timestamp=True):
-    """solution.csv (+sidecar), convergence.csv, profile.csv, summary.json."""
+    """solution.csv (+sidecar), convergence.csv, profile.csv, summary.json.
+
+    summary.json records, besides the run's results, the problem id, the
+    run's settings and how many profile nodes converged."""
     import os
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
@@ -252,6 +261,9 @@ def write_outputs(result, out_dir, timestamp=True):
         "tol": result.config.tol,
         "profile_at_1": (result.profile[-1][1].value
                          if result.profile else None),
+        "profile_converged": result.profile_converged,
+        "problem": result.problem,
+        "config": result.config.as_dict(),
     }
     if timestamp:
         summary["written_at"] = datetime.datetime.now(

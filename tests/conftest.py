@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,18 @@ def problem():
 def coarse_axes():
     """Small uniform grid for operator property loops."""
     return (np.linspace(0.0, 6.0, 13), np.linspace(0.0, 1.0, 5))
+
+
+@pytest.fixture(scope="session")
+def c4_partials():
+    """Reads the three partial M0*Phi_r integrals that C4's detail prints
+    off a hypothesis report."""
+    def read(report):
+        found = re.search(r"partial M0\*Phi_r integrals ([^\s:]+) -> "
+                          r"([^\s:]+) -> ([^\s:]+)",
+                          report.conditions["C4"].detail)
+        return [float(v) for v in found.groups()]
+    return read
 
 
 @pytest.fixture()

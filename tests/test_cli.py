@@ -34,8 +34,9 @@ def test_solve_line_counts_converged_profile_nodes(tmp_path, capsys):
     line = capsys.readouterr().out
     assert line.startswith("converged in 5 iterations, ")
     assert "; profile converged at 1 of 21 y-nodes; outputs in" in line
-    assert json.loads((out / "summary.json").read_text())[
-        "profile_at_1"] is None
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["profile_at_1"] is None
+    assert summary["profile_converged"] == 1
 
 
 def test_solve_iteration_failure_exits_2(tmp_path, capsys):
@@ -301,6 +302,14 @@ def test_no_timestamp_reruns_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert (a / "cone_report.json").read_bytes() \
         == (b / "cone_report.json").read_bytes()
+    solve = ["solve", "--grid-step", "0.25", "--truncation", "4",
+             "--no-timestamp"]
+    sa, sb = tmp_path / "solve_a", tmp_path / "solve_b"
+    assert main(solve + ["--out", str(sa)]) == 0
+    assert main(solve + ["--out", str(sb)]) == 0
+    for name in ("solution.csv", "solution.csv.json", "convergence.csv",
+                 "profile.csv", "summary.json"):
+        assert (sa / name).read_bytes() == (sb / name).read_bytes(), name
     stamped = tmp_path / "c"
     assert main(["check-conditions", "--rho", "0.5",
                  "--out", str(stamped)]) == 0

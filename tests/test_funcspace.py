@@ -496,7 +496,14 @@ def test_exports_resolve_and_deleted_names_stay_gone():
                       (compactfix.ConeSpec, "e"),
                       # face values come from the window ladder only
                       (compactfix.Kernel, "z_form"),
-                      (compactfix.SolveConfig, "quad_tol")]:
+                      (compactfix.SolveConfig, "quad_tol"),
+                      # settings with one value in use are constants
+                      (compactfix.Kernel, "ky"),
+                      (compactfix.SolveConfig, "face_tol"),
+                      (compactfix.NamedProblem, "default_config"),
+                      (compactfix.NamedProblem, "payload"),
+                      (compactfix.greenop.ConditionResult, "data"),
+                      (compactfix.PrecompactnessReport, "eps_ladder")]:
         assert attr not in {f.name for f in dataclasses.fields(cls)}, \
             (cls.__name__, attr)
     assert "weight" not in inspect.signature(
@@ -506,3 +513,17 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     for name in ("compute_residual", "compute_profile"):
         assert name not in inspect.signature(
             compactfix.picard_solve).parameters
+    for fn, names in [
+            (compactfix.apply_T, ("face_tol",)),
+            (compactfix.check_hypotheses, ("truncation", "n_t", "n_s")),
+            (compactfix.cones.default_eval_grid, ("n_t", "n_s")),
+            (compactfix.f_sup_rho, ("n_v",)),
+            (compactfix.f_inf_rho, ("v_max", "n_v")),
+            (compactfix.cone_membership, ("slack",)),
+            (compactfix.kappa_limit, ("samples_per_level", "radius_cap",
+                                      "seed")),
+            (compactfix.extend, ("kwargs",)),
+            (compactfix.precompactness_report, ("eps_ladder",))]:
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert name not in params, (fn.__name__, name)

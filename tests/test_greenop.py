@@ -94,11 +94,6 @@ def test_kernel_abs_integral_against_closed_form(problem, rng):
     expected = SQPI2 * ys[None, :] * erf(xs[:, None])
     assert table.shape == (10, 10)
     assert np.abs(table - expected).max() < 1e-6
-    # a ky factor is integrated too: |exp(-(y - s))| over [0, y]
-    ky = Kernel("with-ky", k.kx, ky=lambda y, s: np.exp(s - y))
-    got = kernel_abs_integral(ky, xs, ys)
-    assert np.abs(got - erf(xs[:, None]) * SQPI2
-                  * (1.0 - np.exp(-ys[None, :]))).max() < 1e-6
 
 
 def test_cumulative_weights_structure():
@@ -243,10 +238,7 @@ def _nested_adaptive_apply(u, kernel, nl, tol):
         def integrand(s, t):
             v = spline(min(max(t, xs[0]), xs[-1]),
                        min(max(s, ys[0]), ys[-1]))[0, 0]
-            val = kernel.kx(x, t) * nl.eval(t, s, v)
-            if kernel.ky is not None:
-                val = val * kernel.ky(y, s)
-            return val
+            return kernel.kx(x, t) * nl.eval(t, s, v)
 
         return dblquad(integrand, 0.0, x, 0.0, y, epsabs=tol * 1e-3,
                        epsrel=0.0)[0]
@@ -265,20 +257,6 @@ def test_adaptive_apply_matches_nested_reference_on_kinked_u(problem, rng):
                       tol=1e-10, faces=False).samples
         want = _nested_adaptive_apply(u, problem.kernel, problem.nl, 1e-10)
         assert np.abs(got - want).max() <= 1e-9
-
-
-def test_adaptive_apply_with_ky_factor_matches_closed_form(problem):
-    # int_0^y exp(2ys) exp(-s^2) ds = exp(y^2) int_0^y exp(-(s-y)^2) ds
-    # = exp(y^2) times the ky = 1 value
-    kernel = Kernel("gauss-shift-ky", problem.kernel.kx,
-                    ky=lambda y, s: np.exp(2.0 * y * s))
-    xs = np.linspace(0.0, 3.0, 7)
-    ys = np.linspace(0.0, 1.0, 6)
-    u0 = _grid_function(problem, xs, ys, np.zeros((7, 6)))
-    out = apply_T(u0, kernel, problem.nl, method="adaptive", faces=False)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    expected = problem.closed_forms["Tu0"](X, Y) * np.exp(Y ** 2)
-    assert np.abs(out.samples - expected).max() < 1e-12
 
 
 def test_adaptive_apply_refuses_nan_and_unsettled_integrands(problem):
@@ -326,8 +304,6 @@ def _dense_apply(kernel, nl, axes, u):
     xs, ys = axes
     A = cumulative_weights(xs) * kernel.kx(xs[:, None], xs[None, :])
     B = cumulative_weights(ys)
-    if kernel.ky is not None:
-        B = B * kernel.ky(ys[:, None], ys[None, :])
     tm, sm = np.meshgrid(xs, ys, indexing="ij")
     return A @ (nl.eval(tm, sm, u) @ B.T)
 
@@ -344,10 +320,10 @@ def test_banded_quotient_operator_matches_dense_route(problem, rng):
 
 @pytest.mark.parametrize("kernel", [
     _column_kernel(),
-    Kernel("gauss-shift-ky", lambda x, t: np.exp(-(x - t) ** 2),
-           ky=lambda y, s: np.exp(2.0 * (s - y)))])
+    Kernel("gauss-shift", lambda x, t: np.exp(-(x - t) ** 2))])
 def test_no_split_operator_matches_dense_route(problem, rng, kernel):
-    # without Kernel.qx the operator acts on u over the whole causal range
+    # without Kernel.qx the operator acts on u over the whole causal range,
+    # for a kernel of product form and for the convolution kernel
     axes = (np.linspace(0.0, 16.0, 161), np.linspace(0.0, 1.0, 21))
     op = GridHammersteinOperator(kernel, problem.nl, axes)
     assert not op.quotient
@@ -391,7 +367,7 @@ def test_check_hypotheses_statuses(problem):
     assert any("diverges" in line for line in rep.lines())
 
 
-def test_check_hypotheses_integrals(problem):
+def test_check_hypotheses_integrals(problem, c4_partials):
     rep = check_hypotheses(problem.kernel, problem.weight, problem.nl,
                            r=0.5)
     # Phi_r integrates in closed form over the half strip
@@ -407,7 +383,7 @@ def test_check_hypotheses_integrals(problem):
     rel = np.abs(sup - np.exp(ts ** 2)) / np.exp(ts ** 2)
     assert rel.max() < 1e-3
     assert np.abs(rep.profiles["z0"]).max() < 1e-12
-    partials = rep.conditions["C4"].data["partials"]
+    partials = c4_partials(rep)
     assert partials[1] > 1.5 * partials[0]
     assert not math.isfinite(partials[2])
 
@@ -442,7 +418,8 @@ def test_phi_r_tail_scale_comes_from_the_dominator(problem, amplitude):
     assert abs(rep.integrals["Phi_r"] - exact) <= tol
 
 
-def test_check_hypotheses_counts_only_finite_limits_and_partials(problem):
+def test_check_hypotheses_counts_only_finite_limits_and_partials(
+        problem, c4_partials):
     # without a combined-exponent quotient, kx/phi of a rate-2 kernel is
     # 0/0 once both factors underflow: every face limit and the widest
     # partial M0*Phi_r integral are nan
@@ -455,7 +432,7 @@ def test_check_hypotheses_counts_only_finite_limits_and_partials(problem):
     assert "face limit exists at 0 of 9 sampled columns" in c1.detail
     c4 = rep.conditions["C4"]
     assert c4.status == "unverified"
-    assert math.isnan(c4.data["partials"][2])
+    assert math.isnan(c4_partials(rep)[2])
     assert not any(math.isnan(v) for v in rep.integrals.values())
     assert "M0*Phi_r" not in rep.integrals
     assert "|z0|*Phi_r" not in rep.integrals

@@ -111,10 +111,6 @@ def test_pde_residual_matches_the_dense_weight_matrix(problem):
 def test_pde_residual_refuses_kernels_it_cannot_differentiate(problem):
     axes = SolveConfig(hx=0.25, hy=0.25, truncation=2.0).axes()
     u = WeightedGridFunction(axes, np.zeros((len(axes[0]), len(axes[1]))))
-    with_ky = dataclasses.replace(problem.kernel,
-                                  ky=lambda y, s: np.ones_like(s))
-    with pytest.raises(ValueError, match="ky"):
-        pde_residual(u, problem.nl, with_ky)
     no_dkx = dataclasses.replace(problem.kernel, dkx=None)
     with pytest.raises(ValueError, match="dkx"):
         pde_residual(u, problem.nl, no_dkx)
@@ -238,9 +234,10 @@ def test_write_outputs(problem, tmp_path):
     res = picard_solve(problem, cfg)
     out = tmp_path / "run"
     paths = write_outputs(res, out, timestamp=False)
-    for key in ("solution", "convergence", "profile", "summary"):
-        assert (out / f"{key if key != 'solution' else 'solution'}").exists \
-            is not None
+    assert sorted(paths) == ["convergence", "profile", "solution", "summary"]
+    for name in ("solution.csv", "solution.csv.json", "convergence.csv",
+                 "profile.csv", "summary.json"):
+        assert (out / name).is_file(), name
     loaded = load_grid_function(paths["solution"])
     assert np.array_equal(loaded.samples, res.solution.samples)
 
@@ -254,6 +251,7 @@ def test_write_outputs(problem, tmp_path):
     prof_rows = (out / "profile.csv").read_text().strip().splitlines()
     assert prof_rows[0] == "y0,limit,status,oscillation"
     assert len(prof_rows) == len(res.profile) + 1
+    converged = sum(r.split(",")[2] == "converged" for r in prof_rows[1:])
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["iterations"] == res.iterations
@@ -261,6 +259,11 @@ def test_write_outputs(problem, tmp_path):
     assert summary["rho_ball"] == 0.5
     assert "written_at" not in summary
     assert summary["profile_at_1"] == res.profile[-1][1].value
+    assert summary["profile_converged"] == converged
+    assert summary["problem"] == "hyperbolic-erf"
+    assert summary["config"] == {"grid_step": [0.25, 0.25],
+                                 "truncation": 4.0, "tol": 1e-8,
+                                 "max_iter": 50, "rho_ball": 0.5}
 
     again = tmp_path / "run2"
     write_outputs(res, again, timestamp=False)
