@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -23,6 +24,10 @@ from .cones import default_eval_grid, index_one_sweep
 from .funcspace import WeightUnderflowError
 from .greenop import QuadratureError, check_hypotheses
 from .solver import IterationError, SolveConfig, picard_solve, write_outputs
+
+
+# the most rungs a --rho-range ladder may have
+MAX_RHO_RUNGS = 10000
 
 
 class _UsageError(Exception):
@@ -39,9 +44,23 @@ def _parse_rho_range(text):
         a, b, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise _UsageError(f"bad --rho-range {text!r}, expected a:b:step")
+    if not all(math.isfinite(v) for v in (a, b, step)):
+        raise _UsageError(f"--rho-range {text!r} needs a finite a, b and step")
     if step <= 0 or b < a:
         raise _UsageError("rho range needs a <= b and step > 0")
+    # np.arange's own rung count, taken before it allocates
+    rungs = (b + step / 2.0 - a) / step
+    if not rungs <= MAX_RHO_RUNGS:
+        raise _UsageError(f"--rho-range {text!r} has more than "
+                          f"{MAX_RHO_RUNGS} rungs")
     return np.round(np.arange(a, b + step / 2.0, step), 10)
+
+
+def _check_positive(option, value):
+    """A usage error naming option unless value is positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise _UsageError(f"{option} must be positive and finite, "
+                          f"got {value!r}")
 
 
 def _write_json(path, doc, stamp):
@@ -86,8 +105,11 @@ def build_parser():
     sp.add_argument("--rho", type=float, default=None,
                     help="single rho to check")
     sp.add_argument("--rho-range", default="0.05:1.0:0.01",
-                    help="a:b:step ladder of rho values")
-    sp.add_argument("--truncation", type=float, default=24.0)
+                    help="a:b:step ladder of rho values, at most "
+                    f"{MAX_RHO_RUNGS} rungs")
+    sp.add_argument("--truncation", type=float, default=24.0,
+                    help="x-truncation of the index-sweep grid only; the "
+                    "hypothesis report always samples [0, 8]")
 
     sp = sub.add_parser("ascoli-demo",
                         help="precompactness diagnostics on a family")
@@ -101,7 +123,8 @@ def build_parser():
                         help="closed forms vs quadrature")
     add_common(sp, "hyperbolic-erf")
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--grid-n", type=int, default=20)
+    sp.add_argument("--grid-n", type=int, default=20,
+                    help="nodes per axis of the comparison grid, at least 2")
     return p
 
 
@@ -137,6 +160,7 @@ def _cmd_solve(args):
 
 
 def _cmd_check_conditions(args):
+    _check_positive("--truncation", args.truncation)
     problem = _load(args)
     if problem.kernel is None:
         raise _UsageError(f"problem {problem.id!r} has no kernel to check")
@@ -196,6 +220,9 @@ def _cmd_compactify_demo(args):
 
 
 def _cmd_validate(args):
+    if args.grid_n < 2:
+        raise _UsageError(f"--grid-n must be at least 2, got {args.grid_n}")
+    _check_positive("--tol", args.tol)
     problem = _load(args)
     gaps = validate_closed_forms(problem, n=args.grid_n)
     if not gaps:

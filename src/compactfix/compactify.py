@@ -21,17 +21,23 @@ RADIUS_CAP = 1.0e8
 _SAMPLES_PER_LEVEL = 8
 
 
+def _radius(x):
+    """The Euclidean norm over the last axis of x, kept as an axis of
+    length 1; a scalar is a point of R^1."""
+    return np.linalg.norm(np.atleast_1d(x), axis=-1, keepdims=True)
+
+
 def ball_map(x):
-    """Embed R^n into the open unit ball, x -> x / (1 + |x|)."""
+    """Embed R^n into the open unit ball, x -> x / (1 + |x|); the last axis
+    of x runs over the coordinates."""
     x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x) if x.ndim <= 1 else np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / (1.0 + r)
+    return x / (1.0 + _radius(x))
 
 
 def ball_inverse(y):
     """Inverse of ball_map on the open unit ball, y -> y / (1 - |y|)."""
     y = np.asarray(y, dtype=float)
-    r = np.linalg.norm(y) if y.ndim <= 1 else np.linalg.norm(y, axis=-1, keepdims=True)
+    r = _radius(y)
     if np.any(r >= 1.0):
         raise ValueError("ball_inverse needs |y| < 1")
     return y / (1.0 - r)
@@ -70,6 +76,12 @@ class XPoint:
         if self.label:
             return f"XPoint({self.label})"
         return f"XPoint({self.embedded})"
+
+
+def _embedded(p):
+    """The embedded coordinates of an XPoint, or of a coordinate sequence,
+    as an array."""
+    return np.asarray(p.embedded if isinstance(p, XPoint) else p, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -145,23 +157,21 @@ def kappa_limit(f, point, cmap, tol=1e-6, levels=None, extra_samples=None):
         raise ValueError("kappa_limit expects an infinity point")
     if levels is None:
         levels = default_levels(tol)
+    target = _embedded(point)
     rng = np.random.default_rng(0)
     evidence = []
     value = None
     for delta in levels:
-        pts = cmap.sample_ball(point, delta, _SAMPLES_PER_LEVEL, rng,
-                               RADIUS_CAP)
+        pts = np.asarray(cmap.sample_ball(point, delta, _SAMPLES_PER_LEVEL,
+                                          rng, RADIUS_CAP), dtype=float)
         if extra_samples is not None:
             ex = np.atleast_1d(np.asarray(extra_samples(delta), dtype=float))
-            keep = [p for p in ex
-                    if cmap.metric(cmap.forward_point(p), point) < delta]
-            pts = np.concatenate([np.asarray(pts, dtype=float).ravel(),
-                                  np.asarray(keep, dtype=float)]) \
-                if keep else np.asarray(pts, dtype=float)
+            pts = np.concatenate(
+                [pts, ex[cmap.distance(cmap.embed(ex), target) < delta]])
         if len(pts) == 0:
             continue
         vals = np.asarray(f(pts), dtype=float)
-        dist = np.array([cmap.metric(cmap.forward_point(p), point) for p in pts])
+        dist = cmap.distance(cmap.embed(pts), target)
         closest = float(vals[np.argmin(dist)])
         evidence.append(LevelEvidence(delta, float(vals.max() - vals.min()),
                                       len(pts), closest))
@@ -244,10 +254,20 @@ class CompactMap:
         emb = np.atleast_1d(self.forward(x))
         return XPoint(tuple(float(v) for v in emb))
 
+    def embed(self, x):
+        """Embedded coordinates of domain points x, one row per point."""
+        return self.forward(np.reshape(np.asarray(x, dtype=float),
+                                       (-1, self.dim)))
+
+    def distance(self, a, b):
+        """The metric between embedded coordinates a and b, whose last axis
+        runs over the coordinates; broadcast over the other axes.  This
+        base map takes the max metric."""
+        return np.max(np.abs(a - b), axis=-1)
+
     def metric(self, p, q):
-        a = np.asarray(p.embedded if isinstance(p, XPoint) else p, dtype=float)
-        b = np.asarray(q.embedded if isinstance(q, XPoint) else q, dtype=float)
-        return float(np.max(np.abs(a - b)))
+        """The distance of two XPoints or coordinate sequences."""
+        return float(self.distance(_embedded(p), _embedded(q)))
 
     def infinity_points(self):
         raise NotImplementedError
@@ -276,7 +296,7 @@ class HalfLineOnePoint(CompactMap):
         if point.at_infinity:
             lo = 1.0 / delta - 1.0
             return _geometric_radii(lo, n, cap)
-        x0 = float(self.inverse(np.asarray(point.embedded)))
+        x0 = float(self.inverse(point.embedded[0]))
         pts = x0 + (rng.random(n) - 0.5) * 2 * delta
         pts = pts[pts >= 0]
         keep = np.abs(self.forward(pts) - point.embedded[0]) < delta
@@ -304,7 +324,7 @@ class LineTwoPoint(CompactMap):
             lo = 1.0 / delta - 1.0
             r = _geometric_radii(lo, n, cap)
             return r if point.embedded[0] > 0 else -r
-        x0 = float(self.inverse(np.asarray(point.embedded)))
+        x0 = float(self.inverse(point.embedded[0]))
         pts = x0 + (rng.random(n) - 0.5) * 2 * delta * (1 + abs(x0)) ** 2
         keep = np.abs(self.forward(pts) - point.embedded[0]) < delta
         return pts[keep]
@@ -327,11 +347,9 @@ class LineOnePoint(CompactMap):
         y = np.asarray(y, dtype=float)
         return y / (1.0 - np.abs(y))
 
-    def metric(self, p, q):
-        a = np.asarray(p.embedded if isinstance(p, XPoint) else p, dtype=float)
-        b = np.asarray(q.embedded if isinstance(q, XPoint) else q, dtype=float)
-        d = float(np.max(np.abs(a - b)))
-        return min(d, 2.0 - d)
+    def distance(self, a, b):
+        d = np.max(np.abs(a - b), axis=-1)
+        return np.minimum(d, 2.0 - d)
 
     def infinity_points(self):
         return [XPoint((1.0,), (0,), "inf")]
@@ -341,10 +359,9 @@ class LineOnePoint(CompactMap):
             lo = 1.0 / delta - 1.0
             r = _geometric_radii(lo, max(n // 2, 2), cap)
             return np.concatenate([-r[::-1], r])
-        x0 = float(self.inverse(np.asarray(point.embedded)))
+        x0 = float(self.inverse(point.embedded[0]))
         pts = x0 + (rng.random(n) - 0.5) * 2 * delta * (1 + abs(x0)) ** 2
-        emb = self.forward(pts)
-        keep = np.array([self.metric((e,), point) < delta for e in emb])
+        keep = self.distance(self.embed(pts), _embedded(point)) < delta
         return pts[keep]
 
 
@@ -362,10 +379,8 @@ class BallCompactification(CompactMap):
     def inverse(self, y):
         return ball_inverse(y)
 
-    def metric(self, p, q):
-        a = np.asarray(p.embedded if isinstance(p, XPoint) else p, dtype=float)
-        b = np.asarray(q.embedded if isinstance(q, XPoint) else q, dtype=float)
-        return float(np.linalg.norm(a - b))
+    def distance(self, a, b):
+        return np.linalg.norm(a - b, axis=-1)
 
     def direction_point(self, u):
         u = np.asarray(u, dtype=float)
@@ -392,9 +407,7 @@ class BallCompactification(CompactMap):
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         pts2 = radii[-1] * extra
         pts = np.vstack([pts, pts2])
-        emb = np.array([self.forward(p) for p in pts])
-        keep = np.linalg.norm(emb - u, axis=1) < delta
-        return pts[keep]
+        return pts[self.distance(self.forward(pts), u) < delta]
 
 
 class IntervalIdentity(CompactMap):
@@ -438,16 +451,16 @@ class ProductCompactification(CompactMap):
 
     def forward(self, x):
         x = np.asarray(x, dtype=float)
-        return np.array([float(f.forward(x[i])) for i, f in enumerate(self.factors)])
+        return np.stack([f.forward(x[..., i])
+                         for i, f in enumerate(self.factors)], axis=-1)
 
     def inverse(self, y):
         y = np.asarray(y, dtype=float)
         return np.array([float(f.inverse(y[i])) for i, f in enumerate(self.factors)])
 
-    def metric(self, p, q):
-        a = p.embedded if isinstance(p, XPoint) else tuple(np.asarray(p, dtype=float))
-        b = q.embedded if isinstance(q, XPoint) else tuple(np.asarray(q, dtype=float))
-        return max(f.metric((a[i],), (b[i],)) for i, f in enumerate(self.factors))
+    def distance(self, a, b):
+        return np.max([f.distance(a[..., i:i + 1], b[..., i:i + 1])
+                       for i, f in enumerate(self.factors)], axis=0)
 
     def face_point(self, axis, finite_coords):
         """Infinity point on the face where ``axis`` is at its infinity.

@@ -78,6 +78,14 @@ def _check_radius(rho):
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
 
 
+def _v_ladder_values(nl, rho, grid, top, n):
+    """f(t, s, v) on the grid for n values v in [0, top * rho], in one
+    call: shape (n, t-nodes, s-nodes)."""
+    _check_radius(rho)
+    tm, sm = np.meshgrid(*grid, indexing="ij")
+    return nl.eval(tm, sm, np.linspace(0.0, top * rho, n)[:, None, None])
+
+
 def f_sup_rho(nl, rho, grid):
     """sup of f(t, s, v)/rho over the grid and 41 values v in [0, rho].
 
@@ -85,12 +93,7 @@ def f_sup_rho(nl, rho, grid):
     when f is continuous in v (tent functions realize any pointwise value);
     the v-grid makes it exact at the endpoints for v-monotone f.
     """
-    _check_radius(rho)
-    tm, sm = np.meshgrid(*grid, indexing="ij")
-    best = -np.inf
-    for v in np.linspace(0.0, rho, 41):
-        best = max(best, float(np.max(nl.eval(tm, sm, v))))
-    return best / rho
+    return float(np.max(_v_ladder_values(nl, rho, grid, 1.0, 41))) / rho
 
 
 def f_inf_rho(nl, rho, grid):
@@ -99,12 +102,7 @@ def f_inf_rho(nl, rho, grid):
     Sampling v beyond the exact admissible set can only lower the value, so
     the result is a conservative lower bound for the index-zero condition.
     """
-    _check_radius(rho)
-    tm, sm = np.meshgrid(*grid, indexing="ij")
-    worst = np.inf
-    for v in np.linspace(0.0, 10.0 * rho, 81):
-        worst = min(worst, float(np.min(nl.eval(tm, sm, v))))
-    return worst / rho
+    return float(np.min(_v_ladder_values(nl, rho, grid, 10.0, 81))) / rho
 
 
 @dataclass

@@ -312,6 +312,8 @@ def face_profile(f, vals, face, tol):
 # the tolerances that the equicontinuity and equiconvergence checks of
 # precompactness_report must each reach at some probed delta
 _EPS_LADDER = (0.1, 0.03, 0.01)
+# family members per block of equicontinuity_modulus's window passes
+_MEMBER_BLOCK = 8
 
 
 @dataclass
@@ -353,33 +355,37 @@ def _family_quotient_derivatives(family):
 
 def equicontinuity_modulus(family, max_shift=64):
     """omega(delta) = worst |v(x) - v(y)| over axis-aligned |x-y| <= delta,
-    for delta = h times each power of two up to max_shift; each shift is
-    taken once and the worst difference carried on to the next delta."""
+    for delta = h times each power of two up to max_shift (which must be
+    below the node count of every axis).
+
+    The worst difference over node distances up to w is the largest
+    max - min over the windows of w + 1 consecutive nodes.  The windows are
+    built by doubling, _MEMBER_BLOCK members at a time: the window maxima
+    of span 2w are the pairwise maxima of the span-w maxima w nodes apart.
+    A NaN anywhere in the family makes every omega NaN.
+    """
     f0, ps, derivs = _family_quotient_derivatives(family)
+    spans = [2 ** k for k in range(int(max_shift).bit_length())]
     out = []
     for axis in range(f0.ndim):
         h = float(np.min(np.diff(f0.axes[axis])))
-        worst = 0.0
-        done = 0
-        shift = 1
-        while shift <= max_shift:
-            for p in ps:
-                v = derivs[p]
-                for s in range(done + 1, shift + 1):
-                    sl_hi = [slice(None)] * v.ndim
-                    sl_lo = [slice(None)] * v.ndim
-                    sl_hi[axis + 1] = slice(s, None)
-                    sl_lo[axis + 1] = slice(None, -s)
-                    d = np.abs(v[tuple(sl_hi)] - v[tuple(sl_lo)]).max()
-                    worst = max(worst, float(d))
-            out.append((shift * h, worst))
-            done = shift
-            shift *= 2
+        worst = np.zeros(len(spans))
+        for p in ps:
+            for b in range(0, len(family), _MEMBER_BLOCK):
+                hi = lo = np.moveaxis(derivs[p][b:b + _MEMBER_BLOCK],
+                                      axis + 1, -1)
+                for k, span in enumerate(spans):
+                    step = span - span // 2
+                    hi = np.maximum(hi[..., :-step], hi[..., step:])
+                    lo = np.minimum(lo[..., :-step], lo[..., step:])
+                    worst[k] = np.maximum(worst[k], np.max(hi - lo))
+        out.extend((span * h, float(w)) for span, w in zip(spans, worst))
     return sorted(out)
 
 
 def equiconvergence_deviation(family):
-    """Per delta-window, the worst gap between members and their face values."""
+    """Per delta-window, the worst gap between members and their face
+    values; NaN when a window holds a NaN."""
     f0, ps, derivs = _family_quotient_derivatives(family)
     out = []
     for face in f0.face_labels():
@@ -409,9 +415,9 @@ def equiconvergence_deviation(family):
                             omask = np.abs(onodes - onodes[j]) < delta
                             win = (v[i][np.ix_(mask, omask)] if axis == 0
                                    else v[i][np.ix_(omask, mask)])
-                            gap = max(gap, float(np.abs(win - arr[j]).max()))
-                    worst = max(worst, float(gap))
-            out.append((delta, worst))
+                            gap = np.maximum(gap, np.abs(win - arr[j]).max())
+                    worst = np.maximum(worst, gap)
+            out.append((delta, float(worst)))
             k += 1
     return out
 

@@ -46,6 +46,8 @@ _MAX_PANEL_LEVEL = 6
 _T_BLOCK = 32
 # rows per block of kernel_row_blocks (the grid operator, the residual)
 _ROW_BLOCK = 64
+# kernel columns per block of the hypothesis report's sup profiles
+_T_COLUMNS = 64
 # oscillation tolerance of the face ladders of apply_T and picard_solve
 FACE_TOL = 1e-4
 
@@ -475,17 +477,22 @@ def _quotient_fn(kernel, weight):
     return q
 
 
-def _weighted_quotient_profile(quotient, t, x_hi, n=1200):
-    """sup over x >= t of |kx(x, t)| / phi(x), plus its argmax.
+def _weighted_quotient_sups(quotient, t, x_hi, n=1200):
+    """For each entry t_i of the 1-d array t, the max of |kx(x, t_i)| /
+    phi(x) over n points x evenly spaced on [t_i, x_hi], NaN if one of
+    them is NaN; _T_COLUMNS columns are evaluated at a time.
 
-    May return inf when the sup overflows the float range; the caller
+    An entry may be inf when the sup overflows the float range; the caller
     treats that as evidence of non-integrability, never as a finite bound.
     """
-    xs = np.linspace(t, x_hi, n)
-    with np.errstate(over="ignore"):
-        q = np.abs(quotient(xs, t))
-    i = int(np.argmax(q))
-    return float(q[i]), float(xs[i])
+    sups = np.empty(len(t))
+    for b in range(0, len(t), _T_COLUMNS):
+        tb = t[b:b + _T_COLUMNS]
+        xs = np.linspace(tb, x_hi, n, axis=1)
+        with np.errstate(over="ignore"):
+            sups[b:b + _T_COLUMNS] = np.max(
+                np.abs(quotient(xs, tb[:, None])), axis=1)
+    return sups
 
 
 def _finite_count(vals):
@@ -517,14 +524,13 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     # C1: each kernel column lies in the weighted class: finite weighted sup
     # and an existing limit at the infinity face.
     quotient = _quotient_fn(kernel, weight)
-    x_hi = max(2.0 * truncation, 10.0)
-    m_profile = np.array([_weighted_quotient_profile(quotient, t, x_hi)
-                          for t in ts])
-    profiles["M0"] = (ts, m_profile[:, 0])
-    sup_ok, sup_found = _finite_count(m_profile[:, 0])
+    m_profile = _weighted_quotient_sups(quotient, ts,
+                                        max(2.0 * truncation, 10.0))
+    profiles["M0"] = (ts, m_profile)
+    sup_ok, sup_found = _finite_count(m_profile)
     if kernel.weighted_sup is not None:
         oracle = np.array([kernel.weighted_sup(t, 0.5) for t in ts])
-        m_gap = float(np.max(np.abs(m_profile[:, 0] - oracle)
+        m_gap = float(np.max(np.abs(m_profile - oracle)
                              / np.maximum(oracle, 1.0)))
     else:
         m_gap = math.nan
@@ -548,12 +554,9 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     # finite on the truncated domain only (it grows with the truncation).
     xs = np.linspace(0.0, truncation, 400)
     emb = xs / (1.0 + xs)
-    w_vals = []
-    for t in ts:
-        q = quotient(xs, t) * (xs >= t)
-        ratios = np.abs(np.diff(q)) / np.diff(emb)
-        w_vals.append(float(ratios.max()))
-    w_vals = np.asarray(w_vals)
+    tc = ts[:, None]
+    w_vals = np.max(np.abs(np.diff(quotient(xs, tc) * (xs >= tc), axis=1))
+                    / np.diff(emb), axis=1)
     profiles["w0"] = (ts, w_vals)
     conditions["C2"] = ConditionResult(
         "verified_on_truncation",
@@ -596,10 +599,8 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     # only when the increments decay, so a divergence records no number.
     def m_phi_partial(R):
         tt = np.linspace(0.0, R, max(101, int(20 * R) + 1))
-        x_top = max(2.0 * R, 10.0)
-        mprof = np.array([_weighted_quotient_profile(quotient, t, x_top,
-                                                     800)[0]
-                          for t in tt])
+        mprof = _weighted_quotient_sups(quotient, tt, max(2.0 * R, 10.0),
+                                        800)
         if np.any(np.isinf(mprof)):
             # The weighted sup already overflows the float range somewhere
             # on [0, R]; the partial integral is unbounded a fortiori.

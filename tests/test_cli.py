@@ -234,11 +234,24 @@ def test_check_conditions_single_rho(tmp_path):
 
 
 def test_check_conditions_rejects_bad_range(tmp_path, capsys):
-    for bad in ("abc", "1:0.5:0.1", "0:1:-0.1"):
+    # a ladder too long to allocate is refused before np.arange runs
+    for bad in ("abc", "1:0.5:0.1", "0:1:-0.1", "0.1:nan:0.1",
+                "0.1:1:inf", "nan:1:0.1", "0.1:1e9:1e-9", "0:1:1e-4"):
         rc = main(["check-conditions", "--rho-range", bad,
                    "--out", str(tmp_path / "x")])
         assert rc == 1
-    assert "usage error" in capsys.readouterr().err
+        assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("bad", ["0", "-5", "nan", "inf"])
+def test_check_conditions_rejects_bad_truncation(tmp_path, capsys, bad):
+    rc = main(["check-conditions", "--truncation", bad,
+               "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "--truncation must be positive and finite" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_ascoli_demo(tmp_path, capsys):
@@ -282,6 +295,19 @@ def test_validate_closed_forms_pass_and_fail(tmp_path, capsys):
                "--out", str(tmp_path / "val2"), "--no-timestamp"])
     assert rc == 2
     assert "OUTSIDE TOLERANCE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, option", [
+    (["--grid-n", "0"], "--grid-n"), (["--grid-n", "-3"], "--grid-n"),
+    (["--grid-n", "1"], "--grid-n"), (["--tol", "nan"], "--tol"),
+    (["--tol", "0"], "--tol"), (["--tol", "inf"], "--tol")])
+def test_validate_closed_forms_rejects_bad_grid_and_tol(tmp_path, capsys,
+                                                        args, option):
+    rc = main(["validate-closed-forms", *args, "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " + option)
+    assert not (tmp_path / "x").exists()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

@@ -12,6 +12,7 @@ from compactfix.compactify import (BallCompactification, ExtensionError,
                                    ball_inverse, ball_map, classify_ladder,
                                    default_levels, extend, halfline_metric,
                                    kappa_limit)
+from compactfix.funcspace import BumpChain
 
 HALF = st.one_of(st.just(math.inf),
                  st.floats(min_value=0.0, max_value=1e9,
@@ -238,6 +239,71 @@ def test_kappa_limit_extra_samples_are_filtered_to_the_ball():
     assert res.converged and res.value == 0.0
     # 0.5 maps to embedded 1/3, far from every shrinking ball at 1
     assert min(seen) > 0.5
+
+
+def _loop_kappa_limit(f, point, cmap, tol=1e-6, extra_samples=None):
+    """Reference: the ladder with one metric call per sample point."""
+    rng = np.random.default_rng(0)
+    evidence = []
+    for delta in default_levels(tol):
+        pts = cmap.sample_ball(point, delta, 8, rng, 1.0e8)
+        if extra_samples is not None:
+            ex = np.atleast_1d(np.asarray(extra_samples(delta), dtype=float))
+            keep = [p for p in ex
+                    if cmap.metric(cmap.forward_point(p), point) < delta]
+            pts = np.concatenate([np.asarray(pts, dtype=float).ravel(),
+                                  np.asarray(keep, dtype=float)]) \
+                if keep else np.asarray(pts, dtype=float)
+        if len(pts) == 0:
+            continue
+        vals = np.asarray(f(pts), dtype=float)
+        dist = np.array([cmap.metric(cmap.forward_point(p), point)
+                         for p in pts])
+        evidence.append(LevelEvidence(delta, float(vals.max() - vals.min()),
+                                      len(pts), float(vals[np.argmin(dist)])))
+    return tuple(evidence)
+
+
+def _face_sum(p):
+    p = np.asarray(p, dtype=float)
+    return np.exp(-p[:, 0]) + p[:, 1]
+
+
+def test_kappa_limit_evidence_matches_the_per_point_loop():
+    chain = BumpChain()
+    half, two, one = HalfLineOnePoint(), LineTwoPoint(), LineOnePoint()
+    ball = BallCompactification(1)
+    prod = ProductCompactification((HalfLineOnePoint(),
+                                    IntervalIdentity(0.0, 1.0)))
+    cases = [(chain.derivative, half, half.infinity_points()[0],
+              chain.witness_points),
+             (chain.value, half, half.infinity_points()[0],
+              chain.witness_points),
+             (np.arctan, one, one.infinity_points()[0],
+              lambda delta: [-3.0 / delta, 0.5, 2.0 / delta])]
+    cases += [(np.arctan, two, p, None) for p in two.infinity_points()]
+    cases += [(np.tanh, ball, p, None) for p in ball.infinity_points()]
+    cases += [(_face_sum, prod, prod.face_point(0, (y,)), None)
+              for y in (0.0, 0.5, 1.0)]
+    for f, cmap, point, extra in cases:
+        got = kappa_limit(f, point, cmap, tol=1e-6, extra_samples=extra)
+        assert got.evidence == _loop_kappa_limit(f, point, cmap, 1e-6,
+                                                 extra)
+
+
+def test_finite_point_balls_match_the_per_point_filter():
+    cmap = LineOnePoint()
+    for x in (-40.0, -1.0, 0.0, 0.3, 7.0, 900.0):
+        point = cmap.forward_point(x)
+        x0 = float(cmap.inverse(point.embedded[0]))
+        for delta in (0.5, 0.01, 1e-5):
+            got = cmap.sample_ball(point, delta, 64,
+                                   np.random.default_rng(5), 1.0e8)
+            rng = np.random.default_rng(5)
+            pts = x0 + (rng.random(64) - 0.5) * 2 * delta * (1 + abs(x0)) ** 2
+            keep = np.array([cmap.metric((e,), point) < delta
+                             for e in cmap.forward(pts)])
+            assert np.array_equal(got, pts[keep])
 
 
 # ---------------------------------------------------------------------------

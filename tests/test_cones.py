@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from compactfix.casestudy import _gauss_square_nonlinearity
 from compactfix.cones import (ChainError, ConeSpec, IndexCheck,
                               abs_integral_beta_factor, alpha_inf, beta_sup,
                               cone_membership, default_eval_grid, f_inf_rho,
@@ -55,6 +56,46 @@ def test_f_inf_rho(problem):
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             f_inf_rho(problem.nl, bad, grid)
+
+
+def _loop_f_sup_rho(nl, rho, grid):
+    """Reference: one f evaluation per v-value."""
+    tm, sm = np.meshgrid(*grid, indexing="ij")
+    best = -np.inf
+    for v in np.linspace(0.0, rho, 41):
+        best = max(best, float(np.max(nl.eval(tm, sm, v))))
+    return best / rho
+
+
+def _loop_f_inf_rho(nl, rho, grid):
+    tm, sm = np.meshgrid(*grid, indexing="ij")
+    worst = np.inf
+    for v in np.linspace(0.0, 10.0 * rho, 81):
+        worst = min(worst, float(np.min(nl.eval(tm, sm, v))))
+    return worst / rho
+
+
+def test_v_ladder_sup_and_inf_match_the_loops(problem, rng):
+    unit = _gauss_square_nonlinearity("1", 0.7)
+    rhos = np.concatenate([np.round(np.arange(0.05, 1.0 + 0.005, 0.01), 10),
+                           10.0 ** rng.uniform(-6.0, 6.0, 20)])
+    for grid in (default_eval_grid(), default_eval_grid(3.0)):
+        for nl in (problem.nl, unit):
+            for rho in rhos:
+                assert f_sup_rho(nl, rho, grid) \
+                    == _loop_f_sup_rho(nl, rho, grid)
+                assert f_inf_rho(nl, rho, grid) \
+                    == _loop_f_inf_rho(nl, rho, grid)
+
+
+def test_nan_nonlinearity_never_certifies_index_one(problem):
+    # a NaN once dropped out of the running max: f_sup read 2.0 at 0.5
+    nan_nl = Nonlinearity("nan-above", lambda t, s, v: np.where(
+        np.asarray(v) > 0.25, math.nan, 1.0 + 0.0 * np.asarray(t)))
+    assert math.isnan(f_sup_rho(nan_nl, 0.5, default_eval_grid()))
+    assert math.isnan(f_inf_rho(nan_nl, 0.5, default_eval_grid()))
+    chk = index_one_check(problem.kernel, nan_nl, problem.spec, 0.5)
+    assert math.isnan(chk.lhs) and not chk.holds
 
 
 def test_beta_factor_is_the_far_corner(problem):

@@ -10,6 +10,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import compactfix
 from compactfix.funcspace import (WEIGHT_REGISTRY, BumpChain,
@@ -290,6 +293,39 @@ def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
         got = equicontinuity_modulus(fam2, max_shift)
         assert got == _doubling_modulus(fam2, max_shift)
     assert len(got) == 12
+
+
+VALUES = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data(), st.integers(1, 2), st.integers(1, 11), st.integers(0, 1))
+def test_window_modulus_equals_the_doubling_loop(data, ndim, members, order):
+    shape = tuple(data.draw(st.integers(order + 2, 24), label=f"n{i}")
+                  for i in range(ndim))
+    axes = tuple(np.arange(n) * 0.25 for n in shape)
+    fam = [WeightedGridFunction(
+        axes, data.draw(hnp.arrays(float, shape, elements=VALUES)),
+        order=order) for _ in range(members)]
+    max_shift = data.draw(st.integers(1, min(shape) - 1), label="max_shift")
+    assert equicontinuity_modulus(fam, max_shift) \
+        == _doubling_modulus(fam, max_shift)
+
+
+@pytest.mark.parametrize("node", [400, -5])
+def test_nan_sample_never_certifies(node):
+    # a NaN once dropped out of the running max: every omega read 0.0, and
+    # a NaN in the tail windows left the family equiconvergent
+    fam = gaussian_family(12, truncation=16.0, step=0.01)
+    bad = fam[3].samples.copy()
+    bad[node] = math.nan
+    fam[3] = fam[3].with_samples(bad, fam[3].infinity)
+    assert all(math.isnan(w) for _, w in equicontinuity_modulus(fam))
+    rep = precompactness_report(fam)
+    assert not rep.equicontinuous and not rep.all_conditions
+    if node < 0:
+        assert all(math.isnan(d) for _, d in equiconvergence_deviation(fam))
+        assert not rep.equiconvergent
 
 
 def test_equiconvergence_requires_stored_faces():

@@ -10,8 +10,10 @@ from scipy.special import erf, erfc
 from compactfix.casestudy import _gauss_square_nonlinearity
 from compactfix.funcspace import WeightedGridFunction
 from compactfix.greenop import (GridHammersteinOperator, Kernel,
-                                Nonlinearity, QuadratureError, apply_T,
-                                check_hypotheses, cumulative_weight_block,
+                                Nonlinearity, QuadratureError,
+                                _quotient_fn, _weighted_quotient_sups,
+                                apply_T, check_hypotheses,
+                                cumulative_weight_block,
                                 cumulative_weights, gaussian_tail,
                                 kernel_abs_integral, panel_quadrature)
 from compactfix.solver import SolveConfig
@@ -436,6 +438,40 @@ def test_check_hypotheses_counts_only_finite_limits_and_partials(
     assert not any(math.isnan(v) for v in rep.integrals.values())
     assert "M0*Phi_r" not in rep.integrals
     assert "|z0|*Phi_r" not in rep.integrals
+
+
+def _loop_quotient_sup(quotient, t, x_hi, n):
+    """Reference: one kernel column per call."""
+    xs = np.linspace(t, x_hi, n)
+    with np.errstate(over="ignore"):
+        q = np.abs(quotient(xs, t))
+    return float(q[int(np.argmax(q))])
+
+
+def test_hypothesis_profiles_match_the_column_loops(problem):
+    raw = Kernel("raw", lambda x, t: np.exp(-2.0 * (x - t) ** 2))
+    for kernel in (problem.kernel, raw):
+        quotient = _quotient_fn(kernel, problem.weight)
+        rep = check_hypotheses(kernel, problem.weight, problem.nl, r=0.5)
+        # C1 on the 41 report columns
+        ts, sups = rep.profiles["M0"]
+        assert np.array_equal(sups, [_loop_quotient_sup(quotient, t, 16.0,
+                                                        1200) for t in ts],
+                              equal_nan=True)
+        # C4 on the columns of each doubling truncation
+        for R in (8.0, 16.0, 32.0):
+            tt = np.linspace(0.0, R, int(20 * R) + 1)
+            want = [_loop_quotient_sup(quotient, t, max(2.0 * R, 10.0), 800)
+                    for t in tt]
+            assert np.array_equal(
+                _weighted_quotient_sups(quotient, tt, max(2.0 * R, 10.0),
+                                        800), want, equal_nan=True)
+        # C2's moduli
+        xs = np.linspace(0.0, 8.0, 400)
+        emb = xs / (1.0 + xs)
+        want = [float((np.abs(np.diff(quotient(xs, t) * (xs >= t)))
+                       / np.diff(emb)).max()) for t in ts]
+        assert np.array_equal(rep.profiles["w0"][1], want, equal_nan=True)
 
 
 def test_check_hypotheses_rejects_nonpositive_radius(problem):
