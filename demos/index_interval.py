@@ -1,4 +1,5 @@
-"""Fixed-point index conditions across ball radii.
+"""The index-one condition across ball radii, and why its fixed point is
+the only one.
 
 For the Gaussian case study the index-one condition at radius rho is
 sup_{t,s,|v|<=rho} f(t, s, v*phi(t)) / phi(t) * sup_x int |G| < rho,
@@ -11,19 +12,20 @@ import numpy as np
 
 from compactfix.casestudy import load_problem
 from compactfix.cones import (abs_integral_beta_factor, default_eval_grid,
-                              index_one_check, index_one_sweep,
-                              index_zero_check, multiplicity_plan)
+                              index_one_check, index_one_sweep)
+from compactfix.greenop import GridHammersteinOperator
+from compactfix.solver import SolveConfig
 
 problem = load_problem("hyperbolic-erf")
 grid = default_eval_grid()
 
 # The kernel column integral is shared by every radius, compute it once.
-beta, _ = abs_integral_beta_factor(problem.kernel, problem.spec, grid)
+beta, _ = abs_integral_beta_factor(problem.kernel, grid)
 print(f"sup_x int |G| = {beta:.6f}  (sqrt(pi)/2 = {np.sqrt(np.pi)/2:.6f})")
 print()
 
 rhos = np.round(np.arange(0.05, 1.01, 0.05), 10)
-sweep = index_one_sweep(problem.kernel, problem.nl, problem.spec, rhos, grid)
+sweep = index_one_sweep(problem.kernel, problem.nl, rhos, grid)
 print("rho     sup f / rho * beta   index-one ball")
 for row in sweep.rows:
     mark = "holds" if row["holds"] else "-"
@@ -32,20 +34,26 @@ print(f"holding interval among sampled radii: {sweep.holding_interval()}")
 print()
 
 for rho in (0.01, 5.0):
-    chk = index_one_check(problem.kernel, problem.nl, problem.spec, rho,
-                          grid, beta)
+    chk = index_one_check(problem.kernel, problem.nl, rho, grid, beta)
     print(f"rho = {rho}: lhs {chk.lhs:.3f}, holds {chk.holds}")
 print("the forcing term dominates tiny balls and the quadratic term")
 print("dominates large ones, so the holding window is genuine.")
 print()
 
-# A multiplicity chain would need index-zero annuli between index-one
-# balls, but this cone's boundary functional gamma is identically zero.
-zero = index_zero_check(problem.kernel, problem.nl, problem.spec, 2.0, grid)
-print(f"index-zero at rho = 2: holds {zero.holds} "
-      "(gamma is identically zero on this cone)")
-checks = [index_one_check(problem.kernel, problem.nl, problem.spec, r,
-                          grid, beta) for r in (0.2, 0.5, 0.8)]
-plan = multiplicity_plan(checks, problem.spec)
-print(f"plan verdict: {plan.verdict}")
-print(f"  {plan.detail}")
+# Each ball of the window holds a fixed point, and it is the same one: the
+# y-integral runs over [0, y], so the equation is Volterra in y and
+# Gronwall in the weighted norm allows one bounded solution.  Iterating
+# q = u/phi from below (q = 0) and from the supersolution q = 0.4 shows it:
+# the upper iterates decrease, and the two sequences meet.
+axes = SolveConfig(hx=0.05, hy=0.05, truncation=24.0).axes()
+op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
+lower = np.zeros(tuple(len(a) for a in axes))
+upper = np.full_like(lower, 0.4)
+print("two-sided iteration at grid step 0.05")
+for k in range(1, 9):
+    new_upper = op.apply(upper)
+    decreasing = bool(np.all(new_upper <= upper))
+    lower, upper = op.apply(lower), new_upper
+    print(f"  step {k}: sup(upper - lower) = {np.max(upper - lower):.2e}, "
+          f"upper iterate decreasing: {decreasing}")
+print("both sequences reach the one solution inside every certified ball")

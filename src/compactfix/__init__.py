@@ -13,9 +13,8 @@ from .compactify import (BallCompactification, Extension, ExtensionError,
                          LineOnePoint, LineTwoPoint, ProductCompactification,
                          XPoint, ball_inverse, ball_map, classify_ladder,
                          default_levels, extend, halfline_metric, kappa_limit)
-from .cones import (ChainError, ConeReport, ConeSpec, IndexCheck, PlanResult,
-                    cone_membership, f_inf_rho, f_sup_rho, index_one_check,
-                    index_one_sweep, index_zero_check, multiplicity_plan)
+from .cones import (ConeReport, IndexCheck, f_sup_rho, index_one_check,
+                    index_one_sweep)
 from .funcspace import (WEIGHT_REGISTRY, BumpChain, FaceLimitError,
                         GammaFunction, PrecompactnessReport,
                         WeightedGridFunction, WeightUnderflowError, gamma_p,
@@ -34,24 +33,21 @@ from .solver import (IterationError, SolveConfig, SolveResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallCompactification", "BumpChain", "ChainError", "ConeReport",
-    "ConeSpec", "Dominator", "Extension", "ExtensionError", "FaceLimitError",
-    "GammaFunction", "GridHammersteinOperator", "HalfLineOnePoint",
-    "HypothesisReport", "IndexCheck", "IntervalIdentity", "IterationError",
-    "Kernel", "LimitResult", "LineOnePoint", "LineTwoPoint", "NamedProblem",
-    "Nonlinearity", "PipelineBundle", "PlanResult", "PrecompactnessReport",
-    "PROBLEM_IDS", "ProductCompactification", "QuadratureError",
-    "SolveConfig", "SolveResult", "WEIGHT_REGISTRY", "WeightedGridFunction",
-    "WeightUnderflowError", "XPoint",
-    "apply_T", "asymptotic_profile", "attach_faces",
-    "ball_inverse", "ball_map", "check_hypotheses",
-    "classify_ladder", "cone_membership", "cumulative_weights",
-    "default_levels", "extend",
-    "f_inf_rho", "f_sup_rho", "gamma_p", "gaussian_family",
+    "BallCompactification", "BumpChain", "ConeReport", "Dominator",
+    "Extension", "ExtensionError", "FaceLimitError", "GammaFunction",
+    "GridHammersteinOperator", "HalfLineOnePoint", "HypothesisReport",
+    "IndexCheck", "IntervalIdentity", "IterationError", "Kernel",
+    "LimitResult", "LineOnePoint", "LineTwoPoint", "NamedProblem",
+    "Nonlinearity", "PipelineBundle", "PrecompactnessReport", "PROBLEM_IDS",
+    "ProductCompactification", "QuadratureError", "SolveConfig", "SolveResult",
+    "WEIGHT_REGISTRY", "WeightedGridFunction", "WeightUnderflowError",
+    "XPoint",
+    "apply_T", "asymptotic_profile", "attach_faces", "ball_inverse",
+    "ball_map", "check_hypotheses", "classify_ladder", "cumulative_weights",
+    "default_levels", "extend", "f_sup_rho", "gamma_p", "gaussian_family",
     "gaussian_family_separation", "halfline_metric", "index_one_check",
-    "index_one_sweep", "index_zero_check", "kappa_limit",
-    "kernel_abs_integral", "load_grid_function", "load_problem",
-    "load_problem_file", "multi_indices", "multiplicity_plan",
+    "index_one_sweep", "kappa_limit", "kernel_abs_integral",
+    "load_grid_function", "load_problem", "load_problem_file", "multi_indices",
     "panel_quadrature", "pde_residual", "picard_solve",
     "precompactness_report", "quotient_derivative", "run_full_pipeline",
     "save_grid_function", "validate_closed_forms", "weighted_norm",

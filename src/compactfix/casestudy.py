@@ -1,4 +1,4 @@
-"""Ready-to-run named problems and the end-to-end pipeline.
+"""Ready-to-run named problems, closed-form validation and the demo pipeline.
 
 "hyperbolic-erf" is the solving problem: the Gaussian-shifted causal kernel
 on [0, inf) x [0, 1] with weight exp(-x^2/2) and forcing
@@ -22,12 +22,10 @@ from scipy.special import erf
 from .compactify import (ExtensionError, HalfLineOnePoint, IntervalIdentity,
                          LineOnePoint, LineTwoPoint, ProductCompactification,
                          extend, kappa_limit)
-from .cones import ConeSpec, default_eval_grid, index_one_sweep
 from .funcspace import (WEIGHT_REGISTRY, BumpChain, gaussian_family,
                         gaussian_family_separation, precompactness_report)
-from .greenop import (Dominator, Kernel, Nonlinearity, check_hypotheses,
-                      kernel_abs_integral, panel_quadrature)
-from .solver import SolveConfig, picard_solve
+from .greenop import (Dominator, Kernel, Nonlinearity, kernel_abs_integral,
+                      panel_quadrature)
 
 PROBLEM_IDS = ("hyperbolic-erf", "arctan-demo", "gaussian-family",
                "bump-chain")
@@ -43,7 +41,6 @@ class NamedProblem:
     kernel: Kernel = None
     nl: Nonlinearity = None
     cmap: object = None
-    spec: ConeSpec = None
     closed_forms: dict = field(default_factory=dict)
     truncation: float = 24.0     # the x-truncation a solve uses by default
 
@@ -186,7 +183,6 @@ def _hyperbolic_erf():
         kernel=kernel,
         nl=nl,
         cmap=_halfstrip_cmap(),
-        spec=ConeSpec(),
         closed_forms={"abs_integral": kernel.abs_integral, "Tu0": tu0,
                       "Tu0_face": tu0_face},
     )
@@ -249,7 +245,7 @@ def load_problem_file(path):
                          f"got {truncation!r}")
     return NamedProblem(
         id=cfgdoc.get("id", "custom"), weight_desc=weight_desc,
-        kernel=kernel, nl=nl, cmap=_halfstrip_cmap(), spec=ConeSpec(),
+        kernel=kernel, nl=nl, cmap=_halfstrip_cmap(),
         closed_forms={"abs_integral": kernel.abs_integral}
         if kernel.abs_integral else {},
         truncation=truncation)
@@ -262,59 +258,18 @@ def load_problem_file(path):
 @dataclass
 class PipelineBundle:
     problem: NamedProblem
-    hypotheses: object = None
-    cone: object = None
-    solve: object = None
     demo: dict = None           # JSON-ready demo summary
     objects: dict = field(default_factory=dict)  # rich results for callers
 
-    def summary(self):
-        out = {"problem": self.problem.id}
-        if self.solve is not None:
-            out["config"] = self.solve.config.as_dict()
-        if self.hypotheses is not None:
-            out["hypotheses"] = {
-                "conditions": {k: v.status
-                               for k, v in self.hypotheses.conditions.items()},
-                "integrals": {k: v for k, v in
-                              self.hypotheses.integrals.items()},
-            }
-        if self.cone is not None:
-            out["cone"] = list(self.cone.rows)
-        if self.solve is not None:
-            s = self.solve
-            out["solve"] = {
-                "iterations": s.iterations,
-                "final_gap": s.gap_history[-1],
-                "beta": s.beta_history[-1],
-                "residual_sup": s.residual_sup,
-                "in_ball": s.in_ball,
-                "profile": [{"y0": y0, "value": r.value, "status": r.status}
-                            for y0, r in s.profile],
-            }
-        if self.demo is not None:
-            out["demo"] = self.demo
-        return out
 
-
-def run_full_pipeline(problem_id, cfg=None):
-    """Hypothesis report + cone sweep + solve for the main problem; the demo
-    ids run their diagnostic branch instead."""
+def run_full_pipeline(problem_id):
+    """Run the diagnostic branch of a demo problem; a problem with a kernel
+    has no branch here (the CLI solves and checks it directly)."""
     problem = problem_id if isinstance(problem_id, NamedProblem) \
         else load_problem(problem_id)
+    branch = problem.id if problem.kernel is None else None
 
-    if problem.kernel is not None:
-        cfg = cfg or SolveConfig(truncation=problem.truncation, rho_ball=0.5)
-        rho = cfg.rho_ball if cfg.rho_ball else 0.5
-        hyp = check_hypotheses(problem.kernel, problem.weight, problem.nl,
-                               rho)
-        rhos = np.round(np.arange(0.05, 1.0 + 1e-9, 0.05), 4)
-        cone = index_one_sweep(problem.kernel, problem.nl, problem.spec,
-                               rhos, grid=default_eval_grid(cfg.truncation))
-        result = picard_solve(problem, cfg)
-        return PipelineBundle(problem, hyp, cone, result)
-
-    if problem.id == "arctan-demo":
+    if branch == "arctan-demo":
         ext = extend(np.arctan, LineTwoPoint(), tol=1e-6)
         demo = {"two_point": dict(ext.limits), "one_point": None}
         objects = {"extension": ext}
@@ -326,7 +281,7 @@ def run_full_pipeline(problem_id, cfg=None):
             objects["one_point_error"] = err
         return PipelineBundle(problem, demo=demo, objects=objects)
 
-    if problem.id == "gaussian-family":
+    if branch == "gaussian-family":
         fam = gaussian_family(40, 48.0, 0.005)
         report = precompactness_report(fam)
         sep = gaussian_family_separation(10)
@@ -339,7 +294,7 @@ def run_full_pipeline(problem_id, cfg=None):
             "worst_deviation": report.worst_deviation,
         }, objects={"report": report, "family": fam})
 
-    if problem.id == "bump-chain":
+    if branch == "bump-chain":
         chain = BumpChain()
         cmap = problem.cmap
         inf_pt = cmap.infinity_points()[0]

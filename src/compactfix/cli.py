@@ -168,7 +168,7 @@ def _cmd_check_conditions(args):
             else _parse_rho_range(args.rho_range))
     hyp = check_hypotheses(problem.kernel, problem.weight, problem.nl,
                            float(rhos[len(rhos) // 2]))
-    report = index_one_sweep(problem.kernel, problem.nl, problem.spec, rhos,
+    report = index_one_sweep(problem.kernel, problem.nl, rhos,
                              grid=default_eval_grid(args.truncation))
     os.makedirs(args.out, exist_ok=True)
     doc = {

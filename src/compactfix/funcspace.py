@@ -341,6 +341,8 @@ class PrecompactnessReport:
 
 
 def _family_quotient_derivatives(family):
+    """{p: the members' quotient derivatives of order p, stacked}, after
+    checking that the members share one grid and one class order."""
     f0 = family[0]
     for g in family[1:]:
         if g.ndim != f0.ndim or any(len(a) != len(b) or not np.allclose(a, b)
@@ -348,12 +350,11 @@ def _family_quotient_derivatives(family):
             raise ValueError("family members must share one grid")
         if g.order != f0.order:
             raise ValueError("family members must share the class order")
-    ps = multi_indices(f0.order, f0.ndim)
-    return f0, ps, {p: np.stack([quotient_derivative(g, p) for g in family])
-                    for p in ps}
+    return {p: np.stack([quotient_derivative(g, p) for g in family])
+            for p in multi_indices(f0.order, f0.ndim)}
 
 
-def equicontinuity_modulus(family, max_shift=64):
+def equicontinuity_modulus(family, derivs, max_shift=64):
     """omega(delta) = worst |v(x) - v(y)| over axis-aligned |x-y| <= delta,
     for delta = h times each power of two up to max_shift (which must be
     below the node count of every axis).
@@ -362,17 +363,19 @@ def equicontinuity_modulus(family, max_shift=64):
     max - min over the windows of w + 1 consecutive nodes.  The windows are
     built by doubling, _MEMBER_BLOCK members at a time: the window maxima
     of span 2w are the pairwise maxima of the span-w maxima w nodes apart.
-    A NaN anywhere in the family makes every omega NaN.
+    A NaN anywhere in the family makes every omega NaN.  derivs holds the
+    members' stacked quotient derivatives, as _family_quotient_derivatives
+    builds them.
     """
-    f0, ps, derivs = _family_quotient_derivatives(family)
+    f0 = family[0]
     spans = [2 ** k for k in range(int(max_shift).bit_length())]
     out = []
     for axis in range(f0.ndim):
         h = float(np.min(np.diff(f0.axes[axis])))
         worst = np.zeros(len(spans))
-        for p in ps:
+        for stack in derivs.values():
             for b in range(0, len(family), _MEMBER_BLOCK):
-                hi = lo = np.moveaxis(derivs[p][b:b + _MEMBER_BLOCK],
+                hi = lo = np.moveaxis(stack[b:b + _MEMBER_BLOCK],
                                       axis + 1, -1)
                 for k, span in enumerate(spans):
                     step = span - span // 2
@@ -383,10 +386,12 @@ def equicontinuity_modulus(family, max_shift=64):
     return sorted(out)
 
 
-def equiconvergence_deviation(family):
+def equiconvergence_deviation(family, derivs):
     """Per delta-window, the worst gap between members and their face
-    values; NaN when a window holds a NaN."""
-    f0, ps, derivs = _family_quotient_derivatives(family)
+    values; NaN when a window holds a NaN.  derivs holds the members'
+    stacked quotient derivatives, as _family_quotient_derivatives builds
+    them."""
+    f0 = family[0]
     out = []
     for face in f0.face_labels():
         axis = _face_axis(face)
@@ -398,8 +403,7 @@ def equiconvergence_deviation(family):
             if mask.sum() < 2:
                 break
             worst = 0.0
-            for p in ps:
-                v = derivs[p]
+            for p, v in derivs.items():
                 for i, g in enumerate(family):
                     stored = g.infinity.get(face, {}).get(p)
                     if stored is None:
@@ -426,12 +430,12 @@ def precompactness_report(family):
     """Evaluate the three precompactness conditions for a family on one grid."""
     if not family:
         raise ValueError("empty family")
-    f0, ps, derivs = _family_quotient_derivatives(family)
-    bound = max(float(np.abs(derivs[p]).max()) for p in ps)
+    derivs = _family_quotient_derivatives(family)
+    bound = max(float(np.abs(v).max()) for v in derivs.values())
     bounded = math.isfinite(bound)
-    modulus = equicontinuity_modulus(family)
+    modulus = equicontinuity_modulus(family, derivs)
     equicont = all(any(w < eps for _, w in modulus) for eps in _EPS_LADDER)
-    deviations = equiconvergence_deviation(family)
+    deviations = equiconvergence_deviation(family, derivs)
     worst = min((d for _, d in deviations), default=math.inf)
     equiconv = all(any(d < eps for _, d in deviations)
                    for eps in _EPS_LADDER)

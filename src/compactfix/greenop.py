@@ -176,7 +176,8 @@ class Kernel:
 class Dominator:
     """Phi_r(t, s), called like a function.  tail_scale, when given, is a
     c with int_0^1 Phi_r(t, s) ds <= c exp(-t^2) for every t >= 0, the
-    certificate of Phi_r's Gaussian tail; None means Phi_r has none."""
+    certificate of Phi_r's Gaussian tail; None means Phi_r has none, and
+    an infinite c (r^2 overflows) certifies nothing either."""
 
     fn: object
     tail_scale: float = None
@@ -575,7 +576,7 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
         gap = float(np.max(nl.eval(tm, sm, v) - phi_r(tm, sm)))
         worst = max(worst, gap)
         dom_ok &= gap <= 1e-12
-    if phi_r.tail_scale is None:
+    if phi_r.tail_scale is None or not math.isfinite(phi_r.tail_scale):
         conditions["C3"] = ConditionResult(
             "unverified",
             f"domination margin {worst:.2e} on sampled cone points; Phi_r "

@@ -99,8 +99,8 @@ class SolveResult:
 def picard_solve(problem, cfg=None):
     """Iterate u <- Tu from u = 0 until the weighted gap drops below tol.
 
-    problem must carry id, kernel, nl, weight (a WEIGHT_REGISTRY entry, so
-    that the solution can be saved) and spec attributes.  Raises
+    problem must carry id, kernel, nl and weight (a WEIGHT_REGISTRY entry,
+    so that the solution can be saved).  Raises
     WeightUnderflowError before any work when phi is 0 at a grid node, and
     IterationError with the gap history when max_iter is exhausted.
     """
@@ -112,7 +112,7 @@ def picard_solve(problem, cfg=None):
     ball_check = None
     if cfg.rho_ball is not None:
         ball_check = index_one_check(
-            problem.kernel, problem.nl, problem.spec, cfg.rho_ball,
+            problem.kernel, problem.nl, cfg.rho_ball,
             grid=default_eval_grid(cfg.truncation))
         if not ball_check.holds:
             warnings.warn(

@@ -1,14 +1,27 @@
+import os
 import re
 
 import numpy as np
 import pytest
 
+import compactfix
 from compactfix.casestudy import load_problem
 
 
 @pytest.fixture(scope="session")
 def problem():
     return load_problem("hyperbolic-erf")
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """os.environ with this package's source directory first on
+    PYTHONPATH, for tests that start a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(compactfix.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -92,19 +92,19 @@ def test_02_operator_closed_form(problem):
 def test_03_index_interval(problem):
     t0 = time.perf_counter()
     grid = default_eval_grid()
-    beta, _ = abs_integral_beta_factor(problem.kernel, problem.spec, grid)
+    beta, _ = abs_integral_beta_factor(problem.kernel, grid)
     rhos = np.round(np.arange(0.15, 0.85 + 1e-9, 0.01), 10)
-    sweep = index_one_sweep(problem.kernel, problem.nl, problem.spec, rhos,
+    sweep = index_one_sweep(problem.kernel, problem.nl, rhos,
                             grid)
     sampled_ok = all(row["holds"] for row in sweep.rows)
-    fail_small = index_one_check(problem.kernel, problem.nl, problem.spec,
+    fail_small = index_one_check(problem.kernel, problem.nl,
                                  0.01, grid, beta)
-    fail_large = index_one_check(problem.kernel, problem.nl, problem.spec,
+    fail_large = index_one_check(problem.kernel, problem.nl,
                                  5.0, grid, beta)
     lo = (2.0 - math.sqrt(2.0)) / 4.0
     hi = (2.0 + math.sqrt(2.0)) / 4.0
     dense = np.linspace(lo + 1e-9, hi - 1e-9, 200)
-    contained = all(index_one_check(problem.kernel, problem.nl, problem.spec,
+    contained = all(index_one_check(problem.kernel, problem.nl,
                                     float(r), grid, beta).holds
                     for r in dense)
     dt = time.perf_counter() - t0

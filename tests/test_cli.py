@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -167,6 +169,20 @@ def test_quadrature_failure_is_a_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: no convergence")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_overflowing_radius_is_a_numerical_failure(tmp_path, package_env):
+    # r^2 overflows the dominator's tail scale; C3's tail search once
+    # looped forever on the NaN tail bound.  The overflow warnings are
+    # genuine, so this one call runs with them ignored.
+    res = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-m",
+         "compactfix.cli", "check-conditions", "--rho", "1e200",
+         "--out", str(tmp_path / "run")],
+        env=package_env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    err = res.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
 
 def test_weight_underflow_is_a_numerical_failure(tmp_path, capsys):

@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import inspect
 import math
-import os
 import subprocess
 import sys
 
@@ -248,9 +247,26 @@ def test_precompactness_scaled_convergent_family_passes():
     assert rep.worst_deviation < 1e-12
 
 
+def test_precompactness_report_builds_the_derivative_stack_once(
+        monkeypatch):
+    calls = []
+    build = compactfix.funcspace._family_quotient_derivatives
+
+    def counting(family):
+        calls.append(len(family))
+        return build(family)
+
+    monkeypatch.setattr(compactfix.funcspace, "_family_quotient_derivatives",
+                        counting)
+    fam = gaussian_family(10)
+    precompactness_report(fam)
+    assert calls == [len(fam)]
+
+
 def _doubling_modulus(family, max_shift=64):
     """Reference: every delta recomputes all shifts up to its own."""
-    f0, ps, derivs = _family_quotient_derivatives(family)
+    f0 = family[0]
+    derivs = _family_quotient_derivatives(family)
     out = []
     for axis in range(f0.ndim):
         h = float(np.min(np.diff(f0.axes[axis])))
@@ -258,8 +274,7 @@ def _doubling_modulus(family, max_shift=64):
         while shift <= max_shift:
             delta = shift * h
             worst = 0.0
-            for p in ps:
-                v = derivs[p]
+            for v in derivs.values():
                 for s in range(1, shift + 1):
                     sl_hi = [slice(None)] * v.ndim
                     sl_lo = [slice(None)] * v.ndim
@@ -278,8 +293,9 @@ def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
     fam = gaussian_family(12, truncation=16.0, step=0.01)
     wave = 3.0 * np.sin(np.pi * np.arange(len(fam[0].axes[0])) / 2.0)
     fam.append(fam[0].with_samples(wave))
-    assert equicontinuity_modulus(fam) == _doubling_modulus(fam)
-    assert len(equicontinuity_modulus(fam)) == 7
+    modulus = equicontinuity_modulus(fam, _family_quotient_derivatives(fam))
+    assert modulus == _doubling_modulus(fam)
+    assert len(modulus) == 7
     # a 2-d family of order 1: three quotient derivatives per member
     xs = np.linspace(0.0, 6.0, 61)
     ys = np.linspace(0.0, 1.0, 41)
@@ -289,8 +305,9 @@ def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
         order=1) for a, b, c in rng.uniform(0.0, 3.0, (5, 3))]
     fam2.append(fam2[0].with_samples(np.sin(np.pi * np.arange(61) / 2.0)
                                      [:, None] * np.exp(-X ** 2 / 2.0)))
+    derivs = _family_quotient_derivatives(fam2)
     for max_shift in (1, 12, 32):
-        got = equicontinuity_modulus(fam2, max_shift)
+        got = equicontinuity_modulus(fam2, derivs, max_shift)
         assert got == _doubling_modulus(fam2, max_shift)
     assert len(got) == 12
 
@@ -308,7 +325,8 @@ def test_window_modulus_equals_the_doubling_loop(data, ndim, members, order):
         axes, data.draw(hnp.arrays(float, shape, elements=VALUES)),
         order=order) for _ in range(members)]
     max_shift = data.draw(st.integers(1, min(shape) - 1), label="max_shift")
-    assert equicontinuity_modulus(fam, max_shift) \
+    assert equicontinuity_modulus(fam, _family_quotient_derivatives(fam),
+                                  max_shift) \
         == _doubling_modulus(fam, max_shift)
 
 
@@ -320,11 +338,13 @@ def test_nan_sample_never_certifies(node):
     bad = fam[3].samples.copy()
     bad[node] = math.nan
     fam[3] = fam[3].with_samples(bad, fam[3].infinity)
-    assert all(math.isnan(w) for _, w in equicontinuity_modulus(fam))
+    derivs = _family_quotient_derivatives(fam)
+    assert all(math.isnan(w) for _, w in equicontinuity_modulus(fam, derivs))
     rep = precompactness_report(fam)
     assert not rep.equicontinuous and not rep.all_conditions
     if node < 0:
-        assert all(math.isnan(d) for _, d in equiconvergence_deviation(fam))
+        assert all(math.isnan(d)
+                   for _, d in equiconvergence_deviation(fam, derivs))
         assert not rep.equiconvergent
 
 
@@ -332,7 +352,7 @@ def test_equiconvergence_requires_stored_faces():
     xs = np.arange(0.0, 24.0 + 1e-9, 0.5)
     fam = [WeightedGridFunction((xs,), np.exp(-xs ** 2))]
     with pytest.raises(FaceLimitError) as err:
-        equiconvergence_deviation(fam)
+        equiconvergence_deviation(fam, _family_quotient_derivatives(fam))
     assert err.value.face == "inf"
 
 
@@ -497,15 +517,11 @@ def test_save_matches_per_cell_writer_and_round_trips(tmp_path, shape):
         assert a.tobytes() == b.tobytes()
 
 
-def test_cli_import_skips_spline_and_quadrature_modules():
-    src = os.path.dirname(os.path.dirname(compactfix.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+def test_cli_import_skips_spline_and_quadrature_modules(package_env):
     code = ("import sys, compactfix.cli; print(sorted(m for m in sys.modules"
             " if m.startswith(('scipy.interpolate', 'scipy.integrate'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=package_env,
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
 
@@ -521,6 +537,26 @@ def test_exports_resolve_and_deleted_names_stay_gone():
         assert not hasattr(compactfix, name)
     for name in ("adaptive_quadrature", "unbounded_quadrature", "_panel"):
         assert not hasattr(compactfix.greenop, name)
+    # one cone, one index condition: the index-zero branch and the
+    # multiplicity chains are gone
+    for name in ("ConeSpec", "ChainError", "PlanResult", "cone_membership",
+                 "f_inf_rho", "index_zero_check", "multiplicity_plan"):
+        assert name not in compactfix.__all__
+        assert not hasattr(compactfix, name)
+    for name in ("ConeSpec", "ChainError", "PlanResult", "cone_membership",
+                 "f_inf_rho", "index_zero_check", "multiplicity_plan",
+                 "gamma_zero", "_sep_ok", "_v_ladder_values",
+                 "_unit_strip_integral", "itertools"):
+        assert not hasattr(compactfix.cones, name), name
+    assert not hasattr(compactfix.ConeReport, "to_json")
+    for cls, attrs in [(compactfix.IndexCheck, ("kind", "data")),
+                       (compactfix.NamedProblem, ("spec",)),
+                       (compactfix.PipelineBundle,
+                        ("hypotheses", "cone", "solve"))]:
+        fields = {f.name for f in dataclasses.fields(cls)}
+        for attr in attrs:
+            assert attr not in fields, (cls.__name__, attr)
+    assert not hasattr(compactfix.PipelineBundle, "summary")
     for cls, attr in [(compactfix.Kernel, "eval"),
                       (compactfix.Kernel, "support"),
                       (compactfix.HypothesisReport, "all_usable"),
@@ -529,7 +565,6 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     for cls, attr in [(compactfix.Nonlinearity, "monotone_in_u"),
                       (compactfix.NamedProblem, "domain"),
                       (compactfix.NamedProblem, "weight1d"),
-                      (compactfix.ConeSpec, "e"),
                       # face values come from the window ladder only
                       (compactfix.Kernel, "z_form"),
                       (compactfix.SolveConfig, "quad_tol"),
@@ -554,8 +589,10 @@ def test_exports_resolve_and_deleted_names_stay_gone():
             (compactfix.check_hypotheses, ("truncation", "n_t", "n_s")),
             (compactfix.cones.default_eval_grid, ("n_t", "n_s")),
             (compactfix.f_sup_rho, ("n_v",)),
-            (compactfix.f_inf_rho, ("v_max", "n_v")),
-            (compactfix.cone_membership, ("slack",)),
+            (compactfix.cones.abs_integral_beta_factor, ("spec", "tol")),
+            (compactfix.index_one_check, ("spec", "tol")),
+            (compactfix.index_one_sweep, ("spec", "tol")),
+            (compactfix.run_full_pipeline, ("cfg",)),
             (compactfix.kappa_limit, ("samples_per_level", "radius_cap",
                                       "seed")),
             (compactfix.extend, ("kwargs",)),

@@ -50,6 +50,21 @@ def test_iterates_increase_monotonically(problem, coarse_axes):
     assert u.max() > 0.0
 
 
+def test_iterates_from_zero_and_a_supersolution_meet(problem):
+    # the equation is Volterra in y, so it has one bounded solution: Picard
+    # from below (q = 0) and from the supersolution q = 0.4 reach the same q
+    axes = SolveConfig(hx=0.02, hy=0.02, truncation=24.0).axes()
+    op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
+    lower = np.zeros(tuple(len(a) for a in axes))
+    upper = np.full_like(lower, 0.4)
+    for _ in range(8):
+        new = op.apply(upper)
+        assert np.all(new <= upper)
+        lower, upper = op.apply(lower), new
+    assert np.all(lower <= upper)
+    assert np.max(upper - lower) < 1e-11
+
+
 def test_iteration_budget_exhaustion(problem):
     cfg = SolveConfig(hx=0.5, hy=0.25, truncation=4.0, tol=1e-30, max_iter=2)
     with pytest.raises(IterationError, match="no convergence") as err:
