@@ -20,7 +20,7 @@ problem = load_problem("hyperbolic-erf")
 grid = default_eval_grid()
 
 # The kernel column integral is shared by every radius, compute it once.
-beta, _ = abs_integral_beta_factor(problem.kernel, grid)
+beta = abs_integral_beta_factor(problem.kernel, grid)
 print(f"sup_x int |G| = {beta:.6f}  (sqrt(pi)/2 = {np.sqrt(np.pi)/2:.6f})")
 print()
 

@@ -63,8 +63,8 @@ def _real_param(name, value, positive):
 
 
 def _gauss_shift_kernel(weight_desc, rate=1.0):
-    """exp(-rate (x-t)^2); the closed forms of kx/phi and the quotient form
-    are attached only for the weight they were derived for."""
+    """exp(-rate (x-t)^2) with its weighted forms kx/phi and qx for the
+    problem's weight; for phi = 1 both are kx itself."""
     rate = _real_param("gauss-shift rate", rate, positive=True)
 
     def kx(x, t):
@@ -77,7 +77,7 @@ def _gauss_shift_kernel(weight_desc, rate=1.0):
         return 0.5 * _SQRT_PI / math.sqrt(rate) * y * erf(math.sqrt(rate)
                                                           * np.asarray(x))
 
-    forms = {}
+    forms = {"weighted_quotient": kx, "qx": kx}
     if weight_desc == "exp(-x^2/2)":
         # Combine the exponents before exponentiating: the raw ratio
         # kx(x,t)/phi(x) is 0/0 in float64 once both factors underflow
@@ -112,8 +112,8 @@ def _gauss_shift_kernel(weight_desc, rate=1.0):
 
 def _gauss_square_nonlinearity(weight_desc, amplitude=0.125):
     """amp exp(-(x^2 + y^2)) + v^2.  Its dominator amp exp(-(t^2 + s^2)) +
-    r^2 phi(t)^2 holds for the problem's weight phi; the quotient form
-    amp exp(-s^2) + q^2 is attached for phi(t)^2 = exp(-t^2) only."""
+    r^2 phi(t)^2 holds for the problem's weight phi; the quotient form is
+    amp exp(-s^2) + q^2 for phi(t)^2 = exp(-t^2) and f itself for phi = 1."""
     amplitude = _real_param("gauss-plus-square amplitude", amplitude,
                             positive=False)
     weight = WEIGHT_REGISTRY[weight_desc]
@@ -138,7 +138,7 @@ def _gauss_square_nonlinearity(weight_desc, amplitude=0.125):
 
     return Nonlinearity("gauss-plus-square", fn, dominator,
                         params={"amplitude": amplitude},
-                        q_eval=q_eval if gaussian else None)
+                        q_eval=q_eval if gaussian else fn)
 
 
 def _zero_nonlinearity(weight_desc):
@@ -202,13 +202,13 @@ def load_problem(problem_id):
 
 def _problem_piece(cfgdoc, key, factories, weight_desc):
     """Build the kernel or nonlinearity named by cfgdoc[key]; ValueError
-    naming the key for a missing entry, an unknown id or an unknown
-    parameter."""
+    naming the key for a missing entry, an id that is not a known string or
+    an unknown parameter."""
     piece = cfgdoc.get(key)
     if not isinstance(piece, dict) or "id" not in piece:
         raise ValueError(f"problem file needs a {key!r} entry with an 'id'")
     pid = piece["id"]
-    if pid not in factories:
+    if not isinstance(pid, str) or pid not in factories:
         raise ValueError(f"unknown {key} id {pid!r}")
     params = piece.get("params", {})
     if not isinstance(params, dict):
@@ -235,14 +235,12 @@ def load_problem_file(path):
     if not isinstance(cfgdoc, dict):
         raise ValueError("a problem file holds one JSON object")
     weight_desc = cfgdoc.get("weight", "exp(-x^2/2)")
-    if weight_desc not in WEIGHT_REGISTRY:
+    if not isinstance(weight_desc, str) or weight_desc not in WEIGHT_REGISTRY:
         raise ValueError(f"unknown weight {weight_desc!r}")
     kernel = _problem_piece(cfgdoc, "kernel", _KERNELS, weight_desc)
     nl = _problem_piece(cfgdoc, "nonlinearity", _NONLINEARITIES, weight_desc)
-    truncation = float(cfgdoc.get("truncation", 24.0))
-    if not (math.isfinite(truncation) and truncation > 0):
-        raise ValueError(f"truncation must be positive and finite, "
-                         f"got {truncation!r}")
+    truncation = _real_param("truncation", cfgdoc.get("truncation", 24.0),
+                             positive=True)
     return NamedProblem(
         id=cfgdoc.get("id", "custom"), weight_desc=weight_desc,
         kernel=kernel, nl=nl, cmap=_halfstrip_cmap(),

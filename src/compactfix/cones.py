@@ -68,15 +68,14 @@ class IndexCheck:
 
 def abs_integral_beta_factor(kernel, grid):
     """beta applied to the profile t -> integral of |G(t, s)| ds."""
-    prof = kernel_abs_integral(kernel, grid[0], grid[1], _QUAD_TOL)
-    return beta_sup(prof), prof
+    return beta_sup(kernel_abs_integral(kernel, grid[0], grid[1], _QUAD_TOL))
 
 
 def index_one_check(kernel, nl, rho, grid=None, beta_factor=None):
     """Check 0 < f_sup_rho * beta(kernel abs integral) < 1."""
     grid = grid if grid is not None else default_eval_grid()
     if beta_factor is None:
-        beta_factor, _ = abs_integral_beta_factor(kernel, grid)
+        beta_factor = abs_integral_beta_factor(kernel, grid)
     fsup = f_sup_rho(nl, rho, grid)
     lhs = fsup * beta_factor
     return IndexCheck(rho, lhs, 0.0 < lhs < 1.0, fsup, beta_factor)
@@ -95,7 +94,7 @@ class ConeReport:
 def index_one_sweep(kernel, nl, rhos, grid=None):
     """index_one_check across a rho ladder, reusing the beta factor."""
     grid = grid if grid is not None else default_eval_grid()
-    beta_factor, _ = abs_integral_beta_factor(kernel, grid)
+    beta_factor = abs_integral_beta_factor(kernel, grid)
     rows = []
     for rho in rhos:
         chk = index_one_check(kernel, nl, float(rho), grid, beta_factor)

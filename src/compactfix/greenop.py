@@ -6,17 +6,18 @@ over [0, inf) x [0, 1].  Two evaluation paths: a cumulative-quadrature grid
 path (used by the solver) and an independent cross-check path that reads u
 from its bicubic spline and integrates all nodes at once.
 
-The grid path works in quotient coordinates when the problem carries its
-quotient form: with f(t, s, phi(t) q) = phi(t)^2 q_eval(t, s, q), the
-quotient q = u/phi satisfies q = int int qx(x, t) q_eval(t, s, q) ds dt
-with qx(x, t) = kx(x, t) phi(t)^2 / phi(x).  For the case study qx is
-exp(-(x - 2t)^2 / 2): no factor under- or overflows, and it is below 2^-53
-of its row peak once |t - x/2| > 4.3.  The grid operator stores the x-rule
-times qx in row blocks, each over its column band only: the causal range
-[0, x_i], trimmed to the columns where qx reaches 2^-53 of its row peak;
-a problem without a quotient form goes through the same blocks with kx
-over the whole causal range.  The infinity-face values of Tu are read off
-its grid samples by the windowed face ladders of funcspace.face_profile.
+The grid path works in the quotient q = u/phi, the coordinate of the
+weighted norm: with f(t, s, phi(t) q) = phi(t)^2 q_eval(t, s, q), q
+satisfies q = int int qx(x, t) q_eval(t, s, q) ds dt with
+qx(x, t) = kx(x, t) phi(t)^2 / phi(x).  Every problem carries these forms
+(the casestudy factories attach them; for phi = 1 they are kx and f).  For
+the case study qx is exp(-(x - 2t)^2 / 2): no factor under- or overflows,
+and it is below 2^-53 of its row peak once |t - x/2| > 4.3.  The grid
+operator stores the x-rule times qx in row blocks, each over its column
+band only: the causal range [0, x_i], trimmed to the columns where qx
+reaches 2^-53 of its row peak.  The infinity-face values of Tu are read
+off its grid samples by the windowed face ladders of
+funcspace.face_profile.
 
 Every integral outside the grid path uses one rule: a composite 16-node
 Gauss-Legendre rule whose panels are doubled until two levels agree to tol
@@ -149,18 +150,18 @@ class Kernel:
     form of the absolute integral over the causal box at an output point
     (x, y).  weighted_sup, when given, is the analytic value of
     sup_x |kx(x,t)/phi(x)| as a function of the integration point.
-    weighted_quotient(x, t), when given, evaluates kx(x, t)/phi(x) in a
-    float-safe way (combining exponents before exponentiating); without it
-    the hypothesis checker divides the raw factors, which turns into 0/0
-    once both underflow.  dkx(x, t), when given, is the vectorized partial
-    derivative of kx in its first argument; the residual of the
-    differentiated equation (solver.pde_residual) needs it.  The
-    infinity-face values of Tu are always read off its grid samples
-    (funcspace.face_profile); a kernel carries no closed form for them.
+    dkx(x, t), when given, is the vectorized partial derivative of kx in
+    its first argument; the residual of the differentiated equation
+    (solver.pde_residual) needs it.  The infinity-face values of Tu are
+    always read off its grid samples (funcspace.face_profile); a kernel
+    carries no closed form for them.
 
-    qx is the kernel's half of the problem's quotient form (see
-    Nonlinearity.q_eval): qx(x, t) = kx(x, t) phi(t)^2 / phi(x), evaluated
-    from one combined exponent.
+    The two weighted forms hold for the problem's weight phi and are
+    evaluated float-safely (one combined exponent, no 0/0 once kx and phi
+    both underflow): weighted_quotient(x, t) = kx(x, t)/phi(x), which
+    check_hypotheses reads, and qx(x, t) = kx(x, t) phi(t)^2 / phi(x), the
+    kernel's half of the quotient form (see Nonlinearity.q_eval), which the
+    grid operator reads.  Each reader refuses a kernel without its form.
     """
 
     name: str
@@ -191,10 +192,11 @@ class Nonlinearity:
     """Forcing term f(t, s, v), assumed nonnegative on the cone.
 
     dominator(r) must return a Dominator Phi_r with
-    f(t, s, v) <= Phi_r(t, s) whenever |v| <= r * phi(t, s).  q_eval, when
-    given, is the nonlinearity's half of the problem's quotient form:
+    f(t, s, v) <= Phi_r(t, s) whenever |v| <= r * phi(t, s).  q_eval is
+    the nonlinearity's half of the problem's quotient form:
     q_eval(t, s, q) = f(t, s, phi(t) q) / phi(t)^2, so that q = u/phi
-    solves q = int int Kernel.qx(x, t) q_eval(t, s, q) ds dt.
+    solves q = int int Kernel.qx(x, t) q_eval(t, s, q) ds dt; the grid
+    operator refuses a nonlinearity without it.
     """
 
     name: str
@@ -310,26 +312,26 @@ def kernel_row_blocks(k, nodes, start, stop, trim=False):
 
 
 class GridHammersteinOperator:
-    """Fast application of T on a fixed uniform grid.
+    """Fast application of T on a fixed uniform grid, in the quotient.
 
-    apply acts in the operator's coordinate v: q = u/phi when the problem
-    carries its quotient form (kernel.qx and nl.q_eval), mapping q to
-    q+ = T(phi q)/phi, and u itself otherwise.  from_u, to_u and gap
-    convert at that boundary, given phi on the grid, so callers never
-    branch on the coordinate.  The x-rule times the x-kernel is stored in
-    blocks of _ROW_BLOCK rows, each over its column band only: the causal
-    range [0, x_i], trimmed where qx decays in quotient form.  Each
-    application is one nonlinearity evaluation, one product with the
-    y-matrix and one product per row block.
+    apply maps grid samples of q = u/phi to q+ = T(phi q)/phi through the
+    problem's quotient form, kernel.qx and nl.q_eval; ValueError names the
+    one that is missing.  The x-rule times qx is stored in blocks of
+    _ROW_BLOCK rows, each over its column band only: the causal range
+    [0, x_i], trimmed to the columns where qx reaches 2^-53 of its row
+    peak.  Each application is one nonlinearity evaluation, one product
+    with the y-matrix and one product per row block.
     """
 
     def __init__(self, kernel, nl, axes):
+        if kernel.qx is None:
+            raise ValueError(f"kernel {kernel.name!r} has no qx")
+        if nl.q_eval is None:
+            raise ValueError(f"nonlinearity {nl.name!r} has no q_eval")
         xs, ys = (np.asarray(a, dtype=float) for a in axes)
-        self.quotient = kernel.qx is not None and nl.q_eval is not None
-        kx, self.f = ((kernel.qx, nl.q_eval) if self.quotient
-                      else (kernel.kx, nl.eval))
-        self.blocks = list(kernel_row_blocks(kx, xs, 0, len(xs),
-                                             trim=self.quotient))
+        self.f = nl.q_eval
+        self.blocks = list(kernel_row_blocks(kernel.qx, xs, 0, len(xs),
+                                             trim=True))
         self.B = cumulative_weights(ys)
         self.t, self.s = xs[:, None], ys[None, :]
 
@@ -340,21 +342,6 @@ class GridHammersteinOperator:
             rows, cols = block.shape
             out[a:a + rows] = block @ inner[c0:c0 + cols]
         return out
-
-    def from_u(self, u, phi):
-        """The operator's coordinate of grid samples u; phi is the weight
-        on the same grid."""
-        return u / phi if self.quotient else u
-
-    def to_u(self, v, phi):
-        """Grid samples u of the operator's coordinate v."""
-        return phi * v if self.quotient else v
-
-    def gap(self, new, v, phi):
-        """sup |u+ - u| / phi for two iterates given in the operator's
-        coordinate: a plain sup of their difference in quotient form."""
-        diff = np.abs(new - v)
-        return float(np.max(diff if self.quotient else diff / phi))
 
 
 def _panel_integrals(u, nl, kx, tol):
@@ -401,7 +388,7 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
     """Tu as a weighted grid function on u's grid.
 
     method "grid" uses the cumulative weights (uniform grids only), in the
-    quotient coordinates q = u/phi when the problem has its quotient form;
+    quotient coordinates q = u/phi;
     "adaptive" reads u from its bicubic spline and applies a composite
     16-node Gauss-Legendre rule with 2^L panels per grid interval to every
     node at once, doubling L until the max over all nodes of the difference
@@ -415,8 +402,7 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
         raise ValueError("apply_T expects a 2d grid function")
     if method == "grid":
         op = GridHammersteinOperator(kernel, nl, u.axes)
-        phi = u.weight_values()
-        samples = op.to_u(op.apply(op.from_u(u.samples, phi)), phi)
+        samples = u.weight_values() * op.apply(u.quotient())
     elif method == "adaptive":
         samples = _panel_integrals(u, nl, kernel.kx, tol)
     else:
@@ -468,16 +454,6 @@ class HypothesisReport:
         return out
 
 
-def _quotient_fn(kernel, weight):
-    if kernel.weighted_quotient is not None:
-        return kernel.weighted_quotient
-
-    def q(x, t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(kernel.kx(x, t), dtype=float) / weight(x)
-    return q
-
-
 def _weighted_quotient_sups(quotient, t, x_hi, n=1200):
     """For each entry t_i of the 1-d array t, the max of |kx(x, t_i)| /
     phi(x) over n points x evenly spaced on [t_i, x_hi], NaN if one of
@@ -506,10 +482,15 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     """Numeric status of the four operator hypotheses at cone radius r.
 
     weight is phi, called on x alone (the y direction is unweighted), as
-    every WEIGHT_REGISTRY entry can be.  The kernel columns are sampled at
-    41 points of the truncation [0, 8] and the y axis at 9 points.  Only
-    p = 0 is examined; higher kernel derivatives are out of scope here.
+    every WEIGHT_REGISTRY entry can be; kernel.weighted_quotient must be
+    kx/phi for that weight (ValueError when it is missing).  The kernel
+    columns are sampled at 41 points of the truncation [0, 8] and the y
+    axis at 9 points.  Only p = 0 is examined; higher kernel derivatives
+    are out of scope here.
     """
+    quotient = kernel.weighted_quotient
+    if quotient is None:
+        raise ValueError(f"kernel {kernel.name!r} has no weighted_quotient")
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"cone radius must be positive and finite, got {r!r}")
     if not tol > 0:
@@ -524,7 +505,6 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
 
     # C1: each kernel column lies in the weighted class: finite weighted sup
     # and an existing limit at the infinity face.
-    quotient = _quotient_fn(kernel, weight)
     m_profile = _weighted_quotient_sups(quotient, ts,
                                         max(2.0 * truncation, 10.0))
     profiles["M0"] = (ts, m_profile)

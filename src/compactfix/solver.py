@@ -1,18 +1,19 @@
 """Picard iteration for the integral fixed point, residuals, profiles.
 
 The solver iterates u <- Tu from u = 0 on a uniform truncated grid and
-measures progress in the order-0 weighted norm.  When the problem carries
-its quotient form (Kernel.qx and Nonlinearity.q_eval, see greenop) the
-iterate is q = u/phi itself, so the gap is a plain sup of q+ - q and no
-iteration divides by phi; u = phi q is formed once for the profile, the
-residual and the files.  The profile is one windowed face ladder per y-node
-on the converged iterate, and its converged values are the solution's
-infinity-face data.  For the shipped problem the operator is monotone, so
-the iterates increase pointwise and the stopping gap also bounds the
-distance to the supremum of the iteration.  The reported residual is that
-of the solved equation differentiated once in x and once in y, so it
-measures the discretization error of the converged iterate; its x-rule is
-built in the operator's row blocks, never as a dense matrix.
+measures progress in the order-0 weighted norm.  The iterate is the
+quotient q = u/phi itself, through the problem's quotient form
+(Kernel.qx and Nonlinearity.q_eval, see greenop), so the gap is a plain
+sup of q+ - q and no iteration divides by phi; u = phi q is formed once
+for the profile, the residual and the files.  The profile is one windowed
+face ladder per y-node on the converged iterate, and its converged values
+are the solution's infinity-face data.  For the shipped problem the
+operator is monotone, so the iterates increase pointwise and the stopping
+gap also bounds the distance to the supremum of the iteration.  The
+reported residual is that of the solved equation differentiated once in x
+and once in y, so it measures the discretization error of the converged
+iterate; its x-rule is built in the operator's row blocks, never as a
+dense matrix.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def picard_solve(problem, cfg=None):
     """Iterate u <- Tu from u = 0 until the weighted gap drops below tol.
 
     problem must carry id, kernel, nl and weight (a WEIGHT_REGISTRY entry,
-    so that the solution can be saved).  Raises
+    so that the solution can be saved), and the kernel and nonlinearity
+    their quotient forms for that weight.  Raises
     WeightUnderflowError before any work when phi is 0 at a grid node, and
     IterationError with the gap history when max_iter is exhausted.
     """
@@ -121,21 +123,20 @@ def picard_solve(problem, cfg=None):
                 "certified", stacklevel=2)
 
     op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
-    # v is the operator's coordinate: q = u/phi in quotient form, else u
-    v = op.from_u(u.samples, phi)
+    q = np.zeros_like(phi)
     gaps, betas = [], []
     for _ in range(cfg.max_iter):
-        new = op.apply(v)
-        gaps.append(op.gap(new, v, phi))
-        betas.append(beta_sup(op.to_u(new, phi)))
-        v = new
+        new = op.apply(q)
+        gaps.append(float(np.max(np.abs(new - q))))
+        betas.append(beta_sup(phi * new))
+        q = new
         if gaps[-1] < cfg.tol:
             break
     else:
         raise IterationError(
             f"no convergence after {cfg.max_iter} iterations "
             f"(last gap {gaps[-1]:.3g})", gaps)
-    u = u.with_samples(op.to_u(v, phi))
+    u = u.with_samples(phi * q)
     # release the operator's blocks before the residual builds its own
     del op
 
@@ -255,10 +256,6 @@ def write_outputs(result, out_dir, timestamp=True):
         "residual_sup": result.residual_sup,
         "beta_final": result.beta_history[-1],
         "in_ball": result.in_ball,
-        "rho_ball": result.config.rho_ball,
-        "truncation": result.config.truncation,
-        "grid_step": [result.config.hx, result.config.hy],
-        "tol": result.config.tol,
         "profile_at_1": (result.profile[-1][1].value
                          if result.profile else None),
         "profile_converged": result.profile_converged,

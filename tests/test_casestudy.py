@@ -131,7 +131,10 @@ def test_unit_weight_file_gets_no_gaussian_weight_closed_forms(tmp_path,
                                                                c4_partials):
     prob = _gauss_shift_problem(tmp_path, 1.0, "1")
     assert prob.kernel.weighted_sup is None
-    assert prob.kernel.weighted_quotient is None
+    # phi = 1 makes kx and f their own weighted forms
+    assert prob.kernel.weighted_quotient is prob.kernel.kx
+    assert prob.kernel.qx is prob.kernel.kx
+    assert prob.nl.q_eval is prob.nl.eval
     rep = check_hypotheses(prob.kernel, prob.weight, prob.nl, 0.5)
     # sup over x >= t of exp(-(x-t)^2) / 1 is 1, attained at x = t
     ts, sup = rep.profiles["M0"]
@@ -184,3 +187,13 @@ def test_load_problem_file_rejects_unknown_pieces(tmp_path):
         load_problem_file(write(nonlinearity={"id": "cubic"}))
     with pytest.raises(ValueError, match="unknown weight"):
         load_problem_file(write(weight="exp(-x)"))
+    # JSON of the wrong type is refused with a ValueError, never a TypeError
+    with pytest.raises(ValueError, match="unknown weight"):
+        load_problem_file(write(weight=["1"]))
+    with pytest.raises(ValueError, match="unknown kernel id"):
+        load_problem_file(write(kernel={"id": ["gauss-shift"]}))
+    with pytest.raises(ValueError, match="unknown nonlinearity id"):
+        load_problem_file(write(nonlinearity={"id": ["zero"]}))
+    for bad in (None, True, "24", 0, -1.0):
+        with pytest.raises(ValueError, match="truncation must be"):
+            load_problem_file(write(truncation=bad))

@@ -202,6 +202,18 @@ def test_weight_underflow_is_a_numerical_failure(tmp_path, capsys):
     ({"kernel": {"id": "gauss-shift", "params": {"rte": 2}},
       "nonlinearity": {"id": "zero"}}, "'rte'"),
     ({"kernel": {"id": "gauss-shift"}}, "'nonlinearity'"),
+    # values of the wrong JSON type: one usage-error line each, never a
+    # TypeError traceback, and truncation true is not read as 1.0
+    ({"truncation": None, "kernel": {"id": "gauss-shift"},
+      "nonlinearity": {"id": "zero"}}, "truncation"),
+    ({"truncation": True, "kernel": {"id": "gauss-shift"},
+      "nonlinearity": {"id": "zero"}}, "truncation"),
+    ({"weight": ["1"], "kernel": {"id": "gauss-shift"},
+      "nonlinearity": {"id": "zero"}}, "weight"),
+    ({"kernel": {"id": ["gauss-shift"]},
+      "nonlinearity": {"id": "zero"}}, "kernel id"),
+    ({"kernel": {"id": "gauss-shift"},
+      "nonlinearity": {"id": ["zero"]}}, "nonlinearity id"),
 ])
 def test_problem_file_key_errors_are_usage_errors(tmp_path, capsys, doc,
                                                   key):
@@ -212,6 +224,7 @@ def test_problem_file_key_errors_are_usage_errors(tmp_path, capsys, doc,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and key in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_solve_rejects_demo_problems(tmp_path, capsys):

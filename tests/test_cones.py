@@ -65,10 +65,7 @@ def test_nan_nonlinearity_never_certifies_index_one(problem):
 
 def test_beta_factor_is_the_far_corner(problem):
     grid = default_eval_grid()
-    beta, prof = abs_integral_beta_factor(problem.kernel, grid)
-    assert prof.shape == (len(grid[0]), len(grid[1]))
-    assert np.all(prof[0, :] == 0.0) and np.all(prof[:, 0] == 0.0)
-    assert beta == prof.max()
+    beta = abs_integral_beta_factor(problem.kernel, grid)
     assert beta == pytest.approx(SQPI2 * erf(24.0), abs=1e-9)
 
 

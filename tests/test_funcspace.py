@@ -557,6 +557,15 @@ def test_exports_resolve_and_deleted_names_stay_gone():
         for attr in attrs:
             assert attr not in fields, (cls.__name__, attr)
     assert not hasattr(compactfix.PipelineBundle, "summary")
+    # the grid operator works in the quotient only, and every kernel
+    # carries its own weighted quotient
+    case = compactfix.load_problem("hyperbolic-erf")
+    op = compactfix.GridHammersteinOperator(
+        case.kernel, case.nl,
+        (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3)))
+    for attr in ("quotient", "from_u", "to_u", "gap"):
+        assert not hasattr(op, attr), attr
+    assert not hasattr(compactfix.greenop, "_quotient_fn")
     for cls, attr in [(compactfix.Kernel, "eval"),
                       (compactfix.Kernel, "support"),
                       (compactfix.HypothesisReport, "all_usable"),

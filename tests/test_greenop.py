@@ -1,5 +1,6 @@
 """Quadrature routines, the integral operator and the hypothesis checker."""
 
+import json
 import math
 import warnings
 
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 from scipy.special import erf, erfc
 
-from compactfix.casestudy import _gauss_square_nonlinearity
+from compactfix.casestudy import _gauss_square_nonlinearity, load_problem_file
 from compactfix.funcspace import WeightedGridFunction
 from compactfix.greenop import (GridHammersteinOperator, Kernel,
                                 Nonlinearity, QuadratureError,
-                                _quotient_fn, _weighted_quotient_sups,
+                                _weighted_quotient_sups,
                                 apply_T, check_hypotheses,
                                 cumulative_weight_block,
                                 cumulative_weights, gaussian_tail,
@@ -290,17 +291,6 @@ def test_apply_rejects_bad_method_and_shape(problem):
         apply_T(u1, problem.kernel, problem.nl, method="adaptive")
 
 
-def _column_kernel():
-    """Separable kernel without a quotient form whose weighted x-column is
-    exactly exp(-t^2): kx(x, t) = phi(x) exp(-t^2)."""
-    def kx(x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return np.exp(-x ** 2 / 2.0 - t ** 2)
-
-    return Kernel("gauss-column", kx)
-
-
 def _dense_apply(kernel, nl, axes, u):
     """Reference: the dense grid route (Wx kx) @ F @ B^T on u itself."""
     xs, ys = axes
@@ -310,46 +300,36 @@ def _dense_apply(kernel, nl, axes, u):
     return A @ (nl.eval(tm, sm, u) @ B.T)
 
 
-def test_banded_quotient_operator_matches_dense_route(problem, rng):
+def _unit_weight_problem(tmp_path):
+    """The case study's kernel and forcing as a weight-"1" problem file."""
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(
+        {"weight": "1", "kernel": {"id": "gauss-shift"},
+         "nonlinearity": {"id": "gauss-plus-square"}}))
+    return load_problem_file(path)
+
+
+def test_banded_quotient_operator_matches_dense_route(problem, rng,
+                                                      tmp_path):
+    # q+ = T(phi q)/phi on the trimmed band, for the case study and for a
+    # weight-"1" file, whose quotient forms are kx and f themselves
     axes = SolveConfig(hx=0.02, hy=0.02, truncation=24.0).axes()
-    op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
-    assert op.quotient
-    phi = problem.weight(axes[0])[:, None]
-    q = rng.uniform(0.0, 0.5, size=tuple(len(a) for a in axes))
-    dense = _dense_apply(problem.kernel, problem.nl, axes, phi * q) / phi
-    assert np.abs(op.apply(q) - dense).max() <= 1e-14
+    for prob in (problem, _unit_weight_problem(tmp_path)):
+        op = GridHammersteinOperator(prob.kernel, prob.nl, axes)
+        phi = prob.weight(axes[0])[:, None]
+        q = rng.uniform(0.0, 0.5, size=tuple(len(a) for a in axes))
+        dense = _dense_apply(prob.kernel, prob.nl, axes, phi * q) / phi
+        assert np.abs(op.apply(q) - dense).max() <= 1e-14, prob.weight_desc
 
 
-@pytest.mark.parametrize("kernel", [
-    _column_kernel(),
-    Kernel("gauss-shift", lambda x, t: np.exp(-(x - t) ** 2))])
-def test_no_split_operator_matches_dense_route(problem, rng, kernel):
-    # without Kernel.qx the operator acts on u over the whole causal range,
-    # for a kernel of product form and for the convolution kernel
-    axes = (np.linspace(0.0, 16.0, 161), np.linspace(0.0, 1.0, 21))
-    op = GridHammersteinOperator(kernel, problem.nl, axes)
-    assert not op.quotient
-    u = rng.uniform(0.0, 0.5, size=(161, 21))
-    dense = _dense_apply(kernel, problem.nl, axes, u)
-    assert np.abs(op.apply(u) - dense).max() <= 1e-14
-
-
-@pytest.mark.parametrize("quotient", [True, False])
-def test_operator_converts_at_its_coordinate_boundary(problem, rng,
-                                                      quotient):
-    # from_u, apply, to_u is T on u in either coordinate, and gap is the
-    # weighted sup distance of two iterates
-    kernel = problem.kernel if quotient else _column_kernel()
-    axes = (np.linspace(0.0, 8.0, 81), np.linspace(0.0, 1.0, 11))
-    op = GridHammersteinOperator(kernel, problem.nl, axes)
-    assert op.quotient == quotient
-    phi = problem.weight(axes[0])[:, None]
-    u = phi * rng.uniform(0.0, 0.5, size=(81, 11))
-    tu = op.to_u(op.apply(op.from_u(u, phi)), phi)
-    dense = _dense_apply(kernel, problem.nl, axes, u)
-    assert np.abs((tu - dense) / phi).max() <= 1e-14
-    gap = op.gap(op.from_u(tu, phi), op.from_u(u, phi), phi)
-    assert gap == pytest.approx(np.abs((tu - u) / phi).max(), rel=1e-13)
+def test_operator_refuses_a_problem_without_its_quotient_form(problem):
+    axes = (np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.0, 5))
+    bare = Kernel("bare", problem.kernel.kx)
+    with pytest.raises(ValueError, match="kernel 'bare' has no qx"):
+        GridHammersteinOperator(bare, problem.nl, axes)
+    plain = Nonlinearity("plain", problem.nl.eval)
+    with pytest.raises(ValueError, match="nonlinearity 'plain' has no q_eval"):
+        GridHammersteinOperator(problem.kernel, plain, axes)
 
 
 def test_quotient_operator_stores_its_band_only(problem):
@@ -420,12 +400,25 @@ def test_phi_r_tail_scale_comes_from_the_dominator(problem, amplitude):
     assert abs(rep.integrals["Phi_r"] - exact) <= tol
 
 
+def _raw_quotient_kernel(weight):
+    """A rate-2 gauss-shift kernel whose weighted quotient divides the raw
+    factors kx(x, t)/phi(x) instead of combining their exponents."""
+    def kx(x, t):
+        return np.exp(-2.0 * (x - t) ** 2)
+
+    def raw_quotient(x, t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.asarray(kx(x, t), dtype=float) / weight(x)
+
+    return Kernel("raw", kx, weighted_quotient=raw_quotient)
+
+
 def test_check_hypotheses_counts_only_finite_limits_and_partials(
         problem, c4_partials):
-    # without a combined-exponent quotient, kx/phi of a rate-2 kernel is
-    # 0/0 once both factors underflow: every face limit and the widest
-    # partial M0*Phi_r integral are nan
-    raw = Kernel("raw", lambda x, t: np.exp(-2.0 * (x - t) ** 2))
+    # the raw division kx/phi of a rate-2 kernel is 0/0 once both factors
+    # underflow: every face limit and the widest partial M0*Phi_r integral
+    # are nan, and a nan never certifies
+    raw = _raw_quotient_kernel(problem.weight)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = check_hypotheses(raw, problem.weight, problem.nl, r=0.5)
@@ -449,9 +442,8 @@ def _loop_quotient_sup(quotient, t, x_hi, n):
 
 
 def test_hypothesis_profiles_match_the_column_loops(problem):
-    raw = Kernel("raw", lambda x, t: np.exp(-2.0 * (x - t) ** 2))
-    for kernel in (problem.kernel, raw):
-        quotient = _quotient_fn(kernel, problem.weight)
+    for kernel in (problem.kernel, _raw_quotient_kernel(problem.weight)):
+        quotient = kernel.weighted_quotient
         rep = check_hypotheses(kernel, problem.weight, problem.nl, r=0.5)
         # C1 on the 41 report columns
         ts, sups = rep.profiles["M0"]
@@ -472,6 +464,14 @@ def test_hypothesis_profiles_match_the_column_loops(problem):
         want = [float((np.abs(np.diff(quotient(xs, t) * (xs >= t)))
                        / np.diff(emb)).max()) for t in ts]
         assert np.array_equal(rep.profiles["w0"][1], want, equal_nan=True)
+
+
+def test_check_hypotheses_refuses_a_kernel_without_weighted_quotient(
+        problem):
+    bare = Kernel("bare", problem.kernel.kx, qx=problem.kernel.qx)
+    with pytest.raises(ValueError,
+                       match="kernel 'bare' has no weighted_quotient"):
+        check_hypotheses(bare, problem.weight, problem.nl, r=0.5)
 
 
 def test_check_hypotheses_rejects_nonpositive_radius(problem):

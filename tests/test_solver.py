@@ -271,7 +271,7 @@ def test_write_outputs(problem, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["iterations"] == res.iterations
     assert summary["in_ball"] is True
-    assert summary["rho_ball"] == 0.5
+    assert summary["config"]["rho_ball"] == 0.5
     assert "written_at" not in summary
     assert summary["profile_at_1"] == res.profile[-1][1].value
     assert summary["profile_converged"] == converged
