@@ -63,8 +63,8 @@ def _real_param(name, value, positive):
 
 
 def _gauss_shift_kernel(weight_desc, rate=1.0):
-    """exp(-rate (x-t)^2) with its weighted forms kx/phi and qx for the
-    problem's weight; for phi = 1 both are kx itself."""
+    """exp(-rate (x-t)^2) with its weighted forms kx/phi, qx and dqx =
+    d qx/dx for the problem's weight; for phi = 1 they are kx and dkx/dx."""
     rate = _real_param("gauss-shift rate", rate, positive=True)
 
     def kx(x, t):
@@ -77,7 +77,7 @@ def _gauss_shift_kernel(weight_desc, rate=1.0):
         return 0.5 * _SQRT_PI / math.sqrt(rate) * y * erf(math.sqrt(rate)
                                                           * np.asarray(x))
 
-    forms = {"weighted_quotient": kx, "qx": kx}
+    forms = {"weighted_quotient": kx, "qx": kx, "dqx": dkx}
     if weight_desc == "exp(-x^2/2)":
         # Combine the exponents before exponentiating: the raw ratio
         # kx(x,t)/phi(x) is 0/0 in float64 once both factors underflow
@@ -99,15 +99,19 @@ def _gauss_shift_kernel(weight_desc, rate=1.0):
                 return np.exp(growth * x ** 2
                               - (rate + 1.0) * (t - centre * x) ** 2)
 
-        forms.update(weighted_quotient=weighted_quotient, qx=qx)
+        # d qx/dx is the exponent's x-derivative times qx, with
+        # (rate + 1) centre = rate; at rate 1 it is -(x - 2t) qx
+        def dqx(x, t):
+            return 2.0 * (growth * x + rate * (t - centre * x)) * qx(x, t)
+
+        forms.update(weighted_quotient=weighted_quotient, qx=qx, dqx=dqx)
         if rate == 1.0:
             # sup over x >= t of exp(x^2/2 - (x-t)^2), attained at x = 2t
             def weighted_sup(t, s):
                 return math.exp(t * t)
             forms["weighted_sup"] = weighted_sup
 
-    return Kernel("gauss-shift", kx, abs_integral=abs_integral, dkx=dkx,
-                  **forms)
+    return Kernel("gauss-shift", kx, abs_integral=abs_integral, **forms)
 
 
 def _gauss_square_nonlinearity(weight_desc, amplitude=0.125):
@@ -234,6 +238,9 @@ def load_problem_file(path):
         cfgdoc = json.load(fh)
     if not isinstance(cfgdoc, dict):
         raise ValueError("a problem file holds one JSON object")
+    problem_id = cfgdoc.get("id", "custom")
+    if not isinstance(problem_id, str):
+        raise ValueError(f"problem id must be a string, got {problem_id!r}")
     weight_desc = cfgdoc.get("weight", "exp(-x^2/2)")
     if not isinstance(weight_desc, str) or weight_desc not in WEIGHT_REGISTRY:
         raise ValueError(f"unknown weight {weight_desc!r}")
@@ -242,7 +249,7 @@ def load_problem_file(path):
     truncation = _real_param("truncation", cfgdoc.get("truncation", 24.0),
                              positive=True)
     return NamedProblem(
-        id=cfgdoc.get("id", "custom"), weight_desc=weight_desc,
+        id=problem_id, weight_desc=weight_desc,
         kernel=kernel, nl=nl, cmap=_halfstrip_cmap(),
         closed_forms={"abs_integral": kernel.abs_integral}
         if kernel.abs_integral else {},

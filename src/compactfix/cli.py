@@ -2,9 +2,8 @@
 
 Subcommands: solve, check-conditions, ascoli-demo, compactify-demo,
 validate-closed-forms.  Exit codes: 0 success, 1 usage error, 2 numerical
-or validation failure (a Picard solve or a quadrature did not converge, the
-weight underflows to 0 on the grid, or the run completed but a checked
-value fell outside tolerance).
+or validation failure (a Picard solve or a quadrature did not converge, or
+the run completed but a checked value fell outside tolerance).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 from .casestudy import (PROBLEM_IDS, load_problem, load_problem_file,
                         run_full_pipeline, validate_closed_forms)
 from .cones import default_eval_grid, index_one_sweep
-from .funcspace import WeightUnderflowError
 from .greenop import QuadratureError, check_hypotheses
 from .solver import IterationError, SolveConfig, picard_solve, write_outputs
 
@@ -257,7 +255,7 @@ def main(argv=None):
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (QuadratureError, WeightUnderflowError) as err:
+    except QuadratureError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:

@@ -21,11 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greenop import kernel_abs_integral
-
-# absolute tolerance of the kernel column integrals behind the beta factor
-_QUAD_TOL = 1e-8
-
 
 def alpha_inf(samples):
     """Default cone functional: the pointwise infimum."""
@@ -67,8 +62,12 @@ class IndexCheck:
 
 
 def abs_integral_beta_factor(kernel, grid):
-    """beta applied to the profile t -> integral of |G(t, s)| ds."""
-    return beta_sup(kernel_abs_integral(kernel, grid[0], grid[1], _QUAD_TOL))
+    """beta applied to the kernel's attached closed form abs_integral on
+    the grid; ValueError for a kernel without one (validate-closed-forms
+    checks the closed form against quadrature)."""
+    if kernel.abs_integral is None:
+        raise ValueError(f"kernel {kernel.name!r} has no abs_integral")
+    return beta_sup(kernel.abs_integral(*np.meshgrid(*grid, indexing="ij")))
 
 
 def index_one_check(kernel, nl, rho, grid=None, beta_factor=None):

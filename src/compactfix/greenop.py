@@ -149,19 +149,19 @@ class Kernel:
     kx is a vectorized callable.  abs_integral, when given, is the closed
     form of the absolute integral over the causal box at an output point
     (x, y).  weighted_sup, when given, is the analytic value of
-    sup_x |kx(x,t)/phi(x)| as a function of the integration point.
-    dkx(x, t), when given, is the vectorized partial derivative of kx in
-    its first argument; the residual of the differentiated equation
-    (solver.pde_residual) needs it.  The infinity-face values of Tu are
-    always read off its grid samples (funcspace.face_profile); a kernel
-    carries no closed form for them.
+    sup_x |kx(x,t)/phi(x)| as a function of the integration point.  The
+    infinity-face values of Tu are always read off its grid samples
+    (funcspace.face_profile); a kernel carries no closed form for them.
 
-    The two weighted forms hold for the problem's weight phi and are
-    evaluated float-safely (one combined exponent, no 0/0 once kx and phi
-    both underflow): weighted_quotient(x, t) = kx(x, t)/phi(x), which
-    check_hypotheses reads, and qx(x, t) = kx(x, t) phi(t)^2 / phi(x), the
+    The weighted forms hold for the problem's weight phi and are evaluated
+    float-safely (one combined exponent, no 0/0 once kx and phi both
+    underflow): weighted_quotient(x, t) = kx(x, t)/phi(x), which
+    check_hypotheses reads; qx(x, t) = kx(x, t) phi(t)^2 / phi(x), the
     kernel's half of the quotient form (see Nonlinearity.q_eval), which the
-    grid operator reads.  Each reader refuses a kernel without its form.
+    grid operator reads; and dqx(x, t), the partial derivative of qx in its
+    first argument, which the residual of the differentiated q-equation
+    (solver.pde_residual) reads.  Each reader refuses a kernel without its
+    form.
     """
 
     name: str
@@ -169,7 +169,7 @@ class Kernel:
     abs_integral: object = None
     weighted_sup: object = None
     weighted_quotient: object = None
-    dkx: object = None
+    dqx: object = None
     qx: object = None
 
 
@@ -286,28 +286,25 @@ def cumulative_weights(nodes):
     return cumulative_weight_block(_uniform_step(nodes), 0, n, 0, n)
 
 
-def kernel_row_blocks(k, nodes, start, stop, trim=False):
+def kernel_row_blocks(k, nodes, start, stop):
     """The cumulative rule times a kernel, rows start..stop-1 in blocks of
     _ROW_BLOCK rows: yields (a, c0, M) with M[i, j] = W[a+i, c0+j]
     k(x_{a+i}, x_{c0+j}), W = cumulative_weights(nodes).  A block's columns
-    are its causal range 0..b-1 (b its end row); with trim they are
-    narrowed to the span of the columns where |k| reaches 2^-53 of its
-    peak in some row of the block."""
+    are its causal range 0..b-1 (b its end row), narrowed to the span of
+    the columns where |k| reaches 2^-53 of its peak in some row of the
+    block.  The grid operator reads the blocks of k = qx, the residual
+    those of k = dqx."""
     xs = np.asarray(nodes, dtype=float)
     h = _uniform_step(xs)
     for a in range(start, stop, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, stop)
         kv = k(xs[a:b, None], xs[None, :b])
-        c0, c1 = 0, b
-        if trim:
-            mag = np.abs(kv)
-            keep = np.flatnonzero(np.any(
-                mag >= 2.0 ** -53 * mag.max(axis=1, keepdims=True), axis=0))
-            if keep.size:
-                c0, c1 = int(keep[0]), int(keep[-1]) + 1
-                kv = kv[:, c0:c1]
+        mag = np.abs(kv)
+        keep = np.flatnonzero(np.any(
+            mag >= 2.0 ** -53 * mag.max(axis=1, keepdims=True), axis=0))
+        c0, c1 = (int(keep[0]), int(keep[-1]) + 1) if keep.size else (0, b)
         block = cumulative_weight_block(h, a, b, c0, c1)
-        block *= kv
+        block *= kv[:, c0:c1]
         yield a, c0, block
 
 
@@ -330,8 +327,7 @@ class GridHammersteinOperator:
             raise ValueError(f"nonlinearity {nl.name!r} has no q_eval")
         xs, ys = (np.asarray(a, dtype=float) for a in axes)
         self.f = nl.q_eval
-        self.blocks = list(kernel_row_blocks(kernel.qx, xs, 0, len(xs),
-                                             trim=True))
+        self.blocks = list(kernel_row_blocks(kernel.qx, xs, 0, len(xs)))
         self.B = cumulative_weights(ys)
         self.t, self.s = xs[:, None], ys[None, :]
 

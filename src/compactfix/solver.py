@@ -1,19 +1,18 @@
 """Picard iteration for the integral fixed point, residuals, profiles.
 
-The solver iterates u <- Tu from u = 0 on a uniform truncated grid and
-measures progress in the order-0 weighted norm.  The iterate is the
-quotient q = u/phi itself, through the problem's quotient form
-(Kernel.qx and Nonlinearity.q_eval, see greenop), so the gap is a plain
-sup of q+ - q and no iteration divides by phi; u = phi q is formed once
-for the profile, the residual and the files.  The profile is one windowed
-face ladder per y-node on the converged iterate, and its converged values
-are the solution's infinity-face data.  For the shipped problem the
-operator is monotone, so the iterates increase pointwise and the stopping
-gap also bounds the distance to the supremum of the iteration.  The
-reported residual is that of the solved equation differentiated once in x
-and once in y, so it measures the discretization error of the converged
-iterate; its x-rule is built in the operator's row blocks, never as a
-dense matrix.
+The solver iterates q <- Tq from q = 0 on a uniform truncated grid, where
+q = u/phi is the quotient of the weighted norm and T the problem's quotient
+form (Kernel.qx and Nonlinearity.q_eval, see greenop).  The whole solve
+stays in q and never divides by phi: the gap is a plain sup of q+ - q, and
+the profile is one windowed face ladder per y-node on the converged q, whose
+converged values are the solution's infinity-face data.  u = phi q is formed
+only for the beta monitor and the solution file; where phi underflows that u
+is 0, its correctly rounded value.  For the shipped problem the operator is
+monotone, so the iterates increase pointwise and the stopping gap also
+bounds the distance to the supremum of the iteration.  The reported residual
+is that of the q-equation differentiated once in x and once in y, so it
+measures the discretization error of the converged iterate; its x-rule is
+built in trimmed row blocks, never as a dense matrix.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import beta_sup, default_eval_grid, index_one_check
-from .funcspace import (WeightedGridFunction, face_profile,
-                        quotient_derivative, save_grid_function)
+from .funcspace import WeightedGridFunction, face_profile, save_grid_function
 from .greenop import (FACE_TOL, GridHammersteinOperator, attach_faces,
                       kernel_row_blocks)
 
@@ -98,19 +96,16 @@ class SolveResult:
 
 
 def picard_solve(problem, cfg=None):
-    """Iterate u <- Tu from u = 0 until the weighted gap drops below tol.
+    """Iterate q <- Tq from q = 0 until the gap sup |q+ - q| drops below tol.
 
     problem must carry id, kernel, nl and weight (a WEIGHT_REGISTRY entry,
     so that the solution can be saved), and the kernel and nonlinearity
-    their quotient forms for that weight.  Raises
-    WeightUnderflowError before any work when phi is 0 at a grid node, and
-    IterationError with the gap history when max_iter is exhausted.
+    their quotient forms for that weight.  Raises IterationError with the
+    gap history when max_iter is exhausted.
     """
     cfg = cfg or SolveConfig()
     axes = cfg.axes()
-    u = WeightedGridFunction(axes, np.zeros(tuple(len(a) for a in axes)),
-                             problem.weight)
-    phi = u.weight_values()  # WeightUnderflowError before any work
+    phi = problem.weight(axes[0])[:, None]
     ball_check = None
     if cfg.rho_ball is not None:
         ball_check = index_one_check(
@@ -123,7 +118,7 @@ def picard_solve(problem, cfg=None):
                 "certified", stacklevel=2)
 
     op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
-    q = np.zeros_like(phi)
+    q = np.zeros(tuple(len(a) for a in axes))
     gaps, betas = [], []
     for _ in range(cfg.max_iter):
         new = op.apply(q)
@@ -136,15 +131,15 @@ def picard_solve(problem, cfg=None):
         raise IterationError(
             f"no convergence after {cfg.max_iter} iterations "
             f"(last gap {gaps[-1]:.3g})", gaps)
-    u = u.with_samples(phi * q)
     # release the operator's blocks before the residual builds its own
     del op
 
+    u = WeightedGridFunction(axes, phi * q, problem.weight)
     # one face ladder per y-node: the profile, whose converged values are
     # also the solution's face data
-    profile = tuple(asymptotic_profile(u))
+    profile = tuple(asymptotic_profile(u, q))
     attach_faces(u, profile)
-    residual = pde_residual(u, problem.nl, problem.kernel)
+    residual = pde_residual(axes, q, problem.kernel, problem.nl)
     in_ball = None
     if cfg.rho_ball is not None:
         in_ball = all(b <= cfg.rho_ball + 1e-12 for b in betas)
@@ -152,50 +147,48 @@ def picard_solve(problem, cfg=None):
                        profile, in_ball, ball_check, cfg, problem.id)
 
 
-def pde_residual(u, nl, kernel=None):
-    """sup over interior nodes of the residual of the differentiated equation.
+def pde_residual(axes, q, kernel, nl):
+    """sup over interior nodes of the residual of the differentiated
+    q-equation.
 
-    Differentiating u = int_0^x int_0^y kx(x, t) f(t, s, u(t, s)) ds dt once
-    in y and once in x (Leibniz rule) gives
+    Differentiating q = int_0^x int_0^y qx(x, t) g(t, s, q(t, s)) ds dt,
+    g = nl.q_eval, once in y and once in x (Leibniz rule) gives
 
-        u_xy = kx(x, x) f(x, y, u) + int_0^x dkx(x, t) f(t, y, u(t, y)) dt,
+        q_xy = qx(x, x) g(x, y, q) + int_0^x dqx(x, t) g(t, y, q(t, y)) dt,
 
-    and the result is sup |D2_xy u - rhs|.  D2_xy is the centered 4-point
+    and the result is sup |D2_xy q - rhs|.  D2_xy is the centered 4-point
     cross stencil for the mixed second partial, so the residual of a grid
     solution decays at second order; the x-integral uses the cumulative
-    weights in the operator's row blocks (greenop.kernel_row_blocks), so
-    no n x n array is formed.  kernel=None is the case kx = 1, the Goursat
-    form u_xy = f.  Edge nodes are excluded.
+    weights times dqx in trimmed row blocks (greenop.kernel_row_blocks,
+    which also builds the operator), so no n x n array is formed.  Edge
+    nodes are excluded.
 
-    Raises ValueError for a kernel without dkx: the differentiated form
+    Raises ValueError for a kernel without dqx: the differentiated form
     would need a term this function does not evaluate.
     """
-    if kernel is not None and kernel.dkx is None:
+    if kernel.dqx is None:
         raise ValueError(
-            f"kernel {kernel.name!r} has no dkx; the differentiated "
-            "form needs the convolution term of d kx/dx")
-    xs, ys = u.axes
+            f"kernel {kernel.name!r} has no dqx; the differentiated "
+            "form needs the convolution term of d qx/dx")
+    xs, ys = axes
     if len(xs) < 3 or len(ys) < 3:
         raise ValueError("grid too coarse for the mixed-derivative stencil")
-    v = u.samples
     dx = xs[2:] - xs[:-2]
     dy = ys[2:] - ys[:-2]
-    mixed = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) \
+    mixed = (q[2:, 2:] - q[2:, :-2] - q[:-2, 2:] + q[:-2, :-2]) \
         / (dx[:, None] * dy[None, :])
-    tm, sm = np.meshgrid(xs, ys[1:-1], indexing="ij")
-    fvals = nl.eval(tm, sm, v[:, 1:-1])
-    rhs = fvals[1:-1]
-    if kernel is not None:
-        inner = xs[1:-1]
-        rhs = kernel.kx(inner, inner)[:, None] * rhs
-        for a, _, block in kernel_row_blocks(kernel.dkx, xs, 1, len(xs) - 1):
-            b = a + len(block)
-            rhs[a - 1:b - 1] += block @ fvals[:b]
+    gvals = nl.q_eval(xs[:, None], ys[None, 1:-1], q[:, 1:-1])
+    inner = xs[1:-1]
+    rhs = kernel.qx(inner, inner)[:, None] * gvals[1:-1]
+    for a, c0, block in kernel_row_blocks(kernel.dqx, xs, 1, len(xs) - 1):
+        rows, cols = block.shape
+        rhs[a - 1:a - 1 + rows] += block @ gvals[c0:c0 + cols]
     return float(np.max(np.abs(mixed - rhs)))
 
 
-def asymptotic_profile(u, tol=FACE_TOL):
-    """Windowed limits of u/phi at the infinity face, one per y-node.
+def asymptotic_profile(u, q, tol=FACE_TOL):
+    """Windowed limits of the quotient q = u/phi at u's infinity face, one
+    per y-node; u supplies the axes and the faces.
 
     Raises ValueError naming the y-node when the ladder reports that no
     limit exists.  Inconclusive ladders are passed through in the results
@@ -204,7 +197,7 @@ def asymptotic_profile(u, tol=FACE_TOL):
     faces = u.face_labels()
     if not faces:
         raise ValueError("the grid function has no infinity face")
-    out = face_profile(u, quotient_derivative(u, (0, 0)), faces[0], tol)
+    out = face_profile(u, q, faces[0], tol)
     for y0, res in out:
         if res.status == "no_limit":
             raise ValueError(f"no limit of u/phi at y0 = {y0:g}")

@@ -3,12 +3,11 @@
 Every test prints "[ N] name: PASS/FAIL (detail)" before asserting, so a
 plain `pytest tests/test_acceptance.py -s` shows the whole scorecard.
 
-The residual-decay half of criterion 4 measures the differentiated
-integral equation, u_xy = kx(x, x) f + int_0^x dkx(x, t) f dt, on the
+The residual-decay half of criterion 4 measures the equation being solved,
+the integral equation for q = u/phi differentiated once in x and once in y,
+q_xy = qx(x, x) g + int_0^x dqx(x, t) g dt with g = q_eval, on the
 converged iterate; its cross stencil is second order, so the residual falls
-about fourfold per halving of the grid step.  The Goursat form u_xy = f
-drops the convolution term and sits near 7e-2 at every step; see the solver
-test on the structural residual.
+about fourfold per halving of the grid step.
 """
 
 import math
@@ -134,7 +133,7 @@ def test_04_residual_decay(solved):
     ok = r02 < 5e-3 and r01 < r02 / 3.0
     _report(4, "residual-decay", ok,
             f"residual {r02:.3e} at h=0.02 and {r01:.3e} at h=0.01 of the "
-            "differentiated integral equation, ratio "
+            "differentiated q-equation, ratio "
             f"{r02 / r01:.2f} per halving")
 
 

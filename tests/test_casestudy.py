@@ -171,6 +171,20 @@ def test_rate_two_file_quotient_is_exact_far_out(tmp_path):
     assert all(math.isfinite(v) for v in rep.integrals.values())
 
 
+@pytest.mark.parametrize("weight", ["1", "exp(-x^2/2)"])
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+def test_dqx_is_the_x_derivative_of_qx(tmp_path, rate, weight):
+    kernel = _gauss_shift_problem(tmp_path, rate, weight).kernel
+    x = np.linspace(0.0, 12.0, 49)[:, None]
+    t = np.linspace(0.0, 12.0, 37)[None, :]
+    h = 1e-6
+    centred = (kernel.qx(x + h, t) - kernel.qx(x - h, t)) / (2.0 * h)
+    assert np.max(np.abs(kernel.dqx(x, t) - centred)) < 1e-8
+    if rate == 1.0 and weight == "exp(-x^2/2)":
+        assert np.allclose(kernel.dqx(x, t), -(x - 2.0 * t) * kernel.qx(x, t),
+                           rtol=1e-14, atol=0.0)
+
+
 def test_load_problem_file_rejects_unknown_pieces(tmp_path):
     base = {"kernel": {"id": "gauss-shift"},
             "nonlinearity": {"id": "zero"}}
@@ -194,6 +208,8 @@ def test_load_problem_file_rejects_unknown_pieces(tmp_path):
         load_problem_file(write(kernel={"id": ["gauss-shift"]}))
     with pytest.raises(ValueError, match="unknown nonlinearity id"):
         load_problem_file(write(nonlinearity={"id": ["zero"]}))
+    with pytest.raises(ValueError, match="problem id must be a string"):
+        load_problem_file(write(id=["x", 1]))
     for bad in (None, True, "24", 0, -1.0):
         with pytest.raises(ValueError, match="truncation must be"):
             load_problem_file(write(truncation=bad))

@@ -6,9 +6,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from compactfix.cli import main
+from compactfix.funcspace import load_grid_function
 
 
 def test_solve_writes_run_directory(tmp_path, capsys):
@@ -185,17 +187,20 @@ def test_overflowing_radius_is_a_numerical_failure(tmp_path, package_env):
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
 
-def test_weight_underflow_is_a_numerical_failure(tmp_path, capsys):
-    # exp(-x^2/2) is 0 in float64 beyond x = 38.6; the error names the
-    # first node where it is
+def test_long_truncation_solves_past_the_weight_underflow(tmp_path, capsys):
+    # exp(-x^2/2) is 0 in float64 beyond x = 38.6, but the solve never
+    # divides by it: q converges everywhere and u = phi q rounds to 0 there
     out = tmp_path / "run"
     rc = main(["solve", "--grid-step", "0.1", "--truncation", "40",
-               "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: weight exp(-x^2/2)")
-    assert "at x = 38.7:" in err
-    assert not out.exists()
+               "--out", str(out), "--no-timestamp"])
+    assert rc == 0
+    assert "profile converged at 11 of 11 y-nodes" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["profile_converged"] == 11
+    sol = load_grid_function(out / "solution.csv")
+    assert np.all(np.isfinite(sol.samples))
+    assert np.all(sol.samples[sol.axes[0] > 38.6] == 0.0)
+    assert np.any(sol.samples[sol.axes[0] <= 38.6] > 0.0)
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -214,6 +219,8 @@ def test_weight_underflow_is_a_numerical_failure(tmp_path, capsys):
       "nonlinearity": {"id": "zero"}}, "kernel id"),
     ({"kernel": {"id": "gauss-shift"},
       "nonlinearity": {"id": ["zero"]}}, "nonlinearity id"),
+    ({"id": ["x", 1], "kernel": {"id": "gauss-shift"},
+      "nonlinearity": {"id": "zero"}}, "problem id"),
 ])
 def test_problem_file_key_errors_are_usage_errors(tmp_path, capsys, doc,
                                                   key):

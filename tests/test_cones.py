@@ -1,5 +1,6 @@
 """Cone functionals and the index-one ball condition."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from compactfix.casestudy import _gauss_square_nonlinearity
 from compactfix.cones import (abs_integral_beta_factor, alpha_inf, beta_sup,
                               default_eval_grid, f_sup_rho, index_one_check,
                               index_one_sweep)
-from compactfix.greenop import Nonlinearity
+from compactfix.greenop import Nonlinearity, kernel_abs_integral
 
 SQPI2 = math.sqrt(math.pi) / 2.0
 
@@ -67,6 +68,12 @@ def test_beta_factor_is_the_far_corner(problem):
     grid = default_eval_grid()
     beta = abs_integral_beta_factor(problem.kernel, grid)
     assert beta == pytest.approx(SQPI2 * erf(24.0), abs=1e-9)
+    # the attached closed form against the quadrature of |kx|
+    assert beta == pytest.approx(
+        beta_sup(kernel_abs_integral(problem.kernel, *grid)), abs=1e-12)
+    bare = dataclasses.replace(problem.kernel, abs_integral=None)
+    with pytest.raises(ValueError, match="no abs_integral"):
+        abs_integral_beta_factor(bare, grid)
 
 
 def test_index_one_holds_at_half(problem):

@@ -546,7 +546,9 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     for name in ("ConeSpec", "ChainError", "PlanResult", "cone_membership",
                  "f_inf_rho", "index_zero_check", "multiplicity_plan",
                  "gamma_zero", "_sep_ok", "_v_ladder_values",
-                 "_unit_strip_integral", "itertools"):
+                 "_unit_strip_integral", "itertools",
+                 # the ball check reads the attached closed form
+                 "_QUAD_TOL", "kernel_abs_integral"):
         assert not hasattr(compactfix.cones, name), name
     assert not hasattr(compactfix.ConeReport, "to_json")
     for cls, attrs in [(compactfix.IndexCheck, ("kind", "data")),
@@ -579,6 +581,8 @@ def test_exports_resolve_and_deleted_names_stay_gone():
                       (compactfix.SolveConfig, "quad_tol"),
                       # settings with one value in use are constants
                       (compactfix.Kernel, "ky"),
+                      # the solve stays in q: the residual reads dqx
+                      (compactfix.Kernel, "dkx"),
                       (compactfix.SolveConfig, "face_tol"),
                       (compactfix.NamedProblem, "default_config"),
                       (compactfix.NamedProblem, "payload"),
@@ -605,7 +609,12 @@ def test_exports_resolve_and_deleted_names_stay_gone():
             (compactfix.kappa_limit, ("samples_per_level", "radius_cap",
                                       "seed")),
             (compactfix.extend, ("kwargs",)),
-            (compactfix.precompactness_report, ("eps_ladder",))]:
+            (compactfix.precompactness_report, ("eps_ladder",)),
+            # every band is trimmed
+            (compactfix.greenop.kernel_row_blocks, ("trim",))]:
         params = inspect.signature(fn).parameters
         for name in names:
             assert name not in params, (fn.__name__, name)
+    # the residual is the q-equation's, so it always needs the kernel
+    kernel = inspect.signature(compactfix.pde_residual).parameters["kernel"]
+    assert kernel.default is inspect.Parameter.empty

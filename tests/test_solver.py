@@ -73,62 +73,44 @@ def test_iteration_budget_exhaustion(problem):
 
 
 def test_pde_residual_of_zero_is_the_forcing_peak(problem):
+    # at q = 0 the convolution term int_0^x dqx(x, t) dt g vanishes (dqx is
+    # odd about t = x/2), so the residual is qx(x, x) g near the origin
     axes = SolveConfig(hx=0.02, hy=0.02, truncation=2.0).axes()
-    u = WeightedGridFunction(axes, np.zeros((len(axes[0]), len(axes[1]))))
-    res = pde_residual(u, problem.nl)
+    q = np.zeros((len(axes[0]), len(axes[1])))
+    res = pde_residual(axes, q, problem.kernel, problem.nl)
     assert res == pytest.approx(0.125, abs=1e-3)
-    tiny = WeightedGridFunction((np.array([0.0, 1.0]), np.array([0.0, 1.0])),
-                                np.zeros((2, 2)))
+    tiny = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="too coarse"):
-        pde_residual(tiny, problem.nl)
-
-
-def test_pde_residual_of_integral_solution_is_structural(problem):
-    """The integral fixed point does not satisfy the mixed-derivative form.
-
-    The residual of the closed-form image of zero sits near 7.07e-2 and does
-    not shrink under grid refinement, so it measures a model gap rather than
-    discretization error.
-    """
-    values = {}
-    for h in (0.02, 0.01):
-        xs = np.arange(0.0, 8.0 + 1e-9, h)
-        ys = np.arange(0.0, 1.0 + 1e-9, h)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        u = WeightedGridFunction((xs, ys), problem.closed_forms["Tu0"](X, Y),
-                                 problem.weight, cmap=problem.cmap)
-        values[h] = pde_residual(u, problem.nl)
-    assert values[0.02] == pytest.approx(0.0707, abs=5e-3)
-    assert values[0.01] / values[0.02] > 0.8
+        pde_residual(tiny, np.zeros((2, 2)), problem.kernel, problem.nl)
 
 
 def test_pde_residual_matches_the_dense_weight_matrix(problem):
     # reference: the convolution term from the dense cumulative_weights
-    # matrix, cut into the same row blocks and causal columns
+    # matrix, cut into the same row blocks over the full causal columns
     xs = np.linspace(0.0, 8.0, 201)
     ys = np.linspace(0.0, 1.0, 11)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    u = WeightedGridFunction((xs, ys), 0.2 * Y * np.exp(-X ** 2 / 2.0)
-                             * (1.0 + np.sin(3.0 * X)), problem.weight)
-    v, kernel = u.samples, problem.kernel
-    mixed = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) \
+    q = 0.2 * Y * (1.0 + np.sin(3.0 * X))
+    kernel = problem.kernel
+    mixed = (q[2:, 2:] - q[2:, :-2] - q[:-2, 2:] + q[:-2, :-2]) \
         / ((xs[2:] - xs[:-2])[:, None] * (ys[2:] - ys[:-2])[None, :])
-    fvals = problem.nl.eval(X[:, 1:-1], Y[:, 1:-1], v[:, 1:-1])
-    rhs = kernel.kx(xs[1:-1], xs[1:-1])[:, None] * fvals[1:-1]
+    gvals = problem.nl.q_eval(X[:, 1:-1], Y[:, 1:-1], q[:, 1:-1])
+    rhs = kernel.qx(xs[1:-1], xs[1:-1])[:, None] * gvals[1:-1]
     W = cumulative_weights(xs)
     for a in range(1, len(xs) - 1, 64):
         b = min(a + 64, len(xs) - 1)
-        block = W[a:b, :b] * kernel.dkx(xs[a:b, None], xs[None, :b])
-        rhs[a - 1:b - 1] += block @ fvals[:b]
-    assert pde_residual(u, problem.nl, kernel) == np.max(np.abs(mixed - rhs))
+        block = W[a:b, :b] * kernel.dqx(xs[a:b, None], xs[None, :b])
+        rhs[a - 1:b - 1] += block @ gvals[:b]
+    assert pde_residual((xs, ys), q, kernel, problem.nl) \
+        == np.max(np.abs(mixed - rhs))
 
 
 def test_pde_residual_refuses_kernels_it_cannot_differentiate(problem):
     axes = SolveConfig(hx=0.25, hy=0.25, truncation=2.0).axes()
-    u = WeightedGridFunction(axes, np.zeros((len(axes[0]), len(axes[1]))))
-    no_dkx = dataclasses.replace(problem.kernel, dkx=None)
-    with pytest.raises(ValueError, match="dkx"):
-        pde_residual(u, problem.nl, no_dkx)
+    q = np.zeros((len(axes[0]), len(axes[1])))
+    no_dqx = dataclasses.replace(problem.kernel, dqx=None)
+    with pytest.raises(ValueError, match="dqx"):
+        pde_residual(axes, q, no_dqx, problem.nl)
 
 
 def test_asymptotic_profile_of_closed_form(problem):
@@ -137,7 +119,7 @@ def test_asymptotic_profile_of_closed_form(problem):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     u = WeightedGridFunction((xs, ys), problem.closed_forms["Tu0"](X, Y),
                              problem.weight, cmap=problem.cmap)
-    prof = asymptotic_profile(u, tol=1e-6)
+    prof = asymptotic_profile(u, u.quotient(), tol=1e-6)
     face = problem.closed_forms["Tu0_face"]
     for y0, res in prof:
         assert res.status == "converged"
@@ -151,13 +133,27 @@ def test_asymptotic_profile_error_paths(problem):
     X, _ = np.meshgrid(xs, ys, indexing="ij")
     wobble = WeightedGridFunction((xs, ys), np.sin(X), cmap=problem.cmap)
     with pytest.raises(ValueError, match="no limit of u/phi"):
-        asymptotic_profile(wobble, tol=1e-3)
+        asymptotic_profile(wobble, wobble.quotient(), tol=1e-3)
     boxed = WeightedGridFunction(
         (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)), np.zeros((5, 5)),
         cmap=ProductCompactification((IntervalIdentity(0.0, 1.0),
                                       IntervalIdentity(0.0, 1.0))))
     with pytest.raises(ValueError, match="no infinity face"):
-        asymptotic_profile(boxed)
+        asymptotic_profile(boxed, boxed.quotient())
+
+
+def test_profile_error_falls_tenfold_per_longer_truncation(problem):
+    # past x = 38.6 phi is 0 in float64, yet the q-solve needs no division
+    # by it; the y = 1 profile approaches the Riccati face value
+    # q_inf(1) = 0.12475395214745 as the truncation grows
+    errors = []
+    for truncation in (24.0, 40.0, 60.0):
+        res = picard_solve(problem, SolveConfig(hx=0.05, hy=0.05,
+                                                truncation=truncation))
+        assert res.profile_converged == len(res.profile)
+        errors.append(abs(res.profile[-1][1].value - 0.12475395214745))
+    assert errors[0] < 2e-6
+    assert all(8.0 * b < a for a, b in zip(errors, errors[1:]))
 
 
 def test_picard_solve_coarse_run(problem):
