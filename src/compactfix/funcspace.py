@@ -4,11 +4,12 @@ A function f of class m is stored by its samples on a rectangular grid
 together with the values of the weighted quotients d_p(f/phi) on the infinity
 faces of the compactification.  The norm is the sup of all quotient
 derivatives up to order m, over the grid and over the stored face values.
+A grid function is saved as its quotient u/phi, one value per line, with a
+JSON sidecar for the axes, the weight's name and the face values.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -71,6 +72,7 @@ class WeightedGridFunction:
 
     The weight's name is looked up in WEIGHT_REGISTRY; a weight from
     outside the registry has the name None and computes but cannot be saved.
+    A grid function built by from_quotient also keeps q = u/phi itself.
     """
 
     def __init__(self, axes, samples, weight=None, order=0, cmap=None,
@@ -94,6 +96,18 @@ class WeightedGridFunction:
         self.cmap = cmap if cmap is not None else _default_cmap(len(self.axes))
         self.infinity = infinity or {}
         self._wvals = None
+        self._q = None
+
+    @classmethod
+    def from_quotient(cls, axes, q, weight=None, order=0, cmap=None,
+                      infinity=None, weight_desc=None):
+        """The grid function u = phi q that keeps q itself: its samples are
+        weight_values() * q and quotient() returns q, so nothing divides phi
+        back out (q stays exact where phi underflows to 0 and u with it)."""
+        out = cls(axes, q, weight, order, cmap, infinity, weight_desc)
+        out._q = out.samples
+        out.samples = out.weight_values() * out._q
+        return out
 
     @property
     def ndim(self):
@@ -103,25 +117,30 @@ class WeightedGridFunction:
         return np.meshgrid(*self.axes, indexing="ij")
 
     def weight_values(self):
-        """phi on the grid; ValueError where it is negative, and
-        WeightUnderflowError naming the first x where it is 0."""
+        """phi = weight(*mesh()) on the grid; ValueError where it is
+        negative.  It may be 0 where a positive weight underflows."""
         if self._wvals is None:
             wvals = np.asarray(self.weight(*self.mesh()), dtype=float)
             if np.any(wvals < 0):
                 raise ValueError("weight must be positive on the grid")
-            zero = np.argwhere(wvals == 0)
-            if len(zero):
-                x = self.axes[0][zero[0][0]]
-                raise WeightUnderflowError(
-                    f"weight {self.weight_desc or 'phi'} is not positive at "
-                    f"x = {x:g}: it is 0 in float64 there, so u/phi is "
-                    "undefined")
             self._wvals = wvals
         return self._wvals
 
     def quotient(self):
-        """samples / weight on the grid."""
-        return self.samples / self.weight_values()
+        """q = u/phi on the grid: the kept q of from_quotient, otherwise
+        samples / weight, which raises WeightUnderflowError naming the
+        first x where phi is 0."""
+        if self._q is not None:
+            return self._q
+        wvals = self.weight_values()
+        zero = np.argwhere(wvals == 0)
+        if len(zero):
+            x = self.axes[0][zero[0][0]]
+            raise WeightUnderflowError(
+                f"weight {self.weight_desc or 'phi'} is not positive at "
+                f"x = {x:g}: it is 0 in float64 there, so u/phi is "
+                "undefined")
+        return self.samples / wvals
 
     def with_samples(self, samples, infinity=None):
         out = WeightedGridFunction(self.axes, samples, self.weight,
@@ -531,6 +550,13 @@ def gaussian_family_separation(n_max, step=1e-3):
 # serialization: samples to CSV, everything else to a JSON sidecar
 
 
+#: the header line of a grid-function CSV; the values below it are u/phi
+_CSV_HEADER = "u/phi"
+#: values formatted with one "%.17g" template per write; a bounded chunk
+#: keeps the writer's memory small at any grid size
+_CSV_CHUNK = 1 << 14
+
+
 def _p_key(p):
     return ",".join(str(k) for k in p)
 
@@ -540,27 +566,25 @@ def _p_unkey(s):
 
 
 def save_grid_function(f, csv_path):
-    """Write samples as CSV (one row per node) plus a JSON sidecar.
+    """Write the quotient q = u/phi as CSV plus a JSON sidecar.
 
-    Each node coordinate is formatted once; the nodes that share their
-    leading coordinates (one line of the last axis) are written with one
-    "%.17g" template, so the file matches a per-cell f"{v:.17g}" writer
-    byte for byte.  Raises ValueError for a weight outside WEIGHT_REGISTRY,
-    which the sidecar could not name.
+    The CSV is the header line "u/phi" and then f.quotient(), one "%.17g"
+    value per line, flattened in C order of the axes; the sidecar holds the
+    axes, the weight's name, the order, the cmap and the infinity-face
+    data, so u = phi q is recovered by load_grid_function.  Raises
+    ValueError for a weight outside WEIGHT_REGISTRY, which the sidecar could
+    not name, and WeightUnderflowError for a grid function without a kept
+    quotient whose weight is 0 on its grid; neither creates a file.
     """
     if f.weight_desc is None:
         raise ValueError("only a WEIGHT_REGISTRY weight can be saved; this "
                          "grid function's weight has no name")
-    names = ["x", "y", "z"][: f.ndim]
-    *lead, last = [["%.17g" % v for v in a.tolist()] for a in f.axes]
-    cells = [""] + [c + ",%.17g\r\n" for c in last]
-    rows = f.samples.reshape(math.prod(len(a) for a in lead), len(last))
+    flat = f.quotient().ravel()
     with open(csv_path, "w", newline="") as fh:
-        fh.write(",".join(names + ["value"]) + "\r\n")
-        for prefix, row in zip(itertools.product(*lead), rows):
-            # the leading "" puts the prefix before every cell
-            template = "".join(c + "," for c in prefix).join(cells)
-            fh.write(template % tuple(row.tolist()))
+        fh.write(_CSV_HEADER + "\r\n")
+        for start in range(0, flat.size, _CSV_CHUNK):
+            chunk = flat[start:start + _CSV_CHUNK].tolist()
+            fh.write(("%.17g\r\n" * len(chunk)) % tuple(chunk))
     side = {
         "weight": f.weight_desc,
         "order": f.order,
@@ -576,13 +600,28 @@ def save_grid_function(f, csv_path):
 
 
 def load_grid_function(csv_path):
+    """Read a grid function written by save_grid_function.
+
+    Returns WeightedGridFunction.from_quotient of the saved q, so the
+    loaded quotient() is bitwise the saved one and the samples are phi q.
+    Raises ValueError when the header is not "u/phi" (for example an older
+    x,y,value file) or the number of values does not match the sidecar's
+    axes.
+    """
     with open(str(csv_path) + ".json") as fh:
         side = json.load(fh)
     axes = tuple(np.asarray(a, dtype=float) for a in side["axes"])
     shape = tuple(len(a) for a in axes)
     with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    vals = np.array([float(r[-1]) for r in rows[1:]]).reshape(shape)
+        lines = fh.read().splitlines()
+    header = lines[0] if lines else ""
+    if header != _CSV_HEADER:
+        raise ValueError(f"{csv_path}: header {header!r} is not "
+                         f"{_CSV_HEADER!r}")
+    if len(lines) - 1 != math.prod(shape):
+        raise ValueError(f"{csv_path}: {len(lines) - 1} values for the "
+                         f"{math.prod(shape)} nodes of the sidecar's axes")
+    q = np.array(lines[1:], dtype=float).reshape(shape)
     infinity = {face: {_p_unkey(k): (np.asarray(v, dtype=float)
                                      if isinstance(v, list) else float(v))
                        for k, v in per_p.items()}
@@ -590,5 +629,6 @@ def load_grid_function(csv_path):
     cmap = _default_cmap(len(axes)) if side["cmap"] != "line-twopoint" \
         else LineTwoPoint()
     name = side["weight"]
-    return WeightedGridFunction(axes, vals, WEIGHT_REGISTRY.get(name),
-                                side["order"], cmap, infinity, name)
+    return WeightedGridFunction.from_quotient(
+        axes, q, WEIGHT_REGISTRY.get(name), side["order"], cmap, infinity,
+        name)

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compactify import HalfLineOnePoint, kappa_limit
-from .funcspace import face_profile, quotient_derivative
+from .funcspace import (WeightedGridFunction, face_profile,
+                        quotient_derivative)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # the panel rule: at most 2^_MAX_PANEL_LEVEL panels per interval; the 2-d
@@ -384,7 +385,9 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
     """Tu as a weighted grid function on u's grid.
 
     method "grid" uses the cumulative weights (uniform grids only), in the
-    quotient coordinates q = u/phi;
+    quotient coordinates q = u/phi, and returns a grid function that keeps
+    the image's q (WeightedGridFunction.from_quotient), so its face ladders
+    never divide by phi;
     "adaptive" reads u from its bicubic spline and applies a composite
     16-node Gauss-Legendre rule with 2^L panels per grid interval to every
     node at once, doubling L until the max over all nodes of the difference
@@ -398,13 +401,13 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
         raise ValueError("apply_T expects a 2d grid function")
     if method == "grid":
         op = GridHammersteinOperator(kernel, nl, u.axes)
-        samples = u.weight_values() * op.apply(u.quotient())
+        out = WeightedGridFunction.from_quotient(
+            u.axes, op.apply(u.quotient()), u.weight, u.order, u.cmap)
     elif method == "adaptive":
-        samples = _panel_integrals(u, nl, kernel.kx, tol)
+        out = u.with_samples(_panel_integrals(u, nl, kernel.kx, tol))
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    out = u.with_samples(samples)
     if faces:
         quot = quotient_derivative(out, (0, 0))
         for face in out.face_labels():

@@ -6,13 +6,15 @@ form (Kernel.qx and Nonlinearity.q_eval, see greenop).  The whole solve
 stays in q and never divides by phi: the gap is a plain sup of q+ - q, and
 the profile is one windowed face ladder per y-node on the converged q, whose
 converged values are the solution's infinity-face data.  u = phi q is formed
-only for the beta monitor and the solution file; where phi underflows that u
-is 0, its correctly rounded value.  For the shipped problem the operator is
-monotone, so the iterates increase pointwise and the stopping gap also
-bounds the distance to the supremum of the iteration.  The reported residual
-is that of the q-equation differentiated once in x and once in y, so it
-measures the discretization error of the converged iterate; its x-rule is
-built in trimmed row blocks, never as a dense matrix.
+only for the beta monitor and as the solution's samples (0 where phi
+underflows, its correctly rounded value); the solution keeps q itself, and
+solution.csv holds that q, so no value is lost where u underflows.  For the
+shipped problem the operator is monotone, so the iterates increase
+pointwise and the stopping gap also bounds the distance to the supremum of
+the iteration.  The reported residual is that of the q-equation
+differentiated once in x and once in y, so it measures the discretization
+error of the converged iterate; its x-rule is built in trimmed row blocks,
+never as a dense matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import beta_sup, default_eval_grid, index_one_check
-from .funcspace import WeightedGridFunction, face_profile, save_grid_function
+from .funcspace import (WeightedGridFunction, face_profile,
+                        save_grid_function, weighted_norm)
 from .greenop import (FACE_TOL, GridHammersteinOperator, attach_faces,
                       kernel_row_blocks)
 
@@ -134,7 +137,7 @@ def picard_solve(problem, cfg=None):
     # release the operator's blocks before the residual builds its own
     del op
 
-    u = WeightedGridFunction(axes, phi * q, problem.weight)
+    u = WeightedGridFunction.from_quotient(axes, q, problem.weight)
     # one face ladder per y-node: the profile, whose converged values are
     # also the solution's face data
     profile = tuple(asymptotic_profile(u, q))
@@ -211,8 +214,10 @@ def asymptotic_profile(u, q, tol=FACE_TOL):
 def write_outputs(result, out_dir, timestamp=True):
     """solution.csv (+sidecar), convergence.csv, profile.csv, summary.json.
 
-    summary.json records, besides the run's results, the problem id, the
-    run's settings and how many profile nodes converged."""
+    solution.csv holds the solution's q = u/phi (funcspace.save_grid_function).
+    summary.json records, besides the run's results and the weighted norm
+    ||u||_phi of the solution, the problem id, the run's settings and how
+    many profile nodes converged."""
     import os
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
@@ -248,6 +253,7 @@ def write_outputs(result, out_dir, timestamp=True):
         "final_gap": result.gap_history[-1],
         "residual_sup": result.residual_sup,
         "beta_final": result.beta_history[-1],
+        "weighted_norm": weighted_norm(result.solution),
         "in_ball": result.in_ball,
         "profile_at_1": (result.profile[-1][1].value
                          if result.profile else None),

@@ -201,6 +201,10 @@ def test_long_truncation_solves_past_the_weight_underflow(tmp_path, capsys):
     assert np.all(np.isfinite(sol.samples))
     assert np.all(sol.samples[sol.axes[0] > 38.6] == 0.0)
     assert np.any(sol.samples[sol.axes[0] <= 38.6] > 0.0)
+    # the file holds q = u/phi, which stays exact where u rounds to 0
+    far = sol.quotient()[sol.axes[0] > 38.6]
+    assert np.all(np.isfinite(far)) and np.all(far[:, 1:] > 0.0)
+    assert np.all(far[:, 0] == 0.0)  # the y-integral is empty at y = 0
 
 
 @pytest.mark.parametrize("doc, key", [

@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 import compactfix
 from compactfix.funcspace import (WEIGHT_REGISTRY, BumpChain,
                                   FaceLimitError, WeightedGridFunction,
+                                  WeightUnderflowError,
                                   _family_quotient_derivatives,
                                   equiconvergence_deviation,
                                   equicontinuity_modulus, gamma_p,
@@ -86,10 +87,16 @@ def test_grid_function_validation():
         WeightedGridFunction((XS,), np.zeros(len(XS) + 1))
     with pytest.raises(ValueError, match="increasing"):
         WeightedGridFunction((np.array([0.0, 2.0, 1.0]),), np.zeros(3))
+    # phi = 0 fails only where it is divided by; a negative phi at once
     bad = WeightedGridFunction((XS,), np.zeros_like(XS),
                                weight=lambda x: np.zeros_like(x))
+    assert not np.any(bad.weight_values())
+    with pytest.raises(WeightUnderflowError, match="positive"):
+        bad.quotient()
+    negative = WeightedGridFunction((XS,), np.zeros_like(XS),
+                                    weight=lambda x: -np.ones_like(x))
     with pytest.raises(ValueError, match="positive"):
-        bad.weight_values()
+        negative.weight_values()
 
 
 def test_weighted_norm_zero_and_weight():
@@ -430,7 +437,8 @@ def test_save_load_round_trip(tmp_path):
     assert g.order == 1 and g.weight_desc == "exp(-x^2/2)"
     for a, b in zip(f.axes, g.axes):
         assert np.array_equal(a, b)
-    assert np.array_equal(f.samples, g.samples)
+    assert g.quotient().tobytes() == f.quotient().tobytes()
+    assert np.array_equal(g.samples, g.weight_values() * f.quotient())
     assert set(g.infinity) == {"axis0:inf"}
     assert np.array_equal(g.infinity["axis0:inf"][(0, 0)],
                           np.linspace(0.0, 1.0, 5))
@@ -485,14 +493,12 @@ def test_weight_and_its_description_must_agree(tmp_path):
 
 
 def _per_cell_csv_writer(f, csv_path):
-    """Reference writer: csv.writer with one f-string per cell."""
-    names = ["x", "y", "z"][: f.ndim]
+    """Reference writer: csv.writer with one f-string per value of u/phi."""
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(names + ["value"])
-        flat = [m.ravel() for m in f.mesh()] + [f.samples.ravel()]
-        for row in zip(*flat):
-            w.writerow([f"{v:.17g}" for v in row])
+        w.writerow(["u/phi"])
+        for v in f.quotient().ravel():
+            w.writerow([f"{v:.17g}"])
 
 
 @pytest.mark.parametrize("shape", [(9,), (4, 5), (3, 2, 4)])
@@ -506,15 +512,69 @@ def test_save_matches_per_cell_writer_and_round_trips(tmp_path, shape):
     specials = [-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
                 1.0 / 3.0, 2.0 ** -1074 * 3]
     samples.flat[:len(specials)] = specials
-    f = WeightedGridFunction(axes, samples)
-    save_grid_function(f, tmp_path / "fast.csv")
-    _per_cell_csv_writer(f, tmp_path / "slow.csv")
-    assert (tmp_path / "fast.csv").read_bytes() \
-        == (tmp_path / "slow.csv").read_bytes()
-    g = load_grid_function(tmp_path / "fast.csv")
-    assert g.samples.tobytes() == f.samples.tobytes()
-    for a, b in zip(f.axes, g.axes):
-        assert a.tobytes() == b.tobytes()
+    # weight 1 divides samples by 1; exp(-x^2/2) keeps the given quotient
+    for f in (WeightedGridFunction(axes, samples),
+              WeightedGridFunction.from_quotient(axes, samples, phi)):
+        save_grid_function(f, tmp_path / "fast.csv")
+        _per_cell_csv_writer(f, tmp_path / "slow.csv")
+        assert (tmp_path / "fast.csv").read_bytes() \
+            == (tmp_path / "slow.csv").read_bytes()
+        g = load_grid_function(tmp_path / "fast.csv")
+        assert g.quotient().tobytes() == f.quotient().tobytes()
+        assert g.samples.tobytes() == f.samples.tobytes()
+        for a, b in zip(f.axes, g.axes):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_from_quotient_keeps_q_where_the_weight_underflows(tmp_path):
+    xs = np.linspace(0.0, 40.0, 41)
+    q = 1.0 + xs
+    f = WeightedGridFunction.from_quotient((xs,), q, phi)
+    assert f.samples.tobytes() == (phi(xs) * q).tobytes()
+    assert np.array_equal(f.quotient(), q) and f.samples[-1] == 0.0
+    assert weighted_norm(f) == 41.0
+    # a copy with new samples keeps no quotient and divides again
+    with pytest.raises(WeightUnderflowError, match="x = 39"):
+        f.with_samples(f.samples).quotient()
+    save_grid_function(f, tmp_path / "q.csv")
+    assert np.array_equal(load_grid_function(tmp_path / "q.csv").quotient(),
+                          q)
+
+
+def test_save_refuses_a_u_whose_weight_is_zero(tmp_path):
+    xs = np.linspace(0.0, 40.0, 41)
+    f = WeightedGridFunction((xs,), phi(xs), phi)
+    path = tmp_path / "grid.csv"
+    with pytest.raises(WeightUnderflowError, match="x = 39"):
+        save_grid_function(f, path)
+    assert not path.exists()
+    assert not (tmp_path / "grid.csv.json").exists()
+
+
+def test_load_refuses_another_header(tmp_path):
+    f = wgf(phi(XS))
+    path = tmp_path / "grid.csv"
+    save_grid_function(f, path)
+    # the former format: coordinate columns and a value column of u
+    path.write_text("x,value\r\n" + "".join(
+        f"{x:.17g},{v:.17g}\r\n" for x, v in zip(XS, f.samples)))
+    with pytest.raises(ValueError, match="header 'x,value' is not 'u/phi'"):
+        load_grid_function(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match="header '' is not 'u/phi'"):
+        load_grid_function(path)
+
+
+def test_load_refuses_a_value_count_off_the_axes(tmp_path):
+    f = wgf(phi(XS))
+    path = tmp_path / "grid.csv"
+    save_grid_function(f, path)
+    lines = path.read_text().splitlines()
+    for body in (lines[:-1], lines + ["1"]):
+        path.write_text("\r\n".join(body) + "\r\n")
+        with pytest.raises(ValueError,
+                           match=f"{len(body) - 1} values for the 49 nodes"):
+            load_grid_function(path)
 
 
 def test_cli_import_skips_spline_and_quadrature_modules(package_env):

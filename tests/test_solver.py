@@ -232,6 +232,25 @@ def test_profile_stable_under_grid_refinement(problem):
     assert np.abs(p_coarse - p_fine).max() < 1e-3
 
 
+def test_long_truncation_solution_feeds_back_to_the_library(problem):
+    # phi underflows to 0 beyond x = 38.6; the solution keeps q, so neither
+    # the grid route of T nor the weighted norm divides by that phi
+    cfg = SolveConfig(hx=0.1, hy=0.1, truncation=40.0)
+    res = picard_solve(problem, cfg)
+    q = res.solution.quotient()
+    xs = res.solution.axes[0]
+    assert np.all(res.solution.samples[xs > 38.6] == 0.0)
+    assert np.all(q[xs > 38.6, 1:] > 0.0)  # q = 0 on y = 0
+    assert res.solution.samples.tobytes() \
+        == (problem.weight(xs)[:, None] * q).tobytes()
+    image = apply_T(res.solution, problem.kernel, problem.nl, method="grid")
+    norm = funcspace.weighted_norm(res.solution)
+    assert np.all(np.isfinite(image.samples)) and np.isfinite(norm)
+    assert np.all(np.isfinite(image.quotient()))
+    assert np.max(np.abs(image.quotient() - q)) < cfg.tol
+    assert norm == pytest.approx(0.1248, abs=1e-4)
+
+
 def test_uncertified_ball_warns(problem):
     cfg = SolveConfig(hx=0.5, hy=0.25, truncation=4.0, rho_ball=5.0)
     with pytest.warns(UserWarning, match="not certified"):
@@ -250,7 +269,10 @@ def test_write_outputs(problem, tmp_path):
                  "profile.csv", "summary.json"):
         assert (out / name).is_file(), name
     loaded = load_grid_function(paths["solution"])
-    assert np.array_equal(loaded.samples, res.solution.samples)
+    assert loaded.quotient().tobytes() == res.solution.quotient().tobytes()
+    assert loaded.samples.tobytes() == res.solution.samples.tobytes()
+    lines = (out / "solution.csv").read_text().splitlines()
+    assert lines[0] == "u/phi" and len(lines) == 17 * 5 + 1
 
     rows = (out / "convergence.csv").read_text().strip().splitlines()
     assert rows[0] == "iter,gap,beta,residual"
@@ -270,6 +292,10 @@ def test_write_outputs(problem, tmp_path):
     assert summary["config"]["rho_ball"] == 0.5
     assert "written_at" not in summary
     assert summary["profile_at_1"] == res.profile[-1][1].value
+    # ||u||_phi = sup |u/phi| over the grid and the face values
+    assert summary["weighted_norm"] \
+        == funcspace.weighted_norm(res.solution) \
+        >= np.max(np.abs(res.solution.quotient())) > summary["beta_final"]
     assert summary["profile_converged"] == converged
     assert summary["problem"] == "hyperbolic-erf"
     assert summary["config"] == {"grid_step": [0.25, 0.25],
