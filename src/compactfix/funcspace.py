@@ -153,9 +153,13 @@ class WeightedGridFunction:
         return face_labels(self.cmap)
 
     def face_limit(self, p, face, coord_index=None, tol=1e-6):
-        """Windowed limit of d_p(f/phi) at an infinity face, from grid data."""
-        vals = quotient_derivative(self, p)
-        return _grid_face_limit(self, vals, face, coord_index, tol)
+        """Windowed limit of d_p(f/phi) at an infinity face, from grid
+        data; on a 2-d grid, of its slice at node coord_index of the other
+        axis (see _face_ladders)."""
+        axis = _face_axis(face)
+        cols = np.moveaxis(quotient_derivative(self, p), axis, 0)
+        cols = cols[:, None] if self.ndim == 1 else cols[:, [coord_index]]
+        return _face_ladders(self.axes[axis], cols, face, tol)[0]
 
 
 def _default_cmap(ndim):
@@ -253,7 +257,7 @@ def gamma_p(f, p, tol=1e-6):
             inf_vals[face] = np.asarray(stored[p], dtype=float)
             continue
         if f.ndim == 1:
-            res = _grid_face_limit(f, vals, face, None, tol)
+            res = _face_ladders(f.axes[0], vals[:, None], face, tol)[0]
             if not res.converged:
                 raise FaceLimitError(face, res)
             inf_vals[face] = np.float64(res.value)
@@ -275,53 +279,67 @@ def _axis_windows(nodes, face, delta):
     return nodes > lo
 
 
-def _grid_face_limit(f, vals, face, coord_index, tol):
-    """Oscillation ladder for a face limit, windows drawn from the grid.
+def _face_ladders(nodes, cols, face, tol):
+    """Oscillation ladders for face limits, windows drawn from the grid: one
+    LimitResult per column of cols, whose rows follow the face axis nodes.
 
-    On product grids the window is the coordinate slice at the coord_index
-    node: face data is stored as one profile value per node of the finite
-    axis, and the ladder certifies each slice limit separately.  (A full
+    Level k (delta = 2^-k) has the window of _axis_windows, which on an
+    increasing axis is a suffix of the nodes (a prefix for a "-inf" face);
+    the ladder stops before the first window with fewer than 2 nodes, and
+    ValueError reports a face without any.  Running maxima and minima of
+    the segments between consecutive window starts, from the far end, give
+    every level's oscillation for every column in one pass; a level's value is the column's entry at the window's last node
+    in axis order (the farthest node of a "+inf" window, the innermost of
+    a "-inf" one).
+    On product grids each column is the coordinate slice at one node of
+    the finite axis: face data is stored as one profile value per such
+    node, and the ladder certifies each slice limit separately.  (A full
     metric-ball window would add the profile's own variation across the
-    finite axis, which shrinks only linearly in delta and is already visible
-    in the stored profile.)
+    finite axis, which shrinks only linearly in delta and is already
+    visible in the stored profile.)
     """
-    axis = _face_axis(face)
-    nodes = f.axes[axis]
-    evidence = []
-    value = None
-    k = 1
-    while k <= 60:
-        delta = 2.0 ** -k
-        mask = _axis_windows(nodes, face, delta)
-        if mask.sum() < 2:
-            break
-        if f.ndim == 1:
-            window = vals[mask]
-            value = float(vals[np.where(mask)[0][-1]])
-        else:
-            window = (vals[mask, coord_index] if axis == 0
-                      else vals[coord_index, mask])
-            value = float(window[-1])
-        evidence.append(LevelEvidence(delta, float(window.max() - window.min()),
-                                      int(window.size), value))
-        k += 1
-    if not evidence:
+    deltas = [2.0 ** -k for k in range(1, 61)]
+    bounds = np.array([1.0 / d - 1.0 for d in deltas])
+    far = face.endswith("-inf")
+    if far:
+        # prefix windows nodes < -lo: flip so that they become suffixes
+        nodes, cols = -nodes[::-1], cols[::-1]
+    starts = np.searchsorted(nodes, bounds, side="right")
+    levels = int(np.count_nonzero(len(nodes) - starts >= 2))
+    if not levels:
         raise ValueError(f"truncated grid has no nodes in any window of face "
                          f"{face!r}")
-    status = classify_ladder(evidence, tol)
-    pt = XPoint((math.nan,), (axis,), face)
-    return LimitResult(status, value if status == "converged" else None,
-                       pt, tuple(evidence))
+    starts = starts[:levels]
+    # window k is the nodes from starts[k] on: the extremes of each segment
+    # starts[k]..starts[k + 1], run from the far end, are the windows'
+    # (a segment between equal starts reads one node of the next window)
+    hi = np.maximum.accumulate(
+        np.maximum.reduceat(cols, starts, axis=0)[::-1], axis=0)[::-1]
+    lo = np.minimum.accumulate(
+        np.minimum.reduceat(cols, starts, axis=0)[::-1], axis=0)[::-1]
+    osc = (hi - lo).T.tolist()
+    values = (cols[starts] if far else cols[[-1] * levels]).T.tolist()
+    sizes = (len(nodes) - starts).tolist()
+    pt = XPoint((math.nan,), (_face_axis(face),), face)
+    out = []
+    for col_osc, col_values in zip(osc, values):
+        evidence = tuple(map(LevelEvidence, deltas, col_osc, sizes,
+                             col_values))
+        status = classify_ladder(evidence, tol)
+        out.append(LimitResult(
+            status, col_values[-1] if status == "converged" else None, pt,
+            evidence))
+    return out
 
 
 def face_profile(f, vals, face, tol):
     """The limits of vals at an infinity face of a 2-d grid function, one
-    oscillation ladder per node of the other axis: a list of
+    oscillation ladder per node of the other axis (_face_ladders): a list of
     (node, LimitResult) pairs in node order.  Each result names its face
     in point.label."""
-    nodes = f.axes[1 - _face_axis(face)]
-    return [(float(node), _grid_face_limit(f, vals, face, j, tol))
-            for j, node in enumerate(nodes)]
+    axis = _face_axis(face)
+    return list(zip(f.axes[1 - axis].tolist(), _face_ladders(
+        f.axes[axis], np.moveaxis(vals, axis, 0), face, tol)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ The operator is Tu(x, y) = integral over {t <= x, s <= y} of
 kx(x, t) f(t, s, u(t, s)) dt ds, acting on weighted grid functions
 over [0, inf) x [0, 1].  Two evaluation paths: a cumulative-quadrature grid
 path (used by the solver) and an independent cross-check path that reads u
-from its bicubic spline and integrates all nodes at once.
+from its bicubic interpolating spline and integrates all nodes at once.
+The spline is built here in numpy in tensor-product form,
+u(t, s) = B_x(t) C B_y(s)^T (de Boor, "A Practical Guide to Splines",
+1978), on FITPACK's interpolation knots, so the module imports nothing
+from scipy.
 
 The grid path works in the quotient q = u/phi, the coordinate of the
 weighted norm: with f(t, s, phi(t) q) = phi(t)^2 q_eval(t, s, q), q
@@ -341,23 +345,80 @@ class GridHammersteinOperator:
         return out
 
 
+def _interpolation_knots(nodes):
+    """The knots of the not-a-knot cubic spline interpolating at nodes
+    (FITPACK's s = 0 choice): each end four times and every interior node
+    except the second and the second-to-last, so there are as many
+    B-splines as nodes."""
+    return np.concatenate([[nodes[0]] * 4, nodes[2:-2], [nodes[-1]] * 4])
+
+
+def _bspline_rows(knots, points):
+    """(span, vals): the cubic B-splines on knots that are nonzero at each
+    point in [knots[3], knots[-4]], by the Cox-de Boor recursion: at
+    points[i] they are B_j for j = span[i] - 3 .. span[i], with values
+    vals[i, :]."""
+    n = len(knots) - 4
+    # the knot interval [knots[i], knots[i + 1]) of each point, the last
+    # interval closed at the right end
+    span = np.clip(np.searchsorted(knots, points, side="right") - 1, 3, n - 1)
+    left = points[:, None] - knots[span[:, None] - np.arange(3)]
+    right = knots[span[:, None] + np.arange(1, 4)] - points[:, None]
+    vals = np.zeros((len(points), 4))
+    vals[:, 0] = 1.0
+    for j in range(1, 4):
+        saved = 0.0
+        for r in range(j):
+            temp = vals[:, r] / (right[:, r] + left[:, j - r - 1])
+            vals[:, r] = saved + right[:, r] * temp
+            saved = left[:, j - r - 1] * temp
+        vals[:, j] = saved
+    return span, vals
+
+
+def _bspline_basis(knots, points):
+    """B[i, j] = B_j(points[i]), the full matrix of _bspline_rows."""
+    span, vals = _bspline_rows(knots, points)
+    out = np.zeros((len(points), len(knots) - 4))
+    rows = np.arange(len(points))[:, None]
+    out[rows, span[:, None] - 3 + np.arange(4)] = vals
+    return out
+
+
+def _spline_coefficients(xs, ys, samples):
+    """(knots on x, knots on y, C): the bicubic interpolant of samples on
+    the grid xs x ys is u(t, s) = B_x(t) C B_y(s)^T, with B_x, B_y the
+    _bspline_basis matrices on the knots; C = B_x^-1 U B_y^-T from the
+    collocation matrices at the nodes."""
+    tx, ty = _interpolation_knots(xs), _interpolation_knots(ys)
+    inner = np.linalg.solve(_bspline_basis(tx, xs), samples)
+    return tx, ty, np.linalg.solve(_bspline_basis(ty, ys), inner.T).T
+
+
 def _panel_integrals(u, nl, kx, tol):
     """I[i, j] = int_0^{x_i} int_0^{y_j} kx(x_i, t) f(t, s, u(t, s)) ds dt
     at every node (x_i, y_j) of u's grid, in one pass.
 
     The panel breaks are 0 and the positive nodes of u's axes, so every
     spline knot and every output node is a break, and each integral runs
-    over whole panels.  u is read from its bicubic spline, clamped to its
-    grid, so below the first node it takes the first node's values.  Every
-    break interval gets 2^L panels of the 16-node Gauss-Legendre rule,
-    doubled by _settle until all outputs agree to tol.  f is evaluated on
-    the tensor of t-nodes x s-nodes in blocks of _T_BLOCK t-nodes, one
-    spline call each.
+    over whole panels.  u is read from its bicubic interpolant (the
+    tensor-product B-spline form of _spline_coefficients, which needs 4
+    nodes per axis; ValueError names a shorter axis), clamped to its grid,
+    so below the first node it takes the first node's values.  Every break
+    interval gets 2^L panels of the 16-node Gauss-Legendre rule, doubled by
+    _settle until all outputs agree to tol.  Per level the s-basis B_s and
+    the t-basis rows are formed once; f is evaluated on the tensor of
+    t-nodes x s-nodes in blocks of _T_BLOCK t-nodes, each reading u as
+    B_t[block] C B_s^T over the B-splines that its t-nodes reach, so the
+    memory does not grow with nx times the nodes.
     """
-    from scipy.interpolate import RectBivariateSpline
-
     xs, ys = u.axes
-    spline = RectBivariateSpline(xs, ys, u.samples, kx=3, ky=3)
+    for axis, nodes in enumerate(u.axes):
+        if len(nodes) < 4:
+            raise ValueError(f"the adaptive route's bicubic spline needs at "
+                             f"least 4 nodes on axis {axis}, got "
+                             f"{len(nodes)}")
+    tx, ty, coef = _spline_coefficients(xs, ys, u.samples)
     bx = np.union1d([0.0], xs[xs > 0])
     by = np.union1d([0.0], ys[ys > 0])
 
@@ -366,13 +427,23 @@ def _panel_integrals(u, nl, kx, tol):
         s, ws = (v.ravel() for v in _gl_panels(by[:-1], by[1:], level))
         # the causal rules: node weights below each output node, else 0
         ymat = ws * (s[None, :] < ys[:, None])
-        s_read = np.clip(s, ys[0], ys[-1])
+        bs = _bspline_basis(ty, np.clip(s, ys[0], ys[-1]))
+        # B_t stays in the compact form of _bspline_rows: as a full matrix,
+        # or with C B_s^T formed whole, it would take nx times the t- or
+        # s-nodes of memory (the full B_t: 0.37 GB on a 1201 x 51 grid at
+        # level 1)
+        span, bt = _bspline_rows(tx, np.clip(t, xs[0], xs[-1]))
         total = np.zeros((len(xs), len(ys)))
         for b in range(0, len(t), _T_BLOCK):
             tb = t[b:b + _T_BLOCK]
+            # the block's rows of B_t over the B-splines that its t-nodes
+            # reach (t increases, so span does), then u = B_t C B_s^T
+            sp = span[b:b + _T_BLOCK]
+            rows = np.zeros((len(sp), sp[-1] - sp[0] + 4))
+            rows[np.arange(len(sp))[:, None],
+                 sp[:, None] - sp[0] + np.arange(4)] = bt[b:b + _T_BLOCK]
             vals = nl.eval(tb[:, None], s[None, :],
-                           spline(np.clip(tb, xs[0], xs[-1]), s_read,
-                                  grid=True))
+                           rows @ coef[sp[0] - 3:sp[-1] + 1] @ bs.T)
             xmat = wt[b:b + _T_BLOCK] * (tb[None, :] < xs[:, None]) \
                 * kx(xs[:, None], tb[None, :])
             total += xmat @ (vals @ ymat.T)
@@ -388,14 +459,18 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
     quotient coordinates q = u/phi, and returns a grid function that keeps
     the image's q (WeightedGridFunction.from_quotient), so its face ladders
     never divide by phi;
-    "adaptive" reads u from its bicubic spline and applies a composite
-    16-node Gauss-Legendre rule with 2^L panels per grid interval to every
-    node at once, doubling L until the max over all nodes of the difference
-    between two consecutive levels is at most tol (QuadratureError if a
-    level is not finite or the values have not settled by
-    _MAX_PANEL_LEVEL).  Both integrals run from 0, reading u clamped to its
+    "adaptive" reads u from its bicubic interpolating spline (numpy
+    B-spline basis matrices, see _panel_integrals; each axis needs at least
+    4 nodes, ValueError otherwise) and applies a composite 16-node
+    Gauss-Legendre rule with 2^L panels per grid interval to every node at
+    once, doubling L until the max over all nodes of the difference between
+    two consecutive levels is at most tol (QuadratureError if a level is
+    not finite or the values have not settled by _MAX_PANEL_LEVEL).  It
+    integrates kx and nl.eval on u itself, independent of the grid route's
+    quotient forms.  Both integrals run from 0, reading u clamped to its
     grid.  With faces=True each infinity face of Tu gets its face profile
-    (funcspace.face_profile at FACE_TOL), stored by attach_faces.
+    (funcspace.face_profile at FACE_TOL, every node's ladder in one pass),
+    stored by attach_faces.
     """
     if u.ndim != 2:
         raise ValueError("apply_T expects a 2d grid function")

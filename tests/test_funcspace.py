@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import compactfix
+from compactfix.compactify import (LevelEvidence, LimitResult, LineTwoPoint,
+                                   XPoint, classify_ladder)
 from compactfix.funcspace import (WEIGHT_REGISTRY, BumpChain,
                                   FaceLimitError, WeightedGridFunction,
-                                  WeightUnderflowError,
-                                  _family_quotient_derivatives,
+                                  WeightUnderflowError, _axis_windows,
+                                  _face_axis, _family_quotient_derivatives,
                                   equiconvergence_deviation,
-                                  equicontinuity_modulus, gamma_p,
+                                  equicontinuity_modulus, face_profile,
+                                  gamma_p,
                                   gaussian_family, gaussian_family_separation,
                                   load_grid_function, multi_indices,
                                   precompactness_report, quotient_derivative,
@@ -211,6 +214,108 @@ def test_face_limit_needs_nodes_in_some_window():
     f = WeightedGridFunction((xs,), np.zeros_like(xs))
     with pytest.raises(ValueError, match="window"):
         f.face_limit((0,), "inf")
+
+
+def _per_node_ladder(f, vals, face, coord_index, tol):
+    """Reference: one face ladder, a boolean window mask per level."""
+    axis = _face_axis(face)
+    nodes = f.axes[axis]
+    evidence = []
+    value = None
+    k = 1
+    while k <= 60:
+        delta = 2.0 ** -k
+        mask = _axis_windows(nodes, face, delta)
+        if mask.sum() < 2:
+            break
+        if f.ndim == 1:
+            window = vals[mask]
+            value = float(vals[np.where(mask)[0][-1]])
+        else:
+            window = (vals[mask, coord_index] if axis == 0
+                      else vals[coord_index, mask])
+            value = float(window[-1])
+        evidence.append(LevelEvidence(delta, float(window.max() - window.min()),
+                                      int(window.size), value))
+        k += 1
+    if not evidence:
+        raise ValueError(f"truncated grid has no nodes in any window of face "
+                         f"{face!r}")
+    status = classify_ladder(evidence, tol)
+    pt = XPoint((math.nan,), (axis,), face)
+    return LimitResult(status, value if status == "converged" else None,
+                       pt, tuple(evidence))
+
+
+def _per_node_profile(f, vals, face, tol):
+    nodes = f.axes[1 - _face_axis(face)]
+    return [(float(node), _per_node_ladder(f, vals, face, j, tol))
+            for j, node in enumerate(nodes)]
+
+
+def test_one_pass_face_profile_equals_the_per_node_ladders(rng):
+    # the solve's grid at h = 0.02: a limit c(y) plus a tail whose decay
+    # and oscillation vary across y, so the columns end converged, no_limit
+    # and inconclusive
+    xs = np.linspace(0.0, 24.0, 1201)
+    ys = np.linspace(0.0, 1.0, 51)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    q = (np.cos(Y) + rng.uniform(-1e-3, 1e-3, X.shape) * np.exp(-X * Y)
+         + 0.1 * (1.0 - Y) * np.sin(3.0 * X)
+         * np.where(Y < 0.3, 1.0, 1.0 / (1.0 + X)))
+    f = WeightedGridFunction((xs, ys), q)
+    got = face_profile(f, q, "axis0:inf", 1e-4)
+    assert got == _per_node_profile(f, q, "axis0:inf", 1e-4)
+    assert {res.status for _, res in got} == {"converged", "no_limit",
+                                              "inconclusive"}
+    # a face along the second axis reads the rows
+    g = WeightedGridFunction((ys, xs), q.T)
+    assert face_profile(g, q.T, "axis1:inf", 1e-4) \
+        == _per_node_profile(g, q.T, "axis1:inf", 1e-4)
+    # a NaN column fails its own ladders only; NaN != NaN, so it is
+    # compared through repr, which prints every float exactly
+    q[1100, 7] = np.nan
+    got = face_profile(f, q, "axis0:inf", 1e-4)
+    want = _per_node_profile(f, q, "axis0:inf", 1e-4)
+    assert repr(got) == repr(want)
+    assert got[:7] + got[8:] == want[:7] + want[8:]
+    assert math.isnan(got[7][1].evidence[-1].oscillation)
+    assert got[7][1].status == "inconclusive"
+
+
+def test_one_pass_ladder_on_a_line_reads_both_faces(rng):
+    xs = np.linspace(-40.0, 30.0, 281)
+    f = WeightedGridFunction((xs,), np.tanh(xs) + np.exp(-np.abs(xs)),
+                             cmap=LineTwoPoint())
+    vals = f.quotient()
+    for face in ("-inf", "+inf"):
+        got = f.face_limit((0,), face, tol=1e-6)
+        assert got == _per_node_ladder(f, vals, face, None, 1e-6)
+        assert got.converged
+    assert got.evidence[0].n_samples == np.count_nonzero(xs > 1.0)
+    stored = gamma_p(f, (0,), tol=1e-6).infinity
+    assert stored["-inf"] == _per_node_ladder(f, vals, "-inf", None,
+                                              1e-6).value
+    assert stored["+inf"] == got.value
+    # sparse tails: levels 2-4 share one window on each side
+    xs = np.array([-21.0, -20.0, -2.5, -2.0, 0.0, 2.0, 2.5, 20.0, 21.0])
+    f = WeightedGridFunction((xs,), rng.uniform(-1.0, 1.0, xs.size),
+                             cmap=LineTwoPoint())
+    for face in ("-inf", "+inf"):
+        got = f.face_limit((0,), face, tol=1e-6)
+        assert got == _per_node_ladder(f, f.samples, face, None, 1e-6)
+        assert [e.n_samples for e in got.evidence] == [4, 2, 2, 2]
+
+
+def test_face_profile_needs_nodes_in_some_window():
+    xs = np.linspace(0.0, 1.0, 11)
+    ys = np.linspace(0.0, 1.0, 3)
+    f = WeightedGridFunction((xs, ys), np.zeros((11, 3)))
+    with pytest.raises(ValueError, match="no nodes in any window of face "
+                                         "'axis0:inf'"):
+        face_profile(f, f.samples, "axis0:inf", 1e-4)
+    with pytest.raises(ValueError, match="window"):
+        _per_node_profile(f, f.samples, "axis0:inf", 1e-4)
 
 
 def test_precompactness_gaussian_family_counterexample():

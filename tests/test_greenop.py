@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from compactfix.casestudy import _gauss_square_nonlinearity, load_problem_file
 from compactfix.funcspace import WeightedGridFunction
 from compactfix.greenop import (GridHammersteinOperator, Kernel,
                                 Nonlinearity, QuadratureError,
+                                _bspline_basis, _spline_coefficients,
                                 _weighted_quotient_sups,
                                 apply_T, check_hypotheses,
                                 cumulative_weight_block,
@@ -260,6 +263,58 @@ def test_adaptive_apply_matches_nested_reference_on_kinked_u(problem, rng):
                       tol=1e-10, faces=False).samples
         want = _nested_adaptive_apply(u, problem.kernel, problem.nl, 1e-10)
         assert np.abs(got - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("xs, ys", [
+    (np.linspace(0.0, 8.0, 12), np.linspace(0.0, 1.0, 12)),
+    (np.linspace(0.0, 6.0, 17), np.linspace(0.0, 1.0, 9)),
+    (np.array([0.0, 0.1, 0.35, 1.2, 1.3, 2.9, 3.0, 5.5]),
+     np.array([0.25, 0.3, 0.7, 1.0])),
+    (np.linspace(0.5, 2.0, 4), np.geomspace(1e-3, 1.0, 6)),
+])
+def test_numpy_spline_matches_fitpack_interpolant(xs, ys, rng):
+    # FITPACK's RectBivariateSpline is the reference; the adaptive route
+    # does not import it
+    from scipy.interpolate import RectBivariateSpline
+
+    samples = rng.uniform(-1.0, 1.0, (len(xs), len(ys)))
+    ref = RectBivariateSpline(xs, ys, samples, kx=3, ky=3)
+    tx, ty, coef = _spline_coefficients(xs, ys, samples)
+    assert np.array_equal(tx, ref.tck[0]) and np.array_equal(ty, ref.tck[1])
+    t = np.concatenate([xs, rng.uniform(xs[0], xs[-1], 40)])
+    s = np.concatenate([ys, rng.uniform(ys[0], ys[-1], 40)])
+    got = _bspline_basis(tx, t) @ coef @ _bspline_basis(ty, s).T
+    want = ref(t[:, None], s[None, :], grid=False)
+    assert np.abs(got - want).max() <= 1e-13
+    assert np.abs(got[:len(xs), :len(ys)] - samples).max() <= 1e-13
+
+
+def test_adaptive_apply_refuses_an_axis_below_four_nodes(problem):
+    for axis, shape in ((0, (3, 5)), (1, (6, 3))):
+        xs = np.linspace(0.0, 2.0, shape[0])
+        ys = np.linspace(0.0, 1.0, shape[1])
+        u = _grid_function(problem, xs, ys, np.zeros(shape))
+        with pytest.raises(ValueError, match=f"at least 4 nodes on axis "
+                                             f"{axis}, got 3"):
+            apply_T(u, problem.kernel, problem.nl, method="adaptive")
+
+
+def test_adaptive_apply_leaves_scipy_interpolate_unloaded(package_env):
+    code = ("import sys, numpy as np\n"
+            "from compactfix.casestudy import load_problem\n"
+            "from compactfix.funcspace import WeightedGridFunction\n"
+            "from compactfix.greenop import apply_T\n"
+            "p = load_problem('hyperbolic-erf')\n"
+            "u = WeightedGridFunction((np.linspace(0.0, 8.0, 12),"
+            " np.linspace(0.0, 1.0, 12)), np.zeros((12, 12)), p.weight,"
+            " cmap=p.cmap)\n"
+            "out = apply_T(u, p.kernel, p.nl, method='adaptive')\n"
+            "assert 'axis0:inf' in out.infinity\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('scipy.interpolate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=package_env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_adaptive_apply_refuses_nan_and_unsettled_integrands(problem):
