@@ -117,24 +117,26 @@ def _gauss_shift_kernel(weight_desc, rate=1.0):
 def _gauss_square_nonlinearity(weight_desc, amplitude=0.125):
     """amp exp(-(x^2 + y^2)) + v^2.  Its dominator amp exp(-(t^2 + s^2)) +
     r^2 phi(t)^2 holds for the problem's weight phi; the quotient form is
-    amp exp(-s^2) + q^2 for phi(t)^2 = exp(-t^2) and f itself for phi = 1."""
+    amp exp(-s^2) + q^2 for phi(t)^2 = exp(-t^2) and f itself for phi = 1.
+    f and the dominator both compute the forcing as amp exp(-x^2) exp(-y^2),
+    so arguments broadcast from two axes cost one exponential per axis node,
+    and the two round the same way."""
     amplitude = _real_param("gauss-plus-square amplitude", amplitude,
                             positive=False)
     weight = WEIGHT_REGISTRY[weight_desc]
     gaussian = weight_desc == "exp(-x^2/2)"
 
     def fn(x, y, v):
-        return amplitude * np.exp(-(np.asarray(x) ** 2
-                                    + np.asarray(y) ** 2)) + v ** 2
+        return amplitude * np.exp(-np.asarray(x) ** 2) \
+            * np.exp(-np.asarray(y) ** 2) + v ** 2
 
     def q_eval(t, s, q):
         return amplitude * np.exp(-np.asarray(s) ** 2) + q ** 2
 
     def dominator(r):
         def phi_r(t, s):
-            return amplitude * np.exp(-(np.asarray(t) ** 2
-                                        + np.asarray(s) ** 2)) \
-                + r * r * weight(t) ** 2
+            return amplitude * np.exp(-np.asarray(t) ** 2) \
+                * np.exp(-np.asarray(s) ** 2) + r * r * weight(t) ** 2
         # int_0^1 Phi_r ds = (amp int_0^1 exp(-s^2) ds + r^2) exp(-t^2)
         # when phi(t)^2 = exp(-t^2)
         scale = amplitude * _SQRT_PI / 2.0 * erf(1.0) + r * r

@@ -97,8 +97,13 @@ class LimitResult:
     """Outcome of a sampled limit estimate at one infinity point.
 
     status is 'converged', 'no_limit' or 'inconclusive'.  A converged result
-    carries the value read at the sample metrically closest to the point; the
-    evidence tuple records (delta, oscillation) for every tested ball.
+    carries the value of its last level (each LevelEvidence keeps its
+    level's value as closest_value).  kappa_limit reads it at the level's
+    sample metrically closest to the point; the grid face ladders of
+    funcspace._face_ladders read it at the deepest window's last node in
+    axis order, which is the farthest node of a "+inf" window but the
+    innermost (largest x) of a "-inf" one.  The evidence tuple records
+    (delta, oscillation) for every tested ball.
     """
 
     status: str

@@ -288,9 +288,9 @@ def _face_ladders(nodes, cols, face, tol):
     the ladder stops before the first window with fewer than 2 nodes, and
     ValueError reports a face without any.  Running maxima and minima of
     the segments between consecutive window starts, from the far end, give
-    every level's oscillation for every column in one pass; a level's value is the column's entry at the window's last node
-    in axis order (the farthest node of a "+inf" window, the innermost of
-    a "-inf" one).
+    every level's oscillation for every column in one pass; a level's value
+    is the column's entry at the window's last node in axis order (the
+    farthest node of a "+inf" window, the innermost of a "-inf" one).
     On product grids each column is the coordinate slice at one node of
     the finite axis: face data is stored as one profile value per such
     node, and the ladder certifies each slice limit separately.  (A full

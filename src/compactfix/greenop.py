@@ -46,10 +46,15 @@ from .funcspace import (WeightedGridFunction, face_profile,
                         quotient_derivative)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# the panel rule: at most 2^_MAX_PANEL_LEVEL panels per interval; the 2-d
-# route evaluates f _T_BLOCK t-nodes at a time to bound memory
+# the panel rule: at most 2^_MAX_PANEL_LEVEL panels per interval
 _MAX_PANEL_LEVEL = 6
-_T_BLOCK = 32
+# the 2-d route evaluates f _T_BLOCK t-nodes at a time, so a block's
+# temporaries hold _T_BLOCK x (s-nodes) entries of f and _T_BLOCK x nx of
+# the kernel, whatever the number of t-nodes.  Of 32, 48, 64 and 96, 48 and
+# 64 were fastest on the 12 x 12 and 17 x 9 cross-check grids (7-8% below
+# 32: per-block numpy overhead dominates there), and 64 was also faster
+# than 32 on the 1201 x 51 solution at the same peak RSS.
+_T_BLOCK = 64
 # rows per block of kernel_row_blocks (the grid operator, the residual)
 _ROW_BLOCK = 64
 # kernel columns per block of the hypothesis report's sup profiles
@@ -410,7 +415,9 @@ def _panel_integrals(u, nl, kx, tol):
     the t-basis rows are formed once; f is evaluated on the tensor of
     t-nodes x s-nodes in blocks of _T_BLOCK t-nodes, each reading u as
     B_t[block] C B_s^T over the B-splines that its t-nodes reach, so the
-    memory does not grow with nx times the nodes.
+    memory does not grow with nx times the nodes: a block's temporaries
+    hold at most _T_BLOCK times the s-nodes or nx entries.  The block size
+    changes only how the sums are grouped, not the nodes or weights.
     """
     xs, ys = u.axes
     for axis, nodes in enumerate(u.axes):

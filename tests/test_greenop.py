@@ -289,6 +289,30 @@ def test_numpy_spline_matches_fitpack_interpolant(xs, ys, rng):
     assert np.abs(got[:len(xs), :len(ys)] - samples).max() <= 1e-13
 
 
+def test_adaptive_apply_does_not_depend_on_the_t_block(problem,
+                                                       monkeypatch):
+    # blocks of 7 t-nodes leave a ragged last block at every panel level
+    # (176 and 256 t-nodes at level 0); only the summation grouping changes
+    from compactfix import greenop
+
+    shipped = greenop._T_BLOCK
+    cone_xs, cone_ys = np.linspace(0.0, 6.0, 17), np.linspace(0.0, 1.0, 9)
+    X, Y = np.meshgrid(cone_xs, cone_ys, indexing="ij")
+    cone = (0.2 * (1.0 - X / 12.0) ** 2 * (1.0 + 0.5 * X / 6.0)
+            * (1.0 + 0.7 * Y))
+    zero_xs, zero_ys = np.linspace(0.0, 8.0, 12), np.linspace(0.0, 1.0, 12)
+    for u in (_grid_function(problem, cone_xs, cone_ys, cone),
+              _grid_function(problem, zero_xs, zero_ys, np.zeros((12, 12)))):
+        got = {}
+        for block in (7, shipped):
+            monkeypatch.setattr(greenop, "_T_BLOCK", block)
+            got[block] = apply_T(u, problem.kernel, problem.nl,
+                                 method="adaptive", faces=False).samples
+        scale = np.abs(got[shipped]).max()
+        assert scale > 0
+        assert np.abs(got[7] - got[shipped]).max() <= 1e-13 * scale
+
+
 def test_adaptive_apply_refuses_an_axis_below_four_nodes(problem):
     for axis, shape in ((0, (3, 5)), (1, (6, 3))):
         xs = np.linspace(0.0, 2.0, shape[0])
