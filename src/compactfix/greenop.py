@@ -19,9 +19,9 @@ the case study qx is exp(-(x - 2t)^2 / 2): no factor under- or overflows,
 and it is below 2^-53 of its row peak once |t - x/2| > 4.3.  The grid
 operator stores the x-rule times qx in row blocks, each over its column
 band only: the causal range [0, x_i], trimmed to the columns where qx
-reaches 2^-53 of its row peak.  The infinity-face values of Tu are read
-off its grid samples by the windowed face ladders of
-funcspace.face_profile.
+reaches 2^-53 of its row peak, and evaluates qx on that band only
+(kernel_row_blocks).  The infinity-face values of Tu are read off its grid
+samples by the windowed face ladders of funcspace.face_profile.
 
 Every integral outside the grid path uses one rule: a composite 16-node
 Gauss-Legendre rule whose panels are doubled until two levels agree to tol
@@ -57,6 +57,8 @@ _MAX_PANEL_LEVEL = 6
 _T_BLOCK = 64
 # rows per block of kernel_row_blocks (the grid operator, the residual)
 _ROW_BLOCK = 64
+# a block keeps the columns where |k| reaches this share of a row's peak
+_BAND_FLOOR = 2.0 ** -53
 # kernel columns per block of the hypothesis report's sup profiles
 _T_COLUMNS = 64
 # oscillation tolerance of the face ladders of apply_T and picard_solve
@@ -296,25 +298,61 @@ def cumulative_weights(nodes):
     return cumulative_weight_block(_uniform_step(nodes), 0, n, 0, n)
 
 
+def _kept(kv):
+    """Where |kv| reaches _BAND_FLOOR of its row's peak."""
+    mag = np.abs(kv)
+    return mag >= _BAND_FLOOR * mag.max(axis=1, keepdims=True)
+
+
+def _probed_band(k, rows, xs, b):
+    """(c0, c1, k(rows, xs[c0:c1])) for a row block whose causal range is
+    0..b-1, with k evaluated on the band, two probe rows and two cut
+    columns instead of the whole causal range.  c0 is the first kept
+    column (see _kept) of the block's first row and c1 - 1 the last kept
+    column of its last row, both read off one evaluation of those two
+    rows; a span that ends before it starts (a ridge moving backward
+    faster than its width) becomes the whole causal range.  The cut
+    columns c0 - 1 and c1 are evaluated in every row with the band.  Where
+    one reaches _BAND_FLOOR of a row's in-span peak, that side widens to
+    the causal end: an exact zero such as dkx(x, x) = 0 can end a probed
+    row's span early, and a ridge that moves backward in t makes the probe
+    wrong.  Columns beyond a cut are not examined: the kernel's tails must
+    fall off outside the span.  For a ridge that moves forward in t with
+    such tails, the band is the span of the columns where |k| reaches
+    _BAND_FLOOR of its peak in some row of the block."""
+    probe = _kept(k(rows[[0, -1]], xs[None, :b]))
+    first, last = np.flatnonzero(probe[0]), np.flatnonzero(probe[1])
+    c0 = int(first[0]) if first.size else 0
+    c1 = int(last[-1]) + 1 if last.size else b
+    if c1 <= c0:
+        c0, c1 = 0, b
+    lo, hi = max(c0 - 1, 0), min(c1 + 1, b)
+    kv = k(rows, xs[None, lo:hi])
+    mag = np.abs(kv)
+    floor = _BAND_FLOOR * mag[:, c0 - lo:c1 - lo].max(axis=1)
+    widen0 = c0 > 0 and np.any(mag[:, 0] >= floor)
+    widen1 = c1 < b and np.any(mag[:, -1] >= floor)
+    if widen0 or widen1:
+        c0, c1 = (0 if widen0 else c0), (b if widen1 else c1)
+        return c0, c1, k(rows, xs[None, c0:c1])
+    return c0, c1, kv[:, c0 - lo:c1 - lo]
+
+
 def kernel_row_blocks(k, nodes, start, stop):
     """The cumulative rule times a kernel, rows start..stop-1 in blocks of
     _ROW_BLOCK rows: yields (a, c0, M) with M[i, j] = W[a+i, c0+j]
     k(x_{a+i}, x_{c0+j}), W = cumulative_weights(nodes).  A block's columns
-    are its causal range 0..b-1 (b its end row), narrowed to the span of
-    the columns where |k| reaches 2^-53 of its peak in some row of the
-    block.  The grid operator reads the blocks of k = qx, the residual
-    those of k = dqx."""
+    are its causal range 0..b-1 (b its end row), narrowed to the band that
+    _probed_band reads off the block's first and last rows; k is evaluated
+    on that band only.  The grid operator reads the blocks of k = qx, the
+    residual those of k = dqx."""
     xs = np.asarray(nodes, dtype=float)
     h = _uniform_step(xs)
     for a in range(start, stop, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, stop)
-        kv = k(xs[a:b, None], xs[None, :b])
-        mag = np.abs(kv)
-        keep = np.flatnonzero(np.any(
-            mag >= 2.0 ** -53 * mag.max(axis=1, keepdims=True), axis=0))
-        c0, c1 = (int(keep[0]), int(keep[-1]) + 1) if keep.size else (0, b)
+        c0, c1, kv = _probed_band(k, xs[a:b, None], xs, b)
         block = cumulative_weight_block(h, a, b, c0, c1)
-        block *= kv[:, c0:c1]
+        block *= kv
         yield a, c0, block
 
 
@@ -326,8 +364,9 @@ class GridHammersteinOperator:
     one that is missing.  The x-rule times qx is stored in blocks of
     _ROW_BLOCK rows, each over its column band only: the causal range
     [0, x_i], trimmed to the columns where qx reaches 2^-53 of its row
-    peak.  Each application is one nonlinearity evaluation, one product
-    with the y-matrix and one product per row block.
+    peak; the blocks come from kernel_row_blocks, which evaluates qx on
+    the band only.  Each application is one nonlinearity evaluation, one
+    product with the y-matrix and one product per row block.
     """
 
     def __init__(self, kernel, nl, axes):

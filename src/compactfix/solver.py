@@ -125,8 +125,12 @@ def picard_solve(problem, cfg=None):
     gaps, betas = [], []
     for _ in range(cfg.max_iter):
         new = op.apply(q)
-        gaps.append(float(np.max(np.abs(new - q))))
-        betas.append(beta_sup(phi * new))
+        # the old iterate is dead once the gap is taken, so its buffer
+        # holds the gap and then u = phi q+ for the beta monitor
+        np.subtract(new, q, out=q)
+        gaps.append(float(np.max(np.abs(q))))
+        np.multiply(phi, new, out=q)
+        betas.append(beta_sup(q))
         q = new
         if gaps[-1] < cfg.tol:
             break
@@ -163,8 +167,8 @@ def pde_residual(axes, q, kernel, nl):
     cross stencil for the mixed second partial, so the residual of a grid
     solution decays at second order; the x-integral uses the cumulative
     weights times dqx in trimmed row blocks (greenop.kernel_row_blocks,
-    which also builds the operator), so no n x n array is formed.  Edge
-    nodes are excluded.
+    which also builds the operator and evaluates dqx on the band only),
+    so no n x n array is formed.  Edge nodes are excluded.
 
     Raises ValueError for a kernel without dqx: the differentiated form
     would need a term this function does not evaluate.

@@ -1,5 +1,7 @@
 """Quadrature routines, the integral operator and the hypothesis checker."""
 
+import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -10,7 +12,9 @@ import numpy as np
 import pytest
 from scipy.special import erf, erfc
 
-from compactfix.casestudy import _gauss_square_nonlinearity, load_problem_file
+from compactfix.casestudy import (_gauss_shift_kernel,
+                                  _gauss_square_nonlinearity,
+                                  load_problem_file)
 from compactfix.funcspace import WeightedGridFunction
 from compactfix.greenop import (GridHammersteinOperator, Kernel,
                                 Nonlinearity, QuadratureError,
@@ -19,7 +23,8 @@ from compactfix.greenop import (GridHammersteinOperator, Kernel,
                                 apply_T, check_hypotheses,
                                 cumulative_weight_block,
                                 cumulative_weights, gaussian_tail,
-                                kernel_abs_integral, panel_quadrature)
+                                kernel_abs_integral, kernel_row_blocks,
+                                panel_quadrature)
 from compactfix.solver import SolveConfig
 
 SQPI2 = math.sqrt(math.pi) / 2.0
@@ -388,12 +393,24 @@ def _unit_weight_problem(tmp_path):
     return load_problem_file(path)
 
 
+def _backward_ridge(x, t):
+    # a narrow ridge at t = 24 - 3x, which moves backward in t as x grows:
+    # at step 0.02 the rows on [5.12, 8.96) probe a wrong span of their
+    # block's band, and on [6.4, 7.68) the first row's span starts after
+    # the last row's ends
+    return np.exp(-16.0 * (t - (24.0 - 3.0 * x)) ** 2)
+
+
 def test_banded_quotient_operator_matches_dense_route(problem, rng,
                                                       tmp_path):
-    # q+ = T(phi q)/phi on the trimmed band, for the case study and for a
-    # weight-"1" file, whose quotient forms are kx and f themselves
+    # q+ = T(phi q)/phi on the trimmed band, for the case study, for a
+    # weight-"1" file, whose quotient forms are kx and f themselves, and
+    # for a weight-"1" kernel whose probed bands must widen
     axes = SolveConfig(hx=0.02, hy=0.02, truncation=24.0).axes()
-    for prob in (problem, _unit_weight_problem(tmp_path)):
+    unit = _unit_weight_problem(tmp_path)
+    backward = dataclasses.replace(unit, kernel=Kernel(
+        "backward-ridge", _backward_ridge, qx=_backward_ridge))
+    for prob in (problem, unit, backward):
         op = GridHammersteinOperator(prob.kernel, prob.nl, axes)
         phi = prob.weight(axes[0])[:, None]
         q = rng.uniform(0.0, 0.5, size=tuple(len(a) for a in axes))
@@ -416,6 +433,59 @@ def test_quotient_operator_stores_its_band_only(problem):
     op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
     n = len(axes[0])
     assert sum(block.size for _, _, block in op.blocks) <= 0.4 * n * n
+
+
+def test_operator_build_evaluates_the_band_only(problem):
+    # every block evaluates qx on its band, on its first and last rows
+    # over the causal range and on the two cut columns
+    evaluated = []
+
+    def counted(x, t):
+        evaluated.append(np.broadcast(x, t).size)
+        return problem.kernel.qx(x, t)
+
+    axes = SolveConfig(hx=0.01, hy=0.01, truncation=24.0).axes()
+    kernel = dataclasses.replace(problem.kernel, qx=counted)
+    op = GridHammersteinOperator(kernel, problem.nl, axes)
+    bound = sum(block.size + 2 * (a + block.shape[0]) + 2 * block.shape[0]
+                for a, _, block in op.blocks)
+    assert sum(evaluated) <= bound
+
+
+def _causal_range_blocks(k, xs, start, stop):
+    """Reference: each row block evaluated on its whole causal range and
+    trimmed to the columns where |k| reaches 2^-53 of its row peak in some
+    row."""
+    h = xs[1] - xs[0]
+    for a in range(start, stop, 64):
+        b = min(a + 64, stop)
+        kv = k(xs[a:b, None], xs[None, :b])
+        mag = np.abs(kv)
+        keep = np.flatnonzero(np.any(
+            mag >= 2.0 ** -53 * mag.max(axis=1, keepdims=True), axis=0))
+        c0, c1 = (int(keep[0]), int(keep[-1]) + 1) if keep.size else (0, b)
+        yield a, c0, cumulative_weight_block(h, a, b, c0, c1) * kv[:, c0:c1]
+
+
+def test_probed_bands_equal_the_causal_range_rule():
+    # at truncation 16 the bands start after column 0 in all but one case
+    # and end before the causal end for weight exp(-x^2/2).  dqx has exact
+    # zeros on band edges: at t = x for weight "1", so the last row of a
+    # block ends its span one column early, and at t = 0 on row 0
+    cases = itertools.product(("exp(-x^2/2)", "1"), (0.5, 1.0, 2.0),
+                              (0.05, 0.02, 0.01), ("qx", "dqx"), (0, 1))
+    for weight, rate, h, form, start in cases:
+        k = getattr(_gauss_shift_kernel(weight, rate), form)
+        xs = SolveConfig(hx=h, truncation=16.0).axes()[0]
+        stop = len(xs) - start
+        got = list(kernel_row_blocks(k, xs, start, stop))
+        want = list(_causal_range_blocks(k, xs, start, stop))
+        case = (weight, rate, h, form, start)
+        assert [(a, c0) for a, c0, _ in got] \
+            == [(a, c0) for a, c0, _ in want], case
+        for (_, _, block), (_, _, ref) in zip(got, want):
+            assert block.shape == ref.shape and np.array_equal(block, ref), \
+                case
 
 
 def test_check_hypotheses_statuses(problem):

@@ -86,23 +86,27 @@ def test_pde_residual_of_zero_is_the_forcing_peak(problem):
 
 def test_pde_residual_matches_the_dense_weight_matrix(problem):
     # reference: the convolution term from the dense cumulative_weights
-    # matrix, cut into the same row blocks over the full causal columns
-    xs = np.linspace(0.0, 8.0, 201)
-    ys = np.linspace(0.0, 1.0, 11)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    q = 0.2 * Y * (1.0 + np.sin(3.0 * X))
+    # matrix, cut into the same row blocks over the full causal columns.
+    # On [0, 8] no column is trimmed; at truncation 24 the solved q's
+    # blocks are probed and trimmed on both sides
+    axes = (np.linspace(0.0, 8.0, 201), np.linspace(0.0, 1.0, 11))
+    X, Y = np.meshgrid(*axes, indexing="ij")
+    solved = picard_solve(problem, SolveConfig(hx=0.05, hy=0.05)).solution
     kernel = problem.kernel
-    mixed = (q[2:, 2:] - q[2:, :-2] - q[:-2, 2:] + q[:-2, :-2]) \
-        / ((xs[2:] - xs[:-2])[:, None] * (ys[2:] - ys[:-2])[None, :])
-    gvals = problem.nl.q_eval(X[:, 1:-1], Y[:, 1:-1], q[:, 1:-1])
-    rhs = kernel.qx(xs[1:-1], xs[1:-1])[:, None] * gvals[1:-1]
-    W = cumulative_weights(xs)
-    for a in range(1, len(xs) - 1, 64):
-        b = min(a + 64, len(xs) - 1)
-        block = W[a:b, :b] * kernel.dqx(xs[a:b, None], xs[None, :b])
-        rhs[a - 1:b - 1] += block @ gvals[:b]
-    assert pde_residual((xs, ys), q, kernel, problem.nl) \
-        == np.max(np.abs(mixed - rhs))
+    for (xs, ys), q in [(axes, 0.2 * Y * (1.0 + np.sin(3.0 * X))),
+                        (solved.axes, solved.quotient())]:
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        mixed = (q[2:, 2:] - q[2:, :-2] - q[:-2, 2:] + q[:-2, :-2]) \
+            / ((xs[2:] - xs[:-2])[:, None] * (ys[2:] - ys[:-2])[None, :])
+        gvals = problem.nl.q_eval(X[:, 1:-1], Y[:, 1:-1], q[:, 1:-1])
+        rhs = kernel.qx(xs[1:-1], xs[1:-1])[:, None] * gvals[1:-1]
+        W = cumulative_weights(xs)
+        for a in range(1, len(xs) - 1, 64):
+            b = min(a + 64, len(xs) - 1)
+            block = W[a:b, :b] * kernel.dqx(xs[a:b, None], xs[None, :b])
+            rhs[a - 1:b - 1] += block @ gvals[:b]
+        assert pde_residual((xs, ys), q, kernel, problem.nl) \
+            == np.max(np.abs(mixed - rhs)), len(xs)
 
 
 def test_pde_residual_refuses_kernels_it_cannot_differentiate(problem):
