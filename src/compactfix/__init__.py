@@ -8,11 +8,11 @@ maxima, and the cone fixed-point-index conditions become checkable numbers.
 from .casestudy import (NamedProblem, PipelineBundle, PROBLEM_IDS,
                         load_problem, load_problem_file, run_full_pipeline,
                         validate_closed_forms)
-from .compactify import (BallCompactification, Extension, ExtensionError,
-                         HalfLineOnePoint, IntervalIdentity, LimitResult,
-                         LineOnePoint, LineTwoPoint, ProductCompactification,
-                         XPoint, ball_inverse, ball_map, classify_ladder,
-                         default_levels, extend, halfline_metric, kappa_limit)
+from .compactify import (Extension, ExtensionError, HalfLineOnePoint,
+                         IntervalIdentity, LimitResult, LineOnePoint,
+                         LineTwoPoint, ProductCompactification, XPoint,
+                         classify_ladder, default_levels, extend,
+                         halfline_metric, kappa_limit)
 from .cones import (ConeReport, IndexCheck, f_sup_rho, index_one_check,
                     index_one_sweep)
 from .funcspace import (WEIGHT_REGISTRY, BumpChain, FaceLimitError,
@@ -33,8 +33,8 @@ from .solver import (IterationError, SolveConfig, SolveResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallCompactification", "BumpChain", "ConeReport", "Dominator",
-    "Extension", "ExtensionError", "FaceLimitError", "GammaFunction",
+    "BumpChain", "ConeReport", "Dominator", "Extension", "ExtensionError",
+    "FaceLimitError", "GammaFunction",
     "GridHammersteinOperator", "HalfLineOnePoint", "HypothesisReport",
     "IndexCheck", "IntervalIdentity", "IterationError", "Kernel",
     "LimitResult", "LineOnePoint", "LineTwoPoint", "NamedProblem",
@@ -42,8 +42,8 @@ __all__ = [
     "ProductCompactification", "QuadratureError", "SolveConfig", "SolveResult",
     "WEIGHT_REGISTRY", "WeightedGridFunction", "WeightUnderflowError",
     "XPoint",
-    "apply_T", "asymptotic_profile", "attach_faces", "ball_inverse",
-    "ball_map", "check_hypotheses", "classify_ladder", "cumulative_weights",
+    "apply_T", "asymptotic_profile", "attach_faces", "check_hypotheses",
+    "classify_ladder", "cumulative_weights",
     "default_levels", "extend", "f_sup_rho", "gamma_p", "gaussian_family",
     "gaussian_family_separation", "halfline_metric", "index_one_check",
     "index_one_sweep", "kappa_limit", "kernel_abs_integral",

@@ -167,7 +167,7 @@ _NONLINEARITIES = {"gauss-plus-square": _gauss_square_nonlinearity,
 
 def _halfstrip_cmap():
     return ProductCompactification((HalfLineOnePoint(),
-                                    IntervalIdentity(0.0, 1.0)),
+                                    IntervalIdentity()),
                                    name="halfstrip")
 
 

@@ -1,46 +1,25 @@
 """Metric compactifications of unbounded domains and limits along them.
 
-A compactification is modelled as an embedding of the domain into a bounded
-metric space (the "embedded" coordinates) together with a list of infinity
-points sitting on the boundary of the image.  Limits of functions at infinity
-points are estimated by sampling the domain inside shrinking metric balls and
+A compactification of a 1-d domain is modelled as an embedding into a
+bounded interval (the "embedded" coordinates) together with a list of
+infinity points sitting on the boundary of the image; a grid's domain is a
+product of such maps, one per axis.  Limits of functions at infinity points
+are estimated by sampling the domain inside shrinking metric balls and
 watching the oscillation of the sampled values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# kappa_limit samples each ball at radii up to RADIUS_CAP, drawing
-# _SAMPLES_PER_LEVEL points per ball from a generator seeded with 0, so
-# that its results are reproducible
+# kappa_limit samples each ball at fixed geometric radii up to RADIUS_CAP,
+# _SAMPLES_PER_LEVEL points per ball at least, so that its results are
+# reproducible
 RADIUS_CAP = 1.0e8
 _SAMPLES_PER_LEVEL = 8
-
-
-def _radius(x):
-    """The Euclidean norm over the last axis of x, kept as an axis of
-    length 1; a scalar is a point of R^1."""
-    return np.linalg.norm(np.atleast_1d(x), axis=-1, keepdims=True)
-
-
-def ball_map(x):
-    """Embed R^n into the open unit ball, x -> x / (1 + |x|); the last axis
-    of x runs over the coordinates."""
-    x = np.asarray(x, dtype=float)
-    return x / (1.0 + _radius(x))
-
-
-def ball_inverse(y):
-    """Inverse of ball_map on the open unit ball, y -> y / (1 - |y|)."""
-    y = np.asarray(y, dtype=float)
-    r = _radius(y)
-    if np.any(r >= 1.0):
-        raise ValueError("ball_inverse needs |y| < 1")
-    return y / (1.0 - r)
 
 
 def halfline_metric(a, b):
@@ -76,12 +55,6 @@ class XPoint:
         if self.label:
             return f"XPoint({self.label})"
         return f"XPoint({self.embedded})"
-
-
-def _embedded(p):
-    """The embedded coordinates of an XPoint, or of a coordinate sequence,
-    as an array."""
-    return np.asarray(p.embedded if isinstance(p, XPoint) else p, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -148,9 +121,10 @@ def classify_ladder(evidence, tol):
 def kappa_limit(f, point, cmap, tol=1e-6, levels=None, extra_samples=None):
     """Estimate the limit of f at an infinity point of a compactification.
 
-    f is evaluated on finite domain points sampled inside metric balls
-    B(point, delta) for a shrinking ladder of deltas.  Returns a LimitResult;
-    the value of a converged result is f at the sample closest to the point.
+    f is evaluated on domain points at geometric radii inside metric balls
+    B(point, delta) for a shrinking ladder of deltas; ValueError for a
+    point that is not at infinity.  Returns a LimitResult; the value of a
+    converged result is f at the sample closest to the point.
 
     extra_samples, when given, is a callable delta -> domain points that are
     merged into each level after filtering to the metric ball.  Generic
@@ -162,21 +136,19 @@ def kappa_limit(f, point, cmap, tol=1e-6, levels=None, extra_samples=None):
         raise ValueError("kappa_limit expects an infinity point")
     if levels is None:
         levels = default_levels(tol)
-    target = _embedded(point)
-    rng = np.random.default_rng(0)
+    target = np.asarray(point.embedded, dtype=float)
     evidence = []
     value = None
     for delta in levels:
-        pts = np.asarray(cmap.sample_ball(point, delta, _SAMPLES_PER_LEVEL,
-                                          rng, RADIUS_CAP), dtype=float)
+        pts = cmap.sample_ball(point, delta)
         if extra_samples is not None:
             ex = np.atleast_1d(np.asarray(extra_samples(delta), dtype=float))
             pts = np.concatenate(
-                [pts, ex[cmap.distance(cmap.embed(ex), target) < delta]])
+                [pts, ex[cmap.distance(cmap.forward(ex), target) < delta]])
         if len(pts) == 0:
             continue
         vals = np.asarray(f(pts), dtype=float)
-        dist = cmap.distance(cmap.embed(pts), target)
+        dist = cmap.distance(cmap.forward(pts), target)
         closest = float(vals[np.argmin(dist)])
         evidence.append(LevelEvidence(delta, float(vals.max() - vals.min()),
                                       len(pts), closest))
@@ -197,18 +169,9 @@ class ExtensionError(Exception):
 
 @dataclass
 class Extension:
-    """A function extended to the whole compactified space."""
+    """A function's limits at every infinity point, by point label."""
 
-    f: object
-    cmap: object
     limits: dict
-
-    def value(self, p):
-        if p.at_infinity:
-            return self.limits[p.label]
-        # same evaluation path as the original function
-        x = self.cmap.inverse(np.asarray(p.embedded))
-        return float(np.asarray(self.f(x)).ravel()[0])
 
 
 def extend(f, cmap, tol=1e-6):
@@ -227,57 +190,44 @@ def extend(f, cmap, tol=1e-6):
             failures[p.label] = res
     if failures:
         raise ExtensionError(failures)
-    return Extension(f, cmap, limits)
+    return Extension(limits)
 
 
-def _geometric_radii(lo, n, cap):
-    """Geometric sample radii inside (lo, cap]: powers of two, topped up."""
-    if lo >= cap:
+def _tail_radii(delta, n=_SAMPLES_PER_LEVEL):
+    """At least n geometric sample radii in (1/delta - 1, RADIUS_CAP], the
+    tail that the metric ball of radius delta about infinity holds under
+    x/(1 + |x|): powers of two, topped up."""
+    lo = 1.0 / delta - 1.0
+    if lo >= RADIUS_CAP:
         return np.array([])
     lo = max(lo, 1e-12)
     j0 = int(math.floor(math.log2(lo))) + 1
-    radii = [2.0 ** j for j in range(j0, int(math.log2(cap)) + 1) if 2.0 ** j > lo]
+    radii = [2.0 ** j for j in range(j0, int(math.log2(RADIUS_CAP)) + 1)
+             if 2.0 ** j > lo]
     if len(radii) < n:
-        radii = list(np.geomspace(lo * (1 + 1e-9), cap, n))
+        radii = list(np.geomspace(lo * (1 + 1e-9), RADIUS_CAP, n))
     return np.asarray(sorted(set(radii)))
 
 
 class CompactMap:
-    """Base class: an embedding of a domain in R^d into a bounded metric space."""
+    """Base class: an embedding of a 1-d domain into a bounded interval."""
 
     name = "abstract"
-    dim = 1
 
     def forward(self, x):
         raise NotImplementedError
 
-    def inverse(self, y):
-        raise NotImplementedError
-
-    def forward_point(self, x):
-        """Domain point -> XPoint."""
-        emb = np.atleast_1d(self.forward(x))
-        return XPoint(tuple(float(v) for v in emb))
-
-    def embed(self, x):
-        """Embedded coordinates of domain points x, one row per point."""
-        return self.forward(np.reshape(np.asarray(x, dtype=float),
-                                       (-1, self.dim)))
-
     def distance(self, a, b):
-        """The metric between embedded coordinates a and b, whose last axis
-        runs over the coordinates; broadcast over the other axes.  This
-        base map takes the max metric."""
-        return np.max(np.abs(a - b), axis=-1)
-
-    def metric(self, p, q):
-        """The distance of two XPoints or coordinate sequences."""
-        return float(self.distance(_embedded(p), _embedded(q)))
+        """The metric between embedded coordinates a and b, broadcast;
+        this base map takes |a - b|."""
+        return np.abs(a - b)
 
     def infinity_points(self):
         raise NotImplementedError
 
-    def sample_ball(self, point, delta, n, rng, cap):
+    def sample_ball(self, point, delta):
+        """Domain points inside the metric ball B(point, delta) of an
+        infinity point, at radii up to RADIUS_CAP."""
         raise NotImplementedError
 
 
@@ -290,22 +240,11 @@ class HalfLineOnePoint(CompactMap):
         x = np.asarray(x, dtype=float)
         return x / (1.0 + x)
 
-    def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        return y / (1.0 - y)
-
     def infinity_points(self):
         return [XPoint((1.0,), (0,), "inf")]
 
-    def sample_ball(self, point, delta, n, rng, cap):
-        if point.at_infinity:
-            lo = 1.0 / delta - 1.0
-            return _geometric_radii(lo, n, cap)
-        x0 = float(self.inverse(point.embedded[0]))
-        pts = x0 + (rng.random(n) - 0.5) * 2 * delta
-        pts = pts[pts >= 0]
-        keep = np.abs(self.forward(pts) - point.embedded[0]) < delta
-        return pts[keep]
+    def sample_ball(self, point, delta):
+        return _tail_radii(delta)
 
 
 class LineTwoPoint(CompactMap):
@@ -317,22 +256,12 @@ class LineTwoPoint(CompactMap):
         x = np.asarray(x, dtype=float)
         return x / (1.0 + np.abs(x))
 
-    def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        return y / (1.0 - np.abs(y))
-
     def infinity_points(self):
         return [XPoint((-1.0,), (0,), "-inf"), XPoint((1.0,), (0,), "+inf")]
 
-    def sample_ball(self, point, delta, n, rng, cap):
-        if point.at_infinity:
-            lo = 1.0 / delta - 1.0
-            r = _geometric_radii(lo, n, cap)
-            return r if point.embedded[0] > 0 else -r
-        x0 = float(self.inverse(point.embedded[0]))
-        pts = x0 + (rng.random(n) - 0.5) * 2 * delta * (1 + abs(x0)) ** 2
-        keep = np.abs(self.forward(pts) - point.embedded[0]) < delta
-        return pts[keep]
+    def sample_ball(self, point, delta):
+        r = _tail_radii(delta)
+        return r if point.embedded[0] > 0 else -r
 
 
 class LineOnePoint(CompactMap):
@@ -348,162 +277,37 @@ class LineOnePoint(CompactMap):
         x = np.asarray(x, dtype=float)
         return x / (1.0 + np.abs(x))
 
-    def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        return y / (1.0 - np.abs(y))
-
     def distance(self, a, b):
-        d = np.max(np.abs(a - b), axis=-1)
+        d = np.abs(a - b)
         return np.minimum(d, 2.0 - d)
 
     def infinity_points(self):
         return [XPoint((1.0,), (0,), "inf")]
 
-    def sample_ball(self, point, delta, n, rng, cap):
-        if point.at_infinity:
-            lo = 1.0 / delta - 1.0
-            r = _geometric_radii(lo, max(n // 2, 2), cap)
-            return np.concatenate([-r[::-1], r])
-        x0 = float(self.inverse(point.embedded[0]))
-        pts = x0 + (rng.random(n) - 0.5) * 2 * delta * (1 + abs(x0)) ** 2
-        keep = self.distance(self.embed(pts), _embedded(point)) < delta
-        return pts[keep]
-
-
-class BallCompactification(CompactMap):
-    """R^n embedded in the closed unit ball; boundary = directions of infinity."""
-
-    name = "ball"
-
-    def __init__(self, n):
-        self.dim = int(n)
-
-    def forward(self, x):
-        return ball_map(x)
-
-    def inverse(self, y):
-        return ball_inverse(y)
-
-    def distance(self, a, b):
-        return np.linalg.norm(a - b, axis=-1)
-
-    def direction_point(self, u):
-        u = np.asarray(u, dtype=float)
-        u = u / np.linalg.norm(u)
-        return XPoint(tuple(u), tuple(range(self.dim)), f"dir{tuple(np.round(u, 6))}")
-
-    def infinity_points(self):
-        if self.dim == 1:
-            return [XPoint((-1.0,), (0,), "-inf"), XPoint((1.0,), (0,), "+inf")]
-        raise ValueError("boundary sphere is a continuum for n >= 2; "
-                         "use direction_point(u) for a specific direction")
-
-    def sample_ball(self, point, delta, n, rng, cap):
-        if not point.at_infinity:
-            raise NotImplementedError("finite-point sampling not needed here")
-        u = np.asarray(point.embedded, dtype=float)
-        lo = 1.0 / delta - 1.0
-        radii = _geometric_radii(lo, n, cap)
-        if self.dim == 1:
-            return radii * u[0]
-        pts = radii[:, None] * u[None, :]
-        # a few jittered directions still inside the delta-ball
-        extra = u[None, :] + (rng.standard_normal((3, self.dim))) * (delta / 4)
-        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        pts2 = radii[-1] * extra
-        pts = np.vstack([pts, pts2])
-        return pts[self.distance(self.forward(pts), u) < delta]
+    def sample_ball(self, point, delta):
+        r = _tail_radii(delta, _SAMPLES_PER_LEVEL // 2)
+        return np.concatenate([-r[::-1], r])
 
 
 class IntervalIdentity(CompactMap):
-    """A compact interval [a, b]; the identity is already a compactification."""
+    """A compact interval; the identity is already a compactification."""
 
     name = "interval"
-
-    def __init__(self, a, b):
-        self.a, self.b = float(a), float(b)
 
     def forward(self, x):
         return np.asarray(x, dtype=float)
 
-    def inverse(self, y):
-        return np.asarray(y, dtype=float)
-
     def infinity_points(self):
         return []
-
-    def sample_ball(self, point, delta, n, rng, cap):
-        y0 = float(point.embedded[0])
-        pts = y0 + (rng.random(n) - 0.5) * 2 * delta
-        pts = np.clip(pts, self.a, self.b)
-        pts = np.append(pts, y0)
-        return pts[np.abs(pts - y0) < delta]
 
 
 @dataclass
-class ProductCompactification(CompactMap):
-    """Componentwise product of compactifications with the max metric."""
+class ProductCompactification:
+    """Componentwise product of 1-d compactifications, one per grid axis;
+    its faces are those of the factors with an infinity point."""
 
     factors: tuple
-    name: str = field(default="product")
+    name: str = "product"
 
     def __post_init__(self):
         self.factors = tuple(self.factors)
-        self.dim = len(self.factors)
-        for f in self.factors:
-            if f.dim != 1:
-                raise ValueError("product factors must be one-dimensional")
-
-    def forward(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([f.forward(x[..., i])
-                         for i, f in enumerate(self.factors)], axis=-1)
-
-    def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.array([float(f.inverse(y[i])) for i, f in enumerate(self.factors)])
-
-    def distance(self, a, b):
-        return np.max([f.distance(a[..., i:i + 1], b[..., i:i + 1])
-                       for i, f in enumerate(self.factors)], axis=0)
-
-    def face_point(self, axis, finite_coords):
-        """Infinity point on the face where ``axis`` is at its infinity.
-
-        finite_coords gives the domain coordinates of the remaining axes in
-        order.  Only single-axis faces are supported, which covers products of
-        a half-line with compact intervals.
-        """
-        pts = self.factors[axis].infinity_points()
-        if len(pts) != 1:
-            raise ValueError("face_point needs a factor with one infinity point")
-        emb = []
-        it = iter(finite_coords)
-        for i, f in enumerate(self.factors):
-            if i == axis:
-                emb.append(pts[0].embedded[0])
-            else:
-                emb.append(float(f.forward(next(it))))
-        label = f"axis{axis}:inf@" + ",".join(f"{c:.6g}" for c in finite_coords)
-        return XPoint(tuple(emb), (axis,), label)
-
-    def infinity_points(self):
-        if any(f.infinity_points() for f in self.factors):
-            raise ValueError("product faces form a continuum; use face_point")
-        return []
-
-    def sample_ball(self, point, delta, n, rng, cap):
-        cols = []
-        for i, f in enumerate(self.factors):
-            sub = XPoint((point.embedded[i],),
-                         (0,) if i in point.infinite_axes else ())
-            c = f.sample_ball(sub, delta, n, rng, cap)
-            if len(c) == 0:
-                return np.empty((0, self.dim))
-            cols.append(np.asarray(c, dtype=float))
-        k = min(len(c) for c in cols)
-        out = np.empty((k, self.dim))
-        for i, c in enumerate(cols):
-            # pair longest-to-shortest so the extreme radii survive
-            out[:, i] = c[-k:]
-        return out

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compactify import (HalfLineOnePoint, IntervalIdentity, LevelEvidence,
-                         LimitResult, LineTwoPoint, ProductCompactification,
-                         XPoint, classify_ladder)
+                         LimitResult, LineOnePoint, LineTwoPoint,
+                         ProductCompactification, XPoint, classify_ladder)
 
 
 def _unit_weight(*mesh):
@@ -163,10 +163,21 @@ class WeightedGridFunction:
 
 
 def _default_cmap(ndim):
-    if ndim == 1:
-        return HalfLineOnePoint()
-    return ProductCompactification(
-        (HalfLineOnePoint(),) + (IntervalIdentity(0.0, 1.0),) * (ndim - 1))
+    return _named_cmap("halfline-onepoint" if ndim == 1 else "product", ndim)
+
+
+def _named_cmap(name, ndim):
+    """The compactification that a grid file's sidecar names: one of the
+    1-d maps, or "product" or "halfstrip", a half line times one interval
+    per further axis; ValueError for any other name."""
+    for cls in (HalfLineOnePoint, LineTwoPoint, LineOnePoint,
+                IntervalIdentity):
+        if name == cls.name:
+            return cls()
+    if name in ("product", "halfstrip"):
+        return ProductCompactification(
+            (HalfLineOnePoint(),) + (IntervalIdentity(),) * (ndim - 1), name)
+    raise ValueError(f"unknown compactification {name!r}")
 
 
 def face_labels(cmap):
@@ -371,10 +382,6 @@ class PrecompactnessReport:
     equiconvergent: bool
     deviations: tuple
     worst_deviation: float
-
-    @property
-    def all_conditions(self):
-        return self.bounded and self.equicontinuous and self.equiconvergent
 
 
 def _family_quotient_derivatives(family):
@@ -591,12 +598,17 @@ def save_grid_function(f, csv_path):
     axes, the weight's name, the order, the cmap and the infinity-face
     data, so u = phi q is recovered by load_grid_function.  Raises
     ValueError for a weight outside WEIGHT_REGISTRY, which the sidecar could
-    not name, and WeightUnderflowError for a grid function without a kept
-    quotient whose weight is 0 on its grid; neither creates a file.
+    not name, or a cmap that _named_cmap does not rebuild with the same
+    faces, and WeightUnderflowError for a grid function without a kept
+    quotient whose weight is 0 on its grid; none of them creates a file.
     """
     if f.weight_desc is None:
         raise ValueError("only a WEIGHT_REGISTRY weight can be saved; this "
                          "grid function's weight has no name")
+    cmap_name = getattr(f.cmap, "name", None)
+    if face_labels(_named_cmap(cmap_name, f.ndim)) != f.face_labels():
+        raise ValueError(f"compactification {cmap_name!r} would reload "
+                         "with other infinity faces")
     flat = f.quotient().ravel()
     with open(csv_path, "w", newline="") as fh:
         fh.write(_CSV_HEADER + "\r\n")
@@ -606,7 +618,7 @@ def save_grid_function(f, csv_path):
     side = {
         "weight": f.weight_desc,
         "order": f.order,
-        "cmap": getattr(f.cmap, "name", "custom"),
+        "cmap": cmap_name,
         "axes": [list(a) for a in f.axes],
         "infinity": {face: {_p_key(p): (v.tolist() if isinstance(v, np.ndarray)
                                         else float(v))
@@ -623,13 +635,14 @@ def load_grid_function(csv_path):
     Returns WeightedGridFunction.from_quotient of the saved q, so the
     loaded quotient() is bitwise the saved one and the samples are phi q.
     Raises ValueError when the header is not "u/phi" (for example an older
-    x,y,value file) or the number of values does not match the sidecar's
-    axes.
+    x,y,value file), the number of values does not match the sidecar's
+    axes or the sidecar names an unknown cmap.
     """
     with open(str(csv_path) + ".json") as fh:
         side = json.load(fh)
     axes = tuple(np.asarray(a, dtype=float) for a in side["axes"])
     shape = tuple(len(a) for a in axes)
+    cmap = _named_cmap(side["cmap"], len(axes))
     with open(csv_path, newline="") as fh:
         lines = fh.read().splitlines()
     header = lines[0] if lines else ""
@@ -644,8 +657,6 @@ def load_grid_function(csv_path):
                                      if isinstance(v, list) else float(v))
                        for k, v in per_p.items()}
                 for face, per_p in side["infinity"].items()}
-    cmap = _default_cmap(len(axes)) if side["cmap"] != "line-twopoint" \
-        else LineTwoPoint()
     name = side["weight"]
     return WeightedGridFunction.from_quotient(
         axes, q, WEIGHT_REGISTRY.get(name), side["order"], cmap, infinity,

@@ -54,7 +54,9 @@ def test_pipeline_gaussian_family_branch():
     assert not demo["equiconvergent"]
     assert demo["separation"] == pytest.approx(0.7303884874204196, abs=1e-9)
     assert demo["worst_deviation"] > 0.5
-    assert not bundle.objects["report"].all_conditions
+    report = bundle.objects["report"]
+    assert not (report.bounded and report.equicontinuous
+                and report.equiconvergent)
     json.dumps(demo)
 
 

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import compactfix
-from compactfix.compactify import (LevelEvidence, LimitResult, LineTwoPoint,
+from compactfix.compactify import (HalfLineOnePoint, IntervalIdentity,
+                                   LevelEvidence, LimitResult, LineOnePoint,
+                                   LineTwoPoint, ProductCompactification,
                                    XPoint, classify_ladder)
 from compactfix.funcspace import (WEIGHT_REGISTRY, BumpChain,
                                   FaceLimitError, WeightedGridFunction,
@@ -330,15 +332,14 @@ def test_precompactness_gaussian_family_counterexample():
     assert rep.equicontinuous
     assert not rep.equiconvergent
     assert rep.worst_deviation > 0.5
-    assert not rep.all_conditions
+    assert not (rep.bounded and rep.equicontinuous and rep.equiconvergent)
 
 
 def test_precompactness_finite_subfamily_passes():
     # with the window far beyond the last centre all three conditions hold
-    rep = precompactness_report(gaussian_family(10))
-    assert rep.all_conditions
-    single = precompactness_report(gaussian_family(3)[:1])
-    assert single.all_conditions
+    for fam in (gaussian_family(10), gaussian_family(3)[:1]):
+        rep = precompactness_report(fam)
+        assert rep.bounded and rep.equicontinuous and rep.equiconvergent
 
 
 def test_precompactness_deviation_tracks_the_marching_front():
@@ -355,7 +356,7 @@ def test_precompactness_scaled_convergent_family_passes():
                                 infinity={"inf": {(0,): 0.0}})
            for c in (0.0, 0.5, -0.5, 1.0, -1.0)]
     rep = precompactness_report(fam)
-    assert rep.all_conditions
+    assert rep.bounded and rep.equicontinuous and rep.equiconvergent
     assert rep.worst_deviation < 1e-12
 
 
@@ -453,7 +454,7 @@ def test_nan_sample_never_certifies(node):
     derivs = _family_quotient_derivatives(fam)
     assert all(math.isnan(w) for _, w in equicontinuity_modulus(fam, derivs))
     rep = precompactness_report(fam)
-    assert not rep.equicontinuous and not rep.all_conditions
+    assert not rep.equicontinuous
     if node < 0:
         assert all(math.isnan(d)
                    for _, d in equiconvergence_deviation(fam, derivs))
@@ -562,6 +563,60 @@ def test_load_rejects_unknown_weight(tmp_path):
     sidecar.write_text(json.dumps(side))
     with pytest.raises(ValueError, match="unknown weight"):
         load_grid_function(path)
+
+
+_HALF_STRIP = (HalfLineOnePoint(), IntervalIdentity())
+
+
+@pytest.mark.parametrize("cmap", [
+    HalfLineOnePoint(), LineTwoPoint(), LineOnePoint(), IntervalIdentity(),
+    ProductCompactification(_HALF_STRIP),
+    ProductCompactification(_HALF_STRIP, name="halfstrip")],
+    ids=lambda cmap: cmap.name)
+def test_save_load_save_keeps_the_cmap(tmp_path, cmap):
+    xs = np.linspace(-4.0 if cmap.name.startswith("line") else 0.0, 4.0, 9)
+    axes = (xs, np.linspace(0.0, 1.0, 3)) \
+        if isinstance(cmap, ProductCompactification) else (xs,)
+    f = WeightedGridFunction(axes, np.zeros(tuple(map(len, axes))),
+                             cmap=cmap)
+    save_grid_function(f, tmp_path / "a.csv")
+    g = load_grid_function(tmp_path / "a.csv")
+    save_grid_function(g, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv.json").read_bytes() \
+        == (tmp_path / "b.csv.json").read_bytes()
+    assert g.cmap.name == cmap.name
+    assert g.face_labels() == f.face_labels()
+    # the faces that reload are the faces gamma_p certifies
+    assert set(gamma_p(g, (0,) * g.ndim).infinity) == set(f.face_labels())
+
+
+def test_load_refuses_an_unknown_cmap(tmp_path):
+    import json
+
+    path = tmp_path / "grid.csv"
+    save_grid_function(wgf(phi(XS)), path)
+    sidecar = tmp_path / "grid.csv.json"
+    side = json.loads(sidecar.read_text())
+    side["cmap"] = "ball"
+    sidecar.write_text(json.dumps(side))
+    with pytest.raises(ValueError, match="unknown compactification 'ball'"):
+        load_grid_function(path)
+
+
+def test_save_refuses_a_cmap_that_would_reload_otherwise(tmp_path):
+    axes = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3))
+    path = tmp_path / "grid.csv"
+    for cmap, match in (
+            (ProductCompactification(_HALF_STRIP, name="strip"),
+             "unknown compactification 'strip'"),
+            # a product reloads as a half line times an interval
+            (ProductCompactification((IntervalIdentity(),) * 2),
+             "'product' would reload with other infinity faces")):
+        f = WeightedGridFunction(axes, np.zeros((5, 3)), cmap=cmap)
+        with pytest.raises(ValueError, match=match):
+            save_grid_function(f, path)
+        assert not path.exists()
+        assert not (tmp_path / "grid.csv.json").exists()
 
 
 def test_grid_function_names_its_weight_from_the_registry(problem,

@@ -140,8 +140,8 @@ def test_asymptotic_profile_error_paths(problem):
         asymptotic_profile(wobble, wobble.quotient(), tol=1e-3)
     boxed = WeightedGridFunction(
         (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)), np.zeros((5, 5)),
-        cmap=ProductCompactification((IntervalIdentity(0.0, 1.0),
-                                      IntervalIdentity(0.0, 1.0))))
+        cmap=ProductCompactification((IntervalIdentity(),
+                                      IntervalIdentity())))
     with pytest.raises(ValueError, match="no infinity face"):
         asymptotic_profile(boxed, boxed.quotient())
 

@@ -6,6 +6,19 @@ import pathlib
 import compactfix
 
 SOURCES = sorted(pathlib.Path(compactfix.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the code that the program's own entry points run: the package (its
+# __init__ only re-exports), the demos and the benchmark harness
+READERS = ([p for p in SOURCES if p.name != "__init__.py"]
+           + sorted(ROOT.glob("demos/*.py"))
+           + [p for p in sorted(ROOT.glob("perfbench/*.py"))
+              if not p.name.startswith("test_")])
+# public definitions that stay although no reader above reads them, and why
+UNREAD_ALLOWED = {
+    "halfline_metric": "check 8 of tests/test_acceptance.py reads it",
+    "alpha_inf": "check 8 of tests/test_acceptance.py reads it",
+    "load_grid_function": "it reads back the solve's solution.csv",
+}
 
 
 def _unused_imports(path):
@@ -43,3 +56,60 @@ def test_unused_import_check_sees_a_leftover(tmp_path):
                    "__all__ = ['sep']\nprint(math.pi)\n")
     assert _unused_imports(mod) == ["leftover.py:1 json",
                                     "leftover.py:3 path"]
+
+
+def _public_definitions(path):
+    """(line, name) of the public functions and classes a module defines
+    at its top level, and of the public methods of its public classes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            out.append((node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                out.extend((m.lineno, m.name) for m in node.body
+                           if isinstance(m, kinds)
+                           and not m.name.startswith("_"))
+    return out
+
+
+def _read_names(path):
+    """Every name a module reads: names, attributes, and string constants
+    that are identifiers (a harness that looks a method up by its name)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
+def _unread_definitions(sources, readers):
+    read = set().union(*map(_read_names, readers))
+    return sorted(f"{path.name}:{line} {name}" for path in sources
+                  for line, name in _public_definitions(path)
+                  if name not in read)
+
+
+def test_every_public_definition_has_a_reader_outside_tests():
+    unread = _unread_definitions(SOURCES, READERS)
+    assert sorted(entry.split()[1] for entry in unread) \
+        == sorted(UNREAD_ALLOWED), unread
+
+
+def test_unread_definition_check_sees_a_leftover(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def used():\n    pass\n\n\ndef unread():\n    pass\n\n\n"
+                   "class Box:\n    def size(self):\n        pass\n\n"
+                   "    def spare(self):\n        pass\n\n"
+                   "    def _private(self):\n        pass\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from mod import Box, used\nused()\n"
+                      "getattr(Box(), 'size')()\n")
+    assert _unread_definitions([mod], [reader]) == ["mod.py:13 spare",
+                                                   "mod.py:5 unread"]
