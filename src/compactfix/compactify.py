@@ -75,8 +75,9 @@ class LimitResult:
     sample metrically closest to the point; the grid face ladders of
     funcspace._face_ladders read it at the deepest window's last node in
     axis order, which is the farthest node of a "+inf" window but the
-    innermost (largest x) of a "-inf" one.  The evidence tuple records
-    (delta, oscillation) for every tested ball.
+    innermost (largest x) of a "-inf" one, and the farthest node of the
+    +inf tail of LineOnePoint's two-tailed window.  The evidence tuple
+    records (delta, oscillation) for every tested ball.
     """
 
     status: str
@@ -230,6 +231,12 @@ class CompactMap:
         infinity point, at radii up to RADIUS_CAP."""
         raise NotImplementedError
 
+    def ball_radius(self, point, x):
+        """The tail radius r of each domain point x about an infinity
+        point: x lies in the metric ball B(point, delta) iff
+        r > 1/delta - 1."""
+        raise NotImplementedError
+
 
 class HalfLineOnePoint(CompactMap):
     """[0, inf) embedded in [0, 1] by x/(1+x); one infinity point at 1."""
@@ -245,6 +252,9 @@ class HalfLineOnePoint(CompactMap):
 
     def sample_ball(self, point, delta):
         return _tail_radii(delta)
+
+    def ball_radius(self, point, x):
+        return np.asarray(x, dtype=float)
 
 
 class LineTwoPoint(CompactMap):
@@ -262,6 +272,10 @@ class LineTwoPoint(CompactMap):
     def sample_ball(self, point, delta):
         r = _tail_radii(delta)
         return r if point.embedded[0] > 0 else -r
+
+    def ball_radius(self, point, x):
+        x = np.asarray(x, dtype=float)
+        return x if point.embedded[0] > 0 else -x
 
 
 class LineOnePoint(CompactMap):
@@ -287,6 +301,10 @@ class LineOnePoint(CompactMap):
     def sample_ball(self, point, delta):
         r = _tail_radii(delta, _SAMPLES_PER_LEVEL // 2)
         return np.concatenate([-r[::-1], r])
+
+    def ball_radius(self, point, x):
+        # both tails: the circle distance of x/(1 + |x|) to 1 is 1/(1 + |x|)
+        return np.abs(np.asarray(x, dtype=float))
 
 
 class IntervalIdentity(CompactMap):

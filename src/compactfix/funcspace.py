@@ -159,7 +159,7 @@ class WeightedGridFunction:
         axis = _face_axis(face)
         cols = np.moveaxis(quotient_derivative(self, p), axis, 0)
         cols = cols[:, None] if self.ndim == 1 else cols[:, [coord_index]]
-        return _face_ladders(self.axes[axis], cols, face, tol)[0]
+        return _face_ladders(_face_radii(self, face), cols, face, tol)[0]
 
 
 def _default_cmap(ndim):
@@ -191,6 +191,22 @@ def _face_axis(face):
     if face.startswith("axis"):
         return int(face[4:].split(":")[0])
     return 0
+
+
+def _face_radii(f, face):
+    """The tail radius of each node of the face's axis about the face's
+    infinity point, from the axis's map (CompactMap.ball_radius): a node
+    lies in the face's metric ball of radius delta iff its radius exceeds
+    1/delta - 1.  The face of a product's axis is the last infinity point
+    of that axis's factor; ValueError for a face that f's map lacks."""
+    axis = _face_axis(face)
+    product = isinstance(f.cmap, ProductCompactification)
+    fac = f.cmap.factors[axis] if product else f.cmap
+    points = [p for p in fac.infinity_points() if product or p.label == face]
+    if not points:
+        raise ValueError(f"the compactification has no infinity face "
+                         f"{face!r}")
+    return fac.ball_radius(points[-1], f.axes[axis])
 
 
 def quotient_derivative(f, p):
@@ -268,7 +284,8 @@ def gamma_p(f, p, tol=1e-6):
             inf_vals[face] = np.asarray(stored[p], dtype=float)
             continue
         if f.ndim == 1:
-            res = _face_ladders(f.axes[0], vals[:, None], face, tol)[0]
+            res = _face_ladders(_face_radii(f, face), vals[:, None], face,
+                                tol)[0]
             if not res.converged:
                 raise FaceLimitError(face, res)
             inf_vals[face] = np.float64(res.value)
@@ -282,25 +299,20 @@ def gamma_p(f, p, tol=1e-6):
     return GammaFunction(p, tuple(emb), vals, inf_vals)
 
 
-def _axis_windows(nodes, face, delta):
-    """Index mask of grid nodes inside the metric ball of an infinity tail."""
-    lo = 1.0 / delta - 1.0
-    if face.endswith("-inf"):
-        return nodes < -lo
-    return nodes > lo
-
-
-def _face_ladders(nodes, cols, face, tol):
+def _face_ladders(radii, cols, face, tol):
     """Oscillation ladders for face limits, windows drawn from the grid: one
-    LimitResult per column of cols, whose rows follow the face axis nodes.
+    LimitResult per column of cols, whose rows follow the face axis nodes
+    with their _face_radii.
 
-    Level k (delta = 2^-k) has the window of _axis_windows, which on an
-    increasing axis is a suffix of the nodes (a prefix for a "-inf" face);
-    the ladder stops before the first window with fewer than 2 nodes, and
-    ValueError reports a face without any.  Running maxima and minima of
-    the segments between consecutive window starts, from the far end, give
-    every level's oscillation for every column in one pass; a level's value
-    is the column's entry at the window's last node in axis order (the
+    Level k (delta = 2^-k) has the window of the nodes with radius above
+    1/delta - 1, a suffix of the nodes in the order of increasing radius:
+    on an increasing axis a suffix for a "+inf" face, a prefix for a "-inf"
+    one, and both tails for the glued point of LineOnePoint.  The ladder
+    stops before the first window with fewer than 2 nodes, and ValueError
+    reports a face without any.  Running maxima and minima of the segments
+    between consecutive window starts, from the far end, give every
+    level's oscillation for every column in one pass; a level's value is
+    the column's entry at the window's last node in axis order (the
     farthest node of a "+inf" window, the innermost of a "-inf" one).
     On product grids each column is the coordinate slice at one node of
     the finite axis: face data is stored as one profile value per such
@@ -311,26 +323,26 @@ def _face_ladders(nodes, cols, face, tol):
     """
     deltas = [2.0 ** -k for k in range(1, 61)]
     bounds = np.array([1.0 / d - 1.0 for d in deltas])
-    far = face.endswith("-inf")
-    if far:
-        # prefix windows nodes < -lo: flip so that they become suffixes
-        nodes, cols = -nodes[::-1], cols[::-1]
-    starts = np.searchsorted(nodes, bounds, side="right")
-    levels = int(np.count_nonzero(len(nodes) - starts >= 2))
+    order = np.argsort(radii, kind="stable")
+    starts = np.searchsorted(radii[order], bounds, side="right")
+    levels = int(np.count_nonzero(len(radii) - starts >= 2))
     if not levels:
         raise ValueError(f"truncated grid has no nodes in any window of face "
                          f"{face!r}")
     starts = starts[:levels]
-    # window k is the nodes from starts[k] on: the extremes of each segment
+    # window k is the nodes order[starts[k]:]: the extremes of each segment
     # starts[k]..starts[k + 1], run from the far end, are the windows'
     # (a segment between equal starts reads one node of the next window)
+    ranked = cols[order]
     hi = np.maximum.accumulate(
-        np.maximum.reduceat(cols, starts, axis=0)[::-1], axis=0)[::-1]
+        np.maximum.reduceat(ranked, starts, axis=0)[::-1], axis=0)[::-1]
     lo = np.minimum.accumulate(
-        np.minimum.reduceat(cols, starts, axis=0)[::-1], axis=0)[::-1]
+        np.minimum.reduceat(ranked, starts, axis=0)[::-1], axis=0)[::-1]
     osc = (hi - lo).T.tolist()
-    values = (cols[starts] if far else cols[[-1] * levels]).T.tolist()
-    sizes = (len(nodes) - starts).tolist()
+    # the last node in axis order of each suffix order[j:]
+    last = np.maximum.accumulate(order[::-1])[::-1]
+    values = cols[last[starts]].T.tolist()
+    sizes = (len(radii) - starts).tolist()
     pt = XPoint((math.nan,), (_face_axis(face),), face)
     out = []
     for col_osc, col_values in zip(osc, values):
@@ -350,7 +362,7 @@ def face_profile(f, vals, face, tol):
     in point.label."""
     axis = _face_axis(face)
     return list(zip(f.axes[1 - axis].tolist(), _face_ladders(
-        f.axes[axis], np.moveaxis(vals, axis, 0), face, tol)))
+        _face_radii(f, face), np.moveaxis(vals, axis, 0), face, tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +451,11 @@ def equiconvergence_deviation(family, derivs):
     out = []
     for face in f0.face_labels():
         axis = _face_axis(face)
-        nodes = f0.axes[axis]
+        radii = _face_radii(f0, face)
         k = 1
         while k <= 60:
             delta = 2.0 ** -k
-            mask = _axis_windows(nodes, face, delta)
+            mask = radii > 1.0 / delta - 1.0
             if mask.sum() < 2:
                 break
             worst = 0.0

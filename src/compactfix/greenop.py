@@ -24,14 +24,17 @@ reaches 2^-53 of its row peak, and evaluates qx on that band only
 samples by the windowed face ladders of funcspace.face_profile.
 
 Every integral outside the grid path uses one rule: a composite 16-node
-Gauss-Legendre rule whose panels are doubled until two levels agree to tol
-(the two-rule estimate of Gander & Gautschi, "Adaptive quadrature -
-revisited", BIT 2000).  panel_quadrature applies it to many 1-d intervals
-at once; the cross-check path applies it in 2-d.  With it the module
-estimates the kernel bounds that the contraction/index arguments need: the
-absolute kernel integral, the weighted sup profile M_p, the face limits
-z_p of the weighted kernel columns, the continuity modulus w_p, and their
-L1 products against a dominating envelope Phi_r.
+Gauss-Legendre rule on 2^L equal panels of each interval, L = 0, 1, ...
+A level is certified by a second estimate (Gander & Gautschi, "Adaptive
+quadrature - revisited", BIT 2000; Piessens et al., QUADPACK, 1983).
+panel_quadrature applies it to many 1-d intervals at once and takes level
+L + 1 once it agrees with level L to tol.  The cross-check path applies it
+in 2-d, where a doubling costs four times a level: it takes level L once
+the 8-node rule on the same panels agrees with it to tol.  With the 1-d
+rule the module estimates the kernel bounds that the contraction/index
+arguments need: the absolute kernel integral, the weighted sup profile
+M_p, the face limits z_p of the weighted kernel columns, the continuity
+modulus w_p, and their L1 products against a dominating envelope Phi_r.
 """
 
 from __future__ import annotations
@@ -45,7 +48,10 @@ from .compactify import HalfLineOnePoint, kappa_limit
 from .funcspace import (WeightedGridFunction, face_profile,
                         quotient_derivative)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# the value rule of every panel integral, and the 2-d route's same-panel
+# companion that certifies it
+_GL16 = np.polynomial.legendre.leggauss(16)
+_GL8 = np.polynomial.legendre.leggauss(8)
 # the panel rule: at most 2^_MAX_PANEL_LEVEL panels per interval
 _MAX_PANEL_LEVEL = 6
 # the 2-d route evaluates f _T_BLOCK t-nodes at a time, so a block's
@@ -71,40 +77,52 @@ class QuadratureError(Exception):
         self.last_estimate = last_estimate
 
 
-def _gl_panels(lo, hi, level):
-    """The 16-node Gauss-Legendre rule on 2^level equal panels of each
-    interval [lo_i, hi_i]: nodes and weights, one row per interval.
-    A reversed interval counts as empty: its weights are 0."""
+def _gl_panels(lo, hi, level, rule=_GL16):
+    """A Gauss-Legendre rule, its (nodes, weights) on [-1, 1] (the 16-node
+    rule by default), on 2^level equal panels of each interval
+    [lo_i, hi_i]: nodes and weights, one row per interval.  A reversed
+    interval counts as empty: its weights are 0."""
     n = 2 ** level
     width = np.maximum(hi - lo, 0.0)[:, None]
     start = lo[:, None] + width * (np.arange(n) / n)
     half = 0.5 * width / n
-    nodes = (start + half)[..., None] + half[..., None] * _GL_NODES
-    weights = np.broadcast_to(half[..., None] * _GL_WEIGHTS, nodes.shape)
+    nodes = (start + half)[..., None] + half[..., None] * rule[0]
+    weights = np.broadcast_to(half[..., None] * rule[1], nodes.shape)
     return nodes.reshape(len(lo), -1), weights.reshape(len(lo), -1)
 
 
-def _settle(level_integrals, tol):
-    """level_integrals(L) for L = 0, 1, ...; returns level L + 1 once the
-    max over all its entries of |I_L - I_{L+1}| is at most tol.
+def _settle(level_integrals, tol, companion=None):
+    """level_integrals(L) for L = 0, 1, ... until a level settles.
+
+    Without companion, the two-level test: level L + 1 is returned once
+    the max over all its entries of |I_L - I_{L+1}| is at most tol.  With
+    companion, the two-rule test: companion(L) is a lower-order rule on
+    the same panels, and level L is returned once the max of
+    |I_L - companion(L)| is at most tol.
 
     QuadratureError if a level is not finite or the values have not
     settled by _MAX_PANEL_LEVEL.
     """
-    prev = None
-    for level in range(_MAX_PANEL_LEVEL + 1):
-        total = level_integrals(level)
-        if not np.all(np.isfinite(total)):
+    def finite(vals, level):
+        if not np.all(np.isfinite(vals)):
             raise QuadratureError(
                 f"integrand not finite at panel level {level}",
-                last_estimate=total)
+                last_estimate=vals)
+        return vals
+
+    prev = None
+    for level in range(_MAX_PANEL_LEVEL + 1):
+        total = finite(level_integrals(level), level)
+        if companion is not None:
+            prev = finite(companion(level), level)
         if prev is not None:
             gap = np.max(np.abs(total - prev), initial=0.0)
             if gap <= tol:
                 return total
         prev = total
+    test = "two-level" if companion is None else "two-rule"
     raise QuadratureError(
-        f"no convergence by panel level {_MAX_PANEL_LEVEL}: two-level "
+        f"no convergence by panel level {_MAX_PANEL_LEVEL}: {test} "
         f"difference {gap:.3g} > {tol:g}", last_estimate=total)
 
 
@@ -449,14 +467,16 @@ def _panel_integrals(u, nl, kx, tol):
     tensor-product B-spline form of _spline_coefficients, which needs 4
     nodes per axis; ValueError names a shorter axis), clamped to its grid,
     so below the first node it takes the first node's values.  Every break
-    interval gets 2^L panels of the 16-node Gauss-Legendre rule, doubled by
-    _settle until all outputs agree to tol.  Per level the s-basis B_s and
-    the t-basis rows are formed once; f is evaluated on the tensor of
-    t-nodes x s-nodes in blocks of _T_BLOCK t-nodes, each reading u as
-    B_t[block] C B_s^T over the B-splines that its t-nodes reach, so the
-    memory does not grow with nx times the nodes: a block's temporaries
-    hold at most _T_BLOCK times the s-nodes or nx entries.  The block size
-    changes only how the sums are grouped, not the nodes or weights.
+    interval gets 2^L panels of the 16-node Gauss-Legendre rule.  _settle
+    returns level L once the 8-node rule on the same panels agrees with it
+    to tol at every output, and doubles the panels otherwise.  Per level
+    and rule the s-basis B_s and the t-basis rows are formed once; f is
+    evaluated on the tensor of t-nodes x s-nodes in blocks of _T_BLOCK
+    t-nodes, each reading u as B_t[block] C B_s^T over the B-splines that
+    its t-nodes reach, so the memory does not grow with nx times the
+    nodes: a block's temporaries hold at most _T_BLOCK times the s-nodes
+    or nx entries.  The block size changes only how the sums are grouped,
+    not the nodes or weights.
     """
     xs, ys = u.axes
     for axis, nodes in enumerate(u.axes):
@@ -468,9 +488,9 @@ def _panel_integrals(u, nl, kx, tol):
     bx = np.union1d([0.0], xs[xs > 0])
     by = np.union1d([0.0], ys[ys > 0])
 
-    def level_integrals(level):
-        t, wt = (v.ravel() for v in _gl_panels(bx[:-1], bx[1:], level))
-        s, ws = (v.ravel() for v in _gl_panels(by[:-1], by[1:], level))
+    def level_integrals(level, rule=_GL16):
+        t, wt = (v.ravel() for v in _gl_panels(bx[:-1], bx[1:], level, rule))
+        s, ws = (v.ravel() for v in _gl_panels(by[:-1], by[1:], level, rule))
         # the causal rules: node weights below each output node, else 0
         ymat = ws * (s[None, :] < ys[:, None])
         bs = _bspline_basis(ty, np.clip(s, ys[0], ys[-1]))
@@ -495,7 +515,8 @@ def _panel_integrals(u, nl, kx, tol):
             total += xmat @ (vals @ ymat.T)
         return total
 
-    return _settle(level_integrals, tol)
+    return _settle(level_integrals, tol,
+                   companion=lambda level: level_integrals(level, _GL8))
 
 
 def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
@@ -509,9 +530,10 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
     B-spline basis matrices, see _panel_integrals; each axis needs at least
     4 nodes, ValueError otherwise) and applies a composite 16-node
     Gauss-Legendre rule with 2^L panels per grid interval to every node at
-    once, doubling L until the max over all nodes of the difference between
-    two consecutive levels is at most tol (QuadratureError if a level is
-    not finite or the values have not settled by _MAX_PANEL_LEVEL).  It
+    once, doubling L until the max over all nodes of its difference from
+    the 8-node rule on the same panels is at most tol (QuadratureError if
+    a level is not finite or the values have not settled by
+    _MAX_PANEL_LEVEL).  It
     integrates kx and nl.eval on u itself, independent of the grid route's
     quotient forms.  Both integrals run from 0, reading u clamped to its
     grid.  With faces=True each infinity face of Tu gets its face profile

@@ -17,11 +17,11 @@ import compactfix
 from compactfix.compactify import (HalfLineOnePoint, IntervalIdentity,
                                    LevelEvidence, LimitResult, LineOnePoint,
                                    LineTwoPoint, ProductCompactification,
-                                   XPoint, classify_ladder)
+                                   XPoint, classify_ladder, kappa_limit)
 from compactfix.funcspace import (WEIGHT_REGISTRY, BumpChain,
                                   FaceLimitError, WeightedGridFunction,
-                                  WeightUnderflowError, _axis_windows,
-                                  _face_axis, _family_quotient_derivatives,
+                                  WeightUnderflowError, _face_axis,
+                                  _family_quotient_derivatives,
                                   equiconvergence_deviation,
                                   equicontinuity_modulus, face_profile,
                                   gamma_p,
@@ -218,16 +218,29 @@ def test_face_limit_needs_nodes_in_some_window():
         f.face_limit((0,), "inf")
 
 
+def _metric_ball(f, face, delta):
+    """Reference window: the nodes of the face's axis whose image under the
+    axis's map lies within delta of the face's infinity point, in that
+    map's metric (a product face is its factor's last infinity point)."""
+    axis = _face_axis(face)
+    if isinstance(f.cmap, ProductCompactification):
+        fac = f.cmap.factors[axis]
+        point = fac.infinity_points()[-1]
+    else:
+        fac = f.cmap
+        point, = (p for p in fac.infinity_points() if p.label == face)
+    return fac.distance(fac.forward(f.axes[axis]), point.embedded[0]) < delta
+
+
 def _per_node_ladder(f, vals, face, coord_index, tol):
     """Reference: one face ladder, a boolean window mask per level."""
     axis = _face_axis(face)
-    nodes = f.axes[axis]
     evidence = []
     value = None
     k = 1
     while k <= 60:
         delta = 2.0 ** -k
-        mask = _axis_windows(nodes, face, delta)
+        mask = _metric_ball(f, face, delta)
         if mask.sum() < 2:
             break
         if f.ndim == 1:
@@ -271,7 +284,8 @@ def test_one_pass_face_profile_equals_the_per_node_ladders(rng):
     assert {res.status for _, res in got} == {"converged", "no_limit",
                                               "inconclusive"}
     # a face along the second axis reads the rows
-    g = WeightedGridFunction((ys, xs), q.T)
+    g = WeightedGridFunction((ys, xs), q.T, cmap=ProductCompactification(
+        (IntervalIdentity(), HalfLineOnePoint())))
     assert face_profile(g, q.T, "axis1:inf", 1e-4) \
         == _per_node_profile(g, q.T, "axis1:inf", 1e-4)
     # a NaN column fails its own ladders only; NaN != NaN, so it is
@@ -309,6 +323,35 @@ def test_one_pass_ladder_on_a_line_reads_both_faces(rng):
         assert [e.n_samples for e in got.evidence] == [4, 2, 2, 2]
 
 
+def test_glued_infinity_ladder_reads_both_tails():
+    # LineOnePoint glues -inf and +inf into one point, whose metric balls
+    # hold both tails |x| > 1/delta - 1: arctan, which tends to -pi/2 and
+    # +pi/2, has no limit there, as kappa_limit finds too
+    cmap = LineOnePoint()
+    xs = np.linspace(-40.0, 40.0, 801)
+    f = WeightedGridFunction((xs,), np.arctan(xs), cmap=cmap)
+    with pytest.raises(FaceLimitError) as err:
+        gamma_p(f, (0,), tol=0.1)
+    assert err.value.face == "inf"
+    assert err.value.result.status == "no_limit"
+    assert kappa_limit(np.arctan, cmap.infinity_points()[0], cmap,
+                       tol=0.1).status == "no_limit"
+    got = f.face_limit((0,), "inf", tol=0.1)
+    assert got == _per_node_ladder(f, f.quotient(), "inf", None, 0.1)
+    assert got.evidence[0].n_samples == np.count_nonzero(np.abs(xs) > 1.0)
+    g = WeightedGridFunction((xs,), np.exp(-xs ** 2), cmap=cmap)
+    assert gamma_p(g, (0,), tol=1e-6).infinity == {"inf": 0.0}
+    # a half strip whose unbounded axis is a glued line
+    ys = np.linspace(0.0, 1.0, 5)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    h = WeightedGridFunction(
+        (xs, ys), np.arctan(X) * Y + np.exp(-X ** 2),
+        cmap=ProductCompactification((cmap, IntervalIdentity())))
+    got = face_profile(h, h.quotient(), "axis0:inf", 1e-4)
+    assert got == _per_node_profile(h, h.quotient(), "axis0:inf", 1e-4)
+    assert [res.status for _, res in got] == ["converged"] + ["no_limit"] * 4
+
+
 def test_face_profile_needs_nodes_in_some_window():
     xs = np.linspace(0.0, 1.0, 11)
     ys = np.linspace(0.0, 1.0, 3)
@@ -318,6 +361,9 @@ def test_face_profile_needs_nodes_in_some_window():
         face_profile(f, f.samples, "axis0:inf", 1e-4)
     with pytest.raises(ValueError, match="window"):
         _per_node_profile(f, f.samples, "axis0:inf", 1e-4)
+    # the half strip's second axis is an interval: it has no face
+    with pytest.raises(ValueError, match="no infinity face 'axis1:inf'"):
+        face_profile(f, f.samples, "axis1:inf", 1e-4)
 
 
 def test_precompactness_gaussian_family_counterexample():

@@ -294,20 +294,31 @@ def test_numpy_spline_matches_fitpack_interpolant(xs, ys, rng):
     assert np.abs(got[:len(xs), :len(ys)] - samples).max() <= 1e-13
 
 
-def test_adaptive_apply_does_not_depend_on_the_t_block(problem,
+def _crosscheck_grids(problem, rng):
+    """The u = 0 and cone grids of the cross-check benchmark and a kinked
+    spline (random samples) on a grid that starts at 0.5."""
+    zero_xs, zero_ys = np.linspace(0.0, 8.0, 12), np.linspace(0.0, 1.0, 12)
+    cone_xs, cone_ys = np.linspace(0.0, 6.0, 17), np.linspace(0.0, 1.0, 9)
+    X, Y = np.meshgrid(cone_xs, cone_ys, indexing="ij")
+    cone = (0.2 * (1.0 - X / 12.0) ** 2 * (1.0 + 0.5 * X / 6.0)
+            * (1.0 + 0.7 * Y))
+    kinked_xs, kinked_ys = np.linspace(0.5, 2.5, 5), np.linspace(0.0, 1.0, 4)
+    return {"zero": _grid_function(problem, zero_xs, zero_ys,
+                                   np.zeros((12, 12))),
+            "cone": _grid_function(problem, cone_xs, cone_ys, cone),
+            "kinked": _grid_function(problem, kinked_xs, kinked_ys,
+                                     rng.uniform(0.0, 0.5, (5, 4)))}
+
+
+def test_adaptive_apply_does_not_depend_on_the_t_block(problem, rng,
                                                        monkeypatch):
     # blocks of 7 t-nodes leave a ragged last block at every panel level
     # (176 and 256 t-nodes at level 0); only the summation grouping changes
     from compactfix import greenop
 
     shipped = greenop._T_BLOCK
-    cone_xs, cone_ys = np.linspace(0.0, 6.0, 17), np.linspace(0.0, 1.0, 9)
-    X, Y = np.meshgrid(cone_xs, cone_ys, indexing="ij")
-    cone = (0.2 * (1.0 - X / 12.0) ** 2 * (1.0 + 0.5 * X / 6.0)
-            * (1.0 + 0.7 * Y))
-    zero_xs, zero_ys = np.linspace(0.0, 8.0, 12), np.linspace(0.0, 1.0, 12)
-    for u in (_grid_function(problem, cone_xs, cone_ys, cone),
-              _grid_function(problem, zero_xs, zero_ys, np.zeros((12, 12)))):
+    grids = _crosscheck_grids(problem, rng)
+    for u in (grids["cone"], grids["zero"]):
         got = {}
         for block in (7, shipped):
             monkeypatch.setattr(greenop, "_T_BLOCK", block)
@@ -361,6 +372,83 @@ def test_adaptive_apply_refuses_nan_and_unsettled_integrands(problem):
     with pytest.raises(QuadratureError, match="no convergence") as err:
         apply_T(u, problem.kernel, spike, method="adaptive", faces=False)
     assert np.all(np.isfinite(err.value.last_estimate))
+
+
+def _settled_level(monkeypatch, run):
+    """(result, L, level_integrals, tol) of the 2-d route's one _settle
+    call made by run(): L is the panel level whose 16-node values were
+    returned, and level_integrals(L) computes that level again."""
+    from compactfix import greenop
+
+    calls = []
+    settle = greenop._settle
+
+    def recording(level_integrals, tol, companion=None):
+        out = settle(level_integrals, tol, companion)
+        calls.append((out, level_integrals, tol))
+        return out
+
+    monkeypatch.setattr(greenop, "_settle", recording)
+    run()
+    # restored, so that a further call wraps the shipped routine again
+    monkeypatch.setattr(greenop, "_settle", settle)
+    (out, level_integrals, tol), = calls
+    level = next(L for L in range(greenop._MAX_PANEL_LEVEL + 1)
+                 if np.array_equal(level_integrals(L), out))
+    return out, level, level_integrals, tol
+
+
+def test_adaptive_apply_evaluates_one_level_and_its_8_node_companion(
+        problem, rng):
+    # the two-rule test certifies level 0 with the 8-node rule on the same
+    # panels; the two-level test evaluated f on level 1 as well, 4 times
+    # the level-0 tensor in 2-d (154,880 points on the 12 x 12 grid)
+    grids = _crosscheck_grids(problem, rng)
+    for u in (grids["zero"], grids["cone"]):
+        points = []
+
+        def counting(t, s, v):
+            points.append(np.broadcast(t, s, v).size)
+            return problem.nl.eval(t, s, v)
+
+        nl = dataclasses.replace(problem.nl, eval=counting)
+        apply_T(u, problem.kernel, nl, method="adaptive", faces=False)
+        panels = (len(u.axes[0]) - 1) * (len(u.axes[1]) - 1)
+        assert sum(points) <= panels * (16 ** 2 + 8 ** 2)
+    assert sum(points) == 40960
+
+
+def test_adaptive_apply_accepts_levels_that_the_next_doubling_confirms(
+        problem, rng, monkeypatch):
+    # a level that the 8-node rule certifies agrees to tol with the
+    # 16-node values on twice as many panels, as the two-level test asked
+    for name, u in _crosscheck_grids(problem, rng).items():
+        out, level, level_integrals, tol = _settled_level(
+            monkeypatch, lambda: apply_T(u, problem.kernel, problem.nl,
+                                         method="adaptive", faces=False))
+        assert level == 0, name
+        assert np.abs(level_integrals(level + 1) - out).max() <= tol, name
+
+
+def test_adaptive_apply_refines_a_narrow_bump(monkeypatch):
+    # f = exp(-((t - c)/w)^2) with kx = 1: Tu(x, y) is y times a difference
+    # of error functions.  16 nodes on a panel of width 0.5 do not resolve
+    # the bump, so the panels are doubled until the 8-node rule agrees
+    c, w = 0.9, 0.04
+    kernel = Kernel("one", lambda x, t: np.ones(np.broadcast(x, t).shape))
+    nl = Nonlinearity("bump", lambda t, s, v:
+                      np.exp(-((t - c) / w) ** 2) + 0.0 * v)
+    xs, ys = np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 4)
+    u = WeightedGridFunction((xs, ys), np.zeros((5, 4)))
+    out, level, level_integrals, tol = _settled_level(
+        monkeypatch, lambda: apply_T(u, kernel, nl, method="adaptive",
+                                     tol=1e-12, faces=False))
+    assert level >= 1
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    want = Y * w * SQPI2 * (erf((X - c) / w) + erf(c / w))
+    assert np.abs(out - want).max() <= 1e-12
+    # level 0 misses the bump by far more than tol
+    assert np.abs(level_integrals(0) - want).max() > 1e-6
 
 
 def test_apply_rejects_bad_method_and_shape(problem):
