@@ -127,11 +127,16 @@ class WeightedGridFunction:
         return self._wvals
 
     def quotient(self):
-        """q = u/phi on the grid: the kept q of from_quotient, otherwise
+        """q = u/phi on the grid: the kept q of from_quotient, samples
+        itself for the unit weight (x / 1.0 == x bitwise, NaN, inf and -0.0
+        included, so no array of ones is built or divided by), otherwise
         samples / weight, which raises WeightUnderflowError naming the
-        first x where phi is 0."""
+        first x where phi is 0.  The result may share memory with samples:
+        read it, do not write it."""
         if self._q is not None:
             return self._q
+        if self.weight is _unit_weight:
+            return self.samples
         wvals = self.weight_values()
         zero = np.argwhere(wvals == 0)
         if len(zero):
@@ -181,9 +186,13 @@ def _named_cmap(name, ndim):
 
 
 def face_labels(cmap):
+    """The infinity faces of a map: its points' labels, or for a product
+    one face "axis{i}:{label}" per infinity point of factor i (the half
+    strip's face is "axis0:inf", a two-point line factor gives
+    "axis0:-inf" and "axis0:+inf")."""
     if isinstance(cmap, ProductCompactification):
-        return [f"axis{i}:inf" for i, f in enumerate(cmap.factors)
-                if f.infinity_points()]
+        return [f"axis{i}:{p.label}" for i, fac in enumerate(cmap.factors)
+                for p in fac.infinity_points()]
     return [p.label for p in cmap.infinity_points()]
 
 
@@ -197,16 +206,17 @@ def _face_radii(f, face):
     """The tail radius of each node of the face's axis about the face's
     infinity point, from the axis's map (CompactMap.ball_radius): a node
     lies in the face's metric ball of radius delta iff its radius exceeds
-    1/delta - 1.  The face of a product's axis is the last infinity point
-    of that axis's factor; ValueError for a face that f's map lacks."""
+    1/delta - 1.  A product's face "axis{i}:{label}" is the point of that
+    label of factor i; ValueError for a face that f's map lacks."""
     axis = _face_axis(face)
     product = isinstance(f.cmap, ProductCompactification)
     fac = f.cmap.factors[axis] if product else f.cmap
-    points = [p for p in fac.infinity_points() if product or p.label == face]
+    label = face.partition(":")[2] if product else face
+    points = [p for p in fac.infinity_points() if p.label == label]
     if not points:
         raise ValueError(f"the compactification has no infinity face "
                          f"{face!r}")
-    return fac.ball_radius(points[-1], f.axes[axis])
+    return fac.ball_radius(points[0], f.axes[axis])
 
 
 def quotient_derivative(f, p):
@@ -397,8 +407,10 @@ class PrecompactnessReport:
 
 
 def _family_quotient_derivatives(family):
-    """{p: the members' quotient derivatives of order p, stacked}, after
-    checking that the members share one grid and one class order."""
+    """{p: the list of the members' quotient derivatives of order p}, after
+    checking that the members share one grid and one class order.  Nothing
+    is stacked: for order 0 and weight 1 the arrays are the members' own
+    samples, so the family is read in place."""
     f0 = family[0]
     for g in family[1:]:
         if g.ndim != f0.ndim or any(len(a) != len(b) or not np.allclose(a, b)
@@ -406,7 +418,7 @@ def _family_quotient_derivatives(family):
             raise ValueError("family members must share one grid")
         if g.order != f0.order:
             raise ValueError("family members must share the class order")
-    return {p: np.stack([quotient_derivative(g, p) for g in family])
+    return {p: [quotient_derivative(g, p) for g in family]
             for p in multi_indices(f0.order, f0.ndim)}
 
 
@@ -417,11 +429,12 @@ def equicontinuity_modulus(family, derivs, max_shift=64):
 
     The worst difference over node distances up to w is the largest
     max - min over the windows of w + 1 consecutive nodes.  The windows are
-    built by doubling, _MEMBER_BLOCK members at a time: the window maxima
-    of span 2w are the pairwise maxima of the span-w maxima w nodes apart.
-    A NaN anywhere in the family makes every omega NaN.  derivs holds the
-    members' stacked quotient derivatives, as _family_quotient_derivatives
-    builds them.
+    built by doubling on a stack of _MEMBER_BLOCK members at a time, so
+    no more than one block is ever copied: the window maxima of span 2w
+    are the pairwise maxima of the span-w maxima w nodes apart.  A NaN
+    anywhere in the family makes every omega NaN.  derivs holds the
+    members' quotient derivatives, one list per multi-index, as
+    _family_quotient_derivatives builds them.
     """
     f0 = family[0]
     spans = [2 ** k for k in range(int(max_shift).bit_length())]
@@ -429,9 +442,9 @@ def equicontinuity_modulus(family, derivs, max_shift=64):
     for axis in range(f0.ndim):
         h = float(np.min(np.diff(f0.axes[axis])))
         worst = np.zeros(len(spans))
-        for stack in derivs.values():
+        for members in derivs.values():
             for b in range(0, len(family), _MEMBER_BLOCK):
-                hi = lo = np.moveaxis(stack[b:b + _MEMBER_BLOCK],
+                hi = lo = np.moveaxis(np.stack(members[b:b + _MEMBER_BLOCK]),
                                       axis + 1, -1)
                 for k, span in enumerate(spans):
                     step = span - span // 2
@@ -445,8 +458,8 @@ def equicontinuity_modulus(family, derivs, max_shift=64):
 def equiconvergence_deviation(family, derivs):
     """Per delta-window, the worst gap between members and their face
     values; NaN when a window holds a NaN.  derivs holds the members'
-    stacked quotient derivatives, as _family_quotient_derivatives builds
-    them."""
+    quotient derivatives, one list per multi-index, as
+    _family_quotient_derivatives builds them."""
     f0 = family[0]
     out = []
     for face in f0.face_labels():
@@ -483,11 +496,18 @@ def equiconvergence_deviation(family, derivs):
 
 
 def precompactness_report(family):
-    """Evaluate the three precompactness conditions for a family on one grid."""
+    """Evaluate the three precompactness conditions for a family on one grid.
+
+    The members' quotient derivatives are read where they lie (for weight 1
+    and order 0, the samples themselves); only equicontinuity_modulus copies
+    them, one block of _MEMBER_BLOCK members at a time.  bound is np.max of
+    the per-member maxima, so a NaN member makes it NaN and the family
+    unbounded."""
     if not family:
         raise ValueError("empty family")
     derivs = _family_quotient_derivatives(family)
-    bound = max(float(np.abs(v).max()) for v in derivs.values())
+    bound = float(np.max([np.max(np.abs(v)) for members in derivs.values()
+                          for v in members]))
     bounded = math.isfinite(bound)
     modulus = equicontinuity_modulus(family, derivs)
     equicont = all(any(w < eps for _, w in modulus) for eps in _EPS_LADDER)
@@ -590,8 +610,10 @@ def gaussian_family_separation(n_max, step=1e-3):
 #: the header line of a grid-function CSV; the values below it are u/phi
 _CSV_HEADER = "u/phi"
 #: values formatted with one "%.17g" template per write; a bounded chunk
-#: keeps the writer's memory small at any grid size
-_CSV_CHUNK = 1 << 14
+#: keeps the writer's memory small at any grid size.  A chunk's Python
+#: floats, tuple and string are the last allocation of a solve, so a chunk
+#: must stay small (about 0.3 MB at 4096 values) not to set its peak RSS
+_CSV_CHUNK = 1 << 12
 
 
 def _p_key(p):

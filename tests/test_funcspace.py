@@ -352,6 +352,31 @@ def test_glued_infinity_ladder_reads_both_tails():
     assert [res.status for _, res in got] == ["converged"] + ["no_limit"] * 4
 
 
+def test_product_with_a_two_point_line_has_both_faces(tmp_path):
+    # one face per infinity point of each factor; tanh tends to -1 at -inf
+    xs = np.linspace(-40.0, 40.0, 801)
+    ys = np.linspace(0.0, 1.0, 5)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    f = WeightedGridFunction(
+        (xs, ys), np.tanh(X) + 0.0 * Y,
+        cmap=ProductCompactification((LineTwoPoint(), IntervalIdentity())))
+    assert f.face_labels() == ["axis0:-inf", "axis0:+inf"]
+    got = gamma_p(f, (0, 0)).infinity
+    assert set(got) == {"axis0:-inf", "axis0:+inf"}
+    assert np.all(got["axis0:-inf"] == -1.0)
+    assert np.all(got["axis0:+inf"] == 1.0)
+    # the equiconvergence check reads both faces, five windows each
+    f.infinity = {face: {(0, 0): v} for face, v in got.items()}
+    devs = equiconvergence_deviation([f], _family_quotient_derivatives([f]))
+    assert len(devs) == 10 and devs[-1][1] < 1e-12
+    # the half strip keeps its one face
+    assert WeightedGridFunction((xs - xs[0], ys), np.zeros_like(X)) \
+        .face_labels() == ["axis0:inf"]
+    # a half strip would reload without the -inf face
+    with pytest.raises(ValueError, match="would reload"):
+        save_grid_function(f, tmp_path / "grid.csv")
+
+
 def test_face_profile_needs_nodes_in_some_window():
     xs = np.linspace(0.0, 1.0, 11)
     ys = np.linspace(0.0, 1.0, 3)
@@ -433,7 +458,8 @@ def _doubling_modulus(family, max_shift=64):
         while shift <= max_shift:
             delta = shift * h
             worst = 0.0
-            for v in derivs.values():
+            for members in derivs.values():
+                v = np.stack(members)
                 for s in range(1, shift + 1):
                     sl_hi = [slice(None)] * v.ndim
                     sl_lo = [slice(None)] * v.ndim
@@ -505,6 +531,67 @@ def test_nan_sample_never_certifies(node):
         assert all(math.isnan(d)
                    for _, d in equiconvergence_deviation(fam, derivs))
         assert not rep.equiconvergent
+
+
+@pytest.mark.parametrize("member", [3, 10])
+def test_nan_member_makes_the_family_unbounded(member):
+    # bound is np.max of the per-member maxima: Python's max() would keep
+    # the 1.0 of the members before the NaN one
+    fam = gaussian_family(12, truncation=16.0, step=0.01)
+    bad = fam[member].samples.copy()
+    bad[400] = math.nan
+    fam[member] = fam[member].with_samples(bad, fam[member].infinity)
+    rep = precompactness_report(fam)
+    assert math.isnan(rep.bound)
+    assert not rep.bounded
+
+
+def test_unit_weight_quotient_is_the_samples():
+    # x / 1.0 == x bitwise, so weight 1 hands back samples undivided
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 2.0 ** -1074 * 3, math.nan,
+                math.inf, -math.inf, 1.0 / 3.0, -1e308]
+    samples = np.array(specials)
+    want = samples.tobytes()
+    f = WeightedGridFunction((np.arange(len(specials)) * 0.5,), samples)
+    q = f.quotient()
+    assert np.shares_memory(q, f.samples)
+    assert q.tobytes() == want
+    assert quotient_derivative(f, (0,)).tobytes() == want
+
+
+def test_precompactness_report_reads_the_family_in_place():
+    import tracemalloc
+
+    precompactness_report(gaussian_family(3))   # first-call imports
+    fam = gaussian_family(40, 48.0, 0.005)
+    family_bytes = sum(g.samples.nbytes for g in fam)
+    tracemalloc.start()
+    try:
+        precompactness_report(fam)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole copy of the family (a stack, the samples divided by 1) breaks
+    # the peak bound, and a kept one (a ones grid per member) the retained one
+    assert peak <= family_bytes
+    assert retained < 0.1e6
+
+
+def test_demo_family_report_is_unchanged():
+    # the translating Gaussians of ascoli-demo, read bitwise
+    rep = precompactness_report(gaussian_family(40, 48.0, 0.005))
+    assert rep.bound == 1.0 and rep.bounded
+    assert rep.modulus == (
+        (0.0049999999999954525, 0.0042888002386666235),
+        (0.009999999999990905, 0.008577419246395102),
+        (0.01999999999998181, 0.01715397821711695),
+        (0.03999999999996362, 0.03430107500693713),
+        (0.07999999999992724, 0.06854712348663305),
+        (0.15999999999985448, 0.13665788174641813),
+        (0.31999999999970896, 0.26985375722172156))
+    assert rep.deviations == ((0.5, 1.0), (0.25, 1.0), (0.125, 1.0),
+                              (0.0625, 1.0), (0.03125, 1.0))
+    assert rep.worst_deviation == 1.0
 
 
 def test_equiconvergence_requires_stored_faces():
@@ -718,7 +805,8 @@ def test_save_matches_per_cell_writer_and_round_trips(tmp_path, shape):
     specials = [-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
                 1.0 / 3.0, 2.0 ** -1074 * 3]
     samples.flat[:len(specials)] = specials
-    # weight 1 divides samples by 1; exp(-x^2/2) keeps the given quotient
+    # weight 1 writes the samples as they are; exp(-x^2/2) keeps the
+    # given quotient
     for f in (WeightedGridFunction(axes, samples),
               WeightedGridFunction.from_quotient(axes, samples, phi)):
         save_grid_function(f, tmp_path / "fast.csv")
