@@ -22,10 +22,11 @@ from scipy.special import erf
 from .compactify import (ExtensionError, HalfLineOnePoint, IntervalIdentity,
                          LineOnePoint, LineTwoPoint, ProductCompactification,
                          extend, kappa_limit)
-from .funcspace import (WEIGHT_REGISTRY, BumpChain, gaussian_family,
-                        gaussian_family_separation, precompactness_report)
+from .funcspace import (LOG_WEIGHTS, WEIGHT_REGISTRY, BumpChain,
+                        gaussian_family, gaussian_family_separation,
+                        precompactness_report)
 from .greenop import (Dominator, Kernel, Nonlinearity, kernel_abs_integral,
-                      panel_quadrature)
+                      panel_quadrature, quotient_forms)
 
 PROBLEM_IDS = ("hyperbolic-erf", "arctan-demo", "gaussian-family",
                "bump-chain")
@@ -63,88 +64,67 @@ def _real_param(name, value, positive):
 
 
 def _gauss_shift_kernel(weight_desc, rate=1.0):
-    """exp(-rate (x-t)^2) with its weighted forms kx/phi, qx and dqx =
-    d qx/dx for the problem's weight; for phi = 1 they are kx and dkx/dx."""
+    """exp(-rate (x-t)^2), given by its logarithm and the logarithm's
+    x-derivative; greenop.quotient_forms derives the weighted forms for the
+    problem's weight from them."""
     rate = _real_param("gauss-shift rate", rate, positive=True)
 
-    def kx(x, t):
-        return np.exp(-rate * (x - t) ** 2)
+    def log_kx(x, t):
+        return -rate * (x - t) ** 2
 
-    def dkx(x, t):
-        return -2.0 * rate * (x - t) * np.exp(-rate * (x - t) ** 2)
+    def dlog_kx(x, t):
+        return -2.0 * rate * (x - t)
+
+    def kx(x, t):
+        return np.exp(log_kx(x, t))
 
     def abs_integral(x, y):
         return 0.5 * _SQRT_PI / math.sqrt(rate) * y * erf(math.sqrt(rate)
                                                           * np.asarray(x))
 
-    forms = {"weighted_quotient": kx, "qx": kx, "dqx": dkx}
-    if weight_desc == "exp(-x^2/2)":
-        # Combine the exponents before exponentiating: the raw ratio
-        # kx(x,t)/phi(x) is 0/0 in float64 once both factors underflow
-        # (x beyond ~38 at rate 1), while the combined exponent is exact
-        # there.
-        def weighted_quotient(x, t):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(over="ignore"):
-                return np.exp(x ** 2 / 2.0 - rate * (x - t) ** 2)
+    weighted_sup = None
+    if rate == 1.0 and weight_desc == "exp(-x^2/2)":
+        # sup over x >= t of exp(x^2/2 - (x-t)^2), attained at x = 2t
+        def weighted_sup(t, s):
+            return math.exp(t * t)
 
-        # kx(x, t) phi(t)^2 / phi(x) = exp(x^2/2 - rate (x-t)^2 - t^2), as
-        # a square in t: a Gaussian ridge of width 1/sqrt(rate + 1) about
-        # t = rate x / (rate + 1); at rate 1 it is exp(-(x - 2t)^2 / 2).
-        centre = rate / (rate + 1.0)
-        growth = (1.0 - rate) / (2.0 * (rate + 1.0))
-
-        def qx(x, t):
-            with np.errstate(over="ignore"):
-                return np.exp(growth * x ** 2
-                              - (rate + 1.0) * (t - centre * x) ** 2)
-
-        # d qx/dx is the exponent's x-derivative times qx, with
-        # (rate + 1) centre = rate; at rate 1 it is -(x - 2t) qx
-        def dqx(x, t):
-            return 2.0 * (growth * x + rate * (t - centre * x)) * qx(x, t)
-
-        forms.update(weighted_quotient=weighted_quotient, qx=qx, dqx=dqx)
-        if rate == 1.0:
-            # sup over x >= t of exp(x^2/2 - (x-t)^2), attained at x = 2t
-            def weighted_sup(t, s):
-                return math.exp(t * t)
-            forms["weighted_sup"] = weighted_sup
-
-    return Kernel("gauss-shift", kx, abs_integral=abs_integral, **forms)
+    return Kernel("gauss-shift", kx, abs_integral=abs_integral,
+                  weighted_sup=weighted_sup,
+                  **quotient_forms(log_kx, dlog_kx, weight_desc))
 
 
 def _gauss_square_nonlinearity(weight_desc, amplitude=0.125):
-    """amp exp(-(x^2 + y^2)) + v^2.  Its dominator amp exp(-(t^2 + s^2)) +
-    r^2 phi(t)^2 holds for the problem's weight phi; the quotient form is
-    amp exp(-s^2) + q^2 for phi(t)^2 = exp(-t^2) and f itself for phi = 1.
-    f and the dominator both compute the forcing as amp exp(-x^2) exp(-y^2),
-    so arguments broadcast from two axes cost one exponential per axis node,
-    and the two round the same way."""
+    """amp exp(-(x^2 + y^2)) + v^2, with the quotient form
+    amp exp(-t^2 - 2 log phi(t)) exp(-s^2) + q^2 and the dominator
+    amp exp(-(t^2 + s^2)) + r^2 phi(t)^2 for every weight phi.  All three
+    compute the forcing alike, one exponential per axis node for
+    arguments broadcast from two axes, so they round the same way."""
     amplitude = _real_param("gauss-plus-square amplitude", amplitude,
                             positive=False)
     weight = WEIGHT_REGISTRY[weight_desc]
-    gaussian = weight_desc == "exp(-x^2/2)"
+    log_phi = LOG_WEIGHTS[weight_desc][0]
+
+    def forcing(t, s, log_scale=0.0):
+        return amplitude * np.exp(-np.asarray(t) ** 2 - log_scale) \
+            * np.exp(-np.asarray(s) ** 2)
 
     def fn(x, y, v):
-        return amplitude * np.exp(-np.asarray(x) ** 2) \
-            * np.exp(-np.asarray(y) ** 2) + v ** 2
+        return forcing(x, y) + v ** 2
 
     def q_eval(t, s, q):
-        return amplitude * np.exp(-np.asarray(s) ** 2) + q ** 2
+        return forcing(t, s, 2.0 * log_phi(t)) + q ** 2
 
     def dominator(r):
         def phi_r(t, s):
-            return amplitude * np.exp(-np.asarray(t) ** 2) \
-                * np.exp(-np.asarray(s) ** 2) + r * r * weight(t) ** 2
+            return forcing(t, s) + r * r * weight(t) ** 2
         # int_0^1 Phi_r ds = (amp int_0^1 exp(-s^2) ds + r^2) exp(-t^2)
         # when phi(t)^2 = exp(-t^2)
         scale = amplitude * _SQRT_PI / 2.0 * erf(1.0) + r * r
-        return Dominator(phi_r, scale if gaussian else None)
+        return Dominator(phi_r,
+                         scale if weight_desc == "exp(-x^2/2)" else None)
 
     return Nonlinearity("gauss-plus-square", fn, dominator,
-                        params={"amplitude": amplitude},
-                        q_eval=q_eval if gaussian else fn)
+                        params={"amplitude": amplitude}, q_eval=q_eval)
 
 
 def _zero_nonlinearity(weight_desc):
@@ -266,7 +246,6 @@ def load_problem_file(path):
 class PipelineBundle:
     problem: NamedProblem
     demo: dict = None           # JSON-ready demo summary
-    objects: dict = field(default_factory=dict)  # rich results for callers
 
 
 def run_full_pipeline(problem_id):
@@ -279,14 +258,12 @@ def run_full_pipeline(problem_id):
     if branch == "arctan-demo":
         ext = extend(np.arctan, LineTwoPoint(), tol=1e-6)
         demo = {"two_point": dict(ext.limits), "one_point": None}
-        objects = {"extension": ext}
         try:
             extend(np.arctan, LineOnePoint(), tol=1e-6)
         except ExtensionError as err:
             demo["one_point"] = {lbl: res.status
                                  for lbl, res in err.failures.items()}
-            objects["one_point_error"] = err
-        return PipelineBundle(problem, demo=demo, objects=objects)
+        return PipelineBundle(problem, demo=demo)
 
     if branch == "gaussian-family":
         fam = gaussian_family(40, 48.0, 0.005)
@@ -299,7 +276,7 @@ def run_full_pipeline(problem_id):
             "equiconvergent": report.equiconvergent,
             "bound": report.bound,
             "worst_deviation": report.worst_deviation,
-        }, objects={"report": report, "family": fam})
+        })
 
     if branch == "bump-chain":
         chain = BumpChain()
@@ -315,8 +292,7 @@ def run_full_pipeline(problem_id):
                       "oscillation": value_limit.oscillation},
             "derivative": {"status": deriv_limit.status,
                            "oscillation": deriv_limit.oscillation},
-        }, objects={"value_limit": value_limit,
-                    "derivative_limit": deriv_limit})
+        })
 
     raise ValueError(f"no pipeline branch for {problem.id!r}")
 

@@ -190,14 +190,14 @@ def _cmd_ascoli_demo(args):
     problem = _load(args)
     if problem.id != "gaussian-family":
         raise _UsageError("ascoli-demo expects --problem gaussian-family")
-    bundle = run_full_pipeline(problem)
+    demo = run_full_pipeline(problem).demo
     os.makedirs(args.out, exist_ok=True)
     path = _write_json(os.path.join(args.out, "ascoli_report.json"),
-                       bundle.demo, stamp=not args.no_timestamp)
-    rep = bundle.objects["report"]
-    print(f"bounded: {rep.bounded}  equicontinuous: {rep.equicontinuous}  "
-          f"equiconvergent: {rep.equiconvergent}")
-    print(f"minimum pairwise separation {bundle.demo['separation']:.6f}")
+                       demo, stamp=not args.no_timestamp)
+    print(f"bounded: {demo['bounded']}  "
+          f"equicontinuous: {demo['equicontinuous']}  "
+          f"equiconvergent: {demo['equiconvergent']}")
+    print(f"minimum pairwise separation {demo['separation']:.6f}")
     print(f"report written to {path}")
     return 0
 

@@ -22,17 +22,23 @@ from .compactify import (HalfLineOnePoint, IntervalIdentity, LevelEvidence,
                          ProductCompactification, XPoint, classify_ladder)
 
 
-def _unit_weight(*mesh):
-    return np.ones(np.shape(mesh[0]))
+#: each weight phi once, by the name that grid files and problem files give
+#: it: (log phi, (log phi)'), callables of x alone.  phi itself and every
+#: weighted form of a problem (greenop.quotient_forms, q_eval) derive from it.
+LOG_WEIGHTS = {"1": (lambda x: np.zeros(np.shape(x)),) * 2,
+               "exp(-x^2/2)": (lambda x: -np.asarray(x) ** 2 / 2.0,
+                               lambda x: -np.asarray(x))}
 
 
-def _gaussian_weight(*mesh):
-    return np.exp(-np.asarray(mesh[0]) ** 2 / 2.0)
+def _weight(log_phi):
+    return lambda *mesh: np.exp(log_phi(mesh[0]))
 
 
-#: the weights phi, by the name that grid files and problem files give them.
-#: Each depends on x alone: w(x) is the 1-d profile, w(*mesh) the grid values.
-WEIGHT_REGISTRY = {"1": _unit_weight, "exp(-x^2/2)": _gaussian_weight}
+#: phi = exp(log phi) by name, called on x alone or on a meshgrid; a grid
+#: function names its weight by this callable's identity
+WEIGHT_REGISTRY = {name: _weight(log_phi)
+                   for name, (log_phi, _) in LOG_WEIGHTS.items()}
+_unit_weight = WEIGHT_REGISTRY["1"]
 
 
 def multi_indices(order, ndim):
@@ -424,8 +430,8 @@ def _family_quotient_derivatives(family):
 
 def equicontinuity_modulus(family, derivs, max_shift=64):
     """omega(delta) = worst |v(x) - v(y)| over axis-aligned |x-y| <= delta,
-    for delta = h times each power of two up to max_shift (which must be
-    below the node count of every axis).
+    for delta = h times each power of two up to max_shift; ValueError,
+    before any work, names an axis with no more nodes than max_shift.
 
     The worst difference over node distances up to w is the largest
     max - min over the windows of w + 1 consecutive nodes.  The windows are
@@ -437,6 +443,11 @@ def equicontinuity_modulus(family, derivs, max_shift=64):
     _family_quotient_derivatives builds them.
     """
     f0 = family[0]
+    for axis, nodes in enumerate(f0.axes):
+        if len(nodes) <= max_shift:
+            raise ValueError(f"equicontinuity_modulus needs more than "
+                             f"max_shift = {max_shift} nodes on every axis; "
+                             f"axis {axis} has {len(nodes)}")
     spans = [2 ** k for k in range(int(max_shift).bit_length())]
     out = []
     for axis in range(f0.ndim):

@@ -13,28 +13,26 @@ from scipy.
 The grid path works in the quotient q = u/phi, the coordinate of the
 weighted norm: with f(t, s, phi(t) q) = phi(t)^2 q_eval(t, s, q), q
 satisfies q = int int qx(x, t) q_eval(t, s, q) ds dt with
-qx(x, t) = kx(x, t) phi(t)^2 / phi(x).  Every problem carries these forms
-(the casestudy factories attach them; for phi = 1 they are kx and f).  For
-the case study qx is exp(-(x - 2t)^2 / 2): no factor under- or overflows,
-and it is below 2^-53 of its row peak once |t - x/2| > 4.3.  The grid
-operator stores the x-rule times qx in row blocks, each over its column
-band only: the causal range [0, x_i], trimmed to the columns where qx
-reaches 2^-53 of its row peak, and evaluates qx on that band only
+qx(x, t) = kx(x, t) phi(t)^2 / phi(x), which quotient_forms derives in log
+space from log kx and log phi.  For the case study qx is
+exp(-(x - 2t)^2 / 2), below 2^-53 of its row peak once |t - x/2| > 4.3.
+The grid operator stores the x-rule times qx in row blocks, each over its
+column band only: the causal range [0, x_i], trimmed to the columns where
+qx reaches 2^-53 of its row peak, and evaluates qx on that band only
 (kernel_row_blocks).  The infinity-face values of Tu are read off its grid
 samples by the windowed face ladders of funcspace.face_profile.
 
 Every integral outside the grid path uses one rule: a composite 16-node
 Gauss-Legendre rule on 2^L equal panels of each interval, L = 0, 1, ...
-A level is certified by a second estimate (Gander & Gautschi, "Adaptive
-quadrature - revisited", BIT 2000; Piessens et al., QUADPACK, 1983).
-panel_quadrature applies it to many 1-d intervals at once and takes level
-L + 1 once it agrees with level L to tol.  The cross-check path applies it
-in 2-d, where a doubling costs four times a level: it takes level L once
-the 8-node rule on the same panels agrees with it to tol.  With the 1-d
-rule the module estimates the kernel bounds that the contraction/index
-arguments need: the absolute kernel integral, the weighted sup profile
-M_p, the face limits z_p of the weighted kernel columns, the continuity
-modulus w_p, and their L1 products against a dominating envelope Phi_r.
+A level is certified by the 8-node rule on the same panels: it is taken
+once the two rules agree to tol (Gander & Gautschi, "Adaptive quadrature -
+revisited", BIT 2000; Piessens et al., QUADPACK, 1983).  panel_quadrature
+applies it to many 1-d intervals at once, the cross-check path in 2-d.
+With the 1-d rule the module estimates the kernel bounds that the
+contraction/index arguments need: the absolute kernel integral, the
+weighted sup profile M_p, the face limits z_p of the weighted kernel
+columns, the continuity modulus w_p, and their L1 products against a
+dominating envelope Phi_r.
 """
 
 from __future__ import annotations
@@ -45,13 +43,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compactify import HalfLineOnePoint, kappa_limit
-from .funcspace import (WeightedGridFunction, face_profile,
+from .funcspace import (LOG_WEIGHTS, WeightedGridFunction, face_profile,
                         quotient_derivative)
 
-# the value rule of every panel integral, and the 2-d route's same-panel
-# companion that certifies it
+# the value rule of every panel integral, the same-panel companion that
+# certifies it, and both side by side (one integrand call per 1-d level)
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
+_GL16_8 = tuple(map(np.concatenate, zip(_GL16, _GL8)))
 # the panel rule: at most 2^_MAX_PANEL_LEVEL panels per interval
 _MAX_PANEL_LEVEL = 6
 # the 2-d route evaluates f _T_BLOCK t-nodes at a time, so a block's
@@ -77,11 +76,10 @@ class QuadratureError(Exception):
         self.last_estimate = last_estimate
 
 
-def _gl_panels(lo, hi, level, rule=_GL16):
-    """A Gauss-Legendre rule, its (nodes, weights) on [-1, 1] (the 16-node
-    rule by default), on 2^level equal panels of each interval
-    [lo_i, hi_i]: nodes and weights, one row per interval.  A reversed
-    interval counts as empty: its weights are 0."""
+def _gl_panels(lo, hi, level, rule):
+    """A Gauss-Legendre rule (nodes, weights on [-1, 1]) on 2^level equal
+    panels of each interval [lo_i, hi_i]: nodes and weights, one row per
+    interval.  A reversed interval is empty: its weights are 0."""
     n = 2 ** level
     width = np.maximum(hi - lo, 0.0)[:, None]
     start = lo[:, None] + width * (np.arange(n) / n)
@@ -91,38 +89,23 @@ def _gl_panels(lo, hi, level, rule=_GL16):
     return nodes.reshape(len(lo), -1), weights.reshape(len(lo), -1)
 
 
-def _settle(level_integrals, tol, companion=None):
-    """level_integrals(L) for L = 0, 1, ... until a level settles.
-
-    Without companion, the two-level test: level L + 1 is returned once
-    the max over all its entries of |I_L - I_{L+1}| is at most tol.  With
-    companion, the two-rule test: companion(L) is a lower-order rule on
-    the same panels, and level L is returned once the max of
-    |I_L - companion(L)| is at most tol.
-
-    QuadratureError if a level is not finite or the values have not
-    settled by _MAX_PANEL_LEVEL.
-    """
-    def finite(vals, level):
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError(
-                f"integrand not finite at panel level {level}",
-                last_estimate=vals)
-        return vals
-
-    prev = None
+def _settle(level_pair, tol):
+    """The two-rule test: level_pair(L) gives the _GL16 and the _GL8
+    values on 2^L panels, L = 0, 1, ...; the _GL16 values are returned once
+    their largest difference is at most tol.  QuadratureError if a level
+    is not finite or none has settled by _MAX_PANEL_LEVEL."""
     for level in range(_MAX_PANEL_LEVEL + 1):
-        total = finite(level_integrals(level), level)
-        if companion is not None:
-            prev = finite(companion(level), level)
-        if prev is not None:
-            gap = np.max(np.abs(total - prev), initial=0.0)
-            if gap <= tol:
-                return total
-        prev = total
-    test = "two-level" if companion is None else "two-rule"
+        total, companion = level_pair(level)
+        for vals in (total, companion):
+            if not np.all(np.isfinite(vals)):
+                raise QuadratureError(
+                    f"integrand not finite at panel level {level}",
+                    last_estimate=vals)
+        gap = np.max(np.abs(total - companion), initial=0.0)
+        if gap <= tol:
+            return total
     raise QuadratureError(
-        f"no convergence by panel level {_MAX_PANEL_LEVEL}: {test} "
+        f"no convergence by panel level {_MAX_PANEL_LEVEL}: two-rule "
         f"difference {gap:.3g} > {tol:g}", last_estimate=total)
 
 
@@ -131,16 +114,21 @@ def panel_quadrature(g, a, b, tol=1e-10):
 
     g maps an (m, k) array of nodes, row i in [a_i, b_i], to values of the
     same shape.  Every interval gets 2^L equal panels of the 16-node
-    Gauss-Legendre rule, doubling L until two levels agree to tol (see
-    _settle).  An empty or reversed interval gives 0.
+    Gauss-Legendre rule, doubling L until the 8-node rule on the same
+    panels agrees with it to tol (see _settle); g is called once per
+    level, on the nodes of both rules.  An empty or reversed interval
+    gives 0.
     """
     a, b = np.atleast_1d(*np.broadcast_arrays(a, b))
 
-    def level_integrals(level):
-        nodes, weights = _gl_panels(a, b, level)
-        return np.sum(weights * g(nodes), axis=1)
+    def level_pair(level):
+        nodes, weights = _gl_panels(a, b, level, _GL16_8)
+        # per panel, the 16 nodes of _GL16 and then the 8 of _GL8
+        terms = (weights * g(nodes)).reshape(len(a), -1, 24)
+        return (terms[..., :16].sum(axis=(1, 2)),
+                terms[..., 16:].sum(axis=(1, 2)))
 
-    return _settle(level_integrals, tol)
+    return _settle(level_pair, tol)
 
 
 def _unit_interval_integrals(f, t, tol):
@@ -183,15 +171,12 @@ class Kernel:
     infinity-face values of Tu are always read off its grid samples
     (funcspace.face_profile); a kernel carries no closed form for them.
 
-    The weighted forms hold for the problem's weight phi and are evaluated
-    float-safely (one combined exponent, no 0/0 once kx and phi both
-    underflow): weighted_quotient(x, t) = kx(x, t)/phi(x), which
-    check_hypotheses reads; qx(x, t) = kx(x, t) phi(t)^2 / phi(x), the
-    kernel's half of the quotient form (see Nonlinearity.q_eval), which the
-    grid operator reads; and dqx(x, t), the partial derivative of qx in its
-    first argument, which the residual of the differentiated q-equation
-    (solver.pde_residual) reads.  Each reader refuses a kernel without its
-    form.
+    The weighted forms, for the problem's weight phi, come from
+    quotient_forms: weighted_quotient = kx/phi(x) for check_hypotheses;
+    qx(x, t) = kx(x, t) phi(t)^2 / phi(x), the kernel's half of the
+    quotient form (see Nonlinearity.q_eval), for the grid operator; and
+    dqx = d qx/dx for the residual of the differentiated q-equation
+    (solver.pde_residual).  Each reader refuses a kernel without its form.
     """
 
     name: str
@@ -201,6 +186,30 @@ class Kernel:
     weighted_quotient: object = None
     dqx: object = None
     qx: object = None
+
+
+def quotient_forms(log_kx, dlog_kx, weight_desc):
+    """The Kernel keywords weighted_quotient = exp(log kx - log phi(x)),
+    qx = exp(log kx + 2 log phi(t) - log phi(x)) and
+    dqx = (dlog_kx - (log phi)'(x)) qx of kx = exp(log_kx), dlog_kx its
+    x-derivative, for the funcspace.LOG_WEIGHTS weight of that name.
+    Summing the exponents first keeps each form exact where kx and phi
+    both underflow (kx/phi is 0/0 there); a form overflows only where its
+    own value leaves the float range."""
+    log_phi, dlog_phi = LOG_WEIGHTS[weight_desc]
+
+    def weighted_quotient(x, t):
+        with np.errstate(over="ignore"):
+            return np.exp(log_kx(x, t) - log_phi(x))
+
+    def qx(x, t):
+        with np.errstate(over="ignore"):
+            return np.exp(log_kx(x, t) + 2.0 * log_phi(t) - log_phi(x))
+
+    def dqx(x, t):
+        return (dlog_kx(x, t) - dlog_phi(x)) * qx(x, t)
+
+    return {"weighted_quotient": weighted_quotient, "qx": qx, "dqx": dqx}
 
 
 @dataclass
@@ -225,8 +234,9 @@ class Nonlinearity:
     f(t, s, v) <= Phi_r(t, s) whenever |v| <= r * phi(t, s).  q_eval is
     the nonlinearity's half of the problem's quotient form:
     q_eval(t, s, q) = f(t, s, phi(t) q) / phi(t)^2, so that q = u/phi
-    solves q = int int Kernel.qx(x, t) q_eval(t, s, q) ds dt; the grid
-    operator refuses a nonlinearity without it.
+    solves q = int int Kernel.qx(x, t) q_eval(t, s, q) ds dt (a forcing
+    takes -2 log phi(t) into its exponent); the grid operator refuses a
+    nonlinearity without it.
     """
 
     name: str
@@ -488,7 +498,7 @@ def _panel_integrals(u, nl, kx, tol):
     bx = np.union1d([0.0], xs[xs > 0])
     by = np.union1d([0.0], ys[ys > 0])
 
-    def level_integrals(level, rule=_GL16):
+    def level_integrals(level, rule):
         t, wt = (v.ravel() for v in _gl_panels(bx[:-1], bx[1:], level, rule))
         s, ws = (v.ravel() for v in _gl_panels(by[:-1], by[1:], level, rule))
         # the causal rules: node weights below each output node, else 0
@@ -515,8 +525,8 @@ def _panel_integrals(u, nl, kx, tol):
             total += xmat @ (vals @ ymat.T)
         return total
 
-    return _settle(level_integrals, tol,
-                   companion=lambda level: level_integrals(level, _GL8))
+    return _settle(lambda level: (level_integrals(level, _GL16),
+                                  level_integrals(level, _GL8)), tol)
 
 
 def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):

@@ -18,7 +18,7 @@ from compactfix.compactify import (HalfLineOnePoint, IntervalIdentity,
                                    LevelEvidence, LimitResult, LineOnePoint,
                                    LineTwoPoint, ProductCompactification,
                                    XPoint, classify_ladder, kappa_limit)
-from compactfix.funcspace import (WEIGHT_REGISTRY, BumpChain,
+from compactfix.funcspace import (LOG_WEIGHTS, WEIGHT_REGISTRY, BumpChain,
                                   FaceLimitError, WeightedGridFunction,
                                   WeightUnderflowError, _face_axis,
                                   _family_quotient_derivatives,
@@ -377,6 +377,27 @@ def test_product_with_a_two_point_line_has_both_faces(tmp_path):
         save_grid_function(f, tmp_path / "grid.csv")
 
 
+def test_modulus_refuses_an_axis_not_longer_than_max_shift():
+    # tanh over a two-point line times an interval with 5 y-nodes: the y
+    # axis is too short for the windows up to max_shift = 64
+    xs = np.linspace(-40.0, 40.0, 801)
+    ys = np.linspace(0.0, 1.0, 5)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    f = WeightedGridFunction(
+        (xs, ys), np.tanh(X) + 0.0 * Y,
+        infinity={"axis0:-inf": {(0, 0): -np.ones(5)},
+                  "axis0:+inf": {(0, 0): np.ones(5)}},
+        cmap=ProductCompactification((LineTwoPoint(), IntervalIdentity())))
+    with pytest.raises(ValueError, match="more than max_shift = 64 nodes "
+                                         "on every axis; axis 1 has 5"):
+        precompactness_report([f])
+    # nothing is read before the check
+    with pytest.raises(ValueError, match="max_shift = 5 .* axis 1 has 5"):
+        equicontinuity_modulus([f], {}, max_shift=5)
+    derivs = _family_quotient_derivatives([f])
+    assert len(equicontinuity_modulus([f], derivs, max_shift=4)) == 6
+
+
 def test_face_profile_needs_nodes_in_some_window():
     xs = np.linspace(0.0, 1.0, 11)
     ys = np.linspace(0.0, 1.0, 3)
@@ -557,6 +578,22 @@ def test_unit_weight_quotient_is_the_samples():
     assert np.shares_memory(q, f.samples)
     assert q.tobytes() == want
     assert quotient_derivative(f, (0,)).tobytes() == want
+
+
+def test_every_weight_is_the_exponential_of_its_log():
+    xs = np.linspace(-40.0, 40.0, 801)
+    X, Y = np.meshgrid(xs, np.linspace(0.0, 1.0, 5), indexing="ij")
+    assert set(LOG_WEIGHTS) == set(WEIGHT_REGISTRY)
+    for name, (log_phi, dlog_phi) in LOG_WEIGHTS.items():
+        w = WEIGHT_REGISTRY[name]
+        assert np.array_equal(w(xs), np.exp(log_phi(xs)))
+        assert np.array_equal(w(X, Y), np.exp(log_phi(X)))
+        h = 1e-5
+        centred = (log_phi(xs + h) - log_phi(xs - h)) / (2.0 * h)
+        assert np.allclose(dlog_phi(xs), centred, rtol=0.0, atol=1e-7), name
+    # the values the registry held as closed forms
+    assert np.array_equal(WEIGHT_REGISTRY["1"](X, Y), np.ones(X.shape))
+    assert np.array_equal(phi(xs), np.exp(-xs ** 2 / 2.0))
 
 
 def test_precompactness_report_reads_the_family_in_place():
@@ -908,7 +945,7 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     for cls, attrs in [(compactfix.IndexCheck, ("kind", "data")),
                        (compactfix.NamedProblem, ("spec",)),
                        (compactfix.PipelineBundle,
-                        ("hypotheses", "cone", "solve"))]:
+                        ("hypotheses", "cone", "solve", "objects"))]:
         fields = {f.name for f in dataclasses.fields(cls)}
         for attr in attrs:
             assert attr not in fields, (cls.__name__, attr)

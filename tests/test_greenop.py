@@ -43,6 +43,20 @@ def test_panel_quadrature_polynomial_and_empty_interval():
     assert panel_quadrature(lambda t: t, 2.0, 1.0)[0] == 0.0
 
 
+def test_panel_quadrature_certifies_a_level_with_the_8_node_rule():
+    # the two-rule test: level 0 and the 8-node rule on the same panel,
+    # evaluated in one call
+    nodes = []
+
+    def g(t):
+        nodes.append(t.shape[1])
+        return np.exp(-t ** 2)
+
+    got = panel_quadrature(g, 0.0, 1.0, 1e-12)
+    assert nodes == [24]
+    assert abs(got[0] - SQPI2 * erf(1.0)) < 1e-15
+
+
 def test_panel_quadrature_reports_no_convergence():
     # an integrable singularity inside a panel never settles to 1e-12
     with pytest.raises(QuadratureError, match="no convergence") as err:
@@ -375,27 +389,32 @@ def test_adaptive_apply_refuses_nan_and_unsettled_integrands(problem):
 
 
 def _settled_level(monkeypatch, run):
-    """(result, L, level_integrals, tol) of the 2-d route's one _settle
-    call made by run(): L is the panel level whose 16-node values were
-    returned, and level_integrals(L) computes that level again."""
+    """(result, L, level_values, tol) of the 2-d route's one _settle call
+    made by run(): L is the panel level whose 16-node values were
+    returned, and level_values(L) computes that level's 16-node values
+    again."""
     from compactfix import greenop
 
     calls = []
     settle = greenop._settle
 
-    def recording(level_integrals, tol, companion=None):
-        out = settle(level_integrals, tol, companion)
-        calls.append((out, level_integrals, tol))
+    def recording(level_pair, tol):
+        out = settle(level_pair, tol)
+        calls.append((out, level_pair, tol))
         return out
 
     monkeypatch.setattr(greenop, "_settle", recording)
     run()
     # restored, so that a further call wraps the shipped routine again
     monkeypatch.setattr(greenop, "_settle", settle)
-    (out, level_integrals, tol), = calls
+    (out, level_pair, tol), = calls
+
+    def level_values(level):
+        return level_pair(level)[0]
+
     level = next(L for L in range(greenop._MAX_PANEL_LEVEL + 1)
-                 if np.array_equal(level_integrals(L), out))
-    return out, level, level_integrals, tol
+                 if np.array_equal(level_values(L), out))
+    return out, level, level_values, tol
 
 
 def test_adaptive_apply_evaluates_one_level_and_its_8_node_companion(
