@@ -5,8 +5,8 @@ limits at infinity become face values, weighted sup norms become grid
 maxima, and the cone fixed-point-index conditions become checkable numbers.
 """
 
-from .casestudy import (NamedProblem, PipelineBundle, PROBLEM_IDS,
-                        load_problem, load_problem_file, run_full_pipeline,
+from .casestudy import (NamedProblem, PROBLEM_IDS, load_problem,
+                        load_problem_file, run_full_pipeline,
                         validate_closed_forms)
 from .compactify import (Extension, ExtensionError, HalfLineOnePoint,
                          IntervalIdentity, LimitResult, LineOnePoint,
@@ -38,7 +38,7 @@ __all__ = [
     "GridHammersteinOperator", "HalfLineOnePoint", "HypothesisReport",
     "IndexCheck", "IntervalIdentity", "IterationError", "Kernel",
     "LimitResult", "LineOnePoint", "LineTwoPoint", "NamedProblem",
-    "Nonlinearity", "PipelineBundle", "PrecompactnessReport", "PROBLEM_IDS",
+    "Nonlinearity", "PrecompactnessReport", "PROBLEM_IDS",
     "ProductCompactification", "QuadratureError", "SolveConfig", "SolveResult",
     "WEIGHT_REGISTRY", "WeightedGridFunction", "WeightUnderflowError",
     "XPoint",

@@ -1,11 +1,11 @@
-"""Ready-to-run named problems, closed-form validation and the demo pipeline.
+"""The named problem, closed-form validation and the demos.
 
 "hyperbolic-erf" is the solving problem: the Gaussian-shifted causal kernel
 on [0, inf) x [0, 1] with weight exp(-x^2/2) and forcing
-(1/8) exp(-(x^2+y^2)) + u^2, whose closed forms all reduce to erf.  The three
-demo ids package the classical counterexamples (arctan under two
-compactifications, the translating Gaussians, the marching bump chain) so
-they can be driven by name from the CLI and the tests.
+(1/8) exp(-(x^2+y^2)) + u^2, whose closed forms all reduce to erf.  The
+demos are not problems: each DEMOS entry runs one classical counterexample
+(arctan under two compactifications, the translating Gaussians, the
+marching bump chain) and returns its JSON-ready summary.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .funcspace import (LOG_WEIGHTS, WEIGHT_REGISTRY, BumpChain,
 from .greenop import (Dominator, Kernel, Nonlinearity, kernel_abs_integral,
                       panel_quadrature, quotient_forms)
 
-PROBLEM_IDS = ("hyperbolic-erf", "arctan-demo", "gaussian-family",
-               "bump-chain")
+PROBLEM_IDS = ("hyperbolic-erf",)
 
 _SQRT_PI = math.sqrt(math.pi)
 _T0_COEFF = math.pi / (16.0 * math.sqrt(2.0))
@@ -38,10 +37,10 @@ _T0_COEFF = math.pi / (16.0 * math.sqrt(2.0))
 @dataclass
 class NamedProblem:
     id: str
-    weight_desc: str = "1"       # a WEIGHT_REGISTRY name
-    kernel: Kernel = None
-    nl: Nonlinearity = None
-    cmap: object = None
+    weight_desc: str             # a WEIGHT_REGISTRY name
+    kernel: Kernel
+    nl: Nonlinearity
+    cmap: object
     closed_forms: dict = field(default_factory=dict)
     truncation: float = 24.0     # the x-truncation a solve uses by default
 
@@ -175,13 +174,9 @@ def _hyperbolic_erf():
 
 
 def load_problem(problem_id):
-    """Construct one of the named problems; raises on unknown ids."""
+    """Construct the named problem; raises on unknown ids."""
     if problem_id == "hyperbolic-erf":
         return _hyperbolic_erf()
-    if problem_id == "arctan-demo":
-        return NamedProblem(id="arctan-demo")
-    if problem_id in ("gaussian-family", "bump-chain"):
-        return NamedProblem(id=problem_id, cmap=HalfLineOnePoint())
     raise ValueError(f"unknown problem id {problem_id!r}; "
                      f"available: {', '.join(PROBLEM_IDS)}")
 
@@ -233,79 +228,82 @@ def load_problem_file(path):
     return NamedProblem(
         id=problem_id, weight_desc=weight_desc,
         kernel=kernel, nl=nl, cmap=_halfstrip_cmap(),
-        closed_forms={"abs_integral": kernel.abs_integral}
-        if kernel.abs_integral else {},
+        closed_forms={"abs_integral": kernel.abs_integral},
         truncation=truncation)
 
 
 # ---------------------------------------------------------------------------
-# pipeline
+# demos
 
 
-@dataclass
-class PipelineBundle:
-    problem: NamedProblem
-    demo: dict = None           # JSON-ready demo summary
+def _arctan_demo():
+    """arctan has the limits -pi/2 and pi/2 at the two points of the
+    two-point compactification of the line and none at the one point of
+    the one-point compactification."""
+    ext = extend(np.arctan, LineTwoPoint(), tol=1e-6)
+    demo = {"two_point": dict(ext.limits), "one_point": None}
+    try:
+        extend(np.arctan, LineOnePoint(), tol=1e-6)
+    except ExtensionError as err:
+        demo["one_point"] = {lbl: res.status
+                             for lbl, res in err.failures.items()}
+    return demo
 
 
-def run_full_pipeline(problem_id):
-    """Run the diagnostic branch of a demo problem; a problem with a kernel
-    has no branch here (the CLI solves and checks it directly)."""
-    problem = problem_id if isinstance(problem_id, NamedProblem) \
-        else load_problem(problem_id)
-    branch = problem.id if problem.kernel is None else None
-
-    if branch == "arctan-demo":
-        ext = extend(np.arctan, LineTwoPoint(), tol=1e-6)
-        demo = {"two_point": dict(ext.limits), "one_point": None}
-        try:
-            extend(np.arctan, LineOnePoint(), tol=1e-6)
-        except ExtensionError as err:
-            demo["one_point"] = {lbl: res.status
-                                 for lbl, res in err.failures.items()}
-        return PipelineBundle(problem, demo=demo)
-
-    if branch == "gaussian-family":
-        fam = gaussian_family(40, 48.0, 0.005)
-        report = precompactness_report(fam)
-        sep = gaussian_family_separation(10)
-        return PipelineBundle(problem, demo={
-            "separation": sep,
-            "bounded": report.bounded,
-            "equicontinuous": report.equicontinuous,
-            "equiconvergent": report.equiconvergent,
-            "bound": report.bound,
-            "worst_deviation": report.worst_deviation,
-        })
-
-    if branch == "bump-chain":
-        chain = BumpChain()
-        cmap = problem.cmap
-        inf_pt = cmap.infinity_points()[0]
-        value_limit = kappa_limit(chain.value, inf_pt, cmap, tol=1e-3,
-                                  extra_samples=chain.witness_points)
-        deriv_limit = kappa_limit(chain.derivative, inf_pt, cmap, tol=1e-3,
-                                  extra_samples=chain.witness_points)
-        return PipelineBundle(problem, demo={
-            "value": {"status": value_limit.status,
-                      "value": value_limit.value,
-                      "oscillation": value_limit.oscillation},
-            "derivative": {"status": deriv_limit.status,
-                           "oscillation": deriv_limit.oscillation},
-        })
-
-    raise ValueError(f"no pipeline branch for {problem.id!r}")
+def _gaussian_family_demo():
+    """The translating Gaussians: bounded and equicontinuous but not
+    equiconvergent, so not precompact."""
+    report = precompactness_report(gaussian_family(40, 48.0, 0.005))
+    return {
+        "separation": gaussian_family_separation(10),
+        "bounded": report.bounded,
+        "equicontinuous": report.equicontinuous,
+        "equiconvergent": report.equiconvergent,
+        "bound": report.bound,
+        "worst_deviation": report.worst_deviation,
+    }
 
 
-def validate_closed_forms(problem, n=20, tol=1e-6):
+def _bump_chain_demo():
+    """The marching bump chain: the value has a limit at infinity, the
+    derivative none."""
+    chain = BumpChain()
+    cmap = HalfLineOnePoint()
+    inf_pt = cmap.infinity_points()[0]
+    value_limit = kappa_limit(chain.value, inf_pt, cmap, tol=1e-3,
+                              extra_samples=chain.witness_points)
+    deriv_limit = kappa_limit(chain.derivative, inf_pt, cmap, tol=1e-3,
+                              extra_samples=chain.witness_points)
+    return {
+        "value": {"status": value_limit.status,
+                  "value": value_limit.value,
+                  "oscillation": value_limit.oscillation},
+        "derivative": {"status": deriv_limit.status,
+                       "oscillation": deriv_limit.oscillation},
+    }
+
+
+# demo id -> the function that runs it
+DEMOS = {"arctan-demo": _arctan_demo,
+         "gaussian-family": _gaussian_family_demo,
+         "bump-chain": _bump_chain_demo}
+
+
+def run_full_pipeline(demo_id):
+    """Run one of the DEMOS and return its JSON-ready summary; ValueError
+    naming the known ids for any other id."""
+    if demo_id not in DEMOS:
+        raise ValueError(f"unknown demo id {demo_id!r}; "
+                         f"available: {', '.join(DEMOS)}")
+    return DEMOS[demo_id]()
+
+
+def validate_closed_forms(problem, n=20):
     """Max gap between each attached closed form and direct quadrature.
 
-    Returns {form name: max abs gap over an n x n grid}; every entry is
-    expected below tol for the shipped problems.
+    Returns {form name: max abs gap over an n x n grid}.
     """
     gaps = {}
-    if problem.kernel is None or not problem.closed_forms:
-        return gaps
     xs = np.linspace(0.05, 4.0, n)
     ys = np.linspace(0.05, 1.0, n)
     X, Y = np.meshgrid(xs, ys, indexing="ij")

@@ -151,8 +151,10 @@ def kappa_limit(f, point, cmap, tol=1e-6, levels=None, extra_samples=None):
         vals = np.asarray(f(pts), dtype=float)
         dist = cmap.distance(cmap.forward(pts), target)
         closest = float(vals[np.argmin(dist)])
-        evidence.append(LevelEvidence(delta, float(vals.max() - vals.min()),
-                                      len(pts), closest))
+        # a level with a non-finite sample never certifies
+        osc = (float(vals.max()) - float(vals.min())
+               if np.isfinite(vals).all() else math.inf)
+        evidence.append(LevelEvidence(delta, osc, len(pts), closest))
         value = closest
     status = classify_ladder(evidence, tol)
     return LimitResult(status, value if status == "converged" else None,

@@ -53,13 +53,15 @@ class WeightUnderflowError(ValueError):
     exp(-x^2/2) underflows far out), so u/phi is undefined there."""
 
 
-class FaceLimitError(Exception):
-    """A required limit at an infinity face does not exist on the grid data."""
+class FaceLimitError(ValueError):
+    """A required limit at an infinity face does not exist on the grid data.
 
-    def __init__(self, face, result=None):
+    message, when given, replaces the default one that names the face."""
+
+    def __init__(self, face, result=None, message=None):
         self.face = face
         self.result = result
-        super().__init__(f"no limit at infinity face {face!r}")
+        super().__init__(message or f"no limit at infinity face {face!r}")
 
 
 class WeightedGridFunction:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import beta_sup, default_eval_grid, index_one_check
-from .funcspace import (WeightedGridFunction, face_profile,
+from .funcspace import (FaceLimitError, WeightedGridFunction, face_profile,
                         save_grid_function, weighted_norm)
 from .greenop import (FACE_TOL, GridHammersteinOperator, attach_faces,
                       kernel_row_blocks)
@@ -197,9 +197,9 @@ def asymptotic_profile(u, q, tol=FACE_TOL):
     """Windowed limits of the quotient q = u/phi at u's infinity face, one
     per y-node; u supplies the axes and the faces.
 
-    Raises ValueError naming the y-node when the ladder reports that no
-    limit exists.  Inconclusive ladders are passed through in the results
-    for the caller to inspect.
+    Raises FaceLimitError (a ValueError) naming the y-node when the ladder
+    reports that no limit exists.  Inconclusive ladders are passed through
+    in the results for the caller to inspect.
     """
     faces = u.face_labels()
     if not faces:
@@ -207,12 +207,26 @@ def asymptotic_profile(u, q, tol=FACE_TOL):
     out = face_profile(u, q, faces[0], tol)
     for y0, res in out:
         if res.status == "no_limit":
-            raise ValueError(f"no limit of u/phi at y0 = {y0:g}")
+            raise FaceLimitError(f"{faces[0]}@{y0:.6g}", res,
+                                 f"no limit of u/phi at y0 = {y0:g}")
     return out
 
 
 # ---------------------------------------------------------------------------
 # file outputs
+
+
+def write_json(path, doc, stamp):
+    """Write doc to path as a JSON report (indent 1, sorted keys, a final
+    newline), with a written_at UTC time when stamp is set; returns path."""
+    if stamp:
+        doc = dict(doc)
+        doc["written_at"] = datetime.datetime.now(
+            datetime.timezone.utc).isoformat()
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def write_outputs(result, out_dir, timestamp=True):
@@ -265,12 +279,6 @@ def write_outputs(result, out_dir, timestamp=True):
         "problem": result.problem,
         "config": result.config.as_dict(),
     }
-    if timestamp:
-        summary["written_at"] = datetime.datetime.now(
-            datetime.timezone.utc).isoformat()
-    sj = os.path.join(out_dir, "summary.json")
-    with open(sj, "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    paths["summary"] = sj
+    paths["summary"] = write_json(os.path.join(out_dir, "summary.json"),
+                                  summary, timestamp)
     return paths

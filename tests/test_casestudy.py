@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from compactfix.casestudy import (PROBLEM_IDS, load_problem,
+from compactfix.casestudy import (DEMOS, PROBLEM_IDS, load_problem,
                                   load_problem_file, run_full_pipeline,
                                   validate_closed_forms)
 from compactfix.funcspace import WEIGHT_REGISTRY, BumpChain
@@ -21,6 +21,10 @@ def test_load_problem_knows_every_id():
     with pytest.raises(ValueError) as err:
         load_problem("lorentzian")
     assert "hyperbolic-erf" in str(err.value)
+    # the demos are not problems
+    for demo_id in DEMOS:
+        with pytest.raises(ValueError, match="unknown problem id"):
+            load_problem(demo_id)
 
 
 def test_hyperbolic_problem_wiring(problem, rng):
@@ -47,8 +51,7 @@ def test_closed_forms_match_quadrature(problem):
 
 
 def test_pipeline_gaussian_family_branch():
-    bundle = run_full_pipeline("gaussian-family")
-    demo = bundle.demo
+    demo = run_full_pipeline("gaussian-family")
     assert demo["bounded"] and demo["equicontinuous"]
     assert not demo["equiconvergent"]
     assert demo["separation"] == pytest.approx(0.7303884874204196, abs=1e-9)
@@ -57,8 +60,7 @@ def test_pipeline_gaussian_family_branch():
 
 
 def test_pipeline_bump_chain_branch():
-    bundle = run_full_pipeline("bump-chain")
-    demo = bundle.demo
+    demo = run_full_pipeline("bump-chain")
     assert demo["value"]["status"] == "converged"
     assert abs(demo["value"]["value"]) < 1e-3
     assert demo["derivative"]["status"] == "no_limit"
@@ -68,23 +70,25 @@ def test_pipeline_bump_chain_branch():
 
 
 def test_pipeline_arctan_branch():
-    bundle = run_full_pipeline("arctan-demo")
-    demo = bundle.demo
+    demo = run_full_pipeline("arctan-demo")
     assert demo["two_point"]["+inf"] == pytest.approx(math.pi / 2, abs=1e-6)
     assert demo["two_point"]["-inf"] == pytest.approx(-math.pi / 2, abs=1e-6)
     assert demo["one_point"] == {"inf": "no_limit"}
 
 
 def test_pipeline_refuses_problems_with_a_kernel():
-    # the CLI solves and checks kernel problems itself
-    with pytest.raises(ValueError, match="no pipeline branch"):
+    # the CLI solves and checks kernel problems itself; the error names
+    # the demos
+    with pytest.raises(ValueError, match="unknown demo id") as err:
         run_full_pipeline("hyperbolic-erf")
+    for demo_id in DEMOS:
+        assert demo_id in str(err.value)
 
 
 def test_pipeline_summary_is_deterministic():
     # the demo summary is what ascoli-demo and compactify-demo write
-    for pid in ("arctan-demo", "gaussian-family", "bump-chain"):
-        one, two = (json.dumps(run_full_pipeline(pid).demo) for _ in "12")
+    for pid in DEMOS:
+        one, two = (json.dumps(run_full_pipeline(pid)) for _ in "12")
         assert one == two
 
 

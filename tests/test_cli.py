@@ -1,15 +1,17 @@
 """End-to-end checks of the command-line front end (in process)."""
 
+import argparse
 import json
 import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from compactfix.cli import main
+from compactfix.cli import build_parser, main
 from compactfix.funcspace import load_grid_function
 
 
@@ -242,7 +244,40 @@ def test_solve_rejects_demo_problems(tmp_path, capsys):
     rc = main(["solve", "--problem", "arctan-demo",
                "--out", str(tmp_path / "run")])
     assert rc == 1
-    assert "no solve branch" in capsys.readouterr().err
+    assert "invalid choice: 'arctan-demo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # a demo has no closed forms to validate, no kernel to check
+    ["validate-closed-forms", "--problem", "arctan-demo"],
+    ["check-conditions", "--problem", "gaussian-family"],
+    # a problem file always carries a kernel, so no demo can read one
+    ["ascoli-demo", "--problem-file", "FILE"],
+    ["compactify-demo", "--problem-file", "FILE"],
+])
+def test_problems_and_demos_do_not_mix(tmp_path, capsys, argv):
+    path = _problem_file(tmp_path)
+    out = tmp_path / "run"
+    rc = main([path if a == "FILE" else a for a in argv]
+              + ["--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: ")
+    assert not out.exists()
+
+
+def test_profile_without_a_limit_is_a_numerical_failure(tmp_path, capsys):
+    # under exp(-x^2/2) the rate-0.5 kernel makes q grow like exp(x^2/6):
+    # the solve runs, but the profile has no limit at infinity
+    path = _problem_file(tmp_path, truncation=8.0, kernel={
+        "id": "gauss-shift", "params": {"rate": 0.5}})
+    out = tmp_path / "run"
+    rc = main(["solve", "--problem-file", path, "--grid-step", "0.25",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numerical failure: no limit of u/phi at y0 = 0.25"]
+    assert not out.exists()
 
 
 def test_check_conditions_report(tmp_path, capsys):
@@ -381,3 +416,17 @@ def test_no_timestamp_reruns_are_byte_identical(tmp_path):
                  "--out", str(stamped)]) == 0
     doc = json.loads((stamped / "cone_report.json").read_text())
     assert "written_at" in doc
+
+
+def test_readme_shows_every_subcommand_with_each_problem_id():
+    # the README's command-line section is the CLI's user documentation:
+    # one example line per subcommand and --problem choice
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, sp in sub.choices.items():
+        problem = next(a for a in sp._actions if "--problem" in a.option_strings)
+        for pid in problem.choices:
+            assert f"compactfix {name} --problem {pid}" in section, \
+                (name, pid)

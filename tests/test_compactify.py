@@ -158,6 +158,21 @@ def test_kappa_limit_extra_samples_are_filtered_to_the_ball():
     assert min(seen) > 0.5
 
 
+@pytest.mark.parametrize("fill", [math.inf, -math.inf, math.nan])
+def test_kappa_limit_levels_with_non_finite_samples_never_certify(fill):
+    # the weighted quotient of a kernel column that grows without bound
+    # overflows far out; such levels read as an infinite oscillation,
+    # without a numpy warning, and never certify a limit
+    cmap = HalfLineOnePoint()
+    inf_pt = cmap.infinity_points()[0]
+    res = kappa_limit(lambda x: np.where(np.asarray(x) > 100.0, fill, 1.0),
+                      inf_pt, cmap)
+    assert not res.converged and res.value is None
+    # every ball of radius below 1/101 about infinity lies beyond x = 100
+    far = [e for e in res.evidence if e.delta < 1.0 / 101.0]
+    assert far and all(e.oscillation == math.inf for e in far)
+
+
 def _loop_kappa_limit(f, point, cmap, tol=1e-6, extra_samples=None):
     """Reference: the ladder with one metric call per sample point."""
     target = point.embedded[0]

@@ -943,13 +943,17 @@ def test_exports_resolve_and_deleted_names_stay_gone():
         assert not hasattr(compactfix.cones, name), name
     assert not hasattr(compactfix.ConeReport, "to_json")
     for cls, attrs in [(compactfix.IndexCheck, ("kind", "data")),
-                       (compactfix.NamedProblem, ("spec",)),
-                       (compactfix.PipelineBundle,
-                        ("hypotheses", "cone", "solve", "objects"))]:
+                       (compactfix.NamedProblem, ("spec",))]:
         fields = {f.name for f in dataclasses.fields(cls)}
         for attr in attrs:
             assert attr not in fields, (cls.__name__, attr)
-    assert not hasattr(compactfix.PipelineBundle, "summary")
+    # a demo returns its summary dict; no wrapper carries it
+    assert "PipelineBundle" not in compactfix.__all__
+    assert not hasattr(compactfix.casestudy, "PipelineBundle")
+    # every problem has a kernel, a nonlinearity, a weight and a map
+    for f in dataclasses.fields(compactfix.NamedProblem):
+        if f.name in ("weight_desc", "kernel", "nl", "cmap"):
+            assert f.default is dataclasses.MISSING, f.name
     # the grid operator works in the quotient only, and every kernel
     # carries its own weighted quotient
     case = compactfix.load_problem("hyperbolic-erf")
