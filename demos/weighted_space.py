@@ -5,10 +5,9 @@ Run from the repo root:  python3 demos/weighted_space.py
 
 import numpy as np
 
+from compactfix.casestudy import DEMOS
 from compactfix.funcspace import (WEIGHT_REGISTRY, WeightedGridFunction,
-                                  gamma_p, gaussian_family,
-                                  gaussian_family_separation,
-                                  precompactness_report, weighted_norm)
+                                  gamma_p, weighted_norm)
 
 
 def main():
@@ -39,14 +38,13 @@ def main():
 
     print()
     print("translating Gaussians u_n = exp(-(x-n)^2), flat weight")
-    sep = gaussian_family_separation(10)
-    print(f"  pairwise sup distance floor: {sep:.6f} "
+    report = DEMOS["gaussian-family"]()
+    print(f"  pairwise sup distance floor: {report['separation']:.6f} "
           f"(>= 1 - 1/e = {1 - np.e ** -1:.6f})")
-    report = precompactness_report(gaussian_family(40))
-    print(f"  uniformly bounded:   {report.bounded}")
-    print(f"  equicontinuous:      {report.equicontinuous}")
-    print(f"  equiconvergent:      {report.equiconvergent} "
-          f"(worst deviation {report.worst_deviation:.3f})")
+    print(f"  uniformly bounded:   {report['bounded']}")
+    print(f"  equicontinuous:      {report['equicontinuous']}")
+    print(f"  equiconvergent:      {report['equiconvergent']} "
+          f"(worst deviation {report['worst_deviation']:.3f})")
     print("  bounded + equicontinuous is not enough on an unbounded domain;")
     print("  the family escapes to infinity and no subsequence converges.")
     print("  equiconvergence at the infinity face is the missing condition.")

@@ -31,7 +31,6 @@ from .greenop import (Dominator, Kernel, Nonlinearity, kernel_abs_integral,
 PROBLEM_IDS = ("hyperbolic-erf",)
 
 _SQRT_PI = math.sqrt(math.pi)
-_T0_COEFF = math.pi / (16.0 * math.sqrt(2.0))
 
 
 @dataclass
@@ -153,14 +152,16 @@ def _halfstrip_cmap():
 def _hyperbolic_erf():
     kernel = _gauss_shift_kernel("exp(-x^2/2)")
     nl = _gauss_square_nonlinearity("exp(-x^2/2)")
+    # T0 = amp (pi / (2 sqrt 2)) exp(-x^2/2) erf(x/sqrt 2) erf(y)
+    coeff = nl.params["amplitude"] * (math.pi / (2.0 * math.sqrt(2.0)))
 
     def tu0(x, y):
         x = np.asarray(x, dtype=float)
-        return _T0_COEFF * np.exp(-x ** 2 / 2.0) \
+        return coeff * np.exp(-x ** 2 / 2.0) \
             * erf(x / math.sqrt(2.0)) * erf(np.asarray(y))
 
     def tu0_face(y0):
-        return _T0_COEFF * erf(np.asarray(y0))
+        return coeff * erf(np.asarray(y0))
 
     return NamedProblem(
         id="hyperbolic-erf",
@@ -309,7 +310,6 @@ def validate_closed_forms(problem, n=20):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     forms = problem.closed_forms
     kx = problem.kernel.kx
-    amp = problem.nl.params.get("amplitude", 0.125)
 
     def gauss_integrals(hi, tol):
         """int_0^{hi_i} exp(-s^2) ds for every entry of hi."""
@@ -322,7 +322,8 @@ def validate_closed_forms(problem, n=20):
     if "Tu0" in forms:
         it = panel_quadrature(lambda t: kx(xs[:, None], t) * np.exp(-t ** 2),
                               0.0, xs, 1e-13)
-        q = amp * it[:, None] * gauss_integrals(ys, 1e-13)[None, :]
+        q = problem.nl.params["amplitude"] * it[:, None] \
+            * gauss_integrals(ys, 1e-13)[None, :]
         gaps["Tu0"] = float(np.max(np.abs(q - forms["Tu0"](X, Y))))
     if "Tu0_face" in forms:
         x_eval = 6.0
@@ -330,6 +331,7 @@ def validate_closed_forms(problem, n=20):
                               0.0, x_eval, 1e-15)[0]
         phi = float(problem.weight(x_eval))
         y0 = np.linspace(0.0, 1.0, n)
-        q = amp * it * gauss_integrals(y0, 1e-15) / phi
+        q = problem.nl.params["amplitude"] * it \
+            * gauss_integrals(y0, 1e-15) / phi
         gaps["Tu0_face"] = float(np.max(np.abs(q - forms["Tu0_face"](y0))))
     return gaps

@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -133,7 +134,11 @@ def _cmd_solve(args):
                       truncation=truncation, tol=args.tol,
                       max_iter=args.max_iter, rho_ball=args.rho)
     try:
-        result = picard_solve(problem, cfg)
+        with warnings.catch_warnings():
+            # each warning of the solve is one line, printed as it is raised
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            result = picard_solve(problem, cfg)
     except IterationError as err:
         print(f"solve failed: {err}", file=sys.stderr)
         return 2

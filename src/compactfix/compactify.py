@@ -51,39 +51,25 @@ class XPoint:
     def at_infinity(self):
         return len(self.infinite_axes) > 0
 
-    def __repr__(self):
-        if self.label:
-            return f"XPoint({self.label})"
-        return f"XPoint({self.embedded})"
-
-
-@dataclass(frozen=True)
-class LevelEvidence:
-    delta: float
-    oscillation: float
-    n_samples: int
-    closest_value: float
-
 
 @dataclass(frozen=True)
 class LimitResult:
     """Outcome of a sampled limit estimate at one infinity point.
 
-    status is 'converged', 'no_limit' or 'inconclusive'.  A converged result
-    carries the value of its last level (each LevelEvidence keeps its
-    level's value as closest_value).  kappa_limit reads it at the level's
+    status is 'converged', 'no_limit' or 'inconclusive'.  oscillations[k]
+    is the oscillation on the metric ball of radius 2^-(k+1), for every
+    ball tested, and oscillation the last of them.  A converged result
+    carries the value of its last ball: kappa_limit reads it at the ball's
     sample metrically closest to the point; the grid face ladders of
     funcspace._face_ladders read it at the deepest window's last node in
     axis order, which is the farthest node of a "+inf" window but the
     innermost (largest x) of a "-inf" one, and the farthest node of the
-    +inf tail of LineOnePoint's two-tailed window.  The evidence tuple
-    records (delta, oscillation) for every tested ball.
+    +inf tail of LineOnePoint's two-tailed window.
     """
 
     status: str
     value: float | None
-    point: XPoint
-    evidence: tuple
+    oscillations: tuple
 
     @property
     def converged(self):
@@ -91,7 +77,7 @@ class LimitResult:
 
     @property
     def oscillation(self):
-        return self.evidence[-1].oscillation if self.evidence else math.inf
+        return self.oscillations[-1]
 
 
 def default_levels(tol=1e-6):
@@ -100,31 +86,31 @@ def default_levels(tol=1e-6):
     return [2.0 ** -k for k in range(1, kmax + 1)]
 
 
-def classify_ladder(evidence, tol):
+def classify_ladder(oscillations, tol):
     """Shared converged / no_limit / inconclusive rule for oscillation ladders.
 
-    converged:  oscillation below tol at the finest nonempty level.
-    no_limit:   oscillation at least tol at every level and not substantially
+    oscillations: one per tested ball, coarsest first, no ball empty.
+    converged:  oscillation below tol on the smallest ball.
+    no_limit:   oscillation at least tol on every ball and not substantially
                 decreasing (finest > half of the coarsest), i.e. a genuine
                 persistent oscillation rather than an unfinished descent.
     """
-    usable = [e for e in evidence if e.n_samples > 0]
-    if not usable:
-        raise ValueError("no samples at any delta level")
-    osc = [e.oscillation for e in usable]
-    if osc[-1] < tol:
+    if oscillations[-1] < tol:
         return "converged"
-    if min(osc) >= tol and len(usable) >= 2 and osc[-1] > 0.5 * osc[0]:
+    if (min(oscillations) >= tol and len(oscillations) >= 2
+            and oscillations[-1] > 0.5 * oscillations[0]):
         return "no_limit"
     return "inconclusive"
 
 
-def kappa_limit(f, point, cmap, tol=1e-6, levels=None, extra_samples=None):
+def kappa_limit(f, point, cmap, tol=1e-6, extra_samples=None):
     """Estimate the limit of f at an infinity point of a compactification.
 
-    f is evaluated on domain points at geometric radii inside metric balls
-    B(point, delta) for a shrinking ladder of deltas; ValueError for a
-    point that is not at infinity.  Returns a LimitResult; the value of a
+    f is evaluated on domain points at geometric radii inside the metric
+    balls B(point, delta) for delta in default_levels(tol); ValueError for
+    a point that is not at infinity.  The ladder stops at the first ball
+    without samples (a ball beyond RADIUS_CAP), so the k-th oscillation is
+    still that of radius 2^-(k+1).  Returns a LimitResult; the value of a
     converged result is f at the sample closest to the point.
 
     extra_samples, when given, is a callable delta -> domain points that are
@@ -135,30 +121,25 @@ def kappa_limit(f, point, cmap, tol=1e-6, levels=None, extra_samples=None):
     """
     if not point.at_infinity:
         raise ValueError("kappa_limit expects an infinity point")
-    if levels is None:
-        levels = default_levels(tol)
     target = np.asarray(point.embedded, dtype=float)
-    evidence = []
-    value = None
-    for delta in levels:
+    oscillations = []
+    for delta in default_levels(tol):
         pts = cmap.sample_ball(point, delta)
         if extra_samples is not None:
             ex = np.atleast_1d(np.asarray(extra_samples(delta), dtype=float))
             pts = np.concatenate(
                 [pts, ex[cmap.distance(cmap.forward(ex), target) < delta]])
         if len(pts) == 0:
-            continue
+            break
         vals = np.asarray(f(pts), dtype=float)
         dist = cmap.distance(cmap.forward(pts), target)
-        closest = float(vals[np.argmin(dist)])
+        value = float(vals[np.argmin(dist)])
         # a level with a non-finite sample never certifies
-        osc = (float(vals.max()) - float(vals.min())
-               if np.isfinite(vals).all() else math.inf)
-        evidence.append(LevelEvidence(delta, osc, len(pts), closest))
-        value = closest
-    status = classify_ladder(evidence, tol)
+        oscillations.append(float(vals.max()) - float(vals.min())
+                            if np.isfinite(vals).all() else math.inf)
+    status = classify_ladder(oscillations, tol)
     return LimitResult(status, value if status == "converged" else None,
-                       point, tuple(evidence))
+                       tuple(oscillations))
 
 
 class ExtensionError(Exception):

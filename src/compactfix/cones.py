@@ -58,7 +58,6 @@ class IndexCheck:
     lhs: float
     holds: bool
     f_sup: float
-    beta_factor: float
 
 
 def abs_integral_beta_factor(kernel, grid):
@@ -77,7 +76,7 @@ def index_one_check(kernel, nl, rho, grid=None, beta_factor=None):
         beta_factor = abs_integral_beta_factor(kernel, grid)
     fsup = f_sup_rho(nl, rho, grid)
     lhs = fsup * beta_factor
-    return IndexCheck(rho, lhs, 0.0 < lhs < 1.0, fsup, beta_factor)
+    return IndexCheck(rho, lhs, 0.0 < lhs < 1.0, fsup)
 
 
 @dataclass

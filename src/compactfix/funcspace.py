@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compactify import (HalfLineOnePoint, IntervalIdentity, LevelEvidence,
-                         LimitResult, LineOnePoint, LineTwoPoint,
-                         ProductCompactification, XPoint, classify_ladder)
+from .compactify import (HalfLineOnePoint, IntervalIdentity, LimitResult,
+                         LineOnePoint, LineTwoPoint, ProductCompactification,
+                         classify_ladder)
 
 
 #: each weight phi once, by the name that grid files and problem files give
@@ -265,12 +265,10 @@ def weighted_norm(f):
 class GammaFunction:
     """Trace of a quotient derivative on the compactified space.
 
-    values are d_p(f/phi) pushed to the embedded grid; infinity holds the
-    face values.  gamma_p is linear in f and bounded by the weighted norm.
+    values are d_p(f/phi) on the grid; infinity holds the face values.
+    gamma_p is linear in f and bounded by the weighted norm.
     """
 
-    p: tuple
-    embedded_axes: tuple
     values: np.ndarray
     infinity: dict
 
@@ -290,11 +288,6 @@ def gamma_p(f, p, tol=1e-6):
     """
     p = tuple(int(k) for k in p)
     vals = quotient_derivative(f, p)
-    emb = []
-    for i, a in enumerate(f.axes):
-        fac = (f.cmap.factors[i] if isinstance(f.cmap, ProductCompactification)
-               else f.cmap)
-        emb.append(np.asarray(fac.forward(a), dtype=float))
     inf_vals = {}
     for face in f.face_labels():
         stored = f.infinity.get(face, {})
@@ -314,7 +307,7 @@ def gamma_p(f, p, tol=1e-6):
                     raise FaceLimitError(f"{face}@{node:.6g}", res)
                 got.append(res.value)
             inf_vals[face] = np.asarray(got)
-    return GammaFunction(p, tuple(emb), vals, inf_vals)
+    return GammaFunction(vals, inf_vals)
 
 
 def _face_ladders(radii, cols, face, tol):
@@ -329,9 +322,10 @@ def _face_ladders(radii, cols, face, tol):
     stops before the first window with fewer than 2 nodes, and ValueError
     reports a face without any.  Running maxima and minima of the segments
     between consecutive window starts, from the far end, give every
-    level's oscillation for every column in one pass; a level's value is
-    the column's entry at the window's last node in axis order (the
-    farthest node of a "+inf" window, the innermost of a "-inf" one).
+    level's oscillation for every column in one pass.  A converged
+    ladder's value is the column's entry at the deepest window's last node
+    in axis order (the farthest node of a "+inf" window, the innermost of a
+    "-inf" one); no other level's value is read.
     On product grids each column is the coordinate slice at one node of
     the finite axis: face data is stored as one profile value per such
     node, and the ladder certifies each slice limit separately.  (A full
@@ -339,8 +333,8 @@ def _face_ladders(radii, cols, face, tol):
     finite axis, which shrinks only linearly in delta and is already
     visible in the stored profile.)
     """
-    deltas = [2.0 ** -k for k in range(1, 61)]
-    bounds = np.array([1.0 / d - 1.0 for d in deltas])
+    # 1/delta - 1 for delta = 2^-1 ... 2^-60
+    bounds = 2.0 ** np.arange(1, 61) - 1.0
     order = np.argsort(radii, kind="stable")
     starts = np.searchsorted(radii[order], bounds, side="right")
     levels = int(np.count_nonzero(len(radii) - starts >= 2))
@@ -357,27 +351,20 @@ def _face_ladders(radii, cols, face, tol):
     lo = np.minimum.accumulate(
         np.minimum.reduceat(ranked, starts, axis=0)[::-1], axis=0)[::-1]
     osc = (hi - lo).T.tolist()
-    # the last node in axis order of each suffix order[j:]
-    last = np.maximum.accumulate(order[::-1])[::-1]
-    values = cols[last[starts]].T.tolist()
-    sizes = (len(radii) - starts).tolist()
-    pt = XPoint((math.nan,), (_face_axis(face),), face)
+    # the last node in axis order of the deepest window order[starts[-1]:]
+    values = cols[order[starts[-1]:].max()].tolist()
     out = []
-    for col_osc, col_values in zip(osc, values):
-        evidence = tuple(map(LevelEvidence, deltas, col_osc, sizes,
-                             col_values))
-        status = classify_ladder(evidence, tol)
-        out.append(LimitResult(
-            status, col_values[-1] if status == "converged" else None, pt,
-            evidence))
+    for col_osc, value in zip(osc, values):
+        status = classify_ladder(col_osc, tol)
+        out.append(LimitResult(status, value if status == "converged"
+                               else None, tuple(col_osc)))
     return out
 
 
 def face_profile(f, vals, face, tol):
     """The limits of vals at an infinity face of a 2-d grid function, one
     oscillation ladder per node of the other axis (_face_ladders): a list of
-    (node, LimitResult) pairs in node order.  Each result names its face
-    in point.label."""
+    (node, LimitResult) pairs in node order."""
     axis = _face_axis(face)
     return list(zip(f.axes[1 - axis].tolist(), _face_ladders(
         _face_radii(f, face), np.moveaxis(vals, axis, 0), face, tol)))
@@ -408,9 +395,7 @@ class PrecompactnessReport:
     bounded: bool
     bound: float
     equicontinuous: bool
-    modulus: tuple
     equiconvergent: bool
-    deviations: tuple
     worst_deviation: float
 
 
@@ -528,8 +513,7 @@ def precompactness_report(family):
     worst = min((d for _, d in deviations), default=math.inf)
     equiconv = all(any(d < eps for _, d in deviations)
                    for eps in _EPS_LADDER)
-    return PrecompactnessReport(bounded, bound, equicont, tuple(modulus),
-                                equiconv, tuple(deviations), worst)
+    return PrecompactnessReport(bounded, bound, equicont, equiconv, worst)
 
 
 # ---------------------------------------------------------------------------

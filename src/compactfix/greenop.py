@@ -564,19 +564,17 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
     if faces:
         quot = quotient_derivative(out, (0, 0))
         for face in out.face_labels():
-            attach_faces(out, face_profile(out, quot, face, FACE_TOL))
+            attach_faces(out, face, face_profile(out, quot, face, FACE_TOL))
     return out
 
 
-def attach_faces(out, profile):
+def attach_faces(out, face, profile):
     """Store a face profile of out/phi, the (node, LimitResult) pairs of
-    funcspace.face_profile, as out's values on that face when every node
-    converged; otherwise out gets no values on it.  Returns out."""
+    funcspace.face_profile, as out's values on face when every node
+    converged; otherwise out gets no values on it."""
     if all(res.converged for _, res in profile):
-        face = profile[0][1].point.label
         out.infinity[face] = {
             (0, 0): np.asarray([res.value for _, res in profile])}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +592,6 @@ class HypothesisReport:
     r: float
     conditions: dict
     integrals: dict
-    profiles: dict
 
     def lines(self):
         out = [f"hypothesis report at r = {self.r:g}"]
@@ -653,13 +650,11 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     phi_r = nl.dominator(r)
     conditions = {}
     integrals = {}
-    profiles = {}
 
     # C1: each kernel column lies in the weighted class: finite weighted sup
     # and an existing limit at the infinity face.
     m_profile = _weighted_quotient_sups(quotient, ts,
                                         max(2.0 * truncation, 10.0))
-    profiles["M0"] = (ts, m_profile)
     sup_ok, sup_found = _finite_count(m_profile)
     if kernel.weighted_sup is not None:
         oracle = np.array([kernel.weighted_sup(t, 0.5) for t in ts])
@@ -674,7 +669,6 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
                           cmap.infinity_points()[0], cmap, tol=1e-6)
         z_vals.append(res.value if res.converged else math.nan)
     z_vals = np.asarray(z_vals)
-    profiles["z0"] = z_vals
     z_ok, z_found = _finite_count(z_vals)
     conditions["C1"] = ConditionResult(
         "verified" if (sup_ok and z_ok) else "unverified",
@@ -690,7 +684,6 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     tc = ts[:, None]
     w_vals = np.max(np.abs(np.diff(quotient(xs, tc) * (xs >= tc), axis=1))
                     / np.diff(emb), axis=1)
-    profiles["w0"] = (ts, w_vals)
     conditions["C2"] = ConditionResult(
         "verified_on_truncation",
         f"modulus finite on [0, {truncation:g}], max {w_vals.max():.3g}; "
@@ -772,4 +765,4 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
         detail = "all three products converged on doubling truncations"
     conditions["C4"] = ConditionResult(status, detail)
 
-    return HypothesisReport(r, conditions, integrals, profiles)
+    return HypothesisReport(r, conditions, integrals)

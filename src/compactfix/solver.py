@@ -145,7 +145,7 @@ def picard_solve(problem, cfg=None):
     # one face ladder per y-node: the profile, whose converged values are
     # also the solution's face data
     profile = tuple(asymptotic_profile(u, q))
-    attach_faces(u, profile)
+    attach_faces(u, u.face_labels()[0], profile)
     residual = pde_residual(axes, q, problem.kernel, problem.nl)
     in_ball = None
     if cfg.rho_ball is not None:

@@ -280,6 +280,23 @@ def test_profile_without_a_limit_is_a_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_prints_the_ball_warning_as_one_line(tmp_path, capsys):
+    # at amplitude 1/4 the index-one condition fails at the monitored
+    # rho = 0.5; the warning is one line, before the failure line
+    path = _problem_file(
+        tmp_path, truncation=8.0,
+        kernel={"id": "gauss-shift", "params": {"rate": 0.5}},
+        nonlinearity={"id": "gauss-plus-square",
+                      "params": {"amplitude": 0.25}})
+    rc = main(["solve", "--problem-file", path, "--grid-step", "0.25",
+               "--truncation", "8", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: index-one condition fails at rho = 0.5 (lhs = 1.253); "
+        "the monitored ball is not certified",
+        "numerical failure: no limit of u/phi at y0 = 0.25"]
+
+
 def test_check_conditions_report(tmp_path, capsys):
     out = tmp_path / "cones"
     rc = main(["check-conditions", "--rho-range", "0.15:0.85:0.05",

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compactfix.compactify import (ExtensionError, HalfLineOnePoint,
-                                   LevelEvidence, LineOnePoint, LineTwoPoint,
-                                   XPoint, classify_ladder, default_levels,
-                                   extend, halfline_metric, kappa_limit)
+                                   LineOnePoint, LineTwoPoint, XPoint,
+                                   classify_ladder, default_levels, extend,
+                                   halfline_metric, kappa_limit)
 from compactfix.funcspace import (BumpChain, WeightedGridFunction,
                                   face_profile, gamma_p)
+from compactfix.greenop import attach_faces
 
 HALF = st.one_of(st.just(math.inf),
                  st.floats(min_value=0.0, max_value=1e9,
@@ -60,27 +61,17 @@ def test_two_point_metric_separates_signs():
 # ladder classification
 
 
-def _ev(*oscs):
-    return [LevelEvidence(2.0 ** -(k + 1), o, 5, 0.0)
-            for k, o in enumerate(oscs)]
-
-
 def test_classify_ladder_converged():
-    assert classify_ladder(_ev(1.0, 0.1, 1e-8), tol=1e-6) == "converged"
+    assert classify_ladder((1.0, 0.1, 1e-8), tol=1e-6) == "converged"
 
 
 def test_classify_ladder_no_limit():
-    assert classify_ladder(_ev(2.0, 2.0, 1.9), tol=1e-6) == "no_limit"
+    assert classify_ladder((2.0, 2.0, 1.9), tol=1e-6) == "no_limit"
 
 
 def test_classify_ladder_inconclusive_on_descent():
     # still falling fast; neither certified nor refuted
-    assert classify_ladder(_ev(1.0, 0.2, 0.01), tol=1e-6) == "inconclusive"
-
-
-def test_classify_ladder_needs_samples():
-    with pytest.raises(ValueError):
-        classify_ladder([LevelEvidence(0.5, 1.0, 0, 0.0)], tol=1e-6)
+    assert classify_ladder((1.0, 0.2, 0.01), tol=1e-6) == "inconclusive"
 
 
 def test_default_levels_deepen_with_tol():
@@ -129,17 +120,6 @@ def test_kappa_limit_rejects_finite_points():
         kappa_limit(np.exp, XPoint((0.5,)), cmap)
 
 
-def test_kappa_limit_stable_under_level_halving():
-    cmap = LineTwoPoint()
-    plus = cmap.infinity_points()[1]
-    tol = 1e-6
-    base = kappa_limit(np.arctan, plus, cmap, tol=tol)
-    halved = kappa_limit(np.arctan, plus, cmap, tol=tol,
-                         levels=[lv / 2 for lv in default_levels(tol)])
-    assert base.converged and halved.converged
-    assert abs(base.value - halved.value) <= tol
-
-
 def test_kappa_limit_extra_samples_are_filtered_to_the_ball():
     """Witness points outside the metric ball must be ignored."""
     cmap = HalfLineOnePoint()
@@ -169,14 +149,16 @@ def test_kappa_limit_levels_with_non_finite_samples_never_certify(fill):
                       inf_pt, cmap)
     assert not res.converged and res.value is None
     # every ball of radius below 1/101 about infinity lies beyond x = 100
-    far = [e for e in res.evidence if e.delta < 1.0 / 101.0]
-    assert far and all(e.oscillation == math.inf for e in far)
+    far = [osc for k, osc in enumerate(res.oscillations)
+           if 2.0 ** -(k + 1) < 1.0 / 101.0]
+    assert far and all(osc == math.inf for osc in far)
 
 
 def _loop_kappa_limit(f, point, cmap, tol=1e-6, extra_samples=None):
-    """Reference: the ladder with one metric call per sample point."""
+    """Reference: the ladder with one metric call per sample point, as
+    (oscillations, value at the last level's closest sample)."""
     target = point.embedded[0]
-    evidence = []
+    oscillations = []
     for delta in default_levels(tol):
         pts = cmap.sample_ball(point, delta)
         if extra_samples is not None:
@@ -188,9 +170,9 @@ def _loop_kappa_limit(f, point, cmap, tol=1e-6, extra_samples=None):
             continue
         vals = np.asarray(f(pts), dtype=float)
         dist = [cmap.distance(cmap.forward(p), target) for p in pts]
-        evidence.append(LevelEvidence(delta, float(vals.max() - vals.min()),
-                                      len(pts), float(vals[np.argmin(dist)])))
-    return tuple(evidence)
+        oscillations.append(float(vals.max() - vals.min()))
+        value = float(vals[np.argmin(dist)])
+    return tuple(oscillations), value
 
 
 def test_kappa_limit_evidence_matches_the_per_point_loop():
@@ -205,8 +187,9 @@ def test_kappa_limit_evidence_matches_the_per_point_loop():
     cases += [(np.arctan, two, p, None) for p in two.infinity_points()]
     for f, cmap, point, extra in cases:
         got = kappa_limit(f, point, cmap, tol=1e-6, extra_samples=extra)
-        assert got.evidence == _loop_kappa_limit(f, point, cmap, 1e-6,
-                                                 extra)
+        oscillations, value = _loop_kappa_limit(f, point, cmap, 1e-6, extra)
+        assert got.oscillations == oscillations
+        assert got.value == (value if got.converged else None)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +229,12 @@ def test_product_face_point_labels_finite_coordinate():
     g = _half_strip()
     prof = face_profile(g, g.quotient(), "axis0:inf", 1e-4)
     assert [node for node, _ in prof] == g.axes[1].tolist()
-    for _, res in prof:
-        assert res.point.at_infinity
-        assert res.point.infinite_axes == (0,)
-        assert res.point.label == "axis0:inf"
+    assert all(res.converged for _, res in prof)
+    # the profile is stored on the face its caller names
+    attach_faces(g, "axis0:inf", prof)
+    assert list(g.infinity) == ["axis0:inf"]
+    assert g.infinity["axis0:inf"][(0, 0)].tolist() \
+        == [res.value for _, res in prof]
 
 
 def test_product_limit_along_a_face():

@@ -82,7 +82,8 @@ def test_index_one_holds_at_half(problem):
     assert chk.lhs == pytest.approx(0.75 * SQPI2 * erf(24.0), abs=1e-9)
     assert chk.lhs == pytest.approx(0.6646701940895687, abs=1e-9)
     assert chk.f_sup == 0.75
-    assert chk.beta_factor == pytest.approx(SQPI2 * erf(24.0), abs=1e-9)
+    assert abs_integral_beta_factor(problem.kernel, default_eval_grid()) \
+        == pytest.approx(SQPI2 * erf(24.0), abs=1e-9)
 
 
 def test_index_one_fails_at_small_and_large_radius(problem):

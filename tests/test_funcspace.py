@@ -15,9 +15,9 @@ from hypothesis.extra import numpy as hnp
 
 import compactfix
 from compactfix.compactify import (HalfLineOnePoint, IntervalIdentity,
-                                   LevelEvidence, LimitResult, LineOnePoint,
-                                   LineTwoPoint, ProductCompactification,
-                                   XPoint, classify_ladder, kappa_limit)
+                                   LimitResult, LineOnePoint, LineTwoPoint,
+                                   ProductCompactification, classify_ladder,
+                                   kappa_limit)
 from compactfix.funcspace import (LOG_WEIGHTS, WEIGHT_REGISTRY, BumpChain,
                                   FaceLimitError, WeightedGridFunction,
                                   WeightUnderflowError, _face_axis,
@@ -150,8 +150,6 @@ def test_gamma_p_of_constant_quotient():
     assert np.allclose(g.values, 1.0)
     assert g.infinity["inf"] == pytest.approx(1.0, abs=1e-12)
     assert g.sup() == pytest.approx(1.0, abs=1e-12)
-    emb = g.embedded_axes[0]
-    assert np.all(np.diff(emb) > 0) and emb.max() < 1.0
 
 
 def test_gamma_p_is_linear():
@@ -232,17 +230,23 @@ def _metric_ball(f, face, delta):
     return fac.distance(fac.forward(f.axes[axis]), point.embedded[0]) < delta
 
 
+def _windows(f, face):
+    """Reference: the boolean window mask of each level of a face ladder,
+    down to the last window of at least 2 nodes."""
+    masks = []
+    for k in range(1, 61):
+        mask = _metric_ball(f, face, 2.0 ** -k)
+        if mask.sum() < 2:
+            break
+        masks.append(mask)
+    return masks
+
+
 def _per_node_ladder(f, vals, face, coord_index, tol):
     """Reference: one face ladder, a boolean window mask per level."""
     axis = _face_axis(face)
-    evidence = []
-    value = None
-    k = 1
-    while k <= 60:
-        delta = 2.0 ** -k
-        mask = _metric_ball(f, face, delta)
-        if mask.sum() < 2:
-            break
+    oscillations = []
+    for mask in _windows(f, face):
         if f.ndim == 1:
             window = vals[mask]
             value = float(vals[np.where(mask)[0][-1]])
@@ -250,16 +254,13 @@ def _per_node_ladder(f, vals, face, coord_index, tol):
             window = (vals[mask, coord_index] if axis == 0
                       else vals[coord_index, mask])
             value = float(window[-1])
-        evidence.append(LevelEvidence(delta, float(window.max() - window.min()),
-                                      int(window.size), value))
-        k += 1
-    if not evidence:
+        oscillations.append(float(window.max() - window.min()))
+    if not oscillations:
         raise ValueError(f"truncated grid has no nodes in any window of face "
                          f"{face!r}")
-    status = classify_ladder(evidence, tol)
-    pt = XPoint((math.nan,), (axis,), face)
+    status = classify_ladder(oscillations, tol)
     return LimitResult(status, value if status == "converged" else None,
-                       pt, tuple(evidence))
+                       tuple(oscillations))
 
 
 def _per_node_profile(f, vals, face, tol):
@@ -295,7 +296,7 @@ def test_one_pass_face_profile_equals_the_per_node_ladders(rng):
     want = _per_node_profile(f, q, "axis0:inf", 1e-4)
     assert repr(got) == repr(want)
     assert got[:7] + got[8:] == want[:7] + want[8:]
-    assert math.isnan(got[7][1].evidence[-1].oscillation)
+    assert math.isnan(got[7][1].oscillation)
     assert got[7][1].status == "inconclusive"
 
 
@@ -308,7 +309,8 @@ def test_one_pass_ladder_on_a_line_reads_both_faces(rng):
         got = f.face_limit((0,), face, tol=1e-6)
         assert got == _per_node_ladder(f, vals, face, None, 1e-6)
         assert got.converged
-    assert got.evidence[0].n_samples == np.count_nonzero(xs > 1.0)
+    # the first window of "+inf" is every node with x > 1
+    assert _windows(f, "+inf")[0].tolist() == (xs > 1.0).tolist()
     stored = gamma_p(f, (0,), tol=1e-6).infinity
     assert stored["-inf"] == _per_node_ladder(f, vals, "-inf", None,
                                               1e-6).value
@@ -320,7 +322,7 @@ def test_one_pass_ladder_on_a_line_reads_both_faces(rng):
     for face in ("-inf", "+inf"):
         got = f.face_limit((0,), face, tol=1e-6)
         assert got == _per_node_ladder(f, f.samples, face, None, 1e-6)
-        assert [e.n_samples for e in got.evidence] == [4, 2, 2, 2]
+        assert [int(m.sum()) for m in _windows(f, face)] == [4, 2, 2, 2]
 
 
 def test_glued_infinity_ladder_reads_both_tails():
@@ -338,7 +340,7 @@ def test_glued_infinity_ladder_reads_both_tails():
                        tol=0.1).status == "no_limit"
     got = f.face_limit((0,), "inf", tol=0.1)
     assert got == _per_node_ladder(f, f.quotient(), "inf", None, 0.1)
-    assert got.evidence[0].n_samples == np.count_nonzero(np.abs(xs) > 1.0)
+    assert _windows(f, "inf")[0].tolist() == (np.abs(xs) > 1.0).tolist()
     g = WeightedGridFunction((xs,), np.exp(-xs ** 2), cmap=cmap)
     assert gamma_p(g, (0,), tol=1e-6).infinity == {"inf": 0.0}
     # a half strip whose unbounded axis is a glued line
@@ -616,9 +618,11 @@ def test_precompactness_report_reads_the_family_in_place():
 
 def test_demo_family_report_is_unchanged():
     # the translating Gaussians of ascoli-demo, read bitwise
-    rep = precompactness_report(gaussian_family(40, 48.0, 0.005))
+    fam = gaussian_family(40, 48.0, 0.005)
+    rep = precompactness_report(fam)
     assert rep.bound == 1.0 and rep.bounded
-    assert rep.modulus == (
+    derivs = _family_quotient_derivatives(fam)
+    assert tuple(equicontinuity_modulus(fam, derivs)) == (
         (0.0049999999999954525, 0.0042888002386666235),
         (0.009999999999990905, 0.008577419246395102),
         (0.01999999999998181, 0.01715397821711695),
@@ -626,8 +630,8 @@ def test_demo_family_report_is_unchanged():
         (0.07999999999992724, 0.06854712348663305),
         (0.15999999999985448, 0.13665788174641813),
         (0.31999999999970896, 0.26985375722172156))
-    assert rep.deviations == ((0.5, 1.0), (0.25, 1.0), (0.125, 1.0),
-                              (0.0625, 1.0), (0.03125, 1.0))
+    assert tuple(equiconvergence_deviation(fam, derivs)) == (
+        (0.5, 1.0), (0.25, 1.0), (0.125, 1.0), (0.0625, 1.0), (0.03125, 1.0))
     assert rep.worst_deviation == 1.0
 
 
@@ -942,8 +946,17 @@ def test_exports_resolve_and_deleted_names_stay_gone():
                  "_QUAD_TOL", "kernel_abs_integral"):
         assert not hasattr(compactfix.cones, name), name
     assert not hasattr(compactfix.ConeReport, "to_json")
-    for cls, attrs in [(compactfix.IndexCheck, ("kind", "data")),
-                       (compactfix.NamedProblem, ("spec",))]:
+    # records carry only the fields the program reads
+    assert not hasattr(compactfix.compactify, "LevelEvidence")
+    assert [f.name for f in dataclasses.fields(compactfix.LimitResult)] \
+        == ["status", "value", "oscillations"]
+    for cls, attrs in [(compactfix.IndexCheck,
+                        ("kind", "data", "beta_factor")),
+                       (compactfix.NamedProblem, ("spec",)),
+                       (compactfix.GammaFunction, ("p", "embedded_axes")),
+                       (compactfix.PrecompactnessReport,
+                        ("modulus", "deviations")),
+                       (compactfix.HypothesisReport, ("profiles",))]:
         fields = {f.name for f in dataclasses.fields(cls)}
         for attr in attrs:
             assert attr not in fields, (cls.__name__, attr)
@@ -1002,7 +1015,7 @@ def test_exports_resolve_and_deleted_names_stay_gone():
             (compactfix.index_one_sweep, ("spec", "tol")),
             (compactfix.run_full_pipeline, ("cfg",)),
             (compactfix.kappa_limit, ("samples_per_level", "radius_cap",
-                                      "seed")),
+                                      "seed", "levels")),
             (compactfix.extend, ("kwargs",)),
             (compactfix.precompactness_report, ("eps_ladder",)),
             # every band is trimmed

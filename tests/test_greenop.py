@@ -19,6 +19,7 @@ from compactfix.funcspace import WeightedGridFunction
 from compactfix.greenop import (GridHammersteinOperator, Kernel,
                                 Nonlinearity, QuadratureError,
                                 _bspline_basis, _spline_coefficients,
+                                _unit_interval_integrals,
                                 _weighted_quotient_sups,
                                 apply_T, check_hypotheses,
                                 cumulative_weight_block,
@@ -616,11 +617,13 @@ def test_check_hypotheses_integrals(problem, c4_partials):
     assert rep.integrals["|z0|*Phi_r"] == 0.0
     assert math.isfinite(rep.integrals["w0*Phi_r"])
     assert rep.integrals["w0*Phi_r"] > 0.0
-    # the weighted column sup is exp(t^2), attained at x = 2t
-    ts, sup = rep.profiles["M0"]
+    # the weighted column sup is exp(t^2), attained at x = 2t, on the
+    # report's 41 columns of [0, 8]
+    ts = np.linspace(0.0, 8.0, 41)
+    sup = _weighted_quotient_sups(problem.kernel.weighted_quotient, ts, 16.0)
     rel = np.abs(sup - np.exp(ts ** 2)) / np.exp(ts ** 2)
     assert rel.max() < 1e-3
-    assert np.abs(rep.profiles["z0"]).max() < 1e-12
+    # (|z0|*Phi_r == 0 above: every column's face limit z0 is 0)
     partials = c4_partials(rep)
     assert partials[1] > 1.5 * partials[0]
     assert not math.isfinite(partials[2])
@@ -702,7 +705,8 @@ def test_hypothesis_profiles_match_the_column_loops(problem):
         quotient = kernel.weighted_quotient
         rep = check_hypotheses(kernel, problem.weight, problem.nl, r=0.5)
         # C1 on the 41 report columns
-        ts, sups = rep.profiles["M0"]
+        ts = np.linspace(0.0, 8.0, 41)
+        sups = _weighted_quotient_sups(quotient, ts, 16.0)
         assert np.array_equal(sups, [_loop_quotient_sup(quotient, t, 16.0,
                                                         1200) for t in ts],
                               equal_nan=True)
@@ -714,12 +718,17 @@ def test_hypothesis_profiles_match_the_column_loops(problem):
             assert np.array_equal(
                 _weighted_quotient_sups(quotient, tt, max(2.0 * R, 10.0),
                                         800), want, equal_nan=True)
-        # C2's moduli
+        # C2's moduli, read back from C2's printed max and from the
+        # w0*Phi_r integral they are integrated into (NaN if one is NaN)
         xs = np.linspace(0.0, 8.0, 400)
         emb = xs / (1.0 + xs)
-        want = [float((np.abs(np.diff(quotient(xs, t) * (xs >= t)))
-                       / np.diff(emb)).max()) for t in ts]
-        assert np.array_equal(rep.profiles["w0"][1], want, equal_nan=True)
+        want = np.array([float((np.abs(np.diff(quotient(xs, t) * (xs >= t)))
+                                / np.diff(emb)).max()) for t in ts])
+        assert f"max {np.max(want):.3g};" in rep.conditions["C2"].detail
+        w_phi = np.trapezoid(want * _unit_interval_integrals(
+            problem.nl.dominator(0.5), ts, 1e-10), ts)
+        assert np.array_equal(rep.integrals["w0*Phi_r"], w_phi,
+                              equal_nan=True)
 
 
 def test_check_hypotheses_refuses_a_kernel_without_weighted_quotient(

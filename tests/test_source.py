@@ -13,7 +13,8 @@ READERS = ([p for p in SOURCES if p.name != "__init__.py"]
            + sorted(ROOT.glob("demos/*.py"))
            + [p for p in sorted(ROOT.glob("perfbench/*.py"))
               if not p.name.startswith("test_")])
-# public definitions that stay although no reader above reads them, and why
+# public definitions and fields that stay although no reader above reads
+# them, and why
 UNREAD_ALLOWED = {
     "halfline_metric": "check 8 of tests/test_acceptance.py reads it",
     "alpha_inf": "check 8 of tests/test_acceptance.py reads it",
@@ -59,41 +60,57 @@ def test_unused_import_check_sees_a_leftover(tmp_path):
 
 
 def _public_definitions(path):
-    """(line, name) of the public functions and classes a module defines
-    at its top level, and of the public methods of its public classes."""
+    """(line, name, field) of the public functions and classes a module
+    defines at its top level, of the public methods of its public classes
+    (field False) and of those classes' annotated class-body fields (field
+    True, named Class.field)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for node in tree.body:
         if isinstance(node, kinds) and not node.name.startswith("_"):
-            out.append((node.lineno, node.name))
+            out.append((node.lineno, node.name, False))
             if isinstance(node, ast.ClassDef):
-                out.extend((m.lineno, m.name) for m in node.body
+                out.extend((m.lineno, m.name, False) for m in node.body
                            if isinstance(m, kinds)
                            and not m.name.startswith("_"))
+                out.extend((m.lineno, f"{node.name}.{m.target.id}", True)
+                           for m in node.body
+                           if isinstance(m, ast.AnnAssign)
+                           and isinstance(m.target, ast.Name))
     return out
 
 
 def _read_names(path):
-    """Every name a module reads: names, attributes, and string constants
-    that are identifiers (a harness that looks a method up by its name)."""
-    out = set()
+    """(names, fields) a module reads.  names: names, attributes, and
+    string constants that are identifiers (a harness that looks a method up
+    by its name).  fields: attributes it loads and those identifier
+    strings, so a field that is only assigned is not read."""
+    names, fields = set(), set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            names.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                fields.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and node.value.isidentifier()):
-            out.add(node.value)
-    return out
+            names.add(node.value)
+            fields.add(node.value)
+    return names, fields
 
 
 def _unread_definitions(sources, readers):
-    read = set().union(*map(_read_names, readers))
+    """The public definitions and fields of sources that no reader reads,
+    as "module:line name" entries; a field matches by its own name."""
+    reads = [_read_names(path) for path in readers]
+    names = set().union(*(n for n, _ in reads))
+    fields = set().union(*(f for _, f in reads))
     return sorted(f"{path.name}:{line} {name}" for path in sources
-                  for line, name in _public_definitions(path)
-                  if name not in read)
+                  for line, name, field in _public_definitions(path)
+                  if (name.partition(".")[2] not in fields if field
+                      else name not in names))
 
 
 def test_every_public_definition_has_a_reader_outside_tests():
@@ -113,3 +130,14 @@ def test_unread_definition_check_sees_a_leftover(tmp_path):
                       "getattr(Box(), 'size')()\n")
     assert _unread_definitions([mod], [reader]) == ["mod.py:13 spare",
                                                    "mod.py:5 unread"]
+
+
+def test_unread_field_check_sees_a_leftover(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from dataclasses import dataclass\n\n\n@dataclass\n"
+                   "class Box:\n    size: int\n    spare: int = 0\n")
+    reader = tmp_path / "reader.py"
+    # assigning a field does not read it
+    reader.write_text("from mod import Box\nbox = Box(1)\nbox.spare = 2\n"
+                      "print(box.size)\n")
+    assert _unread_definitions([mod], [reader]) == ["mod.py:7 Box.spare"]
