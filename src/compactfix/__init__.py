@@ -10,7 +10,7 @@ from .casestudy import (NamedProblem, PROBLEM_IDS, load_problem,
                         validate_closed_forms)
 from .compactify import (Extension, ExtensionError, HalfLineOnePoint,
                          IntervalIdentity, LimitResult, LineOnePoint,
-                         LineTwoPoint, ProductCompactification, XPoint,
+                         LineTwoPoint, ProductCompactification,
                          classify_ladder, default_levels, extend,
                          halfline_metric, kappa_limit)
 from .cones import (ConeReport, IndexCheck, f_sup_rho, index_one_check,
@@ -22,9 +22,9 @@ from .funcspace import (WEIGHT_REGISTRY, BumpChain, FaceLimitError,
                         load_grid_function, multi_indices,
                         precompactness_report, quotient_derivative,
                         save_grid_function, weighted_norm)
-from .greenop import (Dominator, GridHammersteinOperator, HypothesisReport,
-                      Kernel, Nonlinearity, QuadratureError, apply_T,
-                      attach_faces, check_hypotheses, cumulative_weights,
+from .greenop import (GridHammersteinOperator, HypothesisReport, Kernel,
+                      Nonlinearity, QuadratureError, apply_T, attach_faces,
+                      check_hypotheses, cumulative_weights,
                       kernel_abs_integral, panel_quadrature)
 from .solver import (IterationError, SolveConfig, SolveResult,
                      asymptotic_profile, pde_residual, picard_solve,
@@ -33,7 +33,7 @@ from .solver import (IterationError, SolveConfig, SolveResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BumpChain", "ConeReport", "Dominator", "Extension", "ExtensionError",
+    "BumpChain", "ConeReport", "Extension", "ExtensionError",
     "FaceLimitError", "GammaFunction",
     "GridHammersteinOperator", "HalfLineOnePoint", "HypothesisReport",
     "IndexCheck", "IntervalIdentity", "IterationError", "Kernel",
@@ -41,7 +41,6 @@ __all__ = [
     "Nonlinearity", "PrecompactnessReport", "PROBLEM_IDS",
     "ProductCompactification", "QuadratureError", "SolveConfig", "SolveResult",
     "WEIGHT_REGISTRY", "WeightedGridFunction", "WeightUnderflowError",
-    "XPoint",
     "apply_T", "asymptotic_profile", "attach_faces", "check_hypotheses",
     "classify_ladder", "cumulative_weights",
     "default_levels", "extend", "f_sup_rho", "gamma_p", "gaussian_family",

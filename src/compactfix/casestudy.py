@@ -25,7 +25,7 @@ from .compactify import (ExtensionError, HalfLineOnePoint, IntervalIdentity,
 from .funcspace import (LOG_WEIGHTS, WEIGHT_REGISTRY, BumpChain,
                         gaussian_family, gaussian_family_separation,
                         precompactness_report)
-from .greenop import (Dominator, Kernel, Nonlinearity, kernel_abs_integral,
+from .greenop import (Kernel, Nonlinearity, kernel_abs_integral,
                       panel_quadrature, quotient_forms)
 
 PROBLEM_IDS = ("hyperbolic-erf",)
@@ -39,9 +39,11 @@ class NamedProblem:
     weight_desc: str             # a WEIGHT_REGISTRY name
     kernel: Kernel
     nl: Nonlinearity
-    cmap: object
     closed_forms: dict = field(default_factory=dict)
     truncation: float = 24.0     # the x-truncation a solve uses by default
+    #: the half strip [0, inf] x [0, 1], which a solve's grid functions
+    #: take by default and their sidecars name "product"
+    cmap = ProductCompactification((HalfLineOnePoint(), IntervalIdentity()))
 
     @property
     def weight(self):
@@ -118,8 +120,7 @@ def _gauss_square_nonlinearity(weight_desc, amplitude=0.125):
         # int_0^1 Phi_r ds = (amp int_0^1 exp(-s^2) ds + r^2) exp(-t^2)
         # when phi(t)^2 = exp(-t^2)
         scale = amplitude * _SQRT_PI / 2.0 * erf(1.0) + r * r
-        return Dominator(phi_r,
-                         scale if weight_desc == "exp(-x^2/2)" else None)
+        return phi_r, (scale if weight_desc == "exp(-x^2/2)" else None)
 
     return Nonlinearity("gauss-plus-square", fn, dominator,
                         params={"amplitude": amplitude}, q_eval=q_eval)
@@ -131,8 +132,7 @@ def _zero_nonlinearity(weight_desc):
                                      np.asarray(v)).shape)
 
     def dominator(r):
-        return Dominator(lambda t, s: 0.0 * np.asarray(t) * np.asarray(s),
-                         0.0)
+        return lambda t, s: 0.0 * np.asarray(t) * np.asarray(s), 0.0
 
     # f(t, s, phi q) / phi^2 is 0 for every weight
     return Nonlinearity("zero", fn, dominator, q_eval=fn)
@@ -141,12 +141,6 @@ def _zero_nonlinearity(weight_desc):
 _KERNELS = {"gauss-shift": _gauss_shift_kernel}
 _NONLINEARITIES = {"gauss-plus-square": _gauss_square_nonlinearity,
                    "zero": _zero_nonlinearity}
-
-
-def _halfstrip_cmap():
-    return ProductCompactification((HalfLineOnePoint(),
-                                    IntervalIdentity()),
-                                   name="halfstrip")
 
 
 def _hyperbolic_erf():
@@ -168,7 +162,6 @@ def _hyperbolic_erf():
         weight_desc="exp(-x^2/2)",
         kernel=kernel,
         nl=nl,
-        cmap=_halfstrip_cmap(),
         closed_forms={"abs_integral": kernel.abs_integral, "Tu0": tu0,
                       "Tu0_face": tu0_face},
     )
@@ -228,7 +221,7 @@ def load_problem_file(path):
                              positive=True)
     return NamedProblem(
         id=problem_id, weight_desc=weight_desc,
-        kernel=kernel, nl=nl, cmap=_halfstrip_cmap(),
+        kernel=kernel, nl=nl,
         closed_forms={"abs_integral": kernel.abs_integral},
         truncation=truncation)
 
@@ -270,10 +263,9 @@ def _bump_chain_demo():
     derivative none."""
     chain = BumpChain()
     cmap = HalfLineOnePoint()
-    inf_pt = cmap.infinity_points()[0]
-    value_limit = kappa_limit(chain.value, inf_pt, cmap, tol=1e-3,
+    value_limit = kappa_limit(chain.value, "inf", cmap, tol=1e-3,
                               extra_samples=chain.witness_points)
-    deriv_limit = kappa_limit(chain.derivative, inf_pt, cmap, tol=1e-3,
+    deriv_limit = kappa_limit(chain.derivative, "inf", cmap, tol=1e-3,
                               extra_samples=chain.witness_points)
     return {
         "value": {"status": value_limit.status,

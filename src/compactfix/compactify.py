@@ -1,11 +1,13 @@
 """Metric compactifications of unbounded domains and limits along them.
 
-A compactification of a 1-d domain is modelled as an embedding into a
-bounded interval (the "embedded" coordinates) together with a list of
-infinity points sitting on the boundary of the image; a grid's domain is a
-product of such maps, one per axis.  Limits of functions at infinity points
-are estimated by sampling the domain inside shrinking metric balls and
-watching the oscillation of the sampled values.
+A compactification of a 1-d domain is its infinity points, named by
+labels ("inf", or "-inf" and "+inf"), and one ball rule: a domain point of
+tail radius r (CompactMap.ball_radius) about an infinity point lies in the
+point's metric ball of radius delta iff r > 1/delta - 1, because the
+embedding x/(1 + |x|) puts it at distance 1/(1 + r) from the point.  A
+grid's domain is a product of such maps, one per axis.  Limits at infinity
+points are estimated by sampling the domain inside shrinking metric balls
+and watching the oscillation of the sampled values.
 """
 
 from __future__ import annotations
@@ -36,23 +38,6 @@ def _h_half(x):
 
 
 @dataclass(frozen=True)
-class XPoint:
-    """A point of the compactified space, in embedded coordinates.
-
-    ``embedded`` lives in the bounded image space.  ``infinite_axes`` names the
-    factor axes sitting at infinity (empty tuple = ordinary finite point).
-    """
-
-    embedded: tuple
-    infinite_axes: tuple = ()
-    label: str = ""
-
-    @property
-    def at_infinity(self):
-        return len(self.infinite_axes) > 0
-
-
-@dataclass(frozen=True)
 class LimitResult:
     """Outcome of a sampled limit estimate at one infinity point.
 
@@ -60,7 +45,7 @@ class LimitResult:
     is the oscillation on the metric ball of radius 2^-(k+1), for every
     ball tested, and oscillation the last of them.  A converged result
     carries the value of its last ball: kappa_limit reads it at the ball's
-    sample metrically closest to the point; the grid face ladders of
+    first sample of largest tail radius; the grid face ladders of
     funcspace._face_ladders read it at the deepest window's last node in
     axis order, which is the farthest node of a "+inf" window but the
     innermost (largest x) of a "-inf" one, and the farthest node of the
@@ -108,10 +93,11 @@ def kappa_limit(f, point, cmap, tol=1e-6, extra_samples=None):
 
     f is evaluated on domain points at geometric radii inside the metric
     balls B(point, delta) for delta in default_levels(tol); ValueError for
-    a point that is not at infinity.  The ladder stops at the first ball
-    without samples (a ball beyond RADIUS_CAP), so the k-th oscillation is
-    still that of radius 2^-(k+1).  Returns a LimitResult; the value of a
-    converged result is f at the sample closest to the point.
+    a label that is not one of cmap.infinity_points().  The ladder stops at
+    the first ball without samples (a ball beyond RADIUS_CAP), so the k-th
+    oscillation is still that of radius 2^-(k+1).  Returns a LimitResult;
+    the value of a converged result is f at its first sample of largest
+    tail radius.
 
     extra_samples, when given, is a callable delta -> domain points that are
     merged into each level after filtering to the metric ball.  Generic
@@ -119,21 +105,20 @@ def kappa_limit(f, point, cmap, tol=1e-6, extra_samples=None):
     marching-bump derivative is the canonical case), so counterexample
     demonstrations pass the witness points explicitly.
     """
-    if not point.at_infinity:
-        raise ValueError("kappa_limit expects an infinity point")
-    target = np.asarray(point.embedded, dtype=float)
+    if point not in cmap.infinity_points():
+        raise ValueError(f"{point!r} is not an infinity point of "
+                         f"{cmap.name!r}")
     oscillations = []
     for delta in default_levels(tol):
         pts = cmap.sample_ball(point, delta)
         if extra_samples is not None:
             ex = np.atleast_1d(np.asarray(extra_samples(delta), dtype=float))
             pts = np.concatenate(
-                [pts, ex[cmap.distance(cmap.forward(ex), target) < delta]])
+                [pts, ex[cmap.ball_radius(point, ex) > 1.0 / delta - 1.0]])
         if len(pts) == 0:
             break
         vals = np.asarray(f(pts), dtype=float)
-        dist = cmap.distance(cmap.forward(pts), target)
-        value = float(vals[np.argmin(dist)])
+        value = float(vals[np.argmax(cmap.ball_radius(point, pts))])
         # a level with a non-finite sample never certifies
         oscillations.append(float(vals.max()) - float(vals.min())
                             if np.isfinite(vals).all() else math.inf)
@@ -169,9 +154,9 @@ def extend(f, cmap, tol=1e-6):
     for p in cmap.infinity_points():
         res = kappa_limit(f, p, cmap, tol=tol)
         if res.converged:
-            limits[p.label] = res.value
+            limits[p] = res.value
         else:
-            failures[p.label] = res
+            failures[p] = res
     if failures:
         raise ExtensionError(failures)
     return Extension(limits)
@@ -194,17 +179,10 @@ def _tail_radii(delta, n=_SAMPLES_PER_LEVEL):
 
 
 class CompactMap:
-    """Base class: an embedding of a 1-d domain into a bounded interval."""
+    """Base class: a compactification of a 1-d domain, by the labels of its
+    infinity points and its ball rule."""
 
     name = "abstract"
-
-    def forward(self, x):
-        raise NotImplementedError
-
-    def distance(self, a, b):
-        """The metric between embedded coordinates a and b, broadcast;
-        this base map takes |a - b|."""
-        return np.abs(a - b)
 
     def infinity_points(self):
         raise NotImplementedError
@@ -222,16 +200,12 @@ class CompactMap:
 
 
 class HalfLineOnePoint(CompactMap):
-    """[0, inf) embedded in [0, 1] by x/(1+x); one infinity point at 1."""
+    """[0, inf) with one infinity point "inf"."""
 
     name = "halfline-onepoint"
 
-    def forward(self, x):
-        x = np.asarray(x, dtype=float)
-        return x / (1.0 + x)
-
     def infinity_points(self):
-        return [XPoint((1.0,), (0,), "inf")]
+        return ["inf"]
 
     def sample_ball(self, point, delta):
         return _tail_radii(delta)
@@ -241,45 +215,30 @@ class HalfLineOnePoint(CompactMap):
 
 
 class LineTwoPoint(CompactMap):
-    """R embedded in [-1, 1] by x/(1+|x|); two infinity points -inf, +inf."""
+    """R with two infinity points "-inf" and "+inf", one per tail."""
 
     name = "line-twopoint"
 
-    def forward(self, x):
-        x = np.asarray(x, dtype=float)
-        return x / (1.0 + np.abs(x))
-
     def infinity_points(self):
-        return [XPoint((-1.0,), (0,), "-inf"), XPoint((1.0,), (0,), "+inf")]
+        return ["-inf", "+inf"]
 
     def sample_ball(self, point, delta):
         r = _tail_radii(delta)
-        return r if point.embedded[0] > 0 else -r
+        return r if point == "+inf" else -r
 
     def ball_radius(self, point, x):
         x = np.asarray(x, dtype=float)
-        return x if point.embedded[0] > 0 else -x
+        return x if point == "+inf" else -x
 
 
 class LineOnePoint(CompactMap):
-    """R with both tails glued to a single infinity point (circle metric).
-
-    Embedded coordinates live in [-1, 1] with the endpoints identified; the
-    metric is min(|a-b|, 2-|a-b|), the quotient metric of the gluing.
-    """
+    """R with both tails glued to a single infinity point "inf"; the
+    metric is the circle's, the quotient metric of the gluing."""
 
     name = "line-onepoint"
 
-    def forward(self, x):
-        x = np.asarray(x, dtype=float)
-        return x / (1.0 + np.abs(x))
-
-    def distance(self, a, b):
-        d = np.abs(a - b)
-        return np.minimum(d, 2.0 - d)
-
     def infinity_points(self):
-        return [XPoint((1.0,), (0,), "inf")]
+        return ["inf"]
 
     def sample_ball(self, point, delta):
         r = _tail_radii(delta, _SAMPLES_PER_LEVEL // 2)
@@ -291,12 +250,9 @@ class LineOnePoint(CompactMap):
 
 
 class IntervalIdentity(CompactMap):
-    """A compact interval; the identity is already a compactification."""
+    """A compact interval; it is already compact and adds no point."""
 
     name = "interval"
-
-    def forward(self, x):
-        return np.asarray(x, dtype=float)
 
     def infinity_points(self):
         return []
@@ -308,7 +264,7 @@ class ProductCompactification:
     its faces are those of the factors with an infinity point."""
 
     factors: tuple
-    name: str = "product"
+    name = "product"
 
     def __post_init__(self):
         self.factors = tuple(self.factors)

@@ -165,13 +165,15 @@ class WeightedGridFunction:
     def face_labels(self):
         return face_labels(self.cmap)
 
-    def face_limit(self, p, face, coord_index=None, tol=1e-6):
-        """Windowed limit of d_p(f/phi) at an infinity face, from grid
-        data; on a 2-d grid, of its slice at node coord_index of the other
-        axis (see _face_ladders)."""
-        axis = _face_axis(face)
-        cols = np.moveaxis(quotient_derivative(self, p), axis, 0)
-        cols = cols[:, None] if self.ndim == 1 else cols[:, [coord_index]]
+    def face_limit(self, p, face, tol=1e-6):
+        """Windowed limit of d_p(f/phi) at an infinity face of a 1-d grid,
+        from grid data (see _face_ladders); ValueError on any other grid,
+        whose faces face_profile reads node by node."""
+        if self.ndim != 1:
+            raise ValueError(f"face_limit reads a 1-d grid; this grid is "
+                             f"{self.ndim}-d, read its faces with "
+                             "face_profile")
+        cols = quotient_derivative(self, p)[:, None]
         return _face_ladders(_face_radii(self, face), cols, face, tol)[0]
 
 
@@ -181,15 +183,15 @@ def _default_cmap(ndim):
 
 def _named_cmap(name, ndim):
     """The compactification that a grid file's sidecar names: one of the
-    1-d maps, or "product" or "halfstrip", a half line times one interval
-    per further axis; ValueError for any other name."""
+    1-d maps, or "product", a half line times one interval per further
+    axis; ValueError for any other name."""
     for cls in (HalfLineOnePoint, LineTwoPoint, LineOnePoint,
                 IntervalIdentity):
         if name == cls.name:
             return cls()
-    if name in ("product", "halfstrip"):
+    if name == ProductCompactification.name:
         return ProductCompactification(
-            (HalfLineOnePoint(),) + (IntervalIdentity(),) * (ndim - 1), name)
+            (HalfLineOnePoint(),) + (IntervalIdentity(),) * (ndim - 1))
     raise ValueError(f"unknown compactification {name!r}")
 
 
@@ -199,9 +201,9 @@ def face_labels(cmap):
     strip's face is "axis0:inf", a two-point line factor gives
     "axis0:-inf" and "axis0:+inf")."""
     if isinstance(cmap, ProductCompactification):
-        return [f"axis{i}:{p.label}" for i, fac in enumerate(cmap.factors)
+        return [f"axis{i}:{p}" for i, fac in enumerate(cmap.factors)
                 for p in fac.infinity_points()]
-    return [p.label for p in cmap.infinity_points()]
+    return list(cmap.infinity_points())
 
 
 def _face_axis(face):
@@ -220,11 +222,10 @@ def _face_radii(f, face):
     product = isinstance(f.cmap, ProductCompactification)
     fac = f.cmap.factors[axis] if product else f.cmap
     label = face.partition(":")[2] if product else face
-    points = [p for p in fac.infinity_points() if p.label == label]
-    if not points:
+    if label not in fac.infinity_points():
         raise ValueError(f"the compactification has no infinity face "
                          f"{face!r}")
-    return fac.ball_radius(points[0], f.axes[axis])
+    return fac.ball_radius(label, f.axes[axis])
 
 
 def quotient_derivative(f, p):
@@ -576,7 +577,7 @@ class BumpChain:
         return np.asarray(pts)
 
 
-def gaussian_family(n_max, truncation=48.0, step=0.005, order=0):
+def gaussian_family(n_max, truncation=48.0, step=0.005):
     """Unit Gaussians centred at 2..n_max as weight-1 grid functions."""
     xs = np.arange(0.0, truncation + step / 2, step)
     cmap = HalfLineOnePoint()
@@ -584,14 +585,15 @@ def gaussian_family(n_max, truncation=48.0, step=0.005, order=0):
     for c in range(2, n_max + 1):
         samples = np.exp(-(xs - c) ** 2)
         faces = {"inf": {(0,): 0.0}}
-        fam.append(WeightedGridFunction((xs,), samples, None, order, cmap,
+        fam.append(WeightedGridFunction((xs,), samples, None, 0, cmap,
                                         faces))
     return fam
 
 
-def gaussian_family_separation(n_max, step=1e-3):
-    """Minimum pairwise sup-distance of the translating Gaussian family."""
-    xs = np.arange(0.0, n_max + 6.0, step)
+def gaussian_family_separation(n_max):
+    """Minimum pairwise sup-distance of the translating Gaussian family,
+    sampled at step 1e-3."""
+    xs = np.arange(0.0, n_max + 6.0, 1e-3)
     vals = [np.exp(-(xs - c) ** 2) for c in range(2, n_max + 1)]
     best = math.inf
     for i in range(len(vals)):

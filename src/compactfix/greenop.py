@@ -213,27 +213,16 @@ def quotient_forms(log_kx, dlog_kx, weight_desc):
 
 
 @dataclass
-class Dominator:
-    """Phi_r(t, s), called like a function.  tail_scale, when given, is a
-    c with int_0^1 Phi_r(t, s) ds <= c exp(-t^2) for every t >= 0, the
-    certificate of Phi_r's Gaussian tail; None means Phi_r has none, and
-    an infinite c (r^2 overflows) certifies nothing either."""
-
-    fn: object
-    tail_scale: float = None
-
-    def __call__(self, t, s):
-        return self.fn(t, s)
-
-
-@dataclass
 class Nonlinearity:
     """Forcing term f(t, s, v), assumed nonnegative on the cone.
 
-    dominator(r) must return a Dominator Phi_r with
-    f(t, s, v) <= Phi_r(t, s) whenever |v| <= r * phi(t, s).  q_eval is
-    the nonlinearity's half of the problem's quotient form:
-    q_eval(t, s, q) = f(t, s, phi(t) q) / phi(t)^2, so that q = u/phi
+    dominator(r) must return a pair (Phi_r, tail_scale): a vectorised
+    Phi_r(t, s) with f(t, s, v) <= Phi_r(t, s) whenever |v| <= r phi(t, s),
+    and a c with int_0^1 Phi_r(t, s) ds <= c exp(-t^2) for every t >= 0,
+    the certificate of Phi_r's Gaussian tail; a tail_scale of None means
+    Phi_r has none, and an infinite c (r^2 overflows) certifies nothing
+    either.  q_eval is the nonlinearity's half of the problem's quotient
+    form: q_eval(t, s, q) = f(t, s, phi(t) q) / phi(t)^2, so that q = u/phi
     solves q = int int Kernel.qx(x, t) q_eval(t, s, q) ds dt (a forcing
     takes -2 log phi(t) into its exponent); the grid operator refuses a
     nonlinearity without it.
@@ -647,7 +636,7 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     truncation = 8.0
     ts = np.linspace(0.0, truncation, 41)
     ss = np.linspace(0.0, 1.0, 9)
-    phi_r = nl.dominator(r)
+    phi_r, tail_scale = nl.dominator(r)
     conditions = {}
     integrals = {}
 
@@ -666,7 +655,7 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     z_vals = []
     for t in ts[::5]:
         res = kappa_limit(lambda x, t=t: quotient(np.asarray(x), t),
-                          cmap.infinity_points()[0], cmap, tol=1e-6)
+                          "inf", cmap, tol=1e-6)
         z_vals.append(res.value if res.converged else math.nan)
     z_vals = np.asarray(z_vals)
     z_ok, z_found = _finite_count(z_vals)
@@ -694,24 +683,29 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     # [0, B] x [0, 1], with B the first integer at which the Gaussian tail
     # bound that Phi_r certifies drops below tol.
     tm, sm = np.meshgrid(ts, ss, indexing="ij")
+    phi_grid = phi_r(tm, sm)
+    # the Phi_r integrals of C3 and C4 settle to their tolerances times
+    # Phi_r's sampled peak once it exceeds 1: relative, not absolute
+    quad_scale = max(1.0, float(np.max(phi_grid)))
     dom_ok = True
     worst = -math.inf
     for frac in (0.0, 0.3, 0.7, 1.0):
         v = frac * r * weight(tm)
-        gap = float(np.max(nl.eval(tm, sm, v) - phi_r(tm, sm)))
+        gap = float(np.max(nl.eval(tm, sm, v) - phi_grid))
         worst = max(worst, gap)
         dom_ok &= gap <= 1e-12
-    if phi_r.tail_scale is None or not math.isfinite(phi_r.tail_scale):
+    if tail_scale is None or not math.isfinite(tail_scale):
         conditions["C3"] = ConditionResult(
             "unverified",
             f"domination margin {worst:.2e} on sampled cone points; Phi_r "
             "certifies no Gaussian tail, so its integral is not bounded")
     else:
-        tail = gaussian_tail(1.0, scale=phi_r.tail_scale)
+        tail = gaussian_tail(1.0, scale=tail_scale)
         t_top = 1
         while not tail(t_top) < tol:
             t_top += 1
-        phi_int = _unit_strip_integral(phi_r, float(t_top), tol)
+        phi_int = _unit_strip_integral(phi_r, float(t_top),
+                                       tol * quad_scale)
         integrals["Phi_r"] = phi_int
         conditions["C3"] = ConditionResult(
             "verified" if dom_ok and math.isfinite(phi_int)
@@ -733,7 +727,7 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
             # Multiplying inf by an underflowed s-integral would give nan,
             # so bail out before forming the product.
             return math.inf
-        sint = _unit_interval_integrals(phi_r, tt, 1e-10)
+        sint = _unit_interval_integrals(phi_r, tt, 1e-10 * quad_scale)
         return float(np.trapezoid(mprof * sint, tt))
 
     radii = [truncation, 2 * truncation, 4 * truncation]
@@ -750,7 +744,8 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
         integrals["|z0|*Phi_r"] = float(np.max(np.abs(z_vals))) \
             * integrals["Phi_r"]
     w_phi = float(np.trapezoid(
-        w_vals * _unit_interval_integrals(phi_r, ts, 1e-10), ts))
+        w_vals * _unit_interval_integrals(phi_r, ts, 1e-10 * quad_scale),
+        ts))
     integrals["w0*Phi_r"] = w_phi
     trail = (f"partial M0*Phi_r integrals {partials[0]:.4g} -> "
              f"{partials[1]:.4g} -> {partials[2]:.4g}")

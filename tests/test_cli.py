@@ -163,11 +163,11 @@ def test_problem_file_parameters_are_validated(tmp_path, capsys, command,
 
 
 def test_quadrature_failure_is_a_numerical_failure(tmp_path, capsys):
-    # the absolute tolerance of the Phi_r integrals cannot be met at this
-    # magnitude
-    path = _problem_file(tmp_path, nonlinearity={
-        "id": "gauss-plus-square", "params": {"amplitude": 1e200}})
-    rc = main(["check-conditions", "--problem-file", path,
+    # at rate 1e4 the kernel is a spike of width 1e-2 at t = x, narrower
+    # than the finest panels, so its absolute integral cannot settle
+    path = _problem_file(tmp_path, kernel={"id": "gauss-shift",
+                                           "params": {"rate": 1e4}})
+    rc = main(["validate-closed-forms", "--problem-file", path,
                "--out", str(tmp_path / "run")])
     assert rc == 2
     err = capsys.readouterr().err

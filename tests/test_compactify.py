@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compactfix.compactify import (ExtensionError, HalfLineOnePoint,
-                                   LineOnePoint, LineTwoPoint, XPoint,
+                                   LineOnePoint, LineTwoPoint,
                                    classify_ladder, default_levels, extend,
                                    halfline_metric, kappa_limit)
 from compactfix.funcspace import (BumpChain, WeightedGridFunction,
@@ -16,6 +16,17 @@ from compactfix.greenop import attach_faces
 HALF = st.one_of(st.just(math.inf),
                  st.floats(min_value=0.0, max_value=1e9,
                            allow_nan=False, allow_infinity=False))
+
+
+def _distance(cmap, point, x):
+    """The metric distance of domain points x to an infinity point, which
+    the maps' ball rule stands for: x/(1 + |x|) embeds the domain in
+    [-1, 1] with "-inf" at -1 and "inf" and "+inf" at 1, and the one-point
+    line glues -1 to 1, so its metric is the circle's
+    min(|a - b|, 2 - |a - b|)."""
+    x = np.asarray(x, dtype=float)
+    d = np.abs(x / (1.0 + np.abs(x)) - (-1.0 if point == "-inf" else 1.0))
+    return np.minimum(d, 2.0 - d) if isinstance(cmap, LineOnePoint) else d
 
 
 # ---------------------------------------------------------------------------
@@ -39,22 +50,24 @@ def test_halfline_metric_axioms(a, b, c):
     assert halfline_metric(a, c) <= dab + halfline_metric(b, c) + 1e-12
 
 
-@settings(max_examples=250, derandomize=True)
-@given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
-def test_circle_metric_axioms(a, b, c):
-    m = LineOnePoint().distance
-    dab = m(a, b)
-    assert 0.0 <= dab <= 1.0 + 1e-15
-    assert dab == m(b, a)
-    assert m(a, a) == 0.0
-    assert m(a, c) <= dab + m(b, c) + 1e-12
-
-
-def test_two_point_metric_separates_signs():
-    cmap = LineTwoPoint()
-    minus, plus = (p.embedded[0] for p in cmap.infinity_points())
-    assert cmap.distance(minus, plus) == 2.0
-    assert cmap.distance(cmap.forward(50.0), plus) < 0.02
+def test_ball_radius_is_the_metric_ball():
+    # r > 1/delta - 1 holds exactly where the metric distance is below
+    # delta, away from the ball's boundary, where rounding decides
+    tail = np.geomspace(1e-3, 1e9, 481)
+    for cmap in (HalfLineOnePoint(), LineTwoPoint(), LineOnePoint()):
+        for point in cmap.infinity_points():
+            for k in range(1, 21):
+                delta = 2.0 ** -k
+                edge = 1.0 / delta - 1.0
+                x = np.concatenate([tail, edge * np.array(
+                    [1.0 - 1e-8, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-8])])
+                if not isinstance(cmap, HalfLineOnePoint):
+                    x = np.concatenate([-x, [0.0], x])
+                r = cmap.ball_radius(point, x)
+                far = np.abs(r - edge) > 1e-9 * edge
+                assert far.sum() >= len(x) - 6
+                assert ((r > edge) == (_distance(cmap, point, x) < delta))[
+                    far].all(), (cmap.name, point, k)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +128,11 @@ def test_constant_function_converges_to_constant():
 
 
 def test_kappa_limit_rejects_finite_points():
+    # a point is one of the map's infinity labels; the half line has no
+    # "+inf"
     cmap = HalfLineOnePoint()
-    with pytest.raises(ValueError):
-        kappa_limit(np.exp, XPoint((0.5,)), cmap)
+    with pytest.raises(ValueError, match="'\\+inf' is not an infinity"):
+        kappa_limit(np.exp, "+inf", cmap)
 
 
 def test_kappa_limit_extra_samples_are_filtered_to_the_ball():
@@ -157,19 +172,17 @@ def test_kappa_limit_levels_with_non_finite_samples_never_certify(fill):
 def _loop_kappa_limit(f, point, cmap, tol=1e-6, extra_samples=None):
     """Reference: the ladder with one metric call per sample point, as
     (oscillations, value at the last level's closest sample)."""
-    target = point.embedded[0]
     oscillations = []
     for delta in default_levels(tol):
         pts = cmap.sample_ball(point, delta)
         if extra_samples is not None:
             ex = np.atleast_1d(np.asarray(extra_samples(delta), dtype=float))
-            keep = [p for p in ex
-                    if cmap.distance(cmap.forward(p), target) < delta]
+            keep = [p for p in ex if _distance(cmap, point, p) < delta]
             pts = np.concatenate([pts, np.asarray(keep, dtype=float)])
         if len(pts) == 0:
             continue
         vals = np.asarray(f(pts), dtype=float)
-        dist = [cmap.distance(cmap.forward(p), target) for p in pts]
+        dist = [_distance(cmap, point, p) for p in pts]
         oscillations.append(float(vals.max() - vals.min()))
         value = float(vals[np.argmin(dist)])
     return tuple(oscillations), value

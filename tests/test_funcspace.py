@@ -216,18 +216,35 @@ def test_face_limit_needs_nodes_in_some_window():
         f.face_limit((0,), "inf")
 
 
+def test_face_limit_refuses_a_grid_that_is_not_1d():
+    # a 2-d grid's face holds one limit per node of the other axis, which
+    # face_profile reads
+    xs = np.linspace(0.0, 40.0, 81)
+    ys = np.linspace(0.0, 1.0, 5)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    f = WeightedGridFunction((xs, ys), np.tanh(X) + Y)
+    with pytest.raises(ValueError, match="2-d, read its faces with "
+                                         "face_profile"):
+        f.face_limit((0, 0), "axis0:inf")
+    assert all(res.converged
+               for _, res in face_profile(f, f.quotient(), "axis0:inf", 1e-6))
+
+
 def _metric_ball(f, face, delta):
-    """Reference window: the nodes of the face's axis whose image under the
-    axis's map lies within delta of the face's infinity point, in that
-    map's metric (a product face is its factor's last infinity point)."""
+    """Reference window: the nodes of the face's axis whose image under
+    x/(1 + |x|) lies within delta of the face's infinity point, "-inf" at
+    -1 and "inf" and "+inf" at 1, in the metric of the axis's map: the
+    circle's min(|a - b|, 2 - |a - b|) for the one-point line, which glues
+    -1 to 1, and |a - b| otherwise."""
     axis = _face_axis(face)
-    if isinstance(f.cmap, ProductCompactification):
-        fac = f.cmap.factors[axis]
-        point = fac.infinity_points()[-1]
-    else:
-        fac = f.cmap
-        point, = (p for p in fac.infinity_points() if p.label == face)
-    return fac.distance(fac.forward(f.axes[axis]), point.embedded[0]) < delta
+    product = isinstance(f.cmap, ProductCompactification)
+    fac = f.cmap.factors[axis] if product else f.cmap
+    x = f.axes[axis]
+    d = np.abs(x / (1.0 + np.abs(x)) - (-1.0 if face.endswith("-inf")
+                                        else 1.0))
+    if isinstance(fac, LineOnePoint):
+        d = np.minimum(d, 2.0 - d)
+    return d < delta
 
 
 def _windows(f, face):
@@ -744,8 +761,7 @@ _HALF_STRIP = (HalfLineOnePoint(), IntervalIdentity())
 
 @pytest.mark.parametrize("cmap", [
     HalfLineOnePoint(), LineTwoPoint(), LineOnePoint(), IntervalIdentity(),
-    ProductCompactification(_HALF_STRIP),
-    ProductCompactification(_HALF_STRIP, name="halfstrip")],
+    ProductCompactification(_HALF_STRIP)],
     ids=lambda cmap: cmap.name)
 def test_save_load_save_keeps_the_cmap(tmp_path, cmap):
     xs = np.linspace(-4.0 if cmap.name.startswith("line") else 0.0, 4.0, 9)
@@ -771,22 +787,32 @@ def test_load_refuses_an_unknown_cmap(tmp_path):
     save_grid_function(wgf(phi(XS)), path)
     sidecar = tmp_path / "grid.csv.json"
     side = json.loads(sidecar.read_text())
-    side["cmap"] = "ball"
-    sidecar.write_text(json.dumps(side))
-    with pytest.raises(ValueError, match="unknown compactification 'ball'"):
-        load_grid_function(path)
+    # "product" is the half strip's only name
+    for name in ("ball", "halfstrip"):
+        side["cmap"] = name
+        sidecar.write_text(json.dumps(side))
+        with pytest.raises(ValueError,
+                           match=f"unknown compactification '{name}'"):
+            load_grid_function(path)
+
+
+class _Strip(HalfLineOnePoint):
+    """A map that no sidecar name rebuilds."""
+
+    name = "strip"
 
 
 def test_save_refuses_a_cmap_that_would_reload_otherwise(tmp_path):
-    axes = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3))
+    xs = np.linspace(0.0, 1.0, 5)
+    axes = (xs, np.linspace(0.0, 1.0, 3))
     path = tmp_path / "grid.csv"
-    for cmap, match in (
-            (ProductCompactification(_HALF_STRIP, name="strip"),
-             "unknown compactification 'strip'"),
+    for axes, cmap, match in (
+            ((xs,), _Strip(), "unknown compactification 'strip'"),
             # a product reloads as a half line times an interval
-            (ProductCompactification((IntervalIdentity(),) * 2),
+            (axes, ProductCompactification((IntervalIdentity(),) * 2),
              "'product' would reload with other infinity faces")):
-        f = WeightedGridFunction(axes, np.zeros((5, 3)), cmap=cmap)
+        f = WeightedGridFunction(axes, np.zeros(tuple(map(len, axes))),
+                                 cmap=cmap)
         with pytest.raises(ValueError, match=match):
             save_grid_function(f, path)
         assert not path.exists()
@@ -963,10 +989,30 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     # a demo returns its summary dict; no wrapper carries it
     assert "PipelineBundle" not in compactfix.__all__
     assert not hasattr(compactfix.casestudy, "PipelineBundle")
-    # every problem has a kernel, a nonlinearity, a weight and a map
+    # every problem has a kernel, a nonlinearity and a weight, and all of
+    # them the half strip's map, which a sidecar names "product"
     for f in dataclasses.fields(compactfix.NamedProblem):
-        if f.name in ("weight_desc", "kernel", "nl", "cmap"):
+        if f.name in ("weight_desc", "kernel", "nl"):
             assert f.default is dataclasses.MISSING, f.name
+    assert "cmap" not in {
+        f.name for f in dataclasses.fields(compactfix.NamedProblem)}
+    assert compactfix.NamedProblem.cmap.name == "product"
+    assert [type(fac) for fac in compactfix.NamedProblem.cmap.factors] \
+        == [HalfLineOnePoint, IntervalIdentity]
+    # a map is its infinity labels and its ball rule: no point records, no
+    # embedding, no constructor-given name; a dominator is a pair
+    for name in ("XPoint", "Dominator"):
+        assert name not in compactfix.__all__
+        assert not hasattr(compactfix, name)
+    assert not hasattr(compactfix.compactify, "XPoint")
+    assert not hasattr(compactfix.greenop, "Dominator")
+    for cls in (compactfix.compactify.CompactMap, HalfLineOnePoint,
+                LineTwoPoint, LineOnePoint, IntervalIdentity,
+                ProductCompactification):
+        for attr in ("forward", "distance"):
+            assert not hasattr(cls, attr), (cls.__name__, attr)
+    assert [f.name for f in dataclasses.fields(ProductCompactification)] \
+        == ["factors"]
     # the grid operator works in the quotient only, and every kernel
     # carries its own weighted quotient
     case = compactfix.load_problem("hyperbolic-erf")

@@ -13,6 +13,9 @@ READERS = ([p for p in SOURCES if p.name != "__init__.py"]
            + sorted(ROOT.glob("demos/*.py"))
            + [p for p in sorted(ROOT.glob("perfbench/*.py"))
               if not p.name.startswith("test_")])
+# the code that calls the package: the readers above and the tests
+CALLERS = READERS + sorted(ROOT.glob("perfbench/test_*.py")) \
+    + sorted(ROOT.glob("tests/*.py"))
 # public definitions and fields that stay although no reader above reads
 # them, and why
 UNREAD_ALLOWED = {
@@ -141,3 +144,85 @@ def test_unread_field_check_sees_a_leftover(tmp_path):
     reader.write_text("from mod import Box\nbox = Box(1)\nbox.spare = 2\n"
                       "print(box.size)\n")
     assert _unread_definitions([mod], [reader]) == ["mod.py:7 Box.spare"]
+
+
+def _defaulted_parameters(path):
+    """(line, function, parameter, position) of each parameter with a
+    default of the public functions a module defines at its top level and
+    of the public methods of its public classes.  position is the index of
+    the argument that a positional call fills, not counting self or cls,
+    or None for a keyword-only parameter."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, funcs) and not node.name.startswith("_"):
+            found.append((node, False))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            # every method takes self or cls first; none is static
+            found.extend((m, True) for m in node.body
+                         if isinstance(m, funcs)
+                         and not m.name.startswith("_"))
+    out = []
+    for fn, bound in found:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out.extend((fn.lineno, fn.name, arg.arg, i - bound)
+                   for i, arg in enumerate(positional) if i >= first)
+        out.extend((fn.lineno, fn.name, arg.arg, None)
+                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None)
+    return out
+
+
+def _passed_arguments(paths):
+    """Called name -> what its calls pass: the positions they fill, the
+    keywords they name, and "*" or "**" when one unpacks arguments."""
+    passed = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            got = passed.setdefault(name, set())
+            plain = [a for a in node.args if not isinstance(a, ast.Starred)]
+            got.update(range(len(plain)))
+            if len(plain) < len(node.args):
+                got.add("*")
+            got.update("**" if kw.arg is None else kw.arg
+                       for kw in node.keywords)
+    return passed
+
+
+def _unset_parameters(sources, callers):
+    """The defaulted parameters of the public functions and methods of
+    sources that no call in callers passes, by keyword, by position or
+    through *args or **kwargs, as "module:line function(parameter)"
+    entries; a call matches a function by its name."""
+    passed = _passed_arguments(callers)
+    out = []
+    for path in sources:
+        for line, fn, param, pos in _defaulted_parameters(path):
+            got = passed.get(fn, set())
+            if not ({param, "**"} & got
+                    or pos is not None and ({pos, "*"} & got)):
+                out.append(f"{path.name}:{line} {fn}({param})")
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    unset = _unset_parameters(SOURCES, CALLERS)
+    assert not unset, unset
+
+
+def test_unset_parameter_check_sees_a_leftover(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def scale(x, factor=2.0, offset=0.0):\n"
+                   "    return factor * x + offset\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from mod import scale\nscale(1.0, 3.0)\n")
+    assert _unset_parameters([mod], [reader]) == ["mod.py:1 scale(offset)"]
