@@ -17,13 +17,14 @@ from .cones import (ConeReport, IndexCheck, f_sup_rho, index_one_check,
                     index_one_sweep)
 from .funcspace import (WEIGHT_REGISTRY, BumpChain, FaceLimitError,
                         GammaFunction, PrecompactnessReport,
-                        WeightedGridFunction, WeightUnderflowError, gamma_p,
+                        WeightedGridFunction, WeightUnderflowError,
+                        attach_faces, gamma_p,
                         gaussian_family, gaussian_family_separation,
                         load_grid_function, multi_indices,
                         precompactness_report, quotient_derivative,
                         save_grid_function, weighted_norm)
 from .greenop import (GridHammersteinOperator, HypothesisReport, Kernel,
-                      Nonlinearity, QuadratureError, apply_T, attach_faces,
+                      Nonlinearity, QuadratureError, apply_T,
                       check_hypotheses, cumulative_weights,
                       kernel_abs_integral, panel_quadrature)
 from .solver import (IterationError, SolveConfig, SolveResult,

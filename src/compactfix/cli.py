@@ -134,11 +134,7 @@ def _cmd_solve(args):
                       truncation=truncation, tol=args.tol,
                       max_iter=args.max_iter, rho_ball=args.rho)
     try:
-        with warnings.catch_warnings():
-            # each warning of the solve is one line, printed as it is raised
-            warnings.showwarning = lambda message, *_: print(
-                f"warning: {message}", file=sys.stderr)
-            result = picard_solve(problem, cfg)
+        result = picard_solve(problem, cfg)
     except IterationError as err:
         print(f"solve failed: {err}", file=sys.stderr)
         return 2
@@ -232,8 +228,12 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # each warning is one line, printed as it is raised
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            args = parser.parse_args(argv)
+            return _COMMANDS[args.command](args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

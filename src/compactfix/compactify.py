@@ -1,7 +1,8 @@
 """Metric compactifications of unbounded domains and limits along them.
 
-A compactification of a 1-d domain is its infinity points, named by
-labels ("inf", or "-inf" and "+inf"), and one ball rule: a domain point of
+A compactification of a 1-d domain is its tails table: the label of each
+infinity point ("inf", or "-inf" and "+inf") with the signs of the domain
+tails that the point's balls hold.  One ball rule follows: a domain point of
 tail radius r (CompactMap.ball_radius) about an infinity point lies in the
 point's metric ball of radius delta iff r > 1/delta - 1, because the
 embedding x/(1 + |x|) puts it at distance 1/(1 + r) from the point.  A
@@ -179,56 +180,48 @@ def _tail_radii(delta, n=_SAMPLES_PER_LEVEL):
 
 
 class CompactMap:
-    """Base class: a compactification of a 1-d domain, by the labels of its
-    infinity points and its ball rule."""
+    """Base class: a compactification of a 1-d domain, by its tails table.
+
+    tails maps the label of each infinity point to the signs of the domain
+    tails that the point's metric balls hold; the points, their balls'
+    samples and the ball rule all derive from it."""
 
     name = "abstract"
 
     def infinity_points(self):
-        raise NotImplementedError
+        return list(self.tails)
 
     def sample_ball(self, point, delta):
         """Domain points inside the metric ball B(point, delta) of an
-        infinity point, at radii up to RADIUS_CAP."""
-        raise NotImplementedError
+        infinity point, at radii up to RADIUS_CAP: each tail's radii in
+        increasing order, _SAMPLES_PER_LEVEL of them at least over all
+        tails."""
+        signs = self.tails[point]
+        r = _tail_radii(delta, _SAMPLES_PER_LEVEL // len(signs))
+        return np.concatenate([s * r for s in signs])
 
     def ball_radius(self, point, x):
         """The tail radius r of each domain point x about an infinity
         point: x lies in the metric ball B(point, delta) iff
-        r > 1/delta - 1."""
-        raise NotImplementedError
+        r > 1/delta - 1.  A point that holds both tails (the circle's
+        glued point) has radius |x|."""
+        signs = self.tails[point]
+        x = np.asarray(x, dtype=float)
+        return np.abs(x) if len(signs) > 1 else x if signs[0] > 0 else -x
 
 
 class HalfLineOnePoint(CompactMap):
     """[0, inf) with one infinity point "inf"."""
 
     name = "halfline-onepoint"
-
-    def infinity_points(self):
-        return ["inf"]
-
-    def sample_ball(self, point, delta):
-        return _tail_radii(delta)
-
-    def ball_radius(self, point, x):
-        return np.asarray(x, dtype=float)
+    tails = {"inf": (1,)}
 
 
 class LineTwoPoint(CompactMap):
     """R with two infinity points "-inf" and "+inf", one per tail."""
 
     name = "line-twopoint"
-
-    def infinity_points(self):
-        return ["-inf", "+inf"]
-
-    def sample_ball(self, point, delta):
-        r = _tail_radii(delta)
-        return r if point == "+inf" else -r
-
-    def ball_radius(self, point, x):
-        x = np.asarray(x, dtype=float)
-        return x if point == "+inf" else -x
+    tails = {"-inf": (-1,), "+inf": (1,)}
 
 
 class LineOnePoint(CompactMap):
@@ -236,26 +229,14 @@ class LineOnePoint(CompactMap):
     metric is the circle's, the quotient metric of the gluing."""
 
     name = "line-onepoint"
-
-    def infinity_points(self):
-        return ["inf"]
-
-    def sample_ball(self, point, delta):
-        r = _tail_radii(delta, _SAMPLES_PER_LEVEL // 2)
-        return np.concatenate([-r[::-1], r])
-
-    def ball_radius(self, point, x):
-        # both tails: the circle distance of x/(1 + |x|) to 1 is 1/(1 + |x|)
-        return np.abs(np.asarray(x, dtype=float))
+    tails = {"inf": (-1, 1)}
 
 
 class IntervalIdentity(CompactMap):
     """A compact interval; it is already compact and adds no point."""
 
     name = "interval"
-
-    def infinity_points(self):
-        return []
+    tails = {}
 
 
 @dataclass

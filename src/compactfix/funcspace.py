@@ -101,7 +101,8 @@ class WeightedGridFunction:
             raise ValueError(f"weight description {weight_desc!r} does not "
                              "name the given weight")
         self.order = int(order)
-        self.cmap = cmap if cmap is not None else _default_cmap(len(self.axes))
+        self.cmap = cmap if cmap is not None else _named_cmap(
+            "halfline-onepoint" if self.ndim == 1 else "product", self.ndim)
         self.infinity = infinity or {}
         self._wvals = None
         self._q = None
@@ -155,13 +156,6 @@ class WeightedGridFunction:
                 "undefined")
         return self.samples / wvals
 
-    def with_samples(self, samples, infinity=None):
-        out = WeightedGridFunction(self.axes, samples, self.weight,
-                                   self.order, self.cmap,
-                                   infinity if infinity is not None else {})
-        out._wvals = self._wvals  # same axes and weight
-        return out
-
     def face_labels(self):
         return face_labels(self.cmap)
 
@@ -173,12 +167,8 @@ class WeightedGridFunction:
             raise ValueError(f"face_limit reads a 1-d grid; this grid is "
                              f"{self.ndim}-d, read its faces with "
                              "face_profile")
-        cols = quotient_derivative(self, p)[:, None]
-        return _face_ladders(_face_radii(self, face), cols, face, tol)[0]
-
-
-def _default_cmap(ndim):
-    return _named_cmap("halfline-onepoint" if ndim == 1 else "product", ndim)
+        return _face_ladders(self, quotient_derivative(self, p), face,
+                             tol)[0]
 
 
 def _named_cmap(name, ndim):
@@ -295,45 +285,37 @@ def gamma_p(f, p, tol=1e-6):
         if p in stored:
             inf_vals[face] = np.asarray(stored[p], dtype=float)
             continue
-        if f.ndim == 1:
-            res = _face_ladders(_face_radii(f, face), vals[:, None], face,
-                                tol)[0]
+        # the other axes' nodes name a failing slice and shape the value;
+        # a 1-d grid has none, so its value is a scalar
+        axis = _face_axis(face)
+        others = f.axes[:axis] + f.axes[axis + 1:]
+        results = _face_ladders(f, vals, face, tol)
+        for nodes, res in zip(itertools.product(*others), results):
             if not res.converged:
-                raise FaceLimitError(face, res)
-            inf_vals[face] = np.float64(res.value)
-        else:
-            got = []
-            for node, res in face_profile(f, vals, face, tol):
-                if not res.converged:
-                    raise FaceLimitError(f"{face}@{node:.6g}", res)
-                got.append(res.value)
-            inf_vals[face] = np.asarray(got)
+                raise FaceLimitError(
+                    face + "".join(f"@{n:.6g}" for n in nodes), res)
+        inf_vals[face] = np.reshape([res.value for res in results],
+                                    [len(a) for a in others])[()]
     return GammaFunction(vals, inf_vals)
 
 
-def _face_ladders(radii, cols, face, tol):
-    """Oscillation ladders for face limits, windows drawn from the grid: one
-    LimitResult per column of cols, whose rows follow the face axis nodes
-    with their _face_radii.
+def _face_windows(f, vals, face):
+    """The grid windows of a face of f, and the extremes of vals on them.
 
-    Level k (delta = 2^-k) has the window of the nodes with radius above
-    1/delta - 1, a suffix of the nodes in the order of increasing radius:
-    on an increasing axis a suffix for a "+inf" face, a prefix for a "-inf"
-    one, and both tails for the glued point of LineOnePoint.  The ladder
-    stops before the first window with fewer than 2 nodes, and ValueError
-    reports a face without any.  Running maxima and minima of the segments
-    between consecutive window starts, from the far end, give every
-    level's oscillation for every column in one pass.  A converged
-    ladder's value is the column's entry at the deepest window's last node
-    in axis order (the farthest node of a "+inf" window, the innermost of a
-    "-inf" one); no other level's value is read.
-    On product grids each column is the coordinate slice at one node of
-    the finite axis: face data is stored as one profile value per such
-    node, and the ladder certifies each slice limit separately.  (A full
-    metric-ball window would add the profile's own variation across the
-    finite axis, which shrinks only linearly in delta and is already
-    visible in the stored profile.)
+    The columns of vals are its slices along the face's axis, one per node
+    of the other axes (one column on a 1-d grid).  Window k (delta =
+    2^-(k+1)) is the nodes with _face_radii above 1/delta - 1, a suffix of
+    the nodes in the order of increasing radius: on an increasing axis a
+    suffix for a "+inf" face, a prefix for a "-inf" one, and both tails
+    for the glued point of LineOnePoint.  The windows stop before the first
+    with fewer than 2 nodes, and ValueError reports a face without any.
+    Returns (hi, lo, last): hi[k] and lo[k] hold each column's maximum and
+    minimum on window k, from running extremes of the segments between
+    consecutive window starts, run from the far end, in one pass (a NaN in
+    a window makes them NaN); last holds the columns' entries at the
+    deepest window's last node in axis order.
     """
+    radii = _face_radii(f, face)
     # 1/delta - 1 for delta = 2^-1 ... 2^-60
     bounds = 2.0 ** np.arange(1, 61) - 1.0
     order = np.argsort(radii, kind="stable")
@@ -343,19 +325,35 @@ def _face_ladders(radii, cols, face, tol):
         raise ValueError(f"truncated grid has no nodes in any window of face "
                          f"{face!r}")
     starts = starts[:levels]
-    # window k is the nodes order[starts[k]:]: the extremes of each segment
-    # starts[k]..starts[k + 1], run from the far end, are the windows'
-    # (a segment between equal starts reads one node of the next window)
+    cols = np.moveaxis(vals, _face_axis(face), 0).reshape(len(radii), -1)
+    # the extremes of each segment starts[k]..starts[k + 1], run from the
+    # far end, are the windows' (a segment between equal starts reads one
+    # node of the next window)
     ranked = cols[order]
     hi = np.maximum.accumulate(
         np.maximum.reduceat(ranked, starts, axis=0)[::-1], axis=0)[::-1]
     lo = np.minimum.accumulate(
         np.minimum.reduceat(ranked, starts, axis=0)[::-1], axis=0)[::-1]
-    osc = (hi - lo).T.tolist()
-    # the last node in axis order of the deepest window order[starts[-1]:]
-    values = cols[order[starts[-1]:].max()].tolist()
+    return hi, lo, cols[order[starts[-1]:].max()]
+
+
+def _face_ladders(f, vals, face, tol):
+    """Oscillation ladders for the limits of vals at a face of f, on the
+    grid windows of _face_windows: one LimitResult per column, its k-th
+    oscillation that of window k.  A converged ladder's value is the
+    column's entry at the deepest window's last node in axis order (the
+    farthest node of a "+inf" window, the innermost of a "-inf" one); no
+    other level's value is read.
+    On product grids each column is the coordinate slice at one node of
+    the finite axis: face data is stored as one profile value per such
+    node, and the ladder certifies each slice limit separately.  (A full
+    metric-ball window would add the profile's own variation across the
+    finite axis, which shrinks only linearly in delta and is already
+    visible in the stored profile.)
+    """
+    hi, lo, last = _face_windows(f, vals, face)
     out = []
-    for col_osc, value in zip(osc, values):
+    for col_osc, value in zip((hi - lo).T.tolist(), last.tolist()):
         status = classify_ladder(col_osc, tol)
         out.append(LimitResult(status, value if status == "converged"
                                else None, tuple(col_osc)))
@@ -366,9 +364,17 @@ def face_profile(f, vals, face, tol):
     """The limits of vals at an infinity face of a 2-d grid function, one
     oscillation ladder per node of the other axis (_face_ladders): a list of
     (node, LimitResult) pairs in node order."""
-    axis = _face_axis(face)
-    return list(zip(f.axes[1 - axis].tolist(), _face_ladders(
-        _face_radii(f, face), np.moveaxis(vals, axis, 0), face, tol)))
+    return list(zip(f.axes[1 - _face_axis(face)].tolist(),
+                    _face_ladders(f, vals, face, tol)))
+
+
+def attach_faces(f, face, profile):
+    """Store a face profile of f/phi, the (node, LimitResult) pairs of
+    face_profile, as f's values on face when every node converged;
+    otherwise f gets no values on it."""
+    if all(res.converged for _, res in profile):
+        f.infinity[face] = {
+            (0, 0): np.asarray([res.value for _, res in profile])}
 
 
 # ---------------------------------------------------------------------------
@@ -455,42 +461,28 @@ def equicontinuity_modulus(family, derivs, max_shift=64):
 
 
 def equiconvergence_deviation(family, derivs):
-    """Per delta-window, the worst gap between members and their face
-    values; NaN when a window holds a NaN.  derivs holds the members'
-    quotient derivatives, one list per multi-index, as
-    _family_quotient_derivatives builds them."""
+    """Per window of each face's ladder (_face_windows), the worst gap
+    between the members and their stored face values, as (delta, gap)
+    rows; NaN when a window holds a NaN.  Each slice of the face's axis is
+    compared with its own stored node value, as the ladder reads it, so
+    the gap on a window is the larger of hi - stored and stored - lo.
+    derivs holds the members' quotient derivatives, one list per
+    multi-index, as _family_quotient_derivatives builds them."""
     f0 = family[0]
     out = []
     for face in f0.face_labels():
-        axis = _face_axis(face)
-        radii = _face_radii(f0, face)
-        k = 1
-        while k <= 60:
-            delta = 2.0 ** -k
-            mask = radii > 1.0 / delta - 1.0
-            if mask.sum() < 2:
-                break
-            worst = 0.0
-            for p, v in derivs.items():
-                for i, g in enumerate(family):
-                    stored = g.infinity.get(face, {}).get(p)
-                    if stored is None:
-                        raise FaceLimitError(face)
-                    if f0.ndim == 1:
-                        gap = np.abs(v[i][mask] - float(stored)).max()
-                    else:
-                        other = 1 - axis
-                        arr = np.asarray(stored, dtype=float)
-                        onodes = f0.axes[other]
-                        gap = 0.0
-                        for j in range(len(onodes)):
-                            omask = np.abs(onodes - onodes[j]) < delta
-                            win = (v[i][np.ix_(mask, omask)] if axis == 0
-                                   else v[i][np.ix_(omask, mask)])
-                            gap = np.maximum(gap, np.abs(win - arr[j]).max())
-                    worst = np.maximum(worst, gap)
-            out.append((delta, float(worst)))
-            k += 1
+        worst = 0.0
+        for p, members in derivs.items():
+            for g, v in zip(family, members):
+                stored = g.infinity.get(face, {}).get(p)
+                if stored is None:
+                    raise FaceLimitError(face)
+                stored = np.ravel(stored)
+                hi, lo, _ = _face_windows(f0, v, face)
+                worst = np.maximum(worst, np.maximum(hi - stored,
+                                                     stored - lo).max(axis=1))
+        out.extend((2.0 ** -(k + 1), gap)
+                   for k, gap in enumerate(worst.tolist()))
     return out
 
 

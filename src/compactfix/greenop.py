@@ -22,14 +22,16 @@ qx reaches 2^-53 of its row peak, and evaluates qx on that band only
 (kernel_row_blocks).  The infinity-face values of Tu are read off its grid
 samples by the windowed face ladders of funcspace.face_profile.
 
-Every integral outside the grid path uses one rule: a composite 16-node
-Gauss-Legendre rule on 2^L equal panels of each interval, L = 0, 1, ...
-A level is certified by the 8-node rule on the same panels: it is taken
-once the two rules agree to tol (Gander & Gautschi, "Adaptive quadrature -
-revisited", BIT 2000; Piessens et al., QUADPACK, 1983).  panel_quadrature
-applies it to many 1-d intervals at once, the cross-check path in 2-d.
-With the 1-d rule the module estimates the kernel bounds that the
-contraction/index arguments need: the absolute kernel integral, the
+Every integral outside the grid path uses one rule, but for the outer
+t-integrals of check_hypotheses' M0*Phi_r and w0*Phi_r products, which are
+np.trapezoid sums over sampled sup and modulus profiles: a composite
+16-node Gauss-Legendre rule on 2^L equal panels of each interval,
+L = 0, 1, ...  A level is certified by the 8-node rule on the same panels:
+it is taken once the two rules agree to tol (Gander & Gautschi, "Adaptive
+quadrature - revisited", BIT 2000; Piessens et al., QUADPACK, 1983).
+panel_quadrature applies it to many 1-d intervals at once, the cross-check
+path in 2-d.  With the 1-d rule the module estimates the kernel bounds that
+the contraction/index arguments need: the absolute kernel integral, the
 weighted sup profile M_p, the face limits z_p of the weighted kernel
 columns, the continuity modulus w_p, and their L1 products against a
 dominating envelope Phi_r.
@@ -43,8 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compactify import HalfLineOnePoint, kappa_limit
-from .funcspace import (LOG_WEIGHTS, WeightedGridFunction, face_profile,
-                        quotient_derivative)
+from .funcspace import (LOG_WEIGHTS, WeightedGridFunction, attach_faces,
+                        face_profile, quotient_derivative)
 
 # the value rule of every panel integral, the same-panel companion that
 # certifies it, and both side by side (one integrand call per 1-d level)
@@ -537,7 +539,7 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
     quotient forms.  Both integrals run from 0, reading u clamped to its
     grid.  With faces=True each infinity face of Tu gets its face profile
     (funcspace.face_profile at FACE_TOL, every node's ladder in one pass),
-    stored by attach_faces.
+    stored by funcspace.attach_faces.
     """
     if u.ndim != 2:
         raise ValueError("apply_T expects a 2d grid function")
@@ -546,7 +548,8 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
         out = WeightedGridFunction.from_quotient(
             u.axes, op.apply(u.quotient()), u.weight, u.order, u.cmap)
     elif method == "adaptive":
-        out = u.with_samples(_panel_integrals(u, nl, kernel.kx, tol))
+        out = WeightedGridFunction(u.axes, _panel_integrals(
+            u, nl, kernel.kx, tol), u.weight, u.order, u.cmap)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -555,15 +558,6 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
         for face in out.face_labels():
             attach_faces(out, face, face_profile(out, quot, face, FACE_TOL))
     return out
-
-
-def attach_faces(out, face, profile):
-    """Store a face profile of out/phi, the (node, LimitResult) pairs of
-    funcspace.face_profile, as out's values on face when every node
-    converged; otherwise out gets no values on it."""
-    if all(res.converged for _, res in profile):
-        out.infinity[face] = {
-            (0, 0): np.asarray([res.value for _, res in profile])}
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import beta_sup, default_eval_grid, index_one_check
-from .funcspace import (FaceLimitError, WeightedGridFunction, face_profile,
-                        save_grid_function, weighted_norm)
-from .greenop import (FACE_TOL, GridHammersteinOperator, attach_faces,
-                      kernel_row_blocks)
+from .funcspace import (FaceLimitError, WeightedGridFunction, attach_faces,
+                        face_profile, save_grid_function, weighted_norm)
+from .greenop import FACE_TOL, GridHammersteinOperator, kernel_row_blocks
 
 
 class IterationError(Exception):

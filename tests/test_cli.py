@@ -189,6 +189,20 @@ def test_overflowing_radius_is_a_numerical_failure(tmp_path, package_env):
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
 
+def test_overflow_warnings_are_one_line_each(tmp_path, package_env):
+    # the same call with its warnings shown: each is one "warning: " line,
+    # not numpy's location line and source line, before the failure line
+    res = subprocess.run(
+        [sys.executable, "-m", "compactfix.cli", "check-conditions",
+         "--rho", "1e200", "--out", str(tmp_path / "run")],
+        env=package_env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    err = res.stderr.strip().splitlines()
+    assert len(err) >= 2, err
+    assert all(line.startswith("warning: ") for line in err[:-1]), err
+    assert err[-1].startswith("numerical failure: ")
+
+
 def test_long_truncation_solves_past_the_weight_underflow(tmp_path, capsys):
     # exp(-x^2/2) is 0 in float64 beyond x = 38.6, but the solve never
     # divides by it: q converges everywhere and u = phi q rounds to 0 there

@@ -517,7 +517,9 @@ def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
     # difference must be carried past the shifts 3 and 4
     fam = gaussian_family(12, truncation=16.0, step=0.01)
     wave = 3.0 * np.sin(np.pi * np.arange(len(fam[0].axes[0])) / 2.0)
-    fam.append(fam[0].with_samples(wave))
+    f0 = fam[0]
+    fam.append(WeightedGridFunction(f0.axes, wave, f0.weight, f0.order,
+                                    f0.cmap))
     modulus = equicontinuity_modulus(fam, _family_quotient_derivatives(fam))
     assert modulus == _doubling_modulus(fam)
     assert len(modulus) == 7
@@ -528,8 +530,10 @@ def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
     fam2 = [WeightedGridFunction(
         (xs, ys), a * np.exp(-(X - c) ** 2) * (1.0 + b * Y ** 2), phi,
         order=1) for a, b, c in rng.uniform(0.0, 3.0, (5, 3))]
-    fam2.append(fam2[0].with_samples(np.sin(np.pi * np.arange(61) / 2.0)
-                                     [:, None] * np.exp(-X ** 2 / 2.0)))
+    f0 = fam2[0]
+    fam2.append(WeightedGridFunction(
+        f0.axes, np.sin(np.pi * np.arange(61) / 2.0)[:, None]
+        * np.exp(-X ** 2 / 2.0), f0.weight, f0.order, f0.cmap))
     derivs = _family_quotient_derivatives(fam2)
     for max_shift in (1, 12, 32):
         got = equicontinuity_modulus(fam2, derivs, max_shift)
@@ -562,7 +566,9 @@ def test_nan_sample_never_certifies(node):
     fam = gaussian_family(12, truncation=16.0, step=0.01)
     bad = fam[3].samples.copy()
     bad[node] = math.nan
-    fam[3] = fam[3].with_samples(bad, fam[3].infinity)
+    g = fam[3]
+    fam[3] = WeightedGridFunction(g.axes, bad, g.weight, g.order, g.cmap,
+                                  g.infinity)
     derivs = _family_quotient_derivatives(fam)
     assert all(math.isnan(w) for _, w in equicontinuity_modulus(fam, derivs))
     rep = precompactness_report(fam)
@@ -580,7 +586,9 @@ def test_nan_member_makes_the_family_unbounded(member):
     fam = gaussian_family(12, truncation=16.0, step=0.01)
     bad = fam[member].samples.copy()
     bad[400] = math.nan
-    fam[member] = fam[member].with_samples(bad, fam[member].infinity)
+    g = fam[member]
+    fam[member] = WeightedGridFunction(g.axes, bad, g.weight, g.order,
+                                       g.cmap, g.infinity)
     rep = precompactness_report(fam)
     assert math.isnan(rep.bound)
     assert not rep.bounded
@@ -650,6 +658,69 @@ def test_demo_family_report_is_unchanged():
     assert tuple(equiconvergence_deviation(fam, derivs)) == (
         (0.5, 1.0), (0.25, 1.0), (0.125, 1.0), (0.0625, 1.0), (0.03125, 1.0))
     assert rep.worst_deviation == 1.0
+
+
+def _per_slice_deviation(f, face, stored):
+    """Reference: for each window of the face's ladder, the worst gap
+    between a slice of f's quotient along the face's axis and that
+    slice's stored face value, one slice at a time, on a half line,
+    whose tail radius is x itself."""
+    axis = _face_axis(face)
+    radii = f.axes[axis]
+    q = np.moveaxis(f.quotient(), axis, 0)
+    out = []
+    for k in range(1, 61):
+        window = radii > 2.0 ** k - 1.0
+        if window.sum() < 2:
+            break
+        out.append((2.0 ** -k, max(
+            float(np.abs(q[window, j] - stored[j]).max())
+            for j in range(q.shape[1]))))
+    return out
+
+
+def test_half_strip_profile_is_equiconvergent():
+    # q = y + e^-x tends to its stored face y on every slice; a window
+    # that also spans |y - y_j| < delta reads the profile's own spread
+    # (0.837 down to 0.025) and calls the family not equiconvergent
+    xs = np.linspace(0.0, 40.0, 801)
+    ys = np.linspace(0.0, 1.0, 81)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    f = WeightedGridFunction((xs, ys), Y + np.exp(-X),
+                             infinity={"axis0:inf": {(0, 0): ys}})
+    devs = equiconvergence_deviation([f], _family_quotient_derivatives([f]))
+    assert devs == _per_slice_deviation(f, "axis0:inf", ys)
+    assert devs[-1][1] < 1e-12
+    assert precompactness_report([f]).equiconvergent
+
+
+def test_equiconvergence_reads_the_ladder_windows():
+    # one row per level of the face's ladder, at the ladder's deltas
+    xs = np.linspace(0.0, 40.0, 801)
+    ys = np.linspace(0.0, 1.0, 5)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    f1 = WeightedGridFunction((xs,), np.exp(-xs),
+                              infinity={"inf": {(0,): 0.0}})
+    f2 = WeightedGridFunction((xs, ys), Y * np.exp(-X),
+                              infinity={"axis0:inf": {(0, 0): 0.0 * ys}})
+    for f, res in ((f1, f1.face_limit((0,), "inf")),
+                   (f2, face_profile(f2, f2.quotient(), "axis0:inf",
+                                     1e-6)[0][1])):
+        devs = equiconvergence_deviation(
+            [f, f], _family_quotient_derivatives([f, f]))
+        assert [d for d, _ in devs] \
+            == [2.0 ** -(k + 1) for k in range(len(res.oscillations))]
+
+
+def test_equiconvergence_needs_a_window_on_every_face():
+    # no node lies beyond x = 1, so the face has no window: the ladder's
+    # ValueError, not a family that reads "not equiconvergent"
+    xs = np.linspace(0.0, 0.9, 10)
+    fam = [WeightedGridFunction((xs,), np.zeros_like(xs),
+                                infinity={"inf": {(0,): 0.0}})]
+    with pytest.raises(ValueError, match="no nodes in any window of face "
+                                         "'inf'"):
+        equiconvergence_deviation(fam, _family_quotient_derivatives(fam))
 
 
 def test_equiconvergence_requires_stored_faces():
@@ -896,7 +967,8 @@ def test_from_quotient_keeps_q_where_the_weight_underflows(tmp_path):
     assert weighted_norm(f) == 41.0
     # a copy with new samples keeps no quotient and divides again
     with pytest.raises(WeightUnderflowError, match="x = 39"):
-        f.with_samples(f.samples).quotient()
+        WeightedGridFunction(f.axes, f.samples, f.weight, f.order,
+                             f.cmap).quotient()
     save_grid_function(f, tmp_path / "q.csv")
     assert np.array_equal(load_grid_function(tmp_path / "q.csv").quotient(),
                           q)

@@ -1,6 +1,8 @@
 """Static checks on the package source (no linter is required)."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import compactfix
@@ -19,9 +21,18 @@ CALLERS = READERS + sorted(ROOT.glob("perfbench/test_*.py")) \
 # public definitions and fields that stay although no reader above reads
 # them, and why
 UNREAD_ALLOWED = {
-    "halfline_metric": "check 8 of tests/test_acceptance.py reads it",
-    "alpha_inf": "check 8 of tests/test_acceptance.py reads it",
+    "halfline_metric": "check 9 of tests/test_acceptance.py reads it",
+    "alpha_inf": "check 9 of tests/test_acceptance.py reads it",
     "load_grid_function": "it reads back the solve's solution.csv",
+}
+# span labels that perfbench/run.py's layer_values reads although they name
+# no function of the package, and why
+PERFBENCH_LABELS_ALLOWED = {
+    "greenop.nl_eval": "the tracer's label for the problem's nl.eval, "
+                       "which it wraps when a problem is loaded",
+    "greenop.adaptive_quadrature": "no such function exists, so the "
+                                   "benchmark's adaptive_quadrature calls "
+                                   "and seconds read 0",
 }
 
 
@@ -226,3 +237,83 @@ def test_unset_parameter_check_sees_a_leftover(tmp_path):
     reader = tmp_path / "reader.py"
     reader.write_text("from mod import scale\nscale(1.0, 3.0)\n")
     assert _unset_parameters([mod], [reader]) == ["mod.py:1 scale(offset)"]
+
+
+def _perfbench_labels(tracer_path, run_path):
+    """The span labels that perfbench's harness relies on: those of the
+    methods its tracer wraps on their class (METHODS) and those that
+    run.py's layer_values reads from busy, calls or self_s, without a
+    labeller's "[...]" suffix.  Both files are read as syntax trees."""
+    tracer = ast.parse(tracer_path.read_text(), filename=str(tracer_path))
+    methods = next(ast.literal_eval(node.value) for node in tracer.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "METHODS"
+                           for t in node.targets))
+    labels = {".".join(entry) for entry in methods}
+    run = ast.parse(run_path.read_text(), filename=str(run_path))
+    fn = next(node for node in ast.walk(run)
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "layer_values")
+    # labels bound to a local name first, as op_apply is
+    consts = {t.id: node.value.value for node in ast.walk(fn)
+              if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Constant)
+              for t in node.targets if isinstance(t, ast.Name)}
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("busy", "calls", "self_s")):
+            key = node.slice
+            label = (key.value if isinstance(key, ast.Constant)
+                     else consts[key.id])
+            labels.add(label.partition("[")[0])
+    return labels
+
+
+def _resolves(label):
+    """Whether "layer.function" names a function that compactfix.layer
+    defines, or "layer.Class.method" a method in the class's own
+    namespace, which is where the tracer wraps them."""
+    layer, _, rest = label.partition(".")
+    try:
+        mod = importlib.import_module(f"compactfix.{layer}")
+    except ImportError:
+        return False
+    owner, _, name = rest.rpartition(".")
+    if owner:
+        cls = getattr(mod, owner, None)
+        return (isinstance(cls, type)
+                and inspect.isfunction(vars(cls).get(name)))
+    fn = getattr(mod, name, None)
+    return inspect.isfunction(fn) and fn.__module__ == mod.__name__
+
+
+def _unresolved_perfbench_labels(tracer_path, run_path):
+    return sorted(label for label in _perfbench_labels(tracer_path, run_path)
+                  if not _resolves(label))
+
+
+def test_perfbench_reads_functions_that_exist():
+    unresolved = _unresolved_perfbench_labels(ROOT / "perfbench/tracer.py",
+                                              ROOT / "perfbench/run.py")
+    assert unresolved == sorted(PERFBENCH_LABELS_ALLOWED), unresolved
+
+
+def test_perfbench_label_check_sees_a_missing_name(tmp_path):
+    tracer = tmp_path / "tracer.py"
+    tracer.write_text(
+        'METHODS = (("funcspace", "WeightedGridFunction", "quotient"),\n'
+        '           ("funcspace", "WeightedGridFunction", "ndim"),\n'
+        '           ("greenop", "Missing", "apply"))\n')
+    run = tmp_path / "run.py"
+    run.write_text(
+        "def layer_values(t):\n"
+        "    busy, calls, self_s = t, t, t\n"
+        '    op = "funcspace.gamma_p[x]"\n'
+        '    return (busy["solver.picard_solve"] + calls[op]\n'
+        '            + self_s["funcspace.gone"] + calls["cli.np"]\n'
+        '            + t["points"]["greenop.eval"])\n')
+    # a property is not a function, and numpy is not defined in cli
+    assert _unresolved_perfbench_labels(tracer, run) == [
+        "cli.np", "funcspace.WeightedGridFunction.ndim", "funcspace.gone",
+        "greenop.Missing.apply"]
