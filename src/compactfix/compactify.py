@@ -6,9 +6,11 @@ tails that the point's balls hold.  One ball rule follows: a domain point of
 tail radius r (CompactMap.ball_radius) about an infinity point lies in the
 point's metric ball of radius delta iff r > 1/delta - 1, because the
 embedding x/(1 + |x|) puts it at distance 1/(1 + r) from the point.  A
-grid's domain is a product of such maps, one per axis.  Limits at infinity
-points are estimated by sampling the domain inside shrinking metric balls
-and watching the oscillation of the sampled values.
+grid's domain is a product of such maps, one per axis.  A limit at an
+infinity point is read off one set of samples by ball_ladders, which
+watches the oscillation of the sampled values on the shrinking balls:
+kappa_limit samples a callable once, and funcspace's face ladders take the
+nodes of a grid axis.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# kappa_limit samples each ball at fixed geometric radii up to RADIUS_CAP,
-# _SAMPLES_PER_LEVEL points per ball at least, so that its results are
-# reproducible
+# kappa_limit calls f once, on fixed geometric radii up to RADIUS_CAP, at
+# least _SAMPLES_PER_LEVEL of them in each ball it reads, so that its
+# results are reproducible
 RADIUS_CAP = 1.0e8
 _SAMPLES_PER_LEVEL = 8
 
@@ -45,12 +47,7 @@ class LimitResult:
     status is 'converged', 'no_limit' or 'inconclusive'.  oscillations[k]
     is the oscillation on the metric ball of radius 2^-(k+1), for every
     ball tested, and oscillation the last of them.  A converged result
-    carries the value of its last ball: kappa_limit reads it at the ball's
-    first sample of largest tail radius; the grid face ladders of
-    funcspace._face_ladders read it at the deepest window's last node in
-    axis order, which is the farthest node of a "+inf" window but the
-    innermost (largest x) of a "-inf" one, and the farthest node of the
-    +inf tail of LineOnePoint's two-tailed window.
+    carries the value at the sample of largest tail radius.
     """
 
     status: str
@@ -89,43 +86,81 @@ def classify_ladder(oscillations, tol):
     return "inconclusive"
 
 
+def ball_ladders(radii, vals, tol, point, depth=60):
+    """The oscillation ladders of the columns of vals at an infinity point,
+    one row of vals per sample, of tail radius radii (CompactMap.ball_radius).
+
+    Ball k (delta = 2^-(k+1)) holds the samples of radius above
+    2^(k+1) - 1, a suffix of the samples ranked by radius.  The balls stop
+    before the first with fewer than 2 samples, or after depth of them
+    (delta = 2^-60 at most); ValueError names a point without any.
+    Returns (hi, lo, results): hi[k] and lo[k] hold each column's maximum
+    and minimum on ball k (NaN where it holds a NaN), from running
+    extremes of the segments between consecutive ball starts, run from the
+    far end, in one pass; results holds one LimitResult per column, its
+    k-th oscillation hi[k] - lo[k] (inf on a ball with an infinite value).
+    A converged value is the column's entry at the sample of largest
+    radius, the last one on ties in the stable ranking.
+    """
+    order = np.argsort(radii, kind="stable")
+    starts = np.searchsorted(radii[order],
+                             2.0 ** np.arange(1, depth + 1) - 1.0,
+                             side="right")
+    balls = int(np.count_nonzero(len(radii) - starts >= 2))
+    if not balls:
+        raise ValueError(f"no nodes in any window of face {point!r}")
+    starts = starts[:balls]
+    # the extremes of each segment starts[k]..starts[k + 1], run from the
+    # far end, are the balls' (a segment between equal starts reads one
+    # sample of the next ball)
+    ranked = vals[order]
+    hi = np.maximum.accumulate(
+        np.maximum.reduceat(ranked, starts, axis=0)[::-1], axis=0)[::-1]
+    lo = np.minimum.accumulate(
+        np.minimum.reduceat(ranked, starts, axis=0)[::-1], axis=0)[::-1]
+    with np.errstate(invalid="ignore"):
+        osc = hi - lo
+    osc[np.isinf(hi) | np.isinf(lo)] = math.inf
+    results = []
+    for col_osc, value in zip(osc.T.tolist(), ranked[-1].tolist()):
+        status = classify_ladder(col_osc, tol)
+        results.append(LimitResult(status, value if status == "converged"
+                                   else None, tuple(col_osc)))
+    return hi, lo, results
+
+
 def kappa_limit(f, point, cmap, tol=1e-6, extra_samples=None):
     """Estimate the limit of f at an infinity point of a compactification.
 
-    f is evaluated on domain points at geometric radii inside the metric
-    balls B(point, delta) for delta in default_levels(tol); ValueError for
-    a label that is not one of cmap.infinity_points().  The ladder stops at
-    the first ball without samples (a ball beyond RADIUS_CAP), so the k-th
-    oscillation is still that of radius 2^-(k+1).  Returns a LimitResult;
-    the value of a converged result is f at its first sample of largest
-    tail radius.
+    f is called once, on the samples of every metric ball B(point, delta)
+    for delta in default_levels(tol): each tail's radii (_tail_radii) and
+    the points of extra_samples(delta), when given, that lie in the ball.
+    ValueError for a label that is not one of cmap.infinity_points().  The
+    ladder is ball_ladders' on these samples, at most one ball per level.
+    A non-finite value counts as inf, so a ball that holds one has
+    oscillation inf and never certifies.  Returns a LimitResult; the value
+    of a converged result is f at the sample of largest tail radius.
 
-    extra_samples, when given, is a callable delta -> domain points that are
-    merged into each level after filtering to the metric ball.  Generic
-    probing cannot see features whose measure shrinks along the domain (the
-    marching-bump derivative is the canonical case), so counterexample
-    demonstrations pass the witness points explicitly.
+    Generic probing cannot see features whose measure shrinks along the
+    domain (the marching-bump derivative is the canonical case), so
+    counterexample demonstrations pass the witness points explicitly.
     """
     if point not in cmap.infinity_points():
         raise ValueError(f"{point!r} is not an infinity point of "
                          f"{cmap.name!r}")
-    oscillations = []
-    for delta in default_levels(tol):
-        pts = cmap.sample_ball(point, delta)
-        if extra_samples is not None:
+    levels = default_levels(tol)
+    signs = cmap.tails[point]
+    r = _tail_radii(levels, _SAMPLES_PER_LEVEL // len(signs))
+    pts = [s * r for s in signs]
+    if extra_samples is not None:
+        for delta in levels:
             ex = np.atleast_1d(np.asarray(extra_samples(delta), dtype=float))
-            pts = np.concatenate(
-                [pts, ex[cmap.ball_radius(point, ex) > 1.0 / delta - 1.0]])
-        if len(pts) == 0:
-            break
-        vals = np.asarray(f(pts), dtype=float)
-        value = float(vals[np.argmax(cmap.ball_radius(point, pts))])
-        # a level with a non-finite sample never certifies
-        oscillations.append(float(vals.max()) - float(vals.min())
-                            if np.isfinite(vals).all() else math.inf)
-    status = classify_ladder(oscillations, tol)
-    return LimitResult(status, value if status == "converged" else None,
-                       tuple(oscillations))
+            pts.append(ex[cmap.ball_radius(point, ex) > 1.0 / delta - 1.0])
+    pts = np.concatenate(pts)
+    vals = np.asarray(f(pts), dtype=float)
+    vals = np.where(np.isfinite(vals), vals, math.inf)
+    return ball_ladders(cmap.ball_radius(point, pts), vals[:, None], tol,
+                        point, len(levels))[2][0]
 
 
 class ExtensionError(Exception):
@@ -163,42 +198,34 @@ def extend(f, cmap, tol=1e-6):
     return Extension(limits)
 
 
-def _tail_radii(delta, n=_SAMPLES_PER_LEVEL):
-    """At least n geometric sample radii in (1/delta - 1, RADIUS_CAP], the
-    tail that the metric ball of radius delta about infinity holds under
-    x/(1 + |x|): powers of two, topped up."""
-    lo = 1.0 / delta - 1.0
-    if lo >= RADIUS_CAP:
-        return np.array([])
-    lo = max(lo, 1e-12)
-    j0 = int(math.floor(math.log2(lo))) + 1
-    radii = [2.0 ** j for j in range(j0, int(math.log2(RADIUS_CAP)) + 1)
-             if 2.0 ** j > lo]
-    if len(radii) < n:
-        radii = list(np.geomspace(lo * (1 + 1e-9), RADIUS_CAP, n))
-    return np.asarray(sorted(set(radii)))
+def _tail_radii(levels, n):
+    """The sample radii of kappa_limit's balls about infinity, one per
+    delta in levels, merged and sorted: the powers of two from 2 up to
+    RADIUS_CAP, which fill the first ball (delta = 1/2, radii above 1), and
+    n geometric radii in (1/delta - 1, RADIUS_CAP] for each ball that holds
+    fewer than n of the powers."""
+    powers = 2.0 ** np.arange(1, int(math.log2(RADIUS_CAP)) + 1)
+    radii = [powers]
+    for delta in levels:
+        lo = 1.0 / delta - 1.0
+        if lo >= RADIUS_CAP:
+            break
+        if np.count_nonzero(powers > lo) < n:
+            radii.append(np.geomspace(lo * (1 + 1e-9), RADIUS_CAP, n))
+    return np.unique(np.concatenate(radii))
 
 
 class CompactMap:
     """Base class: a compactification of a 1-d domain, by its tails table.
 
     tails maps the label of each infinity point to the signs of the domain
-    tails that the point's metric balls hold; the points, their balls'
+    tails that the point's metric balls hold; the points, kappa_limit's
     samples and the ball rule all derive from it."""
 
     name = "abstract"
 
     def infinity_points(self):
         return list(self.tails)
-
-    def sample_ball(self, point, delta):
-        """Domain points inside the metric ball B(point, delta) of an
-        infinity point, at radii up to RADIUS_CAP: each tail's radii in
-        increasing order, _SAMPLES_PER_LEVEL of them at least over all
-        tails."""
-        signs = self.tails[point]
-        r = _tail_radii(delta, _SAMPLES_PER_LEVEL // len(signs))
-        return np.concatenate([s * r for s in signs])
 
     def ball_radius(self, point, x):
         """The tail radius r of each domain point x about an infinity

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compactify import (HalfLineOnePoint, IntervalIdentity, LimitResult,
-                         LineOnePoint, LineTwoPoint, ProductCompactification,
-                         classify_ladder)
+from .compactify import (HalfLineOnePoint, IntervalIdentity, LineOnePoint,
+                         LineTwoPoint, ProductCompactification, ball_ladders)
 
 
 #: each weight phi once, by the name that grid files and problem files give
@@ -168,7 +167,7 @@ class WeightedGridFunction:
                              f"{self.ndim}-d, read its faces with "
                              "face_profile")
         return _face_ladders(self, quotient_derivative(self, p), face,
-                             tol)[0]
+                             tol)[2][0]
 
 
 def _named_cmap(name, ndim):
@@ -289,7 +288,7 @@ def gamma_p(f, p, tol=1e-6):
         # a 1-d grid has none, so its value is a scalar
         axis = _face_axis(face)
         others = f.axes[:axis] + f.axes[axis + 1:]
-        results = _face_ladders(f, vals, face, tol)
+        results = _face_ladders(f, vals, face, tol)[2]
         for nodes, res in zip(itertools.product(*others), results):
             if not res.converged:
                 raise FaceLimitError(
@@ -299,51 +298,15 @@ def gamma_p(f, p, tol=1e-6):
     return GammaFunction(vals, inf_vals)
 
 
-def _face_windows(f, vals, face):
-    """The grid windows of a face of f, and the extremes of vals on them.
-
-    The columns of vals are its slices along the face's axis, one per node
-    of the other axes (one column on a 1-d grid).  Window k (delta =
-    2^-(k+1)) is the nodes with _face_radii above 1/delta - 1, a suffix of
-    the nodes in the order of increasing radius: on an increasing axis a
-    suffix for a "+inf" face, a prefix for a "-inf" one, and both tails
-    for the glued point of LineOnePoint.  The windows stop before the first
-    with fewer than 2 nodes, and ValueError reports a face without any.
-    Returns (hi, lo, last): hi[k] and lo[k] hold each column's maximum and
-    minimum on window k, from running extremes of the segments between
-    consecutive window starts, run from the far end, in one pass (a NaN in
-    a window makes them NaN); last holds the columns' entries at the
-    deepest window's last node in axis order.
-    """
-    radii = _face_radii(f, face)
-    # 1/delta - 1 for delta = 2^-1 ... 2^-60
-    bounds = 2.0 ** np.arange(1, 61) - 1.0
-    order = np.argsort(radii, kind="stable")
-    starts = np.searchsorted(radii[order], bounds, side="right")
-    levels = int(np.count_nonzero(len(radii) - starts >= 2))
-    if not levels:
-        raise ValueError(f"truncated grid has no nodes in any window of face "
-                         f"{face!r}")
-    starts = starts[:levels]
-    cols = np.moveaxis(vals, _face_axis(face), 0).reshape(len(radii), -1)
-    # the extremes of each segment starts[k]..starts[k + 1], run from the
-    # far end, are the windows' (a segment between equal starts reads one
-    # node of the next window)
-    ranked = cols[order]
-    hi = np.maximum.accumulate(
-        np.maximum.reduceat(ranked, starts, axis=0)[::-1], axis=0)[::-1]
-    lo = np.minimum.accumulate(
-        np.minimum.reduceat(ranked, starts, axis=0)[::-1], axis=0)[::-1]
-    return hi, lo, cols[order[starts[-1]:].max()]
-
-
 def _face_ladders(f, vals, face, tol):
-    """Oscillation ladders for the limits of vals at a face of f, on the
-    grid windows of _face_windows: one LimitResult per column, its k-th
-    oscillation that of window k.  A converged ladder's value is the
-    column's entry at the deepest window's last node in axis order (the
-    farthest node of a "+inf" window, the innermost of a "-inf" one); no
-    other level's value is read.
+    """The grid windows of a face of f and the limits of vals on them, as
+    compactify.ball_ladders gives them: (hi, lo, results), with hi[k] and
+    lo[k] the extremes of each column on window k and one LimitResult per
+    column.  The columns of vals are its slices along the face's axis, one
+    per node of the other axes (one on a 1-d grid).  Window k (delta =
+    2^-(k+1)) is the nodes with _face_radii above 1/delta - 1: on an
+    increasing axis a suffix for a "+inf" face, a prefix for a "-inf" one,
+    and both tails for the glued point of LineOnePoint.
     On product grids each column is the coordinate slice at one node of
     the finite axis: face data is stored as one profile value per such
     node, and the ladder certifies each slice limit separately.  (A full
@@ -351,13 +314,9 @@ def _face_ladders(f, vals, face, tol):
     finite axis, which shrinks only linearly in delta and is already
     visible in the stored profile.)
     """
-    hi, lo, last = _face_windows(f, vals, face)
-    out = []
-    for col_osc, value in zip((hi - lo).T.tolist(), last.tolist()):
-        status = classify_ladder(col_osc, tol)
-        out.append(LimitResult(status, value if status == "converged"
-                               else None, tuple(col_osc)))
-    return out
+    radii = _face_radii(f, face)
+    cols = np.moveaxis(vals, _face_axis(face), 0).reshape(len(radii), -1)
+    return ball_ladders(radii, cols, tol, face)
 
 
 def face_profile(f, vals, face, tol):
@@ -365,7 +324,7 @@ def face_profile(f, vals, face, tol):
     oscillation ladder per node of the other axis (_face_ladders): a list of
     (node, LimitResult) pairs in node order."""
     return list(zip(f.axes[1 - _face_axis(face)].tolist(),
-                    _face_ladders(f, vals, face, tol)))
+                    _face_ladders(f, vals, face, tol)[2]))
 
 
 def attach_faces(f, face, profile):
@@ -393,10 +352,12 @@ class PrecompactnessReport:
     """Numerical check of the three sufficient conditions for precompactness.
 
     bounded: sup of |d_p(f/phi)| over the family is finite.
-    equicontinuous: for every eps in the ladder _EPS_LADDER some probed
-        delta had axis-aligned modulus below eps.
-    equiconvergent: for every eps some delta-window at infinity had every
-        member within eps of its stored face value.
+    equicontinuous: for every axis and every eps in the ladder
+        _EPS_LADDER some probed delta had that axis's modulus below eps.
+    equiconvergent: for every infinity face and every eps some window of
+        that face had every member within eps of its stored face value.
+    worst_deviation: the largest, over the faces, of each face's smallest
+        window deviation (0 on a map without faces).
     """
 
     bounded: bool
@@ -423,9 +384,10 @@ def _family_quotient_derivatives(family):
 
 
 def equicontinuity_modulus(family, derivs, max_shift=64):
-    """omega(delta) = worst |v(x) - v(y)| over axis-aligned |x-y| <= delta,
-    for delta = h times each power of two up to max_shift; ValueError,
-    before any work, names an axis with no more nodes than max_shift.
+    """{axis: rows}: omega(delta) = worst |v(x) - v(y)| over |x - y| <= delta
+    along the axis, as (delta, omega) rows for delta = h times each power
+    of two up to max_shift; ValueError, before any work, names an axis
+    with no more nodes than max_shift.
 
     The worst difference over node distances up to w is the largest
     max - min over the windows of w + 1 consecutive nodes.  The windows are
@@ -443,7 +405,7 @@ def equicontinuity_modulus(family, derivs, max_shift=64):
                              f"max_shift = {max_shift} nodes on every axis; "
                              f"axis {axis} has {len(nodes)}")
     spans = [2 ** k for k in range(int(max_shift).bit_length())]
-    out = []
+    out = {}
     for axis in range(f0.ndim):
         h = float(np.min(np.diff(f0.axes[axis])))
         worst = np.zeros(len(spans))
@@ -456,20 +418,21 @@ def equicontinuity_modulus(family, derivs, max_shift=64):
                     hi = np.maximum(hi[..., :-step], hi[..., step:])
                     lo = np.minimum(lo[..., :-step], lo[..., step:])
                     worst[k] = np.maximum(worst[k], np.max(hi - lo))
-        out.extend((span * h, float(w)) for span, w in zip(spans, worst))
-    return sorted(out)
+        out[axis] = [(span * h, float(w)) for span, w in zip(spans, worst)]
+    return out
 
 
 def equiconvergence_deviation(family, derivs):
-    """Per window of each face's ladder (_face_windows), the worst gap
-    between the members and their stored face values, as (delta, gap)
-    rows; NaN when a window holds a NaN.  Each slice of the face's axis is
-    compared with its own stored node value, as the ladder reads it, so
-    the gap on a window is the larger of hi - stored and stored - lo.
+    """{face: rows}: per window of the face's ladder (_face_ladders), the
+    worst gap between the members and their stored face values, as
+    (delta, gap) rows; NaN when a window holds a NaN.  Each slice of the
+    face's axis is compared with its own stored node value, as the ladder
+    reads it, so the gap on a window is the larger of hi - stored and
+    stored - lo.
     derivs holds the members' quotient derivatives, one list per
     multi-index, as _family_quotient_derivatives builds them."""
     f0 = family[0]
-    out = []
+    out = {}
     for face in f0.face_labels():
         worst = 0.0
         for p, members in derivs.items():
@@ -478,11 +441,12 @@ def equiconvergence_deviation(family, derivs):
                 if stored is None:
                     raise FaceLimitError(face)
                 stored = np.ravel(stored)
-                hi, lo, _ = _face_windows(f0, v, face)
+                # the windows' extremes; the ladders' results go unread
+                hi, lo, _ = _face_ladders(f0, v, face, 0.0)
                 worst = np.maximum(worst, np.maximum(hi - stored,
                                                      stored - lo).max(axis=1))
-        out.extend((2.0 ** -(k + 1), gap)
-                   for k, gap in enumerate(worst.tolist()))
+        out[face] = [(2.0 ** -(k + 1), gap)
+                     for k, gap in enumerate(worst.tolist())]
     return out
 
 
@@ -500,12 +464,15 @@ def precompactness_report(family):
     bound = float(np.max([np.max(np.abs(v)) for members in derivs.values()
                           for v in members]))
     bounded = math.isfinite(bound)
-    modulus = equicontinuity_modulus(family, derivs)
-    equicont = all(any(w < eps for _, w in modulus) for eps in _EPS_LADDER)
-    deviations = equiconvergence_deviation(family, derivs)
-    worst = min((d for _, d in deviations), default=math.inf)
-    equiconv = all(any(d < eps for _, d in deviations)
-                   for eps in _EPS_LADDER)
+    # each axis and each face must reach every eps on its own rows
+    modulus = equicontinuity_modulus(family, derivs).values()
+    equicont = all(any(w < eps for _, w in rows)
+                   for rows in modulus for eps in _EPS_LADDER)
+    deviations = equiconvergence_deviation(family, derivs).values()
+    equiconv = all(any(d < eps for _, d in rows)
+                   for rows in deviations for eps in _EPS_LADDER)
+    worst = max((min(d for _, d in rows) for rows in deviations),
+                default=0.0)
     return PrecompactnessReport(bounded, bound, equicont, equiconv, worst)
 
 

@@ -169,23 +169,39 @@ def test_kappa_limit_levels_with_non_finite_samples_never_certify(fill):
     assert far and all(osc == math.inf for osc in far)
 
 
+def _samples(f, point, cmap, tol=1e-6, extra_samples=None):
+    """kappa_limit's result and the points it called f on, one array per
+    call."""
+    seen = []
+
+    def recorded(x):
+        seen.append(np.array(x, dtype=float))
+        return f(x)
+
+    res = kappa_limit(recorded, point, cmap, tol, extra_samples)
+    return res, seen
+
+
 def _loop_kappa_limit(f, point, cmap, tol=1e-6, extra_samples=None):
-    """Reference: the ladder with one metric call per sample point, as
-    (oscillations, value at the last level's closest sample)."""
+    """Reference: the ladder on kappa_limit's one sample set, a ball per
+    level, as (oscillations, value).  Ball delta holds every sample of
+    tail radius above 1/delta - 1, the ball rule (which
+    test_ball_radius_is_the_metric_ball checks against the metric: the
+    geometric samples lie within 1e-9 of their ball's edge, where the
+    metric's rounding decides).  The balls stop before the first with
+    fewer than 2 samples; the value is f at the sample of largest radius,
+    the last one on ties."""
+    _, (pts,) = _samples(f, point, cmap, tol, extra_samples)
+    vals = np.asarray(f(pts), dtype=float)
+    radius = cmap.ball_radius(point, pts)
     oscillations = []
     for delta in default_levels(tol):
-        pts = cmap.sample_ball(point, delta)
-        if extra_samples is not None:
-            ex = np.atleast_1d(np.asarray(extra_samples(delta), dtype=float))
-            keep = [p for p in ex if _distance(cmap, point, p) < delta]
-            pts = np.concatenate([pts, np.asarray(keep, dtype=float)])
-        if len(pts) == 0:
-            continue
-        vals = np.asarray(f(pts), dtype=float)
-        dist = [_distance(cmap, point, p) for p in pts]
-        oscillations.append(float(vals.max() - vals.min()))
-        value = float(vals[np.argmin(dist)])
-    return tuple(oscillations), value
+        ball = vals[[r > 1.0 / delta - 1.0 for r in radius]]
+        if len(ball) < 2:
+            break
+        oscillations.append(float(ball.max() - ball.min()))
+    far = np.flatnonzero(radius == radius.max())[-1]
+    return tuple(oscillations), float(vals[far])
 
 
 def test_kappa_limit_evidence_matches_the_per_point_loop():
@@ -203,6 +219,37 @@ def test_kappa_limit_evidence_matches_the_per_point_loop():
         oscillations, value = _loop_kappa_limit(f, point, cmap, 1e-6, extra)
         assert got.oscillations == oscillations
         assert got.value == (value if got.converged else None)
+
+
+def test_kappa_limit_calls_f_once():
+    chain = BumpChain()
+    cmap = HalfLineOnePoint()
+    for extra in (None, chain.witness_points):
+        res, seen = _samples(chain.value, "inf", cmap, 1e-6, extra)
+        assert res.converged and len(seen) == 1
+    # the witness points join the one call
+    assert len(seen[0]) > len(_samples(chain.value, "inf", cmap)[1][0])
+
+
+def test_kappa_limit_is_the_grid_ladder_on_its_own_samples():
+    # one ball rule, one reduction and one value rule: on kappa_limit's
+    # samples, used as the nodes of a 1-d grid, the grid face ladder reads
+    # the same balls and then deeper ones, up to RADIUS_CAP
+    chain = BumpChain()
+    half, two, one = HalfLineOnePoint(), LineTwoPoint(), LineOnePoint()
+    cases = [(np.arctan, two, "-inf", None), (np.arctan, two, "+inf", None),
+             (lambda x: 1.0 / (1.0 + np.abs(x)), one, "inf", None),
+             (chain.value, half, "inf", chain.witness_points)]
+    for f, cmap, point, extra in cases:
+        got, (pts,) = _samples(f, point, cmap, 1e-6, extra)
+        xs = np.unique(pts)
+        grid = WeightedGridFunction((xs,), f(xs), cmap=cmap).face_limit(
+            (0,), point, tol=1e-6)
+        depth = len(got.oscillations)
+        assert len(grid.oscillations) > depth
+        assert grid.oscillations[:depth] == got.oscillations
+        assert got.converged and grid.converged
+        assert grid.value == got.value
 
 
 # ---------------------------------------------------------------------------

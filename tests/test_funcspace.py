@@ -260,18 +260,23 @@ def _windows(f, face):
 
 
 def _per_node_ladder(f, vals, face, coord_index, tol):
-    """Reference: one face ladder, a boolean window mask per level."""
+    """Reference: one face ladder, a boolean window mask per level, and
+    the value at the node of largest tail radius: the node farthest out,
+    the last in axis order on the glued line's ties."""
     axis = _face_axis(face)
+    product = isinstance(f.cmap, ProductCompactification)
+    x = f.axes[axis]
+    radius = (np.abs(x) if isinstance(f.cmap.factors[axis] if product
+                                      else f.cmap, LineOnePoint)
+              else -x if face.endswith("-inf") else x)
+    far = np.flatnonzero(radius == radius.max())[-1]
+    col = vals if f.ndim == 1 else (vals[:, coord_index] if axis == 0
+                                    else vals[coord_index, :])
     oscillations = []
     for mask in _windows(f, face):
-        if f.ndim == 1:
-            window = vals[mask]
-            value = float(vals[np.where(mask)[0][-1]])
-        else:
-            window = (vals[mask, coord_index] if axis == 0
-                      else vals[coord_index, mask])
-            value = float(window[-1])
+        window = col[mask]
         oscillations.append(float(window.max() - window.min()))
+    value = float(col[far])
     if not oscillations:
         raise ValueError(f"truncated grid has no nodes in any window of face "
                          f"{face!r}")
@@ -387,7 +392,8 @@ def test_product_with_a_two_point_line_has_both_faces(tmp_path):
     # the equiconvergence check reads both faces, five windows each
     f.infinity = {face: {(0, 0): v} for face, v in got.items()}
     devs = equiconvergence_deviation([f], _family_quotient_derivatives([f]))
-    assert len(devs) == 10 and devs[-1][1] < 1e-12
+    assert [len(rows) for rows in devs.values()] == [5, 5]
+    assert all(rows[-1][1] < 1e-12 for rows in devs.values())
     # the half strip keeps its one face
     assert WeightedGridFunction((xs - xs[0], ys), np.zeros_like(X)) \
         .face_labels() == ["axis0:inf"]
@@ -414,7 +420,8 @@ def test_modulus_refuses_an_axis_not_longer_than_max_shift():
     with pytest.raises(ValueError, match="max_shift = 5 .* axis 1 has 5"):
         equicontinuity_modulus([f], {}, max_shift=5)
     derivs = _family_quotient_derivatives([f])
-    assert len(equicontinuity_modulus([f], derivs, max_shift=4)) == 6
+    assert [len(rows) for rows in equicontinuity_modulus(
+        [f], derivs, max_shift=4).values()] == [3, 3]
 
 
 def test_face_profile_needs_nodes_in_some_window():
@@ -471,6 +478,40 @@ def test_precompactness_scaled_convergent_family_passes():
     assert rep.worst_deviation < 1e-12
 
 
+def test_equiconvergence_is_decided_per_face():
+    # e^x tends to its stored 0 at -inf while 0.5 sin x keeps its swing at
+    # +inf: a verdict pooled over the faces read equiconvergent, with a
+    # worst deviation of 3.4e-14, the best window of the best face
+    xs = np.linspace(-60.0, 60.0, 4801)
+    f = WeightedGridFunction(
+        (xs,), np.where(xs < 0.0, np.exp(xs), 0.5 * np.sin(xs)),
+        cmap=LineTwoPoint(),
+        infinity={"-inf": {(0,): 0.0}, "+inf": {(0,): 0.0}})
+    devs = equiconvergence_deviation([f], _family_quotient_derivatives([f]))
+    assert devs["-inf"][-1][1] < 1e-12
+    best = min(d for _, d in devs["+inf"])
+    assert best > 0.49
+    rep = precompactness_report([f])
+    assert not rep.equiconvergent
+    assert rep.worst_deviation == best
+
+
+def test_equicontinuity_is_decided_per_axis():
+    # sin(40x) e^-x swings by 1.55 between neighbouring x-nodes; the y
+    # axis, along which nothing changes, passed it in a pooled verdict
+    xs = np.linspace(0.0, 40.0, 801)
+    ys = np.linspace(0.0, 1.0, 81)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    f = WeightedGridFunction((xs, ys), np.sin(40.0 * X) * np.exp(-X) + 0.0 * Y,
+                             infinity={"axis0:inf": {(0, 0): np.zeros(81)}})
+    modulus = equicontinuity_modulus([f], _family_quotient_derivatives([f]))
+    assert min(w for _, w in modulus[0]) > 1.5
+    assert all(w == 0.0 for _, w in modulus[1])
+    rep = precompactness_report([f])
+    assert not rep.equicontinuous
+    assert rep.equiconvergent
+
+
 def test_precompactness_report_builds_the_derivative_stack_once(
         monkeypatch):
     calls = []
@@ -488,12 +529,14 @@ def test_precompactness_report_builds_the_derivative_stack_once(
 
 
 def _doubling_modulus(family, max_shift=64):
-    """Reference: every delta recomputes all shifts up to its own."""
+    """Reference: every delta recomputes all shifts up to its own, one
+    list of (delta, omega) rows per axis."""
     f0 = family[0]
     derivs = _family_quotient_derivatives(family)
-    out = []
+    out = {}
     for axis in range(f0.ndim):
         h = float(np.min(np.diff(f0.axes[axis])))
+        out[axis] = []
         shift = 1
         while shift <= max_shift:
             delta = shift * h
@@ -507,9 +550,9 @@ def _doubling_modulus(family, max_shift=64):
                     sl_lo[axis + 1] = slice(None, -s)
                     d = np.abs(v[tuple(sl_hi)] - v[tuple(sl_lo)]).max()
                     worst = max(worst, float(d))
-            out.append((delta, worst))
+            out[axis].append((delta, worst))
             shift *= 2
-    return sorted(out)
+    return out
 
 
 def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
@@ -522,7 +565,7 @@ def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
                                     f0.cmap))
     modulus = equicontinuity_modulus(fam, _family_quotient_derivatives(fam))
     assert modulus == _doubling_modulus(fam)
-    assert len(modulus) == 7
+    assert [len(rows) for rows in modulus.values()] == [7]
     # a 2-d family of order 1: three quotient derivatives per member
     xs = np.linspace(0.0, 6.0, 61)
     ys = np.linspace(0.0, 1.0, 41)
@@ -538,7 +581,7 @@ def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
     for max_shift in (1, 12, 32):
         got = equicontinuity_modulus(fam2, derivs, max_shift)
         assert got == _doubling_modulus(fam2, max_shift)
-    assert len(got) == 12
+    assert [len(rows) for rows in got.values()] == [6, 6]
 
 
 VALUES = st.floats(-1e3, 1e3, allow_nan=False)
@@ -570,12 +613,13 @@ def test_nan_sample_never_certifies(node):
     fam[3] = WeightedGridFunction(g.axes, bad, g.weight, g.order, g.cmap,
                                   g.infinity)
     derivs = _family_quotient_derivatives(fam)
-    assert all(math.isnan(w) for _, w in equicontinuity_modulus(fam, derivs))
+    assert all(math.isnan(w) for _, w in equicontinuity_modulus(
+        fam, derivs)[0])
     rep = precompactness_report(fam)
     assert not rep.equicontinuous
     if node < 0:
         assert all(math.isnan(d)
-                   for _, d in equiconvergence_deviation(fam, derivs))
+                   for _, d in equiconvergence_deviation(fam, derivs)["inf"])
         assert not rep.equiconvergent
 
 
@@ -647,7 +691,7 @@ def test_demo_family_report_is_unchanged():
     rep = precompactness_report(fam)
     assert rep.bound == 1.0 and rep.bounded
     derivs = _family_quotient_derivatives(fam)
-    assert tuple(equicontinuity_modulus(fam, derivs)) == (
+    assert tuple(equicontinuity_modulus(fam, derivs)[0]) == (
         (0.0049999999999954525, 0.0042888002386666235),
         (0.009999999999990905, 0.008577419246395102),
         (0.01999999999998181, 0.01715397821711695),
@@ -655,7 +699,7 @@ def test_demo_family_report_is_unchanged():
         (0.07999999999992724, 0.06854712348663305),
         (0.15999999999985448, 0.13665788174641813),
         (0.31999999999970896, 0.26985375722172156))
-    assert tuple(equiconvergence_deviation(fam, derivs)) == (
+    assert tuple(equiconvergence_deviation(fam, derivs)["inf"]) == (
         (0.5, 1.0), (0.25, 1.0), (0.125, 1.0), (0.0625, 1.0), (0.03125, 1.0))
     assert rep.worst_deviation == 1.0
 
@@ -689,8 +733,8 @@ def test_half_strip_profile_is_equiconvergent():
     f = WeightedGridFunction((xs, ys), Y + np.exp(-X),
                              infinity={"axis0:inf": {(0, 0): ys}})
     devs = equiconvergence_deviation([f], _family_quotient_derivatives([f]))
-    assert devs == _per_slice_deviation(f, "axis0:inf", ys)
-    assert devs[-1][1] < 1e-12
+    assert devs == {"axis0:inf": _per_slice_deviation(f, "axis0:inf", ys)}
+    assert devs["axis0:inf"][-1][1] < 1e-12
     assert precompactness_report([f]).equiconvergent
 
 
@@ -706,8 +750,8 @@ def test_equiconvergence_reads_the_ladder_windows():
     for f, res in ((f1, f1.face_limit((0,), "inf")),
                    (f2, face_profile(f2, f2.quotient(), "axis0:inf",
                                      1e-6)[0][1])):
-        devs = equiconvergence_deviation(
-            [f, f], _family_quotient_derivatives([f, f]))
+        (devs,) = equiconvergence_deviation(
+            [f, f], _family_quotient_derivatives([f, f])).values()
         assert [d for d, _ in devs] \
             == [2.0 ** -(k + 1) for k in range(len(res.oscillations))]
 

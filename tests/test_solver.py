@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from compactfix import funcspace
+from compactfix import compactify, funcspace
 from compactfix.casestudy import load_problem_file
 from compactfix.compactify import IntervalIdentity, ProductCompactification
 from compactfix.funcspace import WeightedGridFunction, load_grid_function
@@ -205,13 +205,13 @@ def test_picard_solve_applies_the_operator_once_per_iteration(problem,
 
 def test_picard_solve_runs_one_face_ladder_per_y_node(problem, monkeypatch):
     calls = []
-    classify = funcspace.classify_ladder
+    classify = compactify.classify_ladder
 
     def counted(evidence, tol):
         calls.append(1)
         return classify(evidence, tol)
 
-    monkeypatch.setattr(funcspace, "classify_ladder", counted)
+    monkeypatch.setattr(compactify, "classify_ladder", counted)
     cfg = SolveConfig(hx=0.1, hy=0.1, truncation=16.0)
     res = picard_solve(problem, cfg)
     assert len(calls) == len(cfg.axes()[1]) == len(res.profile)

@@ -25,6 +25,12 @@ UNREAD_ALLOWED = {
     "alpha_inf": "check 9 of tests/test_acceptance.py reads it",
     "load_grid_function": "it reads back the solve's solution.csv",
 }
+# names that one site of the package calls, and why: one ladder certifies
+# every limit at infinity, kappa_limit's and the grid faces' alike
+ONE_SITE = {
+    "LimitResult": "compactify.ball_ladders builds every ladder's result",
+    "classify_ladder": "compactify.ball_ladders classifies every ladder",
+}
 # span labels that perfbench/run.py's layer_values reads although they name
 # no function of the package, and why
 PERFBENCH_LABELS_ALLOWED = {
@@ -187,6 +193,13 @@ def _defaulted_parameters(path):
     return out
 
 
+def _called_name(call):
+    """The name a call node calls, plainly or as an attribute, or None."""
+    func = call.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
 def _passed_arguments(paths):
     """Called name -> what its calls pass: the positions they fill, the
     keywords they name, and "*" or "**" when one unpacks arguments."""
@@ -195,11 +208,7 @@ def _passed_arguments(paths):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute)
-                    else None)
-            got = passed.setdefault(name, set())
+            got = passed.setdefault(_called_name(node), set())
             plain = [a for a in node.args if not isinstance(a, ast.Starred)]
             got.update(range(len(plain)))
             if len(plain) < len(node.args):
@@ -317,3 +326,33 @@ def test_perfbench_label_check_sees_a_missing_name(tmp_path):
     assert _unresolved_perfbench_labels(tracer, run) == [
         "cli.np", "funcspace.WeightedGridFunction.ndim", "funcspace.gone",
         "greenop.Missing.apply"]
+
+
+def _call_sites(paths, name):
+    """The "module:line" sites in paths that call name, plainly or as an
+    attribute, in line order."""
+    sites = sorted((path.name, node.lineno) for path in paths
+                   for node in ast.walk(ast.parse(path.read_text(),
+                                                  filename=str(path)))
+                   if isinstance(node, ast.Call)
+                   and _called_name(node) == name)
+    return [f"{module}:{line}" for module, line in sites]
+
+
+def test_one_site_builds_and_classifies_every_ladder():
+    for name in ONE_SITE:
+        sites = _call_sites(SOURCES, name)
+        assert len(sites) == 1, (name, sites)
+
+
+def test_call_site_check_sees_a_second_ladder(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from compactify import LimitResult, classify_ladder\n"
+                   "\n\n"
+                   "def one(osc):\n"
+                   "    return LimitResult(classify_ladder(osc, 0.1), None, "
+                   "osc)\n\n\n"
+                   "def two(osc, compactify):\n"
+                   "    return compactify.LimitResult('no_limit', None, osc)\n")
+    assert _call_sites([mod], "LimitResult") == ["mod.py:5", "mod.py:9"]
+    assert _call_sites([mod], "classify_ladder") == ["mod.py:5"]
