@@ -8,17 +8,16 @@ maxima, and the cone fixed-point-index conditions become checkable numbers.
 from .casestudy import (NamedProblem, PROBLEM_IDS, load_problem,
                         load_problem_file, run_full_pipeline,
                         validate_closed_forms)
-from .compactify import (Extension, ExtensionError, HalfLineOnePoint,
+from .compactify import (ExtensionError, FaceLimitError, HalfLineOnePoint,
                          IntervalIdentity, LimitResult, LineOnePoint,
                          LineTwoPoint, ProductCompactification,
                          classify_ladder, default_levels, extend,
                          halfline_metric, kappa_limit)
 from .cones import (ConeReport, IndexCheck, f_sup_rho, index_one_check,
                     index_one_sweep)
-from .funcspace import (WEIGHT_REGISTRY, BumpChain, FaceLimitError,
-                        GammaFunction, PrecompactnessReport,
-                        WeightedGridFunction, WeightUnderflowError,
-                        attach_faces, gamma_p,
+from .funcspace import (WEIGHT_REGISTRY, BumpChain, GammaFunction,
+                        PrecompactnessReport, WeightedGridFunction,
+                        WeightUnderflowError, attach_faces, gamma_p,
                         gaussian_family, gaussian_family_separation,
                         load_grid_function, multi_indices,
                         precompactness_report, quotient_derivative,
@@ -34,7 +33,7 @@ from .solver import (IterationError, SolveConfig, SolveResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BumpChain", "ConeReport", "Extension", "ExtensionError",
+    "BumpChain", "ConeReport", "ExtensionError",
     "FaceLimitError", "GammaFunction",
     "GridHammersteinOperator", "HalfLineOnePoint", "HypothesisReport",
     "IndexCheck", "IntervalIdentity", "IterationError", "Kernel",

@@ -1,11 +1,12 @@
-"""The named problem, closed-form validation and the demos.
+"""The problems, closed-form validation and the demos.
 
-"hyperbolic-erf" is the solving problem: the Gaussian-shifted causal kernel
-on [0, inf) x [0, 1] with weight exp(-x^2/2) and forcing
-(1/8) exp(-(x^2+y^2)) + u^2, whose closed forms all reduce to erf.  The
-demos are not problems: each DEMOS entry runs one classical counterexample
-(arctan under two compactifications, the translating Gaussians, the
-marching bump chain) and returns its JSON-ready summary.
+A problem is a problem-file document; PROBLEMS holds the built-in ones.
+"hyperbolic-erf" is the Gaussian-shifted causal kernel on [0, inf) x [0, 1]
+with weight exp(-x^2/2) and forcing (1/8) exp(-(x^2+y^2)) + u^2, whose
+closed forms all reduce to erf.  The demos are not problems: each DEMOS
+entry runs one classical counterexample (arctan under two
+compactifications, the translating Gaussians, the marching bump chain) and
+returns its JSON-ready summary.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import inspect
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -28,8 +29,6 @@ from .funcspace import (LOG_WEIGHTS, WEIGHT_REGISTRY, BumpChain,
 from .greenop import (Kernel, Nonlinearity, kernel_abs_integral,
                       panel_quadrature, quotient_forms)
 
-PROBLEM_IDS = ("hyperbolic-erf",)
-
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -39,8 +38,8 @@ class NamedProblem:
     weight_desc: str             # a WEIGHT_REGISTRY name
     kernel: Kernel
     nl: Nonlinearity
-    closed_forms: dict = field(default_factory=dict)
-    truncation: float = 24.0     # the x-truncation a solve uses by default
+    closed_forms: dict           # {form name: callable}
+    truncation: float            # the x-truncation a solve uses by default
     #: the half strip [0, inf] x [0, 1], which a solve's grid functions
     #: take by default and their sidecars name "product"
     cmap = ProductCompactification((HalfLineOnePoint(), IntervalIdentity()))
@@ -143,36 +142,11 @@ _NONLINEARITIES = {"gauss-plus-square": _gauss_square_nonlinearity,
                    "zero": _zero_nonlinearity}
 
 
-def _hyperbolic_erf():
-    kernel = _gauss_shift_kernel("exp(-x^2/2)")
-    nl = _gauss_square_nonlinearity("exp(-x^2/2)")
-    # T0 = amp (pi / (2 sqrt 2)) exp(-x^2/2) erf(x/sqrt 2) erf(y)
-    coeff = nl.params["amplitude"] * (math.pi / (2.0 * math.sqrt(2.0)))
-
-    def tu0(x, y):
-        x = np.asarray(x, dtype=float)
-        return coeff * np.exp(-x ** 2 / 2.0) \
-            * erf(x / math.sqrt(2.0)) * erf(np.asarray(y))
-
-    def tu0_face(y0):
-        return coeff * erf(np.asarray(y0))
-
-    return NamedProblem(
-        id="hyperbolic-erf",
-        weight_desc="exp(-x^2/2)",
-        kernel=kernel,
-        nl=nl,
-        closed_forms={"abs_integral": kernel.abs_integral, "Tu0": tu0,
-                      "Tu0_face": tu0_face},
-    )
-
-
-def load_problem(problem_id):
-    """Construct the named problem; raises on unknown ids."""
-    if problem_id == "hyperbolic-erf":
-        return _hyperbolic_erf()
-    raise ValueError(f"unknown problem id {problem_id!r}; "
-                     f"available: {', '.join(PROBLEM_IDS)}")
+#: each built-in problem by id, as the document a problem file holds
+#: (load_problem_file), built by the same function
+PROBLEMS = {"hyperbolic-erf": {"kernel": {"id": "gauss-shift"},
+                               "nonlinearity": {"id": "gauss-plus-square"}}}
+PROBLEM_IDS = tuple(PROBLEMS)
 
 
 def _problem_piece(cfgdoc, key, factories, weight_desc):
@@ -197,16 +171,11 @@ def _problem_piece(cfgdoc, key, factories, weight_desc):
     return factory(weight_desc, **params)
 
 
-def load_problem_file(path):
-    """Build a problem from a JSON file.
-
-    Schema: {"id": str, "truncation": float,
-    "weight": a WEIGHT_REGISTRY name (default "exp(-x^2/2)"),
-    "kernel": {"id": ..., "params": {...}},
-    "nonlinearity": {"id": ..., "params": {...}}}.
-    """
-    with open(path) as fh:
-        cfgdoc = json.load(fh)
+def _build_problem(cfgdoc):
+    """The problem a problem-file document describes.  Its closed forms
+    follow its pieces: abs_integral for every kernel, and T(0) and its face
+    values for the gauss-plus-square forcing with a gauss-shift kernel that
+    has a weighted_sup (rate 1 under exp(-x^2/2), _gauss_shift_kernel)."""
     if not isinstance(cfgdoc, dict):
         raise ValueError("a problem file holds one JSON object")
     problem_id = cfgdoc.get("id", "custom")
@@ -219,11 +188,46 @@ def load_problem_file(path):
     nl = _problem_piece(cfgdoc, "nonlinearity", _NONLINEARITIES, weight_desc)
     truncation = _real_param("truncation", cfgdoc.get("truncation", 24.0),
                              positive=True)
-    return NamedProblem(
-        id=problem_id, weight_desc=weight_desc,
-        kernel=kernel, nl=nl,
-        closed_forms={"abs_integral": kernel.abs_integral},
-        truncation=truncation)
+    closed_forms = {"abs_integral": kernel.abs_integral}
+    if (kernel.name == "gauss-shift" and kernel.weighted_sup is not None
+            and nl.name == "gauss-plus-square"):
+        # T0 = amp (pi / (2 sqrt 2)) exp(-x^2/2) erf(x/sqrt 2) erf(y)
+        coeff = nl.params["amplitude"] * (math.pi / (2.0 * math.sqrt(2.0)))
+
+        def tu0(x, y):
+            x = np.asarray(x, dtype=float)
+            return coeff * np.exp(-x ** 2 / 2.0) \
+                * erf(x / math.sqrt(2.0)) * erf(np.asarray(y))
+
+        def tu0_face(y0):
+            return coeff * erf(np.asarray(y0))
+
+        closed_forms.update(Tu0=tu0, Tu0_face=tu0_face)
+    return NamedProblem(id=problem_id, weight_desc=weight_desc,
+                        kernel=kernel, nl=nl, closed_forms=closed_forms,
+                        truncation=truncation)
+
+
+def load_problem(problem_id):
+    """Build the built-in problem PROBLEMS[problem_id]; ValueError naming
+    the known ids for any other id."""
+    if problem_id not in PROBLEMS:
+        raise ValueError(f"unknown problem id {problem_id!r}; "
+                         f"available: {', '.join(PROBLEM_IDS)}")
+    return _build_problem(dict(PROBLEMS[problem_id], id=problem_id))
+
+
+def load_problem_file(path):
+    """Build a problem from a JSON file.
+
+    Schema: {"id": str (default "custom"), "truncation": float (default
+    24, the x-truncation of solve and check-conditions),
+    "weight": a WEIGHT_REGISTRY name (default "exp(-x^2/2)"),
+    "kernel": {"id": ..., "params": {...}},
+    "nonlinearity": {"id": ..., "params": {...}}}.
+    """
+    with open(path) as fh:
+        return _build_problem(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +238,8 @@ def _arctan_demo():
     """arctan has the limits -pi/2 and pi/2 at the two points of the
     two-point compactification of the line and none at the one point of
     the one-point compactification."""
-    ext = extend(np.arctan, LineTwoPoint(), tol=1e-6)
-    demo = {"two_point": dict(ext.limits), "one_point": None}
+    demo = {"two_point": extend(np.arctan, LineTwoPoint(), tol=1e-6),
+            "one_point": None}
     try:
         extend(np.arctan, LineOnePoint(), tol=1e-6)
     except ExtensionError as err:

@@ -5,8 +5,8 @@ a problem (casestudy.PROBLEM_IDS or --problem-file), and ascoli-demo and
 compactify-demo, which take a demo id (casestudy.DEMOS).  Exit codes: 0
 success, 1 usage error, 2 numerical or validation failure (a Picard solve
 or a quadrature did not converge, the solution's profile has no limit at
-infinity, or the run completed but a checked value fell outside
-tolerance).
+infinity or its face no window, or the run completed but a checked value
+fell outside tolerance).
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def build_parser():
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--grid-step", type=float, default=0.02)
     sp.add_argument("--truncation", type=float, default=None,
-                    help="x-truncation (default: the problem's, else 24)")
+                    help="x-truncation (default: the problem's)")
     sp.add_argument("--max-iter", type=int, default=50)
 
     sp = sub.add_parser("check-conditions",
@@ -98,9 +98,10 @@ def build_parser():
     sp.add_argument("--rho-range", default="0.05:1.0:0.01",
                     help="a:b:step ladder of rho values, at most "
                     f"{MAX_RHO_RUNGS} rungs")
-    sp.add_argument("--truncation", type=float, default=24.0,
-                    help="x-truncation of the index-sweep grid only; the "
-                    "hypothesis report always samples [0, 8]")
+    sp.add_argument("--truncation", type=float, default=None,
+                    help="x-truncation of the index-sweep grid only "
+                    "(default: the problem's); the hypothesis report always "
+                    "samples [0, 8]")
 
     sp = sub.add_parser("ascoli-demo",
                         help="precompactness diagnostics on a family")
@@ -125,19 +126,17 @@ def _load(args):
     return load_problem(args.problem)
 
 
+def _truncation(args, problem):
+    """--truncation, else the problem's own."""
+    return problem.truncation if args.truncation is None else args.truncation
+
+
 def _cmd_solve(args):
     problem = _load(args)
-    truncation = args.truncation
-    if truncation is None:
-        truncation = problem.truncation
     cfg = SolveConfig(hx=args.grid_step, hy=args.grid_step,
-                      truncation=truncation, tol=args.tol,
+                      truncation=_truncation(args, problem), tol=args.tol,
                       max_iter=args.max_iter, rho_ball=args.rho)
-    try:
-        result = picard_solve(problem, cfg)
-    except IterationError as err:
-        print(f"solve failed: {err}", file=sys.stderr)
-        return 2
+    result = picard_solve(problem, cfg)
     write_outputs(result, args.out, timestamp=not args.no_timestamp)
     print(f"converged in {result.iterations} iterations, "
           f"gap {result.gap_history[-1]:.3g}, "
@@ -148,14 +147,15 @@ def _cmd_solve(args):
 
 
 def _cmd_check_conditions(args):
-    _check_positive("--truncation", args.truncation)
     problem = _load(args)
+    truncation = _truncation(args, problem)
+    _check_positive("--truncation", truncation)
     rhos = ([args.rho] if args.rho is not None
             else _parse_rho_range(args.rho_range))
     hyp = check_hypotheses(problem.kernel, problem.weight, problem.nl,
                            float(rhos[len(rhos) // 2]))
     report = index_one_sweep(problem.kernel, problem.nl, rhos,
-                             grid=default_eval_grid(args.truncation))
+                             grid=default_eval_grid(truncation))
     os.makedirs(args.out, exist_ok=True)
     doc = {
         "problem": problem.id,
@@ -205,11 +205,10 @@ def _cmd_validate(args):
     problem = _load(args)
     gaps = validate_closed_forms(problem, n=args.grid_n)
     ok = all(g < args.tol for g in gaps.values())
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_json(os.path.join(args.out, "validation.json"),
-                   {"problem": problem.id, "tol": args.tol, "gaps": gaps,
-                    "pass": ok}, stamp=not args.no_timestamp)
+    os.makedirs(args.out, exist_ok=True)
+    write_json(os.path.join(args.out, "validation.json"),
+               {"problem": problem.id, "tol": args.tol, "gaps": gaps,
+                "pass": ok}, stamp=not args.no_timestamp)
     for name, gap in sorted(gaps.items()):
         print(f"{name}: max gap {gap:.3e} "
               f"({'ok' if gap < args.tol else 'OUTSIDE TOLERANCE'})")
@@ -237,7 +236,7 @@ def main(argv=None):
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (QuadratureError, FaceLimitError) as err:
+    except (QuadratureError, FaceLimitError, IterationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:

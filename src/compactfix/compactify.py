@@ -63,6 +63,16 @@ class LimitResult:
         return self.oscillations[-1]
 
 
+class FaceLimitError(ValueError):
+    """A required limit at an infinity face does not exist on the data;
+    message, when given, replaces the default one that names the face."""
+
+    def __init__(self, face, result=None, message=None):
+        self.face = face
+        self.result = result
+        super().__init__(message or f"no limit at infinity face {face!r}")
+
+
 def default_levels(tol=1e-6):
     """Dyadic delta ladder 2^-1 ... 2^-K, deep enough to certify tol."""
     kmax = max(12, int(math.ceil(math.log2(1.0 / tol))) + 4)
@@ -93,7 +103,7 @@ def ball_ladders(radii, vals, tol, point, depth=60):
     Ball k (delta = 2^-(k+1)) holds the samples of radius above
     2^(k+1) - 1, a suffix of the samples ranked by radius.  The balls stop
     before the first with fewer than 2 samples, or after depth of them
-    (delta = 2^-60 at most); ValueError names a point without any.
+    (delta = 2^-60 at most); FaceLimitError names a point without any.
     Returns (hi, lo, results): hi[k] and lo[k] hold each column's maximum
     and minimum on ball k (NaN where it holds a NaN), from running
     extremes of the segments between consecutive ball starts, run from the
@@ -108,7 +118,8 @@ def ball_ladders(radii, vals, tol, point, depth=60):
                              side="right")
     balls = int(np.count_nonzero(len(radii) - starts >= 2))
     if not balls:
-        raise ValueError(f"no nodes in any window of face {point!r}")
+        raise FaceLimitError(
+            point, message=f"no nodes in any window of face {point!r}")
     starts = starts[:balls]
     # the extremes of each segment starts[k]..starts[k + 1], run from the
     # far end, are the balls' (a segment between equal starts reads one
@@ -172,15 +183,8 @@ class ExtensionError(Exception):
         super().__init__(f"no limit at infinity point(s): {names}")
 
 
-@dataclass
-class Extension:
-    """A function's limits at every infinity point, by point label."""
-
-    limits: dict
-
-
 def extend(f, cmap, tol=1e-6):
-    """Extend f continuously to the compactification, or raise ExtensionError.
+    """f's limits at the infinity points of cmap, by label, or ExtensionError.
 
     Requires every infinity point of the map to have a converged kappa_limit;
     the failures dict of the raised error names each point that does not.
@@ -195,7 +199,7 @@ def extend(f, cmap, tol=1e-6):
             failures[p] = res
     if failures:
         raise ExtensionError(failures)
-    return Extension(limits)
+    return limits
 
 
 def _tail_radii(levels, n):

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compactify import (HalfLineOnePoint, IntervalIdentity, LineOnePoint,
-                         LineTwoPoint, ProductCompactification, ball_ladders)
+from .compactify import (FaceLimitError, HalfLineOnePoint, IntervalIdentity,
+                         LineOnePoint, LineTwoPoint, ProductCompactification,
+                         ball_ladders)
 
 
 #: each weight phi once, by the name that grid files and problem files give
@@ -50,17 +51,6 @@ def multi_indices(order, ndim):
 class WeightUnderflowError(ValueError):
     """The weight is 0 in float64 at a grid node (a positive weight such as
     exp(-x^2/2) underflows far out), so u/phi is undefined there."""
-
-
-class FaceLimitError(ValueError):
-    """A required limit at an infinity face does not exist on the grid data.
-
-    message, when given, replaces the default one that names the face."""
-
-    def __init__(self, face, result=None, message=None):
-        self.face = face
-        self.result = result
-        super().__init__(message or f"no limit at infinity face {face!r}")
 
 
 class WeightedGridFunction:

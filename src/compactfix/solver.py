@@ -42,9 +42,9 @@ class IterationError(Exception):
 
 @dataclass
 class SolveConfig:
+    truncation: float  # the x-range [0, truncation]
     hx: float = 0.02
     hy: float = 0.02
-    truncation: float = 24.0
     tol: float = 1e-8
     max_iter: int = 50
     rho_ball: float = None
@@ -101,11 +101,12 @@ def picard_solve(problem, cfg=None):
     """Iterate q <- Tq from q = 0 until the gap sup |q+ - q| drops below tol.
 
     problem must carry id, kernel, nl and weight (a WEIGHT_REGISTRY entry,
-    so that the solution can be saved), and the kernel and nonlinearity
-    their quotient forms for that weight.  Raises IterationError with the
-    gap history when max_iter is exhausted.
+    so that the solution can be saved), truncation, and the kernel and
+    nonlinearity their quotient forms for that weight.  Without cfg the
+    solve takes SolveConfig's defaults on [0, problem.truncation].  Raises
+    IterationError with the gap history when max_iter is exhausted.
     """
-    cfg = cfg or SolveConfig()
+    cfg = cfg or SolveConfig(truncation=problem.truncation)
     axes = cfg.axes()
     phi = problem.weight(axes[0])[:, None]
     ball_check = None

@@ -184,8 +184,8 @@ def test_07_bump_chain():
 
 def test_08_arctan_extension():
     ext = extend(np.arctan, LineTwoPoint(), tol=1e-6)
-    two_ok = (abs(ext.limits["+inf"] - math.pi / 2) < 1e-6
-              and abs(ext.limits["-inf"] + math.pi / 2) < 1e-6)
+    two_ok = (abs(ext["+inf"] - math.pi / 2) < 1e-6
+              and abs(ext["-inf"] + math.pi / 2) < 1e-6)
     try:
         extend(np.arctan, LineOnePoint(), tol=1e-6)
         one_failed = False
@@ -193,8 +193,8 @@ def test_08_arctan_extension():
         one_failed = True
     ok = two_ok and one_failed
     _report(8, "arctan-extension", ok,
-            f"two-point limits {ext.limits['+inf']:.8f} / "
-            f"{ext.limits['-inf']:.8f}, one-point extension rejected")
+            f"two-point limits {ext['+inf']:.8f} / "
+            f"{ext['-inf']:.8f}, one-point extension rejected")
 
 
 def test_09_property_suites(problem):

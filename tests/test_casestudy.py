@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from compactfix.casestudy import (DEMOS, PROBLEM_IDS, load_problem,
+from compactfix.casestudy import (DEMOS, PROBLEM_IDS, PROBLEMS, load_problem,
                                   load_problem_file, run_full_pipeline,
                                   validate_closed_forms)
 from compactfix.funcspace import WEIGHT_REGISTRY, BumpChain
@@ -116,6 +116,43 @@ def test_load_problem_file(tmp_path):
     assert res.solution.weight_desc == "1"
     assert np.array_equal(res.solution.quotient(), res.solution.samples)
     assert res.solution.samples.max() > 0.0
+
+
+def test_built_in_problem_is_its_document(tmp_path):
+    # load_problem and load_problem_file build the same document alike
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(PROBLEMS["hyperbolic-erf"],
+                                    id="hyperbolic-erf")))
+    built_in = load_problem("hyperbolic-erf")
+    from_file = load_problem_file(path)
+    assert from_file.id == built_in.id
+    assert from_file.truncation == built_in.truncation
+    assert sorted(from_file.closed_forms) == sorted(built_in.closed_forms) \
+        == ["Tu0", "Tu0_face", "abs_integral"]
+    assert validate_closed_forms(from_file) == validate_closed_forms(built_in)
+
+
+@pytest.mark.parametrize("doc, forms", [
+    ({}, ["Tu0", "Tu0_face", "abs_integral"]),
+    ({"nonlinearity": {"id": "gauss-plus-square",
+                       "params": {"amplitude": 0.5}}},
+     ["Tu0", "Tu0_face", "abs_integral"]),
+    ({"weight": "1"}, ["abs_integral"]),
+    ({"kernel": {"id": "gauss-shift", "params": {"rate": 2.0}}},
+     ["abs_integral"]),
+    ({"nonlinearity": {"id": "zero"}}, ["abs_integral"]),
+])
+def test_closed_forms_follow_the_pieces(tmp_path, doc, forms):
+    # T(0) and its face values reduce to erf only for the rate-1
+    # gauss-shift kernel and the gauss-plus-square forcing (of any
+    # amplitude) under exp(-x^2/2), whatever the problem's id
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(PROBLEMS["hyperbolic-erf"], **doc)))
+    problem = load_problem_file(path)
+    assert sorted(problem.closed_forms) == forms
+    gaps = validate_closed_forms(problem, n=8)
+    assert sorted(gaps) == forms
+    assert max(gaps.values()) < 1e-6
 
 
 def _gauss_shift_problem(tmp_path, rate, weight):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compactfix.casestudy import PROBLEMS
 from compactfix.cli import build_parser, main
 from compactfix.funcspace import load_grid_function
 
@@ -50,7 +51,9 @@ def test_solve_iteration_failure_exits_2(tmp_path, capsys):
                "--max-iter", "1", "--tol", "1e-30",
                "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert "solve failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "numerical failure: no convergence after 1 iterations "
+        "(last gap 0.117)\n")
 
 
 def test_solve_rejects_zero_grid_step(tmp_path, capsys):
@@ -112,6 +115,58 @@ def test_solve_takes_truncation_from_problem_file(tmp_path):
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["truncation"] == want
+
+
+def test_check_conditions_takes_truncation_from_problem_file(tmp_path):
+    reports = {}
+    for name, doc, extra in (("file", {"truncation": 4.0}, []),
+                             ("flag", {}, ["--truncation", "4"]),
+                             ("default", {}, [])):
+        (tmp_path / name).mkdir()
+        path = _problem_file(tmp_path / name, **doc)
+        out = tmp_path / name / "cc"
+        rc = main(["check-conditions", "--problem-file", path,
+                   "--rho-range", "0.3:0.5:0.1", "--out", str(out),
+                   "--no-timestamp"] + extra)
+        assert rc == 0
+        reports[name] = (out / "cone_report.json").read_bytes()
+    assert reports["file"] == reports["flag"] != reports["default"]
+
+
+def test_built_in_and_file_problems_solve_alike(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(PROBLEMS["hyperbolic-erf"]))
+    solve = ["solve", "--grid-step", "0.25", "--truncation", "4",
+             "--no-timestamp"]
+    a, b = tmp_path / "built_in", tmp_path / "file"
+    assert main(solve + ["--out", str(a)]) == 0
+    assert main(solve + ["--problem-file", str(path), "--out", str(b)]) == 0
+    for name in ("solution.csv", "solution.csv.json", "convergence.csv",
+                 "profile.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    # only the problem id differs: the file names none
+    assert (b / "summary.json").read_text().replace(
+        '"problem": "custom"', '"problem": "hyperbolic-erf"') \
+        == (a / "summary.json").read_text()
+
+
+def test_windowless_face_is_a_numerical_failure(tmp_path, capsys):
+    # on [0, 1] no node lies past the first window's radius 1
+    rc = main(["solve", "--truncation", "1", "--grid-step", "0.25",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: no nodes in any window of face 'axis0:inf'\n")
+
+
+def test_validate_writes_its_report_like_every_subcommand(capsys):
+    # an empty --out is a directory that cannot be made, for every report
+    for cmd in (["validate-closed-forms", "--grid-n", "4"],
+                ["check-conditions", "--rho", "0.5"],
+                ["compactify-demo"]):
+        assert main(cmd + ["--out", ""]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: [Errno 2] No such file or directory: ''\n")
 
 
 def _refuse_constant(name):

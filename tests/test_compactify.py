@@ -259,8 +259,8 @@ def test_kappa_limit_is_the_grid_ladder_on_its_own_samples():
 def test_extend_arctan_two_point():
     cmap = LineTwoPoint()
     ext = extend(np.arctan, cmap, tol=1e-6)
-    assert abs(ext.limits["+inf"] - math.pi / 2) < 1e-6
-    assert abs(ext.limits["-inf"] + math.pi / 2) < 1e-6
+    assert abs(ext["+inf"] - math.pi / 2) < 1e-6
+    assert abs(ext["-inf"] + math.pi / 2) < 1e-6
 
 
 def test_extend_arctan_one_point_fails():
@@ -273,7 +273,7 @@ def test_extend_arctan_one_point_fails():
 def test_extend_decaying_exponential_on_half_line():
     ext = extend(lambda x: np.exp(-np.asarray(x, dtype=float)),
                  HalfLineOnePoint(), tol=1e-6)
-    assert abs(ext.limits["inf"]) < 1e-6
+    assert abs(ext["inf"]) < 1e-6
 
 
 def _half_strip():

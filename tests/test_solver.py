@@ -25,6 +25,13 @@ def _zero_problem(tmp_path):
     return load_problem_file(path)
 
 
+def test_solve_without_config_takes_the_problems_truncation(tmp_path):
+    prob = _zero_problem(tmp_path)
+    res = picard_solve(prob)
+    assert res.config.truncation == prob.truncation == 4.0
+    assert res.solution.axes[0][-1] == 4.0
+
+
 def test_zero_forcing_fixes_zero(tmp_path):
     prob = _zero_problem(tmp_path)
     cfg = SolveConfig(hx=0.25, hy=0.25, truncation=4.0)
@@ -91,7 +98,8 @@ def test_pde_residual_matches_the_dense_weight_matrix(problem):
     # blocks are probed and trimmed on both sides
     axes = (np.linspace(0.0, 8.0, 201), np.linspace(0.0, 1.0, 11))
     X, Y = np.meshgrid(*axes, indexing="ij")
-    solved = picard_solve(problem, SolveConfig(hx=0.05, hy=0.05)).solution
+    solved = picard_solve(problem, SolveConfig(hx=0.05, hy=0.05,
+                                               truncation=24.0)).solution
     kernel = problem.kernel
     for (xs, ys), q in [(axes, 0.2 * Y * (1.0 + np.sin(3.0 * X))),
                         (solved.axes, solved.quotient())]:
@@ -222,7 +230,7 @@ def test_solve_config_rejects_bad_steps_and_tolerance():
     for field in ("hx", "hy", "tol"):
         for value in (0.0, -0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{field} must be positive"):
-                SolveConfig(**{field: value})
+                SolveConfig(truncation=24.0, **{field: value})
 
 
 def test_profile_stable_under_grid_refinement(problem):
@@ -317,9 +325,9 @@ def test_write_outputs(problem, tmp_path):
 
 def test_solve_config_validation():
     with pytest.raises(ValueError, match="tol"):
-        SolveConfig(tol=0.0)
+        SolveConfig(truncation=24.0, tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
-        SolveConfig(max_iter=0)
+        SolveConfig(truncation=24.0, max_iter=0)
     with pytest.raises(ValueError, match="hx = 0.07 does not divide"):
         SolveConfig(hx=0.07, hy=0.05, truncation=4.0)
     with pytest.raises(ValueError, match="hy = 0.3 does not divide"):
