@@ -17,7 +17,7 @@ from compactfix.greenop import GridHammersteinOperator
 from compactfix.solver import SolveConfig
 
 problem = load_problem("hyperbolic-erf")
-grid = default_eval_grid()
+grid = default_eval_grid(24.0)
 
 # The kernel column integral is shared by every radius, compute it once.
 beta = abs_integral_beta_factor(problem.kernel, grid)

@@ -32,7 +32,7 @@ def beta_sup(samples):
     return float(np.max(np.abs(samples)))
 
 
-def default_eval_grid(truncation=24.0):
+def default_eval_grid(truncation):
     """33 x 9 nodes on [0, truncation] x [0, 1]."""
     return (np.linspace(0.0, truncation, 33), np.linspace(0.0, 1.0, 9))
 
@@ -69,9 +69,8 @@ def abs_integral_beta_factor(kernel, grid):
     return beta_sup(kernel.abs_integral(*np.meshgrid(*grid, indexing="ij")))
 
 
-def index_one_check(kernel, nl, rho, grid=None, beta_factor=None):
-    """Check 0 < f_sup_rho * beta(kernel abs integral) < 1."""
-    grid = grid if grid is not None else default_eval_grid()
+def index_one_check(kernel, nl, rho, grid, beta_factor=None):
+    """Check 0 < f_sup_rho * beta(kernel abs integral) < 1 on grid."""
     if beta_factor is None:
         beta_factor = abs_integral_beta_factor(kernel, grid)
     fsup = f_sup_rho(nl, rho, grid)
@@ -89,9 +88,9 @@ class ConeReport:
         return (min(held), max(held)) if held else None
 
 
-def index_one_sweep(kernel, nl, rhos, grid=None):
-    """index_one_check across a rho ladder, reusing the beta factor."""
-    grid = grid if grid is not None else default_eval_grid()
+def index_one_sweep(kernel, nl, rhos, grid):
+    """index_one_check across a rho ladder on grid, reusing the beta
+    factor."""
     beta_factor = abs_integral_beta_factor(kernel, grid)
     rows = []
     for rho in rhos:

@@ -48,11 +48,12 @@ from .compactify import HalfLineOnePoint, kappa_limit
 from .funcspace import (LOG_WEIGHTS, WeightedGridFunction, attach_faces,
                         face_profile, quotient_derivative)
 
-# the value rule of every panel integral, the same-panel companion that
-# certifies it, and both side by side (one integrand call per 1-d level)
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL8 = np.polynomial.legendre.leggauss(8)
-_GL16_8 = tuple(map(np.concatenate, zip(_GL16, _GL8)))
+# the panel rules side by side, as (nodes, weights) on [-1, 1]: the 16-node
+# Gauss-Legendre value rule of every panel integral, then the 8-node
+# companion on the same panel that certifies it, so both rules of a level
+# share one node set
+_GL16_8 = tuple(map(np.concatenate, zip(np.polynomial.legendre.leggauss(16),
+                                        np.polynomial.legendre.leggauss(8))))
 # the panel rule: at most 2^_MAX_PANEL_LEVEL panels per interval
 _MAX_PANEL_LEVEL = 6
 # the 2-d route evaluates f _T_BLOCK t-nodes at a time, so a block's
@@ -92,8 +93,8 @@ def _gl_panels(lo, hi, level, rule):
 
 
 def _settle(level_pair, tol):
-    """The two-rule test: level_pair(L) gives the _GL16 and the _GL8
-    values on 2^L panels, L = 0, 1, ...; the _GL16 values are returned once
+    """The two-rule test: level_pair(L) gives the 16-node and the 8-node
+    values on 2^L panels, L = 0, 1, ...; the 16-node values are returned once
     their largest difference is at most tol.  QuadratureError if a level
     is not finite or none has settled by _MAX_PANEL_LEVEL."""
     for level in range(_MAX_PANEL_LEVEL + 1):
@@ -125,7 +126,8 @@ def panel_quadrature(g, a, b, tol=1e-10):
 
     def level_pair(level):
         nodes, weights = _gl_panels(a, b, level, _GL16_8)
-        # per panel, the 16 nodes of _GL16 and then the 8 of _GL8
+        # per panel, the 16 nodes of the value rule and then the 8 of its
+        # companion
         terms = (weights * g(nodes)).reshape(len(a), -1, 24)
         return (terms[..., :16].sum(axis=(1, 2)),
                 terms[..., 16:].sum(axis=(1, 2)))
@@ -470,14 +472,17 @@ def _panel_integrals(u, nl, kx, tol):
     so below the first node it takes the first node's values.  Every break
     interval gets 2^L panels of the 16-node Gauss-Legendre rule.  _settle
     returns level L once the 8-node rule on the same panels agrees with it
-    to tol at every output, and doubles the panels otherwise.  Per level
-    and rule the s-basis B_s and the t-basis rows are formed once; f is
-    evaluated on the tensor of t-nodes x s-nodes in blocks of _T_BLOCK
-    t-nodes, each reading u as B_t[block] C B_s^T over the B-splines that
-    its t-nodes reach, so the memory does not grow with nx times the
-    nodes: a block's temporaries hold at most _T_BLOCK times the s-nodes
-    or nx entries.  The block size changes only how the sums are grouped,
-    not the nodes or weights.
+    to tol at every output, and doubles the panels otherwise.  Both rules
+    of a level share one node set (_GL16_8 on each axis), so the nodes,
+    the weights, the s-basis B_s and the t-basis rows are formed once per
+    level, on the combined nodes, and then split by rule.  f is evaluated
+    on each rule's own tensor of t-nodes x s-nodes (the combined 24 x 24
+    tensor per panel pair would take 1.8 times the points), in blocks of
+    _T_BLOCK t-nodes, each reading u as B_t[block] C B_s^T over the
+    B-splines that its t-nodes reach, so the memory does not grow with nx
+    times the nodes: a block's temporaries hold at most _T_BLOCK times the
+    s-nodes or nx entries.  The block size changes only how the sums are
+    grouped, not the nodes or weights.
     """
     xs, ys = u.axes
     for axis, nodes in enumerate(u.axes):
@@ -489,17 +494,9 @@ def _panel_integrals(u, nl, kx, tol):
     bx = np.union1d([0.0], xs[xs > 0])
     by = np.union1d([0.0], ys[ys > 0])
 
-    def level_integrals(level, rule):
-        t, wt = (v.ravel() for v in _gl_panels(bx[:-1], bx[1:], level, rule))
-        s, ws = (v.ravel() for v in _gl_panels(by[:-1], by[1:], level, rule))
+    def rule_integrals(t, wt, span, bt, s, ws, bs):
         # the causal rules: node weights below each output node, else 0
         ymat = ws * (s[None, :] < ys[:, None])
-        bs = _bspline_basis(ty, np.clip(s, ys[0], ys[-1]))
-        # B_t stays in the compact form of _bspline_rows: as a full matrix,
-        # or with C B_s^T formed whole, it would take nx times the t- or
-        # s-nodes of memory (the full B_t: 0.37 GB on a 1201 x 51 grid at
-        # level 1)
-        span, bt = _bspline_rows(tx, np.clip(t, xs[0], xs[-1]))
         total = np.zeros((len(xs), len(ys)))
         for b in range(0, len(t), _T_BLOCK):
             tb = t[b:b + _T_BLOCK]
@@ -516,8 +513,25 @@ def _panel_integrals(u, nl, kx, tol):
             total += xmat @ (vals @ ymat.T)
         return total
 
-    return _settle(lambda level: (level_integrals(level, _GL16),
-                                  level_integrals(level, _GL8)), tol)
+    def level_pair(level):
+        t, wt = (v.ravel() for v in _gl_panels(bx[:-1], bx[1:], level,
+                                                _GL16_8))
+        s, ws = (v.ravel() for v in _gl_panels(by[:-1], by[1:], level,
+                                                _GL16_8))
+        bs = _bspline_basis(ty, np.clip(s, ys[0], ys[-1]))
+        # B_t stays in the compact form of _bspline_rows: as a full matrix,
+        # or with C B_s^T formed whole, it would take nx times the t- or
+        # s-nodes of memory (the full B_t on both rules' nodes: 0.55 GB on
+        # a 1201 x 51 grid at level 1)
+        span, bt = _bspline_rows(tx, np.clip(t, xs[0], xs[-1]))
+        # per panel, the 16 nodes of the value rule and then the 8 of its
+        # companion
+        on_t, on_s = (np.arange(len(v)) % 24 < 16 for v in (t, s))
+        return tuple(rule_integrals(t[pt], wt[pt], span[pt], bt[pt],
+                                    s[ps], ws[ps], bs[ps])
+                     for pt, ps in ((on_t, on_s), (~on_t, ~on_s)))
+
+    return _settle(level_pair, tol)
 
 
 def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):

@@ -90,7 +90,7 @@ def test_02_operator_closed_form(problem):
 
 def test_03_index_interval(problem):
     t0 = time.perf_counter()
-    grid = default_eval_grid()
+    grid = default_eval_grid(24.0)
     beta = abs_integral_beta_factor(problem.kernel, grid)
     rhos = np.round(np.arange(0.15, 0.85 + 1e-9, 0.01), 10)
     sweep = index_one_sweep(problem.kernel, problem.nl, rhos,

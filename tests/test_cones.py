@@ -22,7 +22,7 @@ def _const_nl(c):
 
 
 def test_f_sup_rho_closed_form(problem):
-    grid = default_eval_grid()
+    grid = default_eval_grid(24.0)
     # the sup sits at the origin with v = rho, so (1/8 + rho^2) / rho
     assert f_sup_rho(problem.nl, 0.5, grid) == 0.75
     for rho in (0.2, 1.0, 3.0):
@@ -48,7 +48,7 @@ def test_v_ladder_sup_matches_the_loop(problem, rng):
     unit = _gauss_square_nonlinearity("1", 0.7)
     rhos = np.concatenate([np.round(np.arange(0.05, 1.0 + 0.005, 0.01), 10),
                            10.0 ** rng.uniform(-6.0, 6.0, 20)])
-    for grid in (default_eval_grid(), default_eval_grid(3.0)):
+    for grid in (default_eval_grid(24.0), default_eval_grid(3.0)):
         for nl in (problem.nl, unit):
             for rho in rhos:
                 assert f_sup_rho(nl, rho, grid) \
@@ -59,13 +59,14 @@ def test_nan_nonlinearity_never_certifies_index_one(problem):
     # a NaN once dropped out of the running max: f_sup read 2.0 at 0.5
     nan_nl = Nonlinearity("nan-above", lambda t, s, v: np.where(
         np.asarray(v) > 0.25, math.nan, 1.0 + 0.0 * np.asarray(t)))
-    assert math.isnan(f_sup_rho(nan_nl, 0.5, default_eval_grid()))
-    chk = index_one_check(problem.kernel, nan_nl, 0.5)
+    assert math.isnan(f_sup_rho(nan_nl, 0.5, default_eval_grid(24.0)))
+    chk = index_one_check(problem.kernel, nan_nl, 0.5,
+                          default_eval_grid(24.0))
     assert math.isnan(chk.lhs) and not chk.holds
 
 
 def test_beta_factor_is_the_far_corner(problem):
-    grid = default_eval_grid()
+    grid = default_eval_grid(24.0)
     beta = abs_integral_beta_factor(problem.kernel, grid)
     assert beta == pytest.approx(SQPI2 * erf(24.0), abs=1e-9)
     # the attached closed form against the quadrature of |kx|
@@ -77,18 +78,20 @@ def test_beta_factor_is_the_far_corner(problem):
 
 
 def test_index_one_holds_at_half(problem):
-    chk = index_one_check(problem.kernel, problem.nl, 0.5)
+    chk = index_one_check(problem.kernel, problem.nl, 0.5,
+                          default_eval_grid(24.0))
     assert chk.holds
     assert chk.lhs == pytest.approx(0.75 * SQPI2 * erf(24.0), abs=1e-9)
     assert chk.lhs == pytest.approx(0.6646701940895687, abs=1e-9)
     assert chk.f_sup == 0.75
-    assert abs_integral_beta_factor(problem.kernel, default_eval_grid()) \
+    assert abs_integral_beta_factor(problem.kernel, default_eval_grid(24.0)) \
         == pytest.approx(SQPI2 * erf(24.0), abs=1e-9)
 
 
 def test_index_one_fails_at_small_and_large_radius(problem):
     for rho, lhs in [(0.01, 11.087), (5.0, 4.453)]:
-        chk = index_one_check(problem.kernel, problem.nl, rho)
+        chk = index_one_check(problem.kernel, problem.nl, rho,
+                              default_eval_grid(24.0))
         assert not chk.holds
         assert chk.lhs == pytest.approx(lhs, abs=5e-3)
         assert chk.lhs > 1.0
@@ -96,7 +99,8 @@ def test_index_one_fails_at_small_and_large_radius(problem):
 
 def test_index_one_sweep_interval(problem):
     rhos = np.arange(0.15, 0.85 + 1e-9, 0.01)
-    report = index_one_sweep(problem.kernel, problem.nl, rhos)
+    report = index_one_sweep(problem.kernel, problem.nl, rhos,
+                             default_eval_grid(24.0))
     assert all(row["holds"] for row in report.rows)
     lo, hi = report.holding_interval()
     assert lo == pytest.approx(0.15) and hi == pytest.approx(0.85)

@@ -450,16 +450,23 @@ def test_adaptive_apply_accepts_levels_that_the_next_doubling_confirms(
         assert np.abs(level_integrals(level + 1) - out).max() <= tol, name
 
 
+def _narrow_bump(c, w):
+    """(kernel, nl, u): kx = 1, f = exp(-((t - c)/w)^2) and u = 0 on a
+    5 x 4 grid of [0, 2] x [0, 1]."""
+    kernel = Kernel("one", lambda x, t: np.ones(np.broadcast(x, t).shape))
+    nl = Nonlinearity("bump", lambda t, s, v:
+                      np.exp(-((t - c) / w) ** 2) + 0.0 * v)
+    xs, ys = np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 4)
+    return kernel, nl, WeightedGridFunction((xs, ys), np.zeros((5, 4)))
+
+
 def test_adaptive_apply_refines_a_narrow_bump(monkeypatch):
     # f = exp(-((t - c)/w)^2) with kx = 1: Tu(x, y) is y times a difference
     # of error functions.  16 nodes on a panel of width 0.5 do not resolve
     # the bump, so the panels are doubled until the 8-node rule agrees
     c, w = 0.9, 0.04
-    kernel = Kernel("one", lambda x, t: np.ones(np.broadcast(x, t).shape))
-    nl = Nonlinearity("bump", lambda t, s, v:
-                      np.exp(-((t - c) / w) ** 2) + 0.0 * v)
-    xs, ys = np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 4)
-    u = WeightedGridFunction((xs, ys), np.zeros((5, 4)))
+    kernel, nl, u = _narrow_bump(c, w)
+    xs, ys = u.axes
     out, level, level_integrals, tol = _settled_level(
         monkeypatch, lambda: apply_T(u, kernel, nl, method="adaptive",
                                      tol=1e-12, faces=False))
@@ -469,6 +476,99 @@ def test_adaptive_apply_refines_a_narrow_bump(monkeypatch):
     assert np.abs(out - want).max() <= 1e-12
     # level 0 misses the bump by far more than tol
     assert np.abs(level_integrals(0) - want).max() > 1e-6
+
+
+def _two_pass_panel_integrals(u, nl, kx, tol, levels):
+    """Reference: the adaptive route with the nodes, weights and B-spline
+    values of each rule built on their own, two passes per panel level;
+    every level evaluated is appended to levels."""
+    from compactfix import greenop
+
+    xs, ys = u.axes
+    tx, ty, coef = _spline_coefficients(xs, ys, u.samples)
+    bx = np.union1d([0.0], xs[xs > 0])
+    by = np.union1d([0.0], ys[ys > 0])
+
+    def level_integrals(level, rule):
+        t, wt = (v.ravel() for v in greenop._gl_panels(bx[:-1], bx[1:],
+                                                       level, rule))
+        s, ws = (v.ravel() for v in greenop._gl_panels(by[:-1], by[1:],
+                                                       level, rule))
+        ymat = ws * (s[None, :] < ys[:, None])
+        bs = _bspline_basis(ty, np.clip(s, ys[0], ys[-1]))
+        span, bt = greenop._bspline_rows(tx, np.clip(t, xs[0], xs[-1]))
+        block = greenop._T_BLOCK
+        total = np.zeros((len(xs), len(ys)))
+        for b in range(0, len(t), block):
+            tb = t[b:b + block]
+            sp = span[b:b + block]
+            rows = np.zeros((len(sp), sp[-1] - sp[0] + 4))
+            rows[np.arange(len(sp))[:, None],
+                 sp[:, None] - sp[0] + np.arange(4)] = bt[b:b + block]
+            vals = nl.eval(tb[:, None], s[None, :],
+                           rows @ coef[sp[0] - 3:sp[-1] + 1] @ bs.T)
+            xmat = wt[b:b + block] * (tb[None, :] < xs[:, None]) \
+                * kx(xs[:, None], tb[None, :])
+            total += xmat @ (vals @ ymat.T)
+        return total
+
+    def level_pair(level):
+        levels.append(level)
+        return tuple(level_integrals(level, np.polynomial.legendre.leggauss(n))
+                     for n in (16, 8))
+
+    return greenop._settle(level_pair, tol)
+
+
+def test_adaptive_route_matches_the_two_pass_route_bit_for_bit(
+        problem, rng, monkeypatch):
+    # one node set and one B-spline pass per level for both rules changes
+    # where the values are computed, not how: the bump settles at a level
+    # >= 1, the second grid has non-uniform axes, and blocks of 7 t-nodes
+    # leave a ragged last block for both rules
+    from compactfix import greenop
+
+    grids = _crosscheck_grids(problem, rng)
+    bump_kernel, bump_nl, bump_u = _narrow_bump(0.9, 0.04)
+    uneven = _grid_function(
+        problem, np.array([0.0, 0.1, 0.35, 1.2, 1.3, 2.9, 3.0, 5.5]),
+        np.array([0.25, 0.3, 0.7, 1.0]), rng.uniform(0.0, 0.5, (8, 4)))
+    shipped = greenop._T_BLOCK
+    cases = {"cone": (grids["cone"], problem.kernel, problem.nl, 1e-10,
+                      shipped),
+             "zero": (grids["zero"], problem.kernel, problem.nl, 1e-10,
+                      shipped),
+             "bump": (bump_u, bump_kernel, bump_nl, 1e-12, shipped),
+             "uneven": (uneven, problem.kernel, problem.nl, 1e-10, shipped),
+             "ragged": (grids["cone"], problem.kernel, problem.nl, 1e-10,
+                        7)}
+    for name, (u, kernel, nl, tol, block) in cases.items():
+        monkeypatch.setattr(greenop, "_T_BLOCK", block)
+        levels = []
+        want = _two_pass_panel_integrals(u, nl, kernel.kx, tol, levels)
+        got = greenop._panel_integrals(u, nl, kernel.kx, tol)
+        assert np.array_equal(got, want), name
+        assert max(levels) >= (1 if name == "bump" else 0), name
+
+
+def test_adaptive_apply_builds_one_node_set_and_basis_per_level(
+        problem, rng, monkeypatch):
+    # level 0 on the 12 x 12 grid: one _gl_panels call per axis, and
+    # _bspline_rows twice for the spline's collocation matrices and once
+    # per axis on both rules' nodes (_two_pass_panel_integrals makes 4
+    # and 6)
+    from compactfix import greenop
+
+    calls = {"_gl_panels": 0, "_bspline_rows": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(greenop, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(greenop, name, counting)
+    u = _crosscheck_grids(problem, rng)["zero"]
+    apply_T(u, problem.kernel, problem.nl, method="adaptive")
+    assert calls == {"_gl_panels": 2, "_bspline_rows": 4}
 
 
 def test_apply_rejects_bad_method_and_shape(problem):
