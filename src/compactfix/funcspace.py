@@ -10,6 +10,7 @@ JSON sidecar for the axes, the weight's name and the face values.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -105,6 +106,23 @@ class WeightedGridFunction:
         out = cls(axes, q, weight, order, cmap, infinity, weight_desc)
         out._q = out.samples
         out.samples = out.weight_values() * out._q
+        return out
+
+    def image(self, values, quotient=False):
+        """A grid function on this one's grid, weight, order and
+        compactification, without face values: values are its samples, or
+        with quotient=True its q, kept as from_quotient keeps it.  It
+        shares this grid's checked axes and its table of phi values, so a
+        grid function and its images evaluate phi once between them."""
+        out = copy.copy(self)
+        out.infinity = {}
+        out.samples = np.asarray(values, dtype=float)
+        out._q = None
+        if quotient:
+            out._q = out.samples
+            out.samples = self.weight_values() * out._q
+        elif self.weight is not _unit_weight:
+            out._wvals = self.weight_values()
         return out
 
     @property

@@ -8,7 +8,11 @@ from its bicubic interpolating spline and integrates all nodes at once.
 The spline is built here in numpy in tensor-product form,
 u(t, s) = B_x(t) C B_y(s)^T (de Boor, "A Practical Guide to Splines",
 1978), on FITPACK's interpolation knots, so the module imports nothing
-from scipy.
+from scipy.  The cross-check path takes one B-spline pass per axis and
+panel level, and at level 0 that pass also gives the collocation matrix
+of the spline.  Both paths return their image on u's grid through
+WeightedGridFunction.image, so a cross-check pair of the two shares u's
+axes and its one table of phi values.
 
 The grid path works in the quotient q = u/phi, the coordinate of the
 weighted norm: with f(t, s, phi(t) q) = phi(t)^2 q_eval(t, s, q), q
@@ -45,8 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compactify import HalfLineOnePoint, kappa_limit
-from .funcspace import (LOG_WEIGHTS, WeightedGridFunction, attach_faces,
-                        face_profile, quotient_derivative)
+from .funcspace import (LOG_WEIGHTS, attach_faces, face_profile,
+                        quotient_derivative)
 
 # the panel rules side by side, as (nodes, weights) on [-1, 1]: the 16-node
 # Gauss-Legendre value rule of every panel integral, then the 8-node
@@ -441,23 +445,37 @@ def _bspline_rows(knots, points):
     return span, vals
 
 
-def _bspline_basis(knots, points):
-    """B[i, j] = B_j(points[i]), the full matrix of _bspline_rows."""
-    span, vals = _bspline_rows(knots, points)
-    out = np.zeros((len(points), len(knots) - 4))
-    rows = np.arange(len(points))[:, None]
-    out[rows, span[:, None] - 3 + np.arange(4)] = vals
+def _basis_matrix(span, vals, n):
+    """The full n-column matrix of _bspline_rows' (span, vals): row i holds
+    vals[i] at columns span[i] - 3 .. span[i], zeros elsewhere."""
+    out = np.zeros((len(span), n))
+    out[np.arange(len(span))[:, None], span[:, None] - 3 + np.arange(4)] = vals
     return out
 
 
-def _spline_coefficients(xs, ys, samples):
-    """(knots on x, knots on y, C): the bicubic interpolant of samples on
-    the grid xs x ys is u(t, s) = B_x(t) C B_y(s)^T, with B_x, B_y the
-    _bspline_basis matrices on the knots; C = B_x^-1 U B_y^-T from the
-    collocation matrices at the nodes."""
-    tx, ty = _interpolation_knots(xs), _interpolation_knots(ys)
-    inner = np.linalg.solve(_bspline_basis(tx, xs), samples)
-    return tx, ty, np.linalg.solve(_bspline_basis(ty, ys), inner.T).T
+def _bspline_basis(knots, points):
+    """B[i, j] = B_j(points[i]), the full matrix of _bspline_rows."""
+    return _basis_matrix(*_bspline_rows(knots, points), len(knots) - 4)
+
+
+def _spline_coefficients(xs, ys, samples, t=(), s=()):
+    """(knots on x, knots on y, C, t-rows, s-rows): the bicubic interpolant
+    of samples on the grid xs x ys is u(t, s) = B_x(t) C B_y(s)^T, with
+    B_x, B_y the _bspline_basis matrices on the knots; C = B_x^-1 U B_y^-T
+    from the collocation matrices at the nodes.  Each axis takes one
+    _bspline_rows pass, on its nodes followed by the points t (s), which
+    must lie in [nodes[0], nodes[-1]]: the collocation matrix is that
+    pass's first rows, and the t-rows (s-rows) are the rest, the pass's
+    (span, vals) at t (s)."""
+    knots, colloc, rows = [], [], []
+    for nodes, points in ((xs, t), (ys, s)):
+        knots.append(_interpolation_knots(nodes))
+        span, vals = _bspline_rows(knots[-1], np.concatenate([nodes, points]))
+        n = len(nodes)
+        colloc.append(_basis_matrix(span[:n], vals[:n], n))
+        rows.append((span[n:], vals[n:]))
+    inner = np.linalg.solve(colloc[0], samples)
+    return (*knots, np.linalg.solve(colloc[1], inner.T).T, *rows)
 
 
 def _panel_integrals(u, nl, kx, tol):
@@ -473,11 +491,14 @@ def _panel_integrals(u, nl, kx, tol):
     interval gets 2^L panels of the 16-node Gauss-Legendre rule.  _settle
     returns level L once the 8-node rule on the same panels agrees with it
     to tol at every output, and doubles the panels otherwise.  Both rules
-    of a level share one node set (_GL16_8 on each axis), so the nodes,
-    the weights, the s-basis B_s and the t-basis rows are formed once per
-    level, on the combined nodes, and then split by rule.  f is evaluated
-    on each rule's own tensor of t-nodes x s-nodes (the combined 24 x 24
-    tensor per panel pair would take 1.8 times the points), in blocks of
+    of a level share one node set (_GL16_8), and both axes' break
+    intervals share one _gl_panels call per level.  Each axis takes one
+    B-spline pass per level on both rules' nodes; the level-0 nodes are
+    formed first, so that the level-0 pass also gives the spline's
+    collocation matrix (_spline_coefficients).  The t-basis rows and the
+    s-basis B_s are then split by rule, and f is evaluated on each rule's
+    own tensor of t-nodes x s-nodes (the combined 24 x 24 tensor per panel
+    pair would take 1.8 times the points), in blocks of
     _T_BLOCK t-nodes, each reading u as B_t[block] C B_s^T over the
     B-splines that its t-nodes reach, so the memory does not grow with nx
     times the nodes: a block's temporaries hold at most _T_BLOCK times the
@@ -490,9 +511,22 @@ def _panel_integrals(u, nl, kx, tol):
             raise ValueError(f"the adaptive route's bicubic spline needs at "
                              f"least 4 nodes on axis {axis}, got "
                              f"{len(nodes)}")
-    tx, ty, coef = _spline_coefficients(xs, ys, u.samples)
     bx = np.union1d([0.0], xs[xs > 0])
     by = np.union1d([0.0], ys[ys > 0])
+    nt = len(bx) - 1
+
+    def level_nodes(level):
+        # the t-rows of _gl_panels are bx's intervals, the s-rows by's
+        nodes, weights = _gl_panels(np.concatenate([bx[:-1], by[:-1]]),
+                                    np.concatenate([bx[1:], by[1:]]), level,
+                                    _GL16_8)
+        return (nodes[:nt].ravel(), weights[:nt].ravel(),
+                nodes[nt:].ravel(), weights[nt:].ravel())
+
+    t0, wt0, s0, ws0 = level_nodes(0)
+    tx, ty, coef, t0_rows, s0_rows = _spline_coefficients(
+        xs, ys, u.samples, np.clip(t0, xs[0], xs[-1]),
+        np.clip(s0, ys[0], ys[-1]))
 
     def rule_integrals(t, wt, span, bt, s, ws, bs):
         # the causal rules: node weights below each output node, else 0
@@ -514,16 +548,18 @@ def _panel_integrals(u, nl, kx, tol):
         return total
 
     def level_pair(level):
-        t, wt = (v.ravel() for v in _gl_panels(bx[:-1], bx[1:], level,
-                                                _GL16_8))
-        s, ws = (v.ravel() for v in _gl_panels(by[:-1], by[1:], level,
-                                                _GL16_8))
-        bs = _bspline_basis(ty, np.clip(s, ys[0], ys[-1]))
         # B_t stays in the compact form of _bspline_rows: as a full matrix,
         # or with C B_s^T formed whole, it would take nx times the t- or
         # s-nodes of memory (the full B_t on both rules' nodes: 0.55 GB on
         # a 1201 x 51 grid at level 1)
-        span, bt = _bspline_rows(tx, np.clip(t, xs[0], xs[-1]))
+        if level == 0:
+            t, wt, s, ws = t0, wt0, s0, ws0
+            (span, bt), s_rows = t0_rows, s0_rows
+        else:
+            t, wt, s, ws = level_nodes(level)
+            span, bt = _bspline_rows(tx, np.clip(t, xs[0], xs[-1]))
+            s_rows = _bspline_rows(ty, np.clip(s, ys[0], ys[-1]))
+        bs = _basis_matrix(*s_rows, len(ys))
         # per panel, the 16 nodes of the value rule and then the 8 of its
         # companion
         on_t, on_s = (np.arange(len(v)) % 24 < 16 for v in (t, s))
@@ -537,10 +573,12 @@ def _panel_integrals(u, nl, kx, tol):
 def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
     """Tu as a weighted grid function on u's grid.
 
-    method "grid" uses the cumulative weights (uniform grids only), in the
+    Both methods return the image through u.image
+    (WeightedGridFunction.image), on u's axes and its table of phi values,
+    so an adaptive and a grid image of one u evaluate phi once.  method
+    "grid" uses the cumulative weights (uniform grids only), in the
     quotient coordinates q = u/phi, and returns a grid function that keeps
-    the image's q (WeightedGridFunction.from_quotient), so its face ladders
-    never divide by phi;
+    the image's q, so its face ladders never divide by phi;
     "adaptive" reads u from its bicubic interpolating spline (numpy
     B-spline basis matrices, see _panel_integrals; each axis needs at least
     4 nodes, ValueError otherwise) and applies a composite 16-node
@@ -559,11 +597,9 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
         raise ValueError("apply_T expects a 2d grid function")
     if method == "grid":
         op = GridHammersteinOperator(kernel, nl, u.axes)
-        out = WeightedGridFunction.from_quotient(
-            u.axes, op.apply(u.quotient()), u.weight, u.order, u.cmap)
+        out = u.image(op.apply(u.quotient()), quotient=True)
     elif method == "adaptive":
-        out = WeightedGridFunction(u.axes, _panel_integrals(
-            u, nl, kernel.kx, tol), u.weight, u.order, u.cmap)
+        out = u.image(_panel_integrals(u, nl, kernel.kx, tol))
     else:
         raise ValueError(f"unknown method {method!r}")
 

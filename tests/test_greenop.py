@@ -299,7 +299,7 @@ def test_numpy_spline_matches_fitpack_interpolant(xs, ys, rng):
 
     samples = rng.uniform(-1.0, 1.0, (len(xs), len(ys)))
     ref = RectBivariateSpline(xs, ys, samples, kx=3, ky=3)
-    tx, ty, coef = _spline_coefficients(xs, ys, samples)
+    tx, ty, coef, _, _ = _spline_coefficients(xs, ys, samples)
     assert np.array_equal(tx, ref.tck[0]) and np.array_equal(ty, ref.tck[1])
     t = np.concatenate([xs, rng.uniform(xs[0], xs[-1], 40)])
     s = np.concatenate([ys, rng.uniform(ys[0], ys[-1], 40)])
@@ -485,7 +485,7 @@ def _two_pass_panel_integrals(u, nl, kx, tol, levels):
     from compactfix import greenop
 
     xs, ys = u.axes
-    tx, ty, coef = _spline_coefficients(xs, ys, u.samples)
+    tx, ty, coef, _, _ = _spline_coefficients(xs, ys, u.samples)
     bx = np.union1d([0.0], xs[xs > 0])
     by = np.union1d([0.0], ys[ys > 0])
 
@@ -553,22 +553,89 @@ def test_adaptive_route_matches_the_two_pass_route_bit_for_bit(
 
 def test_adaptive_apply_builds_one_node_set_and_basis_per_level(
         problem, rng, monkeypatch):
-    # level 0 on the 12 x 12 grid: one _gl_panels call per axis, and
-    # _bspline_rows twice for the spline's collocation matrices and once
-    # per axis on both rules' nodes (_two_pass_panel_integrals makes 4
-    # and 6)
+    # one _gl_panels call per level for both axes and one _bspline_rows
+    # pass per axis and level; at level 0 that pass also gives the spline's
+    # collocation matrices (_two_pass_panel_integrals makes 4 and 6 calls at
+    # level 0).  The 12 x 12 grid settles at level 0, the bump at level 3.
     from compactfix import greenop
 
-    calls = {"_gl_panels": 0, "_bspline_rows": 0}
-    for name in calls:
+    calls, levels = {}, []
+    for name in ("_gl_panels", "_bspline_rows"):
         def counting(*args, _fn=getattr(greenop, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(greenop, name, counting)
-    u = _crosscheck_grids(problem, rng)["zero"]
-    apply_T(u, problem.kernel, problem.nl, method="adaptive")
-    assert calls == {"_gl_panels": 2, "_bspline_rows": 4}
+    settle = greenop._settle
+
+    def recording(level_pair, tol):
+        def level_pair_seen(level):
+            levels.append(level)
+            return level_pair(level)
+
+        return settle(level_pair_seen, tol)
+
+    monkeypatch.setattr(greenop, "_settle", recording)
+    bump_kernel, bump_nl, bump_u = _narrow_bump(0.9, 0.04)
+    cases = {"zero": (_crosscheck_grids(problem, rng)["zero"],
+                      problem.kernel, problem.nl, 1e-10, 0),
+             "bump": (bump_u, bump_kernel, bump_nl, 1e-12, 3)}
+    for name, (u, kernel, nl, tol, level) in cases.items():
+        calls.update(_gl_panels=0, _bspline_rows=0)
+        levels.clear()
+        apply_T(u, kernel, nl, method="adaptive", tol=tol)
+        assert levels == list(range(level + 1)), name
+        assert calls == {"_gl_panels": 1 + level,
+                         "_bspline_rows": 2 + 2 * level}, name
+
+
+def test_crosscheck_pair_evaluates_the_weight_once(problem, rng):
+    # the adaptive and the grid image of one input share its axes and its
+    # weight table (WeightedGridFunction.image), and both equal, bit for
+    # bit, the images built as standalone grid functions; the cone's faces
+    # do not settle on 17 nodes, the zero grid's adaptive image's do
+    from compactfix import funcspace, greenop
+
+    def face_bytes(out, attach=False):
+        quot = funcspace.quotient_derivative(out, (0, 0))
+        profile = funcspace.face_profile(out, quot, "axis0:inf",
+                                         greenop.FACE_TOL)
+        if attach:
+            funcspace.attach_faces(out, "axis0:inf", profile)
+        res = [r for _, r in profile]
+        return ([r.status for r in res],
+                b"".join(np.float64(r.value).tobytes() for r in res),
+                b"".join(np.array(r.oscillations).tobytes() for r in res),
+                {face: v[(0, 0)].tobytes()
+                 for face, v in out.infinity.items()})
+
+    grids = _crosscheck_grids(problem, rng)
+    for name in ("cone", "zero"):
+        meshes = []
+
+        def counting(*mesh):
+            meshes.append(mesh[0].shape)
+            return problem.weight(*mesh)
+
+        u = WeightedGridFunction(grids[name].axes, grids[name].samples,
+                                 counting, cmap=problem.cmap)
+        adaptive = apply_T(u, problem.kernel, problem.nl, method="adaptive")
+        grid = apply_T(u, problem.kernel, problem.nl, method="grid")
+        assert meshes == [u.samples.shape], name
+
+        args = (u.weight, u.order, u.cmap)
+        want_adaptive = WeightedGridFunction(u.axes, greenop._panel_integrals(
+            u, problem.nl, problem.kernel.kx, 1e-10), *args)
+        op = GridHammersteinOperator(problem.kernel, problem.nl, u.axes)
+        want_grid = WeightedGridFunction.from_quotient(
+            u.axes, op.apply(u.quotient()), *args)
+        for got, want in ((adaptive, want_adaptive), (grid, want_grid)):
+            assert got.samples.tobytes() == want.samples.tobytes(), name
+            assert got.quotient().tobytes() == want.quotient().tobytes(), \
+                name
+            assert face_bytes(got) == face_bytes(want, attach=True), name
+        assert [set(adaptive.infinity), set(grid.infinity)] == [
+            {"axis0:inf"} if name == "zero" else set(), set()], name
 
 
 def test_apply_rejects_bad_method_and_shape(problem):
