@@ -28,16 +28,15 @@ _SAMPLES_PER_LEVEL = 8
 
 
 def halfline_metric(a, b):
-    """Distance |h(a) - h(b)| on [0, inf] with h(x) = x/(1+x), h(inf) = 1."""
-    return abs(_h_half(a) - _h_half(b))
+    """Elementwise |h(a) - h(b)| on [0, inf], h(x) = x/(1+x), h(inf) = 1."""
+    return np.abs(_h_half(a) - _h_half(b))
 
 
 def _h_half(x):
-    if x == math.inf:
-        return 1.0
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise ValueError("half-line points must be >= 0")
-    return x / (1.0 + x)
+    return np.divide(x, 1.0 + x, out=np.ones_like(x), where=x != math.inf)
 
 
 @dataclass(frozen=True)

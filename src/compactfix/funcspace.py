@@ -40,6 +40,8 @@ def _weight(log_phi):
 WEIGHT_REGISTRY = {name: _weight(log_phi)
                    for name, (log_phi, _) in LOG_WEIGHTS.items()}
 _unit_weight = WEIGHT_REGISTRY["1"]
+#: the face ladders' tolerance in apply_T's images and the solve's profile
+FACE_TOL = 1e-4
 
 
 def multi_indices(order, ndim):
@@ -167,15 +169,11 @@ class WeightedGridFunction:
         return face_labels(self.cmap)
 
     def face_limit(self, p, face, tol=1e-6):
-        """Windowed limit of d_p(f/phi) at an infinity face of a 1-d grid,
-        from grid data (see _face_ladders); ValueError on any other grid,
-        whose faces face_profile reads node by node."""
-        if self.ndim != 1:
-            raise ValueError(f"face_limit reads a 1-d grid; this grid is "
-                             f"{self.ndim}-d, read its faces with "
-                             "face_profile")
+        """Windowed limits of d_p(f/phi) at an infinity face, from grid
+        data (see _face_ladders): one LimitResult per slice of the face's
+        axis, in C order of the other axes' nodes (one on a 1-d grid)."""
         return _face_ladders(self, quotient_derivative(self, p), face,
-                             tol)[2][0]
+                             tol)[2]
 
 
 def _named_cmap(name, ndim):
@@ -292,17 +290,13 @@ def gamma_p(f, p, tol=1e-6):
         if p in stored:
             inf_vals[face] = np.asarray(stored[p], dtype=float)
             continue
-        # the other axes' nodes name a failing slice and shape the value;
-        # a 1-d grid has none, so its value is a scalar
-        axis = _face_axis(face)
-        others = f.axes[:axis] + f.axes[axis + 1:]
-        results = _face_ladders(f, vals, face, tol)[2]
-        for nodes, res in zip(itertools.product(*others), results):
+        results = f.face_limit(p, face, tol)
+        for nodes, res in zip(itertools.product(*_other_axes(f, face)),
+                              results):
             if not res.converged:
                 raise FaceLimitError(
                     face + "".join(f"@{n:.6g}" for n in nodes), res)
-        inf_vals[face] = np.reshape([res.value for res in results],
-                                    [len(a) for a in others])[()]
+        inf_vals[face] = _face_values(f, face, results)
     return GammaFunction(vals, inf_vals)
 
 
@@ -327,21 +321,30 @@ def _face_ladders(f, vals, face, tol):
     return ball_ladders(radii, cols, tol, face)
 
 
-def face_profile(f, vals, face, tol):
-    """The limits of vals at an infinity face of a 2-d grid function, one
-    oscillation ladder per node of the other axis (_face_ladders): a list of
-    (node, LimitResult) pairs in node order."""
-    return list(zip(f.axes[1 - _face_axis(face)].tolist(),
-                    _face_ladders(f, vals, face, tol)[2]))
+def _other_axes(f, face):
+    """The node arrays of f's axes but the face's (none on a 1-d grid)."""
+    axis = _face_axis(face)
+    return f.axes[:axis] + f.axes[axis + 1:]
 
 
-def attach_faces(f, face, profile):
-    """Store a face profile of f/phi, the (node, LimitResult) pairs of
-    face_profile, as f's values on face when every node converged;
-    otherwise f gets no values on it."""
-    if all(res.converged for _, res in profile):
-        f.infinity[face] = {
-            (0, 0): np.asarray([res.value for _, res in profile])}
+def _face_values(f, face, results):
+    """face_limit's values on face, shaped like the other axes' nodes."""
+    return np.reshape([res.value for res in results],
+                      [len(a) for a in _other_axes(f, face)])[()]
+
+
+def attach_faces(f, tol=FACE_TOL):
+    """Read every infinity face of f/phi by face_limit at p = 0 and store
+    the values of each face whose slices all converged as f's values there
+    (_face_values); a face with a slice that did not converge gets none.
+    Returns {face: face_limit's results}."""
+    p = (0,) * f.ndim
+    out = {}
+    for face in f.face_labels():
+        results = out[face] = f.face_limit(p, face, tol)
+        if all(res.converged for res in results):
+            f.infinity[face] = {p: _face_values(f, face, results)}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +517,6 @@ class BumpChain:
         xi = k * x - k * k
         inside = (np.abs(xi) <= 1.0) & (k >= 2)
         return np.where(inside, -4.0 * xi * (1.0 - xi ** 2), 0.0)
-
-    def __call__(self, x):
-        return self.value(x)
 
     def rising_inflection(self, k):
         """x = k - 1/(sqrt3 k), where the derivative equals peak_slope."""

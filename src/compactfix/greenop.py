@@ -24,7 +24,7 @@ The grid operator stores the x-rule times qx in row blocks, each over its
 column band only: the causal range [0, x_i], trimmed to the columns where
 qx reaches 2^-53 of its row peak, and evaluates qx on that band only
 (kernel_row_blocks).  The infinity-face values of Tu are read off its grid
-samples by the windowed face ladders of funcspace.face_profile.
+samples by the windowed face ladders of funcspace.attach_faces.
 
 Every integral outside the grid path uses one rule, but for the outer
 t-integrals of check_hypotheses' M0*Phi_r and w0*Phi_r products, which are
@@ -48,9 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compactify import HalfLineOnePoint, kappa_limit
-from .funcspace import (LOG_WEIGHTS, attach_faces, face_profile,
-                        quotient_derivative)
+from .compactify import HalfLineOnePoint, halfline_metric, kappa_limit
+from .funcspace import LOG_WEIGHTS, attach_faces
 
 # the panel rules side by side, as (nodes, weights) on [-1, 1]: the 16-node
 # Gauss-Legendre value rule of every panel integral, then the 8-node
@@ -73,8 +72,6 @@ _ROW_BLOCK = 64
 _BAND_FLOOR = 2.0 ** -53
 # kernel columns per block of the hypothesis report's sup profiles
 _T_COLUMNS = 64
-# oscillation tolerance of the face ladders of apply_T and picard_solve
-FACE_TOL = 1e-4
 
 
 class QuadratureError(Exception):
@@ -177,7 +174,7 @@ class Kernel:
     (x, y).  weighted_sup, when given, is the analytic value of
     sup_x |kx(x,t)/phi(x)| as a function of the integration point.  The
     infinity-face values of Tu are always read off its grid samples
-    (funcspace.face_profile); a kernel carries no closed form for them.
+    (funcspace.attach_faces); a kernel carries no closed form for them.
 
     The weighted forms, for the problem's weight phi, come from
     quotient_forms: weighted_quotient = kx/phi(x) for check_hypotheses;
@@ -589,9 +586,9 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
     _MAX_PANEL_LEVEL).  It
     integrates kx and nl.eval on u itself, independent of the grid route's
     quotient forms.  Both integrals run from 0, reading u clamped to its
-    grid.  With faces=True each infinity face of Tu gets its face profile
-    (funcspace.face_profile at FACE_TOL, every node's ladder in one pass),
-    stored by funcspace.attach_faces.
+    grid.  With faces=True funcspace.attach_faces reads every infinity
+    face of Tu at funcspace.FACE_TOL, every slice's ladder in one pass,
+    and stores each face whose ladders all converged.
     """
     if u.ndim != 2:
         raise ValueError("apply_T expects a 2d grid function")
@@ -604,9 +601,7 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
         raise ValueError(f"unknown method {method!r}")
 
     if faces:
-        quot = quotient_derivative(out, (0, 0))
-        for face in out.face_labels():
-            attach_faces(out, face, face_profile(out, quot, face, FACE_TOL))
+        attach_faces(out)
     return out
 
 
@@ -713,10 +708,9 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     # C2: modulus of the weighted quotient in the compactified metric,
     # finite on the truncated domain only (it grows with the truncation).
     xs = np.linspace(0.0, truncation, 400)
-    emb = xs / (1.0 + xs)
     tc = ts[:, None]
     w_vals = np.max(np.abs(np.diff(quotient(xs, tc) * (xs >= tc), axis=1))
-                    / np.diff(emb), axis=1)
+                    / halfline_metric(xs[1:], xs[:-1]), axis=1)
     conditions["C2"] = ConditionResult(
         "verified_on_truncation",
         f"modulus finite on [0, {truncation:g}], max {w_vals.max():.3g}; "

@@ -4,8 +4,9 @@ The solver iterates q <- Tq from q = 0 on a uniform truncated grid, where
 q = u/phi is the quotient of the weighted norm and T the problem's quotient
 form (Kernel.qx and Nonlinearity.q_eval, see greenop).  The whole solve
 stays in q and never divides by phi: the gap is a plain sup of q+ - q, and
-the profile is one windowed face ladder per y-node on the converged q, whose
-converged values are the solution's infinity-face data.  u = phi q is formed
+the profile is one windowed face ladder per y-node on the converged q,
+whose converged values funcspace.attach_faces stores as the solution's
+infinity-face data.  u = phi q is formed
 only for the beta monitor and as the solution's samples (0 where phi
 underflows, its correctly rounded value); the solution keeps q itself, and
 solution.csv holds that q, so no value is lost where u underflows.  For the
@@ -29,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import beta_sup, default_eval_grid, index_one_check
-from .funcspace import (FaceLimitError, WeightedGridFunction, attach_faces,
-                        face_profile, save_grid_function, weighted_norm)
-from .greenop import FACE_TOL, GridHammersteinOperator, kernel_row_blocks
+from .funcspace import (FACE_TOL, FaceLimitError, WeightedGridFunction,
+                        attach_faces, save_grid_function, weighted_norm)
+from .greenop import GridHammersteinOperator, kernel_row_blocks
 
 
 class IterationError(Exception):
@@ -81,15 +82,25 @@ class SolveConfig:
 @dataclass
 class SolveResult:
     solution: WeightedGridFunction
-    iterations: int
     gap_history: tuple
     beta_history: tuple
     residual_sup: float
     profile: tuple  # ((y0, LimitResult), ...)
-    in_ball: object  # bool, or None when no ball was monitored
     ball_check: object
     config: SolveConfig
     problem: str  # the solved problem's id
+
+    @property
+    def iterations(self):
+        return len(self.gap_history)
+
+    @property
+    def in_ball(self):
+        """None without rho_ball, else whether every beta is within it."""
+        if self.config.rho_ball is None:
+            return None
+        return all(b <= self.config.rho_ball + 1e-12
+                   for b in self.beta_history)
 
     @property
     def profile_converged(self):
@@ -142,16 +153,10 @@ def picard_solve(problem, cfg=None):
     del op
 
     u = WeightedGridFunction.from_quotient(axes, q, problem.weight)
-    # one face ladder per y-node: the profile, whose converged values are
-    # also the solution's face data
-    profile = tuple(asymptotic_profile(u, q))
-    attach_faces(u, u.face_labels()[0], profile)
+    profile = tuple(asymptotic_profile(u))
     residual = pde_residual(axes, q, problem.kernel, problem.nl)
-    in_ball = None
-    if cfg.rho_ball is not None:
-        in_ball = all(b <= cfg.rho_ball + 1e-12 for b in betas)
-    return SolveResult(u, len(gaps), tuple(gaps), tuple(betas), residual,
-                       profile, in_ball, ball_check, cfg, problem.id)
+    return SolveResult(u, tuple(gaps), tuple(betas), residual, profile,
+                       ball_check, cfg, problem.id)
 
 
 def pde_residual(axes, q, kernel, nl):
@@ -193,9 +198,10 @@ def pde_residual(axes, q, kernel, nl):
     return float(np.max(np.abs(mixed - rhs)))
 
 
-def asymptotic_profile(u, q, tol=FACE_TOL):
-    """Windowed limits of the quotient q = u/phi at u's infinity face, one
-    per y-node; u supplies the axes and the faces.
+def asymptotic_profile(u, tol=FACE_TOL):
+    """Windowed limits of u/phi at u's first infinity face, x = inf, as
+    (y-node, LimitResult) pairs, read by funcspace.attach_faces, which
+    stores every face of u whose ladders all converged.
 
     Raises FaceLimitError (a ValueError) naming the y-node when the ladder
     reports that no limit exists.  Inconclusive ladders are passed through
@@ -204,7 +210,7 @@ def asymptotic_profile(u, q, tol=FACE_TOL):
     faces = u.face_labels()
     if not faces:
         raise ValueError("the grid function has no infinity face")
-    out = face_profile(u, q, faces[0], tol)
+    out = list(zip(u.axes[1].tolist(), attach_faces(u, tol)[faces[0]]))
     for y0, res in out:
         if res.status == "no_limit":
             raise FaceLimitError(f"{faces[0]}@{y0:.6g}", res,

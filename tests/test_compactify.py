@@ -9,9 +9,8 @@ from compactfix.compactify import (ExtensionError, HalfLineOnePoint,
                                    LineOnePoint, LineTwoPoint,
                                    classify_ladder, default_levels, extend,
                                    halfline_metric, kappa_limit)
-from compactfix.funcspace import (BumpChain, WeightedGridFunction,
-                                  face_profile, gamma_p)
-from compactfix.greenop import attach_faces
+from compactfix.funcspace import BumpChain, WeightedGridFunction, gamma_p
+from compactfix.solver import asymptotic_profile
 
 HALF = st.one_of(st.just(math.inf),
                  st.floats(min_value=0.0, max_value=1e9,
@@ -243,7 +242,7 @@ def test_kappa_limit_is_the_grid_ladder_on_its_own_samples():
     for f, cmap, point, extra in cases:
         got, (pts,) = _samples(f, point, cmap, 1e-6, extra)
         xs = np.unique(pts)
-        grid = WeightedGridFunction((xs,), f(xs), cmap=cmap).face_limit(
+        (grid,) = WeightedGridFunction((xs,), f(xs), cmap=cmap).face_limit(
             (0,), point, tol=1e-6)
         depth = len(got.oscillations)
         assert len(grid.oscillations) > depth
@@ -287,11 +286,10 @@ def _half_strip():
 
 def test_product_face_point_labels_finite_coordinate():
     g = _half_strip()
-    prof = face_profile(g, g.quotient(), "axis0:inf", 1e-4)
+    prof = asymptotic_profile(g)
     assert [node for node, _ in prof] == g.axes[1].tolist()
     assert all(res.converged for _, res in prof)
-    # the profile is stored on the face its caller names
-    attach_faces(g, "axis0:inf", prof)
+    # the profile is stored on the face it reads
     assert list(g.infinity) == ["axis0:inf"]
     assert g.infinity["axis0:inf"][(0, 0)].tolist() \
         == [res.value for _, res in prof]

@@ -23,7 +23,7 @@ from compactfix.funcspace import (LOG_WEIGHTS, WEIGHT_REGISTRY, BumpChain,
                                   WeightUnderflowError, _face_axis,
                                   _family_quotient_derivatives,
                                   equiconvergence_deviation,
-                                  equicontinuity_modulus, face_profile,
+                                  attach_faces, equicontinuity_modulus,
                                   gamma_p,
                                   gaussian_family, gaussian_family_separation,
                                   load_grid_function, multi_indices,
@@ -216,18 +216,21 @@ def test_face_limit_needs_nodes_in_some_window():
         f.face_limit((0,), "inf")
 
 
-def test_face_limit_refuses_a_grid_that_is_not_1d():
-    # a 2-d grid's face holds one limit per node of the other axis, which
-    # face_profile reads
-    xs = np.linspace(0.0, 40.0, 81)
-    ys = np.linspace(0.0, 1.0, 5)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    f = WeightedGridFunction((xs, ys), np.tanh(X) + Y)
-    with pytest.raises(ValueError, match="2-d, read its faces with "
-                                         "face_profile"):
-        f.face_limit((0, 0), "axis0:inf")
-    assert all(res.converged
-               for _, res in face_profile(f, f.quotient(), "axis0:inf", 1e-6))
+def test_attach_faces_stores_a_scalar_on_a_1d_grid():
+    # the face value of a 1-d grid is a scalar under p = (0,); gamma_p
+    # reads it back instead of its own ladder, which does not converge at
+    # tol 1e-300, and weighted_norm takes it into the sup
+    xs = np.linspace(0.0, 40.0, 801)
+    f = WeightedGridFunction((xs,), np.exp(-xs) - 1.0)
+    (res,) = attach_faces(f)["inf"]
+    assert res.converged
+    assert list(f.infinity) == ["inf"] and list(f.infinity["inf"]) == [(0,)]
+    stored = f.infinity["inf"][(0,)]
+    assert np.ndim(stored) == 0 and stored == res.value
+    with pytest.raises(FaceLimitError):
+        gamma_p(f.image(f.samples), (0,), tol=1e-300)
+    assert gamma_p(f, (0,), tol=1e-300).infinity == {"inf": stored}
+    assert weighted_norm(f) == abs(stored) == 1.0
 
 
 def _metric_ball(f, face, delta):
@@ -291,6 +294,13 @@ def _per_node_profile(f, vals, face, tol):
             for j, node in enumerate(nodes)]
 
 
+def _face_profile(f, face, tol):
+    """face_limit's results on a face of a 2-d grid, paired with the nodes
+    of the other axis."""
+    return list(zip(f.axes[1 - _face_axis(face)].tolist(),
+                    f.face_limit((0, 0), face, tol)))
+
+
 def test_one_pass_face_profile_equals_the_per_node_ladders(rng):
     # the solve's grid at h = 0.02: a limit c(y) plus a tail whose decay
     # and oscillation vary across y, so the columns end converged, no_limit
@@ -302,19 +312,24 @@ def test_one_pass_face_profile_equals_the_per_node_ladders(rng):
          + 0.1 * (1.0 - Y) * np.sin(3.0 * X)
          * np.where(Y < 0.3, 1.0, 1.0 / (1.0 + X)))
     f = WeightedGridFunction((xs, ys), q)
-    got = face_profile(f, q, "axis0:inf", 1e-4)
+    got = _face_profile(f, "axis0:inf", 1e-4)
     assert got == _per_node_profile(f, q, "axis0:inf", 1e-4)
     assert {res.status for _, res in got} == {"converged", "no_limit",
                                               "inconclusive"}
     # a face along the second axis reads the rows
     g = WeightedGridFunction((ys, xs), q.T, cmap=ProductCompactification(
         (IntervalIdentity(), HalfLineOnePoint())))
-    assert face_profile(g, q.T, "axis1:inf", 1e-4) \
+    assert _face_profile(g, "axis1:inf", 1e-4) \
         == _per_node_profile(g, q.T, "axis1:inf", 1e-4)
+    # each slice reads as the 1-d grid of that slice does, bit for bit
+    slices = [WeightedGridFunction((xs,), col).face_limit((0,), "inf", 1e-4)
+              for col in q.T]
+    for h, face in ((f, "axis0:inf"), (g, "axis1:inf")):
+        assert [[res] for res in h.face_limit((0, 0), face, 1e-4)] == slices
     # a NaN column fails its own ladders only; NaN != NaN, so it is
     # compared through repr, which prints every float exactly
     q[1100, 7] = np.nan
-    got = face_profile(f, q, "axis0:inf", 1e-4)
+    got = _face_profile(f, "axis0:inf", 1e-4)
     want = _per_node_profile(f, q, "axis0:inf", 1e-4)
     assert repr(got) == repr(want)
     assert got[:7] + got[8:] == want[:7] + want[8:]
@@ -328,7 +343,7 @@ def test_one_pass_ladder_on_a_line_reads_both_faces(rng):
                              cmap=LineTwoPoint())
     vals = f.quotient()
     for face in ("-inf", "+inf"):
-        got = f.face_limit((0,), face, tol=1e-6)
+        (got,) = f.face_limit((0,), face, tol=1e-6)
         assert got == _per_node_ladder(f, vals, face, None, 1e-6)
         assert got.converged
     # the first window of "+inf" is every node with x > 1
@@ -342,7 +357,7 @@ def test_one_pass_ladder_on_a_line_reads_both_faces(rng):
     f = WeightedGridFunction((xs,), rng.uniform(-1.0, 1.0, xs.size),
                              cmap=LineTwoPoint())
     for face in ("-inf", "+inf"):
-        got = f.face_limit((0,), face, tol=1e-6)
+        (got,) = f.face_limit((0,), face, tol=1e-6)
         assert got == _per_node_ladder(f, f.samples, face, None, 1e-6)
         assert [int(m.sum()) for m in _windows(f, face)] == [4, 2, 2, 2]
 
@@ -360,7 +375,7 @@ def test_glued_infinity_ladder_reads_both_tails():
     assert err.value.result.status == "no_limit"
     assert kappa_limit(np.arctan, cmap.infinity_points()[0], cmap,
                        tol=0.1).status == "no_limit"
-    got = f.face_limit((0,), "inf", tol=0.1)
+    (got,) = f.face_limit((0,), "inf", tol=0.1)
     assert got == _per_node_ladder(f, f.quotient(), "inf", None, 0.1)
     assert _windows(f, "inf")[0].tolist() == (np.abs(xs) > 1.0).tolist()
     g = WeightedGridFunction((xs,), np.exp(-xs ** 2), cmap=cmap)
@@ -371,7 +386,7 @@ def test_glued_infinity_ladder_reads_both_tails():
     h = WeightedGridFunction(
         (xs, ys), np.arctan(X) * Y + np.exp(-X ** 2),
         cmap=ProductCompactification((cmap, IntervalIdentity())))
-    got = face_profile(h, h.quotient(), "axis0:inf", 1e-4)
+    got = _face_profile(h, "axis0:inf", 1e-4)
     assert got == _per_node_profile(h, h.quotient(), "axis0:inf", 1e-4)
     assert [res.status for _, res in got] == ["converged"] + ["no_limit"] * 4
 
@@ -430,12 +445,12 @@ def test_face_profile_needs_nodes_in_some_window():
     f = WeightedGridFunction((xs, ys), np.zeros((11, 3)))
     with pytest.raises(ValueError, match="no nodes in any window of face "
                                          "'axis0:inf'"):
-        face_profile(f, f.samples, "axis0:inf", 1e-4)
+        f.face_limit((0, 0), "axis0:inf", 1e-4)
     with pytest.raises(ValueError, match="window"):
         _per_node_profile(f, f.samples, "axis0:inf", 1e-4)
     # the half strip's second axis is an interval: it has no face
     with pytest.raises(ValueError, match="no infinity face 'axis1:inf'"):
-        face_profile(f, f.samples, "axis1:inf", 1e-4)
+        f.face_limit((0, 0), "axis1:inf", 1e-4)
 
 
 def test_precompactness_gaussian_family_counterexample():
@@ -747,9 +762,8 @@ def test_equiconvergence_reads_the_ladder_windows():
                               infinity={"inf": {(0,): 0.0}})
     f2 = WeightedGridFunction((xs, ys), Y * np.exp(-X),
                               infinity={"axis0:inf": {(0, 0): 0.0 * ys}})
-    for f, res in ((f1, f1.face_limit((0,), "inf")),
-                   (f2, face_profile(f2, f2.quotient(), "axis0:inf",
-                                     1e-6)[0][1])):
+    for f, res in ((f1, f1.face_limit((0,), "inf")[0]),
+                   (f2, f2.face_limit((0, 0), "axis0:inf", 1e-6)[0])):
         (devs,) = equiconvergence_deviation(
             [f, f], _family_quotient_derivatives([f, f])).values()
         assert [d for d, _ in devs] \

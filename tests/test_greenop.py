@@ -597,12 +597,8 @@ def test_crosscheck_pair_evaluates_the_weight_once(problem, rng):
     from compactfix import funcspace, greenop
 
     def face_bytes(out, attach=False):
-        quot = funcspace.quotient_derivative(out, (0, 0))
-        profile = funcspace.face_profile(out, quot, "axis0:inf",
-                                         greenop.FACE_TOL)
-        if attach:
-            funcspace.attach_faces(out, "axis0:inf", profile)
-        res = [r for _, r in profile]
+        res = (funcspace.attach_faces(out)["axis0:inf"] if attach
+               else out.face_limit((0, 0), "axis0:inf", funcspace.FACE_TOL))
         return ([r.status for r in res],
                 b"".join(np.float64(r.value).tobytes() for r in res),
                 b"".join(np.array(r.oscillations).tobytes() for r in res),

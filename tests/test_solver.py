@@ -131,7 +131,7 @@ def test_asymptotic_profile_of_closed_form(problem):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     u = WeightedGridFunction((xs, ys), problem.closed_forms["Tu0"](X, Y),
                              problem.weight, cmap=problem.cmap)
-    prof = asymptotic_profile(u, u.quotient(), tol=1e-6)
+    prof = asymptotic_profile(u, tol=1e-6)
     face = problem.closed_forms["Tu0_face"]
     for y0, res in prof:
         assert res.status == "converged"
@@ -145,13 +145,13 @@ def test_asymptotic_profile_error_paths(problem):
     X, _ = np.meshgrid(xs, ys, indexing="ij")
     wobble = WeightedGridFunction((xs, ys), np.sin(X), cmap=problem.cmap)
     with pytest.raises(ValueError, match="no limit of u/phi"):
-        asymptotic_profile(wobble, wobble.quotient(), tol=1e-3)
+        asymptotic_profile(wobble, tol=1e-3)
     boxed = WeightedGridFunction(
         (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)), np.zeros((5, 5)),
         cmap=ProductCompactification((IntervalIdentity(),
                                       IntervalIdentity())))
     with pytest.raises(ValueError, match="no infinity face"):
-        asymptotic_profile(boxed, boxed.quotient())
+        asymptotic_profile(boxed)
 
 
 def test_profile_error_falls_tenfold_per_longer_truncation(problem):

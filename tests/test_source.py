@@ -21,7 +21,6 @@ CALLERS = READERS + sorted(ROOT.glob("perfbench/test_*.py")) \
 # public definitions and fields that stay although no reader above reads
 # them, and why
 UNREAD_ALLOWED = {
-    "halfline_metric": "check 9 of tests/test_acceptance.py reads it",
     "alpha_inf": "check 9 of tests/test_acceptance.py reads it",
     "load_grid_function": "it reads back the solve's solution.csv",
 }
@@ -248,17 +247,22 @@ def test_unset_parameter_check_sees_a_leftover(tmp_path):
     assert _unset_parameters([mod], [reader]) == ["mod.py:1 scale(offset)"]
 
 
+def _traced_methods(tracer_path):
+    """The (module, class, method) entries that perfbench's tracer wraps
+    on their class (METHODS), read from its syntax tree."""
+    tracer = ast.parse(tracer_path.read_text(), filename=str(tracer_path))
+    return next(ast.literal_eval(node.value) for node in tracer.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "METHODS"
+                        for t in node.targets))
+
+
 def _perfbench_labels(tracer_path, run_path):
     """The span labels that perfbench's harness relies on: those of the
     methods its tracer wraps on their class (METHODS) and those that
     run.py's layer_values reads from busy, calls or self_s, without a
     labeller's "[...]" suffix.  Both files are read as syntax trees."""
-    tracer = ast.parse(tracer_path.read_text(), filename=str(tracer_path))
-    methods = next(ast.literal_eval(node.value) for node in tracer.body
-                   if isinstance(node, ast.Assign)
-                   and any(isinstance(t, ast.Name) and t.id == "METHODS"
-                           for t in node.targets))
-    labels = {".".join(entry) for entry in methods}
+    labels = {".".join(entry) for entry in _traced_methods(tracer_path)}
     run = ast.parse(run_path.read_text(), filename=str(run_path))
     fn = next(node for node in ast.walk(run)
               if isinstance(node, ast.FunctionDef)
@@ -356,3 +360,35 @@ def test_call_site_check_sees_a_second_ladder(tmp_path):
                    "    return compactify.LimitResult('no_limit', None, osc)\n")
     assert _call_sites([mod], "LimitResult") == ["mod.py:5", "mod.py:9"]
     assert _call_sites([mod], "classify_ladder") == ["mod.py:5"]
+
+
+def _uncalled_traced_methods(tracer_path, sources):
+    """The methods of the tracer's METHODS that no call in sources calls,
+    as "module.Class.method"; a call of the class calls its __init__."""
+    return sorted(f"{mod}.{cls}.{meth}"
+                  for mod, cls, meth in _traced_methods(tracer_path)
+                  if not _call_sites(sources,
+                                     cls if meth == "__init__" else meth))
+
+
+def test_the_package_calls_every_traced_method():
+    # a wrapped method that the program never calls reads 0 in every
+    # benchmark layer that counts it
+    uncalled = _uncalled_traced_methods(ROOT / "perfbench/tracer.py",
+                                        SOURCES)
+    assert not uncalled, uncalled
+
+
+def test_traced_method_check_sees_an_uncalled_method(tmp_path):
+    tracer = tmp_path / "tracer.py"
+    tracer.write_text('METHODS = (("mod", "Box", "__init__"),\n'
+                      '           ("mod", "Box", "size"),\n'
+                      '           ("mod", "Box", "spare"),\n'
+                      '           ("mod", "Unbuilt", "__init__"))\n')
+    mod = tmp_path / "mod.py"
+    mod.write_text("class Box:\n    def size(self):\n        return 1\n\n"
+                   "    def spare(self):\n        return 2\n\n\n"
+                   "class Unbuilt:\n    pass\n\n\n"
+                   "print(Box().size())\n")
+    assert _uncalled_traced_methods(tracer, [mod]) == ["mod.Box.spare",
+                                                       "mod.Unbuilt.__init__"]
