@@ -6,12 +6,15 @@ compactify-demo, which take a demo id (casestudy.DEMOS).  Exit codes: 0
 success, 1 usage error, 2 numerical or validation failure (a Picard solve
 or a quadrature did not converge, the solution's profile has no limit at
 infinity or its face no window, or the run completed but a checked value
-fell outside tolerance).
+fell outside tolerance).  main freezes the heap it finds (gc.freeze), so
+objects alive at a main() call are never collected, and an in-process caller
+such as the test suite keeps them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -225,6 +228,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    # the imported modules live until exit: freezing them spares every later
+    # collection, and the interpreter's teardown, a walk over their objects
+    gc.freeze()
     parser = build_parser()
     try:
         with warnings.catch_warnings():

@@ -290,7 +290,7 @@ def gamma_p(f, p, tol=1e-6):
         if p in stored:
             inf_vals[face] = np.asarray(stored[p], dtype=float)
             continue
-        results = f.face_limit(p, face, tol)
+        results = _face_ladders(f, vals, face, tol)[2]
         for nodes, res in zip(itertools.product(*_other_axes(f, face)),
                               results):
             if not res.converged:

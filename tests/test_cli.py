@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -502,6 +503,59 @@ def test_no_timestamp_reruns_are_byte_identical(tmp_path):
                  "--out", str(stamped)]) == 0
     doc = json.loads((stamped / "cone_report.json").read_text())
     assert "written_at" in doc
+
+
+def test_fresh_interpreter_runs_match_in_process(tmp_path, package_env,
+                                                 capsys):
+    # main freezes the heap it finds, which must change no output: a fresh
+    # interpreter writes the bytes an in-process call writes
+    solve = ["solve", "--grid-step", "0.25", "--truncation", "4",
+             "--no-timestamp"]
+    validate = ["validate-closed-forms", "--grid-n", "10", "--no-timestamp"]
+    runs = [(solve, "solve_a"), (solve, "solve_b"), (validate, "validate")]
+    lines = {}
+    for args, name in runs:
+        res = subprocess.run(
+            [sys.executable, "-m", "compactfix.cli", *args,
+             "--out", str(tmp_path / name)],
+            env=package_env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        lines[name] = res.stdout
+    line = (r"converged in \d+ iterations, gap \S+, beta \S+; profile "
+            r"converged at \d+ of \d+ y-nodes; outputs in ")
+    for name in ("solve_a", "solve_b"):
+        assert re.fullmatch(line + re.escape(str(tmp_path / name)) + "\n",
+                            lines[name]), lines[name]
+    for args, name in ((solve, "solve_in"), (validate, "validate_in")):
+        assert main(args + ["--out", str(tmp_path / name)]) == 0
+    inproc = capsys.readouterr().out.splitlines(keepends=True)
+    assert inproc[0].rpartition("outputs in ")[0] \
+        == lines["solve_a"].rpartition("outputs in ")[0]
+    assert "".join(inproc[1:]) == lines["validate"]
+    for a, b in (("solve_a", "solve_b"), ("solve_a", "solve_in"),
+                 ("validate", "validate_in")):
+        files = sorted(p.name for p in (tmp_path / a).iterdir())
+        assert files and files == sorted(
+            p.name for p in (tmp_path / b).iterdir())
+        for f in files:
+            assert (tmp_path / a / f).read_bytes() \
+                == (tmp_path / b / f).read_bytes(), (b, f)
+
+
+def test_main_freezes_the_heap_of_a_fresh_interpreter(tmp_path, package_env):
+    # importing the CLI module freezes nothing; main() does, even on a
+    # usage error
+    script = ("import gc, sys\nimport compactfix.cli\n"
+              "before = gc.get_freeze_count()\n"
+              "code = compactfix.cli.main(sys.argv[1:])\n"
+              "print(before, gc.get_freeze_count(), code)\n")
+    res = subprocess.run(
+        [sys.executable, "-c", script, "validate-closed-forms", "--grid-n",
+         "1", "--out", str(tmp_path / "run")],
+        env=package_env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    before, after, code = (int(v) for v in res.stdout.split())
+    assert before == 0 and after > 0 and code == 1
 
 
 def test_readme_shows_every_subcommand_with_each_problem_id():

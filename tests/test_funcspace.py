@@ -209,6 +209,32 @@ def test_gamma_p_raises_when_grid_limit_is_missing():
     assert err.value.result.status == "no_limit"
 
 
+def test_gamma_p_takes_the_quotient_derivative_once(monkeypatch):
+    # with no stored face, gamma_p reads the face ladders off the
+    # derivative it already took, not a second one inside face_limit
+    xs, ys = np.linspace(0.0, 24.0, 49), np.linspace(0.0, 1.0, 5)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    f = WeightedGridFunction((xs, ys), (1.0 + Y) * (1.0 - np.exp(-X)),
+                             order=1)
+    want_vals = quotient_derivative(f, (1, 0))
+    want_face = np.array([res.value for res in
+                          f.face_limit((1, 0), "axis0:inf", 1e-6)])
+    calls = []
+    derivative = compactfix.funcspace.quotient_derivative
+
+    def counting(g, p):
+        calls.append(p)
+        return derivative(g, p)
+
+    monkeypatch.setattr(compactfix.funcspace, "quotient_derivative",
+                        counting)
+    got = gamma_p(f, (1, 0))
+    assert calls == [(1, 0)]
+    assert got.values.tobytes() == want_vals.tobytes()
+    assert list(got.infinity) == ["axis0:inf"]
+    assert got.infinity["axis0:inf"].tobytes() == want_face.tobytes()
+
+
 def test_face_limit_needs_nodes_in_some_window():
     xs = np.linspace(0.0, 0.9, 10)
     f = WeightedGridFunction((xs,), np.zeros_like(xs))

@@ -392,3 +392,44 @@ def test_traced_method_check_sees_an_uncalled_method(tmp_path):
                    "print(Box().size())\n")
     assert _uncalled_traced_methods(tracer, [mod]) == ["mod.Box.spare",
                                                        "mod.Unbuilt.__init__"]
+
+
+def _gc_sites(paths):
+    """The "module:line scope" sites in paths that reach the gc module: a
+    read of the name gc, an import of gc under another name or of names
+    from it, and the string "gc" (an import by name).  scope is the
+    top-level definition the site sits in, or "<module>".  A plain
+    "import gc" only binds the name, so it is no site."""
+    sites = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            scope = getattr(top, "name", "<module>")
+            sites.extend(
+                (path.name, node.lineno, scope) for node in ast.walk(top)
+                if isinstance(node, ast.Name) and node.id == "gc"
+                or isinstance(node, ast.ImportFrom) and node.module == "gc"
+                or isinstance(node, ast.Import)
+                and any(a.name == "gc" and a.asname for a in node.names)
+                or isinstance(node, ast.Constant) and node.value == "gc")
+    return [f"{module}:{line} {scope}"
+            for module, line, scope in sorted(sites)]
+
+
+def test_only_cli_main_reaches_the_garbage_collector():
+    # main freezes the heap of a CLI call; library callers (the crosscheck
+    # worker, the demos, "import compactfix") keep normal collection
+    sites = _gc_sites(SOURCES)
+    assert sites and all(site.startswith("cli.py:")
+                         and site.endswith(" main") for site in sites), sites
+
+
+def test_gc_site_check_sees_a_leftover(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import gc\nimport gc as g\nfrom gc import collect\n\n\n"
+                   "def main():\n    gc.freeze()\n\n\n"
+                   "def helper():\n    __import__('gc').disable()\n\n\n"
+                   "gc.collect()\n")
+    assert _gc_sites([mod]) == ["mod.py:2 <module>", "mod.py:3 <module>",
+                                "mod.py:7 main", "mod.py:11 helper",
+                                "mod.py:14 <module>"]
