@@ -12,7 +12,8 @@ import numpy as np
 
 from compactfix.casestudy import load_problem
 from compactfix.cones import (abs_integral_beta_factor, default_eval_grid,
-                              index_one_check, index_one_sweep)
+                              holding_interval, index_one_check,
+                              index_one_sweep)
 from compactfix.greenop import GridHammersteinOperator
 from compactfix.solver import SolveConfig
 
@@ -25,17 +26,17 @@ print(f"sup_x int |G| = {beta:.6f}  (sqrt(pi)/2 = {np.sqrt(np.pi)/2:.6f})")
 print()
 
 rhos = np.round(np.arange(0.05, 1.01, 0.05), 10)
-sweep = index_one_sweep(problem.kernel, problem.nl, rhos, grid)
+rows = index_one_sweep(problem.kernel, problem.nl, rhos, grid)
 print("rho     sup f / rho * beta   index-one ball")
-for row in sweep.rows:
+for row in rows:
     mark = "holds" if row["holds"] else "-"
     print(f"{row['rho']:.2f}    {row['lhs']:.4f}               {mark}")
-print(f"holding interval among sampled radii: {sweep.holding_interval()}")
+print(f"holding interval among sampled radii: {holding_interval(rows)}")
 print()
 
 for rho in (0.01, 5.0):
     chk = index_one_check(problem.kernel, problem.nl, rho, grid, beta)
-    print(f"rho = {rho}: lhs {chk.lhs:.3f}, holds {chk.holds}")
+    print(f"rho = {rho}: lhs {chk['lhs']:.3f}, holds {chk['holds']}")
 print("the forcing term dominates tiny balls and the quadratic term")
 print("dominates large ones, so the holding window is genuine.")
 print()

@@ -13,19 +13,19 @@ from .compactify import (ExtensionError, FaceLimitError, HalfLineOnePoint,
                          LineTwoPoint, ProductCompactification,
                          classify_ladder, default_levels, extend,
                          halfline_metric, kappa_limit)
-from .cones import (ConeReport, IndexCheck, f_sup_rho, index_one_check,
+from .cones import (f_sup_rho, holding_interval, index_one_check,
                     index_one_sweep)
 from .funcspace import (WEIGHT_REGISTRY, BumpChain, GammaFunction,
-                        PrecompactnessReport, WeightedGridFunction,
-                        WeightUnderflowError, attach_faces, gamma_p,
-                        gaussian_family, gaussian_family_separation,
-                        load_grid_function, multi_indices,
-                        precompactness_report, quotient_derivative,
-                        save_grid_function, weighted_norm)
-from .greenop import (GridHammersteinOperator, HypothesisReport, Kernel,
-                      Nonlinearity, QuadratureError, apply_T,
-                      check_hypotheses, cumulative_weights,
-                      kernel_abs_integral, panel_quadrature)
+                        WeightedGridFunction, WeightUnderflowError,
+                        attach_faces, gamma_p, gaussian_family,
+                        gaussian_family_separation, load_grid_function,
+                        multi_indices, precompactness_report,
+                        quotient_derivative, save_grid_function,
+                        weighted_norm)
+from .greenop import (GridHammersteinOperator, Kernel, Nonlinearity,
+                      QuadratureError, apply_T, check_hypotheses,
+                      cumulative_weights, kernel_abs_integral,
+                      panel_quadrature)
 from .solver import (IterationError, SolveConfig, SolveResult,
                      asymptotic_profile, pde_residual, picard_solve,
                      write_outputs)
@@ -33,19 +33,17 @@ from .solver import (IterationError, SolveConfig, SolveResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BumpChain", "ConeReport", "ExtensionError",
-    "FaceLimitError", "GammaFunction",
-    "GridHammersteinOperator", "HalfLineOnePoint", "HypothesisReport",
-    "IndexCheck", "IntervalIdentity", "IterationError", "Kernel",
-    "LimitResult", "LineOnePoint", "LineTwoPoint", "NamedProblem",
-    "Nonlinearity", "PrecompactnessReport", "PROBLEM_IDS",
+    "BumpChain", "ExtensionError", "FaceLimitError", "GammaFunction",
+    "GridHammersteinOperator", "HalfLineOnePoint", "IntervalIdentity",
+    "IterationError", "Kernel", "LimitResult", "LineOnePoint", "LineTwoPoint",
+    "NamedProblem", "Nonlinearity", "PROBLEM_IDS",
     "ProductCompactification", "QuadratureError", "SolveConfig", "SolveResult",
     "WEIGHT_REGISTRY", "WeightedGridFunction", "WeightUnderflowError",
     "apply_T", "asymptotic_profile", "attach_faces", "check_hypotheses",
     "classify_ladder", "cumulative_weights",
     "default_levels", "extend", "f_sup_rho", "gamma_p", "gaussian_family",
-    "gaussian_family_separation", "halfline_metric", "index_one_check",
-    "index_one_sweep", "kappa_limit", "kernel_abs_integral",
+    "gaussian_family_separation", "halfline_metric", "holding_interval",
+    "index_one_check", "index_one_sweep", "kappa_limit", "kernel_abs_integral",
     "load_grid_function", "load_problem", "load_problem_file", "multi_indices",
     "panel_quadrature", "pde_residual", "picard_solve",
     "precompactness_report", "quotient_derivative", "run_full_pipeline",

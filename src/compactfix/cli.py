@@ -24,7 +24,7 @@ import numpy as np
 
 from .casestudy import (PROBLEM_IDS, load_problem, load_problem_file,
                         run_full_pipeline, validate_closed_forms)
-from .cones import default_eval_grid, index_one_sweep
+from .cones import default_eval_grid, holding_interval, index_one_sweep
 from .greenop import QuadratureError, check_hypotheses
 from .solver import (FaceLimitError, IterationError, SolveConfig,
                      picard_solve, write_json, write_outputs)
@@ -32,6 +32,9 @@ from .solver import (FaceLimitError, IterationError, SolveConfig,
 
 # the most rungs a --rho-range ladder may have
 MAX_RHO_RUNGS = 10000
+# the most nodes per axis of validate-closed-forms' comparison grid, whose
+# arrays grow as n^2: at n = 1000 the run peaks near 110 MB
+MAX_GRID_N = 1000
 
 
 class _UsageError(Exception):
@@ -119,7 +122,8 @@ def build_parser():
     add_common(sp, PROBLEM_IDS, "problem")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--grid-n", type=int, default=20,
-                    help="nodes per axis of the comparison grid, at least 2")
+                    help="nodes per axis of the comparison grid, 2 to "
+                    f"{MAX_GRID_N}")
     return p
 
 
@@ -157,20 +161,18 @@ def _cmd_check_conditions(args):
             else _parse_rho_range(args.rho_range))
     hyp = check_hypotheses(problem.kernel, problem.weight, problem.nl,
                            float(rhos[len(rhos) // 2]))
-    report = index_one_sweep(problem.kernel, problem.nl, rhos,
-                             grid=default_eval_grid(truncation))
+    rows = index_one_sweep(problem.kernel, problem.nl, rhos,
+                           grid=default_eval_grid(truncation))
+    held = holding_interval(rows)
     os.makedirs(args.out, exist_ok=True)
-    doc = {
-        "problem": problem.id,
-        "hypotheses": {k: {"status": v.status, "detail": v.detail}
-                       for k, v in hyp.conditions.items()},
-        "integrals": hyp.integrals,
-        "rows": list(report.rows),
-        "holding_interval": report.holding_interval(),
-    }
-    path = write_json(os.path.join(args.out, "cone_report.json"), doc,
+    path = write_json(os.path.join(args.out, "cone_report.json"),
+                      dict(hyp, problem=problem.id, rows=rows,
+                           holding_interval=held,
+                           sweep_truncation=truncation),
                       stamp=not args.no_timestamp)
-    held = report.holding_interval()
+    print(f"hypotheses at r = {hyp['r']:g}: "
+          + ", ".join(f"{key} {c['status']}"
+                      for key, c in hyp["hypotheses"].items()))
     print(f"index-one holds on {held}" if held
           else "index-one holds nowhere on the sampled ladder")
     print(f"report written to {path}")
@@ -202,8 +204,9 @@ def _cmd_compactify_demo(args):
 
 
 def _cmd_validate(args):
-    if args.grid_n < 2:
-        raise _UsageError(f"--grid-n must be at least 2, got {args.grid_n}")
+    if not 2 <= args.grid_n <= MAX_GRID_N:
+        raise _UsageError(f"--grid-n must be between 2 and {MAX_GRID_N}, "
+                          f"got {args.grid_n}")
     _check_positive("--tol", args.tol)
     problem = _load(args)
     gaps = validate_closed_forms(problem, n=args.grid_n)

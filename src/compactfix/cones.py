@@ -17,7 +17,6 @@ solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,14 +51,6 @@ def f_sup_rho(nl, rho, grid):
     return float(np.max(vals)) / rho
 
 
-@dataclass
-class IndexCheck:
-    rho: float
-    lhs: float
-    holds: bool
-    f_sup: float
-
-
 def abs_integral_beta_factor(kernel, grid):
     """beta applied to the kernel's attached closed form abs_integral on
     the grid; ValueError for a kernel without one (validate-closed-forms
@@ -70,32 +61,28 @@ def abs_integral_beta_factor(kernel, grid):
 
 
 def index_one_check(kernel, nl, rho, grid, beta_factor=None):
-    """Check 0 < f_sup_rho * beta(kernel abs integral) < 1 on grid."""
+    """Check 0 < f_sup_rho * beta(kernel abs integral) < 1 on grid, as the
+    JSON-ready row {"rho", "f_sup", "beta_factor", "lhs", "holds"}."""
     if beta_factor is None:
         beta_factor = abs_integral_beta_factor(kernel, grid)
     fsup = f_sup_rho(nl, rho, grid)
     lhs = fsup * beta_factor
-    return IndexCheck(rho, lhs, 0.0 < lhs < 1.0, fsup)
-
-
-@dataclass
-class ConeReport:
-    rows: tuple
-
-    def holding_interval(self):
-        """(lo, hi) spanning the rhos where the check holds, or None."""
-        held = [r["rho"] for r in self.rows if r["holds"]]
-        return (min(held), max(held)) if held else None
+    # a numpy rho makes lhs a numpy float, whose comparison gives an
+    # np.bool_, which json cannot write
+    return {"rho": rho, "f_sup": fsup, "beta_factor": beta_factor,
+            "lhs": lhs, "holds": bool(0.0 < lhs < 1.0)}
 
 
 def index_one_sweep(kernel, nl, rhos, grid):
-    """index_one_check across a rho ladder on grid, reusing the beta
-    factor."""
+    """The index_one_check rows across a rho ladder on grid, reusing the
+    beta factor."""
     beta_factor = abs_integral_beta_factor(kernel, grid)
-    rows = []
-    for rho in rhos:
-        chk = index_one_check(kernel, nl, float(rho), grid, beta_factor)
-        rows.append({"rho": float(rho), "f_sup": chk.f_sup,
-                     "beta_factor": beta_factor, "lhs": chk.lhs,
-                     "holds": bool(chk.holds)})
-    return ConeReport(tuple(rows))
+    return [index_one_check(kernel, nl, float(rho), grid, beta_factor)
+            for rho in rhos]
+
+
+def holding_interval(rows):
+    """(lo, hi) spanning the rhos of the rows where the check holds, or
+    None."""
+    held = [r["rho"] for r in rows if r["holds"]]
+    return (min(held), max(held)) if held else None

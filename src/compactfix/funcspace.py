@@ -358,26 +358,6 @@ _EPS_LADDER = (0.1, 0.03, 0.01)
 _MEMBER_BLOCK = 8
 
 
-@dataclass
-class PrecompactnessReport:
-    """Numerical check of the three sufficient conditions for precompactness.
-
-    bounded: sup of |d_p(f/phi)| over the family is finite.
-    equicontinuous: for every axis and every eps in the ladder
-        _EPS_LADDER some probed delta had that axis's modulus below eps.
-    equiconvergent: for every infinity face and every eps some window of
-        that face had every member within eps of its stored face value.
-    worst_deviation: the largest, over the faces, of each face's smallest
-        window deviation (0 on a map without faces).
-    """
-
-    bounded: bool
-    bound: float
-    equicontinuous: bool
-    equiconvergent: bool
-    worst_deviation: float
-
-
 def _family_quotient_derivatives(family):
     """{p: the list of the members' quotient derivatives of order p}, after
     checking that the members share one grid and one class order.  Nothing
@@ -462,7 +442,17 @@ def equiconvergence_deviation(family, derivs):
 
 
 def precompactness_report(family):
-    """Evaluate the three precompactness conditions for a family on one grid.
+    """Evaluate the three sufficient conditions for precompactness of a
+    family on one grid, as the JSON-ready {"bounded", "bound",
+    "equicontinuous", "equiconvergent", "worst_deviation"}:
+
+    bound: sup of |d_p(f/phi)| over the family; bounded: bound is finite.
+    equicontinuous: for every axis and every eps in the ladder
+        _EPS_LADDER some probed delta had that axis's modulus below eps.
+    equiconvergent: for every infinity face and every eps some window of
+        that face had every member within eps of its stored face value.
+    worst_deviation: the largest, over the faces, of each face's smallest
+        window deviation (0 on a map without faces).
 
     The members' quotient derivatives are read where they lie (for weight 1
     and order 0, the samples themselves); only equicontinuity_modulus copies
@@ -484,7 +474,8 @@ def precompactness_report(family):
                    for rows in deviations for eps in _EPS_LADDER)
     worst = max((min(d for _, d in rows) for rows in deviations),
                 default=0.0)
-    return PrecompactnessReport(bounded, bound, equicont, equiconv, worst)
+    return {"bounded": bounded, "bound": bound, "equicontinuous": equicont,
+            "equiconvergent": equiconv, "worst_deviation": worst}
 
 
 # ---------------------------------------------------------------------------

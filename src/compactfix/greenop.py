@@ -450,20 +450,15 @@ def _basis_matrix(span, vals, n):
     return out
 
 
-def _bspline_basis(knots, points):
-    """B[i, j] = B_j(points[i]), the full matrix of _bspline_rows."""
-    return _basis_matrix(*_bspline_rows(knots, points), len(knots) - 4)
-
-
 def _spline_coefficients(xs, ys, samples, t=(), s=()):
     """(knots on x, knots on y, C, t-rows, s-rows): the bicubic interpolant
     of samples on the grid xs x ys is u(t, s) = B_x(t) C B_y(s)^T, with
-    B_x, B_y the _bspline_basis matrices on the knots; C = B_x^-1 U B_y^-T
-    from the collocation matrices at the nodes.  Each axis takes one
-    _bspline_rows pass, on its nodes followed by the points t (s), which
-    must lie in [nodes[0], nodes[-1]]: the collocation matrix is that
-    pass's first rows, and the t-rows (s-rows) are the rest, the pass's
-    (span, vals) at t (s)."""
+    B_x, B_y the B-spline basis matrices (_basis_matrix) on the knots;
+    C = B_x^-1 U B_y^-T from the collocation matrices at the nodes.  Each
+    axis takes one _bspline_rows pass, on its nodes followed by the points
+    t (s), which must lie in [nodes[0], nodes[-1]]: the collocation matrix
+    is that pass's first rows, and the t-rows (s-rows) are the rest, the
+    pass's (span, vals) at t (s)."""
     knots, colloc, rows = [], [], []
     for nodes, points in ((xs, t), (ys, s)):
         knots.append(_interpolation_knots(nodes))
@@ -609,28 +604,6 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
 # hypothesis checking
 
 
-@dataclass
-class ConditionResult:
-    status: str  # verified | verified_on_truncation | diverges | unverified
-    detail: str
-
-
-@dataclass
-class HypothesisReport:
-    r: float
-    conditions: dict
-    integrals: dict
-
-    def lines(self):
-        out = [f"hypothesis report at r = {self.r:g}"]
-        for key in sorted(self.conditions):
-            c = self.conditions[key]
-            out.append(f"  {key}: {c.status} ({c.detail})")
-        for key, v in sorted(self.integrals.items()):
-            out.append(f"  integral {key} = {v:g}")
-        return out
-
-
 def _weighted_quotient_sups(quotient, t, x_hi, n=1200):
     """For each entry t_i of the 1-d array t, the max of |kx(x, t_i)| /
     phi(x) over n points x evenly spaced on [t_i, x_hi], NaN if one of
@@ -656,7 +629,11 @@ def _finite_count(vals):
 
 
 def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
-    """Numeric status of the four operator hypotheses at cone radius r.
+    """Numeric status of the four operator hypotheses at cone radius r, as
+    the JSON-ready {"r": r, "hypotheses": {"C1".."C4": {"status",
+    "detail"}}, "integrals": {name: value}}.  A status is verified,
+    verified_on_truncation, diverges or unverified; integrals holds the
+    Phi_r integral and the L1 products that converged.
 
     weight is phi, called on x alone (the y direction is unweighted), as
     every WEIGHT_REGISTRY entry can be; kernel.weighted_quotient must be
@@ -698,12 +675,12 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
         z_vals.append(res.value if res.converged else math.nan)
     z_vals = np.asarray(z_vals)
     z_ok, z_found = _finite_count(z_vals)
-    conditions["C1"] = ConditionResult(
-        "verified" if (sup_ok and z_ok) else "unverified",
-        f"weighted sup finite at {sup_found} columns"
+    conditions["C1"] = {
+        "status": "verified" if (sup_ok and z_ok) else "unverified",
+        "detail": f"weighted sup finite at {sup_found} columns"
         + (f", relative gap to analytic sup {m_gap:.2e}"
            if math.isfinite(m_gap) else "")
-        + f", face limit exists at {z_found} sampled columns")
+        + f", face limit exists at {z_found} sampled columns"}
 
     # C2: modulus of the weighted quotient in the compactified metric,
     # finite on the truncated domain only (it grows with the truncation).
@@ -711,10 +688,11 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     tc = ts[:, None]
     w_vals = np.max(np.abs(np.diff(quotient(xs, tc) * (xs >= tc), axis=1))
                     / halfline_metric(xs[1:], xs[:-1]), axis=1)
-    conditions["C2"] = ConditionResult(
-        "verified_on_truncation",
-        f"modulus finite on [0, {truncation:g}], max {w_vals.max():.3g}; "
-        "no uniform modulus is claimed beyond the truncation")
+    conditions["C2"] = {
+        "status": "verified_on_truncation",
+        "detail": f"modulus finite on [0, {truncation:g}], max "
+        f"{w_vals.max():.3g}; no uniform modulus is claimed beyond the "
+        "truncation"}
 
     # C3: domination f(t, s, v) <= Phi_r(t, s) for |v| <= r phi(t), and
     # integrability of Phi_r over the half-strip: integrated over
@@ -733,10 +711,11 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
         worst = max(worst, gap)
         dom_ok &= gap <= 1e-12
     if tail_scale is None or not math.isfinite(tail_scale):
-        conditions["C3"] = ConditionResult(
-            "unverified",
-            f"domination margin {worst:.2e} on sampled cone points; Phi_r "
-            "certifies no Gaussian tail, so its integral is not bounded")
+        conditions["C3"] = {
+            "status": "unverified",
+            "detail": f"domination margin {worst:.2e} on sampled cone "
+            "points; Phi_r certifies no Gaussian tail, so its integral is "
+            "not bounded"}
     else:
         tail = gaussian_tail(1.0, scale=tail_scale)
         t_top = 1
@@ -745,11 +724,11 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
         phi_int = _unit_strip_integral(phi_r, float(t_top),
                                        tol * quad_scale)
         integrals["Phi_r"] = phi_int
-        conditions["C3"] = ConditionResult(
-            "verified" if dom_ok and math.isfinite(phi_int)
+        conditions["C3"] = {
+            "status": "verified" if dom_ok and math.isfinite(phi_int)
             else "unverified",
-            f"domination margin {worst:.2e} on sampled cone points, "
-            f"integral {phi_int:.6g}")
+            "detail": f"domination margin {worst:.2e} on sampled cone "
+            f"points, integral {phi_int:.6g}"}
 
     # C4: the three L1 products.  The M-branch is probed on doubling
     # truncations; if a partial integral is inf or the increments do not
@@ -796,6 +775,6 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     else:
         status = "verified_on_truncation"
         detail = "all three products converged on doubling truncations"
-    conditions["C4"] = ConditionResult(status, detail)
+    conditions["C4"] = {"status": status, "detail": detail}
 
-    return HypothesisReport(r, conditions, integrals)
+    return {"r": r, "hypotheses": conditions, "integrals": integrals}

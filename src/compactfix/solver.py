@@ -125,10 +125,10 @@ def picard_solve(problem, cfg=None):
         ball_check = index_one_check(
             problem.kernel, problem.nl, cfg.rho_ball,
             grid=default_eval_grid(cfg.truncation))
-        if not ball_check.holds:
+        if not ball_check["holds"]:
             warnings.warn(
                 f"index-one condition fails at rho = {cfg.rho_ball:g} "
-                f"(lhs = {ball_check.lhs:.4g}); the monitored ball is not "
+                f"(lhs = {ball_check['lhs']:.4g}); the monitored ball is not "
                 "certified", stacklevel=2)
 
     op = GridHammersteinOperator(problem.kernel, problem.nl, axes)

@@ -37,7 +37,7 @@ def c4_partials():
     def read(report):
         found = re.search(r"partial M0\*Phi_r integrals ([^\s:]+) -> "
                           r"([^\s:]+) -> ([^\s:]+)",
-                          report.conditions["C4"].detail)
+                          report["hypotheses"]["C4"]["detail"])
         return [float(v) for v in found.groups()]
     return read
 

@@ -95,7 +95,7 @@ def test_03_index_interval(problem):
     rhos = np.round(np.arange(0.15, 0.85 + 1e-9, 0.01), 10)
     sweep = index_one_sweep(problem.kernel, problem.nl, rhos,
                             grid)
-    sampled_ok = all(row["holds"] for row in sweep.rows)
+    sampled_ok = all(row["holds"] for row in sweep)
     fail_small = index_one_check(problem.kernel, problem.nl,
                                  0.01, grid, beta)
     fail_large = index_one_check(problem.kernel, problem.nl,
@@ -104,14 +104,15 @@ def test_03_index_interval(problem):
     hi = (2.0 + math.sqrt(2.0)) / 4.0
     dense = np.linspace(lo + 1e-9, hi - 1e-9, 200)
     contained = all(index_one_check(problem.kernel, problem.nl,
-                                    float(r), grid, beta).holds
+                                    float(r), grid, beta)["holds"]
                     for r in dense)
     dt = time.perf_counter() - t0
-    ok = (sampled_ok and not fail_small.holds and not fail_large.holds
+    ok = (sampled_ok and not fail_small["holds"] and not fail_large["holds"]
           and contained and dt < 10.0)
     _report(3, "index-interval", ok,
             f"holds on [0.15, 0.85] step 0.01, fails at 0.01 "
-            f"(lhs {fail_small.lhs:.3g}) and 5 (lhs {fail_large.lhs:.3g}), "
+            f"(lhs {fail_small['lhs']:.3g}) and 5 "
+            f"(lhs {fail_large['lhs']:.3g}), "
             f"({lo:.4f}, {hi:.4f}) contained, {dt:.2f}s")
 
 
@@ -152,8 +153,8 @@ def test_06_translating_gaussians():
     sep = gaussian_family_separation(10)
     rep = precompactness_report(gaussian_family(40))
     dt = time.perf_counter() - t0
-    ok = (sep >= 1.0 - math.exp(-1.0) - 1e-6 and rep.bounded
-          and rep.equicontinuous and not rep.equiconvergent and dt < 5.0)
+    ok = (sep >= 1.0 - math.exp(-1.0) - 1e-6 and rep["bounded"]
+          and rep["equicontinuous"] and not rep["equiconvergent"] and dt < 5.0)
     _report(6, "translating-gaussians", ok,
             f"separation {sep:.6f} >= 0.632120, bounded and equicontinuous "
             f"but not equiconvergent, {dt:.2f}s")

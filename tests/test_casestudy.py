@@ -187,21 +187,21 @@ def test_unit_weight_file_gets_no_gaussian_weight_closed_forms(tmp_path,
     sup = _weighted_quotient_sups(prob.kernel.weighted_quotient,
                                   np.linspace(0.0, 8.0, 41), 16.0)
     assert np.allclose(sup, 1.0)
-    assert rep.conditions["C1"].status == "verified"
+    assert rep["hypotheses"]["C1"]["status"] == "verified"
     # Phi_r = amp exp(-t^2 - s^2) + r^2 dominates f on |v| <= r, and its
     # constant part has no Gaussian tail: C3 says so instead of integrating
     # to a cut-off, and M0 * Phi_r grows with every truncation radius
-    c3 = rep.conditions["C3"]
-    assert c3.status == "unverified"
-    assert "no Gaussian tail" in c3.detail
-    assert float(c3.detail.split("margin ")[1].split(" ")[0]) <= 0.0
-    assert "Phi_r" not in rep.integrals
-    assert "|z0|*Phi_r" not in rep.integrals
+    c3 = rep["hypotheses"]["C3"]
+    assert c3["status"] == "unverified"
+    assert "no Gaussian tail" in c3["detail"]
+    assert float(c3["detail"].split("margin ")[1].split(" ")[0]) <= 0.0
+    assert "Phi_r" not in rep["integrals"]
+    assert "|z0|*Phi_r" not in rep["integrals"]
     # every partial is finite, so no number is recorded for the product
-    c4 = rep.conditions["C4"]
-    assert c4.status == "diverges"
+    c4 = rep["hypotheses"]["C4"]
+    assert c4["status"] == "diverges"
     assert all(math.isfinite(p) for p in c4_partials(rep))
-    assert "M0*Phi_r" not in rep.integrals
+    assert "M0*Phi_r" not in rep["integrals"]
 
 
 def test_rate_two_file_quotient_is_exact_far_out(tmp_path):
@@ -213,12 +213,12 @@ def test_rate_two_file_quotient_is_exact_far_out(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = check_hypotheses(prob.kernel, prob.weight, prob.nl, 0.5)
-    assert rep.conditions["C1"].status == "verified"
+    assert rep["hypotheses"]["C1"]["status"] == "verified"
     # the face limit z0 is finite on all 9 sampled columns
     assert "face limit exists at 9 sampled columns" \
-        in rep.conditions["C1"].detail
-    assert rep.conditions["C4"].status == "verified_on_truncation"
-    assert all(math.isfinite(v) for v in rep.integrals.values())
+        in rep["hypotheses"]["C1"]["detail"]
+    assert rep["hypotheses"]["C4"]["status"] == "verified_on_truncation"
+    assert all(math.isfinite(v) for v in rep["integrals"].values())
 
 
 def _hand_forms(rate):

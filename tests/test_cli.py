@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compactfix import cli
 from compactfix.casestudy import PROBLEMS
-from compactfix.cli import build_parser, main
+from compactfix.cli import MAX_GRID_N, build_parser, main
 from compactfix.funcspace import load_grid_function
 
 
@@ -374,8 +375,12 @@ def test_check_conditions_report(tmp_path, capsys):
     assert rc == 0
     doc = json.loads((out / "cone_report.json").read_text(),
                      parse_constant=_refuse_constant)
-    assert set(doc) == {"problem", "hypotheses", "integrals", "rows",
-                        "holding_interval"}
+    assert set(doc) == {"problem", "r", "hypotheses", "integrals", "rows",
+                        "holding_interval", "sweep_truncation"}
+    # the hypothesis report's radius is the ladder's middle rung, and the
+    # truncation reaches the sweep only
+    assert doc["r"] == 0.5
+    assert doc["sweep_truncation"] == 16.0
     assert doc["hypotheses"]["C4"]["status"] == "diverges"
     assert "M0*Phi_r" not in doc["integrals"]
     assert len(doc["rows"]) == 15
@@ -383,6 +388,22 @@ def test_check_conditions_report(tmp_path, capsys):
     lo, hi = doc["holding_interval"]
     assert lo == pytest.approx(0.15) and hi == pytest.approx(0.85)
     assert "index-one holds on" in capsys.readouterr().out
+
+
+def test_check_conditions_prints_the_hypothesis_statuses(tmp_path, capsys):
+    # C4 diverges for the shipped problem, and stdout says so; the exit
+    # code stays 0
+    out = tmp_path / "statuses"
+    rc = main(["check-conditions", "--rho", "0.5", "--out", str(out),
+               "--no-timestamp"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("hypotheses at r = 0.5: C1 verified, "
+                        "C2 verified_on_truncation, C3 verified, "
+                        "C4 diverges")
+    doc = json.loads((out / "cone_report.json").read_text())
+    assert lines[0].split(": ", 1)[1] == ", ".join(
+        f"{key} {c['status']}" for key, c in sorted(doc["hypotheses"].items()))
 
 
 def test_check_conditions_single_rho(tmp_path):
@@ -462,9 +483,16 @@ def test_validate_closed_forms_pass_and_fail(tmp_path, capsys):
 @pytest.mark.parametrize("args, option", [
     (["--grid-n", "0"], "--grid-n"), (["--grid-n", "-3"], "--grid-n"),
     (["--grid-n", "1"], "--grid-n"), (["--tol", "nan"], "--tol"),
-    (["--tol", "0"], "--tol"), (["--tol", "inf"], "--tol")])
-def test_validate_closed_forms_rejects_bad_grid_and_tol(tmp_path, capsys,
-                                                        args, option):
+    (["--tol", "0"], "--tol"), (["--tol", "inf"], "--tol"),
+    (["--grid-n", str(MAX_GRID_N + 1)], "--grid-n")])
+def test_validate_closed_forms_rejects_bad_grid_and_tol(
+        tmp_path, capsys, monkeypatch, args, option):
+    # refused before any comparison grid is built: the grid's arrays grow
+    # as n^2
+    def no_grid(*args, **kwargs):
+        raise AssertionError("validate_closed_forms was called")
+
+    monkeypatch.setattr(cli, "validate_closed_forms", no_grid)
     rc = main(["validate-closed-forms", *args, "--out", str(tmp_path / "x")])
     assert rc == 1
     err = capsys.readouterr().err

@@ -9,7 +9,8 @@ from scipy.special import erf
 
 from compactfix.casestudy import _gauss_square_nonlinearity
 from compactfix.cones import (abs_integral_beta_factor, alpha_inf, beta_sup,
-                              default_eval_grid, f_sup_rho, index_one_check,
+                              default_eval_grid, f_sup_rho,
+                              holding_interval, index_one_check,
                               index_one_sweep)
 from compactfix.greenop import Nonlinearity, kernel_abs_integral
 
@@ -62,7 +63,7 @@ def test_nan_nonlinearity_never_certifies_index_one(problem):
     assert math.isnan(f_sup_rho(nan_nl, 0.5, default_eval_grid(24.0)))
     chk = index_one_check(problem.kernel, nan_nl, 0.5,
                           default_eval_grid(24.0))
-    assert math.isnan(chk.lhs) and not chk.holds
+    assert math.isnan(chk["lhs"]) and not chk["holds"]
 
 
 def test_beta_factor_is_the_far_corner(problem):
@@ -80,10 +81,10 @@ def test_beta_factor_is_the_far_corner(problem):
 def test_index_one_holds_at_half(problem):
     chk = index_one_check(problem.kernel, problem.nl, 0.5,
                           default_eval_grid(24.0))
-    assert chk.holds
-    assert chk.lhs == pytest.approx(0.75 * SQPI2 * erf(24.0), abs=1e-9)
-    assert chk.lhs == pytest.approx(0.6646701940895687, abs=1e-9)
-    assert chk.f_sup == 0.75
+    assert chk["holds"]
+    assert chk["lhs"] == pytest.approx(0.75 * SQPI2 * erf(24.0), abs=1e-9)
+    assert chk["lhs"] == pytest.approx(0.6646701940895687, abs=1e-9)
+    assert chk["f_sup"] == 0.75
     assert abs_integral_beta_factor(problem.kernel, default_eval_grid(24.0)) \
         == pytest.approx(SQPI2 * erf(24.0), abs=1e-9)
 
@@ -92,25 +93,25 @@ def test_index_one_fails_at_small_and_large_radius(problem):
     for rho, lhs in [(0.01, 11.087), (5.0, 4.453)]:
         chk = index_one_check(problem.kernel, problem.nl, rho,
                               default_eval_grid(24.0))
-        assert not chk.holds
-        assert chk.lhs == pytest.approx(lhs, abs=5e-3)
-        assert chk.lhs > 1.0
+        assert not chk["holds"]
+        assert chk["lhs"] == pytest.approx(lhs, abs=5e-3)
+        assert chk["lhs"] > 1.0
 
 
 def test_index_one_sweep_interval(problem):
     rhos = np.arange(0.15, 0.85 + 1e-9, 0.01)
     report = index_one_sweep(problem.kernel, problem.nl, rhos,
                              default_eval_grid(24.0))
-    assert all(row["holds"] for row in report.rows)
-    lo, hi = report.holding_interval()
+    assert all(row["holds"] for row in report)
+    lo, hi = holding_interval(report)
     assert lo == pytest.approx(0.15) and hi == pytest.approx(0.85)
-    betas = {row["beta_factor"] for row in report.rows}
+    betas = {row["beta_factor"] for row in report}
     assert len(betas) == 1
-    assert len(report.rows) == len(rhos)
-    assert set(report.rows[0]) == {"rho", "f_sup", "beta_factor", "lhs",
+    assert len(report) == len(rhos)
+    assert set(report[0]) == {"rho", "f_sup", "beta_factor", "lhs",
                                    "holds"}
     # lhs is convex in rho here, smallest near the middle of the interval
-    lhss = [row["lhs"] for row in report.rows]
+    lhss = [row["lhs"] for row in report]
     assert min(lhss) < lhss[0] and min(lhss) < lhss[-1]
 
 

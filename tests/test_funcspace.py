@@ -486,27 +486,33 @@ def test_precompactness_gaussian_family_counterexample():
     contains later members at full height, so the deviation never drops.
     """
     rep = precompactness_report(gaussian_family(40))
-    assert rep.bounded
-    assert rep.bound == pytest.approx(1.0, abs=1e-9)
-    assert rep.equicontinuous
-    assert not rep.equiconvergent
-    assert rep.worst_deviation > 0.5
-    assert not (rep.bounded and rep.equicontinuous and rep.equiconvergent)
+    assert rep["bounded"]
+    assert rep["bound"] == pytest.approx(1.0, abs=1e-9)
+    assert rep["equicontinuous"]
+    assert not rep["equiconvergent"]
+    assert rep["worst_deviation"] > 0.5
+    assert not (rep["bounded"] and rep["equicontinuous"]
+                and rep["equiconvergent"])
+    # the report is its JSON document: the moduli and deviations it reads
+    # stay behind
+    assert set(rep) == {"bounded", "bound", "equicontinuous",
+                        "equiconvergent", "worst_deviation"}
 
 
 def test_precompactness_finite_subfamily_passes():
     # with the window far beyond the last centre all three conditions hold
     for fam in (gaussian_family(10), gaussian_family(3)[:1]):
         rep = precompactness_report(fam)
-        assert rep.bounded and rep.equicontinuous and rep.equiconvergent
+        assert (rep["bounded"] and rep["equicontinuous"]
+                and rep["equiconvergent"])
 
 
 def test_precompactness_deviation_tracks_the_marching_front():
     for n in (5, 10):
         fam = gaussian_family(n, truncation=n + 2.0)
         rep = precompactness_report(fam)
-        assert not rep.equiconvergent
-        assert rep.worst_deviation > 0.5
+        assert not rep["equiconvergent"]
+        assert rep["worst_deviation"] > 0.5
 
 
 def test_precompactness_scaled_convergent_family_passes():
@@ -515,8 +521,8 @@ def test_precompactness_scaled_convergent_family_passes():
                                 infinity={"inf": {(0,): 0.0}})
            for c in (0.0, 0.5, -0.5, 1.0, -1.0)]
     rep = precompactness_report(fam)
-    assert rep.bounded and rep.equicontinuous and rep.equiconvergent
-    assert rep.worst_deviation < 1e-12
+    assert rep["bounded"] and rep["equicontinuous"] and rep["equiconvergent"]
+    assert rep["worst_deviation"] < 1e-12
 
 
 def test_equiconvergence_is_decided_per_face():
@@ -533,8 +539,8 @@ def test_equiconvergence_is_decided_per_face():
     best = min(d for _, d in devs["+inf"])
     assert best > 0.49
     rep = precompactness_report([f])
-    assert not rep.equiconvergent
-    assert rep.worst_deviation == best
+    assert not rep["equiconvergent"]
+    assert rep["worst_deviation"] == best
 
 
 def test_equicontinuity_is_decided_per_axis():
@@ -549,8 +555,8 @@ def test_equicontinuity_is_decided_per_axis():
     assert min(w for _, w in modulus[0]) > 1.5
     assert all(w == 0.0 for _, w in modulus[1])
     rep = precompactness_report([f])
-    assert not rep.equicontinuous
-    assert rep.equiconvergent
+    assert not rep["equicontinuous"]
+    assert rep["equiconvergent"]
 
 
 def test_precompactness_report_builds_the_derivative_stack_once(
@@ -657,11 +663,11 @@ def test_nan_sample_never_certifies(node):
     assert all(math.isnan(w) for _, w in equicontinuity_modulus(
         fam, derivs)[0])
     rep = precompactness_report(fam)
-    assert not rep.equicontinuous
+    assert not rep["equicontinuous"]
     if node < 0:
         assert all(math.isnan(d)
                    for _, d in equiconvergence_deviation(fam, derivs)["inf"])
-        assert not rep.equiconvergent
+        assert not rep["equiconvergent"]
 
 
 @pytest.mark.parametrize("member", [3, 10])
@@ -675,8 +681,8 @@ def test_nan_member_makes_the_family_unbounded(member):
     fam[member] = WeightedGridFunction(g.axes, bad, g.weight, g.order,
                                        g.cmap, g.infinity)
     rep = precompactness_report(fam)
-    assert math.isnan(rep.bound)
-    assert not rep.bounded
+    assert math.isnan(rep["bound"])
+    assert not rep["bounded"]
 
 
 def test_unit_weight_quotient_is_the_samples():
@@ -730,7 +736,7 @@ def test_demo_family_report_is_unchanged():
     # the translating Gaussians of ascoli-demo, read bitwise
     fam = gaussian_family(40, 48.0, 0.005)
     rep = precompactness_report(fam)
-    assert rep.bound == 1.0 and rep.bounded
+    assert rep["bound"] == 1.0 and rep["bounded"]
     derivs = _family_quotient_derivatives(fam)
     assert tuple(equicontinuity_modulus(fam, derivs)[0]) == (
         (0.0049999999999954525, 0.0042888002386666235),
@@ -742,7 +748,7 @@ def test_demo_family_report_is_unchanged():
         (0.31999999999970896, 0.26985375722172156))
     assert tuple(equiconvergence_deviation(fam, derivs)["inf"]) == (
         (0.5, 1.0), (0.25, 1.0), (0.125, 1.0), (0.0625, 1.0), (0.03125, 1.0))
-    assert rep.worst_deviation == 1.0
+    assert rep["worst_deviation"] == 1.0
 
 
 def _per_slice_deviation(f, face, stored):
@@ -776,7 +782,7 @@ def test_half_strip_profile_is_equiconvergent():
     devs = equiconvergence_deviation([f], _family_quotient_derivatives([f]))
     assert devs == {"axis0:inf": _per_slice_deviation(f, "axis0:inf", ys)}
     assert devs["axis0:inf"][-1][1] < 1e-12
-    assert precompactness_report([f]).equiconvergent
+    assert precompactness_report([f])["equiconvergent"]
 
 
 def test_equiconvergence_reads_the_ladder_windows():
@@ -1127,18 +1133,23 @@ def test_exports_resolve_and_deleted_names_stay_gone():
                  # the ball check reads the attached closed form
                  "_QUAD_TOL", "kernel_abs_integral"):
         assert not hasattr(compactfix.cones, name), name
-    assert not hasattr(compactfix.ConeReport, "to_json")
+    # a report is the document it writes: no record class carries it
+    for mod, name in [(compactfix.greenop, "ConditionResult"),
+                      (compactfix.greenop, "HypothesisReport"),
+                      (compactfix.cones, "IndexCheck"),
+                      (compactfix.cones, "ConeReport"),
+                      (compactfix.funcspace, "PrecompactnessReport")]:
+        assert name not in compactfix.__all__
+        assert not hasattr(compactfix, name)
+        assert not hasattr(mod, name), name
+    # only tests read the full B-spline matrix; the package reads the rows
+    assert not hasattr(compactfix.greenop, "_bspline_basis")
     # records carry only the fields the program reads
     assert not hasattr(compactfix.compactify, "LevelEvidence")
     assert [f.name for f in dataclasses.fields(compactfix.LimitResult)] \
         == ["status", "value", "oscillations"]
-    for cls, attrs in [(compactfix.IndexCheck,
-                        ("kind", "data", "beta_factor")),
-                       (compactfix.NamedProblem, ("spec",)),
-                       (compactfix.GammaFunction, ("p", "embedded_axes")),
-                       (compactfix.PrecompactnessReport,
-                        ("modulus", "deviations")),
-                       (compactfix.HypothesisReport, ("profiles",))]:
+    for cls, attrs in [(compactfix.NamedProblem, ("spec",)),
+                       (compactfix.GammaFunction, ("p", "embedded_axes"))]:
         fields = {f.name for f in dataclasses.fields(cls)}
         for attr in attrs:
             assert attr not in fields, (cls.__name__, attr)
@@ -1180,7 +1191,6 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     assert not hasattr(compactfix.greenop, "_quotient_fn")
     for cls, attr in [(compactfix.Kernel, "eval"),
                       (compactfix.Kernel, "support"),
-                      (compactfix.HypothesisReport, "all_usable"),
                       (WeightedGridFunction, "check_infinity_faces")]:
         assert not hasattr(cls, attr), (cls.__name__, attr)
     for cls, attr in [(compactfix.Nonlinearity, "monotone_in_u"),
@@ -1195,9 +1205,7 @@ def test_exports_resolve_and_deleted_names_stay_gone():
                       (compactfix.Kernel, "dkx"),
                       (compactfix.SolveConfig, "face_tol"),
                       (compactfix.NamedProblem, "default_config"),
-                      (compactfix.NamedProblem, "payload"),
-                      (compactfix.greenop.ConditionResult, "data"),
-                      (compactfix.PrecompactnessReport, "eps_ladder")]:
+                      (compactfix.NamedProblem, "payload")]:
         assert attr not in {f.name for f in dataclasses.fields(cls)}, \
             (cls.__name__, attr)
     assert "weight" not in inspect.signature(

@@ -18,7 +18,8 @@ from compactfix.casestudy import (_gauss_shift_kernel,
 from compactfix.funcspace import WeightedGridFunction
 from compactfix.greenop import (GridHammersteinOperator, Kernel,
                                 Nonlinearity, QuadratureError,
-                                _bspline_basis, _spline_coefficients,
+                                _basis_matrix, _bspline_rows,
+                                _spline_coefficients,
                                 _unit_interval_integrals,
                                 _weighted_quotient_sups,
                                 apply_T, check_hypotheses,
@@ -303,7 +304,8 @@ def test_numpy_spline_matches_fitpack_interpolant(xs, ys, rng):
     assert np.array_equal(tx, ref.tck[0]) and np.array_equal(ty, ref.tck[1])
     t = np.concatenate([xs, rng.uniform(xs[0], xs[-1], 40)])
     s = np.concatenate([ys, rng.uniform(ys[0], ys[-1], 40)])
-    got = _bspline_basis(tx, t) @ coef @ _bspline_basis(ty, s).T
+    got = _basis_matrix(*_bspline_rows(tx, t), len(tx) - 4) @ coef \
+        @ _basis_matrix(*_bspline_rows(ty, s), len(ty) - 4).T
     want = ref(t[:, None], s[None, :], grid=False)
     assert np.abs(got - want).max() <= 1e-13
     assert np.abs(got[:len(xs), :len(ys)] - samples).max() <= 1e-13
@@ -495,7 +497,8 @@ def _two_pass_panel_integrals(u, nl, kx, tol, levels):
         s, ws = (v.ravel() for v in greenop._gl_panels(by[:-1], by[1:],
                                                        level, rule))
         ymat = ws * (s[None, :] < ys[:, None])
-        bs = _bspline_basis(ty, np.clip(s, ys[0], ys[-1]))
+        bs = _basis_matrix(*_bspline_rows(ty, np.clip(s, ys[0], ys[-1])),
+                           len(ty) - 4)
         span, bt = greenop._bspline_rows(tx, np.clip(t, xs[0], xs[-1]))
         block = greenop._T_BLOCK
         total = np.zeros((len(xs), len(ys)))
@@ -762,11 +765,15 @@ def test_probed_bands_equal_the_causal_range_rule():
 def test_check_hypotheses_statuses(problem):
     rep = check_hypotheses(problem.kernel, problem.weight, problem.nl,
                            r=0.5)
-    assert rep.conditions["C1"].status == "verified"
-    assert rep.conditions["C2"].status == "verified_on_truncation"
-    assert rep.conditions["C3"].status == "verified"
-    assert rep.conditions["C4"].status == "diverges"
-    assert any("diverges" in line for line in rep.lines())
+    assert rep["hypotheses"]["C1"]["status"] == "verified"
+    assert rep["hypotheses"]["C2"]["status"] == "verified_on_truncation"
+    assert rep["hypotheses"]["C3"]["status"] == "verified"
+    assert rep["hypotheses"]["C4"]["status"] == "diverges"
+    assert any("diverges" in f"{c['status']} ({c['detail']})"
+               for c in rep["hypotheses"].values())
+    assert set(rep) == {"r", "hypotheses", "integrals"} and rep["r"] == 0.5
+    assert all(set(c) == {"status", "detail"}
+               for c in rep["hypotheses"].values())
 
 
 def test_check_hypotheses_integrals(problem, c4_partials):
@@ -774,12 +781,12 @@ def test_check_hypotheses_integrals(problem, c4_partials):
                            r=0.5)
     # Phi_r integrates in closed form over the half strip
     expected_phi = 0.125 * SQPI2 ** 2 * erf(1.0) + 0.25 * SQPI2
-    assert rep.integrals["Phi_r"] == pytest.approx(expected_phi, abs=1e-6)
+    assert rep["integrals"]["Phi_r"] == pytest.approx(expected_phi, abs=1e-6)
     # C4 diverges, so no number is recorded for its M-branch
-    assert "M0*Phi_r" not in rep.integrals
-    assert rep.integrals["|z0|*Phi_r"] == 0.0
-    assert math.isfinite(rep.integrals["w0*Phi_r"])
-    assert rep.integrals["w0*Phi_r"] > 0.0
+    assert "M0*Phi_r" not in rep["integrals"]
+    assert rep["integrals"]["|z0|*Phi_r"] == 0.0
+    assert math.isfinite(rep["integrals"]["w0*Phi_r"])
+    assert rep["integrals"]["w0*Phi_r"] > 0.0
     # the weighted column sup is exp(t^2), attained at x = 2t, on the
     # report's 41 columns of [0, 8]
     ts = np.linspace(0.0, 8.0, 41)
@@ -801,7 +808,7 @@ def test_check_hypotheses_phi_r_tail_is_certified(problem):
         for tol in (1e-4, 1e-8):
             rep = check_hypotheses(problem.kernel, problem.weight,
                                    problem.nl, r=r, tol=tol)
-            assert abs(rep.integrals["Phi_r"] - exact) <= tol
+            assert abs(rep["integrals"]["Phi_r"] - exact) <= tol
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError, match="tol must be positive"):
             check_hypotheses(problem.kernel, problem.weight, problem.nl,
@@ -818,8 +825,8 @@ def test_phi_r_tail_scale_comes_from_the_dominator(problem, amplitude):
         amplitude * SQPI2 * erf(1.0) + r * r)
     rep = check_hypotheses(problem.kernel, problem.weight, nl, r=r, tol=tol)
     exact = amplitude * SQPI2 ** 2 * erf(1.0) + r * r * SQPI2
-    assert rep.conditions["C3"].status == "verified"
-    assert abs(rep.integrals["Phi_r"] - exact) <= tol
+    assert rep["hypotheses"]["C3"]["status"] == "verified"
+    assert abs(rep["integrals"]["Phi_r"] - exact) <= tol
 
 
 def _raw_quotient_kernel(weight):
@@ -844,15 +851,15 @@ def test_check_hypotheses_counts_only_finite_limits_and_partials(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = check_hypotheses(raw, problem.weight, problem.nl, r=0.5)
-    c1 = rep.conditions["C1"]
-    assert c1.status == "unverified"
-    assert "face limit exists at 0 of 9 sampled columns" in c1.detail
-    c4 = rep.conditions["C4"]
-    assert c4.status == "unverified"
+    c1 = rep["hypotheses"]["C1"]
+    assert c1["status"] == "unverified"
+    assert "face limit exists at 0 of 9 sampled columns" in c1["detail"]
+    c4 = rep["hypotheses"]["C4"]
+    assert c4["status"] == "unverified"
     assert math.isnan(c4_partials(rep)[2])
-    assert not any(math.isnan(v) for v in rep.integrals.values())
-    assert "M0*Phi_r" not in rep.integrals
-    assert "|z0|*Phi_r" not in rep.integrals
+    assert not any(math.isnan(v) for v in rep["integrals"].values())
+    assert "M0*Phi_r" not in rep["integrals"]
+    assert "|z0|*Phi_r" not in rep["integrals"]
 
 
 def _loop_quotient_sup(quotient, t, x_hi, n):
@@ -887,11 +894,11 @@ def test_hypothesis_profiles_match_the_column_loops(problem):
         emb = xs / (1.0 + xs)
         want = np.array([float((np.abs(np.diff(quotient(xs, t) * (xs >= t)))
                                 / np.diff(emb)).max()) for t in ts])
-        assert f"max {np.max(want):.3g};" in rep.conditions["C2"].detail
+        assert f"max {np.max(want):.3g};" in rep["hypotheses"]["C2"]["detail"]
         phi_r, _ = problem.nl.dominator(0.5)
         w_phi = np.trapezoid(want * _unit_interval_integrals(
             phi_r, ts, 1e-10), ts)
-        assert np.array_equal(rep.integrals["w0*Phi_r"], w_phi,
+        assert np.array_equal(rep["integrals"]["w0*Phi_r"], w_phi,
                               equal_nan=True)
 
 
@@ -902,11 +909,11 @@ def test_phi_r_integrals_settle_relative_to_a_large_forcing(problem):
     nl = _gauss_square_nonlinearity("exp(-x^2/2)", 1e6)
     r, tol = 0.5, 1e-8
     rep = check_hypotheses(problem.kernel, problem.weight, nl, r=r, tol=tol)
-    assert {key: c.status for key, c in rep.conditions.items()} == {
+    assert {key: c["status"] for key, c in rep["hypotheses"].items()} == {
         "C1": "verified", "C2": "verified_on_truncation", "C3": "verified",
         "C4": "diverges"}
     exact = 1e6 * SQPI2 ** 2 * erf(1.0) + r * r * SQPI2
-    assert abs(rep.integrals["Phi_r"] - exact) <= tol * (1e6 + r * r)
+    assert abs(rep["integrals"]["Phi_r"] - exact) <= tol * (1e6 + r * r)
 
 
 def test_check_hypotheses_refuses_a_kernel_without_weighted_quotient(

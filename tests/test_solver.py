@@ -175,7 +175,7 @@ def test_picard_solve_coarse_run(problem):
     gaps = res.gap_history
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-8
-    assert res.ball_check.holds
+    assert res.ball_check["holds"]
     assert res.in_ball is True
     assert max(res.beta_history) <= 0.5
     # the returned iterate is a fixed point well beyond the stopping gap
@@ -267,7 +267,7 @@ def test_uncertified_ball_warns(problem):
     cfg = SolveConfig(hx=0.5, hy=0.25, truncation=4.0, rho_ball=5.0)
     with pytest.warns(UserWarning, match="not certified"):
         res = picard_solve(problem, cfg)
-    assert not res.ball_check.holds
+    assert not res.ball_check["holds"]
     assert res.in_ball is True  # the iterates stay far inside anyway
 
 

@@ -18,8 +18,8 @@ READERS = ([p for p in SOURCES if p.name != "__init__.py"]
 # the code that calls the package: the readers above and the tests
 CALLERS = READERS + sorted(ROOT.glob("perfbench/test_*.py")) \
     + sorted(ROOT.glob("tests/*.py"))
-# public definitions and fields that stay although no reader above reads
-# them, and why
+# definitions and fields that stay although no reader above reads them,
+# and why
 UNREAD_ALLOWED = {
     "alpha_inf": "check 9 of tests/test_acceptance.py reads it",
     "load_grid_function": "it reads back the solve's solution.csv",
@@ -78,18 +78,31 @@ def test_unused_import_check_sees_a_leftover(tmp_path):
                                     "leftover.py:3 path"]
 
 
-def _public_definitions(path):
-    """(line, name, field) of the public functions and classes a module
-    defines at its top level, of the public methods of its public classes
-    (field False) and of those classes' annotated class-body fields (field
-    True, named Class.field)."""
+def _is_dunder(name):
+    """A name such as __all__ or __init__, which no reader needs to read."""
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(path):
+    """(line, name, field) of the functions and classes a module defines at
+    its top level, public or private, of its private top-level constants
+    (names bound by a plain or annotated assignment), of the public methods
+    of its public classes (field False) and of those classes' annotated
+    class-body fields (field True, named Class.field)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for node in tree.body:
-        if isinstance(node, kinds) and not node.name.startswith("_"):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            out.extend((node.lineno, t.id, False) for t in targets
+                       if isinstance(t, ast.Name) and t.id.startswith("_")
+                       and not _is_dunder(t.id))
+        elif isinstance(node, kinds) and not _is_dunder(node.name):
             out.append((node.lineno, node.name, False))
-            if isinstance(node, ast.ClassDef):
+            if (isinstance(node, ast.ClassDef)
+                    and not node.name.startswith("_")):
                 out.extend((m.lineno, m.name, False) for m in node.body
                            if isinstance(m, kinds)
                            and not m.name.startswith("_"))
@@ -101,14 +114,15 @@ def _public_definitions(path):
 
 
 def _read_names(path):
-    """(names, fields) a module reads.  names: names, attributes, and
-    string constants that are identifiers (a harness that looks a method up
-    by its name).  fields: attributes it loads and those identifier
-    strings, so a field that is only assigned is not read."""
+    """(names, fields) a module reads.  names: names it does not only bind,
+    attributes, and string constants that are identifiers (a harness that
+    looks a method up by its name).  fields: attributes it loads and those
+    identifier strings, so a field that is only assigned is not read."""
     names, fields = set(), set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
             if isinstance(node.ctx, ast.Load):
@@ -121,13 +135,14 @@ def _read_names(path):
 
 
 def _unread_definitions(sources, readers):
-    """The public definitions and fields of sources that no reader reads,
-    as "module:line name" entries; a field matches by its own name."""
+    """The definitions and fields of sources (_definitions) that no reader
+    reads, as "module:line name" entries; a field matches by its own
+    name."""
     reads = [_read_names(path) for path in readers]
     names = set().union(*(n for n, _ in reads))
     fields = set().union(*(f for _, f in reads))
     return sorted(f"{path.name}:{line} {name}" for path in sources
-                  for line, name, field in _public_definitions(path)
+                  for line, name, field in _definitions(path)
                   if (name.partition(".")[2] not in fields if field
                       else name not in names))
 
@@ -149,6 +164,23 @@ def test_unread_definition_check_sees_a_leftover(tmp_path):
                       "getattr(Box(), 'size')()\n")
     assert _unread_definitions([mod], [reader]) == ["mod.py:13 spare",
                                                    "mod.py:5 unread"]
+
+
+def test_unread_private_definition_check_sees_a_leftover(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("__all__ = ['run']\n_LIMIT = 3\n_SPARE = 4\n"
+                   "_TABLE: dict = {}\n\n\n"
+                   "def _helper():\n    return _LIMIT\n\n\n"
+                   "def _unused():\n    pass\n\n\n"
+                   "class _Box:\n    pass\n\n\n"
+                   "def run():\n    return _helper()\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from mod import run\nrun()\n")
+    # a module reads its own private names, but binding one does not read
+    # it; a dunder name is no definition
+    assert _unread_definitions([mod], [mod, reader]) == [
+        "mod.py:11 _unused", "mod.py:15 _Box", "mod.py:3 _SPARE",
+        "mod.py:4 _TABLE"]
 
 
 def test_unread_field_check_sees_a_leftover(tmp_path):
