@@ -6,6 +6,7 @@ Run from the repo root:  python3 demos/compactified_limits.py
 import numpy as np
 
 from compactfix.casestudy import DEMOS
+from compactfix.funcspace import BumpChain
 
 arctan = DEMOS["arctan-demo"]()
 print("arctan on the two-point compactified line")
@@ -32,7 +33,7 @@ print(f"  f     at infinity: {value['status']}, value {value['value']:.2e}, "
 deriv = chain["derivative"]
 print(f"  f'    at infinity: {deriv['status']}, oscillation "
       f"{deriv['oscillation']:.4f} on the smallest ball")
-print(f"  peak slope 8/(3 sqrt 3) = {8/(3*np.sqrt(3)):.4f} for comparison")
+print(f"  peak slope 8/(3 sqrt 3) = {BumpChain.peak_slope:.4f} for comparison")
 print()
 print("so f extends continuously to the compactified half line but f'")
 print("does not, which is exactly why the weighted space tracks the")

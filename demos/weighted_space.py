@@ -20,7 +20,7 @@ def main():
             ("5 tanh(x) phi", 5.0 * np.tanh(xs) * phi(xs), 5.0),
             ("exp(-x^2)", np.exp(-xs ** 2), 0.0)):
         u = WeightedGridFunction((xs,), samples, phi,
-                                 infinity={"inf": {(0,): face}})
+                                 infinity={"axis0:inf": {(0,): face}})
         plain = float(np.abs(samples).max())
         print(f"  ||{name}|| = {weighted_norm(u):.6f}   "
               f"(plain sup {plain:.3f})")
@@ -31,7 +31,7 @@ def main():
     print()
     print("trace map: gamma_0 u = u/phi extended to the compactified line")
     u = WeightedGridFunction((xs,), 0.5 * phi(xs) * np.tanh(xs), phi,
-                             infinity={"inf": {(0,): 0.5}})
+                             infinity={"axis0:inf": {(0,): 0.5}})
     g = gamma_p(u, (0,))
     print(f"  sup of the trace {g.sup():.6f} equals the weighted norm "
           f"{weighted_norm(u):.6f}")

@@ -40,8 +40,8 @@ class NamedProblem:
     nl: Nonlinearity
     closed_forms: dict           # {form name: callable}
     truncation: float            # the x-truncation a solve uses by default
-    #: the half strip [0, inf] x [0, 1], which a solve's grid functions
-    #: take by default and their sidecars name "product"
+    #: the half strip [0, inf] x [0, 1], the map of a solve's solution,
+    #: which its sidecar names ["halfline-onepoint", "interval"]
     cmap = ProductCompactification((HalfLineOnePoint(), IntervalIdentity()))
 
     @property

@@ -275,7 +275,6 @@ class ProductCompactification:
     its faces are those of the factors with an infinity point."""
 
     factors: tuple
-    name = "product"
 
     def __post_init__(self):
         self.factors = tuple(self.factors)

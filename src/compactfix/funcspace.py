@@ -5,7 +5,8 @@ together with the values of the weighted quotients d_p(f/phi) on the infinity
 faces of the compactification.  The norm is the sup of all quotient
 derivatives up to order m, over the grid and over the stored face values.
 A grid function is saved as its quotient u/phi, one value per line, with a
-JSON sidecar for the axes, the weight's name and the face values.
+JSON sidecar for the axes, the weight's name, the names of its map's
+factors and the face values.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ def _weight(log_phi):
 WEIGHT_REGISTRY = {name: _weight(log_phi)
                    for name, (log_phi, _) in LOG_WEIGHTS.items()}
 _unit_weight = WEIGHT_REGISTRY["1"]
+#: each 1-d map by the name that a grid file's sidecar gives it; a grid's
+#: map is a product of these, one per axis
+NAMED_MAPS = {cls.name: cls for cls in (HalfLineOnePoint, LineTwoPoint,
+                                        LineOnePoint, IntervalIdentity)}
 #: the face ladders' tolerance in apply_T's images and the solve's profile
 FACE_TOL = 1e-4
 
@@ -63,16 +68,19 @@ class WeightedGridFunction:
     ----------
     axes : tuple of 1d arrays, strictly increasing node coordinates.
     samples : array of shape tuple(len(a) for a in axes).
-    weight : vectorized callable on meshgrid arrays, or None for weight 1.
+    weight : a WEIGHT_REGISTRY entry, called on meshgrid arrays, or None for
+        weight 1.
     order : highest derivative order the weighted norm ranges over.
-    cmap : the compactification the infinity faces refer to.
-    infinity : {face_label: {multi_index: value}}; for a product face the
-        value is an array over the nodes of the remaining axis.
+    cmap : the compactification the infinity faces refer to, a
+        ProductCompactification of one NAMED_MAPS map per axis; by default
+        a half line times one interval per further axis.
+    infinity : {face_label: {multi_index: value}}; the value is an array
+        over the nodes of the other axes (a scalar on a 1-d grid).
     weight_desc : optional check, the WEIGHT_REGISTRY name of weight.
 
-    The weight's name is looked up in WEIGHT_REGISTRY; a weight from
-    outside the registry has the name None and computes but cannot be saved.
-    A grid function built by from_quotient also keeps q = u/phi itself.
+    ValueError for a weight or a map without a name, so that everything a
+    grid function holds can be named in its file.  A grid function built
+    by from_quotient also keeps q = u/phi itself.
     """
 
     def __init__(self, axes, samples, weight=None, order=0, cmap=None,
@@ -87,14 +95,24 @@ class WeightedGridFunction:
         self.weight = _unit_weight if weight is None else weight
         self.weight_desc = next((name for name, w in WEIGHT_REGISTRY.items()
                                  if w is self.weight), None)
+        if self.weight_desc is None:
+            raise ValueError(f"weight {self.weight!r} is not a "
+                             "WEIGHT_REGISTRY entry")
         if weight_desc is not None and weight_desc != self.weight_desc:
             if weight_desc not in WEIGHT_REGISTRY:
                 raise ValueError(f"unknown weight description {weight_desc!r}")
             raise ValueError(f"weight description {weight_desc!r} does not "
                              "name the given weight")
         self.order = int(order)
-        self.cmap = cmap if cmap is not None else _named_cmap(
-            "halfline-onepoint" if self.ndim == 1 else "product", self.ndim)
+        self.cmap = cmap if cmap is not None else ProductCompactification(
+            (HalfLineOnePoint(),) + (IntervalIdentity(),) * (self.ndim - 1))
+        if not (isinstance(self.cmap, ProductCompactification)
+                and len(self.cmap.factors) == self.ndim
+                and all(type(fac) in NAMED_MAPS.values()
+                        for fac in self.cmap.factors)):
+            raise ValueError(f"cmap {self.cmap!r} is not a product of one "
+                             f"named map per axis ({', '.join(NAMED_MAPS)}) "
+                             f"for {self.ndim} axes")
         self.infinity = infinity or {}
         self._wvals = None
         self._q = None
@@ -135,13 +153,10 @@ class WeightedGridFunction:
         return np.meshgrid(*self.axes, indexing="ij")
 
     def weight_values(self):
-        """phi = weight(*mesh()) on the grid; ValueError where it is
-        negative.  It may be 0 where a positive weight underflows."""
+        """phi = weight(*mesh()) on the grid, an exp, so never negative; it
+        may be 0 where it underflows."""
         if self._wvals is None:
-            wvals = np.asarray(self.weight(*self.mesh()), dtype=float)
-            if np.any(wvals < 0):
-                raise ValueError("weight must be positive on the grid")
-            self._wvals = wvals
+            self._wvals = np.asarray(self.weight(*self.mesh()), dtype=float)
         return self._wvals
 
     def quotient(self):
@@ -160,13 +175,17 @@ class WeightedGridFunction:
         if len(zero):
             x = self.axes[0][zero[0][0]]
             raise WeightUnderflowError(
-                f"weight {self.weight_desc or 'phi'} is not positive at "
+                f"weight {self.weight_desc} is not positive at "
                 f"x = {x:g}: it is 0 in float64 there, so u/phi is "
                 "undefined")
         return self.samples / wvals
 
     def face_labels(self):
-        return face_labels(self.cmap)
+        """The infinity faces: "axis{i}:{point}" per infinity point of
+        factor i of the map (a half line's face is "axis0:inf", a two-point
+        line's are "axis0:-inf" and "axis0:+inf")."""
+        return [f"axis{i}:{p}" for i, fac in enumerate(self.cmap.factors)
+                for p in fac.infinity_points()]
 
     def face_limit(self, p, face, tol=1e-6):
         """Windowed limits of d_p(f/phi) at an infinity face, from grid
@@ -176,51 +195,22 @@ class WeightedGridFunction:
                              tol)[2]
 
 
-def _named_cmap(name, ndim):
-    """The compactification that a grid file's sidecar names: one of the
-    1-d maps, or "product", a half line times one interval per further
-    axis; ValueError for any other name."""
-    for cls in (HalfLineOnePoint, LineTwoPoint, LineOnePoint,
-                IntervalIdentity):
-        if name == cls.name:
-            return cls()
-    if name == ProductCompactification.name:
-        return ProductCompactification(
-            (HalfLineOnePoint(),) + (IntervalIdentity(),) * (ndim - 1))
-    raise ValueError(f"unknown compactification {name!r}")
-
-
-def face_labels(cmap):
-    """The infinity faces of a map: its points' labels, or for a product
-    one face "axis{i}:{label}" per infinity point of factor i (the half
-    strip's face is "axis0:inf", a two-point line factor gives
-    "axis0:-inf" and "axis0:+inf")."""
-    if isinstance(cmap, ProductCompactification):
-        return [f"axis{i}:{p}" for i, fac in enumerate(cmap.factors)
-                for p in fac.infinity_points()]
-    return list(cmap.infinity_points())
-
-
 def _face_axis(face):
-    if face.startswith("axis"):
-        return int(face[4:].split(":")[0])
-    return 0
+    return int(face[4:].partition(":")[0])
 
 
 def _face_radii(f, face):
     """The tail radius of each node of the face's axis about the face's
     infinity point, from the axis's map (CompactMap.ball_radius): a node
     lies in the face's metric ball of radius delta iff its radius exceeds
-    1/delta - 1.  A product's face "axis{i}:{label}" is the point of that
-    label of factor i; ValueError for a face that f's map lacks."""
-    axis = _face_axis(face)
-    product = isinstance(f.cmap, ProductCompactification)
-    fac = f.cmap.factors[axis] if product else f.cmap
-    label = face.partition(":")[2] if product else face
-    if label not in fac.infinity_points():
+    1/delta - 1.  The face "axis{i}:{label}" is the point of that label of
+    factor i; ValueError for a face that f's map lacks."""
+    if face not in f.face_labels():
         raise ValueError(f"the compactification has no infinity face "
                          f"{face!r}")
-    return fac.ball_radius(label, f.axes[axis])
+    axis = _face_axis(face)
+    return f.cmap.factors[axis].ball_radius(face.partition(":")[2],
+                                            f.axes[axis])
 
 
 def quotient_derivative(f, p):
@@ -538,11 +528,11 @@ class BumpChain:
 def gaussian_family(n_max, truncation=48.0, step=0.005):
     """Unit Gaussians centred at 2..n_max as weight-1 grid functions."""
     xs = np.arange(0.0, truncation + step / 2, step)
-    cmap = HalfLineOnePoint()
+    cmap = ProductCompactification((HalfLineOnePoint(),))
     fam = []
     for c in range(2, n_max + 1):
         samples = np.exp(-(xs - c) ** 2)
-        faces = {"inf": {(0,): 0.0}}
+        faces = {"axis0:inf": {(0,): 0.0}}
         fam.append(WeightedGridFunction((xs,), samples, None, 0, cmap,
                                         faces))
     return fam
@@ -586,20 +576,12 @@ def save_grid_function(f, csv_path):
 
     The CSV is the header line "u/phi" and then f.quotient(), one "%.17g"
     value per line, flattened in C order of the axes; the sidecar holds the
-    axes, the weight's name, the order, the cmap and the infinity-face
-    data, so u = phi q is recovered by load_grid_function.  Raises
-    ValueError for a weight outside WEIGHT_REGISTRY, which the sidecar could
-    not name, or a cmap that _named_cmap does not rebuild with the same
-    faces, and WeightUnderflowError for a grid function without a kept
-    quotient whose weight is 0 on its grid; none of them creates a file.
+    axes, the weight's name, the order, the names of the map's factors,
+    one per axis, and the infinity-face data, so u = phi q is recovered by
+    load_grid_function.  Raises WeightUnderflowError, before it creates a
+    file, for a grid function without a kept quotient whose weight is 0 on
+    its grid.
     """
-    if f.weight_desc is None:
-        raise ValueError("only a WEIGHT_REGISTRY weight can be saved; this "
-                         "grid function's weight has no name")
-    cmap_name = getattr(f.cmap, "name", None)
-    if face_labels(_named_cmap(cmap_name, f.ndim)) != f.face_labels():
-        raise ValueError(f"compactification {cmap_name!r} would reload "
-                         "with other infinity faces")
     flat = f.quotient().ravel()
     with open(csv_path, "w", newline="") as fh:
         fh.write(_CSV_HEADER + "\r\n")
@@ -609,7 +591,7 @@ def save_grid_function(f, csv_path):
     side = {
         "weight": f.weight_desc,
         "order": f.order,
-        "cmap": cmap_name,
+        "cmap": [fac.name for fac in f.cmap.factors],
         "axes": [list(a) for a in f.axes],
         "infinity": {face: {_p_key(p): (v.tolist() if isinstance(v, np.ndarray)
                                         else float(v))
@@ -627,13 +609,22 @@ def load_grid_function(csv_path):
     loaded quotient() is bitwise the saved one and the samples are phi q.
     Raises ValueError when the header is not "u/phi" (for example an older
     x,y,value file), the number of values does not match the sidecar's
-    axes or the sidecar names an unknown cmap.
+    axes, or the sidecar's "cmap" is not a list of NAMED_MAPS names, one
+    per axis (an older file's single name included).
     """
     with open(str(csv_path) + ".json") as fh:
         side = json.load(fh)
     axes = tuple(np.asarray(a, dtype=float) for a in side["axes"])
     shape = tuple(len(a) for a in axes)
-    cmap = _named_cmap(side["cmap"], len(axes))
+    names = side["cmap"]
+    if not isinstance(names, list) or len(names) != len(axes):
+        raise ValueError(f"{csv_path}: sidecar cmap {names!r} is not a list "
+                         f"of {len(axes)} map names, one per axis")
+    for name in names:
+        if not isinstance(name, str) or name not in NAMED_MAPS:
+            raise ValueError(f"{csv_path}: unknown compactification "
+                             f"{name!r}")
+    cmap = ProductCompactification(NAMED_MAPS[name]() for name in names)
     with open(csv_path, newline="") as fh:
         lines = fh.read().splitlines()
     header = lines[0] if lines else ""

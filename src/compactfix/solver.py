@@ -111,8 +111,8 @@ class SolveResult:
 def picard_solve(problem, cfg=None):
     """Iterate q <- Tq from q = 0 until the gap sup |q+ - q| drops below tol.
 
-    problem must carry id, kernel, nl and weight (a WEIGHT_REGISTRY entry,
-    so that the solution can be saved), truncation, and the kernel and
+    problem must carry id, kernel, nl, weight (a WEIGHT_REGISTRY entry)
+    and cmap, which the solution carries, truncation, and the kernel and
     nonlinearity their quotient forms for that weight.  Without cfg the
     solve takes SolveConfig's defaults on [0, problem.truncation].  Raises
     IterationError with the gap history when max_iter is exhausted.
@@ -152,7 +152,8 @@ def picard_solve(problem, cfg=None):
     # release the operator's blocks before the residual builds its own
     del op
 
-    u = WeightedGridFunction.from_quotient(axes, q, problem.weight)
+    u = WeightedGridFunction.from_quotient(axes, q, problem.weight,
+                                           cmap=problem.cmap)
     profile = tuple(asymptotic_profile(u))
     residual = pde_residual(axes, q, problem.kernel, problem.nl)
     return SolveResult(u, tuple(gaps), tuple(betas), residual, profile,

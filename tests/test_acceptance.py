@@ -239,8 +239,8 @@ def test_09_property_suites(problem):
         fa, fb = rng.normal(), rng.normal()
 
         def mk(samples, fv):
-            return WeightedGridFunction((gxs,), samples, phi,
-                                        infinity={"inf": {(0,): fv}})
+            return WeightedGridFunction(
+                (gxs,), samples, phi, infinity={"axis0:inf": {(0,): fv}})
 
         ga = gamma_p(mk(a, fa), (0,))
         gb = gamma_p(mk(b, fb), (0,))

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from compactfix.compactify import (ExtensionError, HalfLineOnePoint,
                                    LineOnePoint, LineTwoPoint,
-                                   classify_ladder, default_levels, extend,
-                                   halfline_metric, kappa_limit)
+                                   ProductCompactification, classify_ladder,
+                                   default_levels, extend, halfline_metric,
+                                   kappa_limit)
 from compactfix.funcspace import BumpChain, WeightedGridFunction, gamma_p
 from compactfix.solver import asymptotic_profile
 
@@ -242,8 +243,9 @@ def test_kappa_limit_is_the_grid_ladder_on_its_own_samples():
     for f, cmap, point, extra in cases:
         got, (pts,) = _samples(f, point, cmap, 1e-6, extra)
         xs = np.unique(pts)
-        (grid,) = WeightedGridFunction((xs,), f(xs), cmap=cmap).face_limit(
-            (0,), point, tol=1e-6)
+        (grid,) = WeightedGridFunction(
+            (xs,), f(xs), cmap=ProductCompactification((cmap,))).face_limit(
+            (0,), f"axis0:{point}", tol=1e-6)
         depth = len(got.oscillations)
         assert len(grid.oscillations) > depth
         assert grid.oscillations[:depth] == got.oscillations

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import inspect
+import json
 import math
 import subprocess
 import sys
@@ -18,8 +19,9 @@ from compactfix.compactify import (HalfLineOnePoint, IntervalIdentity,
                                    LimitResult, LineOnePoint, LineTwoPoint,
                                    ProductCompactification, classify_ladder,
                                    kappa_limit)
-from compactfix.funcspace import (LOG_WEIGHTS, WEIGHT_REGISTRY, BumpChain,
-                                  FaceLimitError, WeightedGridFunction,
+from compactfix.funcspace import (LOG_WEIGHTS, NAMED_MAPS, WEIGHT_REGISTRY,
+                                  BumpChain, FaceLimitError,
+                                  WeightedGridFunction,
                                   WeightUnderflowError, _face_axis,
                                   _family_quotient_derivatives,
                                   equiconvergence_deviation,
@@ -92,16 +94,16 @@ def test_grid_function_validation():
         WeightedGridFunction((XS,), np.zeros(len(XS) + 1))
     with pytest.raises(ValueError, match="increasing"):
         WeightedGridFunction((np.array([0.0, 2.0, 1.0]),), np.zeros(3))
-    # phi = 0 fails only where it is divided by; a negative phi at once
-    bad = WeightedGridFunction((XS,), np.zeros_like(XS),
-                               weight=lambda x: np.zeros_like(x))
+    # phi = 0 where it underflows fails only where it is divided by; a
+    # weight outside the registry, such as a negative one, at once
+    far = np.array([39.0, 40.0])
+    bad = WeightedGridFunction((far,), np.zeros_like(far), weight=phi)
     assert not np.any(bad.weight_values())
     with pytest.raises(WeightUnderflowError, match="positive"):
         bad.quotient()
-    negative = WeightedGridFunction((XS,), np.zeros_like(XS),
-                                    weight=lambda x: -np.ones_like(x))
-    with pytest.raises(ValueError, match="positive"):
-        negative.weight_values()
+    with pytest.raises(ValueError, match="not a WEIGHT_REGISTRY entry"):
+        WeightedGridFunction((XS,), np.zeros_like(XS),
+                             weight=lambda x: -np.ones_like(x))
 
 
 def test_weighted_norm_zero_and_weight():
@@ -116,10 +118,10 @@ def test_weighted_norm_unweighted_gaussian_peak():
 
 
 def test_weighted_norm_ranges_over_stored_faces():
-    f = wgf(0.1 * phi(XS), infinity={"inf": {(0,): 2.0}})
+    f = wgf(0.1 * phi(XS), infinity={"axis0:inf": {(0,): 2.0}})
     assert weighted_norm(f) == 2.0
     # face entries above the class order do not count
-    g = wgf(0.1 * phi(XS), infinity={"inf": {(1,): 99.0}})
+    g = wgf(0.1 * phi(XS), infinity={"axis0:inf": {(1,): 99.0}})
     assert abs(weighted_norm(g) - 0.1) < 1e-15
 
 
@@ -148,7 +150,7 @@ def test_gamma_p_of_constant_quotient():
     f = wgf(phi(XS))
     g = gamma_p(f, (0,))
     assert np.allclose(g.values, 1.0)
-    assert g.infinity["inf"] == pytest.approx(1.0, abs=1e-12)
+    assert g.infinity["axis0:inf"] == pytest.approx(1.0, abs=1e-12)
     assert g.sup() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -161,8 +163,8 @@ def test_gamma_p_is_linear():
         fa, fb = rng.normal(), rng.normal()
 
         def mk(samples, face):
-            return WeightedGridFunction((xs,), samples, phi,
-                                        infinity={"inf": {(0,): face}})
+            return WeightedGridFunction(
+                (xs,), samples, phi, infinity={"axis0:inf": {(0,): face}})
 
         ga = gamma_p(mk(a, fa), (0,))
         gb = gamma_p(mk(b, fb), (0,))
@@ -170,8 +172,9 @@ def test_gamma_p_is_linear():
         scale = max(1.0, np.abs(gc.values).max())
         assert np.allclose(gc.values, 2.0 * ga.values + 3.0 * gb.values,
                            atol=1e-10 * scale)
-        assert gc.infinity["inf"] == pytest.approx(
-            2.0 * ga.infinity["inf"] + 3.0 * gb.infinity["inf"], abs=1e-12)
+        assert gc.infinity["axis0:inf"] == pytest.approx(
+            2.0 * ga.infinity["axis0:inf"] + 3.0 * gb.infinity["axis0:inf"],
+            abs=1e-12)
 
 
 def test_gamma_p_sup_bounded_by_weighted_norm():
@@ -179,7 +182,7 @@ def test_gamma_p_sup_bounded_by_weighted_norm():
     rng = np.random.default_rng(11)
     for _ in range(200):
         a = rng.normal(size=xs.size)
-        faces = {"inf": {(0,): rng.normal(), (1,): rng.normal()}}
+        faces = {"axis0:inf": {(0,): rng.normal(), (1,): rng.normal()}}
         f = WeightedGridFunction((xs,), a, phi, order=1, infinity=faces)
         bound = weighted_norm(f)
         for p in [(0,), (1,)]:
@@ -189,7 +192,7 @@ def test_gamma_p_sup_bounded_by_weighted_norm():
 def test_gamma_zero_separates_grid_functions():
     xs = np.linspace(0.0, 8.0, 33)
     rng = np.random.default_rng(13)
-    face = {"inf": {(0,): 0.0}}
+    face = {"axis0:inf": {(0,): 0.0}}
     for _ in range(200):
         a = rng.normal(size=xs.size)
         b = rng.normal(size=xs.size)
@@ -205,7 +208,7 @@ def test_gamma_p_raises_when_grid_limit_is_missing():
     f = WeightedGridFunction((XS,), np.sin(XS))
     with pytest.raises(FaceLimitError) as err:
         gamma_p(f, (0,), tol=1e-3)
-    assert err.value.face == "inf"
+    assert err.value.face == "axis0:inf"
     assert err.value.result.status == "no_limit"
 
 
@@ -239,7 +242,7 @@ def test_face_limit_needs_nodes_in_some_window():
     xs = np.linspace(0.0, 0.9, 10)
     f = WeightedGridFunction((xs,), np.zeros_like(xs))
     with pytest.raises(ValueError, match="window"):
-        f.face_limit((0,), "inf")
+        f.face_limit((0,), "axis0:inf")
 
 
 def test_attach_faces_stores_a_scalar_on_a_1d_grid():
@@ -248,14 +251,15 @@ def test_attach_faces_stores_a_scalar_on_a_1d_grid():
     # tol 1e-300, and weighted_norm takes it into the sup
     xs = np.linspace(0.0, 40.0, 801)
     f = WeightedGridFunction((xs,), np.exp(-xs) - 1.0)
-    (res,) = attach_faces(f)["inf"]
+    (res,) = attach_faces(f)["axis0:inf"]
     assert res.converged
-    assert list(f.infinity) == ["inf"] and list(f.infinity["inf"]) == [(0,)]
-    stored = f.infinity["inf"][(0,)]
+    assert list(f.infinity) == ["axis0:inf"]
+    assert list(f.infinity["axis0:inf"]) == [(0,)]
+    stored = f.infinity["axis0:inf"][(0,)]
     assert np.ndim(stored) == 0 and stored == res.value
     with pytest.raises(FaceLimitError):
         gamma_p(f.image(f.samples), (0,), tol=1e-300)
-    assert gamma_p(f, (0,), tol=1e-300).infinity == {"inf": stored}
+    assert gamma_p(f, (0,), tol=1e-300).infinity == {"axis0:inf": stored}
     assert weighted_norm(f) == abs(stored) == 1.0
 
 
@@ -266,8 +270,7 @@ def _metric_ball(f, face, delta):
     circle's min(|a - b|, 2 - |a - b|) for the one-point line, which glues
     -1 to 1, and |a - b| otherwise."""
     axis = _face_axis(face)
-    product = isinstance(f.cmap, ProductCompactification)
-    fac = f.cmap.factors[axis] if product else f.cmap
+    fac = f.cmap.factors[axis]
     x = f.axes[axis]
     d = np.abs(x / (1.0 + np.abs(x)) - (-1.0 if face.endswith("-inf")
                                         else 1.0))
@@ -293,10 +296,8 @@ def _per_node_ladder(f, vals, face, coord_index, tol):
     the value at the node of largest tail radius: the node farthest out,
     the last in axis order on the glued line's ties."""
     axis = _face_axis(face)
-    product = isinstance(f.cmap, ProductCompactification)
     x = f.axes[axis]
-    radius = (np.abs(x) if isinstance(f.cmap.factors[axis] if product
-                                      else f.cmap, LineOnePoint)
+    radius = (np.abs(x) if isinstance(f.cmap.factors[axis], LineOnePoint)
               else -x if face.endswith("-inf") else x)
     far = np.flatnonzero(radius == radius.max())[-1]
     col = vals if f.ndim == 1 else (vals[:, coord_index] if axis == 0
@@ -348,7 +349,8 @@ def test_one_pass_face_profile_equals_the_per_node_ladders(rng):
     assert _face_profile(g, "axis1:inf", 1e-4) \
         == _per_node_profile(g, q.T, "axis1:inf", 1e-4)
     # each slice reads as the 1-d grid of that slice does, bit for bit
-    slices = [WeightedGridFunction((xs,), col).face_limit((0,), "inf", 1e-4)
+    slices = [WeightedGridFunction((xs,), col).face_limit((0,), "axis0:inf",
+                                                          1e-4)
               for col in q.T]
     for h, face in ((f, "axis0:inf"), (g, "axis1:inf")):
         assert [[res] for res in h.face_limit((0, 0), face, 1e-4)] == slices
@@ -366,23 +368,23 @@ def test_one_pass_face_profile_equals_the_per_node_ladders(rng):
 def test_one_pass_ladder_on_a_line_reads_both_faces(rng):
     xs = np.linspace(-40.0, 30.0, 281)
     f = WeightedGridFunction((xs,), np.tanh(xs) + np.exp(-np.abs(xs)),
-                             cmap=LineTwoPoint())
+                             cmap=ProductCompactification((LineTwoPoint(),)))
     vals = f.quotient()
-    for face in ("-inf", "+inf"):
+    for face in ("axis0:-inf", "axis0:+inf"):
         (got,) = f.face_limit((0,), face, tol=1e-6)
         assert got == _per_node_ladder(f, vals, face, None, 1e-6)
         assert got.converged
-    # the first window of "+inf" is every node with x > 1
-    assert _windows(f, "+inf")[0].tolist() == (xs > 1.0).tolist()
+    # the first window of "axis0:+inf" is every node with x > 1
+    assert _windows(f, "axis0:+inf")[0].tolist() == (xs > 1.0).tolist()
     stored = gamma_p(f, (0,), tol=1e-6).infinity
-    assert stored["-inf"] == _per_node_ladder(f, vals, "-inf", None,
-                                              1e-6).value
-    assert stored["+inf"] == got.value
+    assert stored["axis0:-inf"] == _per_node_ladder(f, vals, "axis0:-inf",
+                                                    None, 1e-6).value
+    assert stored["axis0:+inf"] == got.value
     # sparse tails: levels 2-4 share one window on each side
     xs = np.array([-21.0, -20.0, -2.5, -2.0, 0.0, 2.0, 2.5, 20.0, 21.0])
     f = WeightedGridFunction((xs,), rng.uniform(-1.0, 1.0, xs.size),
-                             cmap=LineTwoPoint())
-    for face in ("-inf", "+inf"):
+                             cmap=ProductCompactification((LineTwoPoint(),)))
+    for face in ("axis0:-inf", "axis0:+inf"):
         (got,) = f.face_limit((0,), face, tol=1e-6)
         assert got == _per_node_ladder(f, f.samples, face, None, 1e-6)
         assert [int(m.sum()) for m in _windows(f, face)] == [4, 2, 2, 2]
@@ -394,18 +396,20 @@ def test_glued_infinity_ladder_reads_both_tails():
     # +pi/2, has no limit there, as kappa_limit finds too
     cmap = LineOnePoint()
     xs = np.linspace(-40.0, 40.0, 801)
-    f = WeightedGridFunction((xs,), np.arctan(xs), cmap=cmap)
+    f = WeightedGridFunction((xs,), np.arctan(xs),
+                             cmap=ProductCompactification((cmap,)))
     with pytest.raises(FaceLimitError) as err:
         gamma_p(f, (0,), tol=0.1)
-    assert err.value.face == "inf"
+    assert err.value.face == "axis0:inf"
     assert err.value.result.status == "no_limit"
     assert kappa_limit(np.arctan, cmap.infinity_points()[0], cmap,
                        tol=0.1).status == "no_limit"
-    (got,) = f.face_limit((0,), "inf", tol=0.1)
-    assert got == _per_node_ladder(f, f.quotient(), "inf", None, 0.1)
-    assert _windows(f, "inf")[0].tolist() == (np.abs(xs) > 1.0).tolist()
-    g = WeightedGridFunction((xs,), np.exp(-xs ** 2), cmap=cmap)
-    assert gamma_p(g, (0,), tol=1e-6).infinity == {"inf": 0.0}
+    (got,) = f.face_limit((0,), "axis0:inf", tol=0.1)
+    assert got == _per_node_ladder(f, f.quotient(), "axis0:inf", None, 0.1)
+    assert _windows(f, "axis0:inf")[0].tolist() \
+        == (np.abs(xs) > 1.0).tolist()
+    g = WeightedGridFunction((xs,), np.exp(-xs ** 2), cmap=f.cmap)
+    assert gamma_p(g, (0,), tol=1e-6).infinity == {"axis0:inf": 0.0}
     # a half strip whose unbounded axis is a glued line
     ys = np.linspace(0.0, 1.0, 5)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -438,9 +442,14 @@ def test_product_with_a_two_point_line_has_both_faces(tmp_path):
     # the half strip keeps its one face
     assert WeightedGridFunction((xs - xs[0], ys), np.zeros_like(X)) \
         .face_labels() == ["axis0:inf"]
-    # a half strip would reload without the -inf face
-    with pytest.raises(ValueError, match="would reload"):
-        save_grid_function(f, tmp_path / "grid.csv")
+    # the file names the two-point line, so both faces reload; a bare map
+    # is no product and is refused
+    save_grid_function(f, tmp_path / "grid.csv")
+    assert load_grid_function(tmp_path / "grid.csv").face_labels() \
+        == ["axis0:-inf", "axis0:+inf"]
+    with pytest.raises(ValueError, match="LineTwoPoint object .* is not a "
+                                         "product"):
+        WeightedGridFunction((xs, ys), np.tanh(X), cmap=LineTwoPoint())
 
 
 def test_modulus_refuses_an_axis_not_longer_than_max_shift():
@@ -518,7 +527,7 @@ def test_precompactness_deviation_tracks_the_marching_front():
 def test_precompactness_scaled_convergent_family_passes():
     xs = np.arange(0.0, 24.0 + 1e-9, 0.01)
     fam = [WeightedGridFunction((xs,), c * np.exp(-xs ** 2),
-                                infinity={"inf": {(0,): 0.0}})
+                                infinity={"axis0:inf": {(0,): 0.0}})
            for c in (0.0, 0.5, -0.5, 1.0, -1.0)]
     rep = precompactness_report(fam)
     assert rep["bounded"] and rep["equicontinuous"] and rep["equiconvergent"]
@@ -532,11 +541,11 @@ def test_equiconvergence_is_decided_per_face():
     xs = np.linspace(-60.0, 60.0, 4801)
     f = WeightedGridFunction(
         (xs,), np.where(xs < 0.0, np.exp(xs), 0.5 * np.sin(xs)),
-        cmap=LineTwoPoint(),
-        infinity={"-inf": {(0,): 0.0}, "+inf": {(0,): 0.0}})
+        cmap=ProductCompactification((LineTwoPoint(),)),
+        infinity={"axis0:-inf": {(0,): 0.0}, "axis0:+inf": {(0,): 0.0}})
     devs = equiconvergence_deviation([f], _family_quotient_derivatives([f]))
-    assert devs["-inf"][-1][1] < 1e-12
-    best = min(d for _, d in devs["+inf"])
+    assert devs["axis0:-inf"][-1][1] < 1e-12
+    best = min(d for _, d in devs["axis0:+inf"])
     assert best > 0.49
     rep = precompactness_report([f])
     assert not rep["equiconvergent"]
@@ -666,7 +675,8 @@ def test_nan_sample_never_certifies(node):
     assert not rep["equicontinuous"]
     if node < 0:
         assert all(math.isnan(d)
-                   for _, d in equiconvergence_deviation(fam, derivs)["inf"])
+                   for _, d in equiconvergence_deviation(
+                       fam, derivs)["axis0:inf"])
         assert not rep["equiconvergent"]
 
 
@@ -746,7 +756,7 @@ def test_demo_family_report_is_unchanged():
         (0.07999999999992724, 0.06854712348663305),
         (0.15999999999985448, 0.13665788174641813),
         (0.31999999999970896, 0.26985375722172156))
-    assert tuple(equiconvergence_deviation(fam, derivs)["inf"]) == (
+    assert tuple(equiconvergence_deviation(fam, derivs)["axis0:inf"]) == (
         (0.5, 1.0), (0.25, 1.0), (0.125, 1.0), (0.0625, 1.0), (0.03125, 1.0))
     assert rep["worst_deviation"] == 1.0
 
@@ -791,10 +801,10 @@ def test_equiconvergence_reads_the_ladder_windows():
     ys = np.linspace(0.0, 1.0, 5)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     f1 = WeightedGridFunction((xs,), np.exp(-xs),
-                              infinity={"inf": {(0,): 0.0}})
+                              infinity={"axis0:inf": {(0,): 0.0}})
     f2 = WeightedGridFunction((xs, ys), Y * np.exp(-X),
                               infinity={"axis0:inf": {(0, 0): 0.0 * ys}})
-    for f, res in ((f1, f1.face_limit((0,), "inf")[0]),
+    for f, res in ((f1, f1.face_limit((0,), "axis0:inf")[0]),
                    (f2, f2.face_limit((0, 0), "axis0:inf", 1e-6)[0])):
         (devs,) = equiconvergence_deviation(
             [f, f], _family_quotient_derivatives([f, f])).values()
@@ -807,9 +817,9 @@ def test_equiconvergence_needs_a_window_on_every_face():
     # ValueError, not a family that reads "not equiconvergent"
     xs = np.linspace(0.0, 0.9, 10)
     fam = [WeightedGridFunction((xs,), np.zeros_like(xs),
-                                infinity={"inf": {(0,): 0.0}})]
+                                infinity={"axis0:inf": {(0,): 0.0}})]
     with pytest.raises(ValueError, match="no nodes in any window of face "
-                                         "'inf'"):
+                                         "'axis0:inf'"):
         equiconvergence_deviation(fam, _family_quotient_derivatives(fam))
 
 
@@ -818,7 +828,7 @@ def test_equiconvergence_requires_stored_faces():
     fam = [WeightedGridFunction((xs,), np.exp(-xs ** 2))]
     with pytest.raises(FaceLimitError) as err:
         equiconvergence_deviation(fam, _family_quotient_derivatives(fam))
-    assert err.value.face == "inf"
+    assert err.value.face == "axis0:inf"
 
 
 def test_family_members_must_share_grid_and_order():
@@ -904,8 +914,6 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_rejects_unknown_weight(tmp_path):
-    import json
-
     f = wgf(phi(XS))
     path = tmp_path / "grid.csv"
     save_grid_function(f, path)
@@ -917,44 +925,98 @@ def test_load_rejects_unknown_weight(tmp_path):
         load_grid_function(path)
 
 
-_HALF_STRIP = (HalfLineOnePoint(), IntervalIdentity())
+@pytest.mark.parametrize("name", sorted(NAMED_MAPS) + ["product"])
+def test_save_load_save_keeps_the_cmap(tmp_path, name):
+    # each named map alone on a 1-d grid and as factor 0 of a 2-d grid: the
+    # sidecar names every factor, and the map reloads with its own faces
+    # and ladders (a one-point line times an interval once reloaded as a
+    # half line, whose face reads the arctan inconclusive, not no_limit);
+    # "product" is the default half strip and a product with faces on
+    # both axes
+    xs = np.linspace(-40.0 if name.startswith("line") else 0.0, 40.0, 161)
+    ys = np.linspace(0.0, 1.0, 3)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    if name == "product":
+        ws = np.linspace(-40.0, 40.0, 81)
+        Xw, W = np.meshgrid(xs, ws, indexing="ij")
+        cases = (((xs, ys), None, np.arctan(X) * (1.0 + Y)),
+                 ((xs, ws), (HalfLineOnePoint(), LineTwoPoint()),
+                  np.arctan(Xw) * (2.0 + np.arctan(W))))
+    else:
+        cases = (((xs,), (NAMED_MAPS[name](),), np.arctan(xs)),
+                 ((xs, ys), (NAMED_MAPS[name](), IntervalIdentity()),
+                  np.arctan(X) * (1.0 + Y)))
+    for axes, factors, samples in cases:
+        f = WeightedGridFunction(
+            axes, samples,
+            cmap=factors and ProductCompactification(factors))
+        factors = f.cmap.factors
+        save_grid_function(f, tmp_path / "a.csv")
+        side = json.loads((tmp_path / "a.csv.json").read_text())
+        assert side["cmap"] == [fac.name for fac in factors]
+        g = load_grid_function(tmp_path / "a.csv")
+        save_grid_function(g, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv.json").read_bytes() \
+            == (tmp_path / "b.csv.json").read_bytes()
+        assert list(map(type, g.cmap.factors)) == list(map(type, factors))
+        assert g.face_labels() == f.face_labels()
+        p = (0,) * f.ndim
 
+        def statuses(h):
+            return [[res.status for res in h.face_limit(p, face, 1e-3)]
+                    for face in h.face_labels()]
 
-@pytest.mark.parametrize("cmap", [
-    HalfLineOnePoint(), LineTwoPoint(), LineOnePoint(), IntervalIdentity(),
-    ProductCompactification(_HALF_STRIP)],
-    ids=lambda cmap: cmap.name)
-def test_save_load_save_keeps_the_cmap(tmp_path, cmap):
-    xs = np.linspace(-4.0 if cmap.name.startswith("line") else 0.0, 4.0, 9)
-    axes = (xs, np.linspace(0.0, 1.0, 3)) \
-        if isinstance(cmap, ProductCompactification) else (xs,)
-    f = WeightedGridFunction(axes, np.zeros(tuple(map(len, axes))),
-                             cmap=cmap)
-    save_grid_function(f, tmp_path / "a.csv")
-    g = load_grid_function(tmp_path / "a.csv")
-    save_grid_function(g, tmp_path / "b.csv")
-    assert (tmp_path / "a.csv.json").read_bytes() \
-        == (tmp_path / "b.csv.json").read_bytes()
-    assert g.cmap.name == cmap.name
-    assert g.face_labels() == f.face_labels()
-    # the faces that reload are the faces gamma_p certifies
-    assert set(gamma_p(g, (0,) * g.ndim).infinity) == set(f.face_labels())
+        assert statuses(g) == statuses(f)
+        # the faces that reload are the faces gamma_p certifies
+        zero = g.image(np.zeros_like(g.samples))
+        assert set(gamma_p(zero, p).infinity) == set(f.face_labels())
+    if name == "line-onepoint":
+        assert [res.status for res in g.face_limit(
+            p, "axis0:inf", 1e-3)] == ["no_limit"] * 3
+    if name == "product":
+        assert len(g.face_labels()) == 3
 
 
 def test_load_refuses_an_unknown_cmap(tmp_path):
-    import json
-
     path = tmp_path / "grid.csv"
     save_grid_function(wgf(phi(XS)), path)
     sidecar = tmp_path / "grid.csv.json"
     side = json.loads(sidecar.read_text())
-    # "product" is the half strip's only name
     for name in ("ball", "halfstrip"):
-        side["cmap"] = name
+        side["cmap"] = [name]
         sidecar.write_text(json.dumps(side))
         with pytest.raises(ValueError,
                            match=f"unknown compactification '{name}'"):
             load_grid_function(path)
+
+
+def test_load_refuses_a_cmap_that_is_not_one_name_per_axis(tmp_path):
+    # an older sidecar's single name, "product" included, which always
+    # reloaded as a half line times intervals; a list of another length;
+    # a name that is no map; each message names the value
+    xs, ys = np.linspace(0.0, 4.0, 9), np.linspace(0.0, 1.0, 3)
+    path = tmp_path / "grid.csv"
+    save_grid_function(WeightedGridFunction((xs, ys), np.zeros((9, 3))), path)
+    sidecar = tmp_path / "grid.csv.json"
+    side = json.loads(sidecar.read_text())
+    assert side["cmap"] == ["halfline-onepoint", "interval"]
+    for cmap, match in (
+            ("product", "sidecar cmap 'product' is not a list of 2 map "
+                        "names, one per axis"),
+            ("halfline-onepoint", "cmap 'halfline-onepoint' is not a list"),
+            (["line-onepoint"], r"cmap \['line-onepoint'\] is not a list of "
+                                "2 map names"),
+            (["interval"] * 3, r"cmap \['interval', 'interval', 'interval'\] "
+                               "is not a list of 2"),
+            (["line-onepoint", "circle"], "unknown compactification 'circle'"),
+            (["interval", 1], "unknown compactification 1")):
+        side["cmap"] = cmap
+        sidecar.write_text(json.dumps(side))
+        with pytest.raises(ValueError, match=match):
+            load_grid_function(path)
+
+
+_HALF_STRIP = (HalfLineOnePoint(), IntervalIdentity())
 
 
 class _Strip(HalfLineOnePoint):
@@ -963,21 +1025,30 @@ class _Strip(HalfLineOnePoint):
     name = "strip"
 
 
-def test_save_refuses_a_cmap_that_would_reload_otherwise(tmp_path):
+def test_constructor_refuses_a_cmap_without_names(tmp_path):
+    # a map is a product of NAMED_MAPS, one per axis; a product of two
+    # intervals, which a sidecar once could not name, now round trips
     xs = np.linspace(0.0, 1.0, 5)
     axes = (xs, np.linspace(0.0, 1.0, 3))
-    path = tmp_path / "grid.csv"
-    for axes, cmap, match in (
-            ((xs,), _Strip(), "unknown compactification 'strip'"),
-            # a product reloads as a half line times an interval
-            (axes, ProductCompactification((IntervalIdentity(),) * 2),
-             "'product' would reload with other infinity faces")):
-        f = WeightedGridFunction(axes, np.zeros(tuple(map(len, axes))),
-                                 cmap=cmap)
+    for axes_, cmap, match in (
+            ((xs,), ProductCompactification((_Strip(),)),
+             r"ProductCompactification\(factors=\(<.*_Strip object .*>,\)\) "
+             "is not"),
+            ((xs,), HalfLineOnePoint(), "HalfLineOnePoint object .* is not "
+                                        "a product of one named map per "
+                                        "axis"),
+            (axes, ProductCompactification((HalfLineOnePoint(),)),
+             "for 2 axes"),
+            ((xs,), ProductCompactification(_HALF_STRIP), "for 1 axes")):
         with pytest.raises(ValueError, match=match):
-            save_grid_function(f, path)
-        assert not path.exists()
-        assert not (tmp_path / "grid.csv.json").exists()
+            WeightedGridFunction(axes_, np.zeros(tuple(map(len, axes_))),
+                                 cmap=cmap)
+    boxed = ProductCompactification((IntervalIdentity(),) * 2)
+    save_grid_function(WeightedGridFunction(axes, np.zeros((5, 3)),
+                                            cmap=boxed), tmp_path / "box.csv")
+    g = load_grid_function(tmp_path / "box.csv")
+    assert list(map(type, g.cmap.factors)) == [IntervalIdentity] * 2
+    assert g.face_labels() == []
 
 
 def test_grid_function_names_its_weight_from_the_registry(problem,
@@ -996,21 +1067,17 @@ def test_grid_function_names_its_weight_from_the_registry(problem,
     assert WeightedGridFunction((xs,), np.ones_like(xs)).weight_desc == "1"
 
 
-def test_weight_and_its_description_must_agree(tmp_path):
+def test_weight_and_its_description_must_agree():
     with pytest.raises(ValueError, match="does not name"):
         WeightedGridFunction((XS,), phi(XS), phi, weight_desc="1")
     with pytest.raises(ValueError, match="does not name"):
         WeightedGridFunction((XS,), phi(XS), weight_desc="exp(-x^2/2)")
     with pytest.raises(ValueError, match="unknown weight"):
         WeightedGridFunction((XS,), phi(XS), phi, weight_desc="cosh(x)")
-    # a weight outside the registry computes, but has no name to save
-    f = WeightedGridFunction((XS,), phi(XS),
-                             lambda x: np.exp(-x ** 2 / 2.0))
-    assert f.weight_desc is None and weighted_norm(f) == 1.0
-    path = tmp_path / "grid.csv"
-    with pytest.raises(ValueError, match="WEIGHT_REGISTRY"):
-        save_grid_function(f, path)
-    assert not path.exists()
+    # a weight outside the registry has no name to save, so it is refused,
+    # even when it computes the registry's values
+    with pytest.raises(ValueError, match="is not a WEIGHT_REGISTRY entry"):
+        WeightedGridFunction((XS,), phi(XS), lambda x: np.exp(-x ** 2 / 2.0))
 
 
 def _per_cell_csv_writer(f, csv_path):
@@ -1157,13 +1224,16 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     assert "PipelineBundle" not in compactfix.__all__
     assert not hasattr(compactfix.casestudy, "PipelineBundle")
     # every problem has a kernel, a nonlinearity and a weight, and all of
-    # them the half strip's map, which a sidecar names "product"
+    # them the half strip's map, which a sidecar names by its factors: a
+    # product has no name of its own
     for f in dataclasses.fields(compactfix.NamedProblem):
         if f.name in ("weight_desc", "kernel", "nl"):
             assert f.default is dataclasses.MISSING, f.name
     assert "cmap" not in {
         f.name for f in dataclasses.fields(compactfix.NamedProblem)}
-    assert compactfix.NamedProblem.cmap.name == "product"
+    assert not hasattr(compactfix.NamedProblem.cmap, "name")
+    for name in ("face_labels", "_named_cmap"):
+        assert not hasattr(compactfix.funcspace, name), name
     assert [type(fac) for fac in compactfix.NamedProblem.cmap.factors] \
         == [HalfLineOnePoint, IntervalIdentity]
     # a map is its infinity labels and its ball rule: no point records, no

@@ -592,11 +592,14 @@ def test_adaptive_apply_builds_one_node_set_and_basis_per_level(
                          "_bspline_rows": 2 + 2 * level}, name
 
 
-def test_crosscheck_pair_evaluates_the_weight_once(problem, rng):
+def test_crosscheck_pair_evaluates_the_weight_once(problem, rng,
+                                                   monkeypatch):
     # the adaptive and the grid image of one input share its axes and its
     # weight table (WeightedGridFunction.image), and both equal, bit for
     # bit, the images built as standalone grid functions; the cone's faces
-    # do not settle on 17 nodes, the zero grid's adaptive image's do
+    # do not settle on 17 nodes, the zero grid's adaptive image's do.  phi
+    # is counted through its registry entry, as a grid function takes no
+    # other weight
     from compactfix import funcspace, greenop
 
     def face_bytes(out, attach=False):
@@ -609,13 +612,16 @@ def test_crosscheck_pair_evaluates_the_weight_once(problem, rng):
                  for face, v in out.infinity.items()})
 
     grids = _crosscheck_grids(problem, rng)
+    weight = problem.weight
     for name in ("cone", "zero"):
         meshes = []
 
         def counting(*mesh):
             meshes.append(mesh[0].shape)
-            return problem.weight(*mesh)
+            return weight(*mesh)
 
+        monkeypatch.setitem(funcspace.WEIGHT_REGISTRY, problem.weight_desc,
+                            counting)
         u = WeightedGridFunction(grids[name].axes, grids[name].samples,
                                  counting, cmap=problem.cmap)
         adaptive = apply_T(u, problem.kernel, problem.nl, method="adaptive")

@@ -87,8 +87,9 @@ def _definitions(path):
     """(line, name, field) of the functions and classes a module defines at
     its top level, public or private, of its private top-level constants
     (names bound by a plain or annotated assignment), of the public methods
-    of its public classes (field False) and of those classes' annotated
-    class-body fields (field True, named Class.field)."""
+    of its public classes (field False) and of those classes' class-body
+    fields, annotated or plainly assigned, dunder names aside (field True,
+    named Class.field)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
@@ -106,10 +107,13 @@ def _definitions(path):
                 out.extend((m.lineno, m.name, False) for m in node.body
                            if isinstance(m, kinds)
                            and not m.name.startswith("_"))
-                out.extend((m.lineno, f"{node.name}.{m.target.id}", True)
+                out.extend((m.lineno, f"{node.name}.{t.id}", True)
                            for m in node.body
-                           if isinstance(m, ast.AnnAssign)
-                           and isinstance(m.target, ast.Name))
+                           if isinstance(m, (ast.Assign, ast.AnnAssign))
+                           for t in (m.targets if isinstance(m, ast.Assign)
+                                     else [m.target])
+                           if isinstance(t, ast.Name)
+                           and not _is_dunder(t.id))
     return out
 
 
@@ -192,6 +196,19 @@ def test_unread_field_check_sees_a_leftover(tmp_path):
     reader.write_text("from mod import Box\nbox = Box(1)\nbox.spare = 2\n"
                       "print(box.size)\n")
     assert _unread_definitions([mod], [reader]) == ["mod.py:7 Box.spare"]
+
+
+def test_unread_class_attribute_check_sees_a_leftover(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("class Box:\n    __slots__ = ()\n    size = 1\n"
+                   "    spare = lid = 0\n\n\n"
+                   "class _Crate:\n    spare = 0\n")
+    reader = tmp_path / "reader.py"
+    # a class attribute is read by its name, as a field is; a dunder name
+    # and a private class's attributes are no definitions
+    reader.write_text("from mod import Box\nprint(Box.size)\nBox.lid = 2\n")
+    assert _unread_definitions([mod], [reader]) == [
+        "mod.py:4 Box.lid", "mod.py:4 Box.spare", "mod.py:7 _Crate"]
 
 
 def _defaulted_parameters(path):
