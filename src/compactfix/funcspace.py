@@ -79,7 +79,8 @@ class WeightedGridFunction:
     weight_desc : optional check, the WEIGHT_REGISTRY name of weight.
 
     ValueError for a weight or a map without a name, so that everything a
-    grid function holds can be named in its file.  A grid function built
+    grid function holds can be named in its file, and for infinity data
+    under a label that is not one of face_labels().  A grid function built
     by from_quotient also keeps q = u/phi itself.
     """
 
@@ -114,6 +115,11 @@ class WeightedGridFunction:
                              f"named map per axis ({', '.join(NAMED_MAPS)}) "
                              f"for {self.ndim} axes")
         self.infinity = infinity or {}
+        faces = self.face_labels()
+        for label in self.infinity:
+            if label not in faces:
+                raise ValueError(f"infinity face {label!r} is not a face of "
+                                 f"the map, whose faces are {faces}")
         self._wvals = None
         self._q = None
 
@@ -609,8 +615,9 @@ def load_grid_function(csv_path):
     loaded quotient() is bitwise the saved one and the samples are phi q.
     Raises ValueError when the header is not "u/phi" (for example an older
     x,y,value file), the number of values does not match the sidecar's
-    axes, or the sidecar's "cmap" is not a list of NAMED_MAPS names, one
-    per axis (an older file's single name included).
+    axes, the sidecar's "cmap" is not a list of NAMED_MAPS names, one per
+    axis (an older file's single name included), or its "infinity" holds
+    a face that map does not have.
     """
     with open(str(csv_path) + ".json") as fh:
         side = json.load(fh)

@@ -23,8 +23,10 @@ exp(-(x - 2t)^2 / 2), below 2^-53 of its row peak once |t - x/2| > 4.3.
 The grid operator stores the x-rule times qx in row blocks, each over its
 column band only: the causal range [0, x_i], trimmed to the columns where
 qx reaches 2^-53 of its row peak, and evaluates qx on that band only
-(kernel_row_blocks).  The infinity-face values of Tu are read off its grid
-samples by the windowed face ladders of funcspace.attach_faces.
+(kernel_row_blocks); they are a solve's only kernel band, which its
+residual consumes (solver.pde_residual).  The infinity-face values of Tu
+are read off its grid samples by the windowed face ladders of
+funcspace.attach_faces.
 
 Every integral outside the grid path uses one rule, but for the outer
 t-integrals of check_hypotheses' M0*Phi_r and w0*Phi_r products, which are
@@ -66,7 +68,8 @@ _MAX_PANEL_LEVEL = 6
 # 32: per-block numpy overhead dominates there), and 64 was also faster
 # than 32 on the 1201 x 51 solution at the same peak RSS.
 _T_BLOCK = 64
-# rows per block of kernel_row_blocks (the grid operator, the residual)
+# rows per block of kernel_row_blocks, of the grid operator's f(q) B^T and
+# of the residual's g(q): a block's temporaries hold _ROW_BLOCK rows
 _ROW_BLOCK = 64
 # a block keeps the columns where |k| reaches this share of a row's peak
 _BAND_FLOOR = 2.0 ** -53
@@ -180,8 +183,9 @@ class Kernel:
     quotient_forms: weighted_quotient = kx/phi(x) for check_hypotheses;
     qx(x, t) = kx(x, t) phi(t)^2 / phi(x), the kernel's half of the
     quotient form (see Nonlinearity.q_eval), for the grid operator; and
-    dqx = d qx/dx for the residual of the differentiated q-equation
-    (solver.pde_residual).  Each reader refuses a kernel without its form.
+    dlog_qx = d log qx/dx, the factor that turns qx into d qx/dx for the
+    residual of the differentiated q-equation (solver.pde_residual).  Each
+    reader refuses a kernel without its form.
     """
 
     name: str
@@ -189,18 +193,19 @@ class Kernel:
     abs_integral: object = None
     weighted_sup: object = None
     weighted_quotient: object = None
-    dqx: object = None
+    dlog_qx: object = None
     qx: object = None
 
 
 def quotient_forms(log_kx, dlog_kx, weight_desc):
     """The Kernel keywords weighted_quotient = exp(log kx - log phi(x)),
     qx = exp(log kx + 2 log phi(t) - log phi(x)) and
-    dqx = (dlog_kx - (log phi)'(x)) qx of kx = exp(log_kx), dlog_kx its
-    x-derivative, for the funcspace.LOG_WEIGHTS weight of that name.
-    Summing the exponents first keeps each form exact where kx and phi
-    both underflow (kx/phi is 0/0 there); a form overflows only where its
-    own value leaves the float range."""
+    dlog_qx = dlog_kx - (log phi)'(x), so that d qx/dx = dlog_qx qx, of
+    kx = exp(log_kx), dlog_kx its x-derivative, for the
+    funcspace.LOG_WEIGHTS weight of that name.  Summing the exponents
+    first keeps each form exact where kx and phi both underflow (kx/phi is
+    0/0 there); a form overflows only where its own value leaves the
+    float range."""
     log_phi, dlog_phi = LOG_WEIGHTS[weight_desc]
 
     def weighted_quotient(x, t):
@@ -211,10 +216,11 @@ def quotient_forms(log_kx, dlog_kx, weight_desc):
         with np.errstate(over="ignore"):
             return np.exp(log_kx(x, t) + 2.0 * log_phi(t) - log_phi(x))
 
-    def dqx(x, t):
-        return (dlog_kx(x, t) - dlog_phi(x)) * qx(x, t)
+    def dlog_qx(x, t):
+        return dlog_kx(x, t) - dlog_phi(x)
 
-    return {"weighted_quotient": weighted_quotient, "qx": qx, "dqx": dqx}
+    return {"weighted_quotient": weighted_quotient, "qx": qx,
+            "dlog_qx": dlog_qx}
 
 
 @dataclass
@@ -360,18 +366,17 @@ def _probed_band(k, rows, xs, b):
     return c0, c1, kv[:, c0 - lo:c1 - lo]
 
 
-def kernel_row_blocks(k, nodes, start, stop):
-    """The cumulative rule times a kernel, rows start..stop-1 in blocks of
-    _ROW_BLOCK rows: yields (a, c0, M) with M[i, j] = W[a+i, c0+j]
-    k(x_{a+i}, x_{c0+j}), W = cumulative_weights(nodes).  A block's columns
-    are its causal range 0..b-1 (b its end row), narrowed to the band that
-    _probed_band reads off the block's first and last rows; k is evaluated
-    on that band only.  The grid operator reads the blocks of k = qx, the
-    residual those of k = dqx."""
+def kernel_row_blocks(k, nodes):
+    """The cumulative rule times a kernel in blocks of _ROW_BLOCK rows:
+    yields (a, c0, M) with M[i, j] = W[a+i, c0+j] k(x_{a+i}, x_{c0+j}),
+    W = cumulative_weights(nodes).  A block's columns are its causal range
+    0..b-1 (b its end row), narrowed to the band that _probed_band reads
+    off the block's first and last rows; k is evaluated on that band
+    only."""
     xs = np.asarray(nodes, dtype=float)
     h = _uniform_step(xs)
-    for a in range(start, stop, _ROW_BLOCK):
-        b = min(a + _ROW_BLOCK, stop)
+    for a in range(0, len(xs), _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, len(xs))
         c0, c1, kv = _probed_band(k, xs[a:b, None], xs, b)
         block = cumulative_weight_block(h, a, b, c0, c1)
         block *= kv
@@ -387,8 +392,15 @@ class GridHammersteinOperator:
     _ROW_BLOCK rows, each over its column band only: the causal range
     [0, x_i], trimmed to the columns where qx reaches 2^-53 of its row
     peak; the blocks come from kernel_row_blocks, which evaluates qx on
-    the band only.  Each application is one nonlinearity evaluation, one
-    product with the y-matrix and one product per row block.
+    the band only.
+
+    Each application works in its output array alone: it writes
+    f(q) B^T there one row block at a time, one nonlinearity evaluation
+    and one product with the y-matrix per block, and then replaces each
+    row block by its band product, from the last block back.  A block
+    reads rows below its own end only, and every block processed after it
+    ends at or before its first row, so no row is overwritten before its
+    last reader has read it.
     """
 
     def __init__(self, kernel, nl, axes):
@@ -398,16 +410,19 @@ class GridHammersteinOperator:
             raise ValueError(f"nonlinearity {nl.name!r} has no q_eval")
         xs, ys = (np.asarray(a, dtype=float) for a in axes)
         self.f = nl.q_eval
-        self.blocks = list(kernel_row_blocks(kernel.qx, xs, 0, len(xs)))
+        self.blocks = list(kernel_row_blocks(kernel.qx, xs))
         self.B = cumulative_weights(ys)
         self.t, self.s = xs[:, None], ys[None, :]
 
     def apply(self, samples):
-        inner = self.f(self.t, self.s, samples) @ self.B.T
-        out = np.empty_like(inner)
-        for a, c0, block in self.blocks:
+        out = np.empty(np.shape(samples))
+        for a in range(0, len(out), _ROW_BLOCK):
+            rows = slice(a, a + _ROW_BLOCK)
+            np.matmul(self.f(self.t[rows], self.s, samples[rows]), self.B.T,
+                      out=out[rows])
+        for a, c0, block in reversed(self.blocks):
             rows, cols = block.shape
-            out[a:a + rows] = block @ inner[c0:c0 + cols]
+            out[a:a + rows] = block @ out[c0:c0 + cols]
         return out
 
 

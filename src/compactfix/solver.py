@@ -14,8 +14,12 @@ shipped problem the operator is monotone, so the iterates increase
 pointwise and the stopping gap also bounds the distance to the supremum of
 the iteration.  The reported residual is that of the q-equation
 differentiated once in x and once in y, so it measures the discretization
-error of the converged iterate; its x-rule is built in trimmed row blocks,
-never as a dense matrix.
+error of the converged iterate.  Its x-rule is the grid operator's own
+trimmed row blocks, turned into the rule times d qx/dx one block at a
+time and dropped, so a solve evaluates its kernel's band once and never
+forms a dense matrix.  The solve's working set is that band plus two
+grids, the iterate and its image: an application works in its output,
+and the loop takes the gap and beta in the dead iterate's buffer.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import beta_sup, default_eval_grid, index_one_check
+from .cones import default_eval_grid, index_one_check
 from .funcspace import (FACE_TOL, FaceLimitError, WeightedGridFunction,
                         attach_faces, save_grid_function, weighted_norm)
-from .greenop import GridHammersteinOperator, kernel_row_blocks
+from .greenop import GridHammersteinOperator
 
 
 class IterationError(Exception):
@@ -115,9 +119,12 @@ def picard_solve(problem, cfg=None):
     and cmap, which the solution carries, truncation, and the kernel and
     nonlinearity their quotient forms for that weight.  Without cfg the
     solve takes SolveConfig's defaults on [0, problem.truncation].  Raises
-    IterationError with the gap history when max_iter is exhausted.
+    ValueError before the first iteration for a kernel without dlog_qx,
+    which the residual needs, and IterationError with the gap history
+    when max_iter is exhausted.
     """
     cfg = cfg or SolveConfig(truncation=problem.truncation)
+    _require_dlog_qx(problem.kernel)
     axes = cfg.axes()
     phi = problem.weight(axes[0])[:, None]
     ball_check = None
@@ -137,11 +144,12 @@ def picard_solve(problem, cfg=None):
     for _ in range(cfg.max_iter):
         new = op.apply(q)
         # the old iterate is dead once the gap is taken, so its buffer
-        # holds the gap and then u = phi q+ for the beta monitor
+        # holds |q+ - q| and then |u| = |phi q+|, whose sup is the beta
+        # monitor (cones.beta_sup, taken in place)
         np.subtract(new, q, out=q)
-        gaps.append(float(np.max(np.abs(q))))
+        gaps.append(float(np.max(np.abs(q, out=q))))
         np.multiply(phi, new, out=q)
-        betas.append(beta_sup(q))
+        betas.append(float(np.max(np.abs(q, out=q))))
         q = new
         if gaps[-1] < cfg.tol:
             break
@@ -149,18 +157,26 @@ def picard_solve(problem, cfg=None):
         raise IterationError(
             f"no convergence after {cfg.max_iter} iterations "
             f"(last gap {gaps[-1]:.3g})", gaps)
-    # release the operator's blocks before the residual builds its own
+    # the residual consumes the operator's blocks, so the solve holds one
+    # kernel band; the operator goes before the profile's grids are formed
+    residual = pde_residual(axes, q, problem.kernel, problem.nl, op.blocks)
     del op
 
     u = WeightedGridFunction.from_quotient(axes, q, problem.weight,
                                            cmap=problem.cmap)
     profile = tuple(asymptotic_profile(u))
-    residual = pde_residual(axes, q, problem.kernel, problem.nl)
     return SolveResult(u, tuple(gaps), tuple(betas), residual, profile,
                        ball_check, cfg, problem.id)
 
 
-def pde_residual(axes, q, kernel, nl):
+def _require_dlog_qx(kernel):
+    if kernel.dlog_qx is None:
+        raise ValueError(
+            f"kernel {kernel.name!r} has no dlog_qx; the differentiated "
+            "form needs the convolution term of d qx/dx = dlog_qx qx")
+
+
+def pde_residual(axes, q, kernel, nl, blocks):
     """sup over interior nodes of the residual of the differentiated
     q-equation.
 
@@ -169,34 +185,54 @@ def pde_residual(axes, q, kernel, nl):
 
         q_xy = qx(x, x) g(x, y, q) + int_0^x dqx(x, t) g(t, y, q(t, y)) dt,
 
-    and the result is sup |D2_xy q - rhs|.  D2_xy is the centered 4-point
-    cross stencil for the mixed second partial, so the residual of a grid
-    solution decays at second order; the x-integral uses the cumulative
-    weights times dqx in trimmed row blocks (greenop.kernel_row_blocks,
-    which also builds the operator and evaluates dqx on the band only),
-    so no n x n array is formed.  Edge nodes are excluded.
+    with dqx = d qx/dx = kernel.dlog_qx qx, and the result is
+    sup |D2_xy q - rhs|.  D2_xy is the centered 4-point cross stencil for
+    the mixed second partial, so the residual of a grid solution decays
+    at second order.  The x-integral reads the grid operator's row blocks
+    of the cumulative weights times qx (GridHammersteinOperator.blocks,
+    from greenop.kernel_row_blocks), and consumes them: each block is
+    popped from the list blocks, multiplied in place by dlog_qx on its
+    band, so that it holds the weights times dqx, applied to g and
+    dropped; the list is empty afterwards.  g is formed on the blocks'
+    rows one block at a time, and the stencil, the right side and their
+    sup one block at a time, so no n x n array and no second band is
+    formed.  Edge nodes are excluded; a NaN anywhere in the compared
+    values gives a NaN sup.
 
-    Raises ValueError for a kernel without dqx: the differentiated form
-    would need a term this function does not evaluate.
+    Raises ValueError for a kernel without dlog_qx: the differentiated
+    form would need a term this function does not evaluate.
     """
-    if kernel.dqx is None:
-        raise ValueError(
-            f"kernel {kernel.name!r} has no dqx; the differentiated "
-            "form needs the convolution term of d qx/dx")
+    _require_dlog_qx(kernel)
     xs, ys = axes
-    if len(xs) < 3 or len(ys) < 3:
+    n = len(xs)
+    if n < 3 or len(ys) < 3:
         raise ValueError("grid too coarse for the mixed-derivative stencil")
-    dx = xs[2:] - xs[:-2]
+    gvals = np.empty((n, len(ys) - 2))
+    for a, _, block in blocks:
+        rows = slice(a, a + len(block))
+        gvals[rows] = nl.q_eval(xs[rows, None], ys[None, 1:-1],
+                                q[rows, 1:-1])
     dy = ys[2:] - ys[:-2]
-    mixed = (q[2:, 2:] - q[2:, :-2] - q[:-2, 2:] + q[:-2, :-2]) \
-        / (dx[:, None] * dy[None, :])
-    gvals = nl.q_eval(xs[:, None], ys[None, 1:-1], q[:, 1:-1])
-    inner = xs[1:-1]
-    rhs = kernel.qx(inner, inner)[:, None] * gvals[1:-1]
-    for a, c0, block in kernel_row_blocks(kernel.dqx, xs, 1, len(xs) - 1):
+    sups = []
+    while blocks:
+        # first block first: the small blocks of the first rows go while
+        # the band is whole, and each later block's temporary comes after
+        # the blocks before it have been freed
+        a, c0, block = blocks.pop(0)
         rows, cols = block.shape
-        rhs[a - 1:a - 1 + rows] += block @ gvals[c0:c0 + cols]
-    return float(np.max(np.abs(mixed - rhs)))
+        block *= kernel.dlog_qx(xs[a:a + rows, None], xs[None, c0:c0 + cols])
+        # the block's rows among the interior rows 1..n-2
+        lo, hi = max(a, 1), min(a + rows, n - 1)
+        if lo >= hi:
+            continue
+        rhs = block[lo - a:hi - a] @ gvals[c0:c0 + cols]
+        rhs += kernel.qx(xs[lo:hi], xs[lo:hi])[:, None] * gvals[lo:hi]
+        up, down = q[lo + 1:hi + 1], q[lo - 1:hi - 1]
+        mixed = (up[:, 2:] - up[:, :-2] - down[:, 2:] + down[:, :-2]) \
+            / ((xs[lo + 1:hi + 1] - xs[lo - 1:hi - 1])[:, None]
+               * dy[None, :])
+        sups.append(np.max(np.abs(mixed - rhs)))
+    return float(np.max(sups))
 
 
 def asymptotic_profile(u, tol=FACE_TOL):

@@ -170,14 +170,13 @@ def test_unit_weight_file_gets_no_gaussian_weight_closed_forms(tmp_path,
     rate = 1.0
     prob = _gauss_shift_problem(tmp_path, rate, "1")
     assert prob.kernel.weighted_sup is None
-    # phi = 1 makes kx, dkx/dx and f their own weighted forms, bitwise
+    # phi = 1 makes kx, d log kx/dx and f their own weighted forms, bitwise
     x = np.linspace(0.0, 8.0, 33)[:, None]
     t = np.linspace(0.0, 8.0, 29)[None, :]
     kx = prob.kernel.kx(x, t)
     assert np.array_equal(prob.kernel.weighted_quotient(x, t), kx)
     assert np.array_equal(prob.kernel.qx(x, t), kx)
-    assert np.array_equal(prob.kernel.dqx(x, t),
-                          -2.0 * rate * (x - t) * np.exp(-rate * (x - t) ** 2))
+    assert np.array_equal(prob.kernel.dlog_qx(x, t), -2.0 * rate * (x - t))
     s = np.linspace(0.0, 1.0, 29)[None, :]
     q = np.linspace(-1.0, 1.0, 33)[:, None] * s
     assert np.array_equal(prob.nl.q_eval(x, s, q), prob.nl.eval(x, s, q))
@@ -225,8 +224,8 @@ def _hand_forms(rate):
     """The weighted forms of exp(-rate (x-t)^2) for phi = exp(-x^2/2),
     derived by hand: kx/phi = exp(x^2/2 - rate (x-t)^2), and
     qx = kx(x, t) phi(t)^2 / phi(x) as a square in t, a Gaussian ridge of
-    width 1/sqrt(rate + 1) about t = rate x / (rate + 1); dqx is the
-    exponent's x-derivative times qx, with (rate + 1) centre = rate."""
+    width 1/sqrt(rate + 1) about t = rate x / (rate + 1); dlog_qx is the
+    exponent's x-derivative, with (rate + 1) centre = rate."""
     centre = rate / (rate + 1.0)
     growth = (1.0 - rate) / (2.0 * (rate + 1.0))
 
@@ -236,10 +235,11 @@ def _hand_forms(rate):
     def qx(x, t):
         return np.exp(growth * x ** 2 - (rate + 1.0) * (t - centre * x) ** 2)
 
-    def dqx(x, t):
-        return 2.0 * (growth * x + rate * (t - centre * x)) * qx(x, t)
+    def dlog_qx(x, t):
+        return 2.0 * (growth * x + rate * (t - centre * x))
 
-    return {"weighted_quotient": weighted_quotient, "qx": qx, "dqx": dqx}
+    return {"weighted_quotient": weighted_quotient, "qx": qx,
+            "dlog_qx": dlog_qx}
 
 
 @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
@@ -265,9 +265,10 @@ def test_dqx_is_the_x_derivative_of_qx(tmp_path, rate, weight):
     t = np.linspace(0.0, 12.0, 37)[None, :]
     h = 1e-6
     centred = (kernel.qx(x + h, t) - kernel.qx(x - h, t)) / (2.0 * h)
-    assert np.max(np.abs(kernel.dqx(x, t) - centred)) < 1e-8
+    dqx = kernel.dlog_qx(x, t) * kernel.qx(x, t)
+    assert np.max(np.abs(dqx - centred)) < 1e-8
     if rate == 1.0 and weight == "exp(-x^2/2)":
-        assert np.allclose(kernel.dqx(x, t), -(x - 2.0 * t) * kernel.qx(x, t),
+        assert np.allclose(dqx, -(x - 2.0 * t) * kernel.qx(x, t),
                            rtol=1e-14, atol=0.0)
 
 

@@ -1016,6 +1016,34 @@ def test_load_refuses_a_cmap_that_is_not_one_name_per_axis(tmp_path):
             load_grid_function(path)
 
 
+def test_constructor_and_load_refuse_a_face_the_map_lacks(tmp_path):
+    # face values are kept under the map's own labels only: weighted_norm
+    # takes its sup over every stored value, so a value at a face that
+    # does not exist (a 1-d half line's face is "axis0:inf", not "inf")
+    # would be counted
+    faces = r"whose faces are \['axis0:inf'\]"
+    with pytest.raises(ValueError, match=f"infinity face 'inf' is not a "
+                                         f"face of the map, {faces}"):
+        wgf(phi(XS), infinity={"inf": {(0,): 7.0}})
+    strip = (XS, np.linspace(0.0, 1.0, 3))
+    with pytest.raises(ValueError, match=r"'axis1:inf' is not a face of the "
+                                         r"map, whose faces are "
+                                         r"\['axis0:inf'\]"):
+        WeightedGridFunction(strip, np.zeros((49, 3)),
+                             infinity={"axis1:inf": {(0, 0): np.zeros(49)}})
+    path = tmp_path / "grid.csv"
+    save_grid_function(wgf(phi(XS), infinity={"axis0:inf": {(0,): 0.0}}),
+                       path)
+    assert weighted_norm(load_grid_function(path)) == 1.0
+    sidecar = tmp_path / "grid.csv.json"
+    side = json.loads(sidecar.read_text())
+    side["infinity"] = {"inf": {"0": 7.0}}
+    sidecar.write_text(json.dumps(side))
+    with pytest.raises(ValueError, match=f"infinity face 'inf' is not a "
+                                         f"face of the map, {faces}"):
+        load_grid_function(path)
+
+
 _HALF_STRIP = (HalfLineOnePoint(), IntervalIdentity())
 
 
@@ -1271,8 +1299,10 @@ def test_exports_resolve_and_deleted_names_stay_gone():
                       (compactfix.SolveConfig, "quad_tol"),
                       # settings with one value in use are constants
                       (compactfix.Kernel, "ky"),
-                      # the solve stays in q: the residual reads dqx
+                      # the solve stays in q: the residual reads dlog_qx
+                      # on the grid operator's blocks
                       (compactfix.Kernel, "dkx"),
+                      (compactfix.Kernel, "dqx"),
                       (compactfix.SolveConfig, "face_tol"),
                       (compactfix.NamedProblem, "default_config"),
                       (compactfix.NamedProblem, "payload")]:
@@ -1299,10 +1329,13 @@ def test_exports_resolve_and_deleted_names_stay_gone():
             (compactfix.extend, ("kwargs",)),
             (compactfix.precompactness_report, ("eps_ladder",)),
             # every band is trimmed
-            (compactfix.greenop.kernel_row_blocks, ("trim",))]:
+            (compactfix.greenop.kernel_row_blocks,
+             ("trim", "start", "stop"))]:
         params = inspect.signature(fn).parameters
         for name in names:
             assert name not in params, (fn.__name__, name)
-    # the residual is the q-equation's, so it always needs the kernel
-    kernel = inspect.signature(compactfix.pde_residual).parameters["kernel"]
-    assert kernel.default is inspect.Parameter.empty
+    # the residual is the q-equation's, so it always needs the kernel, and
+    # it reads the grid operator's blocks: it never builds a band of its own
+    params = inspect.signature(compactfix.pde_residual).parameters
+    for name in ("kernel", "blocks"):
+        assert params[name].default is inspect.Parameter.empty, name

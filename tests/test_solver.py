@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from compactfix import compactify, funcspace
+from compactfix import compactify, funcspace, greenop, solver
 from compactfix.casestudy import load_problem_file
 from compactfix.compactify import IntervalIdentity, ProductCompactification
 from compactfix.funcspace import WeightedGridFunction, load_grid_function
@@ -79,23 +80,31 @@ def test_iteration_budget_exhaustion(problem):
     assert len(err.value.gap_history) == 2
 
 
+def _residual(axes, q, problem):
+    """pde_residual on the blocks of a grid operator built for axes, which
+    it consumes."""
+    op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
+    residual = pde_residual(axes, q, problem.kernel, problem.nl, op.blocks)
+    assert op.blocks == []
+    return residual
+
+
 def test_pde_residual_of_zero_is_the_forcing_peak(problem):
     # at q = 0 the convolution term int_0^x dqx(x, t) dt g vanishes (dqx is
     # odd about t = x/2), so the residual is qx(x, x) g near the origin
     axes = SolveConfig(hx=0.02, hy=0.02, truncation=2.0).axes()
     q = np.zeros((len(axes[0]), len(axes[1])))
-    res = pde_residual(axes, q, problem.kernel, problem.nl)
-    assert res == pytest.approx(0.125, abs=1e-3)
+    assert _residual(axes, q, problem) == pytest.approx(0.125, abs=1e-3)
     tiny = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="too coarse"):
-        pde_residual(tiny, np.zeros((2, 2)), problem.kernel, problem.nl)
+        _residual(tiny, np.zeros((2, 2)), problem)
 
 
 def test_pde_residual_matches_the_dense_weight_matrix(problem):
     # reference: the convolution term from the dense cumulative_weights
-    # matrix, cut into the same row blocks over the full causal columns.
-    # On [0, 8] no column is trimmed; at truncation 24 the solved q's
-    # blocks are probed and trimmed on both sides
+    # matrix times qx and then dlog_qx, the operator's row blocks over the
+    # full causal columns.  On [0, 8] no column is trimmed; at truncation
+    # 24 the solved q's blocks are probed and trimmed on both sides
     axes = (np.linspace(0.0, 8.0, 201), np.linspace(0.0, 1.0, 11))
     X, Y = np.meshgrid(*axes, indexing="ij")
     solved = picard_solve(problem, SolveConfig(hx=0.05, hy=0.05,
@@ -107,22 +116,101 @@ def test_pde_residual_matches_the_dense_weight_matrix(problem):
         mixed = (q[2:, 2:] - q[2:, :-2] - q[:-2, 2:] + q[:-2, :-2]) \
             / ((xs[2:] - xs[:-2])[:, None] * (ys[2:] - ys[:-2])[None, :])
         gvals = problem.nl.q_eval(X[:, 1:-1], Y[:, 1:-1], q[:, 1:-1])
-        rhs = kernel.qx(xs[1:-1], xs[1:-1])[:, None] * gvals[1:-1]
+        conv = np.empty_like(gvals)
         W = cumulative_weights(xs)
-        for a in range(1, len(xs) - 1, 64):
-            b = min(a + 64, len(xs) - 1)
-            block = W[a:b, :b] * kernel.dqx(xs[a:b, None], xs[None, :b])
-            rhs[a - 1:b - 1] += block @ gvals[:b]
-        assert pde_residual((xs, ys), q, kernel, problem.nl) \
+        for a in range(0, len(xs), 64):
+            b = min(a + 64, len(xs))
+            x, t = xs[a:b, None], xs[None, :b]
+            block = W[a:b, :b] * kernel.qx(x, t) * kernel.dlog_qx(x, t)
+            conv[a:b] = block @ gvals[:b]
+        rhs = kernel.qx(xs[1:-1], xs[1:-1])[:, None] * gvals[1:-1] \
+            + conv[1:-1]
+        assert _residual((xs, ys), q, problem) \
             == np.max(np.abs(mixed - rhs)), len(xs)
 
 
-def test_pde_residual_refuses_kernels_it_cannot_differentiate(problem):
+def test_solve_holds_one_band_and_two_grids(problem):
+    # the operator's blocks are the solve's only kernel band, and beside it
+    # the solve holds the iterate and its image: an application works in
+    # its output, the gap and beta go into the dead iterate's buffer, and
+    # the residual consumes the blocks one at a time
+    cfg = SolveConfig(hx=0.02, hy=0.02, truncation=24.0)
+    axes = cfg.axes()
+    grid = len(axes[0]) * len(axes[1]) * 8
+    band = sum(block.nbytes for _, _, block in GridHammersteinOperator(
+        problem.kernel, problem.nl, axes).blocks)
+    tracemalloc.start()
+    try:
+        picard_solve(problem, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= band + 2.6 * grid, (peak - band) / grid
+
+
+def test_solve_evaluates_its_kernel_band_once(problem, monkeypatch):
+    # one kernel_row_blocks pass builds the band; the residual evaluates
+    # dlog_qx on that band only and qx on the diagonal only
+    cfg = SolveConfig(hx=0.02, hy=0.02, truncation=24.0)
+    axes = cfg.axes()
+    points = {"qx": 0, "dlog_qx": 0}
+
+    def counted(name):
+        form = getattr(problem.kernel, name)
+
+        def evaluate(x, t):
+            points[name] += np.broadcast(x, t).size
+            return form(x, t)
+        return evaluate
+
+    kernel = dataclasses.replace(problem.kernel, qx=counted("qx"),
+                                 dlog_qx=counted("dlog_qx"))
+    band = sum(block.size for _, _, block in GridHammersteinOperator(
+        kernel, problem.nl, axes).blocks)
+    build = points["qx"]
+    points["qx"] = 0
+    passes = []
+    real = greenop.kernel_row_blocks
+
+    def row_blocks(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(greenop, "kernel_row_blocks", row_blocks)
+    res = picard_solve(dataclasses.replace(problem, kernel=kernel), cfg)
+    assert len(passes) == 1
+    assert points == {"qx": build + len(axes[0]) - 2, "dlog_qx": band}
+    assert "dqx" not in {f.name for f in dataclasses.fields(greenop.Kernel)}
+    assert res.residual_sup == picard_solve(problem, cfg).residual_sup
+
+
+def test_pde_residual_of_a_nan_is_nan(problem):
+    # one NaN node reaches the stencil of its neighbours and, through g,
+    # the convolution of every later row; a blockwise sup that skipped it
+    # (Python's max(0.0, nan) is 0.0) would report a finite residual
+    axes = SolveConfig(hx=0.02, hy=0.02, truncation=24.0).axes()
+    for row in (1, 600, len(axes[0]) - 2):
+        q = np.zeros((len(axes[0]), len(axes[1])))
+        q[row, 7] = np.nan
+        assert np.isnan(_residual(axes, q, problem)), row
+
+
+def test_pde_residual_refuses_kernels_it_cannot_differentiate(problem,
+                                                              monkeypatch):
     axes = SolveConfig(hx=0.25, hy=0.25, truncation=2.0).axes()
     q = np.zeros((len(axes[0]), len(axes[1])))
-    no_dqx = dataclasses.replace(problem.kernel, dqx=None)
-    with pytest.raises(ValueError, match="dqx"):
-        pde_residual(axes, q, no_dqx, problem.nl)
+    no_dlog = dataclasses.replace(problem.kernel, dlog_qx=None)
+    with pytest.raises(ValueError, match="has no dlog_qx"):
+        pde_residual(axes, q, no_dlog, problem.nl, [])
+    # the solve refuses it before its operator is built, not after its
+    # Picard loop
+    def no_operator(*args):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr(solver, "GridHammersteinOperator", no_operator)
+    with pytest.raises(ValueError, match="has no dlog_qx"):
+        picard_solve(dataclasses.replace(problem, kernel=no_dlog),
+                     SolveConfig(hx=0.25, hy=0.25, truncation=2.0))
 
 
 def test_asymptotic_profile_of_closed_form(problem):
