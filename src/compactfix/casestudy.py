@@ -46,7 +46,7 @@ class NamedProblem:
 
     @property
     def weight(self):
-        """phi, called on x alone or on a meshgrid."""
+        """phi, a callable of x alone."""
         return WEIGHT_REGISTRY[self.weight_desc]
 
 

@@ -21,11 +21,6 @@ import math
 import numpy as np
 
 
-def alpha_inf(samples):
-    """Default cone functional: the pointwise infimum."""
-    return float(np.min(samples))
-
-
 def beta_sup(samples):
     """Default scale functional: the sup norm."""
     return float(np.max(np.abs(samples)))

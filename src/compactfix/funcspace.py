@@ -1,12 +1,12 @@
 """Weighted grid functions on compactified domains.
 
-A function f of class m is stored by its samples on a rectangular grid
-together with the values of the weighted quotients d_p(f/phi) on the infinity
-faces of the compactification.  The norm is the sup of all quotient
-derivatives up to order m, over the grid and over the stored face values.
-A grid function is saved as its quotient u/phi, one value per line, with a
-JSON sidecar for the axes, the weight's name, the names of its map's
-factors and the face values.
+A function f of class m is stored by its samples, or by its quotient
+f/phi, on a rectangular grid together with the values of the weighted
+quotients d_p(f/phi) on the infinity faces of the compactification.  The
+norm is the sup of all quotient derivatives up to order m, over the grid
+and over the stored face values.  A grid function is saved as its
+quotient u/phi, one value per line, with a JSON sidecar for the axes, the
+weight's name, the names of its map's factors and the face values.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import copy
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,11 @@ LOG_WEIGHTS = {"1": (lambda x: np.zeros(np.shape(x)),) * 2,
 
 
 def _weight(log_phi):
-    return lambda *mesh: np.exp(log_phi(mesh[0]))
+    return lambda x: np.exp(log_phi(x))
 
 
-#: phi = exp(log phi) by name, called on x alone or on a meshgrid; a grid
-#: function names its weight by this callable's identity
+#: phi = exp(log phi) by name, a callable of x alone; a grid function names
+#: its weight by this callable's identity
 WEIGHT_REGISTRY = {name: _weight(log_phi)
                    for name, (log_phi, _) in LOG_WEIGHTS.items()}
 _unit_weight = WEIGHT_REGISTRY["1"]
@@ -68,27 +69,32 @@ class WeightedGridFunction:
     ----------
     axes : tuple of 1d arrays, strictly increasing node coordinates.
     samples : array of shape tuple(len(a) for a in axes).
-    weight : a WEIGHT_REGISTRY entry, called on meshgrid arrays, or None for
-        weight 1.
-    order : highest derivative order the weighted norm ranges over.
+    weight : a WEIGHT_REGISTRY entry, or None for weight 1; it is
+        evaluated once, on axes[0] (weight_values).
+    order : highest derivative order the weighted norm ranges over, a
+        non-negative integer.
     cmap : the compactification the infinity faces refer to, a
         ProductCompactification of one NAMED_MAPS map per axis; by default
         a half line times one interval per further axis.
-    infinity : {face_label: {multi_index: value}}; the value is an array
-        over the nodes of the other axes (a scalar on a 1-d grid).
+    infinity : {face_label: {multi_index: value}}; a multi-index has one
+        entry per axis, and the value is an array over the nodes of the
+        other axes (a scalar on a 1-d grid).
     weight_desc : optional check, the WEIGHT_REGISTRY name of weight.
 
     ValueError for a weight or a map without a name, so that everything a
-    grid function holds can be named in its file, and for infinity data
-    under a label that is not one of face_labels().  A grid function built
-    by from_quotient also keeps q = u/phi itself.
+    grid function holds can be named in its file, for an order that is not
+    a non-negative int (a bool included), and for infinity data under a
+    label that is not one of face_labels() or of another shape.  A grid
+    function stores only the array it was given: u here, q = u/phi through
+    from_quotient and image(quotient=True).
     """
 
     def __init__(self, axes, samples, weight=None, order=0, cmap=None,
                  infinity=None, weight_desc=None):
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        self.samples = np.asarray(samples, dtype=float)
-        if self.samples.shape != tuple(len(a) for a in self.axes):
+        self._values = np.asarray(samples, dtype=float)
+        self._holds_q = False
+        if self._values.shape != tuple(len(a) for a in self.axes):
             raise ValueError("samples shape does not match axes")
         for a in self.axes:
             if len(a) >= 2 and not np.all(np.diff(a) > 0):
@@ -104,6 +110,10 @@ class WeightedGridFunction:
                 raise ValueError(f"unknown weight description {weight_desc!r}")
             raise ValueError(f"weight description {weight_desc!r} does not "
                              "name the given weight")
+        if not (isinstance(order, numbers.Integral)
+                and not isinstance(order, bool) and order >= 0):
+            raise ValueError(f"order {order!r} is not a non-negative "
+                             "integer")
         self.order = int(order)
         self.cmap = cmap if cmap is not None else ProductCompactification(
             (HalfLineOnePoint(),) + (IntervalIdentity(),) * (self.ndim - 1))
@@ -116,40 +126,49 @@ class WeightedGridFunction:
                              f"for {self.ndim} axes")
         self.infinity = infinity or {}
         faces = self.face_labels()
-        for label in self.infinity:
+        for label, per_p in self.infinity.items():
             if label not in faces:
                 raise ValueError(f"infinity face {label!r} is not a face of "
                                  f"the map, whose faces are {faces}")
-        self._wvals = None
-        self._q = None
+            shape = tuple(len(a) for a in _other_axes(self, label))
+            for p, v in per_p.items():
+                if len(p) != self.ndim or np.shape(v) != shape:
+                    raise ValueError(
+                        f"infinity face {label!r} holds {p!r} with a value "
+                        f"of shape {np.shape(v)}; it takes multi-indices of "
+                        f"{self.ndim} orders and values of shape {shape}")
+        # weight 1 is a view of one 1.0, not ones as long as a 1-d grid
+        column = (len(self.axes[0]),) + (1,) * (self.ndim - 1)
+        self._phi = (np.broadcast_to(1.0, column)
+                     if self.weight is _unit_weight
+                     else np.reshape(self.weight(self.axes[0]), column))
 
     @classmethod
     def from_quotient(cls, axes, q, weight=None, order=0, cmap=None,
                       infinity=None, weight_desc=None):
-        """The grid function u = phi q that keeps q itself: its samples are
-        weight_values() * q and quotient() returns q, so nothing divides phi
-        back out (q stays exact where phi underflows to 0 and u with it)."""
+        """The grid function u = phi q that stores q itself: quotient()
+        returns q, so nothing divides phi back out (q stays exact where phi
+        underflows to 0 and u with it)."""
         out = cls(axes, q, weight, order, cmap, infinity, weight_desc)
-        out._q = out.samples
-        out.samples = out.weight_values() * out._q
+        out._holds_q = True
         return out
 
     def image(self, values, quotient=False):
         """A grid function on this one's grid, weight, order and
         compactification, without face values: values are its samples, or
-        with quotient=True its q, kept as from_quotient keeps it.  It
-        shares this grid's checked axes and its table of phi values, so a
-        grid function and its images evaluate phi once between them."""
+        with quotient=True its q, stored as from_quotient stores it.  It
+        shares this grid's checked axes and its phi column, so a grid
+        function and its images evaluate phi once between them."""
         out = copy.copy(self)
         out.infinity = {}
-        out.samples = np.asarray(values, dtype=float)
-        out._q = None
-        if quotient:
-            out._q = out.samples
-            out.samples = self.weight_values() * out._q
-        elif self.weight is not _unit_weight:
-            out._wvals = self.weight_values()
+        out._values = np.asarray(values, dtype=float)
+        out._holds_q = quotient
         return out
+
+    @property
+    def samples(self):
+        """u on the grid: the stored u, or phi q formed at this read."""
+        return self._phi * self._values if self._holds_q else self._values
 
     @property
     def ndim(self):
@@ -159,32 +178,26 @@ class WeightedGridFunction:
         return np.meshgrid(*self.axes, indexing="ij")
 
     def weight_values(self):
-        """phi = weight(*mesh()) on the grid, an exp, so never negative; it
-        may be 0 where it underflows."""
-        if self._wvals is None:
-            self._wvals = np.asarray(self.weight(*self.mesh()), dtype=float)
-        return self._wvals
+        """phi on axes[0], the (n0, 1, ...) column that broadcasts over
+        the grid; an exp, so never negative, and 0 where it underflows."""
+        return self._phi
 
     def quotient(self):
-        """q = u/phi on the grid: the kept q of from_quotient, samples
-        itself for the unit weight (x / 1.0 == x bitwise, NaN, inf and -0.0
-        included, so no array of ones is built or divided by), otherwise
-        samples / weight, which raises WeightUnderflowError naming the
-        first x where phi is 0.  The result may share memory with samples:
-        read it, do not write it."""
-        if self._q is not None:
-            return self._q
-        if self.weight is _unit_weight:
-            return self.samples
-        wvals = self.weight_values()
-        zero = np.argwhere(wvals == 0)
+        """q = u/phi on the grid: the stored q, the stored u itself for
+        the unit weight (x / 1.0 == x bitwise, NaN, inf and -0.0 included,
+        so nothing is divided), otherwise samples / phi, which raises
+        WeightUnderflowError naming the first x where phi is 0.  The result
+        may be the stored array: read it, do not write it."""
+        if self._holds_q or self.weight is _unit_weight:
+            return self._values
+        phi = self.weight_values()
+        zero = np.flatnonzero(phi == 0)
         if len(zero):
-            x = self.axes[0][zero[0][0]]
             raise WeightUnderflowError(
                 f"weight {self.weight_desc} is not positive at "
-                f"x = {x:g}: it is 0 in float64 there, so u/phi is "
-                "undefined")
-        return self.samples / wvals
+                f"x = {self.axes[0][zero[0]]:g}: it is 0 in float64 there, "
+                "so u/phi is undefined")
+        return self._values / phi
 
     def face_labels(self):
         """The infinity faces: "axis{i}:{point}" per infinity point of
@@ -613,14 +626,24 @@ def load_grid_function(csv_path):
 
     Returns WeightedGridFunction.from_quotient of the saved q, so the
     loaded quotient() is bitwise the saved one and the samples are phi q.
-    Raises ValueError when the header is not "u/phi" (for example an older
-    x,y,value file), the number of values does not match the sidecar's
-    axes, the sidecar's "cmap" is not a list of NAMED_MAPS names, one per
-    axis (an older file's single name included), or its "infinity" holds
-    a face that map does not have.
+    Raises ValueError naming the file when the header is not "u/phi" (for
+    example an older x,y,value file), the number of values does not match
+    the sidecar's axes, the sidecar lacks a key, its "weight" is not a
+    WEIGHT_REGISTRY name, its "cmap" is not a list of NAMED_MAPS names, one
+    per axis (an older file's single name included), or the constructor
+    refuses its order or its "infinity" data (a face that map does not
+    have, a value of another shape).
     """
     with open(str(csv_path) + ".json") as fh:
         side = json.load(fh)
+    missing = {"axes", "cmap", "infinity", "order", "weight"} - set(side)
+    if missing:
+        raise ValueError(f"{csv_path}: the sidecar has no "
+                         f"{', '.join(sorted(missing))}")
+    weight = side["weight"]
+    if not isinstance(weight, str) or weight not in WEIGHT_REGISTRY:
+        raise ValueError(f"{csv_path}: unknown weight {weight!r}; the "
+                         f"sidecar names one of {list(WEIGHT_REGISTRY)}")
     axes = tuple(np.asarray(a, dtype=float) for a in side["axes"])
     shape = tuple(len(a) for a in axes)
     names = side["cmap"]
@@ -646,7 +669,8 @@ def load_grid_function(csv_path):
                                      if isinstance(v, list) else float(v))
                        for k, v in per_p.items()}
                 for face, per_p in side["infinity"].items()}
-    name = side["weight"]
-    return WeightedGridFunction.from_quotient(
-        axes, q, WEIGHT_REGISTRY.get(name), side["order"], cmap, infinity,
-        name)
+    try:
+        return WeightedGridFunction.from_quotient(
+            axes, q, WEIGHT_REGISTRY[weight], side["order"], cmap, infinity)
+    except ValueError as err:
+        raise ValueError(f"{csv_path}: {err}") from err

@@ -650,8 +650,8 @@ def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
     verified_on_truncation, diverges or unverified; integrals holds the
     Phi_r integral and the L1 products that converged.
 
-    weight is phi, called on x alone (the y direction is unweighted), as
-    every WEIGHT_REGISTRY entry can be; kernel.weighted_quotient must be
+    weight is phi, a WEIGHT_REGISTRY entry, called on x alone (the y
+    direction is unweighted); kernel.weighted_quotient must be
     kx/phi for that weight (ValueError when it is missing).  The kernel
     columns are sampled at 41 points of the truncation [0, 8] and the y
     axis at 9 points.  Only p = 0 is examined; higher kernel derivatives

@@ -42,6 +42,16 @@ def c4_partials():
     return read
 
 
+@pytest.fixture(scope="session")
+def alpha_inf():
+    """The cone functional alpha of compactfix.cones, the pointwise
+    infimum, whose laws the property tests check; the package itself never
+    evaluates it."""
+    def alpha(samples):
+        return float(np.min(samples))
+    return alpha
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240816)

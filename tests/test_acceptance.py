@@ -20,7 +20,7 @@ from scipy.special import erf
 from compactfix.compactify import (ExtensionError, HalfLineOnePoint,
                                    LineOnePoint, LineTwoPoint, extend,
                                    halfline_metric, kappa_limit)
-from compactfix.cones import (abs_integral_beta_factor, alpha_inf, beta_sup,
+from compactfix.cones import (abs_integral_beta_factor, beta_sup,
                               default_eval_grid, index_one_check,
                               index_one_sweep)
 from compactfix.funcspace import (WEIGHT_REGISTRY, BumpChain,
@@ -198,7 +198,7 @@ def test_08_arctan_extension():
             f"{ext['-inf']:.8f}, one-point extension rejected")
 
 
-def test_09_property_suites(problem):
+def test_09_property_suites(problem, alpha_inf):
     rng = np.random.default_rng(20240816)
     failures = 0
     n = 200

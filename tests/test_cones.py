@@ -8,7 +8,7 @@ import pytest
 from scipy.special import erf
 
 from compactfix.casestudy import _gauss_square_nonlinearity
-from compactfix.cones import (abs_integral_beta_factor, alpha_inf, beta_sup,
+from compactfix.cones import (abs_integral_beta_factor, beta_sup,
                               default_eval_grid, f_sup_rho,
                               holding_interval, index_one_check,
                               index_one_sweep)
@@ -115,7 +115,7 @@ def test_index_one_sweep_interval(problem):
     assert min(lhss) < lhss[0] and min(lhss) < lhss[-1]
 
 
-def test_functional_laws_seeded(rng):
+def test_functional_laws_seeded(rng, alpha_inf):
     for _ in range(200):
         u = rng.normal(size=40)
         v = rng.normal(size=40)
@@ -129,7 +129,7 @@ def test_functional_laws_seeded(rng):
         assert beta_sup(w) <= beta_sup(w + np.abs(v))
 
 
-def test_cone_contains_no_lines(rng):
+def test_cone_contains_no_lines(rng, alpha_inf):
     for _ in range(200):
         u = rng.normal(size=20)
         assert not (alpha_inf(u) >= 0.0 and alpha_inf(-u) >= 0.0)

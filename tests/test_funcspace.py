@@ -709,18 +709,20 @@ def test_unit_weight_quotient_is_the_samples():
 
 
 def test_every_weight_is_the_exponential_of_its_log():
+    # each weight is a function of x alone, called on x's nodes or on any
+    # array of x values, such as a meshgrid's
     xs = np.linspace(-40.0, 40.0, 801)
-    X, Y = np.meshgrid(xs, np.linspace(0.0, 1.0, 5), indexing="ij")
+    X, _ = np.meshgrid(xs, np.linspace(0.0, 1.0, 5), indexing="ij")
     assert set(LOG_WEIGHTS) == set(WEIGHT_REGISTRY)
     for name, (log_phi, dlog_phi) in LOG_WEIGHTS.items():
         w = WEIGHT_REGISTRY[name]
         assert np.array_equal(w(xs), np.exp(log_phi(xs)))
-        assert np.array_equal(w(X, Y), np.exp(log_phi(X)))
+        assert np.array_equal(w(X), np.exp(log_phi(X)))
         h = 1e-5
         centred = (log_phi(xs + h) - log_phi(xs - h)) / (2.0 * h)
         assert np.allclose(dlog_phi(xs), centred, rtol=0.0, atol=1e-7), name
     # the values the registry held as closed forms
-    assert np.array_equal(WEIGHT_REGISTRY["1"](X, Y), np.ones(X.shape))
+    assert np.array_equal(WEIGHT_REGISTRY["1"](X), np.ones(X.shape))
     assert np.array_equal(phi(xs), np.exp(-xs ** 2 / 2.0))
 
 
@@ -1157,6 +1159,113 @@ def test_from_quotient_keeps_q_where_the_weight_underflows(tmp_path):
     save_grid_function(f, tmp_path / "q.csv")
     assert np.array_equal(load_grid_function(tmp_path / "q.csv").quotient(),
                           q)
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 5), (7, 3, 4)])
+def test_phi_is_a_column_and_samples_are_phi_q(shape):
+    rng = np.random.default_rng(len(shape))
+    axes = tuple(np.linspace(0.0, 30.0, n) for n in shape)
+    q = rng.standard_normal(shape)
+    f = WeightedGridFunction.from_quotient(axes, q, phi)
+    column = f.weight_values()
+    assert column.shape == (shape[0],) + (1,) * (len(shape) - 1)
+    assert column.ravel().tobytes() == phi(axes[0]).tobytes()
+    # the product formed at each read is the one on the full grid, bit for
+    # bit, and q is the array given, not a copy
+    full = phi(np.meshgrid(*axes, indexing="ij")[0])
+    assert f.samples.tobytes() == (full * q).tobytes()
+    assert f.quotient() is q
+    # an image, of u or of q, shares the column
+    for image in (f.image(q), f.image(q, quotient=True)):
+        assert image.weight_values() is column
+    assert f.image(q).quotient().tobytes() == (q / full).tobytes()
+
+
+@pytest.mark.parametrize("build, weight, axes", [
+    # the solve's grid at h = 0.01 and truncation 24, which stores q
+    (WeightedGridFunction.from_quotient, phi,
+     (np.linspace(0.0, 24.0, 2401), np.linspace(0.0, 1.0, 101))),
+    # a member of ascoli-demo's family: weight 1 on a 1-d grid, where phi's
+    # column has as many entries as the samples
+    (WeightedGridFunction, None, (np.arange(0.0, 48.0025, 0.005),))])
+def test_a_grid_function_allocates_no_grid(build, weight, axes):
+    import tracemalloc
+
+    values = np.ones(tuple(len(a) for a in axes))
+    build(axes, values, weight)   # first-call imports
+    tracemalloc.start()
+    try:
+        f = build(axes, values, weight)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a phi grid, a meshgrid, an eager phi q or a 1-d column of ones would
+    # each be a whole grid; the check of the axes' order takes np.diff of
+    # each axis, which on a 1-d grid is as long as the samples
+    axis_check = sum(2 * a.nbytes for a in axes)
+    assert peak < 0.1 * values.nbytes + axis_check
+    assert retained < 0.1 * values.nbytes
+    assert f.quotient() is values
+
+
+def test_order_must_be_a_non_negative_int(tmp_path):
+    # a negative order made the norm range over no derivative (0.0 for a
+    # function of sup 3), and int() truncated a fractional one
+    for order in (-1, 1.7, True, "1", None):
+        with pytest.raises(ValueError, match="not a non-negative integer"):
+            wgf(3.0 * phi(XS), order=order)
+    assert wgf(3.0 * phi(XS), order=np.int64(2)).order == 2
+    path = tmp_path / "grid.csv"
+    save_grid_function(wgf(3.0 * phi(XS), order=1), path)
+    sidecar = tmp_path / "grid.csv.json"
+    side = json.loads(sidecar.read_text())
+    side["order"] = -2
+    sidecar.write_text(json.dumps(side))
+    with pytest.raises(ValueError, match=r"grid\.csv: order -2 is not"):
+        load_grid_function(path)
+
+
+def test_face_values_of_another_shape_are_refused(tmp_path):
+    ys = np.linspace(0.0, 1.0, 5)
+    strip = (XS, ys)
+    u = np.outer(phi(XS), np.ones(5))
+    for p, v in (((0, 0), np.full(3, 7.0)), ((0, 0), 7.0), ((0,), np.zeros(5)),
+                 ((0, 0, 0), np.zeros(5))):
+        with pytest.raises(ValueError, match="'axis0:inf' holds"):
+            WeightedGridFunction(strip, u, phi,
+                                 infinity={"axis0:inf": {p: v}})
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        wgf(phi(XS), infinity={"axis0:inf": {(0,): np.zeros(2)}})
+    # a face value saved with the wrong number of entries is refused on
+    # load, where it would have set the norm to 7
+    path = tmp_path / "strip.csv"
+    save_grid_function(WeightedGridFunction(
+        strip, u, phi, infinity={"axis0:inf": {(0, 0): np.ones(5)}}), path)
+    sidecar = tmp_path / "strip.csv.json"
+    side = json.loads(sidecar.read_text())
+    side["infinity"] = {"axis0:inf": {"0,0": [7.0, 7.0, 7.0]}}
+    sidecar.write_text(json.dumps(side))
+    with pytest.raises(ValueError, match=r"strip\.csv: .* shape \(3,\)"):
+        load_grid_function(path)
+
+
+def test_load_refuses_a_sidecar_without_a_weight(tmp_path):
+    # a null weight loaded as weight "1", so samples[-1] read the saved q
+    # (3.0) where phi q is 1.1e-5; a missing key raised a bare KeyError
+    path = tmp_path / "grid.csv"
+    save_grid_function(WeightedGridFunction.from_quotient(
+        (XS[:11],), np.full(11, 3.0), phi), path)
+    sidecar = tmp_path / "grid.csv.json"
+    side = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(dict(side, weight=None)))
+    with pytest.raises(ValueError, match=r"grid\.csv: unknown weight None"):
+        load_grid_function(path)
+    for key in ("weight", "order", "axes", "cmap", "infinity"):
+        sidecar.write_text(json.dumps({k: v for k, v in side.items()
+                                       if k != key}))
+        with pytest.raises(ValueError,
+                           match=rf"grid\.csv: the sidecar has no {key}$"):
+            load_grid_function(path)
 
 
 def test_save_refuses_a_u_whose_weight_is_zero(tmp_path):

@@ -596,11 +596,11 @@ def test_adaptive_apply_builds_one_node_set_and_basis_per_level(
 def test_crosscheck_pair_evaluates_the_weight_once(problem, rng,
                                                    monkeypatch):
     # the adaptive and the grid image of one input share its axes and its
-    # weight table (WeightedGridFunction.image), and both equal, bit for
+    # phi column (WeightedGridFunction.image), and both equal, bit for
     # bit, the images built as standalone grid functions; the cone's faces
     # do not settle on 17 nodes, the zero grid's adaptive image's do.  phi
     # is counted through its registry entry, as a grid function takes no
-    # other weight
+    # other weight, and is evaluated on axis 0's nodes alone
     from compactfix import funcspace, greenop
 
     def face_bytes(out, attach=False):
@@ -615,11 +615,11 @@ def test_crosscheck_pair_evaluates_the_weight_once(problem, rng,
     grids = _crosscheck_grids(problem, rng)
     weight = problem.weight
     for name in ("cone", "zero"):
-        meshes = []
+        calls = []
 
-        def counting(*mesh):
-            meshes.append(mesh[0].shape)
-            return weight(*mesh)
+        def counting(x):
+            calls.append(x.shape)
+            return weight(x)
 
         monkeypatch.setitem(funcspace.WEIGHT_REGISTRY, problem.weight_desc,
                             counting)
@@ -627,7 +627,7 @@ def test_crosscheck_pair_evaluates_the_weight_once(problem, rng,
                                  counting, cmap=problem.cmap)
         adaptive = apply_T(u, problem.kernel, problem.nl, method="adaptive")
         grid = apply_T(u, problem.kernel, problem.nl, method="grid")
-        assert meshes == [u.samples.shape], name
+        assert calls == [u.axes[0].shape], name
 
         args = (u.weight, u.order, u.cmap)
         want_adaptive = WeightedGridFunction(u.axes, greenop._panel_integrals(

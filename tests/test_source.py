@@ -21,8 +21,13 @@ CALLERS = READERS + sorted(ROOT.glob("perfbench/test_*.py")) \
 # definitions and fields that stay although no reader above reads them,
 # and why
 UNREAD_ALLOWED = {
-    "alpha_inf": "check 9 of tests/test_acceptance.py reads it",
     "load_grid_function": "it reads back the solve's solution.csv",
+    "FaceLimitError.face": "an exception payload, kept for a caller that "
+                           "recovers from the fault: the face whose limit "
+                           "failed",
+    "QuadratureError.last_estimate": "an exception payload, kept for a "
+                                     "caller that recovers from the fault: "
+                                     "the last panel level's values",
 }
 # names that one site of the package calls, and why: one ladder certifies
 # every limit at infinity, kappa_limit's and the grid faces' alike
@@ -83,13 +88,24 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _self_fields(cls):
+    """(line, name) of each assignment of a public attribute on self in a
+    class's methods."""
+    return [(node.lineno, node.attr) for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and not node.attr.startswith("_")]
+
+
 def _definitions(path):
     """(line, name, field) of the functions and classes a module defines at
     its top level, public or private, of its private top-level constants
     (names bound by a plain or annotated assignment), of the public methods
-    of its public classes (field False) and of those classes' class-body
-    fields, annotated or plainly assigned, dunder names aside (field True,
-    named Class.field)."""
+    of its public classes (field False) and of those classes' fields:
+    class-body ones, annotated or plainly assigned, dunder names aside, and
+    the public attributes their methods assign on self (field True, named
+    Class.field, once per name)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
@@ -107,13 +123,16 @@ def _definitions(path):
                 out.extend((m.lineno, m.name, False) for m in node.body
                            if isinstance(m, kinds)
                            and not m.name.startswith("_"))
-                out.extend((m.lineno, f"{node.name}.{t.id}", True)
-                           for m in node.body
-                           if isinstance(m, (ast.Assign, ast.AnnAssign))
-                           for t in (m.targets if isinstance(m, ast.Assign)
-                                     else [m.target])
-                           if isinstance(t, ast.Name)
-                           and not _is_dunder(t.id))
+                body = [(m.lineno, t.id) for m in node.body
+                        if isinstance(m, (ast.Assign, ast.AnnAssign))
+                        for t in (m.targets if isinstance(m, ast.Assign)
+                                  else [m.target])
+                        if isinstance(t, ast.Name) and not _is_dunder(t.id)]
+                first = {}
+                for line, name in sorted(body + _self_fields(node)):
+                    first.setdefault(name, line)
+                out.extend((line, f"{node.name}.{name}", True)
+                           for name, line in first.items())
     return out
 
 
@@ -209,6 +228,24 @@ def test_unread_class_attribute_check_sees_a_leftover(tmp_path):
     reader.write_text("from mod import Box\nprint(Box.size)\nBox.lid = 2\n")
     assert _unread_definitions([mod], [reader]) == [
         "mod.py:4 Box.lid", "mod.py:4 Box.spare", "mod.py:7 _Crate"]
+
+
+def test_unread_self_attribute_check_sees_a_leftover(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("class Box:\n    size = 0\n\n"
+                   "    def __init__(self, size):\n"
+                   "        self.size = size\n        self.spare = 0\n"
+                   "        self._cache = None\n\n"
+                   "    def fill(self):\n        self.lid, self.spare = 1, 2\n"
+                   "\n\nclass _Crate:\n    def __init__(self):\n"
+                   "        self.spare = 0\n")
+    reader = tmp_path / "reader.py"
+    # an attribute assigned on self is a field, found once at its first
+    # assignment; a private one and a private class's are no definitions
+    reader.write_text("from mod import Box\nbox = Box(1)\nbox.fill()\n"
+                      "print(box.size)\nbox.lid = 3\n")
+    assert _unread_definitions([mod], [reader]) == [
+        "mod.py:10 Box.lid", "mod.py:13 _Crate", "mod.py:6 Box.spare"]
 
 
 def _defaulted_parameters(path):
