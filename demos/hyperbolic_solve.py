@@ -19,8 +19,7 @@ def main():
     problem = load_problem("hyperbolic-erf")
 
     print("regularity hypotheses at cone radius r = 0.5")
-    report = check_hypotheses(problem.kernel, problem.weight, problem.nl,
-                              0.5)
+    report = check_hypotheses(problem.kernel, problem.nl, 0.5)
     print(f"  hypothesis report at r = {report['r']:g}")
     for key, cond in sorted(report["hypotheses"].items()):
         print(f"    {key}: {cond['status']} ({cond['detail']})")

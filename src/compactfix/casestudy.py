@@ -27,7 +27,7 @@ from .funcspace import (LOG_WEIGHTS, WEIGHT_REGISTRY, BumpChain,
                         gaussian_family, gaussian_family_separation,
                         precompactness_report)
 from .greenop import (Kernel, Nonlinearity, kernel_abs_integral,
-                      panel_quadrature, quotient_forms)
+                      panel_quadrature)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -35,7 +35,6 @@ _SQRT_PI = math.sqrt(math.pi)
 @dataclass
 class NamedProblem:
     id: str
-    weight_desc: str             # a WEIGHT_REGISTRY name
     kernel: Kernel
     nl: Nonlinearity
     closed_forms: dict           # {form name: callable}
@@ -43,6 +42,11 @@ class NamedProblem:
     #: the half strip [0, inf] x [0, 1], the map of a solve's solution,
     #: which its sidecar names ["halfline-onepoint", "interval"]
     cmap = ProductCompactification((HalfLineOnePoint(), IntervalIdentity()))
+
+    @property
+    def weight_desc(self):
+        """The WEIGHT_REGISTRY name of phi, the kernel's weight."""
+        return self.kernel.weight_desc
 
     @property
     def weight(self):
@@ -64,8 +68,8 @@ def _real_param(name, value, positive):
 
 def _gauss_shift_kernel(weight_desc, rate=1.0):
     """exp(-rate (x-t)^2), given by its logarithm and the logarithm's
-    x-derivative; greenop.quotient_forms derives the weighted forms for the
-    problem's weight from them."""
+    x-derivative; greenop.Kernel's methods derive the weighted forms for
+    the problem's weight from them."""
     rate = _real_param("gauss-shift rate", rate, positive=True)
 
     def log_kx(x, t):
@@ -73,9 +77,6 @@ def _gauss_shift_kernel(weight_desc, rate=1.0):
 
     def dlog_kx(x, t):
         return -2.0 * rate * (x - t)
-
-    def kx(x, t):
-        return np.exp(log_kx(x, t))
 
     def abs_integral(x, y):
         return 0.5 * _SQRT_PI / math.sqrt(rate) * y * erf(math.sqrt(rate)
@@ -87,9 +88,8 @@ def _gauss_shift_kernel(weight_desc, rate=1.0):
         def weighted_sup(t, s):
             return math.exp(t * t)
 
-    return Kernel("gauss-shift", kx, abs_integral=abs_integral,
-                  weighted_sup=weighted_sup,
-                  **quotient_forms(log_kx, dlog_kx, weight_desc))
+    return Kernel("gauss-shift", log_kx, dlog_kx, weight_desc,
+                  abs_integral=abs_integral, weighted_sup=weighted_sup)
 
 
 def _gauss_square_nonlinearity(weight_desc, amplitude=0.125):
@@ -203,9 +203,8 @@ def _build_problem(cfgdoc):
             return coeff * erf(np.asarray(y0))
 
         closed_forms.update(Tu0=tu0, Tu0_face=tu0_face)
-    return NamedProblem(id=problem_id, weight_desc=weight_desc,
-                        kernel=kernel, nl=nl, closed_forms=closed_forms,
-                        truncation=truncation)
+    return NamedProblem(id=problem_id, kernel=kernel, nl=nl,
+                        closed_forms=closed_forms, truncation=truncation)
 
 
 def load_problem(problem_id):

@@ -159,7 +159,7 @@ def _cmd_check_conditions(args):
     _check_positive("--truncation", truncation)
     rhos = ([args.rho] if args.rho is not None
             else _parse_rho_range(args.rho_range))
-    hyp = check_hypotheses(problem.kernel, problem.weight, problem.nl,
+    hyp = check_hypotheses(problem.kernel, problem.nl,
                            float(rhos[len(rhos) // 2]))
     rows = index_one_sweep(problem.kernel, problem.nl, rhos,
                            grid=default_eval_grid(truncation))

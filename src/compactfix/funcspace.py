@@ -27,7 +27,8 @@ from .compactify import (FaceLimitError, HalfLineOnePoint, IntervalIdentity,
 
 #: each weight phi once, by the name that grid files and problem files give
 #: it: (log phi, (log phi)'), callables of x alone.  phi itself and every
-#: weighted form of a problem (greenop.quotient_forms, q_eval) derive from it.
+#: weighted form of a problem (greenop.Kernel's methods, q_eval) derive from
+#: it.
 LOG_WEIGHTS = {"1": (lambda x: np.zeros(np.shape(x)),) * 2,
                "exp(-x^2/2)": (lambda x: -np.asarray(x) ** 2 / 2.0,
                                lambda x: -np.asarray(x))}

@@ -12,13 +12,13 @@ from scipy.  The cross-check path takes one B-spline pass per axis and
 panel level, and at level 0 that pass also gives the collocation matrix
 of the spline.  Both paths return their image on u's grid through
 WeightedGridFunction.image, so a cross-check pair of the two shares u's
-axes and its one table of phi values.
+axes and its one phi column.
 
 The grid path works in the quotient q = u/phi, the coordinate of the
 weighted norm: with f(t, s, phi(t) q) = phi(t)^2 q_eval(t, s, q), q
 satisfies q = int int qx(x, t) q_eval(t, s, q) ds dt with
-qx(x, t) = kx(x, t) phi(t)^2 / phi(x), which quotient_forms derives in log
-space from log kx and log phi.  For the case study qx is
+qx(x, t) = kx(x, t) phi(t)^2 / phi(x), which Kernel.qx forms in log space
+from log kx and log phi.  For the case study qx is
 exp(-(x - 2t)^2 / 2), below 2^-53 of its row peak once |t - x/2| > 4.3.
 The grid operator stores the x-rule times qx in row blocks, each over its
 column band only: the causal range [0, x_i], trimmed to the columns where
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compactify import HalfLineOnePoint, halfline_metric, kappa_limit
-from .funcspace import LOG_WEIGHTS, attach_faces
+from .funcspace import LOG_WEIGHTS, WEIGHT_REGISTRY, attach_faces
 
 # the panel rules side by side, as (nodes, weights) on [-1, 1]: the 16-node
 # Gauss-Legendre value rule of every panel integral, then the 8-node
@@ -169,58 +169,51 @@ def gaussian_tail(c, scale=1.0):
 
 @dataclass
 class Kernel:
-    """Causal kernel kx(x, t) on {0 <= t <= x, 0 <= s <= y}; the y
-    direction carries the constant factor 1.
+    """Causal kernel kx(x, t) = exp(log_kx(x, t)) on {0 <= t <= x,
+    0 <= s <= y}; the y direction carries the constant factor 1.
 
-    kx is a vectorized callable.  abs_integral, when given, is the closed
-    form of the absolute integral over the causal box at an output point
-    (x, y).  weighted_sup, when given, is the analytic value of
-    sup_x |kx(x,t)/phi(x)| as a function of the integration point.  The
-    infinity-face values of Tu are always read off its grid samples
-    (funcspace.attach_faces); a kernel carries no closed form for them.
+    log_kx and dlog_kx, its x-derivative, are vectorized callables, and
+    weight_desc names the problem's weight phi in funcspace.LOG_WEIGHTS.
+    abs_integral, when given, is the closed form of the absolute integral
+    over the causal box at an output point (x, y).  weighted_sup, when
+    given, is the analytic value of sup_x |kx(x,t)/phi(x)| as a function of
+    the integration point.  The infinity-face values of Tu are always read
+    off its grid samples (funcspace.attach_faces); a kernel carries no
+    closed form for them.
 
-    The weighted forms, for the problem's weight phi, come from
-    quotient_forms: weighted_quotient = kx/phi(x) for check_hypotheses;
+    The weighted forms are methods, sums of log kx and log phi:
+    weighted_quotient = kx/phi(x) for check_hypotheses;
     qx(x, t) = kx(x, t) phi(t)^2 / phi(x), the kernel's half of the
     quotient form (see Nonlinearity.q_eval), for the grid operator; and
     dlog_qx = d log qx/dx, the factor that turns qx into d qx/dx for the
-    residual of the differentiated q-equation (solver.pde_residual).  Each
-    reader refuses a kernel without its form.
+    residual of the differentiated q-equation (solver.pde_residual).
+    Summing the exponents first keeps each form exact where kx and phi
+    both underflow (kx/phi is 0/0 there); a form overflows only where its
+    own value leaves the float range.
     """
 
     name: str
-    kx: object
+    log_kx: object
+    dlog_kx: object
+    weight_desc: str
     abs_integral: object = None
     weighted_sup: object = None
-    weighted_quotient: object = None
-    dlog_qx: object = None
-    qx: object = None
 
+    def kx(self, x, t):
+        return np.exp(self.log_kx(x, t))
 
-def quotient_forms(log_kx, dlog_kx, weight_desc):
-    """The Kernel keywords weighted_quotient = exp(log kx - log phi(x)),
-    qx = exp(log kx + 2 log phi(t) - log phi(x)) and
-    dlog_qx = dlog_kx - (log phi)'(x), so that d qx/dx = dlog_qx qx, of
-    kx = exp(log_kx), dlog_kx its x-derivative, for the
-    funcspace.LOG_WEIGHTS weight of that name.  Summing the exponents
-    first keeps each form exact where kx and phi both underflow (kx/phi is
-    0/0 there); a form overflows only where its own value leaves the
-    float range."""
-    log_phi, dlog_phi = LOG_WEIGHTS[weight_desc]
-
-    def weighted_quotient(x, t):
+    def weighted_quotient(self, x, t):
+        log_phi = LOG_WEIGHTS[self.weight_desc][0]
         with np.errstate(over="ignore"):
-            return np.exp(log_kx(x, t) - log_phi(x))
+            return np.exp(self.log_kx(x, t) - log_phi(x))
 
-    def qx(x, t):
+    def qx(self, x, t):
+        log_phi = LOG_WEIGHTS[self.weight_desc][0]
         with np.errstate(over="ignore"):
-            return np.exp(log_kx(x, t) + 2.0 * log_phi(t) - log_phi(x))
+            return np.exp(self.log_kx(x, t) + 2.0 * log_phi(t) - log_phi(x))
 
-    def dlog_qx(x, t):
-        return dlog_kx(x, t) - dlog_phi(x)
-
-    return {"weighted_quotient": weighted_quotient, "qx": qx,
-            "dlog_qx": dlog_qx}
+    def dlog_qx(self, x, t):
+        return self.dlog_kx(x, t) - LOG_WEIGHTS[self.weight_desc][1](x)
 
 
 @dataclass
@@ -387,8 +380,8 @@ class GridHammersteinOperator:
     """Fast application of T on a fixed uniform grid, in the quotient.
 
     apply maps grid samples of q = u/phi to q+ = T(phi q)/phi through the
-    problem's quotient form, kernel.qx and nl.q_eval; ValueError names the
-    one that is missing.  The x-rule times qx is stored in blocks of
+    problem's quotient form, kernel.qx and nl.q_eval; ValueError for a
+    nonlinearity without q_eval.  The x-rule times qx is stored in blocks of
     _ROW_BLOCK rows, each over its column band only: the causal range
     [0, x_i], trimmed to the columns where qx reaches 2^-53 of its row
     peak; the blocks come from kernel_row_blocks, which evaluates qx on
@@ -404,8 +397,6 @@ class GridHammersteinOperator:
     """
 
     def __init__(self, kernel, nl, axes):
-        if kernel.qx is None:
-            raise ValueError(f"kernel {kernel.name!r} has no qx")
         if nl.q_eval is None:
             raise ValueError(f"nonlinearity {nl.name!r} has no q_eval")
         xs, ys = (np.asarray(a, dtype=float) for a in axes)
@@ -581,8 +572,8 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
     """Tu as a weighted grid function on u's grid.
 
     Both methods return the image through u.image
-    (WeightedGridFunction.image), on u's axes and its table of phi values,
-    so an adaptive and a grid image of one u evaluate phi once.  method
+    (WeightedGridFunction.image), on u's axes and its phi column, so an
+    adaptive and a grid image of one u evaluate phi once.  method
     "grid" uses the cumulative weights (uniform grids only), in the
     quotient coordinates q = u/phi, and returns a grid function that keeps
     the image's q, so its face ladders never divide by phi;
@@ -643,23 +634,21 @@ def _finite_count(vals):
     return k == len(vals), str(k) if k == len(vals) else f"{k} of {len(vals)}"
 
 
-def check_hypotheses(kernel, weight, nl, r, tol=1e-8):
+def check_hypotheses(kernel, nl, r, tol=1e-8):
     """Numeric status of the four operator hypotheses at cone radius r, as
     the JSON-ready {"r": r, "hypotheses": {"C1".."C4": {"status",
     "detail"}}, "integrals": {name: value}}.  A status is verified,
     verified_on_truncation, diverges or unverified; integrals holds the
     Phi_r integral and the L1 products that converged.
 
-    weight is phi, a WEIGHT_REGISTRY entry, called on x alone (the y
-    direction is unweighted); kernel.weighted_quotient must be
-    kx/phi for that weight (ValueError when it is missing).  The kernel
+    phi is the kernel's weight, WEIGHT_REGISTRY[kernel.weight_desc],
+    called on x alone (the y direction is unweighted).  The kernel
     columns are sampled at 41 points of the truncation [0, 8] and the y
     axis at 9 points.  Only p = 0 is examined; higher kernel derivatives
     are out of scope here.
     """
     quotient = kernel.weighted_quotient
-    if quotient is None:
-        raise ValueError(f"kernel {kernel.name!r} has no weighted_quotient")
+    weight = WEIGHT_REGISTRY[kernel.weight_desc]
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"cone radius must be positive and finite, got {r!r}")
     if not tol > 0:

@@ -115,16 +115,14 @@ class SolveResult:
 def picard_solve(problem, cfg=None):
     """Iterate q <- Tq from q = 0 until the gap sup |q+ - q| drops below tol.
 
-    problem must carry id, kernel, nl, weight (a WEIGHT_REGISTRY entry)
-    and cmap, which the solution carries, truncation, and the kernel and
-    nonlinearity their quotient forms for that weight.  Without cfg the
-    solve takes SolveConfig's defaults on [0, problem.truncation].  Raises
-    ValueError before the first iteration for a kernel without dlog_qx,
-    which the residual needs, and IterationError with the gap history
-    when max_iter is exhausted.
+    problem must carry id, kernel, nl, weight (the kernel's
+    WEIGHT_REGISTRY entry) and cmap, which the solution carries,
+    truncation, and the nonlinearity its q_eval for that weight.  Without
+    cfg the solve takes SolveConfig's defaults on [0, problem.truncation].
+    Raises IterationError with the gap history at the first gap that is not
+    finite, naming its iteration, and when max_iter is exhausted.
     """
     cfg = cfg or SolveConfig(truncation=problem.truncation)
-    _require_dlog_qx(problem.kernel)
     axes = cfg.axes()
     phi = problem.weight(axes[0])[:, None]
     ball_check = None
@@ -148,6 +146,9 @@ def picard_solve(problem, cfg=None):
         # monitor (cones.beta_sup, taken in place)
         np.subtract(new, q, out=q)
         gaps.append(float(np.max(np.abs(q, out=q))))
+        if not math.isfinite(gaps[-1]):
+            raise IterationError(f"gap {gaps[-1]} at iteration "
+                                 f"{len(gaps)} is not finite", gaps)
         np.multiply(phi, new, out=q)
         betas.append(float(np.max(np.abs(q, out=q))))
         q = new
@@ -167,13 +168,6 @@ def picard_solve(problem, cfg=None):
     profile = tuple(asymptotic_profile(u))
     return SolveResult(u, tuple(gaps), tuple(betas), residual, profile,
                        ball_check, cfg, problem.id)
-
-
-def _require_dlog_qx(kernel):
-    if kernel.dlog_qx is None:
-        raise ValueError(
-            f"kernel {kernel.name!r} has no dlog_qx; the differentiated "
-            "form needs the convolution term of d qx/dx = dlog_qx qx")
 
 
 def pde_residual(axes, q, kernel, nl, blocks):
@@ -198,11 +192,7 @@ def pde_residual(axes, q, kernel, nl, blocks):
     sup one block at a time, so no n x n array and no second band is
     formed.  Edge nodes are excluded; a NaN anywhere in the compared
     values gives a NaN sup.
-
-    Raises ValueError for a kernel without dlog_qx: the differentiated
-    form would need a term this function does not evaluate.
     """
-    _require_dlog_qx(kernel)
     xs, ys = axes
     n = len(xs)
     if n < 3 or len(ys) < 3:

@@ -6,11 +6,33 @@ import pytest
 
 import compactfix
 from compactfix.casestudy import load_problem
+from compactfix.greenop import Kernel
 
 
 @pytest.fixture(scope="session")
 def problem():
     return load_problem("hyperbolic-erf")
+
+
+class CountingKernel(Kernel):
+    """A Kernel that adds up in its dict points how many points qx and
+    dlog_qx are evaluated at, per form."""
+
+    def qx(self, x, t):
+        self.points["qx"] += np.broadcast(x, t).size
+        return super().qx(x, t)
+
+    def dlog_qx(self, x, t):
+        self.points["dlog_qx"] += np.broadcast(x, t).size
+        return super().dlog_qx(x, t)
+
+
+@pytest.fixture()
+def counting_kernel(problem):
+    """The case study's kernel as a CountingKernel, its counts at 0."""
+    kernel = CountingKernel(**vars(problem.kernel))
+    kernel.points = {"qx": 0, "dlog_qx": 0}
+    return kernel
 
 
 @pytest.fixture(scope="session")

@@ -180,7 +180,7 @@ def test_unit_weight_file_gets_no_gaussian_weight_closed_forms(tmp_path,
     s = np.linspace(0.0, 1.0, 29)[None, :]
     q = np.linspace(-1.0, 1.0, 33)[:, None] * s
     assert np.array_equal(prob.nl.q_eval(x, s, q), prob.nl.eval(x, s, q))
-    rep = check_hypotheses(prob.kernel, prob.weight, prob.nl, 0.5)
+    rep = check_hypotheses(prob.kernel, prob.nl, 0.5)
     # sup over x >= t of exp(-(x-t)^2) / 1 is 1, attained at x = t, on the
     # report's 41 columns of [0, 8]
     sup = _weighted_quotient_sups(prob.kernel.weighted_quotient,
@@ -211,7 +211,7 @@ def test_rate_two_file_quotient_is_exact_far_out(tmp_path):
                           np.exp(x ** 2 / 2.0 - 2.0 * (x - 1.0) ** 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = check_hypotheses(prob.kernel, prob.weight, prob.nl, 0.5)
+        rep = check_hypotheses(prob.kernel, prob.nl, 0.5)
     assert rep["hypotheses"]["C1"]["status"] == "verified"
     # the face limit z0 is finite on all 9 sampled columns
     assert "face limit exists at 9 sampled columns" \

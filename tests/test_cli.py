@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compactfix import cli
+from compactfix import cli, greenop
 from compactfix.casestudy import PROBLEMS
 from compactfix.cli import MAX_GRID_N, build_parser, main
 from compactfix.funcspace import load_grid_function
@@ -56,6 +56,36 @@ def test_solve_iteration_failure_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numerical failure: no convergence after 1 iterations "
         "(last gap 0.117)\n")
+
+
+@pytest.mark.parametrize("amplitude, iteration", [(1e10, 7), (1e160, 2)])
+def test_non_finite_gap_stops_the_solve(tmp_path, capsys, monkeypatch,
+                                        amplitude, iteration):
+    # q's exponent doubles with each iteration until q^2 overflows: at
+    # amplitude 1e10 the seventh gap is NaN, at 1e160 the second.  The loop
+    # stops there, not after --max-iter applications.  The overflow
+    # warnings are genuine, so they are shown, one line each
+    path = _problem_file(tmp_path, nonlinearity={
+        "id": "gauss-plus-square", "params": {"amplitude": amplitude}})
+    applies = []
+    apply = greenop.GridHammersteinOperator.apply
+
+    def counted(self, samples):
+        applies.append(1)
+        return apply(self, samples)
+
+    monkeypatch.setattr(greenop.GridHammersteinOperator, "apply", counted)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("always", "(overflow|invalid value) "
+                                "encountered", RuntimeWarning)
+        rc = main(["solve", "--problem-file", path,
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert "warning: overflow encountered in square" in err
+    assert err[-1] == (f"numerical failure: gap nan at iteration "
+                       f"{iteration} is not finite")
+    assert len(applies) == iteration
 
 
 def test_solve_rejects_zero_grid_step(tmp_path, capsys):

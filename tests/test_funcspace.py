@@ -1352,6 +1352,11 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     assert not hasattr(compactfix.compactify, "LevelEvidence")
     assert [f.name for f in dataclasses.fields(compactfix.LimitResult)] \
         == ["status", "value", "oscillations"]
+    # a kernel is its logarithm, its weight and two optional closed forms;
+    # every weighted form is a method
+    assert [f.name for f in dataclasses.fields(compactfix.Kernel)] == [
+        "name", "log_kx", "dlog_kx", "weight_desc", "abs_integral",
+        "weighted_sup"]
     for cls, attrs in [(compactfix.NamedProblem, ("spec",)),
                        (compactfix.GammaFunction, ("p", "embedded_axes"))]:
         fields = {f.name for f in dataclasses.fields(cls)}
@@ -1360,12 +1365,14 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     # a demo returns its summary dict; no wrapper carries it
     assert "PipelineBundle" not in compactfix.__all__
     assert not hasattr(compactfix.casestudy, "PipelineBundle")
-    # every problem has a kernel, a nonlinearity and a weight, and all of
-    # them the half strip's map, which a sidecar names by its factors: a
-    # product has no name of its own
+    # every problem has a kernel, which carries its weight, and a
+    # nonlinearity, and all of them the half strip's map, which a sidecar
+    # names by its factors: a product has no name of its own
     for f in dataclasses.fields(compactfix.NamedProblem):
-        if f.name in ("weight_desc", "kernel", "nl"):
+        if f.name in ("kernel", "nl"):
             assert f.default is dataclasses.MISSING, f.name
+    assert "weight_desc" not in {
+        f.name for f in dataclasses.fields(compactfix.NamedProblem)}
     assert "cmap" not in {
         f.name for f in dataclasses.fields(compactfix.NamedProblem)}
     assert not hasattr(compactfix.NamedProblem.cmap, "name")

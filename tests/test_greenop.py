@@ -16,7 +16,7 @@ from scipy.special import erf, erfc
 from compactfix.casestudy import (_gauss_shift_kernel,
                                   _gauss_square_nonlinearity,
                                   load_problem_file)
-from compactfix.funcspace import WeightedGridFunction
+from compactfix.funcspace import WEIGHT_REGISTRY, WeightedGridFunction
 from compactfix.greenop import (GridHammersteinOperator, Kernel,
                                 Nonlinearity, QuadratureError,
                                 _basis_matrix, _bspline_rows,
@@ -456,7 +456,10 @@ def test_adaptive_apply_accepts_levels_that_the_next_doubling_confirms(
 def _narrow_bump(c, w):
     """(kernel, nl, u): kx = 1, f = exp(-((t - c)/w)^2) and u = 0 on a
     5 x 4 grid of [0, 2] x [0, 1]."""
-    kernel = Kernel("one", lambda x, t: np.ones(np.broadcast(x, t).shape))
+    def zero(x, t):
+        return np.zeros(np.broadcast(x, t).shape)
+
+    kernel = Kernel("one", zero, zero, "1")
     nl = Nonlinearity("bump", lambda t, s, v:
                       np.exp(-((t - c) / w) ** 2) + 0.0 * v)
     xs, ys = np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 4)
@@ -674,12 +677,14 @@ def _unit_weight_problem(tmp_path):
     return load_problem_file(path)
 
 
-def _backward_ridge(x, t):
-    # a narrow ridge at t = 24 - 3x, which moves backward in t as x grows:
-    # at step 0.02 the rows on [5.12, 8.96) probe a wrong span of their
-    # block's band, and on [6.4, 7.68) the first row's span starts after
-    # the last row's ends
-    return np.exp(-16.0 * (t - (24.0 - 3.0 * x)) ** 2)
+def _backward_ridge(weight_desc):
+    """kx = exp(-16 (t - 24 + 3x)^2), a narrow ridge at t = 24 - 3x, which
+    moves backward in t as x grows: at step 0.02 the rows on [5.12, 8.96)
+    probe a wrong span of their block's band, and on [6.4, 7.68) the first
+    row's span starts after the last row's ends."""
+    return Kernel("backward-ridge",
+                  lambda x, t: -16.0 * (t - 24.0 + 3.0 * x) ** 2,
+                  lambda x, t: -96.0 * (t - 24.0 + 3.0 * x), weight_desc)
 
 
 def test_banded_quotient_operator_matches_dense_route(problem, rng,
@@ -689,8 +694,7 @@ def test_banded_quotient_operator_matches_dense_route(problem, rng,
     # for a weight-"1" kernel whose probed bands must widen
     axes = SolveConfig(hx=0.02, hy=0.02, truncation=24.0).axes()
     unit = _unit_weight_problem(tmp_path)
-    backward = dataclasses.replace(unit, kernel=Kernel(
-        "backward-ridge", _backward_ridge, qx=_backward_ridge))
+    backward = dataclasses.replace(unit, kernel=_backward_ridge("1"))
     for prob in (problem, unit, backward):
         op = GridHammersteinOperator(prob.kernel, prob.nl, axes)
         phi = prob.weight(axes[0])[:, None]
@@ -726,9 +730,6 @@ def test_operator_apply_works_in_its_output(problem, rng):
 
 def test_operator_refuses_a_problem_without_its_quotient_form(problem):
     axes = (np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.0, 5))
-    bare = Kernel("bare", problem.kernel.kx)
-    with pytest.raises(ValueError, match="kernel 'bare' has no qx"):
-        GridHammersteinOperator(bare, problem.nl, axes)
     plain = Nonlinearity("plain", problem.nl.eval)
     with pytest.raises(ValueError, match="nonlinearity 'plain' has no q_eval"):
         GridHammersteinOperator(problem.kernel, plain, axes)
@@ -741,21 +742,14 @@ def test_quotient_operator_stores_its_band_only(problem):
     assert sum(block.size for _, _, block in op.blocks) <= 0.4 * n * n
 
 
-def test_operator_build_evaluates_the_band_only(problem):
+def test_operator_build_evaluates_the_band_only(problem, counting_kernel):
     # every block evaluates qx on its band, on its first and last rows
     # over the causal range and on the two cut columns
-    evaluated = []
-
-    def counted(x, t):
-        evaluated.append(np.broadcast(x, t).size)
-        return problem.kernel.qx(x, t)
-
     axes = SolveConfig(hx=0.01, hy=0.01, truncation=24.0).axes()
-    kernel = dataclasses.replace(problem.kernel, qx=counted)
-    op = GridHammersteinOperator(kernel, problem.nl, axes)
+    op = GridHammersteinOperator(counting_kernel, problem.nl, axes)
     bound = sum(block.size + 2 * (a + block.shape[0]) + 2 * block.shape[0]
                 for a, _, block in op.blocks)
-    assert sum(evaluated) <= bound
+    assert counting_kernel.points["qx"] <= bound
 
 
 def _causal_range_blocks(k, xs):
@@ -792,8 +786,7 @@ def test_probed_bands_equal_the_causal_range_rule():
 
 
 def test_check_hypotheses_statuses(problem):
-    rep = check_hypotheses(problem.kernel, problem.weight, problem.nl,
-                           r=0.5)
+    rep = check_hypotheses(problem.kernel, problem.nl, r=0.5)
     assert rep["hypotheses"]["C1"]["status"] == "verified"
     assert rep["hypotheses"]["C2"]["status"] == "verified_on_truncation"
     assert rep["hypotheses"]["C3"]["status"] == "verified"
@@ -806,8 +799,7 @@ def test_check_hypotheses_statuses(problem):
 
 
 def test_check_hypotheses_integrals(problem, c4_partials):
-    rep = check_hypotheses(problem.kernel, problem.weight, problem.nl,
-                           r=0.5)
+    rep = check_hypotheses(problem.kernel, problem.nl, r=0.5)
     # Phi_r integrates in closed form over the half strip
     expected_phi = 0.125 * SQPI2 ** 2 * erf(1.0) + 0.25 * SQPI2
     assert rep["integrals"]["Phi_r"] == pytest.approx(expected_phi, abs=1e-6)
@@ -835,13 +827,11 @@ def test_check_hypotheses_phi_r_tail_is_certified(problem):
     for r in (0.1, 2.0):
         exact = 0.125 * SQPI2 ** 2 * erf(1.0) + r * r * SQPI2
         for tol in (1e-4, 1e-8):
-            rep = check_hypotheses(problem.kernel, problem.weight,
-                                   problem.nl, r=r, tol=tol)
+            rep = check_hypotheses(problem.kernel, problem.nl, r=r, tol=tol)
             assert abs(rep["integrals"]["Phi_r"] - exact) <= tol
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError, match="tol must be positive"):
-            check_hypotheses(problem.kernel, problem.weight, problem.nl,
-                             r=0.5, tol=bad)
+            check_hypotheses(problem.kernel, problem.nl, r=0.5, tol=bad)
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 10.0])
@@ -852,23 +842,25 @@ def test_phi_r_tail_scale_comes_from_the_dominator(problem, amplitude):
     r, tol = 0.5, 1e-8
     assert nl.dominator(r)[1] == pytest.approx(
         amplitude * SQPI2 * erf(1.0) + r * r)
-    rep = check_hypotheses(problem.kernel, problem.weight, nl, r=r, tol=tol)
+    rep = check_hypotheses(problem.kernel, nl, r=r, tol=tol)
     exact = amplitude * SQPI2 ** 2 * erf(1.0) + r * r * SQPI2
     assert rep["hypotheses"]["C3"]["status"] == "verified"
     assert abs(rep["integrals"]["Phi_r"] - exact) <= tol
 
 
-def _raw_quotient_kernel(weight):
-    """A rate-2 gauss-shift kernel whose weighted quotient divides the raw
-    factors kx(x, t)/phi(x) instead of combining their exponents."""
-    def kx(x, t):
-        return np.exp(-2.0 * (x - t) ** 2)
+class _RawQuotientKernel(Kernel):
+    """A Kernel whose weighted quotient divides the raw factors
+    kx(x, t)/phi(x) instead of combining their exponents."""
 
-    def raw_quotient(x, t):
+    def weighted_quotient(self, x, t):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(kx(x, t), dtype=float) / weight(x)
+            return self.kx(x, t) / WEIGHT_REGISTRY[self.weight_desc](x)
 
-    return Kernel("raw", kx, weighted_quotient=raw_quotient)
+
+def _raw_quotient_kernel(weight_desc):
+    """The rate-2 gauss-shift kernel as a _RawQuotientKernel."""
+    return _RawQuotientKernel("raw", lambda x, t: -2.0 * (x - t) ** 2,
+                              lambda x, t: -4.0 * (x - t), weight_desc)
 
 
 def test_check_hypotheses_counts_only_finite_limits_and_partials(
@@ -876,10 +868,10 @@ def test_check_hypotheses_counts_only_finite_limits_and_partials(
     # the raw division kx/phi of a rate-2 kernel is 0/0 once both factors
     # underflow: every face limit and the widest partial M0*Phi_r integral
     # are nan, and a nan never certifies
-    raw = _raw_quotient_kernel(problem.weight)
+    raw = _raw_quotient_kernel(problem.weight_desc)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = check_hypotheses(raw, problem.weight, problem.nl, r=0.5)
+        rep = check_hypotheses(raw, problem.nl, r=0.5)
     c1 = rep["hypotheses"]["C1"]
     assert c1["status"] == "unverified"
     assert "face limit exists at 0 of 9 sampled columns" in c1["detail"]
@@ -900,9 +892,9 @@ def _loop_quotient_sup(quotient, t, x_hi, n):
 
 
 def test_hypothesis_profiles_match_the_column_loops(problem):
-    for kernel in (problem.kernel, _raw_quotient_kernel(problem.weight)):
+    for kernel in (problem.kernel, _raw_quotient_kernel(problem.weight_desc)):
         quotient = kernel.weighted_quotient
-        rep = check_hypotheses(kernel, problem.weight, problem.nl, r=0.5)
+        rep = check_hypotheses(kernel, problem.nl, r=0.5)
         # C1 on the 41 report columns
         ts = np.linspace(0.0, 8.0, 41)
         sups = _weighted_quotient_sups(quotient, ts, 16.0)
@@ -937,7 +929,7 @@ def test_phi_r_integrals_settle_relative_to_a_large_forcing(problem):
     # by 2.3e-10 at the finest panels, above an absolute 1e-10
     nl = _gauss_square_nonlinearity("exp(-x^2/2)", 1e6)
     r, tol = 0.5, 1e-8
-    rep = check_hypotheses(problem.kernel, problem.weight, nl, r=r, tol=tol)
+    rep = check_hypotheses(problem.kernel, nl, r=r, tol=tol)
     assert {key: c["status"] for key, c in rep["hypotheses"].items()} == {
         "C1": "verified", "C2": "verified_on_truncation", "C3": "verified",
         "C4": "diverges"}
@@ -945,19 +937,10 @@ def test_phi_r_integrals_settle_relative_to_a_large_forcing(problem):
     assert abs(rep["integrals"]["Phi_r"] - exact) <= tol * (1e6 + r * r)
 
 
-def test_check_hypotheses_refuses_a_kernel_without_weighted_quotient(
-        problem):
-    bare = Kernel("bare", problem.kernel.kx, qx=problem.kernel.qx)
-    with pytest.raises(ValueError,
-                       match="kernel 'bare' has no weighted_quotient"):
-        check_hypotheses(bare, problem.weight, problem.nl, r=0.5)
-
-
 def test_check_hypotheses_rejects_nonpositive_radius(problem):
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            check_hypotheses(problem.kernel, problem.weight, problem.nl,
-                             r=bad)
+            check_hypotheses(problem.kernel, problem.nl, r=bad)
 
 
 def test_nonlinearity_domination_on_cone_sections(problem, rng):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from compactfix import compactify, funcspace, greenop, solver
+from compactfix import compactify, funcspace, greenop
 from compactfix.casestudy import load_problem_file
 from compactfix.compactify import IntervalIdentity, ProductCompactification
 from compactfix.funcspace import WeightedGridFunction, load_grid_function
@@ -89,6 +89,22 @@ def _residual(axes, q, problem):
     return residual
 
 
+def test_non_finite_gap_carries_the_gap_history(tmp_path):
+    # at amplitude 1e10 each gap squares the last until q^2 overflows:
+    # the error carries the six finite gaps and the first NaN
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(
+        {"kernel": {"id": "gauss-shift"},
+         "nonlinearity": {"id": "gauss-plus-square",
+                          "params": {"amplitude": 1e10}}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IterationError, match="at iteration 7 ") as err:
+            picard_solve(load_problem_file(path))
+    gaps = err.value.gap_history
+    assert len(gaps) == 7 and np.isnan(gaps[-1])
+    assert all(1e9 < g < b for g, b in zip(gaps, gaps[1:-1]))
+
+
 def test_pde_residual_of_zero_is_the_forcing_peak(problem):
     # at q = 0 the convolution term int_0^x dqx(x, t) dt g vanishes (dqx is
     # odd about t = x/2), so the residual is qx(x, x) g near the origin
@@ -148,23 +164,13 @@ def test_solve_holds_one_band_and_two_grids(problem):
     assert peak <= band + 2.6 * grid, (peak - band) / grid
 
 
-def test_solve_evaluates_its_kernel_band_once(problem, monkeypatch):
+def test_solve_evaluates_its_kernel_band_once(problem, counting_kernel,
+                                              monkeypatch):
     # one kernel_row_blocks pass builds the band; the residual evaluates
     # dlog_qx on that band only and qx on the diagonal only
     cfg = SolveConfig(hx=0.02, hy=0.02, truncation=24.0)
     axes = cfg.axes()
-    points = {"qx": 0, "dlog_qx": 0}
-
-    def counted(name):
-        form = getattr(problem.kernel, name)
-
-        def evaluate(x, t):
-            points[name] += np.broadcast(x, t).size
-            return form(x, t)
-        return evaluate
-
-    kernel = dataclasses.replace(problem.kernel, qx=counted("qx"),
-                                 dlog_qx=counted("dlog_qx"))
+    kernel, points = counting_kernel, counting_kernel.points
     band = sum(block.size for _, _, block in GridHammersteinOperator(
         kernel, problem.nl, axes).blocks)
     build = points["qx"]
@@ -193,24 +199,6 @@ def test_pde_residual_of_a_nan_is_nan(problem):
         q = np.zeros((len(axes[0]), len(axes[1])))
         q[row, 7] = np.nan
         assert np.isnan(_residual(axes, q, problem)), row
-
-
-def test_pde_residual_refuses_kernels_it_cannot_differentiate(problem,
-                                                              monkeypatch):
-    axes = SolveConfig(hx=0.25, hy=0.25, truncation=2.0).axes()
-    q = np.zeros((len(axes[0]), len(axes[1])))
-    no_dlog = dataclasses.replace(problem.kernel, dlog_qx=None)
-    with pytest.raises(ValueError, match="has no dlog_qx"):
-        pde_residual(axes, q, no_dlog, problem.nl, [])
-    # the solve refuses it before its operator is built, not after its
-    # Picard loop
-    def no_operator(*args):
-        raise AssertionError("the operator was built")
-
-    monkeypatch.setattr(solver, "GridHammersteinOperator", no_operator)
-    with pytest.raises(ValueError, match="has no dlog_qx"):
-        picard_solve(dataclasses.replace(problem, kernel=no_dlog),
-                     SolveConfig(hx=0.25, hy=0.25, truncation=2.0))
 
 
 def test_asymptotic_profile_of_closed_form(problem):
