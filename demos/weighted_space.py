@@ -7,7 +7,7 @@ import numpy as np
 
 from compactfix.casestudy import DEMOS
 from compactfix.funcspace import (WEIGHT_REGISTRY, WeightedGridFunction,
-                                  gamma_p, weighted_norm)
+                                  gamma, weighted_norm)
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
     print("trace map: gamma_0 u = u/phi extended to the compactified line")
     u = WeightedGridFunction((xs,), 0.5 * phi(xs) * np.tanh(xs), phi,
                              infinity={"axis0:inf": {(0,): 0.5}})
-    g = gamma_p(u, (0,))
+    g = gamma(u)
     print(f"  sup of the trace {g.sup():.6f} equals the weighted norm "
           f"{weighted_norm(u):.6f}")
 

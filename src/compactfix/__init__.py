@@ -17,10 +17,9 @@ from .cones import (f_sup_rho, holding_interval, index_one_check,
                     index_one_sweep)
 from .funcspace import (WEIGHT_REGISTRY, BumpChain, GammaFunction,
                         WeightedGridFunction, WeightUnderflowError,
-                        attach_faces, gamma_p, gaussian_family,
+                        attach_faces, gamma, gaussian_family,
                         gaussian_family_separation, load_grid_function,
-                        multi_indices, precompactness_report,
-                        quotient_derivative, save_grid_function,
+                        precompactness_report, save_grid_function,
                         weighted_norm)
 from .greenop import (GridHammersteinOperator, Kernel, Nonlinearity,
                       QuadratureError, apply_T, check_hypotheses,
@@ -41,12 +40,12 @@ __all__ = [
     "WEIGHT_REGISTRY", "WeightedGridFunction", "WeightUnderflowError",
     "apply_T", "asymptotic_profile", "attach_faces", "check_hypotheses",
     "classify_ladder", "cumulative_weights",
-    "default_levels", "extend", "f_sup_rho", "gamma_p", "gaussian_family",
+    "default_levels", "extend", "f_sup_rho", "gamma", "gaussian_family",
     "gaussian_family_separation", "halfline_metric", "holding_interval",
     "index_one_check", "index_one_sweep", "kappa_limit", "kernel_abs_integral",
-    "load_grid_function", "load_problem", "load_problem_file", "multi_indices",
+    "load_grid_function", "load_problem", "load_problem_file",
     "panel_quadrature", "pde_residual", "picard_solve",
-    "precompactness_report", "quotient_derivative", "run_full_pipeline",
+    "precompactness_report", "run_full_pipeline",
     "save_grid_function", "validate_closed_forms", "weighted_norm",
     "write_outputs",
 ]

@@ -1,12 +1,11 @@
 """Weighted grid functions on compactified domains.
 
-A function f of class m is stored by its samples, or by its quotient
-f/phi, on a rectangular grid together with the values of the weighted
-quotients d_p(f/phi) on the infinity faces of the compactification.  The
-norm is the sup of all quotient derivatives up to order m, over the grid
-and over the stored face values.  A grid function is saved as its
-quotient u/phi, one value per line, with a JSON sidecar for the axes, the
-weight's name, the names of its map's factors and the face values.
+A function f is stored by its samples, or by its quotient f/phi, on a
+rectangular grid together with the values of f/phi on the infinity faces
+of the compactification.  The norm is the sup of |f/phi| over the grid and
+over the stored face values.  A grid function is saved as its quotient
+u/phi, one value per line, with a JSON sidecar for the axes, the weight's
+name, the names of its map's factors and the face values.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import copy
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +49,6 @@ NAMED_MAPS = {cls.name: cls for cls in (HalfLineOnePoint, LineTwoPoint,
 FACE_TOL = 1e-4
 
 
-def multi_indices(order, ndim):
-    """All derivative multi-indices p with |p| <= order, low order first."""
-    out = [p for p in itertools.product(range(order + 1), repeat=ndim)
-           if sum(p) <= order]
-    return sorted(out, key=lambda p: (sum(p), p))
-
-
 class WeightUnderflowError(ValueError):
     """The weight is 0 in float64 at a grid node (a positive weight such as
     exp(-x^2/2) underflows far out), so u/phi is undefined there."""
@@ -72,26 +63,23 @@ class WeightedGridFunction:
     samples : array of shape tuple(len(a) for a in axes).
     weight : a WEIGHT_REGISTRY entry, or None for weight 1; it is
         evaluated once, on axes[0] (weight_values).
-    order : highest derivative order the weighted norm ranges over, a
-        non-negative integer.
     cmap : the compactification the infinity faces refer to, a
         ProductCompactification of one NAMED_MAPS map per axis; by default
         a half line times one interval per further axis.
-    infinity : {face_label: {multi_index: value}}; a multi-index has one
-        entry per axis, and the value is an array over the nodes of the
-        other axes (a scalar on a 1-d grid).
+    infinity : {face_label: {(0,) * ndim: value}}, the value of f/phi on
+        the face: an array over the nodes of the other axes (a scalar on a
+        1-d grid).
     weight_desc : optional check, the WEIGHT_REGISTRY name of weight.
 
     ValueError for a weight or a map without a name, so that everything a
-    grid function holds can be named in its file, for an order that is not
-    a non-negative int (a bool included), and for infinity data under a
-    label that is not one of face_labels() or of another shape.  A grid
-    function stores only the array it was given: u here, q = u/phi through
-    from_quotient and image(quotient=True).
+    grid function holds can be named in its file, and for infinity data
+    under a label that is not one of face_labels(), under another key or
+    of another shape.  A grid function stores only the array it was given:
+    u here, q = u/phi through from_quotient and image(quotient=True).
     """
 
-    def __init__(self, axes, samples, weight=None, order=0, cmap=None,
-                 infinity=None, weight_desc=None):
+    def __init__(self, axes, samples, weight=None, cmap=None, infinity=None,
+                 weight_desc=None):
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
         self._values = np.asarray(samples, dtype=float)
         self._holds_q = False
@@ -111,11 +99,6 @@ class WeightedGridFunction:
                 raise ValueError(f"unknown weight description {weight_desc!r}")
             raise ValueError(f"weight description {weight_desc!r} does not "
                              "name the given weight")
-        if not (isinstance(order, numbers.Integral)
-                and not isinstance(order, bool) and order >= 0):
-            raise ValueError(f"order {order!r} is not a non-negative "
-                             "integer")
-        self.order = int(order)
         self.cmap = cmap if cmap is not None else ProductCompactification(
             (HalfLineOnePoint(),) + (IntervalIdentity(),) * (self.ndim - 1))
         if not (isinstance(self.cmap, ProductCompactification)
@@ -127,17 +110,17 @@ class WeightedGridFunction:
                              f"for {self.ndim} axes")
         self.infinity = infinity or {}
         faces = self.face_labels()
-        for label, per_p in self.infinity.items():
+        key = (0,) * self.ndim
+        for label, stored in self.infinity.items():
             if label not in faces:
                 raise ValueError(f"infinity face {label!r} is not a face of "
                                  f"the map, whose faces are {faces}")
             shape = tuple(len(a) for a in _other_axes(self, label))
-            for p, v in per_p.items():
-                if len(p) != self.ndim or np.shape(v) != shape:
-                    raise ValueError(
-                        f"infinity face {label!r} holds {p!r} with a value "
-                        f"of shape {np.shape(v)}; it takes multi-indices of "
-                        f"{self.ndim} orders and values of shape {shape}")
+            got = {k: np.shape(v) for k, v in stored.items()}
+            if got != {key: shape}:
+                raise ValueError(
+                    f"infinity face {label!r} holds {got}, keys and their "
+                    f"values' shapes; it takes {{{key}: {shape}}}")
         # weight 1 is a view of one 1.0, not ones as long as a 1-d grid
         column = (len(self.axes[0]),) + (1,) * (self.ndim - 1)
         self._phi = (np.broadcast_to(1.0, column)
@@ -145,17 +128,17 @@ class WeightedGridFunction:
                      else np.reshape(self.weight(self.axes[0]), column))
 
     @classmethod
-    def from_quotient(cls, axes, q, weight=None, order=0, cmap=None,
-                      infinity=None, weight_desc=None):
+    def from_quotient(cls, axes, q, weight=None, cmap=None, infinity=None,
+                      weight_desc=None):
         """The grid function u = phi q that stores q itself: quotient()
         returns q, so nothing divides phi back out (q stays exact where phi
         underflows to 0 and u with it)."""
-        out = cls(axes, q, weight, order, cmap, infinity, weight_desc)
+        out = cls(axes, q, weight, cmap, infinity, weight_desc)
         out._holds_q = True
         return out
 
     def image(self, values, quotient=False):
-        """A grid function on this one's grid, weight, order and
+        """A grid function on this one's grid, weight and
         compactification, without face values: values are its samples, or
         with quotient=True its q, stored as from_quotient stores it.  It
         shares this grid's checked axes and its phi column, so a grid
@@ -207,12 +190,11 @@ class WeightedGridFunction:
         return [f"axis{i}:{p}" for i, fac in enumerate(self.cmap.factors)
                 for p in fac.infinity_points()]
 
-    def face_limit(self, p, face, tol=1e-6):
-        """Windowed limits of d_p(f/phi) at an infinity face, from grid
-        data (see _face_ladders): one LimitResult per slice of the face's
-        axis, in C order of the other axes' nodes (one on a 1-d grid)."""
-        return _face_ladders(self, quotient_derivative(self, p), face,
-                             tol)[2]
+    def face_limit(self, face, tol=1e-6):
+        """Windowed limits of f/phi at an infinity face, from grid data
+        (see _face_ladders): one LimitResult per slice of the face's axis,
+        in C order of the other axes' nodes (one on a 1-d grid)."""
+        return _face_ladders(self, self.quotient(), face, tol)[2]
 
 
 def _face_axis(face):
@@ -233,72 +215,53 @@ def _face_radii(f, face):
                                             f.axes[axis])
 
 
-def quotient_derivative(f, p):
-    """Finite-difference d_p(f/phi) on the grid.
+def _stored_face(f, face):
+    """The stored value of f/phi on face, or None."""
+    return f.infinity.get(face, {}).get((0,) * f.ndim)
 
-    Central second-order differences in the interior, one-sided at the edges;
-    mixed partials by composing the per-axis stencils.  Exact for quotients
-    that are polynomials of degree <= 1 per axis.
-    """
-    p = tuple(int(k) for k in p)
-    if len(p) != f.ndim:
-        raise ValueError("multi-index length must equal the grid dimension")
-    for i, k in enumerate(p):
-        if k > 0 and len(f.axes[i]) < k + 1:
-            raise ValueError(f"grid too coarse for the order-{k} stencil "
-                             f"along axis {i}")
-    vals = f.quotient()
-    for i, k in enumerate(p):
-        for _ in range(k):
-            vals = np.gradient(vals, f.axes[i], axis=i, edge_order=1)
-    return vals
+
+def _sup_abs(arrays):
+    """The largest |value| over arrays; NaN when any value is NaN."""
+    return float(np.max([np.max(np.abs(a)) for a in arrays]))
 
 
 def weighted_norm(f):
-    """max over |p| <= order of sup |d_p(f/phi)|, grid and infinity faces."""
-    best = 0.0
-    for p in multi_indices(f.order, f.ndim):
-        vals = quotient_derivative(f, p)
-        best = max(best, float(np.abs(vals).max()))
-    for per_p in f.infinity.values():
-        for p, v in per_p.items():
-            if sum(p) <= f.order:
-                best = max(best, float(np.max(np.abs(v))))
-    return best
+    """sup |f/phi| over the grid and the stored face values; NaN when any
+    of them is NaN."""
+    return _sup_abs([f.quotient(), *(_stored_face(f, face)
+                                     for face in f.infinity)])
 
 
 @dataclass
 class GammaFunction:
-    """Trace of a quotient derivative on the compactified space.
+    """Trace of f/phi on the compactified space.
 
-    values are d_p(f/phi) on the grid; infinity holds the face values.
-    gamma_p is linear in f and bounded by the weighted norm.
+    values are f/phi on the grid; infinity holds the face values.
+    gamma is linear in f and bounded by the weighted norm.
     """
 
     values: np.ndarray
     infinity: dict
 
     def sup(self):
-        m = float(np.abs(self.values).max())
-        for v in self.infinity.values():
-            m = max(m, float(np.max(np.abs(v))))
-        return m
+        """The largest |value| on the grid and the faces; NaN when any
+        value is NaN."""
+        return _sup_abs([self.values, *self.infinity.values()])
 
 
-def gamma_p(f, p, tol=1e-6):
-    """The map f -> continuous extension of d_p(f/phi) to the compactification.
+def gamma(f, tol=1e-6):
+    """The map f -> continuous extension of f/phi to the compactification.
 
     Face values are taken from storage when present and otherwise estimated
     from the grid; a face whose grid limit does not converge raises
     FaceLimitError naming the face.
     """
-    p = tuple(int(k) for k in p)
-    vals = quotient_derivative(f, p)
+    vals = f.quotient()
     inf_vals = {}
     for face in f.face_labels():
-        stored = f.infinity.get(face, {})
-        if p in stored:
-            inf_vals[face] = np.asarray(stored[p], dtype=float)
+        stored = _stored_face(f, face)
+        if stored is not None:
+            inf_vals[face] = np.asarray(stored, dtype=float)
             continue
         results = _face_ladders(f, vals, face, tol)[2]
         for nodes, res in zip(itertools.product(*_other_axes(f, face)),
@@ -344,16 +307,15 @@ def _face_values(f, face, results):
 
 
 def attach_faces(f, tol=FACE_TOL):
-    """Read every infinity face of f/phi by face_limit at p = 0 and store
-    the values of each face whose slices all converged as f's values there
+    """Read every infinity face of f/phi by face_limit and store the values
+    of each face whose slices all converged as f's values there
     (_face_values); a face with a slice that did not converge gets none.
     Returns {face: face_limit's results}."""
-    p = (0,) * f.ndim
     out = {}
     for face in f.face_labels():
-        results = out[face] = f.face_limit(p, face, tol)
+        results = out[face] = f.face_limit(face, tol)
         if all(res.converged for res in results):
-            f.infinity[face] = {p: _face_values(f, face, results)}
+            f.infinity[face] = {(0,) * f.ndim: _face_values(f, face, results)}
     return out
 
 
@@ -368,23 +330,19 @@ _EPS_LADDER = (0.1, 0.03, 0.01)
 _MEMBER_BLOCK = 8
 
 
-def _family_quotient_derivatives(family):
-    """{p: the list of the members' quotient derivatives of order p}, after
-    checking that the members share one grid and one class order.  Nothing
-    is stacked: for order 0 and weight 1 the arrays are the members' own
-    samples, so the family is read in place."""
+def _family_quotients(family):
+    """The list of the members' quotients f/phi, after checking that the
+    members share one grid.  Nothing is stacked: for weight 1 the arrays
+    are the members' own samples, so the family is read in place."""
     f0 = family[0]
     for g in family[1:]:
         if g.ndim != f0.ndim or any(len(a) != len(b) or not np.allclose(a, b)
                                     for a, b in zip(g.axes, f0.axes)):
             raise ValueError("family members must share one grid")
-        if g.order != f0.order:
-            raise ValueError("family members must share the class order")
-    return {p: [quotient_derivative(g, p) for g in family]
-            for p in multi_indices(f0.order, f0.ndim)}
+    return [g.quotient() for g in family]
 
 
-def equicontinuity_modulus(family, derivs, max_shift=64):
+def equicontinuity_modulus(family, quotients, max_shift=64):
     """{axis: rows}: omega(delta) = worst |v(x) - v(y)| over |x - y| <= delta
     along the axis, as (delta, omega) rows for delta = h times each power
     of two up to max_shift; ValueError, before any work, names an axis
@@ -395,9 +353,8 @@ def equicontinuity_modulus(family, derivs, max_shift=64):
     built by doubling on a stack of _MEMBER_BLOCK members at a time, so
     no more than one block is ever copied: the window maxima of span 2w
     are the pairwise maxima of the span-w maxima w nodes apart.  A NaN
-    anywhere in the family makes every omega NaN.  derivs holds the
-    members' quotient derivatives, one list per multi-index, as
-    _family_quotient_derivatives builds them.
+    anywhere in the family makes every omega NaN.  quotients holds the
+    members' quotients, as _family_quotients builds them.
     """
     f0 = family[0]
     for axis, nodes in enumerate(f0.axes):
@@ -410,42 +367,40 @@ def equicontinuity_modulus(family, derivs, max_shift=64):
     for axis in range(f0.ndim):
         h = float(np.min(np.diff(f0.axes[axis])))
         worst = np.zeros(len(spans))
-        for members in derivs.values():
-            for b in range(0, len(family), _MEMBER_BLOCK):
-                hi = lo = np.moveaxis(np.stack(members[b:b + _MEMBER_BLOCK]),
-                                      axis + 1, -1)
-                for k, span in enumerate(spans):
-                    step = span - span // 2
-                    hi = np.maximum(hi[..., :-step], hi[..., step:])
-                    lo = np.minimum(lo[..., :-step], lo[..., step:])
-                    worst[k] = np.maximum(worst[k], np.max(hi - lo))
+        for b in range(0, len(family), _MEMBER_BLOCK):
+            hi = lo = np.moveaxis(np.stack(quotients[b:b + _MEMBER_BLOCK]),
+                                  axis + 1, -1)
+            for k, span in enumerate(spans):
+                step = span - span // 2
+                hi = np.maximum(hi[..., :-step], hi[..., step:])
+                lo = np.minimum(lo[..., :-step], lo[..., step:])
+                worst[k] = np.maximum(worst[k], np.max(hi - lo))
         out[axis] = [(span * h, float(w)) for span, w in zip(spans, worst)]
     return out
 
 
-def equiconvergence_deviation(family, derivs):
+def equiconvergence_deviation(family, quotients):
     """{face: rows}: per window of the face's ladder (_face_ladders), the
     worst gap between the members and their stored face values, as
     (delta, gap) rows; NaN when a window holds a NaN.  Each slice of the
     face's axis is compared with its own stored node value, as the ladder
     reads it, so the gap on a window is the larger of hi - stored and
     stored - lo.
-    derivs holds the members' quotient derivatives, one list per
-    multi-index, as _family_quotient_derivatives builds them."""
+    quotients holds the members' quotients, as _family_quotients builds
+    them."""
     f0 = family[0]
     out = {}
     for face in f0.face_labels():
         worst = 0.0
-        for p, members in derivs.items():
-            for g, v in zip(family, members):
-                stored = g.infinity.get(face, {}).get(p)
-                if stored is None:
-                    raise FaceLimitError(face)
-                stored = np.ravel(stored)
-                # the windows' extremes; the ladders' results go unread
-                hi, lo, _ = _face_ladders(f0, v, face, 0.0)
-                worst = np.maximum(worst, np.maximum(hi - stored,
-                                                     stored - lo).max(axis=1))
+        for g, v in zip(family, quotients):
+            stored = _stored_face(g, face)
+            if stored is None:
+                raise FaceLimitError(face)
+            stored = np.ravel(stored)
+            # the windows' extremes; the ladders' results go unread
+            hi, lo, _ = _face_ladders(f0, v, face, 0.0)
+            worst = np.maximum(worst, np.maximum(hi - stored,
+                                                 stored - lo).max(axis=1))
         out[face] = [(2.0 ** -(k + 1), gap)
                      for k, gap in enumerate(worst.tolist())]
     return out
@@ -456,7 +411,7 @@ def precompactness_report(family):
     family on one grid, as the JSON-ready {"bounded", "bound",
     "equicontinuous", "equiconvergent", "worst_deviation"}:
 
-    bound: sup of |d_p(f/phi)| over the family; bounded: bound is finite.
+    bound: sup of |f/phi| over the family; bounded: bound is finite.
     equicontinuous: for every axis and every eps in the ladder
         _EPS_LADDER some probed delta had that axis's modulus below eps.
     equiconvergent: for every infinity face and every eps some window of
@@ -464,22 +419,20 @@ def precompactness_report(family):
     worst_deviation: the largest, over the faces, of each face's smallest
         window deviation (0 on a map without faces).
 
-    The members' quotient derivatives are read where they lie (for weight 1
-    and order 0, the samples themselves); only equicontinuity_modulus copies
-    them, one block of _MEMBER_BLOCK members at a time.  bound is np.max of
-    the per-member maxima, so a NaN member makes it NaN and the family
-    unbounded."""
+    The members' quotients are read where they lie (for weight 1, the
+    samples themselves); only equicontinuity_modulus copies them, one block
+    of _MEMBER_BLOCK members at a time.  bound is np.max of the per-member
+    maxima, so a NaN member makes it NaN and the family unbounded."""
     if not family:
         raise ValueError("empty family")
-    derivs = _family_quotient_derivatives(family)
-    bound = float(np.max([np.max(np.abs(v)) for members in derivs.values()
-                          for v in members]))
+    quotients = _family_quotients(family)
+    bound = _sup_abs(quotients)
     bounded = math.isfinite(bound)
     # each axis and each face must reach every eps on its own rows
-    modulus = equicontinuity_modulus(family, derivs).values()
+    modulus = equicontinuity_modulus(family, quotients).values()
     equicont = all(any(w < eps for _, w in rows)
                    for rows in modulus for eps in _EPS_LADDER)
-    deviations = equiconvergence_deviation(family, derivs).values()
+    deviations = equiconvergence_deviation(family, quotients).values()
     equiconv = all(any(d < eps for _, d in rows)
                    for rows in deviations for eps in _EPS_LADDER)
     worst = max((min(d for _, d in rows) for rows in deviations),
@@ -553,8 +506,7 @@ def gaussian_family(n_max, truncation=48.0, step=0.005):
     for c in range(2, n_max + 1):
         samples = np.exp(-(xs - c) ** 2)
         faces = {"axis0:inf": {(0,): 0.0}}
-        fam.append(WeightedGridFunction((xs,), samples, None, 0, cmap,
-                                        faces))
+        fam.append(WeightedGridFunction((xs,), samples, None, cmap, faces))
     return fam
 
 
@@ -583,24 +535,16 @@ _CSV_HEADER = "u/phi"
 _CSV_CHUNK = 1 << 12
 
 
-def _p_key(p):
-    return ",".join(str(k) for k in p)
-
-
-def _p_unkey(s):
-    return tuple(int(k) for k in s.split(","))
-
-
 def save_grid_function(f, csv_path):
     """Write the quotient q = u/phi as CSV plus a JSON sidecar.
 
     The CSV is the header line "u/phi" and then f.quotient(), one "%.17g"
     value per line, flattened in C order of the axes; the sidecar holds the
-    axes, the weight's name, the order, the names of the map's factors,
-    one per axis, and the infinity-face data, so u = phi q is recovered by
-    load_grid_function.  Raises WeightUnderflowError, before it creates a
-    file, for a grid function without a kept quotient whose weight is 0 on
-    its grid.
+    axes, the weight's name, the names of the map's factors, one per axis,
+    and one value per stored infinity face (a number, or a list over the
+    other axes' nodes), so u = phi q is recovered by load_grid_function.
+    Raises WeightUnderflowError, before it creates a file, for a grid
+    function without a kept quotient whose weight is 0 on its grid.
     """
     flat = f.quotient().ravel()
     with open(csv_path, "w", newline="") as fh:
@@ -610,13 +554,11 @@ def save_grid_function(f, csv_path):
             fh.write(("%.17g\r\n" * len(chunk)) % tuple(chunk))
     side = {
         "weight": f.weight_desc,
-        "order": f.order,
         "cmap": [fac.name for fac in f.cmap.factors],
         "axes": [list(a) for a in f.axes],
-        "infinity": {face: {_p_key(p): (v.tolist() if isinstance(v, np.ndarray)
-                                        else float(v))
-                            for p, v in per_p.items()}
-                     for face, per_p in f.infinity.items()},
+        "infinity": {face: np.asarray(_stored_face(f, face),
+                                      dtype=float).tolist()
+                     for face in f.infinity},
     }
     with open(str(csv_path) + ".json", "w") as fh:
         json.dump(side, fh, indent=1, sort_keys=True)
@@ -627,20 +569,21 @@ def load_grid_function(csv_path):
 
     Returns WeightedGridFunction.from_quotient of the saved q, so the
     loaded quotient() is bitwise the saved one and the samples are phi q.
-    Raises ValueError naming the file when the header is not "u/phi" (for
-    example an older x,y,value file), the number of values does not match
-    the sidecar's axes, the sidecar lacks a key, its "weight" is not a
-    WEIGHT_REGISTRY name, its "cmap" is not a list of NAMED_MAPS names, one
-    per axis (an older file's single name included), or the constructor
-    refuses its order or its "infinity" data (a face that map does not
-    have, a value of another shape).
+    Raises ValueError naming the file when the header is not "u/phi" (an
+    older x,y,value file), the number of values does not match the
+    sidecar's axes, the sidecar's keys are not exactly "axes", "cmap",
+    "infinity" and "weight" (an older file's "order"), its "weight" is not
+    a WEIGHT_REGISTRY name, its "cmap" is not a list of NAMED_MAPS names,
+    one per axis (an older file's single name), its "infinity" is not an
+    object whose face values are numbers or lists (an older file's
+    {"0,0": ...}), or the constructor refuses that data (a face that map
+    does not have, a value of another shape).
     """
     with open(str(csv_path) + ".json") as fh:
         side = json.load(fh)
-    missing = {"axes", "cmap", "infinity", "order", "weight"} - set(side)
-    if missing:
-        raise ValueError(f"{csv_path}: the sidecar has no "
-                         f"{', '.join(sorted(missing))}")
+    if sorted(side) != ["axes", "cmap", "infinity", "weight"]:
+        raise ValueError(f"{csv_path}: the sidecar has keys {sorted(side)}; "
+                         "it takes exactly axes, cmap, infinity and weight")
     weight = side["weight"]
     if not isinstance(weight, str) or weight not in WEIGHT_REGISTRY:
         raise ValueError(f"{csv_path}: unknown weight {weight!r}; the "
@@ -666,12 +609,18 @@ def load_grid_function(csv_path):
         raise ValueError(f"{csv_path}: {len(lines) - 1} values for the "
                          f"{math.prod(shape)} nodes of the sidecar's axes")
     q = np.array(lines[1:], dtype=float).reshape(shape)
-    infinity = {face: {_p_unkey(k): (np.asarray(v, dtype=float)
-                                     if isinstance(v, list) else float(v))
-                       for k, v in per_p.items()}
-                for face, per_p in side["infinity"].items()}
+    faces = side["infinity"]
+    if not isinstance(faces, dict):
+        raise ValueError(f"{csv_path}: infinity {faces!r} is not an object")
     try:
+        infinity = {}
+        for face, v in faces.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float, list)):
+                raise ValueError(f"infinity face {face!r} holds a "
+                                 f"{type(v).__name__}, not a number or a list")
+            infinity[face] = {(0,) * len(axes): np.asarray(v, dtype=float)
+                              if isinstance(v, list) else float(v)}
         return WeightedGridFunction.from_quotient(
-            axes, q, WEIGHT_REGISTRY[weight], side["order"], cmap, infinity)
+            axes, q, WEIGHT_REGISTRY[weight], cmap, infinity)
     except ValueError as err:
         raise ValueError(f"{csv_path}: {err}") from err

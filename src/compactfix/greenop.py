@@ -644,8 +644,8 @@ def check_hypotheses(kernel, nl, r, tol=1e-8):
     phi is the kernel's weight, WEIGHT_REGISTRY[kernel.weight_desc],
     called on x alone (the y direction is unweighted).  The kernel
     columns are sampled at 41 points of the truncation [0, 8] and the y
-    axis at 9 points.  Only p = 0 is examined; higher kernel derivatives
-    are out of scope here.
+    axis at 9 points.  The conditions are those of the weighted space of
+    every grid function, sup |u/phi| with the face values.
     """
     quotient = kernel.weighted_quotient
     weight = WEIGHT_REGISTRY[kernel.weight_desc]

@@ -39,6 +39,10 @@ from .funcspace import (FACE_TOL, FaceLimitError, WeightedGridFunction,
 from .greenop import GridHammersteinOperator
 
 
+#: the most grid nodes a solve may take, refused before anything is allocated
+MAX_NODES = 10 ** 7
+
+
 class IterationError(Exception):
     def __init__(self, msg, gap_history):
         super().__init__(msg)
@@ -60,6 +64,11 @@ class SolveConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
+        nx, ny = self.truncation / self.hx + 1.0, 1.0 / self.hy + 1.0
+        if not nx * ny <= MAX_NODES:
+            raise ValueError(f"the grid has {nx:.0f} x {ny:.0f} = "
+                             f"{nx * ny:.0f} nodes, more than MAX_NODES = "
+                             f"{MAX_NODES}")
         # axes() rounds the node counts, so a step that does not divide its
         # interval would be silently replaced by another one
         for name, length in (("hx", self.truncation), ("hy", 1.0)):
@@ -67,6 +76,9 @@ class SolveConfig:
             if abs(steps - round(steps)) > 1e-9 * steps:
                 raise ValueError(f"{name} = {getattr(self, name)!r} does not "
                                  f"divide the interval [0, {length:g}]")
+        if round(min(nx, ny)) < 3:
+            raise ValueError(f"the grid has {nx:.0f} x {ny:.0f} nodes; "
+                             "every axis needs at least 3")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

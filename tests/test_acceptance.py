@@ -24,7 +24,7 @@ from compactfix.cones import (abs_integral_beta_factor, beta_sup,
                               default_eval_grid, index_one_check,
                               index_one_sweep)
 from compactfix.funcspace import (WEIGHT_REGISTRY, BumpChain,
-                                  WeightedGridFunction, gamma_p,
+                                  WeightedGridFunction, gamma,
                                   gaussian_family, gaussian_family_separation,
                                   precompactness_report, weighted_norm)
 from compactfix.greenop import (GridHammersteinOperator, apply_T,
@@ -206,9 +206,8 @@ def test_09_property_suites(problem, alpha_inf):
     xs = np.linspace(0.0, 8.0, 33)
     phi = WEIGHT_REGISTRY["exp(-x^2/2)"]
 
-    def norm(samples, order=1):
-        return weighted_norm(WeightedGridFunction((xs,), samples, phi,
-                                                  order=order))
+    def norm(samples):
+        return weighted_norm(WeightedGridFunction((xs,), samples, phi))
 
     for _ in range(n):  # norm axioms
         a = rng.normal(size=33)
@@ -242,9 +241,9 @@ def test_09_property_suites(problem, alpha_inf):
             return WeightedGridFunction(
                 (gxs,), samples, phi, infinity={"axis0:inf": {(0,): fv}})
 
-        ga = gamma_p(mk(a, fa), (0,))
-        gb = gamma_p(mk(b, fb), (0,))
-        gc = gamma_p(mk(2.0 * a + 3.0 * b, 2.0 * fa + 3.0 * fb), (0,))
+        ga = gamma(mk(a, fa))
+        gb = gamma(mk(b, fb))
+        gc = gamma(mk(2.0 * a + 3.0 * b, 2.0 * fa + 3.0 * fb))
         scale = max(1.0, float(np.abs(gc.values).max()))
         good = np.allclose(gc.values, 2.0 * ga.values + 3.0 * gb.values,
                            atol=1e-10 * scale)

@@ -116,6 +116,24 @@ def test_solve_rejects_grid_step_that_does_not_divide(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_refuses_a_grid_outside_the_node_bounds(tmp_path, capsys):
+    # a grid of billions of nodes is refused before q is allocated, and a
+    # 2 x 2 grid before the Picard loop: both are usage errors
+    out = tmp_path / "run"
+    for argv, message in (
+            (["--grid-step", "1e-4"], "the grid has 240001 x 10001 = "
+                                      "2400250001 nodes, more than "
+                                      "MAX_NODES = 10000000"),
+            (["--truncation", "1e6"], "the grid has 50000001 x 51 = "
+                                      "2550000051 nodes"),
+            (["--grid-step", "1", "--truncation", "1"],
+             "the grid has 2 x 2 nodes; every axis needs at least 3")):
+        rc = main(["solve", *argv, "--out", str(out)])
+        assert rc == 1, argv
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_nan_and_infinite_radii_exit_1(tmp_path, capsys):
     for rho in ("nan", "inf"):
         rc = main(["check-conditions", "--rho", rho,

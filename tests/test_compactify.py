@@ -10,7 +10,7 @@ from compactfix.compactify import (ExtensionError, HalfLineOnePoint,
                                    ProductCompactification, classify_ladder,
                                    default_levels, extend, halfline_metric,
                                    kappa_limit)
-from compactfix.funcspace import BumpChain, WeightedGridFunction, gamma_p
+from compactfix.funcspace import BumpChain, WeightedGridFunction, gamma
 from compactfix.solver import asymptotic_profile
 
 HALF = st.one_of(st.just(math.inf),
@@ -245,7 +245,7 @@ def test_kappa_limit_is_the_grid_ladder_on_its_own_samples():
         xs = np.unique(pts)
         (grid,) = WeightedGridFunction(
             (xs,), f(xs), cmap=ProductCompactification((cmap,))).face_limit(
-            (0,), f"axis0:{point}", tol=1e-6)
+            f"axis0:{point}", tol=1e-6)
         depth = len(got.oscillations)
         assert len(grid.oscillations) > depth
         assert grid.oscillations[:depth] == got.oscillations
@@ -300,6 +300,6 @@ def test_product_face_point_labels_finite_coordinate():
 def test_product_limit_along_a_face():
     # the limit along the face x = inf is y at every node
     g = _half_strip()
-    faces = gamma_p(g, (0, 0), tol=1e-4).infinity
+    faces = gamma(g, tol=1e-4).infinity
     assert list(faces) == ["axis0:inf"]
     assert np.allclose(faces["axis0:inf"], g.axes[1], atol=1e-3)

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -23,13 +24,13 @@ from compactfix.funcspace import (LOG_WEIGHTS, NAMED_MAPS, WEIGHT_REGISTRY,
                                   BumpChain, FaceLimitError,
                                   WeightedGridFunction,
                                   WeightUnderflowError, _face_axis,
-                                  _family_quotient_derivatives,
+                                  _family_quotients,
                                   equiconvergence_deviation,
                                   attach_faces, equicontinuity_modulus,
-                                  gamma_p,
+                                  gamma,
                                   gaussian_family, gaussian_family_separation,
-                                  load_grid_function, multi_indices,
-                                  precompactness_report, quotient_derivative,
+                                  load_grid_function,
+                                  precompactness_report,
                                   save_grid_function, weighted_norm)
 
 
@@ -40,53 +41,8 @@ phi = WEIGHT_REGISTRY["exp(-x^2/2)"]
 XS = np.linspace(0.0, 24.0, 49)
 
 
-def wgf(samples, weight=phi, order=0, infinity=None, axes=(XS,)):
-    return WeightedGridFunction(axes, samples, weight, order,
-                                infinity=infinity)
-
-
-def test_multi_indices_order_one_two_dims():
-    assert multi_indices(1, 2) == [(0, 0), (0, 1), (1, 0)]
-    assert multi_indices(0, 3) == [(0, 0, 0)]
-
-
-def test_quotient_derivative_of_the_weight_itself_is_zero():
-    # f = phi has quotient identically 1, so every derivative vanishes
-    f = wgf(phi(XS), order=2)
-    for p in [(1,), (2,)]:
-        assert np.all(quotient_derivative(f, p) == 0.0)
-
-
-def test_quotient_derivative_exact_for_linear_quotient():
-    f = wgf(XS * phi(XS))
-    d = quotient_derivative(f, (1,))
-    assert np.allclose(d, 1.0, atol=1e-12)
-
-
-def test_quotient_derivative_mixed_partial():
-    xs = np.linspace(0.0, 4.0, 21)
-    ys = np.linspace(0.0, 1.0, 11)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    f = WeightedGridFunction((xs, ys), X * Y)
-    d = quotient_derivative(f, (1, 1))
-    assert np.allclose(d, 1.0, atol=1e-10)
-
-
-def test_quotient_derivative_resolves_bump_slope():
-    chain = BumpChain()
-    xs = np.arange(2.5, 3.5 + 1e-12, 1e-4)
-    f = WeightedGridFunction((xs,), chain.value(xs))
-    d = quotient_derivative(f, (1,))
-    i = int(np.argmin(np.abs(xs - chain.rising_inflection(3))))
-    assert abs(d[i] - BumpChain.peak_slope) < 1e-3
-
-
-def test_quotient_derivative_rejects_too_coarse_grid():
-    f = WeightedGridFunction((np.array([0.0, 1.0]),), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="too coarse"):
-        quotient_derivative(f, (2,))
-    with pytest.raises(ValueError, match="length"):
-        quotient_derivative(f, (1, 0))
+def wgf(samples, weight=phi, infinity=None, axes=(XS,)):
+    return WeightedGridFunction(axes, samples, weight, infinity=infinity)
 
 
 def test_grid_function_validation():
@@ -120,9 +76,34 @@ def test_weighted_norm_unweighted_gaussian_peak():
 def test_weighted_norm_ranges_over_stored_faces():
     f = wgf(0.1 * phi(XS), infinity={"axis0:inf": {(0,): 2.0}})
     assert weighted_norm(f) == 2.0
-    # face entries above the class order do not count
-    g = wgf(0.1 * phi(XS), infinity={"axis0:inf": {(1,): 99.0}})
-    assert abs(weighted_norm(g) - 0.1) < 1e-15
+
+
+def test_weighted_norm_is_nan_when_a_value_is_nan():
+    # Python's max(0.0, nan) is 0.0: a NaN sample read 0.0 alone and 2.0
+    # beside a face of 2.0, and a NaN face beside finite samples read 1.0
+    xs = np.linspace(0.0, 8.0, 9)
+    samples = np.ones(9)
+    samples[4] = math.nan
+    for values, face in ((samples, None), (samples, 2.0),
+                         (np.ones(9), math.nan)):
+        f = WeightedGridFunction(
+            (xs,), values,
+            infinity=None if face is None else {"axis0:inf": {(0,): face}})
+        assert math.isnan(weighted_norm(f)), face
+
+
+def test_gamma_sup_is_nan_when_a_value_is_nan():
+    # the same max over the faces: a NaN face or a NaN grid value beside
+    # finite ones makes the trace's sup NaN
+    grid = np.ones(9)
+    nan_grid = grid.copy()
+    nan_grid[4] = math.nan
+    for values, faces in ((grid, {"axis0:inf": math.nan}),
+                          (nan_grid, {"axis0:inf": 2.0}),
+                          (grid, {"axis0:-inf": np.array(0.5),
+                                  "axis0:+inf": np.array(math.nan)})):
+        assert math.isnan(compactfix.GammaFunction(values, faces).sup())
+    assert compactfix.GammaFunction(grid, {"axis0:inf": 2.0}).sup() == 2.0
 
 
 def test_weighted_norm_axioms_seeded():
@@ -130,8 +111,7 @@ def test_weighted_norm_axioms_seeded():
     rng = np.random.default_rng(20240816)
 
     def norm(samples):
-        return weighted_norm(WeightedGridFunction((xs,), samples, phi,
-                                                  order=1))
+        return weighted_norm(WeightedGridFunction((xs,), samples, phi))
 
     assert norm(np.zeros_like(xs)) == 0.0
     for _ in range(200):
@@ -148,7 +128,7 @@ def test_weighted_norm_axioms_seeded():
 
 def test_gamma_p_of_constant_quotient():
     f = wgf(phi(XS))
-    g = gamma_p(f, (0,))
+    g = gamma(f)
     assert np.allclose(g.values, 1.0)
     assert g.infinity["axis0:inf"] == pytest.approx(1.0, abs=1e-12)
     assert g.sup() == pytest.approx(1.0, abs=1e-12)
@@ -166,9 +146,9 @@ def test_gamma_p_is_linear():
             return WeightedGridFunction(
                 (xs,), samples, phi, infinity={"axis0:inf": {(0,): face}})
 
-        ga = gamma_p(mk(a, fa), (0,))
-        gb = gamma_p(mk(b, fb), (0,))
-        gc = gamma_p(mk(2.0 * a + 3.0 * b, 2.0 * fa + 3.0 * fb), (0,))
+        ga = gamma(mk(a, fa))
+        gb = gamma(mk(b, fb))
+        gc = gamma(mk(2.0 * a + 3.0 * b, 2.0 * fa + 3.0 * fb))
         scale = max(1.0, np.abs(gc.values).max())
         assert np.allclose(gc.values, 2.0 * ga.values + 3.0 * gb.values,
                            atol=1e-10 * scale)
@@ -182,11 +162,9 @@ def test_gamma_p_sup_bounded_by_weighted_norm():
     rng = np.random.default_rng(11)
     for _ in range(200):
         a = rng.normal(size=xs.size)
-        faces = {"axis0:inf": {(0,): rng.normal(), (1,): rng.normal()}}
-        f = WeightedGridFunction((xs,), a, phi, order=1, infinity=faces)
-        bound = weighted_norm(f)
-        for p in [(0,), (1,)]:
-            assert gamma_p(f, p).sup() <= bound + 1e-12
+        faces = {"axis0:inf": {(0,): rng.normal()}}
+        f = WeightedGridFunction((xs,), a, phi, infinity=faces)
+        assert gamma(f).sup() <= weighted_norm(f) + 1e-12
 
 
 def test_gamma_zero_separates_grid_functions():
@@ -196,8 +174,8 @@ def test_gamma_zero_separates_grid_functions():
     for _ in range(200):
         a = rng.normal(size=xs.size)
         b = rng.normal(size=xs.size)
-        ga = gamma_p(WeightedGridFunction((xs,), a, phi, infinity=face), (0,))
-        gb = gamma_p(WeightedGridFunction((xs,), b, phi, infinity=face), (0,))
+        ga = gamma(WeightedGridFunction((xs,), a, phi, infinity=face))
+        gb = gamma(WeightedGridFunction((xs,), b, phi, infinity=face))
         gap = np.abs(ga.values - gb.values).max()
         assert gap > 0.0
         # the trace map cannot shrink differences below the sample gap
@@ -207,46 +185,20 @@ def test_gamma_zero_separates_grid_functions():
 def test_gamma_p_raises_when_grid_limit_is_missing():
     f = WeightedGridFunction((XS,), np.sin(XS))
     with pytest.raises(FaceLimitError) as err:
-        gamma_p(f, (0,), tol=1e-3)
+        gamma(f, tol=1e-3)
     assert err.value.face == "axis0:inf"
     assert err.value.result.status == "no_limit"
-
-
-def test_gamma_p_takes_the_quotient_derivative_once(monkeypatch):
-    # with no stored face, gamma_p reads the face ladders off the
-    # derivative it already took, not a second one inside face_limit
-    xs, ys = np.linspace(0.0, 24.0, 49), np.linspace(0.0, 1.0, 5)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    f = WeightedGridFunction((xs, ys), (1.0 + Y) * (1.0 - np.exp(-X)),
-                             order=1)
-    want_vals = quotient_derivative(f, (1, 0))
-    want_face = np.array([res.value for res in
-                          f.face_limit((1, 0), "axis0:inf", 1e-6)])
-    calls = []
-    derivative = compactfix.funcspace.quotient_derivative
-
-    def counting(g, p):
-        calls.append(p)
-        return derivative(g, p)
-
-    monkeypatch.setattr(compactfix.funcspace, "quotient_derivative",
-                        counting)
-    got = gamma_p(f, (1, 0))
-    assert calls == [(1, 0)]
-    assert got.values.tobytes() == want_vals.tobytes()
-    assert list(got.infinity) == ["axis0:inf"]
-    assert got.infinity["axis0:inf"].tobytes() == want_face.tobytes()
 
 
 def test_face_limit_needs_nodes_in_some_window():
     xs = np.linspace(0.0, 0.9, 10)
     f = WeightedGridFunction((xs,), np.zeros_like(xs))
     with pytest.raises(ValueError, match="window"):
-        f.face_limit((0,), "axis0:inf")
+        f.face_limit("axis0:inf")
 
 
 def test_attach_faces_stores_a_scalar_on_a_1d_grid():
-    # the face value of a 1-d grid is a scalar under p = (0,); gamma_p
+    # the face value of a 1-d grid is a scalar under the key (0,); gamma
     # reads it back instead of its own ladder, which does not converge at
     # tol 1e-300, and weighted_norm takes it into the sup
     xs = np.linspace(0.0, 40.0, 801)
@@ -258,8 +210,8 @@ def test_attach_faces_stores_a_scalar_on_a_1d_grid():
     stored = f.infinity["axis0:inf"][(0,)]
     assert np.ndim(stored) == 0 and stored == res.value
     with pytest.raises(FaceLimitError):
-        gamma_p(f.image(f.samples), (0,), tol=1e-300)
-    assert gamma_p(f, (0,), tol=1e-300).infinity == {"axis0:inf": stored}
+        gamma(f.image(f.samples), tol=1e-300)
+    assert gamma(f, tol=1e-300).infinity == {"axis0:inf": stored}
     assert weighted_norm(f) == abs(stored) == 1.0
 
 
@@ -325,7 +277,7 @@ def _face_profile(f, face, tol):
     """face_limit's results on a face of a 2-d grid, paired with the nodes
     of the other axis."""
     return list(zip(f.axes[1 - _face_axis(face)].tolist(),
-                    f.face_limit((0, 0), face, tol)))
+                    f.face_limit(face, tol)))
 
 
 def test_one_pass_face_profile_equals_the_per_node_ladders(rng):
@@ -349,11 +301,10 @@ def test_one_pass_face_profile_equals_the_per_node_ladders(rng):
     assert _face_profile(g, "axis1:inf", 1e-4) \
         == _per_node_profile(g, q.T, "axis1:inf", 1e-4)
     # each slice reads as the 1-d grid of that slice does, bit for bit
-    slices = [WeightedGridFunction((xs,), col).face_limit((0,), "axis0:inf",
-                                                          1e-4)
+    slices = [WeightedGridFunction((xs,), col).face_limit("axis0:inf", 1e-4)
               for col in q.T]
     for h, face in ((f, "axis0:inf"), (g, "axis1:inf")):
-        assert [[res] for res in h.face_limit((0, 0), face, 1e-4)] == slices
+        assert [[res] for res in h.face_limit(face, 1e-4)] == slices
     # a NaN column fails its own ladders only; NaN != NaN, so it is
     # compared through repr, which prints every float exactly
     q[1100, 7] = np.nan
@@ -371,12 +322,12 @@ def test_one_pass_ladder_on_a_line_reads_both_faces(rng):
                              cmap=ProductCompactification((LineTwoPoint(),)))
     vals = f.quotient()
     for face in ("axis0:-inf", "axis0:+inf"):
-        (got,) = f.face_limit((0,), face, tol=1e-6)
+        (got,) = f.face_limit(face, tol=1e-6)
         assert got == _per_node_ladder(f, vals, face, None, 1e-6)
         assert got.converged
     # the first window of "axis0:+inf" is every node with x > 1
     assert _windows(f, "axis0:+inf")[0].tolist() == (xs > 1.0).tolist()
-    stored = gamma_p(f, (0,), tol=1e-6).infinity
+    stored = gamma(f, tol=1e-6).infinity
     assert stored["axis0:-inf"] == _per_node_ladder(f, vals, "axis0:-inf",
                                                     None, 1e-6).value
     assert stored["axis0:+inf"] == got.value
@@ -385,7 +336,7 @@ def test_one_pass_ladder_on_a_line_reads_both_faces(rng):
     f = WeightedGridFunction((xs,), rng.uniform(-1.0, 1.0, xs.size),
                              cmap=ProductCompactification((LineTwoPoint(),)))
     for face in ("axis0:-inf", "axis0:+inf"):
-        (got,) = f.face_limit((0,), face, tol=1e-6)
+        (got,) = f.face_limit(face, tol=1e-6)
         assert got == _per_node_ladder(f, f.samples, face, None, 1e-6)
         assert [int(m.sum()) for m in _windows(f, face)] == [4, 2, 2, 2]
 
@@ -399,17 +350,17 @@ def test_glued_infinity_ladder_reads_both_tails():
     f = WeightedGridFunction((xs,), np.arctan(xs),
                              cmap=ProductCompactification((cmap,)))
     with pytest.raises(FaceLimitError) as err:
-        gamma_p(f, (0,), tol=0.1)
+        gamma(f, tol=0.1)
     assert err.value.face == "axis0:inf"
     assert err.value.result.status == "no_limit"
     assert kappa_limit(np.arctan, cmap.infinity_points()[0], cmap,
                        tol=0.1).status == "no_limit"
-    (got,) = f.face_limit((0,), "axis0:inf", tol=0.1)
+    (got,) = f.face_limit("axis0:inf", tol=0.1)
     assert got == _per_node_ladder(f, f.quotient(), "axis0:inf", None, 0.1)
     assert _windows(f, "axis0:inf")[0].tolist() \
         == (np.abs(xs) > 1.0).tolist()
     g = WeightedGridFunction((xs,), np.exp(-xs ** 2), cmap=f.cmap)
-    assert gamma_p(g, (0,), tol=1e-6).infinity == {"axis0:inf": 0.0}
+    assert gamma(g, tol=1e-6).infinity == {"axis0:inf": 0.0}
     # a half strip whose unbounded axis is a glued line
     ys = np.linspace(0.0, 1.0, 5)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -430,13 +381,13 @@ def test_product_with_a_two_point_line_has_both_faces(tmp_path):
         (xs, ys), np.tanh(X) + 0.0 * Y,
         cmap=ProductCompactification((LineTwoPoint(), IntervalIdentity())))
     assert f.face_labels() == ["axis0:-inf", "axis0:+inf"]
-    got = gamma_p(f, (0, 0)).infinity
+    got = gamma(f).infinity
     assert set(got) == {"axis0:-inf", "axis0:+inf"}
     assert np.all(got["axis0:-inf"] == -1.0)
     assert np.all(got["axis0:+inf"] == 1.0)
     # the equiconvergence check reads both faces, five windows each
     f.infinity = {face: {(0, 0): v} for face, v in got.items()}
-    devs = equiconvergence_deviation([f], _family_quotient_derivatives([f]))
+    devs = equiconvergence_deviation([f], _family_quotients([f]))
     assert [len(rows) for rows in devs.values()] == [5, 5]
     assert all(rows[-1][1] < 1e-12 for rows in devs.values())
     # the half strip keeps its one face
@@ -469,9 +420,9 @@ def test_modulus_refuses_an_axis_not_longer_than_max_shift():
     # nothing is read before the check
     with pytest.raises(ValueError, match="max_shift = 5 .* axis 1 has 5"):
         equicontinuity_modulus([f], {}, max_shift=5)
-    derivs = _family_quotient_derivatives([f])
+    quotients = _family_quotients([f])
     assert [len(rows) for rows in equicontinuity_modulus(
-        [f], derivs, max_shift=4).values()] == [3, 3]
+        [f], quotients, max_shift=4).values()] == [3, 3]
 
 
 def test_face_profile_needs_nodes_in_some_window():
@@ -480,12 +431,12 @@ def test_face_profile_needs_nodes_in_some_window():
     f = WeightedGridFunction((xs, ys), np.zeros((11, 3)))
     with pytest.raises(ValueError, match="no nodes in any window of face "
                                          "'axis0:inf'"):
-        f.face_limit((0, 0), "axis0:inf", 1e-4)
+        f.face_limit("axis0:inf", 1e-4)
     with pytest.raises(ValueError, match="window"):
         _per_node_profile(f, f.samples, "axis0:inf", 1e-4)
     # the half strip's second axis is an interval: it has no face
     with pytest.raises(ValueError, match="no infinity face 'axis1:inf'"):
-        f.face_limit((0, 0), "axis1:inf", 1e-4)
+        f.face_limit("axis1:inf", 1e-4)
 
 
 def test_precompactness_gaussian_family_counterexample():
@@ -543,7 +494,7 @@ def test_equiconvergence_is_decided_per_face():
         (xs,), np.where(xs < 0.0, np.exp(xs), 0.5 * np.sin(xs)),
         cmap=ProductCompactification((LineTwoPoint(),)),
         infinity={"axis0:-inf": {(0,): 0.0}, "axis0:+inf": {(0,): 0.0}})
-    devs = equiconvergence_deviation([f], _family_quotient_derivatives([f]))
+    devs = equiconvergence_deviation([f], _family_quotients([f]))
     assert devs["axis0:-inf"][-1][1] < 1e-12
     best = min(d for _, d in devs["axis0:+inf"])
     assert best > 0.49
@@ -560,7 +511,7 @@ def test_equicontinuity_is_decided_per_axis():
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     f = WeightedGridFunction((xs, ys), np.sin(40.0 * X) * np.exp(-X) + 0.0 * Y,
                              infinity={"axis0:inf": {(0, 0): np.zeros(81)}})
-    modulus = equicontinuity_modulus([f], _family_quotient_derivatives([f]))
+    modulus = equicontinuity_modulus([f], _family_quotients([f]))
     assert min(w for _, w in modulus[0]) > 1.5
     assert all(w == 0.0 for _, w in modulus[1])
     rep = precompactness_report([f])
@@ -571,13 +522,13 @@ def test_equicontinuity_is_decided_per_axis():
 def test_precompactness_report_builds_the_derivative_stack_once(
         monkeypatch):
     calls = []
-    build = compactfix.funcspace._family_quotient_derivatives
+    build = compactfix.funcspace._family_quotients
 
     def counting(family):
         calls.append(len(family))
         return build(family)
 
-    monkeypatch.setattr(compactfix.funcspace, "_family_quotient_derivatives",
+    monkeypatch.setattr(compactfix.funcspace, "_family_quotients",
                         counting)
     fam = gaussian_family(10)
     precompactness_report(fam)
@@ -588,7 +539,7 @@ def _doubling_modulus(family, max_shift=64):
     """Reference: every delta recomputes all shifts up to its own, one
     list of (delta, omega) rows per axis."""
     f0 = family[0]
-    derivs = _family_quotient_derivatives(family)
+    v = np.stack(_family_quotients(family))
     out = {}
     for axis in range(f0.ndim):
         h = float(np.min(np.diff(f0.axes[axis])))
@@ -597,15 +548,13 @@ def _doubling_modulus(family, max_shift=64):
         while shift <= max_shift:
             delta = shift * h
             worst = 0.0
-            for members in derivs.values():
-                v = np.stack(members)
-                for s in range(1, shift + 1):
-                    sl_hi = [slice(None)] * v.ndim
-                    sl_lo = [slice(None)] * v.ndim
-                    sl_hi[axis + 1] = slice(s, None)
-                    sl_lo[axis + 1] = slice(None, -s)
-                    d = np.abs(v[tuple(sl_hi)] - v[tuple(sl_lo)]).max()
-                    worst = max(worst, float(d))
+            for s in range(1, shift + 1):
+                sl_hi = [slice(None)] * v.ndim
+                sl_lo = [slice(None)] * v.ndim
+                sl_hi[axis + 1] = slice(s, None)
+                sl_lo[axis + 1] = slice(None, -s)
+                d = np.abs(v[tuple(sl_hi)] - v[tuple(sl_lo)]).max()
+                worst = max(worst, float(d))
             out[axis].append((delta, worst))
             shift *= 2
     return out
@@ -617,25 +566,24 @@ def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
     fam = gaussian_family(12, truncation=16.0, step=0.01)
     wave = 3.0 * np.sin(np.pi * np.arange(len(fam[0].axes[0])) / 2.0)
     f0 = fam[0]
-    fam.append(WeightedGridFunction(f0.axes, wave, f0.weight, f0.order,
-                                    f0.cmap))
-    modulus = equicontinuity_modulus(fam, _family_quotient_derivatives(fam))
+    fam.append(WeightedGridFunction(f0.axes, wave, f0.weight, f0.cmap))
+    modulus = equicontinuity_modulus(fam, _family_quotients(fam))
     assert modulus == _doubling_modulus(fam)
     assert [len(rows) for rows in modulus.values()] == [7]
-    # a 2-d family of order 1: three quotient derivatives per member
+    # a 2-d family under the Gaussian weight
     xs = np.linspace(0.0, 6.0, 61)
     ys = np.linspace(0.0, 1.0, 41)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     fam2 = [WeightedGridFunction(
-        (xs, ys), a * np.exp(-(X - c) ** 2) * (1.0 + b * Y ** 2), phi,
-        order=1) for a, b, c in rng.uniform(0.0, 3.0, (5, 3))]
+        (xs, ys), a * np.exp(-(X - c) ** 2) * (1.0 + b * Y ** 2), phi)
+        for a, b, c in rng.uniform(0.0, 3.0, (5, 3))]
     f0 = fam2[0]
     fam2.append(WeightedGridFunction(
         f0.axes, np.sin(np.pi * np.arange(61) / 2.0)[:, None]
-        * np.exp(-X ** 2 / 2.0), f0.weight, f0.order, f0.cmap))
-    derivs = _family_quotient_derivatives(fam2)
+        * np.exp(-X ** 2 / 2.0), f0.weight, f0.cmap))
+    quotients = _family_quotients(fam2)
     for max_shift in (1, 12, 32):
-        got = equicontinuity_modulus(fam2, derivs, max_shift)
+        got = equicontinuity_modulus(fam2, quotients, max_shift)
         assert got == _doubling_modulus(fam2, max_shift)
     assert [len(rows) for rows in got.values()] == [6, 6]
 
@@ -644,16 +592,16 @@ VALUES = st.floats(-1e3, 1e3, allow_nan=False)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.data(), st.integers(1, 2), st.integers(1, 11), st.integers(0, 1))
-def test_window_modulus_equals_the_doubling_loop(data, ndim, members, order):
-    shape = tuple(data.draw(st.integers(order + 2, 24), label=f"n{i}")
+@given(st.data(), st.integers(1, 2), st.integers(1, 11))
+def test_window_modulus_equals_the_doubling_loop(data, ndim, members):
+    shape = tuple(data.draw(st.integers(2, 24), label=f"n{i}")
                   for i in range(ndim))
     axes = tuple(np.arange(n) * 0.25 for n in shape)
     fam = [WeightedGridFunction(
-        axes, data.draw(hnp.arrays(float, shape, elements=VALUES)),
-        order=order) for _ in range(members)]
+        axes, data.draw(hnp.arrays(float, shape, elements=VALUES)))
+        for _ in range(members)]
     max_shift = data.draw(st.integers(1, min(shape) - 1), label="max_shift")
-    assert equicontinuity_modulus(fam, _family_quotient_derivatives(fam),
+    assert equicontinuity_modulus(fam, _family_quotients(fam),
                                   max_shift) \
         == _doubling_modulus(fam, max_shift)
 
@@ -666,17 +614,16 @@ def test_nan_sample_never_certifies(node):
     bad = fam[3].samples.copy()
     bad[node] = math.nan
     g = fam[3]
-    fam[3] = WeightedGridFunction(g.axes, bad, g.weight, g.order, g.cmap,
-                                  g.infinity)
-    derivs = _family_quotient_derivatives(fam)
+    fam[3] = WeightedGridFunction(g.axes, bad, g.weight, g.cmap, g.infinity)
+    quotients = _family_quotients(fam)
     assert all(math.isnan(w) for _, w in equicontinuity_modulus(
-        fam, derivs)[0])
+        fam, quotients)[0])
     rep = precompactness_report(fam)
     assert not rep["equicontinuous"]
     if node < 0:
         assert all(math.isnan(d)
                    for _, d in equiconvergence_deviation(
-                       fam, derivs)["axis0:inf"])
+                       fam, quotients)["axis0:inf"])
         assert not rep["equiconvergent"]
 
 
@@ -688,8 +635,8 @@ def test_nan_member_makes_the_family_unbounded(member):
     bad = fam[member].samples.copy()
     bad[400] = math.nan
     g = fam[member]
-    fam[member] = WeightedGridFunction(g.axes, bad, g.weight, g.order,
-                                       g.cmap, g.infinity)
+    fam[member] = WeightedGridFunction(g.axes, bad, g.weight, g.cmap,
+                                       g.infinity)
     rep = precompactness_report(fam)
     assert math.isnan(rep["bound"])
     assert not rep["bounded"]
@@ -705,7 +652,6 @@ def test_unit_weight_quotient_is_the_samples():
     q = f.quotient()
     assert np.shares_memory(q, f.samples)
     assert q.tobytes() == want
-    assert quotient_derivative(f, (0,)).tobytes() == want
 
 
 def test_every_weight_is_the_exponential_of_its_log():
@@ -749,8 +695,8 @@ def test_demo_family_report_is_unchanged():
     fam = gaussian_family(40, 48.0, 0.005)
     rep = precompactness_report(fam)
     assert rep["bound"] == 1.0 and rep["bounded"]
-    derivs = _family_quotient_derivatives(fam)
-    assert tuple(equicontinuity_modulus(fam, derivs)[0]) == (
+    quotients = _family_quotients(fam)
+    assert tuple(equicontinuity_modulus(fam, quotients)[0]) == (
         (0.0049999999999954525, 0.0042888002386666235),
         (0.009999999999990905, 0.008577419246395102),
         (0.01999999999998181, 0.01715397821711695),
@@ -758,7 +704,7 @@ def test_demo_family_report_is_unchanged():
         (0.07999999999992724, 0.06854712348663305),
         (0.15999999999985448, 0.13665788174641813),
         (0.31999999999970896, 0.26985375722172156))
-    assert tuple(equiconvergence_deviation(fam, derivs)["axis0:inf"]) == (
+    assert tuple(equiconvergence_deviation(fam, quotients)["axis0:inf"]) == (
         (0.5, 1.0), (0.25, 1.0), (0.125, 1.0), (0.0625, 1.0), (0.03125, 1.0))
     assert rep["worst_deviation"] == 1.0
 
@@ -791,7 +737,7 @@ def test_half_strip_profile_is_equiconvergent():
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     f = WeightedGridFunction((xs, ys), Y + np.exp(-X),
                              infinity={"axis0:inf": {(0, 0): ys}})
-    devs = equiconvergence_deviation([f], _family_quotient_derivatives([f]))
+    devs = equiconvergence_deviation([f], _family_quotients([f]))
     assert devs == {"axis0:inf": _per_slice_deviation(f, "axis0:inf", ys)}
     assert devs["axis0:inf"][-1][1] < 1e-12
     assert precompactness_report([f])["equiconvergent"]
@@ -806,10 +752,10 @@ def test_equiconvergence_reads_the_ladder_windows():
                               infinity={"axis0:inf": {(0,): 0.0}})
     f2 = WeightedGridFunction((xs, ys), Y * np.exp(-X),
                               infinity={"axis0:inf": {(0, 0): 0.0 * ys}})
-    for f, res in ((f1, f1.face_limit((0,), "axis0:inf")[0]),
-                   (f2, f2.face_limit((0, 0), "axis0:inf", 1e-6)[0])):
+    for f, res in ((f1, f1.face_limit("axis0:inf")[0]),
+                   (f2, f2.face_limit("axis0:inf", 1e-6)[0])):
         (devs,) = equiconvergence_deviation(
-            [f, f], _family_quotient_derivatives([f, f])).values()
+            [f, f], _family_quotients([f, f])).values()
         assert [d for d, _ in devs] \
             == [2.0 ** -(k + 1) for k in range(len(res.oscillations))]
 
@@ -822,14 +768,14 @@ def test_equiconvergence_needs_a_window_on_every_face():
                                 infinity={"axis0:inf": {(0,): 0.0}})]
     with pytest.raises(ValueError, match="no nodes in any window of face "
                                          "'axis0:inf'"):
-        equiconvergence_deviation(fam, _family_quotient_derivatives(fam))
+        equiconvergence_deviation(fam, _family_quotients(fam))
 
 
 def test_equiconvergence_requires_stored_faces():
     xs = np.arange(0.0, 24.0 + 1e-9, 0.5)
     fam = [WeightedGridFunction((xs,), np.exp(-xs ** 2))]
     with pytest.raises(FaceLimitError) as err:
-        equiconvergence_deviation(fam, _family_quotient_derivatives(fam))
+        equiconvergence_deviation(fam, _family_quotients(fam))
     assert err.value.face == "axis0:inf"
 
 
@@ -840,9 +786,6 @@ def test_family_members_must_share_grid_and_order():
     fb = WeightedGridFunction((ys,), np.zeros_like(ys))
     with pytest.raises(ValueError, match="grid"):
         precompactness_report([fa, fb])
-    fc = WeightedGridFunction((xs,), np.zeros_like(xs), order=1)
-    with pytest.raises(ValueError, match="order"):
-        precompactness_report([fa, fc])
     with pytest.raises(ValueError, match="empty"):
         precompactness_report([])
 
@@ -897,14 +840,13 @@ def test_save_load_round_trip(tmp_path):
     ys = np.linspace(0.0, 1.0, 5)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     samples = np.sin(X) * phi(X) + Y * phi(X)
-    infinity = {"axis0:inf": {(0, 0): np.linspace(0.0, 1.0, 5),
-                              (1, 0): np.zeros(5)}}
-    f = WeightedGridFunction((xs, ys), samples, phi, order=1,
-                             infinity=infinity, weight_desc="exp(-x^2/2)")
+    infinity = {"axis0:inf": {(0, 0): np.linspace(0.0, 1.0, 5)}}
+    f = WeightedGridFunction((xs, ys), samples, phi, infinity=infinity,
+                             weight_desc="exp(-x^2/2)")
     path = tmp_path / "grid.csv"
     save_grid_function(f, path)
     g = load_grid_function(path)
-    assert g.order == 1 and g.weight_desc == "exp(-x^2/2)"
+    assert g.weight_desc == "exp(-x^2/2)"
     for a, b in zip(f.axes, g.axes):
         assert np.array_equal(a, b)
     assert g.quotient().tobytes() == f.quotient().tobytes()
@@ -962,19 +904,18 @@ def test_save_load_save_keeps_the_cmap(tmp_path, name):
             == (tmp_path / "b.csv.json").read_bytes()
         assert list(map(type, g.cmap.factors)) == list(map(type, factors))
         assert g.face_labels() == f.face_labels()
-        p = (0,) * f.ndim
 
         def statuses(h):
-            return [[res.status for res in h.face_limit(p, face, 1e-3)]
+            return [[res.status for res in h.face_limit(face, 1e-3)]
                     for face in h.face_labels()]
 
         assert statuses(g) == statuses(f)
-        # the faces that reload are the faces gamma_p certifies
+        # the faces that reload are the faces gamma certifies
         zero = g.image(np.zeros_like(g.samples))
-        assert set(gamma_p(zero, p).infinity) == set(f.face_labels())
+        assert set(gamma(zero).infinity) == set(f.face_labels())
     if name == "line-onepoint":
         assert [res.status for res in g.face_limit(
-            p, "axis0:inf", 1e-3)] == ["no_limit"] * 3
+            "axis0:inf", 1e-3)] == ["no_limit"] * 3
     if name == "product":
         assert len(g.face_labels()) == 3
 
@@ -1039,7 +980,7 @@ def test_constructor_and_load_refuse_a_face_the_map_lacks(tmp_path):
     assert weighted_norm(load_grid_function(path)) == 1.0
     sidecar = tmp_path / "grid.csv.json"
     side = json.loads(sidecar.read_text())
-    side["infinity"] = {"inf": {"0": 7.0}}
+    side["infinity"] = {"inf": 7.0}
     sidecar.write_text(json.dumps(side))
     with pytest.raises(ValueError, match=f"infinity face 'inf' is not a "
                                          f"face of the map, {faces}"):
@@ -1154,7 +1095,7 @@ def test_from_quotient_keeps_q_where_the_weight_underflows(tmp_path):
     assert weighted_norm(f) == 41.0
     # a copy with new samples keeps no quotient and divides again
     with pytest.raises(WeightUnderflowError, match="x = 39"):
-        WeightedGridFunction(f.axes, f.samples, f.weight, f.order,
+        WeightedGridFunction(f.axes, f.samples, f.weight,
                              f.cmap).quotient()
     save_grid_function(f, tmp_path / "q.csv")
     assert np.array_equal(load_grid_function(tmp_path / "q.csv").quotient(),
@@ -1208,21 +1149,48 @@ def test_a_grid_function_allocates_no_grid(build, weight, axes):
     assert f.quotient() is values
 
 
-def test_order_must_be_a_non_negative_int(tmp_path):
-    # a negative order made the norm range over no derivative (0.0 for a
-    # function of sup 3), and int() truncated a fractional one
-    for order in (-1, 1.7, True, "1", None):
-        with pytest.raises(ValueError, match="not a non-negative integer"):
-            wgf(3.0 * phi(XS), order=order)
-    assert wgf(3.0 * phi(XS), order=np.int64(2)).order == 2
+def test_sidecar_holds_four_keys_and_one_value_per_face(tmp_path):
+    # a 1-d and a 2-d grid reload bitwise, q and faces; the sidecar holds
+    # axes, cmap, infinity and weight, and each face one number or list
+    xs, ys = np.linspace(0.0, 24.0, 49), np.linspace(0.0, 1.0, 5)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
     path = tmp_path / "grid.csv"
-    save_grid_function(wgf(3.0 * phi(XS), order=1), path)
     sidecar = tmp_path / "grid.csv.json"
-    side = json.loads(sidecar.read_text())
-    side["order"] = -2
-    sidecar.write_text(json.dumps(side))
-    with pytest.raises(ValueError, match=r"grid\.csv: order -2 is not"):
-        load_grid_function(path)
+    for f, face in ((WeightedGridFunction.from_quotient(
+                        (xs,), 1.0 / 3.0 + np.exp(-xs), phi,
+                        infinity={"axis0:inf": {(0,): 1.0 / 3.0}}),
+                     1.0 / 3.0),
+                    (WeightedGridFunction.from_quotient(
+                        (xs, ys), np.sin(Y) + np.exp(-X), phi,
+                        infinity={"axis0:inf": {(0, 0): np.sin(ys)}}),
+                     np.sin(ys).tolist())):
+        save_grid_function(f, path)
+        side = json.loads(sidecar.read_text())
+        assert sorted(side) == ["axes", "cmap", "infinity", "weight"]
+        assert side["infinity"] == {"axis0:inf": face}
+        g = load_grid_function(path)
+        assert g.quotient().tobytes() == f.quotient().tobytes()
+        key = (0,) * f.ndim
+        assert list(g.infinity) == ["axis0:inf"]
+        assert list(g.infinity["axis0:inf"]) == [key]
+        assert np.asarray(g.infinity["axis0:inf"][key]).tobytes() \
+            == np.asarray(f.infinity["axis0:inf"][key]).tobytes()
+    # the former format: an "order" key and faces keyed by multi-index
+    for old, match in ((dict(side, order=0), r"has keys \['axes', 'cmap', "
+                        r"'infinity', 'order', 'weight'\]"),
+                       (dict(side, infinity={"axis0:inf": {
+                           "0,0": np.sin(ys).tolist()}}),
+                        "infinity face 'axis0:inf' holds a dict, not a "
+                        "number or a list"),
+                       (dict(side, infinity={"axis0:inf": True}),
+                        "holds a bool"),
+                       (dict(side, infinity={"axis0:inf": ["a"]}),
+                        "could not convert string to float"),
+                       (dict(side, infinity=[1.0]),
+                        r"infinity \[1\.0\] is not an object")):
+        sidecar.write_text(json.dumps(old))
+        with pytest.raises(ValueError, match=rf"grid\.csv: .*{match}"):
+            load_grid_function(path)
 
 
 def test_face_values_of_another_shape_are_refused(tmp_path):
@@ -1234,7 +1202,9 @@ def test_face_values_of_another_shape_are_refused(tmp_path):
         with pytest.raises(ValueError, match="'axis0:inf' holds"):
             WeightedGridFunction(strip, u, phi,
                                  infinity={"axis0:inf": {p: v}})
-    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+    with pytest.raises(ValueError, match=r"holds \{\(0,\): \(2,\)\}, keys "
+                                         r"and their values' shapes; it "
+                                         r"takes \{\(0,\): \(\)\}"):
         wgf(phi(XS), infinity={"axis0:inf": {(0,): np.zeros(2)}})
     # a face value saved with the wrong number of entries is refused on
     # load, where it would have set the norm to 7
@@ -1243,9 +1213,10 @@ def test_face_values_of_another_shape_are_refused(tmp_path):
         strip, u, phi, infinity={"axis0:inf": {(0, 0): np.ones(5)}}), path)
     sidecar = tmp_path / "strip.csv.json"
     side = json.loads(sidecar.read_text())
-    side["infinity"] = {"axis0:inf": {"0,0": [7.0, 7.0, 7.0]}}
+    side["infinity"] = {"axis0:inf": [7.0, 7.0, 7.0]}
     sidecar.write_text(json.dumps(side))
-    with pytest.raises(ValueError, match=r"strip\.csv: .* shape \(3,\)"):
+    with pytest.raises(ValueError,
+                       match=r"strip\.csv: .* holds \{\(0, 0\): \(3,\)\}"):
         load_grid_function(path)
 
 
@@ -1260,11 +1231,12 @@ def test_load_refuses_a_sidecar_without_a_weight(tmp_path):
     sidecar.write_text(json.dumps(dict(side, weight=None)))
     with pytest.raises(ValueError, match=r"grid\.csv: unknown weight None"):
         load_grid_function(path)
-    for key in ("weight", "order", "axes", "cmap", "infinity"):
-        sidecar.write_text(json.dumps({k: v for k, v in side.items()
-                                       if k != key}))
-        with pytest.raises(ValueError,
-                           match=rf"grid\.csv: the sidecar has no {key}$"):
+    for key in ("weight", "axes", "cmap", "infinity"):
+        rest = sorted(k for k in side if k != key)
+        sidecar.write_text(json.dumps({k: side[k] for k in rest}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid.csv: the sidecar has keys {rest}; it takes exactly "
+                "axes, cmap, infinity and weight")):
             load_grid_function(path)
 
 
@@ -1378,6 +1350,19 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     assert not hasattr(compactfix.NamedProblem.cmap, "name")
     for name in ("face_labels", "_named_cmap"):
         assert not hasattr(compactfix.funcspace, name), name
+    # the weighted space is order 0: no class order, no multi-indices, no
+    # finite-difference quotient derivatives, and one trace map
+    for name in ("multi_indices", "quotient_derivative", "gamma_p"):
+        assert name not in compactfix.__all__
+        assert not hasattr(compactfix, name)
+    for name in ("multi_indices", "quotient_derivative", "gamma_p", "_p_key",
+                 "_p_unkey", "_family_quotient_derivatives"):
+        assert not hasattr(compactfix.funcspace, name), name
+    assert not hasattr(WeightedGridFunction((XS,), phi(XS)), "order")
+    for fn in (WeightedGridFunction, WeightedGridFunction.from_quotient):
+        assert "order" not in inspect.signature(fn).parameters
+    assert "p" not in inspect.signature(
+        WeightedGridFunction.face_limit).parameters
     assert [type(fac) for fac in compactfix.NamedProblem.cmap.factors] \
         == [HalfLineOnePoint, IntervalIdentity]
     # a map is its infinity labels and its ball rule: no point records, no

@@ -608,7 +608,7 @@ def test_crosscheck_pair_evaluates_the_weight_once(problem, rng,
 
     def face_bytes(out, attach=False):
         res = (funcspace.attach_faces(out)["axis0:inf"] if attach
-               else out.face_limit((0, 0), "axis0:inf", funcspace.FACE_TOL))
+               else out.face_limit("axis0:inf", funcspace.FACE_TOL))
         return ([r.status for r in res],
                 b"".join(np.float64(r.value).tobytes() for r in res),
                 b"".join(np.array(r.oscillations).tobytes() for r in res),
@@ -632,7 +632,7 @@ def test_crosscheck_pair_evaluates_the_weight_once(problem, rng,
         grid = apply_T(u, problem.kernel, problem.nl, method="grid")
         assert calls == [u.axes[0].shape], name
 
-        args = (u.weight, u.order, u.cmap)
+        args = (u.weight, u.cmap)
         want_adaptive = WeightedGridFunction(u.axes, greenop._panel_integrals(
             u, problem.nl, problem.kernel.kx, 1e-10), *args)
         op = GridHammersteinOperator(problem.kernel, problem.nl, u.axes)

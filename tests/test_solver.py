@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,9 @@ from compactfix.compactify import IntervalIdentity, ProductCompactification
 from compactfix.funcspace import WeightedGridFunction, load_grid_function
 from compactfix.greenop import (GridHammersteinOperator, apply_T,
                                 cumulative_weights)
-from compactfix.solver import (IterationError, SolveConfig, asymptotic_profile,
-                               pde_residual, picard_solve, write_outputs)
+from compactfix.solver import (MAX_NODES, IterationError, SolveConfig,
+                               asymptotic_profile, pde_residual, picard_solve,
+                               write_outputs)
 
 
 def _zero_problem(tmp_path):
@@ -307,6 +309,27 @@ def test_solve_config_rejects_bad_steps_and_tolerance():
         for value in (0.0, -0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{field} must be positive"):
                 SolveConfig(truncation=24.0, **{field: value})
+
+
+def test_solve_config_bounds_the_node_count():
+    # refused in the constructor, before a grid is allocated: 240,001 x
+    # 10,001 and 50,000,001 x 51 nodes, and an axis of 2 nodes, which
+    # pde_residual refused only after the whole Picard loop
+    for kwargs, match in (
+            (dict(truncation=24.0, hx=1e-4, hy=1e-4),
+             "240001 x 10001 = 2400250001 nodes, more than MAX_NODES = "
+             "10000000"),
+            (dict(truncation=1e6), "50000001 x 51 = 2550000051 nodes"),
+            (dict(truncation=1.0, hx=1.0, hy=1.0),
+             "2 x 2 nodes; every axis needs at least 3"),
+            (dict(truncation=4.0, hx=0.25, hy=1.0), "17 x 2 nodes")):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            SolveConfig(**kwargs)
+    assert MAX_NODES == 10 ** 7
+    for truncation, h, nodes in ((24.0, 0.005, 965001), (100.0, 0.01, 1010101),
+                                 (1.0, 0.5, 9)):
+        axes = SolveConfig(truncation=truncation, hx=h, hy=h).axes()
+        assert len(axes[0]) * len(axes[1]) == nodes
 
 
 def test_profile_stable_under_grid_refinement(problem):

@@ -43,6 +43,10 @@ PERFBENCH_LABELS_ALLOWED = {
     "greenop.adaptive_quadrature": "no such function exists, so the "
                                    "benchmark's adaptive_quadrature calls "
                                    "and seconds read 0",
+    "funcspace.quotient_derivative": "the weighted space is order 0 and the "
+                                     "function is gone, so the benchmark's "
+                                     "quotient_derivative calls and calls "
+                                     "per profile read 0",
 }
 
 
@@ -408,7 +412,7 @@ def test_perfbench_label_check_sees_a_missing_name(tmp_path):
     run.write_text(
         "def layer_values(t):\n"
         "    busy, calls, self_s = t, t, t\n"
-        '    op = "funcspace.gamma_p[x]"\n'
+        '    op = "funcspace.gamma[x]"\n'
         '    return (busy["solver.picard_solve"] + calls[op]\n'
         '            + self_s["funcspace.gone"] + calls["cli.np"]\n'
         '            + t["points"]["greenop.eval"])\n')
