@@ -36,5 +36,5 @@ print(f"  f'    at infinity: {deriv['status']}, oscillation "
 print(f"  peak slope 8/(3 sqrt 3) = {BumpChain.peak_slope:.4f} for comparison")
 print()
 print("so f extends continuously to the compactified half line but f'")
-print("does not, which is exactly why the weighted space tracks the")
-print("function and its quotient derivatives separately.")
+print("does not: the order-0 weighted space sees f's limit at infinity,")
+print("not that of f'.")

@@ -47,7 +47,7 @@ def main():
     # Post-hoc fixed point certificate: feed the solution back through T.
     # Both grid functions keep their quotients, so the weighted norm of
     # T(u*) - u* is the sup of the quotient difference; no phi is divided.
-    back = apply_T(res.solution, problem.kernel, problem.nl, faces=False)
+    back = apply_T(res.solution, problem.kernel, problem.nl)
     gap = np.max(np.abs(back.quotient() - res.solution.quotient()))
     print(f"  weighted norm of T(u*) - u*: {gap:.2e}")
 

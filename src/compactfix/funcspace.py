@@ -76,6 +76,10 @@ class WeightedGridFunction:
     under a label that is not one of face_labels(), under another key or
     of another shape.  A grid function stores only the array it was given:
     u here, q = u/phi through from_quotient and image(quotient=True).
+    Its faces are the ones it was given, or those that attach_faces
+    stores, except on an operator image (greenop.apply_T marks it with
+    faces_on_read): there the first read of infinity reads them off the
+    grid, so a face ladder's error surfaces at that read.
     """
 
     def __init__(self, axes, samples, weight=None, cmap=None, infinity=None,
@@ -148,6 +152,30 @@ class WeightedGridFunction:
         out._values = np.asarray(values, dtype=float)
         out._holds_q = quotient
         return out
+
+    @property
+    def infinity(self):
+        """The stored face values, {face_label: {(0,) * ndim: value}}.
+        While the faces are due (faces_on_read), a read first runs
+        attach_faces(self) at FACE_TOL, so a ladder's FaceLimitError, or
+        the WeightUnderflowError of a quotient that phi cannot divide,
+        surfaces here; once it has run, reads return the stored dict."""
+        if self._faces_due:
+            attach_faces(self)
+        return self._infinity
+
+    @infinity.setter
+    def infinity(self, faces):
+        self._infinity = faces
+        self._faces_due = False
+
+    def faces_on_read(self):
+        """Drop the stored faces and mark them due: the first read of
+        infinity reads them off the stored array (see infinity), which
+        must not change before then.  Returns self."""
+        self._infinity = {}
+        self._faces_due = True
+        return self
 
     @property
     def samples(self):
@@ -310,12 +338,15 @@ def attach_faces(f, tol=FACE_TOL):
     """Read every infinity face of f/phi by face_limit and store the values
     of each face whose slices all converged as f's values there
     (_face_values); a face with a slice that did not converge gets none.
-    Returns {face: face_limit's results}."""
+    The faces are no longer due (WeightedGridFunction.faces_on_read) once
+    every ladder has run.  Returns {face: face_limit's results}."""
     out = {}
     for face in f.face_labels():
         results = out[face] = f.face_limit(face, tol)
         if all(res.converged for res in results):
-            f.infinity[face] = {(0,) * f.ndim: _face_values(f, face, results)}
+            f._infinity[face] = {(0,) * f.ndim:
+                                 _face_values(f, face, results)}
+    f._faces_due = False
     return out
 
 
@@ -543,15 +574,11 @@ def save_grid_function(f, csv_path):
     axes, the weight's name, the names of the map's factors, one per axis,
     and one value per stored infinity face (a number, or a list over the
     other axes' nodes), so u = phi q is recovered by load_grid_function.
-    Raises WeightUnderflowError, before it creates a file, for a grid
-    function without a kept quotient whose weight is 0 on its grid.
+    Raises, before it creates a file, WeightUnderflowError for a grid
+    function without a kept quotient whose weight is 0 on its grid, and
+    the ladder error of a face that is due (WeightedGridFunction.infinity).
     """
     flat = f.quotient().ravel()
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(_CSV_HEADER + "\r\n")
-        for start in range(0, flat.size, _CSV_CHUNK):
-            chunk = flat[start:start + _CSV_CHUNK].tolist()
-            fh.write(("%.17g\r\n" * len(chunk)) % tuple(chunk))
     side = {
         "weight": f.weight_desc,
         "cmap": [fac.name for fac in f.cmap.factors],
@@ -560,6 +587,11 @@ def save_grid_function(f, csv_path):
                                       dtype=float).tolist()
                      for face in f.infinity},
     }
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(_CSV_HEADER + "\r\n")
+        for start in range(0, flat.size, _CSV_CHUNK):
+            chunk = flat[start:start + _CSV_CHUNK].tolist()
+            fh.write(("%.17g\r\n" * len(chunk)) % tuple(chunk))
     with open(str(csv_path) + ".json", "w") as fh:
         json.dump(side, fh, indent=1, sort_keys=True)
 

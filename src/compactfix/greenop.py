@@ -26,7 +26,11 @@ qx reaches 2^-53 of its row peak, and evaluates qx on that band only
 (kernel_row_blocks); they are a solve's only kernel band, which its
 residual consumes (solver.pde_residual).  The infinity-face values of Tu
 are read off its grid samples by the windowed face ladders of
-funcspace.attach_faces.
+funcspace.attach_faces, when they are first read: apply_T returns its
+image with its faces due (WeightedGridFunction.faces_on_read), so an image
+whose faces go unread runs no ladder, and a ladder's error surfaces at the
+first read of the image's infinity (or, for a weight that underflows, of
+its quotient), not inside apply_T.
 
 Every integral outside the grid path uses one rule, but for the outer
 t-integrals of check_hypotheses' M0*Phi_r and w0*Phi_r products, which are
@@ -51,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compactify import HalfLineOnePoint, halfline_metric, kappa_limit
-from .funcspace import LOG_WEIGHTS, WEIGHT_REGISTRY, attach_faces
+from .funcspace import LOG_WEIGHTS, WEIGHT_REGISTRY
 
 # the panel rules side by side, as (nodes, weights) on [-1, 1]: the 16-node
 # Gauss-Legendre value rule of every panel integral, then the 8-node
@@ -178,8 +182,8 @@ class Kernel:
     over the causal box at an output point (x, y).  weighted_sup, when
     given, is the analytic value of sup_x |kx(x,t)/phi(x)| as a function of
     the integration point.  The infinity-face values of Tu are always read
-    off its grid samples (funcspace.attach_faces); a kernel carries no
-    closed form for them.
+    off its grid samples (funcspace.attach_faces, at their first read); a
+    kernel carries no closed form for them.
 
     The weighted forms are methods, sums of log kx and log phi:
     weighted_quotient = kx/phi(x) for check_hypotheses;
@@ -568,7 +572,7 @@ def _panel_integrals(u, nl, kx, tol):
     return _settle(level_pair, tol)
 
 
-def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
+def apply_T(u, kernel, nl, method="grid", tol=1e-10):
     """Tu as a weighted grid function on u's grid.
 
     Both methods return the image through u.image
@@ -587,23 +591,25 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10, faces=True):
     _MAX_PANEL_LEVEL).  It
     integrates kx and nl.eval on u itself, independent of the grid route's
     quotient forms.  Both integrals run from 0, reading u clamped to its
-    grid.  With faces=True funcspace.attach_faces reads every infinity
-    face of Tu at funcspace.FACE_TOL, every slice's ladder in one pass,
-    and stores each face whose ladders all converged.
+    grid.  The image's faces are due (WeightedGridFunction.faces_on_read):
+    the first read of its infinity runs funcspace.attach_faces at
+    funcspace.FACE_TOL, every slice's ladder in one pass, and stores each
+    face whose ladders all converged, so a ladder's FaceLimitError, or an
+    adaptive image's WeightUnderflowError where phi is 0, is raised at that
+    read.  The image's stored array is read-only, so the faces read later
+    are those of the image returned here.
     """
     if u.ndim != 2:
         raise ValueError("apply_T expects a 2d grid function")
     if method == "grid":
         op = GridHammersteinOperator(kernel, nl, u.axes)
-        out = u.image(op.apply(u.quotient()), quotient=True)
+        values, quotient = op.apply(u.quotient()), True
     elif method == "adaptive":
-        out = u.image(_panel_integrals(u, nl, kernel.kx, tol))
+        values, quotient = _panel_integrals(u, nl, kernel.kx, tol), False
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    if faces:
-        attach_faces(out)
-    return out
+    values.setflags(write=False)
+    return u.image(values, quotient=quotient).faces_on_read()
 
 
 # ---------------------------------------------------------------------------

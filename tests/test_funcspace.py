@@ -1358,6 +1358,9 @@ def test_exports_resolve_and_deleted_names_stay_gone():
     for name in ("multi_indices", "quotient_derivative", "gamma_p", "_p_key",
                  "_p_unkey", "_family_quotient_derivatives"):
         assert not hasattr(compactfix.funcspace, name), name
+    # an operator image reads its faces at their first read, so apply_T
+    # has no knob that skips them
+    assert "faces" not in inspect.signature(compactfix.apply_T).parameters
     assert not hasattr(WeightedGridFunction((XS,), phi(XS)), "order")
     for fn in (WeightedGridFunction, WeightedGridFunction.from_quotient):
         assert "order" not in inspect.signature(fn).parameters

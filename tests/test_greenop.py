@@ -244,7 +244,7 @@ def test_adaptive_apply_matches_closed_form_at_zero(problem):
                    (np.linspace(0.5, 2.0, 7), np.linspace(0.25, 1.0, 4))):
         u0 = _grid_function(problem, xs, ys, np.zeros((len(xs), len(ys))))
         out = apply_T(u0, problem.kernel, problem.nl, method="adaptive",
-                      tol=1e-10, faces=False)
+                      tol=1e-10)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         expected = problem.closed_forms["Tu0"](X, Y)
         assert np.abs(out.samples - expected).max() < 1e-12
@@ -282,7 +282,7 @@ def test_adaptive_apply_matches_nested_reference_on_kinked_u(problem, rng):
         ys = np.linspace(0.0, 1.0, 4)
         u = _grid_function(problem, xs, ys, rng.uniform(0.0, 0.5, (5, 4)))
         got = apply_T(u, problem.kernel, problem.nl, method="adaptive",
-                      tol=1e-10, faces=False).samples
+                      tol=1e-10).samples
         want = _nested_adaptive_apply(u, problem.kernel, problem.nl, 1e-10)
         assert np.abs(got - want).max() <= 1e-9
 
@@ -341,7 +341,7 @@ def test_adaptive_apply_does_not_depend_on_the_t_block(problem, rng,
         for block in (7, shipped):
             monkeypatch.setattr(greenop, "_T_BLOCK", block)
             got[block] = apply_T(u, problem.kernel, problem.nl,
-                                 method="adaptive", faces=False).samples
+                                 method="adaptive").samples
         scale = np.abs(got[shipped]).max()
         assert scale > 0
         assert np.abs(got[7] - got[shipped]).max() <= 1e-13 * scale
@@ -382,13 +382,13 @@ def test_adaptive_apply_refuses_nan_and_unsettled_integrands(problem):
     nan_nl = Nonlinearity("nan", lambda t, s, v: np.where(t > 1.0, math.nan,
                                                           1.0 + v))
     with pytest.raises(QuadratureError, match="not finite at panel level 0"):
-        apply_T(u, problem.kernel, nan_nl, method="adaptive", faces=False)
+        apply_T(u, problem.kernel, nan_nl, method="adaptive")
     # an integrable singularity off every panel break: each doubling moves
     # the values by about the square root of the panel width
     spike = Nonlinearity("spike", lambda t, s, v:
                          np.abs(t - 1.0 / 3.0) ** -0.5 + v)
     with pytest.raises(QuadratureError, match="no convergence") as err:
-        apply_T(u, problem.kernel, spike, method="adaptive", faces=False)
+        apply_T(u, problem.kernel, spike, method="adaptive")
     assert np.all(np.isfinite(err.value.last_estimate))
 
 
@@ -435,7 +435,7 @@ def test_adaptive_apply_evaluates_one_level_and_its_8_node_companion(
             return problem.nl.eval(t, s, v)
 
         nl = dataclasses.replace(problem.nl, eval=counting)
-        apply_T(u, problem.kernel, nl, method="adaptive", faces=False)
+        apply_T(u, problem.kernel, nl, method="adaptive")
         panels = (len(u.axes[0]) - 1) * (len(u.axes[1]) - 1)
         assert sum(points) <= panels * (16 ** 2 + 8 ** 2)
     assert sum(points) == 40960
@@ -448,7 +448,7 @@ def test_adaptive_apply_accepts_levels_that_the_next_doubling_confirms(
     for name, u in _crosscheck_grids(problem, rng).items():
         out, level, level_integrals, tol = _settled_level(
             monkeypatch, lambda: apply_T(u, problem.kernel, problem.nl,
-                                         method="adaptive", faces=False))
+                                         method="adaptive"))
         assert level == 0, name
         assert np.abs(level_integrals(level + 1) - out).max() <= tol, name
 
@@ -475,7 +475,7 @@ def test_adaptive_apply_refines_a_narrow_bump(monkeypatch):
     xs, ys = u.axes
     out, level, level_integrals, tol = _settled_level(
         monkeypatch, lambda: apply_T(u, kernel, nl, method="adaptive",
-                                     tol=1e-12, faces=False))
+                                     tol=1e-12))
     assert level >= 1
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     want = Y * w * SQPI2 * (erf((X - c) / w) + erf(c / w))
@@ -596,22 +596,39 @@ def test_adaptive_apply_builds_one_node_set_and_basis_per_level(
                          "_bspline_rows": 2 + 2 * level}, name
 
 
+@pytest.fixture
+def ladders(monkeypatch):
+    """(grid function, face, tol, results) of every face_limit call."""
+    calls = []
+    face_limit = WeightedGridFunction.face_limit
+
+    def recording(self, face, tol=1e-6):
+        results = face_limit(self, face, tol)
+        calls.append((self, face, tol, results))
+        return results
+
+    monkeypatch.setattr(WeightedGridFunction, "face_limit", recording)
+    return calls
+
+
 def test_crosscheck_pair_evaluates_the_weight_once(problem, rng,
-                                                   monkeypatch):
+                                                   monkeypatch, ladders):
     # the adaptive and the grid image of one input share its axes and its
     # phi column (WeightedGridFunction.image), and both equal, bit for
-    # bit, the images built as standalone grid functions; the cone's faces
-    # do not settle on 17 nodes, the zero grid's adaptive image's do.  phi
-    # is counted through its registry entry, as a grid function takes no
-    # other weight, and is evaluated on axis 0's nodes alone
+    # bit, the images built as standalone grid functions.  apply_T runs
+    # no face ladder: the first read of an image's infinity runs its one
+    # face's ladder, at FACE_TOL, with the statuses, values and stored
+    # faces of attach_faces on the standalone function, and later reads
+    # run none.  The cone's faces do not settle on 17 nodes, the zero
+    # grid's adaptive image's do.  phi is counted through its registry
+    # entry, as a grid function takes no other weight, and is evaluated on
+    # axis 0's nodes alone
     from compactfix import funcspace, greenop
 
-    def face_bytes(out, attach=False):
-        res = (funcspace.attach_faces(out)["axis0:inf"] if attach
-               else out.face_limit("axis0:inf", funcspace.FACE_TOL))
-        return ([r.status for r in res],
-                b"".join(np.float64(r.value).tobytes() for r in res),
-                b"".join(np.array(r.oscillations).tobytes() for r in res),
+    def face_bytes(out, results):
+        return ([r.status for r in results],
+                b"".join(np.float64(r.value).tobytes() for r in results),
+                b"".join(np.array(r.oscillations).tobytes() for r in results),
                 {face: v[(0, 0)].tobytes()
                  for face, v in out.infinity.items()})
 
@@ -631,6 +648,7 @@ def test_crosscheck_pair_evaluates_the_weight_once(problem, rng,
         adaptive = apply_T(u, problem.kernel, problem.nl, method="adaptive")
         grid = apply_T(u, problem.kernel, problem.nl, method="grid")
         assert calls == [u.axes[0].shape], name
+        assert ladders == [], name
 
         args = (u.weight, u.cmap)
         want_adaptive = WeightedGridFunction(u.axes, greenop._panel_integrals(
@@ -642,9 +660,131 @@ def test_crosscheck_pair_evaluates_the_weight_once(problem, rng,
             assert got.samples.tobytes() == want.samples.tobytes(), name
             assert got.quotient().tobytes() == want.quotient().tobytes(), \
                 name
-            assert face_bytes(got) == face_bytes(want, attach=True), name
+            assert ladders == [], name
+            faces = got.infinity
+            assert got.infinity is faces, name
+            [(read, face, tol, results)] = ladders
+            assert (read, face, tol) == (got, "axis0:inf",
+                                         funcspace.FACE_TOL), name
+            ladders.clear()
+            want_results = funcspace.attach_faces(want)["axis0:inf"]
+            ladders.clear()
+            assert face_bytes(got, results) \
+                == face_bytes(want, want_results), name
         assert [set(adaptive.infinity), set(grid.infinity)] == [
             {"axis0:inf"} if name == "zero" else set(), set()], name
+        assert ladders == [], name
+
+
+def _zero_image(problem, rng):
+    """The adaptive image of the cross-check's u = 0 grid, whose face
+    settles, and the standalone grid function of its samples with its
+    faces attached."""
+    from compactfix.funcspace import attach_faces
+
+    u = _crosscheck_grids(problem, rng)["zero"]
+    image = apply_T(u, problem.kernel, problem.nl, method="adaptive")
+    want = WeightedGridFunction(u.axes, image.samples, u.weight, u.cmap)
+    attach_faces(want)
+    return image, want
+
+
+def test_readers_of_a_fresh_image_see_its_faces(problem, rng, ladders,
+                                                tmp_path):
+    # the norm, the writer and the trace read the faces through infinity,
+    # which runs the image's one ladder at their read
+    from compactfix.funcspace import gamma, save_grid_function, weighted_norm
+
+    image, want = _zero_image(problem, rng)
+    ladders.clear()
+    assert weighted_norm(image) == weighted_norm(want)
+    assert len(ladders) == 1
+
+    image, want = _zero_image(problem, rng)
+    ladders.clear()
+    got, expected = gamma(image), gamma(want)
+    assert len(ladders) == 1
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert {face: v.tobytes() for face, v in got.infinity.items()} \
+        == {face: v.tobytes() for face, v in expected.infinity.items()} \
+        != {}
+
+    image, want = _zero_image(problem, rng)
+    ladders.clear()
+    save_grid_function(image, tmp_path / "image.csv")
+    assert len(ladders) == 1
+    save_grid_function(want, tmp_path / "want.csv")
+    for suffix in ("", ".json"):
+        assert (tmp_path / f"image.csv{suffix}").read_bytes() \
+            == (tmp_path / f"want.csv{suffix}").read_bytes()
+    side = json.loads((tmp_path / "image.csv.json").read_text())
+    assert list(side["infinity"]) == ["axis0:inf"]
+
+
+def test_copies_and_reloads_of_an_image_run_no_ladder(problem, rng,
+                                                      ladders, tmp_path):
+    # only apply_T leaves faces due: a grid function built from an image,
+    # by the constructor, image() or from_quotient, holds the faces it is
+    # given, and a reloaded image its saved ones
+    from compactfix.funcspace import load_grid_function, save_grid_function
+
+    image, want = _zero_image(problem, rng)
+    ladders.clear()
+    args = (image.axes, image.samples, image.weight, image.cmap)
+    for other in (WeightedGridFunction(*args),
+                  WeightedGridFunction.from_quotient(*args),
+                  image.image(image.samples),
+                  image.image(image.samples, quotient=True)):
+        assert other.infinity == {}
+    assert ladders == []
+    save_grid_function(image, tmp_path / "image.csv")
+    assert len(ladders) == 1
+    loaded = load_grid_function(tmp_path / "image.csv")
+    assert loaded.infinity["axis0:inf"][(0, 0)].tobytes() \
+        == want.infinity["axis0:inf"][(0, 0)].tobytes()
+    assert len(ladders) == 1
+
+
+def test_an_image_raises_its_face_errors_at_the_first_read(problem,
+                                                          tmp_path):
+    # on [0, 1] no node lies past the first window's radius 1: apply_T
+    # returns the image, and every read of its faces raises (they stay
+    # due), the writer's before it creates a file; far out the weight
+    # underflows, so the adaptive image's u cannot be divided by phi, and
+    # its faces and quotient raise at their read
+    from compactfix.compactify import FaceLimitError
+    from compactfix.funcspace import (WeightUnderflowError,
+                                      save_grid_function, weighted_norm)
+
+    ys = np.linspace(0.0, 1.0, 4)
+    xs = np.linspace(0.0, 1.0, 5)
+    u = _grid_function(problem, xs, ys, np.zeros((5, 4)))
+    for method in ("grid", "adaptive"):
+        image = apply_T(u, problem.kernel, problem.nl, method=method)
+        assert np.all(np.isfinite(image.quotient()))
+        for read in (lambda: image.infinity, lambda: image.infinity,
+                     lambda: weighted_norm(image),
+                     lambda: save_grid_function(image, tmp_path / "u.csv")):
+            with pytest.raises(FaceLimitError, match=(
+                    "no nodes in any window of face 'axis0:inf'")):
+                read()
+        assert list(tmp_path.iterdir()) == []
+    xs = np.linspace(0.0, 40.0, 41)
+    u = _grid_function(problem, xs, ys, np.zeros((41, 4)))
+    image = apply_T(u, problem.kernel, problem.nl, method="adaptive")
+    for read in (image.quotient, lambda: image.infinity):
+        with pytest.raises(WeightUnderflowError, match="x = 39"):
+            read()
+
+
+def test_an_image_stores_its_array_read_only(problem, rng):
+    # the faces read later are those of the array apply_T returned
+    u = _crosscheck_grids(problem, rng)["cone"]
+    grid = apply_T(u, problem.kernel, problem.nl, method="grid")
+    adaptive = apply_T(u, problem.kernel, problem.nl, method="adaptive")
+    for stored in (grid.quotient(), adaptive.samples):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0] = 1.0
 
 
 def test_apply_rejects_bad_method_and_shape(problem):

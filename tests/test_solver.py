@@ -257,8 +257,7 @@ def test_picard_solve_coarse_run(problem):
     assert res.in_ball is True
     assert max(res.beta_history) <= 0.5
     # the returned iterate is a fixed point well beyond the stopping gap
-    extra = apply_T(res.solution, problem.kernel, problem.nl, method="grid",
-                    faces=False)
+    extra = apply_T(res.solution, problem.kernel, problem.nl, method="grid")
     gap = np.max(np.abs(extra.samples - res.solution.samples)
                  / res.solution.weight_values())
     assert gap < 2e-8

@@ -35,6 +35,10 @@ ONE_SITE = {
     "LimitResult": "compactify.ball_ladders builds every ladder's result",
     "classify_ladder": "compactify.ball_ladders classifies every ladder",
 }
+# the fields behind WeightedGridFunction.infinity: only funcspace reads or
+# writes them, and apply_T marks an image's faces due through
+# WeightedGridFunction.faces_on_read
+PRIVATE_FACE_FIELDS = ("_infinity", "_faces_due")
 # span labels that perfbench/run.py's layer_values reads although they name
 # no function of the package, and why
 PERFBENCH_LABELS_ALLOWED = {
@@ -523,3 +527,33 @@ def test_gc_site_check_sees_a_leftover(tmp_path):
     assert _gc_sites([mod]) == ["mod.py:2 <module>", "mod.py:3 <module>",
                                 "mod.py:7 main", "mod.py:11 helper",
                                 "mod.py:14 <module>"]
+
+
+def _private_face_sites(paths):
+    """The "module:line" sites in paths that read or write an attribute
+    named in PRIVATE_FACE_FIELDS, in line order."""
+    sites = sorted((path.name, node.lineno) for path in paths
+                   for node in ast.walk(ast.parse(path.read_text(),
+                                                  filename=str(path)))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in PRIVATE_FACE_FIELDS)
+    return [f"{module}:{line}" for module, line in sites]
+
+
+def test_only_funcspace_touches_the_private_face_fields():
+    # greenop, the demos, perfbench and the tests go through infinity and
+    # faces_on_read, so the faces' due mark has one owner
+    sites = _private_face_sites(CALLERS)
+    assert sites and all(site.startswith("funcspace.py:")
+                         for site in sites), sites
+
+
+def test_private_face_field_check_sees_a_leftover(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def mark(image):\n    image._faces_due = True\n"
+                   "    return image._infinity.get('axis0:inf'), "
+                   "image.infinity\n\n\n"
+                   "def drop(image, _infinity):\n"
+                   "    del image._infinity['axis0:inf']\n"
+                   "    return _infinity\n")
+    assert _private_face_sites([mod]) == ["mod.py:2", "mod.py:3", "mod.py:7"]
