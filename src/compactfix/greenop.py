@@ -34,17 +34,18 @@ its quotient), not inside apply_T.
 
 Every integral outside the grid path uses one rule, but for the outer
 t-integrals of check_hypotheses' M0*Phi_r and w0*Phi_r products, which are
-np.trapezoid sums over sampled sup and modulus profiles: a composite
-16-node Gauss-Legendre rule on 2^L equal panels of each interval,
-L = 0, 1, ...  A level is certified by the 8-node rule on the same panels:
-it is taken once the two rules agree to tol (Gander & Gautschi, "Adaptive
-quadrature - revisited", BIT 2000; Piessens et al., QUADPACK, 1983).
-panel_quadrature applies it to many 1-d intervals at once, the cross-check
-path in 2-d.  With the 1-d rule the module estimates the kernel bounds that
-the contraction/index arguments need: the absolute kernel integral, the
-weighted sup profile M_p, the face limits z_p of the weighted kernel
-columns, the continuity modulus w_p, and their L1 products against a
-dominating envelope Phi_r.
+np.trapezoid sums over sampled sup and modulus profiles: QUADPACK's
+15-node Gauss-Kronrod rule on 2^L equal panels of each interval,
+L = 0, 1, ...  A level is certified by the 7-node Gauss rule whose nodes
+are among the 15, summed over the same values: it is taken once the two
+rules agree to tol (Kronrod 1965; Piessens et al., QUADPACK, 1983; Gander
+& Gautschi, "Adaptive quadrature - revisited", BIT 2000), so each level
+evaluates the integrand once.  panel_quadrature applies it to many 1-d
+intervals at once, the cross-check path in 2-d.  With the 1-d rule the
+module estimates the kernel bounds that the contraction/index arguments
+need: the absolute kernel integral, the weighted sup profile M_p, the face
+limits z_p of the weighted kernel columns, the continuity modulus w_p, and
+their L1 products against a dominating envelope Phi_r.
 """
 
 from __future__ import annotations
@@ -57,20 +58,38 @@ import numpy as np
 from .compactify import HalfLineOnePoint, halfline_metric, kappa_limit
 from .funcspace import LOG_WEIGHTS, WEIGHT_REGISTRY
 
-# the panel rules side by side, as (nodes, weights) on [-1, 1]: the 16-node
-# Gauss-Legendre value rule of every panel integral, then the 8-node
-# companion on the same panel that certifies it, so both rules of a level
-# share one node set
-_GL16_8 = tuple(map(np.concatenate, zip(np.polynomial.legendre.leggauss(16),
-                                        np.polynomial.legendre.leggauss(8))))
+# QUADPACK's qk15 pair (Piessens et al., QUADPACK, 1983; Kronrod 1965) on
+# [-1, 1]: the rows are xgk, the Kronrod nodes from 1 down to the centre,
+# wgk, their weights, and wg, the weights of the 7-node Gauss rule at its
+# nodes xgk[1::2] and 0 at the 8 Kronrod-only nodes
+_QK15 = np.array([
+    [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+     0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+     0.207784955007898467600689403773245, 0.0],
+    [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+     0.204432940075298892414161999234649, 0.209482141084727828012999174891714],
+    [0.0, 0.129484966168869693270611432679082,
+     0.0, 0.279705391489276667901467771423780,
+     0.0, 0.381830050505118944950369775488975,
+     0.0, 0.417959183673469387755102040816327]])
+# the panel rule as rows over its 15 nodes in increasing order: the nodes,
+# the Kronrod weights of the value rule and the Gauss weights of its
+# companion, so both rules of a level sum one set of integrand values
+_GK15 = np.concatenate([_QK15[:, :7] * [[-1.0], [1.0], [1.0]],
+                        _QK15[:, ::-1]], axis=1)
 # the panel rule: at most 2^_MAX_PANEL_LEVEL panels per interval
 _MAX_PANEL_LEVEL = 6
 # the 2-d route evaluates f _T_BLOCK t-nodes at a time, so a block's
-# temporaries hold _T_BLOCK x (s-nodes) entries of f and _T_BLOCK x nx of
-# the kernel, whatever the number of t-nodes.  Of 32, 48, 64 and 96, 48 and
-# 64 were fastest on the 12 x 12 and 17 x 9 cross-check grids (7-8% below
-# 32: per-block numpy overhead dominates there), and 64 was also faster
-# than 32 on the 1201 x 51 solution at the same peak RSS.
+# temporaries hold _T_BLOCK x (s-nodes) entries of f and 2 _T_BLOCK x nx of
+# the kernel times both rules' weights, whatever the number of t-nodes.
+# Of 32, 48, 64 and 96 (medians, one BLAS thread), 64 was within 5% of
+# the fastest on the 12 x 12 and 17 x 9 cross-check grids (582 and 562 us;
+# 32 took 626 and 679 us: per-block numpy overhead dominates there), and
+# 96 was at most 10% faster on the 1201 x 51 solution (0.50-0.53 s against
+# 0.52-0.58 s).
 _T_BLOCK = 64
 # rows per block of kernel_row_blocks, of the grid operator's f(q) B^T and
 # of the residual's g(q): a block's temporaries hold _ROW_BLOCK rows
@@ -87,24 +106,30 @@ class QuadratureError(Exception):
         self.last_estimate = last_estimate
 
 
-def _gl_panels(lo, hi, level, rule):
-    """A Gauss-Legendre rule (nodes, weights on [-1, 1]) on 2^level equal
-    panels of each interval [lo_i, hi_i]: nodes and weights, one row per
-    interval.  A reversed interval is empty: its weights are 0."""
+def _gl_panels(lo, hi, level):
+    """The panel rule _GK15 on 2^level equal panels of each interval
+    [lo_i, hi_i], from one affine map: the nodes, one row per interval, and
+    the weights of both rules, shaped (2, intervals, nodes), the Kronrod
+    value rule first.  A reversed interval is empty: its weights are 0."""
     n = 2 ** level
     width = np.maximum(hi - lo, 0.0)[:, None]
     start = lo[:, None] + width * (np.arange(n) / n)
     half = 0.5 * width / n
-    nodes = (start + half)[..., None] + half[..., None] * rule[0]
-    weights = np.broadcast_to(half[..., None] * rule[1], nodes.shape)
-    return nodes.reshape(len(lo), -1), weights.reshape(len(lo), -1)
+    nodes = (start + half)[..., None] + half[..., None] * _GK15[0]
+    weights = np.broadcast_to(half[..., None] * _GK15[1:, None, None],
+                              (2, *nodes.shape))
+    return nodes.reshape(len(lo), -1), weights.reshape(2, len(lo), -1)
 
 
 def _settle(level_pair, tol):
-    """The two-rule test: level_pair(L) gives the 16-node and the 8-node
-    values on 2^L panels, L = 0, 1, ...; the 16-node values are returned once
-    their largest difference is at most tol.  QuadratureError if a level
-    is not finite or none has settled by _MAX_PANEL_LEVEL."""
+    """The two-rule test: level_pair(L) gives the 15-node Kronrod values
+    and their 7-node Gauss companions on 2^L panels, L = 0, 1, ...; the
+    Kronrod values are returned once their largest difference is at most
+    tol.  ValueError, before level_pair is called, for a tol that is not
+    positive and finite; QuadratureError if a level is not finite or none
+    has settled by _MAX_PANEL_LEVEL."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     for level in range(_MAX_PANEL_LEVEL + 1):
         total, companion = level_pair(level)
         for vals in (total, companion):
@@ -124,21 +149,17 @@ def panel_quadrature(g, a, b, tol=1e-10):
     """I[i] = integral of g over [a_i, b_i], every interval at once.
 
     g maps an (m, k) array of nodes, row i in [a_i, b_i], to values of the
-    same shape.  Every interval gets 2^L equal panels of the 16-node
-    Gauss-Legendre rule, doubling L until the 8-node rule on the same
-    panels agrees with it to tol (see _settle); g is called once per
-    level, on the nodes of both rules.  An empty or reversed interval
-    gives 0.
+    same shape.  Every interval gets 2^L equal panels of the 15-node
+    Gauss-Kronrod rule, doubling L until the 7-node Gauss rule, whose nodes
+    are among them, agrees with it to tol (see _settle); g is called once
+    per level, on the 15 nodes per panel, and both sums read those values.
+    An empty or reversed interval gives 0.
     """
     a, b = np.atleast_1d(*np.broadcast_arrays(a, b))
 
     def level_pair(level):
-        nodes, weights = _gl_panels(a, b, level, _GL16_8)
-        # per panel, the 16 nodes of the value rule and then the 8 of its
-        # companion
-        terms = (weights * g(nodes)).reshape(len(a), -1, 24)
-        return (terms[..., :16].sum(axis=(1, 2)),
-                terms[..., 16:].sum(axis=(1, 2)))
+        nodes, weights = _gl_panels(a, b, level)
+        return (weights * g(nodes)).sum(axis=2)
 
     return _settle(level_pair, tol)
 
@@ -490,22 +511,22 @@ def _panel_integrals(u, nl, kx, tol):
     tensor-product B-spline form of _spline_coefficients, which needs 4
     nodes per axis; ValueError names a shorter axis), clamped to its grid,
     so below the first node it takes the first node's values.  Every break
-    interval gets 2^L panels of the 16-node Gauss-Legendre rule.  _settle
-    returns level L once the 8-node rule on the same panels agrees with it
-    to tol at every output, and doubles the panels otherwise.  Both rules
-    of a level share one node set (_GL16_8), and both axes' break
-    intervals share one _gl_panels call per level.  Each axis takes one
-    B-spline pass per level on both rules' nodes; the level-0 nodes are
-    formed first, so that the level-0 pass also gives the spline's
-    collocation matrix (_spline_coefficients).  The t-basis rows and the
-    s-basis B_s are then split by rule, and f is evaluated on each rule's
-    own tensor of t-nodes x s-nodes (the combined 24 x 24 tensor per panel
-    pair would take 1.8 times the points), in blocks of
-    _T_BLOCK t-nodes, each reading u as B_t[block] C B_s^T over the
-    B-splines that its t-nodes reach, so the memory does not grow with nx
-    times the nodes: a block's temporaries hold at most _T_BLOCK times the
-    s-nodes or nx entries.  The block size changes only how the sums are
-    grouped, not the nodes or weights.
+    interval gets 2^L panels of the 15-node Gauss-Kronrod rule.  _settle
+    returns level L once the 7-node Gauss rule, whose nodes are among the
+    15, agrees with it to tol at every output, and doubles the panels
+    otherwise.  Both axes' break intervals share one _gl_panels call per
+    level, and each axis takes one B-spline pass per level; the level-0
+    nodes are formed first, so that the level-0 pass also gives the
+    spline's collocation matrix (_spline_coefficients).  f is evaluated
+    once per level, on the tensor of t-nodes x s-nodes, in blocks of
+    _T_BLOCK t-nodes.  Each block reads u as B_t[block] C B_s^T over the
+    B-splines that its t-nodes reach, calls nl.eval and kx once, and sums
+    its values for both rules: one product with the two rules' causal
+    y-weights stacked, then one with each rule's x-weights times kx.  So
+    the memory does not grow with nx times the nodes: a block's
+    temporaries hold at most _T_BLOCK times the s-nodes or 2 nx entries.
+    The block size changes only how the sums are grouped, not the nodes or
+    weights.
     """
     xs, ys = u.axes
     for axis, nodes in enumerate(u.axes):
@@ -513,27 +534,42 @@ def _panel_integrals(u, nl, kx, tol):
             raise ValueError(f"the adaptive route's bicubic spline needs at "
                              f"least 4 nodes on axis {axis}, got "
                              f"{len(nodes)}")
-    bx = np.union1d([0.0], xs[xs > 0])
-    by = np.union1d([0.0], ys[ys > 0])
+    # the axes increase strictly (the grid function refuses others)
+    bx = np.concatenate(([0.0], xs[xs > 0]))
+    by = np.concatenate(([0.0], ys[ys > 0]))
     nt = len(bx) - 1
+    nx, ny = len(xs), len(ys)
 
     def level_nodes(level):
         # the t-rows of _gl_panels are bx's intervals, the s-rows by's
         nodes, weights = _gl_panels(np.concatenate([bx[:-1], by[:-1]]),
-                                    np.concatenate([bx[1:], by[1:]]), level,
-                                    _GL16_8)
-        return (nodes[:nt].ravel(), weights[:nt].ravel(),
-                nodes[nt:].ravel(), weights[nt:].ravel())
+                                    np.concatenate([bx[1:], by[1:]]), level)
+        return (nodes[:nt].ravel(), weights[:, :nt].reshape(2, -1),
+                nodes[nt:].ravel(), weights[:, nt:].reshape(2, -1))
 
     t0, wt0, s0, ws0 = level_nodes(0)
     tx, ty, coef, t0_rows, s0_rows = _spline_coefficients(
         xs, ys, u.samples, np.clip(t0, xs[0], xs[-1]),
         np.clip(s0, ys[0], ys[-1]))
 
-    def rule_integrals(t, wt, span, bt, s, ws, bs):
-        # the causal rules: node weights below each output node, else 0
-        ymat = ws * (s[None, :] < ys[:, None])
-        total = np.zeros((len(xs), len(ys)))
+    def level_pair(level):
+        # B_t stays in the compact form of _bspline_rows: as a full matrix,
+        # or with C B_s^T formed whole, it would take nx times the t- or
+        # s-nodes of memory (the full B_t: 0.35 GB on a 1201 x 51 grid at
+        # level 1)
+        if level == 0:
+            t, wt, s, ws = t0, wt0, s0, ws0
+            (span, bt), s_rows = t0_rows, s0_rows
+        else:
+            t, wt, s, ws = level_nodes(level)
+            span, bt = _bspline_rows(tx, np.clip(t, xs[0], xs[-1]))
+            s_rows = _bspline_rows(ty, np.clip(s, ys[0], ys[-1]))
+        bs = _basis_matrix(*s_rows, ny)
+        # the causal y-rules of both rules, stacked: row k ny + j holds
+        # rule k's weights of the s-nodes below y_j, else 0
+        ymat = (ws[:, None, :] * (s[None, :] < ys[:, None])).reshape(
+            2 * ny, -1)
+        total = np.zeros((2, nx, ny))
         for b in range(0, len(t), _T_BLOCK):
             tb = t[b:b + _T_BLOCK]
             # the block's rows of B_t over the B-splines that its t-nodes
@@ -544,30 +580,12 @@ def _panel_integrals(u, nl, kx, tol):
                  sp[:, None] - sp[0] + np.arange(4)] = bt[b:b + _T_BLOCK]
             vals = nl.eval(tb[:, None], s[None, :],
                            rows @ coef[sp[0] - 3:sp[-1] + 1] @ bs.T)
-            xmat = wt[b:b + _T_BLOCK] * (tb[None, :] < xs[:, None]) \
-                * kx(xs[:, None], tb[None, :])
-            total += xmat @ (vals @ ymat.T)
+            # kx below each output node, else 0, times each rule's weights
+            xmat = wt[:, None, b:b + _T_BLOCK] \
+                * ((tb[None, :] < xs[:, None]) * kx(xs[:, None], tb[None, :]))
+            by_rule = (vals @ ymat.T).reshape(len(tb), 2, ny)
+            total += xmat @ by_rule.transpose(1, 0, 2)
         return total
-
-    def level_pair(level):
-        # B_t stays in the compact form of _bspline_rows: as a full matrix,
-        # or with C B_s^T formed whole, it would take nx times the t- or
-        # s-nodes of memory (the full B_t on both rules' nodes: 0.55 GB on
-        # a 1201 x 51 grid at level 1)
-        if level == 0:
-            t, wt, s, ws = t0, wt0, s0, ws0
-            (span, bt), s_rows = t0_rows, s0_rows
-        else:
-            t, wt, s, ws = level_nodes(level)
-            span, bt = _bspline_rows(tx, np.clip(t, xs[0], xs[-1]))
-            s_rows = _bspline_rows(ty, np.clip(s, ys[0], ys[-1]))
-        bs = _basis_matrix(*s_rows, len(ys))
-        # per panel, the 16 nodes of the value rule and then the 8 of its
-        # companion
-        on_t, on_s = (np.arange(len(v)) % 24 < 16 for v in (t, s))
-        return tuple(rule_integrals(t[pt], wt[pt], span[pt], bt[pt],
-                                    s[ps], ws[ps], bs[ps])
-                     for pt, ps in ((on_t, on_s), (~on_t, ~on_s)))
 
     return _settle(level_pair, tol)
 
@@ -583,12 +601,12 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10):
     the image's q, so its face ladders never divide by phi;
     "adaptive" reads u from its bicubic interpolating spline (numpy
     B-spline basis matrices, see _panel_integrals; each axis needs at least
-    4 nodes, ValueError otherwise) and applies a composite 16-node
-    Gauss-Legendre rule with 2^L panels per grid interval to every node at
+    4 nodes, ValueError otherwise) and applies a composite 15-node
+    Gauss-Kronrod rule with 2^L panels per grid interval to every node at
     once, doubling L until the max over all nodes of its difference from
-    the 8-node rule on the same panels is at most tol (QuadratureError if
-    a level is not finite or the values have not settled by
-    _MAX_PANEL_LEVEL).  It
+    the 7-node Gauss rule on the same values is at most tol (ValueError
+    for a tol that is not positive and finite; QuadratureError if a level
+    is not finite or the values have not settled by _MAX_PANEL_LEVEL).  It
     integrates kx and nl.eval on u itself, independent of the grid route's
     quotient forms.  Both integrals run from 0, reading u clamped to its
     grid.  The image's faces are due (WeightedGridFunction.faces_on_read):
@@ -652,6 +670,8 @@ def check_hypotheses(kernel, nl, r, tol=1e-8):
     columns are sampled at 41 points of the truncation [0, 8] and the y
     axis at 9 points.  The conditions are those of the weighted space of
     every grid function, sup |u/phi| with the face values.
+    QuadratureError when Phi_r is infinite at a sampled point (r^2
+    overflows), since its integrals settle relative to its sampled peak.
     """
     quotient = kernel.weighted_quotient
     weight = WEIGHT_REGISTRY[kernel.weight_desc]
@@ -710,9 +730,6 @@ def check_hypotheses(kernel, nl, r, tol=1e-8):
     # bound that Phi_r certifies drops below tol.
     tm, sm = np.meshgrid(ts, ss, indexing="ij")
     phi_grid = phi_r(tm, sm)
-    # the Phi_r integrals of C3 and C4 settle to their tolerances times
-    # Phi_r's sampled peak once it exceeds 1: relative, not absolute
-    quad_scale = max(1.0, float(np.max(phi_grid)))
     dom_ok = True
     worst = -math.inf
     for frac in (0.0, 0.3, 0.7, 1.0):
@@ -720,6 +737,12 @@ def check_hypotheses(kernel, nl, r, tol=1e-8):
         gap = float(np.max(nl.eval(tm, sm, v) - phi_grid))
         worst = max(worst, gap)
         dom_ok &= gap <= 1e-12
+    # the Phi_r integrals of C3 and C4 settle to their tolerances times
+    # Phi_r's sampled peak once it exceeds 1: relative, not absolute.  An
+    # infinite peak (r^2 overflows) leaves no tolerance to settle to.
+    quad_scale = max(1.0, float(np.max(phi_grid)))
+    if math.isinf(quad_scale):
+        raise QuadratureError("Phi_r is not finite on the sampled points")
     if tail_scale is None or not math.isfinite(tail_scale):
         conditions["C3"] = {
             "status": "unverified",

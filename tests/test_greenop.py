@@ -18,7 +18,7 @@ from compactfix.casestudy import (_gauss_shift_kernel,
                                   load_problem_file)
 from compactfix.funcspace import WEIGHT_REGISTRY, WeightedGridFunction
 from compactfix.greenop import (GridHammersteinOperator, Kernel,
-                                Nonlinearity, QuadratureError,
+                                Nonlinearity, QuadratureError, _GK15,
                                 _basis_matrix, _bspline_rows,
                                 _spline_coefficients,
                                 _unit_interval_integrals,
@@ -46,9 +46,28 @@ def test_panel_quadrature_polynomial_and_empty_interval():
     assert panel_quadrature(lambda t: t, 2.0, 1.0)[0] == 0.0
 
 
-def test_panel_quadrature_certifies_a_level_with_the_8_node_rule():
-    # the two-rule test: level 0 and the 8-node rule on the same panel,
-    # evaluated in one call
+def test_panel_rule_is_quadpacks_gauss_kronrod_pair():
+    # the 15-node Kronrod rule is exact through degree 22 (3 * 7 + 1) and,
+    # being symmetric, for every odd degree: through 23, not at 24
+    nodes, kronrod, gauss = _GK15
+    for d in range(25):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        err = abs(kronrod @ nodes ** d - exact)
+        assert (err <= 1e-15) == (d <= 23), d
+    # the 7-node Gauss rule sits on every second Kronrod node, its weight 0
+    # at the others
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    assert np.abs(nodes[1::2] - x7).max() <= 1e-15
+    assert np.abs(gauss[1::2] - w7).max() <= 1e-15
+    assert np.all(gauss[::2] == 0.0)
+    assert np.all(np.diff(nodes) > 0) and np.all(nodes == -nodes[::-1])
+    for w in (kronrod, gauss[1::2]):
+        assert np.all(w > 0) and np.all(w == w[::-1])
+
+
+def test_panel_quadrature_certifies_a_level_with_the_7_node_rule():
+    # the two-rule test: level 0 and the 7-node Gauss rule on the same
+    # panel, both summed over the values of one call on the 15 nodes
     nodes = []
 
     def g(t):
@@ -56,8 +75,24 @@ def test_panel_quadrature_certifies_a_level_with_the_8_node_rule():
         return np.exp(-t ** 2)
 
     got = panel_quadrature(g, 0.0, 1.0, 1e-12)
-    assert nodes == [24]
+    assert nodes == [15]
     assert abs(got[0] - SQPI2 * erf(1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_panel_quadrature_refuses_a_bad_tol_before_evaluating(tol):
+    # a NaN, negative or zero tol would run every panel level and then
+    # report a numerical failure; an infinite one certifies nothing
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return np.ones_like(t)
+
+    with pytest.raises(ValueError, match=f"tol must be positive and "
+                                         f"finite, got {tol!r}"):
+        panel_quadrature(g, 0.0, 1.0, tol)
+    assert calls == []
 
 
 def test_panel_quadrature_reports_no_convergence():
@@ -358,18 +393,21 @@ def test_adaptive_apply_refuses_an_axis_below_four_nodes(problem):
 
 
 def test_adaptive_apply_leaves_scipy_interpolate_unloaded(package_env):
+    # the spline is numpy's, and the panel rule's table is QUADPACK's
+    # literals, so neither route loads scipy.interpolate or scipy.integrate
     code = ("import sys, numpy as np\n"
             "from compactfix.casestudy import load_problem\n"
             "from compactfix.funcspace import WeightedGridFunction\n"
-            "from compactfix.greenop import apply_T\n"
+            "from compactfix.greenop import apply_T, panel_quadrature\n"
             "p = load_problem('hyperbolic-erf')\n"
             "u = WeightedGridFunction((np.linspace(0.0, 8.0, 12),"
             " np.linspace(0.0, 1.0, 12)), np.zeros((12, 12)), p.weight,"
             " cmap=p.cmap)\n"
             "out = apply_T(u, p.kernel, p.nl, method='adaptive')\n"
             "assert 'axis0:inf' in out.infinity\n"
-            "print(sorted(m for m in sys.modules"
-            " if m.startswith('scipy.interpolate')))")
+            "assert panel_quadrature(np.exp, 0.0, 1.0)[0] > 1.718\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.interpolate', 'scipy.integrate'))))")
     out = subprocess.run([sys.executable, "-c", code], env=package_env,
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -392,10 +430,30 @@ def test_adaptive_apply_refuses_nan_and_unsettled_integrands(problem):
     assert np.all(np.isfinite(err.value.last_estimate))
 
 
+def test_adaptive_apply_refuses_a_bad_tol_before_evaluating(problem):
+    # a NaN, negative or zero tol would run all 7 panel levels (1.7-2.0 s
+    # on a 17 x 9 grid) before a QuadratureError
+    xs = np.linspace(0.0, 2.0, 5)
+    ys = np.linspace(0.0, 1.0, 4)
+    u = _grid_function(problem, xs, ys, np.zeros((5, 4)))
+    calls = []
+
+    def counting(t, s, v):
+        calls.append(v)
+        return problem.nl.eval(t, s, v)
+
+    nl = dataclasses.replace(problem.nl, eval=counting)
+    for tol in (math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match=f"tol must be positive and "
+                                             f"finite, got {tol!r}"):
+            apply_T(u, problem.kernel, nl, method="adaptive", tol=tol)
+    assert calls == []
+
+
 def _settled_level(monkeypatch, run):
     """(result, L, level_values, tol) of the 2-d route's one _settle call
-    made by run(): L is the panel level whose 16-node values were
-    returned, and level_values(L) computes that level's 16-node values
+    made by run(): L is the panel level whose 15-node Kronrod values were
+    returned, and level_values(L) computes that level's Kronrod values
     again."""
     from compactfix import greenop
 
@@ -421,11 +479,11 @@ def _settled_level(monkeypatch, run):
     return out, level, level_values, tol
 
 
-def test_adaptive_apply_evaluates_one_level_and_its_8_node_companion(
+def test_adaptive_apply_evaluates_one_level_and_its_7_node_companion(
         problem, rng):
-    # the two-rule test certifies level 0 with the 8-node rule on the same
-    # panels; the two-level test evaluated f on level 1 as well, 4 times
-    # the level-0 tensor in 2-d (154,880 points on the 12 x 12 grid)
+    # the two-rule test certifies level 0 with the 7-node Gauss rule on
+    # the same panels, whose nodes are among the 15 Kronrod nodes, so f is
+    # evaluated once, on 15 x 15 points per panel pair
     grids = _crosscheck_grids(problem, rng)
     for u in (grids["zero"], grids["cone"]):
         points = []
@@ -437,14 +495,14 @@ def test_adaptive_apply_evaluates_one_level_and_its_8_node_companion(
         nl = dataclasses.replace(problem.nl, eval=counting)
         apply_T(u, problem.kernel, nl, method="adaptive")
         panels = (len(u.axes[0]) - 1) * (len(u.axes[1]) - 1)
-        assert sum(points) <= panels * (16 ** 2 + 8 ** 2)
-    assert sum(points) == 40960
+        assert sum(points) <= panels * 15 ** 2
+    assert sum(points) == 28800
 
 
 def test_adaptive_apply_accepts_levels_that_the_next_doubling_confirms(
         problem, rng, monkeypatch):
-    # a level that the 8-node rule certifies agrees to tol with the
-    # 16-node values on twice as many panels, as the two-level test asked
+    # a level that the 7-node rule certifies agrees to tol with the
+    # 15-node values on twice as many panels, as the two-level test asked
     for name, u in _crosscheck_grids(problem, rng).items():
         out, level, level_integrals, tol = _settled_level(
             monkeypatch, lambda: apply_T(u, problem.kernel, problem.nl,
@@ -453,23 +511,23 @@ def test_adaptive_apply_accepts_levels_that_the_next_doubling_confirms(
         assert np.abs(level_integrals(level + 1) - out).max() <= tol, name
 
 
-def _narrow_bump(c, w):
-    """(kernel, nl, u): kx = 1, f = exp(-((t - c)/w)^2) and u = 0 on a
-    5 x 4 grid of [0, 2] x [0, 1]."""
+def _narrow_bump(c, w, axis=0):
+    """(kernel, nl, u): kx = 1, f = exp(-((t - c)/w)^2) (in s instead for
+    axis 1) and u = 0 on a 5 x 4 grid of [0, 2] x [0, 1]."""
     def zero(x, t):
         return np.zeros(np.broadcast(x, t).shape)
 
     kernel = Kernel("one", zero, zero, "1")
     nl = Nonlinearity("bump", lambda t, s, v:
-                      np.exp(-((t - c) / w) ** 2) + 0.0 * v)
+                      np.exp(-(((t, s)[axis] - c) / w) ** 2) + 0.0 * v)
     xs, ys = np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 4)
     return kernel, nl, WeightedGridFunction((xs, ys), np.zeros((5, 4)))
 
 
 def test_adaptive_apply_refines_a_narrow_bump(monkeypatch):
     # f = exp(-((t - c)/w)^2) with kx = 1: Tu(x, y) is y times a difference
-    # of error functions.  16 nodes on a panel of width 0.5 do not resolve
-    # the bump, so the panels are doubled until the 8-node rule agrees
+    # of error functions.  15 nodes on a panel of width 0.5 do not resolve
+    # the bump, so the panels are doubled until the 7-node rule agrees
     c, w = 0.9, 0.04
     kernel, nl, u = _narrow_bump(c, w)
     xs, ys = u.axes
@@ -484,10 +542,13 @@ def test_adaptive_apply_refines_a_narrow_bump(monkeypatch):
     assert np.abs(level_integrals(0) - want).max() > 1e-6
 
 
-def _two_pass_panel_integrals(u, nl, kx, tol, levels):
-    """Reference: the adaptive route with the nodes, weights and B-spline
-    values of each rule built on their own, two passes per panel level;
-    every level evaluated is appended to levels."""
+def _two_tensor_panel_integrals(u, nl, kx, tol, levels):
+    """Reference: the adaptive route with each rule on its own node set,
+    two passes per panel level: the 15-node Kronrod rule of _GK15 on its
+    tensor of t-nodes x s-nodes, then the 7-node Gauss rule of
+    leggauss(7) on its own tensor.  Each pass places its nodes by its own
+    affine map, reads u through full B-spline basis matrices and sums the
+    whole tensor at once; every level evaluated is appended to levels."""
     from compactfix import greenop
 
     xs, ys = u.axes
@@ -495,48 +556,50 @@ def _two_pass_panel_integrals(u, nl, kx, tol, levels):
     bx = np.union1d([0.0], xs[xs > 0])
     by = np.union1d([0.0], ys[ys > 0])
 
+    def panels(breaks, level, rule):
+        n = 2 ** level
+        lo = np.repeat(breaks[:-1], n)
+        half = np.repeat(np.diff(breaks), n) / (2 * n)
+        mid = lo + half * (2 * np.tile(np.arange(n), len(breaks) - 1) + 1)
+        return ((mid[:, None] + half[:, None] * rule[0]).ravel(),
+                (half[:, None] * rule[1]).ravel())
+
     def level_integrals(level, rule):
-        t, wt = (v.ravel() for v in greenop._gl_panels(bx[:-1], bx[1:],
-                                                       level, rule))
-        s, ws = (v.ravel() for v in greenop._gl_panels(by[:-1], by[1:],
-                                                       level, rule))
-        ymat = ws * (s[None, :] < ys[:, None])
+        t, wt = panels(bx, level, rule)
+        s, ws = panels(by, level, rule)
+        bt = _basis_matrix(*_bspline_rows(tx, np.clip(t, xs[0], xs[-1])),
+                           len(xs))
         bs = _basis_matrix(*_bspline_rows(ty, np.clip(s, ys[0], ys[-1])),
-                           len(ty) - 4)
-        span, bt = greenop._bspline_rows(tx, np.clip(t, xs[0], xs[-1]))
-        block = greenop._T_BLOCK
-        total = np.zeros((len(xs), len(ys)))
-        for b in range(0, len(t), block):
-            tb = t[b:b + block]
-            sp = span[b:b + block]
-            rows = np.zeros((len(sp), sp[-1] - sp[0] + 4))
-            rows[np.arange(len(sp))[:, None],
-                 sp[:, None] - sp[0] + np.arange(4)] = bt[b:b + block]
-            vals = nl.eval(tb[:, None], s[None, :],
-                           rows @ coef[sp[0] - 3:sp[-1] + 1] @ bs.T)
-            xmat = wt[b:b + block] * (tb[None, :] < xs[:, None]) \
-                * kx(xs[:, None], tb[None, :])
-            total += xmat @ (vals @ ymat.T)
-        return total
+                           len(ys))
+        vals = nl.eval(t[:, None], s[None, :], bt @ coef @ bs.T)
+        xmat = wt * (t[None, :] < xs[:, None]) * kx(xs[:, None], t[None, :])
+        ymat = ws * (s[None, :] < ys[:, None])
+        return xmat @ vals @ ymat.T
 
     def level_pair(level):
         levels.append(level)
-        return tuple(level_integrals(level, np.polynomial.legendre.leggauss(n))
-                     for n in (16, 8))
+        return (level_integrals(level, (_GK15[0], _GK15[1])),
+                level_integrals(level, np.polynomial.legendre.leggauss(7)))
 
     return greenop._settle(level_pair, tol)
 
 
-def test_adaptive_route_matches_the_two_pass_route_bit_for_bit(
+def test_adaptive_route_matches_the_two_tensor_reference(
         problem, rng, monkeypatch):
-    # one node set and one B-spline pass per level for both rules changes
-    # where the values are computed, not how: the bump settles at a level
-    # >= 1, the second grid has non-uniform axes, and blocks of 7 t-nodes
-    # leave a ragged last block for both rules
+    # summing both rules over one set of values changes where the values
+    # are computed, not which: the route and the reference settle at the
+    # same levels and differ only by rounding.  The bumps in t and in s
+    # settle at a level >= 1 (the one in s tells a Kronrod y-rule from a
+    # Gauss one), the uneven grid has non-uniform axes, and blocks of 7
+    # t-nodes leave a ragged last block.  The two group their sums and
+    # place their nodes differently, so they may differ by rounding in
+    # each of the few thousand terms of a sum of positive terms: 64 ulps
+    # of the image's largest entry, fixed before either was run.
     from compactfix import greenop
 
     grids = _crosscheck_grids(problem, rng)
     bump_kernel, bump_nl, bump_u = _narrow_bump(0.9, 0.04)
+    _, bump_s_nl, _ = _narrow_bump(0.45, 0.04, axis=1)
     uneven = _grid_function(
         problem, np.array([0.0, 0.1, 0.35, 1.2, 1.3, 2.9, 3.0, 5.5]),
         np.array([0.25, 0.3, 0.7, 1.0]), rng.uniform(0.0, 0.5, (8, 4)))
@@ -546,24 +609,39 @@ def test_adaptive_route_matches_the_two_pass_route_bit_for_bit(
              "zero": (grids["zero"], problem.kernel, problem.nl, 1e-10,
                       shipped),
              "bump": (bump_u, bump_kernel, bump_nl, 1e-12, shipped),
+             "bump_s": (bump_u, bump_kernel, bump_s_nl, 1e-12, shipped),
              "uneven": (uneven, problem.kernel, problem.nl, 1e-10, shipped),
              "ragged": (grids["cone"], problem.kernel, problem.nl, 1e-10,
                         7)}
+    settle = greenop._settle
+
+    def recording(level_pair, tol):
+        def level_pair_seen(level):
+            route_levels.append(level)
+            return level_pair(level)
+
+        return settle(level_pair_seen, tol)
+
     for name, (u, kernel, nl, tol, block) in cases.items():
         monkeypatch.setattr(greenop, "_T_BLOCK", block)
-        levels = []
-        want = _two_pass_panel_integrals(u, nl, kernel.kx, tol, levels)
+        levels, route_levels = [], []
+        want = _two_tensor_panel_integrals(u, nl, kernel.kx, tol, levels)
+        monkeypatch.setattr(greenop, "_settle", recording)
         got = greenop._panel_integrals(u, nl, kernel.kx, tol)
-        assert np.array_equal(got, want), name
-        assert max(levels) >= (1 if name == "bump" else 0), name
+        monkeypatch.setattr(greenop, "_settle", settle)
+        assert route_levels == levels, name
+        assert max(levels) >= (1 if name.startswith("bump") else 0), name
+        bound = 64 * np.finfo(float).eps * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound, name
 
 
 def test_adaptive_apply_builds_one_node_set_and_basis_per_level(
         problem, rng, monkeypatch):
     # one _gl_panels call per level for both axes and one _bspline_rows
     # pass per axis and level; at level 0 that pass also gives the spline's
-    # collocation matrices (_two_pass_panel_integrals makes 4 and 6 calls at
-    # level 0).  The 12 x 12 grid settles at level 0, the bump at level 3.
+    # collocation matrices (_two_tensor_panel_integrals makes 6
+    # _bspline_rows calls at level 0).  The 12 x 12 grid settles at level
+    # 0, the bump at level 4.
     from compactfix import greenop
 
     calls, levels = {}, []
@@ -586,7 +664,7 @@ def test_adaptive_apply_builds_one_node_set_and_basis_per_level(
     bump_kernel, bump_nl, bump_u = _narrow_bump(0.9, 0.04)
     cases = {"zero": (_crosscheck_grids(problem, rng)["zero"],
                       problem.kernel, problem.nl, 1e-10, 0),
-             "bump": (bump_u, bump_kernel, bump_nl, 1e-12, 3)}
+             "bump": (bump_u, bump_kernel, bump_nl, 1e-12, 4)}
     for name, (u, kernel, nl, tol, level) in cases.items():
         calls.update(_gl_panels=0, _bspline_rows=0)
         levels.clear()
@@ -1081,6 +1159,15 @@ def test_check_hypotheses_rejects_nonpositive_radius(problem):
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             check_hypotheses(problem.kernel, problem.nl, r=bad)
+
+
+def test_check_hypotheses_fails_on_an_infinite_phi_r_peak(problem):
+    # r^2 overflows Phi_r, so its relative tolerance would be infinite: a
+    # numerical failure, not a refused tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError,
+                           match="Phi_r is not finite on the sampled"):
+            check_hypotheses(problem.kernel, problem.nl, r=1e200)
 
 
 def test_nonlinearity_domination_on_cone_sections(problem, rng):
