@@ -8,6 +8,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from compactfix.compactify import (HalfLineOnePoint, IntervalIdentity,
 from compactfix.funcspace import (LOG_WEIGHTS, NAMED_MAPS, WEIGHT_REGISTRY,
                                   BumpChain, FaceLimitError,
                                   WeightedGridFunction,
-                                  WeightUnderflowError, _face_axis,
-                                  _family_quotients,
+                                  WeightUnderflowError, _CSV_CHUNK,
+                                  _face_axis, _family_quotients, _format_17g,
                                   equiconvergence_deviation,
                                   attach_faces, equicontinuity_modulus,
                                   gamma,
@@ -1084,6 +1085,97 @@ def test_save_matches_per_cell_writer_and_round_trips(tmp_path, shape):
         assert g.samples.tobytes() == f.samples.tobytes()
         for a, b in zip(f.axes, g.axes):
             assert a.tobytes() == b.tobytes()
+
+
+def test_save_matches_per_cell_writer_across_chunks(tmp_path):
+    # more than two chunks, the last one partial, with zeros and values
+    # that take "%" one at a time in different chunks and on both sides
+    # of a chunk boundary
+    chunk = _CSV_CHUNK
+    shape = (3, (2 * chunk + 125) // 3)
+    assert 2 * chunk < math.prod(shape) < 3 * chunk
+    rng = np.random.default_rng(40)
+    axes = tuple(np.cumsum(rng.uniform(0.1, 1.0, n)) for n in shape)
+    q = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 18, shape)
+    fallbacks = {5: math.nan, chunk - 1: math.inf, chunk: -math.inf,
+                 chunk + 7: 5e-324, 2 * chunk - 1: -2.0 ** -1060,
+                 2 * chunk: 1e-7, q.size - 1: 1e300, 17: -0.0, chunk + 1: 0.0}
+    for i, v in fallbacks.items():
+        q.flat[i] = v
+    f = WeightedGridFunction.from_quotient(axes, q, phi)
+    save_grid_function(f, tmp_path / "fast.csv")
+    _per_cell_csv_writer(f, tmp_path / "slow.csv")
+    assert (tmp_path / "fast.csv").read_bytes() \
+        == (tmp_path / "slow.csv").read_bytes()
+    g = load_grid_function(tmp_path / "fast.csv")
+    assert g.quotient().tobytes() == q.tobytes()
+
+
+def _percent_17g(values):
+    return b"".join(b"%.17g\r\n" % v for v in values.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 64),
+                  elements=st.floats(width=64)
+                  | st.floats(-1e18, 1e18, width=64)))
+def test_format_17g_is_percent_17g(values):
+    assert _format_17g(values) == _percent_17g(values)
+
+
+def _seeded_17g_cases():
+    """The values where a 17-digit formatter goes wrong first."""
+    cases = [-np.float64(np.nan), np.nan, np.inf, -np.inf, 0.0, -0.0,
+             5e-324, -5e-324, 2.2250738585072009e-308, 2.0 ** -1030]
+    for e in range(-7, 18):
+        v = float(10.0 ** e)
+        cases += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+    # the double nearest 1e-6 lies below 10^-6
+    cases.append(1e-6)
+    # exact ties of 17 digits: odd / 2^(k+1) times 10^k is odd 5^k / 2,
+    # half an odd integer, which lies in [10^16, 10^17) for the smallest
+    # odd >= 2 10^16 / 5^k; it is a double for k >= 1, and the next odd
+    # rounds the other way
+    tied = set()
+    for k in range(23):
+        odd = -(-2 * 10 ** 16 // 5 ** k) | 1
+        if odd < 2 ** 53:
+            tied.add(k)
+            cases += [odd / 2.0 ** (k + 1), (odd + 2) / 2.0 ** (k + 1)]
+    assert tied == set(range(1, 23))
+    values = np.array(cases, dtype=float)
+    return np.concatenate([values, -values])
+
+
+def test_format_17g_seeded_cases():
+    values = _seeded_17g_cases()
+    assert _format_17g(values) == _percent_17g(values)
+    lines = _format_17g(values).split(b"\r\n")
+    assert lines[values.tolist().index(1e-6)] == b"9.9999999999999995e-07"
+    assert _format_17g(np.array([-0.0, 0.0])) == b"-0\r\n0\r\n"
+    assert _format_17g(np.array([])) == b""
+
+
+def test_writer_memory_does_not_grow_with_the_grid(tmp_path):
+    # the chunk's arrays are the writer's memory: a 16-chunk grid peaks
+    # within a few KB of a 1-chunk one (both with the same sidecar axis)
+    rng = np.random.default_rng(41)
+
+    def peak(rows):
+        axes = (np.arange(rows) + 1.0, np.arange(_CSV_CHUNK) + 1.0)
+        q = rng.uniform(-1, 1, (rows, _CSV_CHUNK)) * 10.0 ** rng.uniform(
+            -5, 3, (rows, _CSV_CHUNK))
+        f = WeightedGridFunction.from_quotient(axes, q, phi)
+        save_grid_function(f, tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            save_grid_function(f, tmp_path / "grid.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, sixteen = peak(1), peak(16)
+    assert abs(sixteen - one) < 4 * 1024, (one, sixteen)
 
 
 def test_from_quotient_keeps_q_where_the_weight_underflows(tmp_path):
