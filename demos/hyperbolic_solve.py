@@ -31,8 +31,7 @@ def main():
 
     print()
     print("Picard iteration from u = 0 inside the ball of radius 0.5")
-    cfg = SolveConfig(hx=0.02, hy=0.02, truncation=24.0, tol=1e-8,
-                      rho_ball=0.5)
+    cfg = SolveConfig(h=0.02, truncation=24.0, tol=1e-8, rho_ball=0.5)
     res = picard_solve(problem, cfg)
     for i, gap in enumerate(res.gap_history):
         print(f"  iteration {i + 1}: weighted gap {gap:.3e}, "

@@ -46,7 +46,7 @@ print()
 # Gronwall in the weighted norm allows one bounded solution.  Iterating
 # q = u/phi from below (q = 0) and from the supersolution q = 0.4 shows it:
 # the upper iterates decrease, and the two sequences meet.
-axes = SolveConfig(hx=0.05, hy=0.05, truncation=24.0).axes()
+axes = SolveConfig(h=0.05, truncation=24.0).axes()
 op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
 lower = np.zeros(tuple(len(a) for a in axes))
 upper = np.full_like(lower, 0.4)

@@ -237,10 +237,10 @@ def _arctan_demo():
     """arctan has the limits -pi/2 and pi/2 at the two points of the
     two-point compactification of the line and none at the one point of
     the one-point compactification."""
-    demo = {"two_point": extend(np.arctan, LineTwoPoint(), tol=1e-6),
+    demo = {"two_point": extend(np.arctan, LineTwoPoint()),
             "one_point": None}
     try:
-        extend(np.arctan, LineOnePoint(), tol=1e-6)
+        extend(np.arctan, LineOnePoint())
     except ExtensionError as err:
         demo["one_point"] = {lbl: res.status
                              for lbl, res in err.failures.items()}
@@ -304,7 +304,7 @@ def validate_closed_forms(problem, n=20):
         return panel_quadrature(lambda s: np.exp(-s ** 2), 0.0, hi, tol)
 
     if "abs_integral" in forms:
-        q = kernel_abs_integral(problem.kernel, xs, ys, tol=1e-10)
+        q = kernel_abs_integral(problem.kernel, xs, ys)
         cf = forms["abs_integral"](X, Y)
         gaps["abs_integral"] = float(np.max(np.abs(q - cf)))
     if "Tu0" in forms:

@@ -60,7 +60,11 @@ def _parse_rho_range(text):
     if not rungs <= MAX_RHO_RUNGS:
         raise _UsageError(f"--rho-range {text!r} has more than "
                           f"{MAX_RHO_RUNGS} rungs")
-    return np.round(np.arange(a, b + step / 2.0, step), 10)
+    rhos = np.round(np.arange(a, b + step / 2.0, step), 10)
+    if not len(rhos):
+        # a step below the spacing of floats at a leaves b + step / 2 == a
+        raise _UsageError(f"--rho-range {text!r} has no rungs")
+    return rhos
 
 
 def _check_positive(option, value):
@@ -140,7 +144,7 @@ def _truncation(args, problem):
 
 def _cmd_solve(args):
     problem = _load(args)
-    cfg = SolveConfig(hx=args.grid_step, hy=args.grid_step,
+    cfg = SolveConfig(h=args.grid_step,
                       truncation=_truncation(args, problem), tol=args.tol,
                       max_iter=args.max_iter, rho_ball=args.rho)
     result = picard_solve(problem, cfg)

@@ -182,7 +182,7 @@ class ExtensionError(Exception):
         super().__init__(f"no limit at infinity point(s): {names}")
 
 
-def extend(f, cmap, tol=1e-6):
+def extend(f, cmap):
     """f's limits at the infinity points of cmap, by label, or ExtensionError.
 
     Requires every infinity point of the map to have a converged kappa_limit;
@@ -191,7 +191,7 @@ def extend(f, cmap, tol=1e-6):
     limits = {}
     failures = {}
     for p in cmap.infinity_points():
-        res = kappa_limit(f, p, cmap, tol=tol)
+        res = kappa_limit(f, p, cmap)
         if res.converged:
             limits[p] = res.value
         else:

@@ -45,7 +45,7 @@ _unit_weight = WEIGHT_REGISTRY["1"]
 #: map is a product of these, one per axis
 NAMED_MAPS = {cls.name: cls for cls in (HalfLineOnePoint, LineTwoPoint,
                                         LineOnePoint, IntervalIdentity)}
-#: the face ladders' tolerance in apply_T's images and the solve's profile
+#: the tolerance of every grid face ladder: face_limit's, so gamma's too
 FACE_TOL = 1e-4
 
 
@@ -132,12 +132,11 @@ class WeightedGridFunction:
                      else np.reshape(self.weight(self.axes[0]), column))
 
     @classmethod
-    def from_quotient(cls, axes, q, weight=None, cmap=None, infinity=None,
-                      weight_desc=None):
+    def from_quotient(cls, axes, q, weight=None, cmap=None, infinity=None):
         """The grid function u = phi q that stores q itself: quotient()
         returns q, so nothing divides phi back out (q stays exact where phi
         underflows to 0 and u with it)."""
-        out = cls(axes, q, weight, cmap, infinity, weight_desc)
+        out = cls(axes, q, weight, cmap, infinity)
         out._holds_q = True
         return out
 
@@ -218,11 +217,11 @@ class WeightedGridFunction:
         return [f"axis{i}:{p}" for i, fac in enumerate(self.cmap.factors)
                 for p in fac.infinity_points()]
 
-    def face_limit(self, face, tol=1e-6):
-        """Windowed limits of f/phi at an infinity face, from grid data
-        (see _face_ladders): one LimitResult per slice of the face's axis,
-        in C order of the other axes' nodes (one on a 1-d grid)."""
-        return _face_ladders(self, self.quotient(), face, tol)[2]
+    def face_limit(self, face):
+        """Windowed limits of f/phi at an infinity face at FACE_TOL, from
+        grid data (see _face_ladders): one LimitResult per slice of the
+        face's axis, in C order of the other axes' nodes (one in 1-d)."""
+        return _face_ladders(self, self.quotient(), face, FACE_TOL)[2]
 
 
 def _face_axis(face):
@@ -277,28 +276,27 @@ class GammaFunction:
         return _sup_abs([self.values, *self.infinity.values()])
 
 
-def gamma(f, tol=1e-6):
+def gamma(f):
     """The map f -> continuous extension of f/phi to the compactification.
 
-    Face values are taken from storage when present and otherwise estimated
-    from the grid; a face whose grid limit does not converge raises
-    FaceLimitError naming the face.
+    Face values are taken from storage when present and otherwise read
+    from the grid by face_limit; a face whose grid limit does not converge
+    raises FaceLimitError naming the face.
     """
-    vals = f.quotient()
     inf_vals = {}
     for face in f.face_labels():
         stored = _stored_face(f, face)
         if stored is not None:
             inf_vals[face] = np.asarray(stored, dtype=float)
             continue
-        results = _face_ladders(f, vals, face, tol)[2]
+        results = f.face_limit(face)
         for nodes, res in zip(itertools.product(*_other_axes(f, face)),
                               results):
             if not res.converged:
                 raise FaceLimitError(
                     face + "".join(f"@{n:.6g}" for n in nodes), res)
         inf_vals[face] = _face_values(f, face, results)
-    return GammaFunction(vals, inf_vals)
+    return GammaFunction(f.quotient(), inf_vals)
 
 
 def _face_ladders(f, vals, face, tol):
@@ -334,7 +332,7 @@ def _face_values(f, face, results):
                       [len(a) for a in _other_axes(f, face)])[()]
 
 
-def attach_faces(f, tol=FACE_TOL):
+def attach_faces(f):
     """Read every infinity face of f/phi by face_limit and store the values
     of each face whose slices all converged as f's values there
     (_face_values); a face with a slice that did not converge gets none.
@@ -342,7 +340,7 @@ def attach_faces(f, tol=FACE_TOL):
     every ladder has run.  Returns {face: face_limit's results}."""
     out = {}
     for face in f.face_labels():
-        results = out[face] = f.face_limit(face, tol)
+        results = out[face] = f.face_limit(face)
         if all(res.converged for res in results):
             f._infinity[face] = {(0,) * f.ndim:
                                  _face_values(f, face, results)}
@@ -359,6 +357,8 @@ def attach_faces(f, tol=FACE_TOL):
 _EPS_LADDER = (0.1, 0.03, 0.01)
 # family members per block of equicontinuity_modulus's window passes
 _MEMBER_BLOCK = 8
+# equicontinuity_modulus's widest shift, in nodes
+_MAX_SHIFT = 64
 
 
 def _family_quotients(family):
@@ -373,11 +373,11 @@ def _family_quotients(family):
     return [g.quotient() for g in family]
 
 
-def equicontinuity_modulus(family, quotients, max_shift=64):
+def equicontinuity_modulus(family, quotients):
     """{axis: rows}: omega(delta) = worst |v(x) - v(y)| over |x - y| <= delta
     along the axis, as (delta, omega) rows for delta = h times each power
-    of two up to max_shift; ValueError, before any work, names an axis
-    with no more nodes than max_shift.
+    of two up to _MAX_SHIFT = 64; ValueError, before any work, names an
+    axis with no more nodes than _MAX_SHIFT.
 
     The worst difference over node distances up to w is the largest
     max - min over the windows of w + 1 consecutive nodes.  The windows are
@@ -389,11 +389,11 @@ def equicontinuity_modulus(family, quotients, max_shift=64):
     """
     f0 = family[0]
     for axis, nodes in enumerate(f0.axes):
-        if len(nodes) <= max_shift:
+        if len(nodes) <= _MAX_SHIFT:
             raise ValueError(f"equicontinuity_modulus needs more than "
-                             f"max_shift = {max_shift} nodes on every axis; "
-                             f"axis {axis} has {len(nodes)}")
-    spans = [2 ** k for k in range(int(max_shift).bit_length())]
+                             f"{_MAX_SHIFT} nodes on every axis, its widest "
+                             f"shift; axis {axis} has {len(nodes)}")
+    spans = [2 ** k for k in range(_MAX_SHIFT.bit_length())]
     out = {}
     for axis in range(f0.ndim):
         h = float(np.min(np.diff(f0.axes[axis])))
@@ -738,10 +738,11 @@ def load_grid_function(csv_path):
     Returns WeightedGridFunction.from_quotient of the saved q, so the
     loaded quotient() is bitwise the saved one and the samples are phi q.
     Raises ValueError naming the file when the header is not "u/phi" (an
-    older x,y,value file), the number of values does not match the
-    sidecar's axes, the sidecar's keys are not exactly "axes", "cmap",
-    "infinity" and "weight" (an older file's "order"), its "weight" is not
-    a WEIGHT_REGISTRY name, its "cmap" is not a list of NAMED_MAPS names,
+    older x,y,value file), a value is not a number or the number of values
+    does not match the sidecar's axes, the sidecar's keys are not exactly
+    "axes", "cmap", "infinity" and "weight" (an older file's "order"), its
+    "axes" is not a list of lists of numbers, its "weight" is not a
+    WEIGHT_REGISTRY name, its "cmap" is not a list of NAMED_MAPS names,
     one per axis (an older file's single name), its "infinity" is not an
     object whose face values are numbers or lists (an older file's
     {"0,0": ...}), or the constructor refuses that data (a face that map
@@ -756,7 +757,14 @@ def load_grid_function(csv_path):
     if not isinstance(weight, str) or weight not in WEIGHT_REGISTRY:
         raise ValueError(f"{csv_path}: unknown weight {weight!r}; the "
                          f"sidecar names one of {list(WEIGHT_REGISTRY)}")
-    axes = tuple(np.asarray(a, dtype=float) for a in side["axes"])
+    axes = side["axes"]
+    if not (isinstance(axes, list) and axes and all(
+            isinstance(a, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in a) for a in axes)):
+        raise ValueError(f"{csv_path}: sidecar axes is not a list of lists "
+                         "of numbers, one per axis")
+    axes = tuple(np.asarray(a, dtype=float) for a in axes)
     shape = tuple(len(a) for a in axes)
     names = side["cmap"]
     if not isinstance(names, list) or len(names) != len(axes):
@@ -776,7 +784,10 @@ def load_grid_function(csv_path):
     if len(lines) - 1 != math.prod(shape):
         raise ValueError(f"{csv_path}: {len(lines) - 1} values for the "
                          f"{math.prod(shape)} nodes of the sidecar's axes")
-    q = np.array(lines[1:], dtype=float).reshape(shape)
+    try:
+        q = np.array(lines[1:], dtype=float).reshape(shape)
+    except ValueError as err:
+        raise ValueError(f"{csv_path}: {err}") from err
     faces = side["infinity"]
     if not isinstance(faces, dict):
         raise ValueError(f"{csv_path}: infinity {faces!r} is not an object")

@@ -82,6 +82,10 @@ _GK15 = np.concatenate([_QK15[:, :7] * [[-1.0], [1.0], [1.0]],
                         _QK15[:, ::-1]], axis=1)
 # the panel rule: at most 2^_MAX_PANEL_LEVEL panels per interval
 _MAX_PANEL_LEVEL = 6
+# the two-rule gap that the adaptive apply_T settles every output node to
+_ADAPTIVE_TOL = 1e-10
+# check_hypotheses' Phi_r tail cut-off, quadrature and divergence tolerance
+_HYPOTHESIS_TOL = 1e-8
 # the 2-d route evaluates f _T_BLOCK t-nodes at a time, so a block's
 # temporaries hold _T_BLOCK x (s-nodes) entries of f and 2 _T_BLOCK x nx of
 # the kernel times both rules' weights, whatever the number of t-nodes.
@@ -264,13 +268,13 @@ class Nonlinearity:
     q_eval: object = None
 
 
-def kernel_abs_integral(kernel, xs, ys, tol=1e-8):
+def kernel_abs_integral(kernel, xs, ys):
     """Quadrature table of the absolute kernel integral: entry [i, j] is
     int_0^{x_i} |kx(x_i, t)| dt times y_j, and 0 where x_i <= 0 or
-    y_j <= 0."""
+    y_j <= 0; each x-integral settles to panel_quadrature's 1e-10."""
     xs, ys = np.atleast_1d(xs, ys)
     ix = panel_quadrature(lambda t: np.abs(kernel.kx(xs[:, None], t)), 0.0,
-                          xs, tol)
+                          xs)
     return ix[:, None] * np.maximum(ys, 0.0)[None, :]
 
 
@@ -590,7 +594,7 @@ def _panel_integrals(u, nl, kx, tol):
     return _settle(level_pair, tol)
 
 
-def apply_T(u, kernel, nl, method="grid", tol=1e-10):
+def apply_T(u, kernel, nl, method="grid"):
     """Tu as a weighted grid function on u's grid.
 
     Both methods return the image through u.image
@@ -604,13 +608,13 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10):
     4 nodes, ValueError otherwise) and applies a composite 15-node
     Gauss-Kronrod rule with 2^L panels per grid interval to every node at
     once, doubling L until the max over all nodes of its difference from
-    the 7-node Gauss rule on the same values is at most tol (ValueError
-    for a tol that is not positive and finite; QuadratureError if a level
-    is not finite or the values have not settled by _MAX_PANEL_LEVEL).  It
-    integrates kx and nl.eval on u itself, independent of the grid route's
-    quotient forms.  Both integrals run from 0, reading u clamped to its
-    grid.  The image's faces are due (WeightedGridFunction.faces_on_read):
-    the first read of its infinity runs funcspace.attach_faces at
+    the 7-node Gauss rule on the same values is at most _ADAPTIVE_TOL
+    (QuadratureError if a level is not finite or the values have not
+    settled by _MAX_PANEL_LEVEL).  It integrates kx and nl.eval on u
+    itself, independent of the grid route's quotient forms.  Both
+    integrals run from 0, reading u clamped to its grid.  The image's
+    faces are due (WeightedGridFunction.faces_on_read): the first read of
+    its infinity runs funcspace.attach_faces at
     funcspace.FACE_TOL, every slice's ladder in one pass, and stores each
     face whose ladders all converged, so a ladder's FaceLimitError, or an
     adaptive image's WeightUnderflowError where phi is 0, is raised at that
@@ -621,13 +625,13 @@ def apply_T(u, kernel, nl, method="grid", tol=1e-10):
         raise ValueError("apply_T expects a 2d grid function")
     if method == "grid":
         op = GridHammersteinOperator(kernel, nl, u.axes)
-        values, quotient = op.apply(u.quotient()), True
+        values = op.apply(u.quotient())
     elif method == "adaptive":
-        values, quotient = _panel_integrals(u, nl, kernel.kx, tol), False
+        values = _panel_integrals(u, nl, kernel.kx, _ADAPTIVE_TOL)
     else:
         raise ValueError(f"unknown method {method!r}")
     values.setflags(write=False)
-    return u.image(values, quotient=quotient).faces_on_read()
+    return u.image(values, quotient=method == "grid").faces_on_read()
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +662,7 @@ def _finite_count(vals):
     return k == len(vals), str(k) if k == len(vals) else f"{k} of {len(vals)}"
 
 
-def check_hypotheses(kernel, nl, r, tol=1e-8):
+def check_hypotheses(kernel, nl, r):
     """Numeric status of the four operator hypotheses at cone radius r, as
     the JSON-ready {"r": r, "hypotheses": {"C1".."C4": {"status",
     "detail"}}, "integrals": {name: value}}.  A status is verified,
@@ -677,8 +681,6 @@ def check_hypotheses(kernel, nl, r, tol=1e-8):
     weight = WEIGHT_REGISTRY[kernel.weight_desc]
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"cone radius must be positive and finite, got {r!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     truncation = 8.0
     ts = np.linspace(0.0, truncation, 41)
     ss = np.linspace(0.0, 1.0, 9)
@@ -727,7 +729,7 @@ def check_hypotheses(kernel, nl, r, tol=1e-8):
     # C3: domination f(t, s, v) <= Phi_r(t, s) for |v| <= r phi(t), and
     # integrability of Phi_r over the half-strip: integrated over
     # [0, B] x [0, 1], with B the first integer at which the Gaussian tail
-    # bound that Phi_r certifies drops below tol.
+    # bound that Phi_r certifies drops below _HYPOTHESIS_TOL.
     tm, sm = np.meshgrid(ts, ss, indexing="ij")
     phi_grid = phi_r(tm, sm)
     dom_ok = True
@@ -752,10 +754,10 @@ def check_hypotheses(kernel, nl, r, tol=1e-8):
     else:
         tail = gaussian_tail(1.0, scale=tail_scale)
         t_top = 1
-        while not tail(t_top) < tol:
+        while not tail(t_top) < _HYPOTHESIS_TOL:
             t_top += 1
         phi_int = _unit_strip_integral(phi_r, float(t_top),
-                                       tol * quad_scale)
+                                       _HYPOTHESIS_TOL * quad_scale)
         integrals["Phi_r"] = phi_int
         conditions["C3"] = {
             "status": "verified" if dom_ok and math.isfinite(phi_int)
@@ -787,7 +789,7 @@ def check_hypotheses(kernel, nl, r, tol=1e-8):
     diverging = settled and any(math.isinf(p) for p in partials)
     if settled and not diverging:
         incs = np.diff([0.0] + partials)
-        diverging = incs[-1] > 0.5 * incs[-2] and incs[-1] > tol
+        diverging = incs[-1] > max(0.5 * incs[-2], _HYPOTHESIS_TOL)
         if not diverging:
             integrals["M0*Phi_r"] = partials[-1]
     if z_ok and "Phi_r" in integrals:

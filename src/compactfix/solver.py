@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import default_eval_grid, index_one_check
-from .funcspace import (FACE_TOL, FaceLimitError, WeightedGridFunction,
-                        attach_faces, save_grid_function, weighted_norm)
+from .funcspace import (FaceLimitError, WeightedGridFunction, attach_faces,
+                        save_grid_function, weighted_norm)
 from .greenop import GridHammersteinOperator
 
 
@@ -52,30 +52,29 @@ class IterationError(Exception):
 @dataclass
 class SolveConfig:
     truncation: float  # the x-range [0, truncation]
-    hx: float = 0.02
-    hy: float = 0.02
+    h: float = 0.02  # the grid step of both axes
     tol: float = 1e-8
     max_iter: int = 50
     rho_ball: float = None
 
     def __post_init__(self):
-        for name in ("hx", "hy", "tol", "truncation"):
+        for name in ("h", "tol", "truncation"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
-        nx, ny = self.truncation / self.hx + 1.0, 1.0 / self.hy + 1.0
+        nx, ny = self.truncation / self.h + 1.0, 1.0 / self.h + 1.0
         if not nx * ny <= MAX_NODES:
             raise ValueError(f"the grid has {nx:.0f} x {ny:.0f} = "
                              f"{nx * ny:.0f} nodes, more than MAX_NODES = "
                              f"{MAX_NODES}")
-        # axes() rounds the node counts, so a step that does not divide its
+        # axes() rounds the node counts, so a step that does not divide an
         # interval would be silently replaced by another one
-        for name, length in (("hx", self.truncation), ("hy", 1.0)):
-            steps = length / getattr(self, name)
+        for length in (self.truncation, 1.0):
+            steps = length / self.h
             if abs(steps - round(steps)) > 1e-9 * steps:
-                raise ValueError(f"{name} = {getattr(self, name)!r} does not "
-                                 f"divide the interval [0, {length:g}]")
+                raise ValueError(f"h = {self.h!r} does not divide the "
+                                 f"interval [0, {length:g}]")
         if round(min(nx, ny)) < 3:
             raise ValueError(f"the grid has {nx:.0f} x {ny:.0f} nodes; "
                              "every axis needs at least 3")
@@ -83,14 +82,12 @@ class SolveConfig:
             raise ValueError("max_iter must be at least 1")
 
     def axes(self):
-        nx = int(round(self.truncation / self.hx))
-        ny = int(round(1.0 / self.hy))
-        return (np.linspace(0.0, self.truncation, nx + 1),
-                np.linspace(0.0, 1.0, ny + 1))
+        return tuple(np.linspace(0.0, length, int(round(length / self.h)) + 1)
+                     for length in (self.truncation, 1.0))
 
     def as_dict(self):
         """The settings a run directory records, JSON-ready."""
-        return {"grid_step": [self.hx, self.hy],
+        return {"grid_step": self.h,
                 "truncation": self.truncation, "tol": self.tol,
                 "max_iter": self.max_iter, "rho_ball": self.rho_ball}
 
@@ -237,7 +234,7 @@ def pde_residual(axes, q, kernel, nl, blocks):
     return float(np.max(sups))
 
 
-def asymptotic_profile(u, tol=FACE_TOL):
+def asymptotic_profile(u):
     """Windowed limits of u/phi at u's first infinity face, x = inf, as
     (y-node, LimitResult) pairs, read by funcspace.attach_faces, which
     stores every face of u whose ladders all converged.
@@ -249,7 +246,7 @@ def asymptotic_profile(u, tol=FACE_TOL):
     faces = u.face_labels()
     if not faces:
         raise ValueError("the grid function has no infinity face")
-    out = list(zip(u.axes[1].tolist(), attach_faces(u, tol)[faces[0]]))
+    out = list(zip(u.axes[1].tolist(), attach_faces(u)[faces[0]]))
     for y0, res in out:
         if res.status == "no_limit":
             raise FaceLimitError(f"{faces[0]}@{y0:.6g}", res,

@@ -43,10 +43,10 @@ def _report(num, name, ok, detail):
 def solved(problem):
     """The two production solves shared by criteria 4 and 5."""
     t0 = time.perf_counter()
-    h02 = picard_solve(problem, SolveConfig(hx=0.02, hy=0.02,
+    h02 = picard_solve(problem, SolveConfig(h=0.02,
                                             truncation=24.0, tol=1e-8,
                                             rho_ball=0.5))
-    h01 = picard_solve(problem, SolveConfig(hx=0.01, hy=0.01,
+    h01 = picard_solve(problem, SolveConfig(h=0.01,
                                             truncation=24.0, tol=1e-8,
                                             rho_ball=0.5))
     return {"h02": h02, "h01": h01,
@@ -184,11 +184,11 @@ def test_07_bump_chain():
 
 
 def test_08_arctan_extension():
-    ext = extend(np.arctan, LineTwoPoint(), tol=1e-6)
+    ext = extend(np.arctan, LineTwoPoint())
     two_ok = (abs(ext["+inf"] - math.pi / 2) < 1e-6
               and abs(ext["-inf"] + math.pi / 2) < 1e-6)
     try:
-        extend(np.arctan, LineOnePoint(), tol=1e-6)
+        extend(np.arctan, LineOnePoint())
         one_failed = False
     except ExtensionError:
         one_failed = True

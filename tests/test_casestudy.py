@@ -112,7 +112,7 @@ def test_load_problem_file(tmp_path):
     path.write_text(json.dumps(dict(doc, weight="1")))
     flat = load_problem_file(path)
     assert flat.weight is WEIGHT_REGISTRY["1"]
-    res = picard_solve(flat, SolveConfig(hx=0.25, hy=0.25, truncation=4.0))
+    res = picard_solve(flat, SolveConfig(h=0.25, truncation=4.0))
     assert res.solution.weight_desc == "1"
     assert np.array_equal(res.solution.quotient(), res.solution.samples)
     assert res.solution.samples.max() > 0.0

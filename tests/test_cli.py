@@ -92,7 +92,7 @@ def test_solve_rejects_zero_grid_step(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["solve", "--grid-step", "0", "--out", str(out)])
     assert rc == 1
-    assert "usage error: hx must be positive and finite" \
+    assert "usage error: h must be positive and finite" \
         in capsys.readouterr().err
     assert not out.exists()
 
@@ -112,7 +112,7 @@ def test_solve_rejects_grid_step_that_does_not_divide(tmp_path, capsys):
     rc = main(["solve", "--grid-step", "0.07", "--truncation", "4",
                "--out", str(out)])
     assert rc == 1
-    assert "usage error: hx = 0.07 does not divide" in capsys.readouterr().err
+    assert "usage error: h = 0.07 does not divide" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -465,9 +465,11 @@ def test_check_conditions_single_rho(tmp_path):
 
 
 def test_check_conditions_rejects_bad_range(tmp_path, capsys):
-    # a ladder too long to allocate is refused before np.arange runs
+    # a ladder too long to allocate is refused before np.arange runs, and
+    # a step below the spacing of floats at 0.5 leaves a ladder of no rungs
     for bad in ("abc", "1:0.5:0.1", "0:1:-0.1", "0.1:nan:0.1",
-                "0.1:1:inf", "nan:1:0.1", "0.1:1e9:1e-9", "0:1:1e-4"):
+                "0.1:1:inf", "nan:1:0.1", "0.1:1e9:1e-9", "0:1:1e-4",
+                "0.5:0.5:1e-300"):
         rc = main(["check-conditions", "--rho-range", bad,
                    "--out", str(tmp_path / "x")])
         assert rc == 1

@@ -245,7 +245,7 @@ def test_kappa_limit_is_the_grid_ladder_on_its_own_samples():
         xs = np.unique(pts)
         (grid,) = WeightedGridFunction(
             (xs,), f(xs), cmap=ProductCompactification((cmap,))).face_limit(
-            f"axis0:{point}", tol=1e-6)
+            f"axis0:{point}")
         depth = len(got.oscillations)
         assert len(grid.oscillations) > depth
         assert grid.oscillations[:depth] == got.oscillations
@@ -259,21 +259,21 @@ def test_kappa_limit_is_the_grid_ladder_on_its_own_samples():
 
 def test_extend_arctan_two_point():
     cmap = LineTwoPoint()
-    ext = extend(np.arctan, cmap, tol=1e-6)
+    ext = extend(np.arctan, cmap)
     assert abs(ext["+inf"] - math.pi / 2) < 1e-6
     assert abs(ext["-inf"] + math.pi / 2) < 1e-6
 
 
 def test_extend_arctan_one_point_fails():
     with pytest.raises(ExtensionError) as err:
-        extend(np.arctan, LineOnePoint(), tol=1e-6)
+        extend(np.arctan, LineOnePoint())
     assert "inf" in err.value.failures
     assert err.value.failures["inf"].status == "no_limit"
 
 
 def test_extend_decaying_exponential_on_half_line():
     ext = extend(lambda x: np.exp(-np.asarray(x, dtype=float)),
-                 HalfLineOnePoint(), tol=1e-6)
+                 HalfLineOnePoint())
     assert abs(ext["inf"]) < 1e-6
 
 
@@ -300,6 +300,6 @@ def test_product_face_point_labels_finite_coordinate():
 def test_product_limit_along_a_face():
     # the limit along the face x = inf is y at every node
     g = _half_strip()
-    faces = gamma(g, tol=1e-4).infinity
+    faces = gamma(g).infinity
     assert list(faces) == ["axis0:inf"]
     assert np.allclose(faces["axis0:inf"], g.axes[1], atol=1e-3)

@@ -21,8 +21,9 @@ from compactfix.compactify import (HalfLineOnePoint, IntervalIdentity,
                                    LimitResult, LineOnePoint, LineTwoPoint,
                                    ProductCompactification, classify_ladder,
                                    kappa_limit)
-from compactfix.funcspace import (LOG_WEIGHTS, NAMED_MAPS, WEIGHT_REGISTRY,
-                                  BumpChain, FaceLimitError,
+from compactfix import funcspace
+from compactfix.funcspace import (FACE_TOL, LOG_WEIGHTS, NAMED_MAPS,
+                                  WEIGHT_REGISTRY, BumpChain, FaceLimitError,
                                   WeightedGridFunction,
                                   WeightUnderflowError, _CSV_CHUNK,
                                   _face_axis, _family_quotients, _format_17g,
@@ -186,7 +187,7 @@ def test_gamma_zero_separates_grid_functions():
 def test_gamma_p_raises_when_grid_limit_is_missing():
     f = WeightedGridFunction((XS,), np.sin(XS))
     with pytest.raises(FaceLimitError) as err:
-        gamma(f, tol=1e-3)
+        gamma(f)
     assert err.value.face == "axis0:inf"
     assert err.value.result.status == "no_limit"
 
@@ -198,10 +199,10 @@ def test_face_limit_needs_nodes_in_some_window():
         f.face_limit("axis0:inf")
 
 
-def test_attach_faces_stores_a_scalar_on_a_1d_grid():
+def test_attach_faces_stores_a_scalar_on_a_1d_grid(monkeypatch):
     # the face value of a 1-d grid is a scalar under the key (0,); gamma
     # reads it back instead of its own ladder, which does not converge at
-    # tol 1e-300, and weighted_norm takes it into the sup
+    # a FACE_TOL of 1e-300, and weighted_norm takes it into the sup
     xs = np.linspace(0.0, 40.0, 801)
     f = WeightedGridFunction((xs,), np.exp(-xs) - 1.0)
     (res,) = attach_faces(f)["axis0:inf"]
@@ -210,9 +211,10 @@ def test_attach_faces_stores_a_scalar_on_a_1d_grid():
     assert list(f.infinity["axis0:inf"]) == [(0,)]
     stored = f.infinity["axis0:inf"][(0,)]
     assert np.ndim(stored) == 0 and stored == res.value
+    monkeypatch.setattr(funcspace, "FACE_TOL", 1e-300)
     with pytest.raises(FaceLimitError):
-        gamma(f.image(f.samples), tol=1e-300)
-    assert gamma(f, tol=1e-300).infinity == {"axis0:inf": stored}
+        gamma(f.image(f.samples))
+    assert gamma(f).infinity == {"axis0:inf": stored}
     assert weighted_norm(f) == abs(stored) == 1.0
 
 
@@ -274,11 +276,11 @@ def _per_node_profile(f, vals, face, tol):
             for j, node in enumerate(nodes)]
 
 
-def _face_profile(f, face, tol):
+def _face_profile(f, face):
     """face_limit's results on a face of a 2-d grid, paired with the nodes
     of the other axis."""
     return list(zip(f.axes[1 - _face_axis(face)].tolist(),
-                    f.face_limit(face, tol)))
+                    f.face_limit(face)))
 
 
 def test_one_pass_face_profile_equals_the_per_node_ladders(rng):
@@ -292,25 +294,25 @@ def test_one_pass_face_profile_equals_the_per_node_ladders(rng):
          + 0.1 * (1.0 - Y) * np.sin(3.0 * X)
          * np.where(Y < 0.3, 1.0, 1.0 / (1.0 + X)))
     f = WeightedGridFunction((xs, ys), q)
-    got = _face_profile(f, "axis0:inf", 1e-4)
-    assert got == _per_node_profile(f, q, "axis0:inf", 1e-4)
+    got = _face_profile(f, "axis0:inf")
+    assert got == _per_node_profile(f, q, "axis0:inf", FACE_TOL)
     assert {res.status for _, res in got} == {"converged", "no_limit",
                                               "inconclusive"}
     # a face along the second axis reads the rows
     g = WeightedGridFunction((ys, xs), q.T, cmap=ProductCompactification(
         (IntervalIdentity(), HalfLineOnePoint())))
-    assert _face_profile(g, "axis1:inf", 1e-4) \
-        == _per_node_profile(g, q.T, "axis1:inf", 1e-4)
+    assert _face_profile(g, "axis1:inf") \
+        == _per_node_profile(g, q.T, "axis1:inf", FACE_TOL)
     # each slice reads as the 1-d grid of that slice does, bit for bit
-    slices = [WeightedGridFunction((xs,), col).face_limit("axis0:inf", 1e-4)
+    slices = [WeightedGridFunction((xs,), col).face_limit("axis0:inf")
               for col in q.T]
     for h, face in ((f, "axis0:inf"), (g, "axis1:inf")):
-        assert [[res] for res in h.face_limit(face, 1e-4)] == slices
+        assert [[res] for res in h.face_limit(face)] == slices
     # a NaN column fails its own ladders only; NaN != NaN, so it is
     # compared through repr, which prints every float exactly
     q[1100, 7] = np.nan
-    got = _face_profile(f, "axis0:inf", 1e-4)
-    want = _per_node_profile(f, q, "axis0:inf", 1e-4)
+    got = _face_profile(f, "axis0:inf")
+    want = _per_node_profile(f, q, "axis0:inf", FACE_TOL)
     assert repr(got) == repr(want)
     assert got[:7] + got[8:] == want[:7] + want[8:]
     assert math.isnan(got[7][1].oscillation)
@@ -323,22 +325,22 @@ def test_one_pass_ladder_on_a_line_reads_both_faces(rng):
                              cmap=ProductCompactification((LineTwoPoint(),)))
     vals = f.quotient()
     for face in ("axis0:-inf", "axis0:+inf"):
-        (got,) = f.face_limit(face, tol=1e-6)
-        assert got == _per_node_ladder(f, vals, face, None, 1e-6)
+        (got,) = f.face_limit(face)
+        assert got == _per_node_ladder(f, vals, face, None, FACE_TOL)
         assert got.converged
     # the first window of "axis0:+inf" is every node with x > 1
     assert _windows(f, "axis0:+inf")[0].tolist() == (xs > 1.0).tolist()
-    stored = gamma(f, tol=1e-6).infinity
+    stored = gamma(f).infinity
     assert stored["axis0:-inf"] == _per_node_ladder(f, vals, "axis0:-inf",
-                                                    None, 1e-6).value
+                                                    None, FACE_TOL).value
     assert stored["axis0:+inf"] == got.value
     # sparse tails: levels 2-4 share one window on each side
     xs = np.array([-21.0, -20.0, -2.5, -2.0, 0.0, 2.0, 2.5, 20.0, 21.0])
     f = WeightedGridFunction((xs,), rng.uniform(-1.0, 1.0, xs.size),
                              cmap=ProductCompactification((LineTwoPoint(),)))
     for face in ("axis0:-inf", "axis0:+inf"):
-        (got,) = f.face_limit(face, tol=1e-6)
-        assert got == _per_node_ladder(f, f.samples, face, None, 1e-6)
+        (got,) = f.face_limit(face)
+        assert got == _per_node_ladder(f, f.samples, face, None, FACE_TOL)
         assert [int(m.sum()) for m in _windows(f, face)] == [4, 2, 2, 2]
 
 
@@ -351,25 +353,26 @@ def test_glued_infinity_ladder_reads_both_tails():
     f = WeightedGridFunction((xs,), np.arctan(xs),
                              cmap=ProductCompactification((cmap,)))
     with pytest.raises(FaceLimitError) as err:
-        gamma(f, tol=0.1)
+        gamma(f)
     assert err.value.face == "axis0:inf"
     assert err.value.result.status == "no_limit"
     assert kappa_limit(np.arctan, cmap.infinity_points()[0], cmap,
                        tol=0.1).status == "no_limit"
-    (got,) = f.face_limit("axis0:inf", tol=0.1)
-    assert got == _per_node_ladder(f, f.quotient(), "axis0:inf", None, 0.1)
+    (got,) = f.face_limit("axis0:inf")
+    assert got == _per_node_ladder(f, f.quotient(), "axis0:inf", None,
+                                   FACE_TOL)
     assert _windows(f, "axis0:inf")[0].tolist() \
         == (np.abs(xs) > 1.0).tolist()
     g = WeightedGridFunction((xs,), np.exp(-xs ** 2), cmap=f.cmap)
-    assert gamma(g, tol=1e-6).infinity == {"axis0:inf": 0.0}
+    assert gamma(g).infinity == {"axis0:inf": 0.0}
     # a half strip whose unbounded axis is a glued line
     ys = np.linspace(0.0, 1.0, 5)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     h = WeightedGridFunction(
         (xs, ys), np.arctan(X) * Y + np.exp(-X ** 2),
         cmap=ProductCompactification((cmap, IntervalIdentity())))
-    got = _face_profile(h, "axis0:inf", 1e-4)
-    assert got == _per_node_profile(h, h.quotient(), "axis0:inf", 1e-4)
+    got = _face_profile(h, "axis0:inf")
+    assert got == _per_node_profile(h, h.quotient(), "axis0:inf", FACE_TOL)
     assert [res.status for _, res in got] == ["converged"] + ["no_limit"] * 4
 
 
@@ -404,9 +407,9 @@ def test_product_with_a_two_point_line_has_both_faces(tmp_path):
         WeightedGridFunction((xs, ys), np.tanh(X), cmap=LineTwoPoint())
 
 
-def test_modulus_refuses_an_axis_not_longer_than_max_shift():
+def test_modulus_refuses_an_axis_not_longer_than_max_shift(monkeypatch):
     # tanh over a two-point line times an interval with 5 y-nodes: the y
-    # axis is too short for the windows up to max_shift = 64
+    # axis is too short for the windows up to the widest shift, 64
     xs = np.linspace(-40.0, 40.0, 801)
     ys = np.linspace(0.0, 1.0, 5)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -415,15 +418,18 @@ def test_modulus_refuses_an_axis_not_longer_than_max_shift():
         infinity={"axis0:-inf": {(0, 0): -np.ones(5)},
                   "axis0:+inf": {(0, 0): np.ones(5)}},
         cmap=ProductCompactification((LineTwoPoint(), IntervalIdentity())))
-    with pytest.raises(ValueError, match="more than max_shift = 64 nodes "
-                                         "on every axis; axis 1 has 5"):
+    with pytest.raises(ValueError, match="more than 64 nodes on every "
+                                         "axis, its widest shift; axis 1 "
+                                         "has 5"):
         precompactness_report([f])
     # nothing is read before the check
-    with pytest.raises(ValueError, match="max_shift = 5 .* axis 1 has 5"):
-        equicontinuity_modulus([f], {}, max_shift=5)
+    monkeypatch.setattr(funcspace, "_MAX_SHIFT", 5)
+    with pytest.raises(ValueError, match="more than 5 .* axis 1 has 5"):
+        equicontinuity_modulus([f], {})
+    monkeypatch.setattr(funcspace, "_MAX_SHIFT", 4)
     quotients = _family_quotients([f])
     assert [len(rows) for rows in equicontinuity_modulus(
-        [f], quotients, max_shift=4).values()] == [3, 3]
+        [f], quotients).values()] == [3, 3]
 
 
 def test_face_profile_needs_nodes_in_some_window():
@@ -432,12 +438,12 @@ def test_face_profile_needs_nodes_in_some_window():
     f = WeightedGridFunction((xs, ys), np.zeros((11, 3)))
     with pytest.raises(ValueError, match="no nodes in any window of face "
                                          "'axis0:inf'"):
-        f.face_limit("axis0:inf", 1e-4)
+        f.face_limit("axis0:inf")
     with pytest.raises(ValueError, match="window"):
-        _per_node_profile(f, f.samples, "axis0:inf", 1e-4)
+        _per_node_profile(f, f.samples, "axis0:inf", FACE_TOL)
     # the half strip's second axis is an interval: it has no face
     with pytest.raises(ValueError, match="no infinity face 'axis1:inf'"):
-        f.face_limit("axis1:inf", 1e-4)
+        f.face_limit("axis1:inf")
 
 
 def test_precompactness_gaussian_family_counterexample():
@@ -561,7 +567,7 @@ def _doubling_modulus(family, max_shift=64):
     return out
 
 
-def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
+def test_equicontinuity_modulus_matches_the_doubling_loop(rng, monkeypatch):
     # a member of period 4 nodes differs most at shift 2, so the worst
     # difference must be carried past the shifts 3 and 4
     fam = gaussian_family(12, truncation=16.0, step=0.01)
@@ -584,7 +590,8 @@ def test_equicontinuity_modulus_matches_the_doubling_loop(rng):
         * np.exp(-X ** 2 / 2.0), f0.weight, f0.cmap))
     quotients = _family_quotients(fam2)
     for max_shift in (1, 12, 32):
-        got = equicontinuity_modulus(fam2, quotients, max_shift)
+        monkeypatch.setattr(funcspace, "_MAX_SHIFT", max_shift)
+        got = equicontinuity_modulus(fam2, quotients)
         assert got == _doubling_modulus(fam2, max_shift)
     assert [len(rows) for rows in got.values()] == [6, 6]
 
@@ -602,9 +609,10 @@ def test_window_modulus_equals_the_doubling_loop(data, ndim, members):
         axes, data.draw(hnp.arrays(float, shape, elements=VALUES)))
         for _ in range(members)]
     max_shift = data.draw(st.integers(1, min(shape) - 1), label="max_shift")
-    assert equicontinuity_modulus(fam, _family_quotients(fam),
-                                  max_shift) \
-        == _doubling_modulus(fam, max_shift)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcspace, "_MAX_SHIFT", max_shift)
+        got = equicontinuity_modulus(fam, _family_quotients(fam))
+    assert got == _doubling_modulus(fam, max_shift)
 
 
 @pytest.mark.parametrize("node", [400, -5])
@@ -754,7 +762,7 @@ def test_equiconvergence_reads_the_ladder_windows():
     f2 = WeightedGridFunction((xs, ys), Y * np.exp(-X),
                               infinity={"axis0:inf": {(0, 0): 0.0 * ys}})
     for f, res in ((f1, f1.face_limit("axis0:inf")[0]),
-                   (f2, f2.face_limit("axis0:inf", 1e-6)[0])):
+                   (f2, f2.face_limit("axis0:inf")[0])):
         (devs,) = equiconvergence_deviation(
             [f, f], _family_quotients([f, f])).values()
         assert [d for d, _ in devs] \
@@ -907,7 +915,7 @@ def test_save_load_save_keeps_the_cmap(tmp_path, name):
         assert g.face_labels() == f.face_labels()
 
         def statuses(h):
-            return [[res.status for res in h.face_limit(face, 1e-3)]
+            return [[res.status for res in h.face_limit(face)]
                     for face in h.face_labels()]
 
         assert statuses(g) == statuses(f)
@@ -916,7 +924,7 @@ def test_save_load_save_keeps_the_cmap(tmp_path, name):
         assert set(gamma(zero).infinity) == set(f.face_labels())
     if name == "line-onepoint":
         assert [res.status for res in g.face_limit(
-            "axis0:inf", 1e-3)] == ["no_limit"] * 3
+            "axis0:inf")] == ["no_limit"] * 3
     if name == "product":
         assert len(g.face_labels()) == 3
 
@@ -1357,6 +1365,9 @@ def test_load_refuses_another_header(tmp_path):
 
 
 def test_load_refuses_a_value_count_off_the_axes(tmp_path):
+    # and, naming the file, a value that is no number and sidecar axes
+    # that are not lists of numbers, which raised TypeError or a
+    # ValueError without the path
     f = wgf(phi(XS))
     path = tmp_path / "grid.csv"
     save_grid_function(f, path)
@@ -1365,6 +1376,18 @@ def test_load_refuses_a_value_count_off_the_axes(tmp_path):
         path.write_text("\r\n".join(body) + "\r\n")
         with pytest.raises(ValueError,
                            match=f"{len(body) - 1} values for the 49 nodes"):
+            load_grid_function(path)
+    path.write_text("\r\n".join(lines[:5] + ["abc"] + lines[6:]) + "\r\n")
+    with pytest.raises(ValueError, match=r"grid\.csv: .*'abc'"):
+        load_grid_function(path)
+    save_grid_function(f, path)
+    sidecar = tmp_path / "grid.csv.json"
+    side = json.loads(sidecar.read_text())
+    for axes in (5, None, [3.0], "abc", [], [["0", "1"]], [[True, 1.0]],
+                 [[[0.0], [1.0]]]):
+        sidecar.write_text(json.dumps(dict(side, axes=axes)))
+        with pytest.raises(ValueError, match="grid.csv: sidecar axes is "
+                                             "not a list of lists of numbers"):
             load_grid_function(path)
 
 

@@ -278,8 +278,7 @@ def test_adaptive_apply_matches_closed_form_at_zero(problem):
                    (np.linspace(0.0, 8.0, 12), np.linspace(0.0, 1.0, 12)),
                    (np.linspace(0.5, 2.0, 7), np.linspace(0.25, 1.0, 4))):
         u0 = _grid_function(problem, xs, ys, np.zeros((len(xs), len(ys))))
-        out = apply_T(u0, problem.kernel, problem.nl, method="adaptive",
-                      tol=1e-10)
+        out = apply_T(u0, problem.kernel, problem.nl, method="adaptive")
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         expected = problem.closed_forms["Tu0"](X, Y)
         assert np.abs(out.samples - expected).max() < 1e-12
@@ -316,8 +315,8 @@ def test_adaptive_apply_matches_nested_reference_on_kinked_u(problem, rng):
         xs = np.linspace(x0, x0 + 2.0, 5)
         ys = np.linspace(0.0, 1.0, 4)
         u = _grid_function(problem, xs, ys, rng.uniform(0.0, 0.5, (5, 4)))
-        got = apply_T(u, problem.kernel, problem.nl, method="adaptive",
-                      tol=1e-10).samples
+        got = apply_T(u, problem.kernel, problem.nl,
+                      method="adaptive").samples
         want = _nested_adaptive_apply(u, problem.kernel, problem.nl, 1e-10)
         assert np.abs(got - want).max() <= 1e-9
 
@@ -430,26 +429,6 @@ def test_adaptive_apply_refuses_nan_and_unsettled_integrands(problem):
     assert np.all(np.isfinite(err.value.last_estimate))
 
 
-def test_adaptive_apply_refuses_a_bad_tol_before_evaluating(problem):
-    # a NaN, negative or zero tol would run all 7 panel levels (1.7-2.0 s
-    # on a 17 x 9 grid) before a QuadratureError
-    xs = np.linspace(0.0, 2.0, 5)
-    ys = np.linspace(0.0, 1.0, 4)
-    u = _grid_function(problem, xs, ys, np.zeros((5, 4)))
-    calls = []
-
-    def counting(t, s, v):
-        calls.append(v)
-        return problem.nl.eval(t, s, v)
-
-    nl = dataclasses.replace(problem.nl, eval=counting)
-    for tol in (math.nan, -1.0, 0.0):
-        with pytest.raises(ValueError, match=f"tol must be positive and "
-                                             f"finite, got {tol!r}"):
-            apply_T(u, problem.kernel, nl, method="adaptive", tol=tol)
-    assert calls == []
-
-
 def _settled_level(monkeypatch, run):
     """(result, L, level_values, tol) of the 2-d route's one _settle call
     made by run(): L is the panel level whose 15-node Kronrod values were
@@ -527,13 +506,17 @@ def _narrow_bump(c, w, axis=0):
 def test_adaptive_apply_refines_a_narrow_bump(monkeypatch):
     # f = exp(-((t - c)/w)^2) with kx = 1: Tu(x, y) is y times a difference
     # of error functions.  15 nodes on a panel of width 0.5 do not resolve
-    # the bump, so the panels are doubled until the 7-node rule agrees
+    # the bump, so the panels are doubled until the 7-node rule agrees.
+    # The adaptive apply_T's route, _panel_integrals, runs at 1e-12, so
+    # the image is checked to 1e-12
+    from compactfix import greenop
+
     c, w = 0.9, 0.04
     kernel, nl, u = _narrow_bump(c, w)
     xs, ys = u.axes
     out, level, level_integrals, tol = _settled_level(
-        monkeypatch, lambda: apply_T(u, kernel, nl, method="adaptive",
-                                     tol=1e-12))
+        monkeypatch, lambda: greenop._panel_integrals(u, nl, kernel.kx,
+                                                      1e-12))
     assert level >= 1
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     want = Y * w * SQPI2 * (erf((X - c) / w) + erf(c / w))
@@ -641,7 +624,8 @@ def test_adaptive_apply_builds_one_node_set_and_basis_per_level(
     # pass per axis and level; at level 0 that pass also gives the spline's
     # collocation matrices (_two_tensor_panel_integrals makes 6
     # _bspline_rows calls at level 0).  The 12 x 12 grid settles at level
-    # 0, the bump at level 4.
+    # 0 through apply_T, the bump at level 4 through its route,
+    # _panel_integrals, at 1e-12.
     from compactfix import greenop
 
     calls, levels = {}, []
@@ -661,14 +645,16 @@ def test_adaptive_apply_builds_one_node_set_and_basis_per_level(
         return settle(level_pair_seen, tol)
 
     monkeypatch.setattr(greenop, "_settle", recording)
+    zero = _crosscheck_grids(problem, rng)["zero"]
     bump_kernel, bump_nl, bump_u = _narrow_bump(0.9, 0.04)
-    cases = {"zero": (_crosscheck_grids(problem, rng)["zero"],
-                      problem.kernel, problem.nl, 1e-10, 0),
-             "bump": (bump_u, bump_kernel, bump_nl, 1e-12, 4)}
-    for name, (u, kernel, nl, tol, level) in cases.items():
+    cases = {"zero": (lambda: apply_T(zero, problem.kernel, problem.nl,
+                                      method="adaptive"), 0),
+             "bump": (lambda: greenop._panel_integrals(
+                 bump_u, bump_nl, bump_kernel.kx, 1e-12), 4)}
+    for name, (run, level) in cases.items():
         calls.update(_gl_panels=0, _bspline_rows=0)
         levels.clear()
-        apply_T(u, kernel, nl, method="adaptive", tol=tol)
+        run()
         assert levels == list(range(level + 1)), name
         assert calls == {"_gl_panels": 1 + level,
                          "_bspline_rows": 2 + 2 * level}, name
@@ -676,13 +662,13 @@ def test_adaptive_apply_builds_one_node_set_and_basis_per_level(
 
 @pytest.fixture
 def ladders(monkeypatch):
-    """(grid function, face, tol, results) of every face_limit call."""
+    """(grid function, face, results) of every face_limit call."""
     calls = []
     face_limit = WeightedGridFunction.face_limit
 
-    def recording(self, face, tol=1e-6):
-        results = face_limit(self, face, tol)
-        calls.append((self, face, tol, results))
+    def recording(self, face):
+        results = face_limit(self, face)
+        calls.append((self, face, results))
         return results
 
     monkeypatch.setattr(WeightedGridFunction, "face_limit", recording)
@@ -695,10 +681,10 @@ def test_crosscheck_pair_evaluates_the_weight_once(problem, rng,
     # phi column (WeightedGridFunction.image), and both equal, bit for
     # bit, the images built as standalone grid functions.  apply_T runs
     # no face ladder: the first read of an image's infinity runs its one
-    # face's ladder, at FACE_TOL, with the statuses, values and stored
-    # faces of attach_faces on the standalone function, and later reads
-    # run none.  The cone's faces do not settle on 17 nodes, the zero
-    # grid's adaptive image's do.  phi is counted through its registry
+    # face's ladder, with the statuses, values and stored faces of
+    # attach_faces on the standalone function, and later reads run none.
+    # The cone's faces do not settle on 17 nodes, the zero grid's
+    # adaptive image's do.  phi is counted through its registry
     # entry, as a grid function takes no other weight, and is evaluated on
     # axis 0's nodes alone
     from compactfix import funcspace, greenop
@@ -741,9 +727,8 @@ def test_crosscheck_pair_evaluates_the_weight_once(problem, rng,
             assert ladders == [], name
             faces = got.infinity
             assert got.infinity is faces, name
-            [(read, face, tol, results)] = ladders
-            assert (read, face, tol) == (got, "axis0:inf",
-                                         funcspace.FACE_TOL), name
+            [(read, face, results)] = ladders
+            assert (read, face) == (got, "axis0:inf"), name
             ladders.clear()
             want_results = funcspace.attach_faces(want)["axis0:inf"]
             ladders.clear()
@@ -910,7 +895,7 @@ def test_banded_quotient_operator_matches_dense_route(problem, rng,
     # q+ = T(phi q)/phi on the trimmed band, for the case study, for a
     # weight-"1" file, whose quotient forms are kx and f themselves, and
     # for a weight-"1" kernel whose probed bands must widen
-    axes = SolveConfig(hx=0.02, hy=0.02, truncation=24.0).axes()
+    axes = SolveConfig(h=0.02, truncation=24.0).axes()
     unit = _unit_weight_problem(tmp_path)
     backward = dataclasses.replace(unit, kernel=_backward_ridge("1"))
     for prob in (problem, unit, backward):
@@ -926,7 +911,7 @@ def test_operator_apply_works_in_its_output(problem, rng):
     # products replace it there in place, from the last block back: the
     # image is bitwise that of the whole-grid f(q) B^T and a fresh output,
     # and an application holds one grid besides its input, not two
-    axes = SolveConfig(hx=0.02, hy=0.02, truncation=24.0).axes()
+    axes = SolveConfig(h=0.02, truncation=24.0).axes()
     op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
     q = rng.uniform(0.0, 0.5, size=tuple(len(a) for a in axes))
     inner = problem.nl.q_eval(axes[0][:, None], axes[1][None, :], q) \
@@ -954,7 +939,7 @@ def test_operator_refuses_a_problem_without_its_quotient_form(problem):
 
 
 def test_quotient_operator_stores_its_band_only(problem):
-    axes = SolveConfig(hx=0.01, hy=0.01, truncation=24.0).axes()
+    axes = SolveConfig(h=0.01, truncation=24.0).axes()
     op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
     n = len(axes[0])
     assert sum(block.size for _, _, block in op.blocks) <= 0.4 * n * n
@@ -963,7 +948,7 @@ def test_quotient_operator_stores_its_band_only(problem):
 def test_operator_build_evaluates_the_band_only(problem, counting_kernel):
     # every block evaluates qx on its band, on its first and last rows
     # over the causal range and on the two cut columns
-    axes = SolveConfig(hx=0.01, hy=0.01, truncation=24.0).axes()
+    axes = SolveConfig(h=0.01, truncation=24.0).axes()
     op = GridHammersteinOperator(counting_kernel, problem.nl, axes)
     bound = sum(block.size + 2 * (a + block.shape[0]) + 2 * block.shape[0]
                 for a, _, block in op.blocks)
@@ -992,7 +977,7 @@ def test_probed_bands_equal_the_causal_range_rule():
                               (0.05, 0.02, 0.01))
     for weight, rate, h in cases:
         k = _gauss_shift_kernel(weight, rate).qx
-        xs = SolveConfig(hx=h, truncation=16.0).axes()[0]
+        xs = SolveConfig(h=h, truncation=16.0).axes()[0]
         got = list(kernel_row_blocks(k, xs))
         want = list(_causal_range_blocks(k, xs))
         case = (weight, rate, h)
@@ -1038,18 +1023,19 @@ def test_check_hypotheses_integrals(problem, c4_partials):
     assert not math.isfinite(partials[2])
 
 
-def test_check_hypotheses_phi_r_tail_is_certified(problem):
+def test_check_hypotheses_phi_r_tail_is_certified(problem, monkeypatch):
     # Phi_r is integrated over [0, B] x [0, 1], with B the first integer at
-    # which the certified Gaussian tail bound is below tol: the dropped
-    # tail and the quadrature error together stay below tol
+    # which the certified Gaussian tail bound is below the report's
+    # tolerance: the dropped tail and the quadrature error together stay
+    # below it, at the shipped 1e-8 and at a coarser 1e-4
+    from compactfix import greenop
+
     for r in (0.1, 2.0):
         exact = 0.125 * SQPI2 ** 2 * erf(1.0) + r * r * SQPI2
         for tol in (1e-4, 1e-8):
-            rep = check_hypotheses(problem.kernel, problem.nl, r=r, tol=tol)
+            monkeypatch.setattr(greenop, "_HYPOTHESIS_TOL", tol)
+            rep = check_hypotheses(problem.kernel, problem.nl, r=r)
             assert abs(rep["integrals"]["Phi_r"] - exact) <= tol
-    for bad in (0.0, math.nan):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            check_hypotheses(problem.kernel, problem.nl, r=0.5, tol=bad)
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 10.0])
@@ -1060,7 +1046,7 @@ def test_phi_r_tail_scale_comes_from_the_dominator(problem, amplitude):
     r, tol = 0.5, 1e-8
     assert nl.dominator(r)[1] == pytest.approx(
         amplitude * SQPI2 * erf(1.0) + r * r)
-    rep = check_hypotheses(problem.kernel, nl, r=r, tol=tol)
+    rep = check_hypotheses(problem.kernel, nl, r=r)
     exact = amplitude * SQPI2 ** 2 * erf(1.0) + r * r * SQPI2
     assert rep["hypotheses"]["C3"]["status"] == "verified"
     assert abs(rep["integrals"]["Phi_r"] - exact) <= tol
@@ -1147,7 +1133,7 @@ def test_phi_r_integrals_settle_relative_to_a_large_forcing(problem):
     # by 2.3e-10 at the finest panels, above an absolute 1e-10
     nl = _gauss_square_nonlinearity("exp(-x^2/2)", 1e6)
     r, tol = 0.5, 1e-8
-    rep = check_hypotheses(problem.kernel, nl, r=r, tol=tol)
+    rep = check_hypotheses(problem.kernel, nl, r=r)
     assert {key: c["status"] for key, c in rep["hypotheses"].items()} == {
         "C1": "verified", "C2": "verified_on_truncation", "C3": "verified",
         "C4": "diverges"}

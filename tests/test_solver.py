@@ -37,7 +37,7 @@ def test_solve_without_config_takes_the_problems_truncation(tmp_path):
 
 def test_zero_forcing_fixes_zero(tmp_path):
     prob = _zero_problem(tmp_path)
-    cfg = SolveConfig(hx=0.25, hy=0.25, truncation=4.0)
+    cfg = SolveConfig(h=0.25, truncation=4.0)
     res = picard_solve(prob, cfg)
     assert res.iterations == 1
     assert res.gap_history == (0.0,)
@@ -63,7 +63,7 @@ def test_iterates_increase_monotonically(problem, coarse_axes):
 def test_iterates_from_zero_and_a_supersolution_meet(problem):
     # the equation is Volterra in y, so it has one bounded solution: Picard
     # from below (q = 0) and from the supersolution q = 0.4 reach the same q
-    axes = SolveConfig(hx=0.02, hy=0.02, truncation=24.0).axes()
+    axes = SolveConfig(h=0.02, truncation=24.0).axes()
     op = GridHammersteinOperator(problem.kernel, problem.nl, axes)
     lower = np.zeros(tuple(len(a) for a in axes))
     upper = np.full_like(lower, 0.4)
@@ -76,7 +76,7 @@ def test_iterates_from_zero_and_a_supersolution_meet(problem):
 
 
 def test_iteration_budget_exhaustion(problem):
-    cfg = SolveConfig(hx=0.5, hy=0.25, truncation=4.0, tol=1e-30, max_iter=2)
+    cfg = SolveConfig(h=0.25, truncation=4.0, tol=1e-30, max_iter=2)
     with pytest.raises(IterationError, match="no convergence") as err:
         picard_solve(problem, cfg)
     assert len(err.value.gap_history) == 2
@@ -110,7 +110,7 @@ def test_non_finite_gap_carries_the_gap_history(tmp_path):
 def test_pde_residual_of_zero_is_the_forcing_peak(problem):
     # at q = 0 the convolution term int_0^x dqx(x, t) dt g vanishes (dqx is
     # odd about t = x/2), so the residual is qx(x, x) g near the origin
-    axes = SolveConfig(hx=0.02, hy=0.02, truncation=2.0).axes()
+    axes = SolveConfig(h=0.02, truncation=2.0).axes()
     q = np.zeros((len(axes[0]), len(axes[1])))
     assert _residual(axes, q, problem) == pytest.approx(0.125, abs=1e-3)
     tiny = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -125,7 +125,7 @@ def test_pde_residual_matches_the_dense_weight_matrix(problem):
     # 24 the solved q's blocks are probed and trimmed on both sides
     axes = (np.linspace(0.0, 8.0, 201), np.linspace(0.0, 1.0, 11))
     X, Y = np.meshgrid(*axes, indexing="ij")
-    solved = picard_solve(problem, SolveConfig(hx=0.05, hy=0.05,
+    solved = picard_solve(problem, SolveConfig(h=0.05,
                                                truncation=24.0)).solution
     kernel = problem.kernel
     for (xs, ys), q in [(axes, 0.2 * Y * (1.0 + np.sin(3.0 * X))),
@@ -152,7 +152,7 @@ def test_solve_holds_one_band_and_two_grids(problem):
     # the solve holds the iterate and its image: an application works in
     # its output, the gap and beta go into the dead iterate's buffer, and
     # the residual consumes the blocks one at a time
-    cfg = SolveConfig(hx=0.02, hy=0.02, truncation=24.0)
+    cfg = SolveConfig(h=0.02, truncation=24.0)
     axes = cfg.axes()
     grid = len(axes[0]) * len(axes[1]) * 8
     band = sum(block.nbytes for _, _, block in GridHammersteinOperator(
@@ -170,7 +170,7 @@ def test_solve_evaluates_its_kernel_band_once(problem, counting_kernel,
                                               monkeypatch):
     # one kernel_row_blocks pass builds the band; the residual evaluates
     # dlog_qx on that band only and qx on the diagonal only
-    cfg = SolveConfig(hx=0.02, hy=0.02, truncation=24.0)
+    cfg = SolveConfig(h=0.02, truncation=24.0)
     axes = cfg.axes()
     kernel, points = counting_kernel, counting_kernel.points
     band = sum(block.size for _, _, block in GridHammersteinOperator(
@@ -196,7 +196,7 @@ def test_pde_residual_of_a_nan_is_nan(problem):
     # one NaN node reaches the stencil of its neighbours and, through g,
     # the convolution of every later row; a blockwise sup that skipped it
     # (Python's max(0.0, nan) is 0.0) would report a finite residual
-    axes = SolveConfig(hx=0.02, hy=0.02, truncation=24.0).axes()
+    axes = SolveConfig(h=0.02, truncation=24.0).axes()
     for row in (1, 600, len(axes[0]) - 2):
         q = np.zeros((len(axes[0]), len(axes[1])))
         q[row, 7] = np.nan
@@ -209,7 +209,7 @@ def test_asymptotic_profile_of_closed_form(problem):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     u = WeightedGridFunction((xs, ys), problem.closed_forms["Tu0"](X, Y),
                              problem.weight, cmap=problem.cmap)
-    prof = asymptotic_profile(u, tol=1e-6)
+    prof = asymptotic_profile(u)
     face = problem.closed_forms["Tu0_face"]
     for y0, res in prof:
         assert res.status == "converged"
@@ -223,7 +223,7 @@ def test_asymptotic_profile_error_paths(problem):
     X, _ = np.meshgrid(xs, ys, indexing="ij")
     wobble = WeightedGridFunction((xs, ys), np.sin(X), cmap=problem.cmap)
     with pytest.raises(ValueError, match="no limit of u/phi"):
-        asymptotic_profile(wobble, tol=1e-3)
+        asymptotic_profile(wobble)
     boxed = WeightedGridFunction(
         (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)), np.zeros((5, 5)),
         cmap=ProductCompactification((IntervalIdentity(),
@@ -238,7 +238,7 @@ def test_profile_error_falls_tenfold_per_longer_truncation(problem):
     # q_inf(1) = 0.12475395214745 as the truncation grows
     errors = []
     for truncation in (24.0, 40.0, 60.0):
-        res = picard_solve(problem, SolveConfig(hx=0.05, hy=0.05,
+        res = picard_solve(problem, SolveConfig(h=0.05,
                                                 truncation=truncation))
         assert res.profile_converged == len(res.profile)
         errors.append(abs(res.profile[-1][1].value - 0.12475395214745))
@@ -247,7 +247,7 @@ def test_profile_error_falls_tenfold_per_longer_truncation(problem):
 
 
 def test_picard_solve_coarse_run(problem):
-    cfg = SolveConfig(hx=0.1, hy=0.1, truncation=16.0, tol=1e-8, rho_ball=0.5)
+    cfg = SolveConfig(h=0.1, truncation=16.0, tol=1e-8, rho_ball=0.5)
     res = picard_solve(problem, cfg)
     assert res.iterations <= 10
     gaps = res.gap_history
@@ -281,7 +281,7 @@ def test_picard_solve_applies_the_operator_once_per_iteration(problem,
         return apply(self, samples)
 
     monkeypatch.setattr(GridHammersteinOperator, "apply", counted)
-    res = picard_solve(problem, SolveConfig(hx=0.1, hy=0.1, truncation=16.0))
+    res = picard_solve(problem, SolveConfig(h=0.1, truncation=16.0))
     assert len(calls) == res.iterations
     # the face data attached to the last iterate is its own window limit
     stored = res.solution.infinity["axis0:inf"][(0, 0)]
@@ -297,14 +297,14 @@ def test_picard_solve_runs_one_face_ladder_per_y_node(problem, monkeypatch):
         return classify(evidence, tol)
 
     monkeypatch.setattr(compactify, "classify_ladder", counted)
-    cfg = SolveConfig(hx=0.1, hy=0.1, truncation=16.0)
+    cfg = SolveConfig(h=0.1, truncation=16.0)
     res = picard_solve(problem, cfg)
     assert len(calls) == len(cfg.axes()[1]) == len(res.profile)
     assert "axis0:inf" in res.solution.infinity
 
 
 def test_solve_config_rejects_bad_steps_and_tolerance():
-    for field in ("hx", "hy", "tol"):
+    for field in ("h", "tol"):
         for value in (0.0, -0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{field} must be positive"):
                 SolveConfig(truncation=24.0, **{field: value})
@@ -312,30 +312,31 @@ def test_solve_config_rejects_bad_steps_and_tolerance():
 
 def test_solve_config_bounds_the_node_count():
     # refused in the constructor, before a grid is allocated: 240,001 x
-    # 10,001 and 50,000,001 x 51 nodes, and an axis of 2 nodes, which
-    # pde_residual refused only after the whole Picard loop
+    # 10,001 and 50,000,001 x 51 nodes, and an x- or a y-axis of 2 nodes,
+    # which pde_residual refused only after the whole Picard loop
     for kwargs, match in (
-            (dict(truncation=24.0, hx=1e-4, hy=1e-4),
+            (dict(truncation=24.0, h=1e-4),
              "240001 x 10001 = 2400250001 nodes, more than MAX_NODES = "
              "10000000"),
             (dict(truncation=1e6), "50000001 x 51 = 2550000051 nodes"),
-            (dict(truncation=1.0, hx=1.0, hy=1.0),
+            (dict(truncation=1.0, h=1.0),
              "2 x 2 nodes; every axis needs at least 3"),
-            (dict(truncation=4.0, hx=0.25, hy=1.0), "17 x 2 nodes")):
+            (dict(truncation=4.0, h=1.0), "5 x 2 nodes"),
+            (dict(truncation=0.5, h=0.5), "2 x 3 nodes")):
         with pytest.raises(ValueError, match=re.escape(match)):
             SolveConfig(**kwargs)
     assert MAX_NODES == 10 ** 7
     for truncation, h, nodes in ((24.0, 0.005, 965001), (100.0, 0.01, 1010101),
                                  (1.0, 0.5, 9)):
-        axes = SolveConfig(truncation=truncation, hx=h, hy=h).axes()
+        axes = SolveConfig(truncation=truncation, h=h).axes()
         assert len(axes[0]) * len(axes[1]) == nodes
 
 
 def test_profile_stable_under_grid_refinement(problem):
-    coarse = picard_solve(problem, SolveConfig(hx=0.1, hy=0.1,
+    coarse = picard_solve(problem, SolveConfig(h=0.1,
                                                truncation=16.0,
                                                rho_ball=None))
-    fine = picard_solve(problem, SolveConfig(hx=0.05, hy=0.05,
+    fine = picard_solve(problem, SolveConfig(h=0.05,
                                              truncation=16.0, rho_ball=None))
     p_coarse = np.array([r.value for _, r in coarse.profile])
     p_fine = np.array([r.value for _, r in fine.profile])[::2]
@@ -345,7 +346,7 @@ def test_profile_stable_under_grid_refinement(problem):
 def test_long_truncation_solution_feeds_back_to_the_library(problem):
     # phi underflows to 0 beyond x = 38.6; the solution keeps q, so neither
     # the grid route of T nor the weighted norm divides by that phi
-    cfg = SolveConfig(hx=0.1, hy=0.1, truncation=40.0)
+    cfg = SolveConfig(h=0.1, truncation=40.0)
     res = picard_solve(problem, cfg)
     q = res.solution.quotient()
     xs = res.solution.axes[0]
@@ -362,7 +363,7 @@ def test_long_truncation_solution_feeds_back_to_the_library(problem):
 
 
 def test_uncertified_ball_warns(problem):
-    cfg = SolveConfig(hx=0.5, hy=0.25, truncation=4.0, rho_ball=5.0)
+    cfg = SolveConfig(h=0.25, truncation=4.0, rho_ball=5.0)
     with pytest.warns(UserWarning, match="not certified"):
         res = picard_solve(problem, cfg)
     assert not res.ball_check["holds"]
@@ -370,7 +371,7 @@ def test_uncertified_ball_warns(problem):
 
 
 def test_write_outputs(problem, tmp_path):
-    cfg = SolveConfig(hx=0.25, hy=0.25, truncation=4.0, rho_ball=0.5)
+    cfg = SolveConfig(h=0.25, truncation=4.0, rho_ball=0.5)
     res = picard_solve(problem, cfg)
     out = tmp_path / "run"
     paths = write_outputs(res, out, timestamp=False)
@@ -408,7 +409,7 @@ def test_write_outputs(problem, tmp_path):
         >= np.max(np.abs(res.solution.quotient())) > summary["beta_final"]
     assert summary["profile_converged"] == converged
     assert summary["problem"] == "hyperbolic-erf"
-    assert summary["config"] == {"grid_step": [0.25, 0.25],
+    assert summary["config"] == {"grid_step": 0.25,
                                  "truncation": 4.0, "tol": 1e-8,
                                  "max_iter": 50, "rho_ball": 0.5}
 
@@ -426,12 +427,15 @@ def test_solve_config_validation():
         SolveConfig(truncation=24.0, tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         SolveConfig(truncation=24.0, max_iter=0)
-    with pytest.raises(ValueError, match="hx = 0.07 does not divide"):
-        SolveConfig(hx=0.07, hy=0.05, truncation=4.0)
-    with pytest.raises(ValueError, match="hy = 0.3 does not divide"):
-        SolveConfig(hx=0.25, hy=0.3, truncation=4.0)
+    # h must divide both [0, truncation] and [0, 1]
+    with pytest.raises(ValueError, match=re.escape(
+            "h = 0.07 does not divide the interval [0, 4]")):
+        SolveConfig(h=0.07, truncation=4.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "h = 0.3 does not divide the interval [0, 1]")):
+        SolveConfig(h=0.3, truncation=3.0)
     with pytest.raises(ValueError, match="truncation must be positive"):
         SolveConfig(truncation=float("nan"))
-    axes = SolveConfig(hx=0.25, hy=0.25, truncation=4.0).axes()
+    axes = SolveConfig(h=0.25, truncation=4.0).axes()
     assert axes[0][0] == 0.0 and axes[0][-1] == 4.0 and len(axes[0]) == 17
     assert axes[1][-1] == 1.0 and len(axes[1]) == 5
